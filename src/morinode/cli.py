@@ -15,7 +15,6 @@ import hashlib
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -295,26 +294,7 @@ def _cmd_sweep(args):
                             error=cell.get("error"))
                 except (OSError, ValueError, KeyError, MalformedFileError):
                     continue
-    workers = max(1, int(os.environ.get("MORINODE_THREADS", "1")))
-    if workers > 1:
-        # evaluate cells concurrently, then merge deterministically
-        names = list(grid_values.keys())
-        points = [{}]
-        for n in names:
-            points = [dict(p, **{n: v}) for p in points for v in grid_values[n]]
-        def run_cell(point):
-            key = ",".join(f"{n}={point[n]:.12g}" for n in names)
-            if key in existing:
-                return key, existing[key]
-            params = np.array([point.get(n, 0.0) for n in family.names])
-            try:
-                return key, search.SweepCell(point, analysis(family.build(params), point))
-            except Exception as exc:
-                return key, search.SweepCell(point, None, str(exc))
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            table = dict(pool.map(run_cell, points))
-    else:
-        table = search.sweep(family, grid_values, analysis, existing=existing)
+    table = search.sweep(family, grid_values, analysis, existing=existing)
     cells = {k: {"params": c.params, "result": c.result, "error": c.error}
              for k, c in sorted(table.items())}
     return {"cells": cells}
@@ -333,7 +313,6 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--problem", required=True, help="nonlinearity JSON file")
         sp.add_argument("--grid-n", type=int, default=1024)
         sp.add_argument("--out", default=None, help="output directory")
-        sp.add_argument("--rng-seed", type=int, default=0)
         if rhs:
             sp.add_argument("--rhs", default=None, help="right-hand side ansatz JSON")
             sp.add_argument("--apply-operator", action="store_true",
@@ -382,7 +361,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--max-iterations", type=int, default=100)
     sp.add_argument("--grid-n", type=int, default=search.SIGMA_GRID_N)
     sp.add_argument("--out", default=None)
-    sp.add_argument("--rng-seed", type=int, default=0)
 
     sp = sub.add_parser("hull")
     common(sp)
@@ -414,7 +392,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--rhs-constant", type=float, default=0.0)
     sp.add_argument("--grid-n", type=int, default=1024)
     sp.add_argument("--out", default=None)
-    sp.add_argument("--rng-seed", type=int, default=0)
     return p
 
 

@@ -33,6 +33,47 @@ class _SimplexFailure(Exception):
     pass
 
 
+def _pivot(T: np.ndarray, entering: int, max_iter: int,
+           bland_after: int) -> np.ndarray:
+    """Simplex pivots on tableau T in place; returns the basic solution.
+
+    The last row holds the reduced costs and the last column the basic
+    values; the starting basis is the identity block in the m columns before
+    it. Only the first ``entering`` columns may enter the basis. Dantzig's
+    rule picks the entering column, switching to Bland's rule after
+    ``bland_after`` iterations to escape cycling. Raises _SimplexFailure
+    when the entering column is unbounded.
+    """
+    m, width = T.shape[0] - 1, T.shape[1] - 1
+    basis = list(range(width - m, width))
+    for it in range(max_iter):
+        row = T[m, :entering]
+        if it < bland_after:
+            j = int(np.argmin(row))
+            if row[j] >= -1e-11:
+                break
+        else:
+            neg = np.nonzero(row < -1e-11)[0]
+            if len(neg) == 0:
+                break
+            j = int(neg[0])
+        col = T[:m, j]
+        pos = col > 1e-12
+        if not pos.any():
+            raise _SimplexFailure("unbounded")
+        ratios = np.full(m, np.inf)
+        ratios[pos] = T[:m, -1][pos] / col[pos]
+        i = int(np.argmin(ratios))
+        T[i] /= T[i, j]
+        factors = T[:, j].copy()
+        factors[i] = 0.0
+        T -= np.outer(factors, T[i])
+        basis[i] = j
+    x = np.zeros(width)
+    x[basis] = T[:m, -1]
+    return x
+
+
 def _simplex_max(A: np.ndarray, b: np.ndarray, c: np.ndarray,
                  max_iter: int = 5000):
     """max c.x s.t. A x <= b, x >= 0, requiring b >= 0 (slack basis start).
@@ -47,33 +88,7 @@ def _simplex_max(A: np.ndarray, b: np.ndarray, c: np.ndarray,
     T[:m, n:n + m] = np.eye(m)
     T[:m, -1] = b
     T[m, :n] = -c
-    basis = list(range(n, n + m))
-    for it in range(max_iter):
-        row = T[m, :-1]
-        if it < max_iter // 2:
-            j = int(np.argmin(row))
-            if row[j] >= -1e-11:
-                break
-        else:  # Bland's rule to escape cycling
-            neg = np.nonzero(row < -1e-11)[0]
-            if len(neg) == 0:
-                break
-            j = int(neg[0])
-        col = T[:m, j]
-        pos = col > 1e-12
-        if not pos.any():
-            raise _SimplexFailure("unbounded")
-        ratios = np.full(m, np.inf)
-        ratios[pos] = T[:m, -1][pos] / col[pos]
-        i = int(np.argmin(ratios))
-        piv = T[i, j]
-        T[i] /= piv
-        for r in range(m + 1):
-            if r != i and T[r, j] != 0.0:
-                T[r] -= T[r, j] * T[i]
-        basis[i] = j
-    x = np.zeros(n + m)
-    x[basis] = T[:m, -1]
+    x = _pivot(T, n + m, max_iter, max_iter // 2)
     return x[:n], float(T[m, -1])
 
 
@@ -95,30 +110,14 @@ def _feasible_combination(P: np.ndarray) -> np.ndarray | None:
     T[:rows, :m] = G
     T[:rows, m:m + rows] = np.eye(rows)
     T[:rows, -1] = rhs
-    basis = list(range(m, m + rows))
     # objective: minimize sum of artificials -> reduced costs
     T[rows, :] = -np.sum(T[:rows, :], axis=0)
     T[rows, m:m + rows] = 0.0
-    for it in range(4000):
-        row = T[rows, :m]
-        j = int(np.argmin(row))
-        if row[j] >= -1e-11:
-            break
-        col = T[:rows, j]
-        pos = col > 1e-12
-        if not pos.any():
-            return None
-        ratios = np.full(rows, np.inf)
-        ratios[pos] = T[:rows, -1][pos] / col[pos]
-        i = int(np.argmin(ratios))
-        piv = T[i, j]
-        T[i] /= piv
-        for r in range(rows + 1):
-            if r != i and T[r, j] != 0.0:
-                T[r] -= T[r, j] * T[i]
-        basis[i] = j
-    lam = np.zeros(m + rows)
-    lam[basis] = T[:rows, -1]
+    try:
+        # artificials never re-enter; Dantzig's rule throughout
+        lam = _pivot(T, m, 4000, 4000)
+    except _SimplexFailure:
+        return None
     art = lam[m:]
     if np.max(np.abs(art)) > 1e-9:
         return None

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Nonlinearity, PeriodicFn, PreconditionError, BracketError
+from .core import BUILTINS, BracketError, Nonlinearity, PreconditionError
 
 U_MAX = 1e6
 
@@ -58,20 +58,33 @@ class ReturnValue:
 
 
 def _rhs_tables(f: Nonlinearity, v, t0: float, nsteps: int, h: float,
-                order: int = 0):
-    """Python-list tables of v and the f coefficients at all stage times."""
+                orders=(0,)):
+    """Forcing values and x-derivative tables of f at the RK4 stage times.
+
+    The stage times of step k are t_k, t_k + h/2 and t_k + h. Returns
+    ``(vvals, stages)``: the forcing at those times, shape (3, nsteps), and
+    for each requested x-derivative order an ``(evaluate, rows)`` pair with
+    ``rows`` = (r0, rh, r1) stacked such that ``evaluate(r0[k], x)`` is
+    d^order f/dx^order at (t_k, x). A polynomial row is its coefficient
+    table at that time, evaluated by Horner; a builtin's row is the time.
+    """
     times = t0 + h * np.arange(nsteps)
     stage_times = np.concatenate([times, times + h / 2, times + h])
     if v is None:
         vvals = np.zeros(stage_times.shape)
-    elif isinstance(v, PeriodicFn):
-        vvals = np.asarray(v.eval(stage_times), dtype=float)
-    else:
+    else:  # a PeriodicFn calls its spectral interpolant
         vvals = np.asarray(v(stage_times), dtype=float)
-    if f.builtin is not None:
-        return vvals, (f.eval, None), stage_times
-    rows = f.coeff_rows(stage_times, order=order)
-    return vvals, rows, stage_times
+    stages = []
+    for order in orders:
+        if f.builtin is not None:
+            fn = BUILTINS[f.builtin]
+            evaluate = lambda t, x, fn=fn, order=order: fn(t, x, order)
+            rows = stage_times
+        else:
+            evaluate = _f_from_row
+            rows = f.coeff_rows(stage_times, order=order)
+        stages.append((evaluate, rows.reshape(3, nsteps, *rows.shape[1:])))
+    return vvals.reshape(3, nsteps), stages
 
 
 def _f_from_row(row, x):
@@ -82,55 +95,65 @@ def _f_from_row(row, x):
     return acc
 
 
-def _flow_scalar(f: Nonlinearity, v, x0: float, t0: float, t1: float, h: float,
-                 store: bool = False):
-    """Scalar RK4 flow; returns (u_end, samples|None, blow info)."""
+def _step_count(t0: float, t1: float, h: float) -> tuple[int, float]:
+    """Number of steps of about h across [t0, t1], and their exact size."""
     nsteps = int(round((t1 - t0) / h))
     if nsteps <= 0 or not (t0 < t1):
         raise PreconditionError("need t0 < t1 and a positive step")
-    h = (t1 - t0) / nsteps
-    vvals, rows, _ = _rhs_tables(f, v, t0, nsteps, h)
-    v0 = vvals[:nsteps]
-    vh = vvals[nsteps:2 * nsteps]
-    v1 = vvals[2 * nsteps:]
-    builtin = f.builtin is not None
-    if builtin:
-        feval, _ = rows
-        fa = lambda x, tt: float(feval(tt, x, 0))
-    else:
-        r0 = rows[:nsteps].tolist()
-        rh = rows[nsteps:2 * nsteps].tolist()
-        r1 = rows[2 * nsteps:].tolist()
+    return nsteps, (t1 - t0) / nsteps
+
+
+def _rk4_scalar(f: Nonlinearity, v, x0: float, t0: float, t1: float, h: float,
+                store: bool = False, variation: bool = False):
+    """Scalar RK4 with Kahan-compensated updates, the one single-lane loop.
+
+    With ``variation`` a second lane z' = D2f(t,u) is accumulated from the
+    same stages. Returns (u_end, samples|None, z, blew, sign, blow_time).
+    """
+    nsteps, h = _step_count(t0, t1, h)
+    vvals, stages = _rhs_tables(f, v, t0, nsteps, h,
+                                (0, 1) if variation else (0,))
+    # Python lists keep every stage in plain floats, not numpy scalars
+    v0, vh, v1 = vvals.tolist()
+    fx, rows = stages[0]
+    r0, rh, r1 = rows.tolist()
+    if variation:
+        gx, rows = stages[1]
+        d0, dh, d1 = rows.tolist()
+    half, sixth = 0.5 * h, h / 6.0
     u = float(x0)
-    comp = 0.0
+    z = comp = 0.0
     samples = [u] if store else None
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(nsteps):
-            if builtin:
-                tk = t0 + k * h
-                k1 = v0[k] - fa(u, tk)
-                k2 = vh[k] - fa(u + 0.5 * h * k1, tk + h / 2)
-                k3 = vh[k] - fa(u + 0.5 * h * k2, tk + h / 2)
-                k4 = v1[k] - fa(u + h * k3, tk + h)
-            else:
-                k1 = v0[k] - _f_from_row(r0[k], u)
-                k2 = vh[k] - _f_from_row(rh[k], u + 0.5 * h * k1)
-                k3 = vh[k] - _f_from_row(rh[k], u + 0.5 * h * k2)
-                k4 = v1[k] - _f_from_row(r1[k], u + h * k3)
-            du = (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            y = du - comp
+            k1 = v0[k] - fx(r0[k], u)
+            u2 = u + half * k1
+            k2 = vh[k] - fx(rh[k], u2)
+            u3 = u + half * k2
+            k3 = vh[k] - fx(rh[k], u3)
+            u4 = u + h * k3
+            k4 = v1[k] - fx(r1[k], u4)
+            if variation:
+                z += sixth * (gx(d0[k], u) + 2.0 * gx(dh[k], u2)
+                              + 2.0 * gx(dh[k], u3) + gx(d1[k], u4))
+            y = sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4) - comp
             s = u + y
             comp = (s - u) - y
             last = u
             u = s
             if not math.isfinite(u) or abs(u) > U_MAX:
-                sign = 1 if (last if math.isfinite(last) else 0.0) >= 0 else -1
-                if math.isfinite(u):
-                    sign = 1 if u > 0 else -1
-                return u, samples, True, sign, t0 + (k + 1) * h
+                sign = -1 if (u if math.isfinite(u) else last) < 0 else 1
+                return u, samples, z, True, sign, t0 + (k + 1) * h
             if store:
                 samples.append(u)
-    return u, samples, False, None, None
+    return u, samples, z, False, None, None
+
+
+def _flow_scalar(f: Nonlinearity, v, x0: float, t0: float, t1: float, h: float,
+                 store: bool = False):
+    """Scalar RK4 flow; returns (u_end, samples|None, blow info)."""
+    u, samples, _, blew, sign, btime = _rk4_scalar(f, v, x0, t0, t1, h, store)
+    return u, samples, blew, sign, btime
 
 
 def _flow_vector(f: Nonlinearity, v, x0: np.ndarray, h: float):
@@ -138,15 +161,9 @@ def _flow_vector(f: Nonlinearity, v, x0: np.ndarray, h: float):
 
     Returns (u_end, alive, blow_sign, blow_time); dead components hold nan.
     """
-    x0 = np.asarray(x0, dtype=float)
-    nsteps = int(round(1.0 / h))
-    h = 1.0 / nsteps
-    vvals, rows, _ = _rhs_tables(f, v, 0.0, nsteps, h)
-    v0 = vvals[:nsteps]
-    vh = vvals[nsteps:2 * nsteps]
-    v1 = vvals[2 * nsteps:]
-    builtin = f.builtin is not None
-    u = x0.copy()
+    u = np.array(x0, dtype=float)
+    nsteps, h = _step_count(0.0, 1.0, h)
+    (v0, vh, v1), [(fx, (r0, rh, r1))] = _rhs_tables(f, v, 0.0, nsteps, h)
     comp = np.zeros_like(u)
     alive = np.ones(u.shape, dtype=bool)
     blow_sign = np.zeros(u.shape, dtype=int)
@@ -154,30 +171,19 @@ def _flow_vector(f: Nonlinearity, v, x0: np.ndarray, h: float):
     last = u.copy()
     with np.errstate(all="ignore"):
         for k in range(nsteps):
-            if builtin:
-                feval, _ = rows
-                tk = k * h
-                k1 = v0[k] - feval(tk, u, 0)
-                k2 = vh[k] - feval(tk + h / 2, u + 0.5 * h * k1, 0)
-                k3 = vh[k] - feval(tk + h / 2, u + 0.5 * h * k2, 0)
-                k4 = v1[k] - feval(tk + h, u + h * k3, 0)
-            else:
-                k1 = v0[k] - _f_from_row(rows[k], u)
-                k2 = vh[k] - _f_from_row(rows[nsteps + k], u + 0.5 * h * k1)
-                k3 = vh[k] - _f_from_row(rows[nsteps + k], u + 0.5 * h * k2)
-                k4 = v1[k] - _f_from_row(rows[2 * nsteps + k], u + h * k3)
-            du = (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-            y = du - comp
+            k1 = v0[k] - fx(r0[k], u)
+            k2 = vh[k] - fx(rh[k], u + 0.5 * h * k1)
+            k3 = vh[k] - fx(rh[k], u + 0.5 * h * k2)
+            k4 = v1[k] - fx(r1[k], u + h * k3)
+            y = (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4) - comp
             s = u + y
             comp = (s - u) - y
             np.copyto(last, u, where=alive & np.isfinite(u))
             u = s
             dead = alive & (~np.isfinite(u) | (np.abs(u) > U_MAX))
             if dead.any():
-                finite_dead = dead & np.isfinite(u)
-                blow_sign[finite_dead] = np.sign(u[finite_dead]).astype(int)
-                rest = dead & ~finite_dead
-                blow_sign[rest] = np.where(last[rest] >= 0, 1, -1)
+                ref = np.where(np.isfinite(u), u, last)
+                blow_sign[dead] = np.where(ref[dead] < 0, -1, 1)
                 blow_time[dead] = (k + 1) * h
                 alive &= ~dead
                 u[~alive] = np.nan
@@ -196,8 +202,7 @@ def integrate(f: Nonlinearity, v, x0: float, t0: float = 0.0, t1: float = 1.0,
         raise PreconditionError("step must be positive")
     u_end, samples, blew, sign, btime = _flow_scalar(f, v, x0, t0, t1, h, store=True)
     samples = np.asarray(samples, dtype=float)
-    step = (t1 - t0) / int(round((t1 - t0) / h))
-    times = t0 + step * np.arange(len(samples))
+    times = t0 + _step_count(t0, t1, h)[1] * np.arange(len(samples))
     return Trajectory(t0=t0, t1=t1, h=h, times=times, samples=samples,
                       blew_up=blew, blow_sign=sign, blow_time=btime)
 
@@ -210,65 +215,22 @@ def return_map(f: Nonlinearity, v, x0: float, h: float = 1e-3,
     trajectory by integrating z' = D2f(t,u) with the same RK4 stages; it is
     positive whenever the solution survives.
     """
-    if not with_derivative:
-        u_end, _, blew, sign, btime = _flow_scalar(f, v, x0, 0.0, 1.0, h)
-        if blew:
-            return ReturnValue(None, True, sign, btime)
-        return ReturnValue(float(u_end))
-    val, der, blew, sign, btime = _flow_with_variation(f, v, x0, h)
+    der = None
+    if with_derivative:
+        val, der, blew, sign, btime = _flow_with_variation(f, v, x0, h)
+    else:
+        val, _, blew, sign, btime = _flow_scalar(f, v, x0, 0.0, 1.0, h)
     if blew:
         return ReturnValue(None, True, sign, btime)
-    return ReturnValue(val, derivative=der)
+    return ReturnValue(float(val), derivative=der)
 
 
 def _flow_with_variation(f: Nonlinearity, v, x0: float, h: float):
     """Joint RK4 for u and z = int D2f(t,u); returns (u(1), exp(-z(1)), ...)."""
-    nsteps = int(round(1.0 / h))
-    h = 1.0 / nsteps
-    vvals, rows, _ = _rhs_tables(f, v, 0.0, nsteps, h)
-    v0, vh, v1 = vvals[:nsteps], vvals[nsteps:2 * nsteps], vvals[2 * nsteps:]
-    builtin = f.builtin is not None
-    if not builtin:
-        d0 = f.coeff_rows(np.arange(nsteps) * h, order=1).tolist()
-        dh = f.coeff_rows(np.arange(nsteps) * h + h / 2, order=1).tolist()
-        d1 = f.coeff_rows(np.arange(nsteps) * h + h, order=1).tolist()
-        r0 = rows[:nsteps].tolist()
-        rh = rows[nsteps:2 * nsteps].tolist()
-        r1 = rows[2 * nsteps:].tolist()
-    u, z = float(x0), 0.0
-    comp = 0.0
-    for k in range(nsteps):
-        if builtin:
-            tk = k * h
-            fa = lambda tt, x: float(f.eval(tt, x, 0))
-            ga = lambda tt, x: float(f.eval(tt, x, 1))
-            k1 = v0[k] - fa(tk, u);           g1 = ga(tk, u)
-            u2 = u + 0.5 * h * k1
-            k2 = vh[k] - fa(tk + h / 2, u2);  g2 = ga(tk + h / 2, u2)
-            u3 = u + 0.5 * h * k2
-            k3 = vh[k] - fa(tk + h / 2, u3);  g3 = ga(tk + h / 2, u3)
-            u4 = u + h * k3
-            k4 = v1[k] - fa(tk + h, u4);      g4 = ga(tk + h, u4)
-        else:
-            k1 = v0[k] - _f_from_row(r0[k], u);  g1 = _f_from_row(d0[k], u)
-            u2 = u + 0.5 * h * k1
-            k2 = vh[k] - _f_from_row(rh[k], u2); g2 = _f_from_row(dh[k], u2)
-            u3 = u + 0.5 * h * k2
-            k3 = vh[k] - _f_from_row(rh[k], u3); g3 = _f_from_row(dh[k], u3)
-            u4 = u + h * k3
-            k4 = v1[k] - _f_from_row(r1[k], u4); g4 = _f_from_row(d1[k], u4)
-        du = (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        y = du - comp
-        s = u + y
-        comp = (s - u) - y
-        last = u
-        u = s
-        z += (h / 6.0) * (g1 + 2 * g2 + 2 * g3 + g4)
-        if not math.isfinite(u) or abs(u) > U_MAX:
-            sign = 1 if u > 0 else -1
-            if not math.isfinite(u):
-                sign = 1 if last >= 0 else -1
-            return None, None, True, sign, (k + 1) * h
+    u, _, z, blew, sign, btime = _rk4_scalar(f, v, x0, 0.0, 1.0, h,
+                                             variation=True)
+    if blew:
+        return None, None, True, sign, btime
     return float(u), float(math.exp(-z)), False, None, None
 
 

@@ -6,6 +6,7 @@ from morinode import (FromSimplified, Grid, Nonlinearity, PeriodicFn,
                       hull_origin_test, mean, replicate, reparam, seed_shat,
                       sigma_hat, sigma_vec, tameness)
 from morinode.core import PreconditionError
+from morinode.globalgeo import _simplex_max
 
 TWO_PI = 2 * np.pi
 
@@ -13,6 +14,30 @@ SQUARE = Nonlinearity.polynomial([0, 0, 1])
 CUBIC_PLUS = Nonlinearity.polynomial([0, 1, 0, 1])     # x^3 + x
 CUBIC_MINUS = Nonlinearity.polynomial([0, -1, 0, 1])   # x^3 - x
 NEG_CUBIC = Nonlinearity.polynomial([0, 0, 0, -1])     # -x^3
+
+
+def _row_loop_simplex_max(A, b, c):
+    """Reference simplex: Dantzig's rule, tableau updated row by row."""
+    m, n = A.shape
+    T = np.zeros((m + 1, n + m + 1))
+    T[:m, :n], T[:m, n:n + m], T[:m, -1], T[m, :n] = A, np.eye(m), b, -c
+    basis = list(range(n, n + m))
+    while True:
+        j = int(np.argmin(T[m, :-1]))
+        if T[m, j] >= -1e-11:
+            break
+        pos = T[:m, j] > 1e-12
+        ratios = np.full(m, np.inf)
+        ratios[pos] = T[:m, -1][pos] / T[:m, j][pos]
+        i = int(np.argmin(ratios))
+        T[i] /= T[i, j]
+        for r in range(m + 1):
+            if r != i and T[r, j] != 0.0:
+                T[r] -= T[r, j] * T[i]
+        basis[i] = j
+    x = np.zeros(n + m)
+    x[basis] = T[:m, -1]
+    return x[:n], float(T[m, -1])
 
 
 class TestHull:
@@ -93,6 +118,20 @@ class TestHull:
             assert verdict.interior == bool(worst < 0)
             agreements += 1
         assert agreements == 30
+
+    def test_rank_one_pivot_matches_row_loop(self):
+        # the pivot updates the tableau by one outer product; a row-by-row
+        # update in the same arithmetic must reach the identical optimum
+        rng = np.random.default_rng(7)
+        for trial in range(20):
+            m, n = int(rng.integers(5, 40)), int(rng.integers(2, 6))
+            A = np.vstack([rng.normal(size=(m, n)), np.eye(n)])
+            b = np.concatenate([rng.uniform(0.5, 2.0, m), np.ones(n)])
+            c = rng.normal(size=n)
+            x, obj = _simplex_max(A, b, c)
+            x_ref, obj_ref = _row_loop_simplex_max(A, b, c)
+            assert np.array_equal(x, x_ref)
+            assert obj == obj_ref
 
 
 class TestDegree:

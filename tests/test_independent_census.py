@@ -11,7 +11,8 @@ import pytest
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
-from morinode.odeint import _flow_scalar, _flow_vector
+from morinode import Nonlinearity
+from morinode.odeint import _flow_scalar, _flow_vector, _flow_with_variation
 
 
 @pytest.fixture(scope="module")
@@ -55,3 +56,20 @@ def test_vector_and_scalar_flows_agree(quartic, rhs):
                                             0.0, 1.0, 1e-3)
         assert not blew
         assert u_end == pytest.approx(expect, abs=1e-13)
+
+
+def test_builtin_blowups_agree_across_drivers():
+    # cosh^2(x) * 2 pi cos(2 pi t) escapes from every start value; all three
+    # drivers must agree on where and in which direction
+    wild = Nonlinearity.from_builtin("cosh2_cos")
+    xs = np.array([-0.5, -0.1, 0.0, 0.1, 0.5])
+    expected = [(-1, 0.091), (-1, 0.179), (1, 0.738), (1, 0.679), (1, 0.591)]
+    _, alive, signs, times = _flow_vector(wild, None, xs, 1e-3)
+    assert not alive.any()
+    for x, sign, btime, (esign, etime) in zip(xs, signs, times, expected):
+        _, _, blew, s, t = _flow_scalar(wild, None, float(x), 0.0, 1.0, 1e-3)
+        assert blew
+        assert (s, t) == (sign, btime)
+        assert s == esign and t == pytest.approx(etime, abs=1e-12)
+        _, _, blew, s, t = _flow_with_variation(wild, None, float(x), 1e-3)
+        assert blew and (s, t) == (sign, btime)

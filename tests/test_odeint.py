@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -71,6 +73,18 @@ class TestReturnMap:
         assert rv.blew_up
         assert rv.blow_sign == -1
         assert rv.blow_time is not None and rv.blow_time <= 1.0
+
+    def test_blowup_with_derivative_is_silent(self):
+        # the variational flow guards overflow like the plain flow does
+        wild = Nonlinearity.from_builtin("cosh2_cos")
+        plain = return_map(wild, None, 0.1, h=1e-3)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            joint = return_map(wild, None, 0.1, h=1e-3, with_derivative=True)
+        assert [str(w.message) for w in caught] == []
+        assert plain.blew_up and joint.blew_up
+        assert (joint.blow_sign, joint.blow_time) == (plain.blow_sign,
+                                                      plain.blow_time)
 
     def test_surviving_set_is_interval(self):
         # no revival after blow-up when scanning upward through start values
