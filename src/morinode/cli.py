@@ -205,7 +205,12 @@ def _cmd_count_solutions(args):
             "count_at_half_step": census.count_at_half_step,
             "stable_under_halving": census.stable_under_halving,
             "unresolved_brackets": census.unresolved_brackets,
-            "csv": args.csv}
+            "csv": args.csv,
+            "diagnostics": {"passes": [
+                {"h": p.h, "brackets": p.brackets,
+                 "refine_flows": p.refine_flows,
+                 "flows_per_bracket": p.flows_per_bracket}
+                for p in census.passes]}}
 
 
 def _cmd_find_singularity(args):
@@ -286,7 +291,8 @@ def _cmd_sweep(args):
         if os.path.isdir(prev):
             for fn in sorted(os.listdir(prev)):
                 try:
-                    doc = json.load(open(os.path.join(prev, fn)))
+                    with open(os.path.join(prev, fn)) as fh:
+                        doc = json.load(fh)
                     validate_payload(doc)
                     for key, cell in doc["result"]["cells"].items():
                         existing[key] = search.SweepCell(

@@ -22,7 +22,7 @@ import numpy as np
 from .core import (Nonlinearity, PeriodicFn, PreconditionError,
                    TamenessViolationError, InternalConsistencyError,
                    mean, spectral_antiderivative)
-from .odeint import _flow_scalar
+from .odeint import _flow_scalar, _shift_forcing, _stage_table
 
 PERIODICITY_TOL = 1e-11
 AVERAGE_TOL = 1e-9
@@ -95,9 +95,13 @@ def _solve_initial_value(f, vtilde, c, h, nu_hint, tol) -> FibrePoint:
     if h is None:
         h = 1.0 / grid.n
 
+    # vtilde at the RK4 stage times, evaluated once per solve; each flow
+    # adds its nu to a copy
+    table = _stage_table(f, vtilde, h)
+
     def flow(nu):
-        rhs = lambda t: vtilde.eval(t) + nu
-        u_end, _, blew, sign, _ = _flow_scalar(f, rhs, c, 0.0, 1.0, h)
+        u_end, _, blew, sign, _ = _flow_scalar(
+            f, None, c, 0.0, 1.0, h, table=_shift_forcing(table, nu))
         return u_end, blew, sign
 
     vnorm = float(np.max(np.abs(vtilde.values)))
@@ -156,10 +160,13 @@ def _solve_initial_value(f, vtilde, c, h, nu_hint, tol) -> FibrePoint:
     nu = best_nu
 
     # one re-integration from the converged nu emits the stored samples
-    rhs = lambda t: vtilde.eval(t) + nu
     steps_per_node = max(int(round(1.0 / (h * grid.n))), 1)
     h_store = 1.0 / (steps_per_node * grid.n)
-    _, samples, blew, _, _ = _flow_scalar(f, rhs, c, 0.0, 1.0, h_store, store=True)
+    if h_store != h:
+        table = _stage_table(f, vtilde, h_store)
+    _, samples, blew, _, _ = _flow_scalar(f, None, c, 0.0, 1.0, h_store,
+                                          store=True,
+                                          table=_shift_forcing(table, nu))
     if blew:
         raise InternalConsistencyError("re-integration at the converged nu blew up")
     u = PeriodicFn(grid, np.asarray(samples[:-1])[::steps_per_node])

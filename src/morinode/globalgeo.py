@@ -212,13 +212,11 @@ def _hull_test_box(P: np.ndarray, box: float, best_effort: bool = False):
             # variables: y_l = nu_l + box (l free), d = delta + B
             A = np.zeros((m + nfree, nfree + 1))
             b = np.zeros(m + nfree)
-            for i in range(m):
-                A[i, :nfree] = -P[i, free]
-                A[i, nfree] = 1.0
-                b[i] = B + s * P[i, j] - box * np.sum(P[i, free])
-            for li in range(nfree):
-                A[m + li, li] = 1.0
-                b[m + li] = 2.0 * box
+            A[:m, :nfree] = -P[:, free]
+            A[:m, nfree] = 1.0
+            b[:m] = B + s * P[:, j] - box * P[:, free].sum(axis=1)
+            A[m:, :nfree] = np.eye(nfree)
+            b[m:] = 2.0 * box
             c = np.zeros(nfree + 1)
             c[nfree] = 1.0
             try:

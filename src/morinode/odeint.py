@@ -103,23 +103,47 @@ def _step_count(t0: float, t1: float, h: float) -> tuple[int, float]:
     return nsteps, (t1 - t0) / nsteps
 
 
+def _stage_table(f: Nonlinearity, v, h: float, orders=(0,), t0: float = 0.0,
+                 t1: float = 1.0):
+    """``_rhs_tables`` on [t0, t1] with the rows as plain-float lists.
+
+    Returns ``(forcing, stages)``: the forcing array of ``_rhs_tables`` and,
+    per requested order, ``(evaluate, (r0, rh, r1))`` as lists, which keep
+    every stage in plain floats, not numpy scalars. Flows at the same
+    (f, v, h) over [0, 1] can share one such table through their ``table``
+    argument; each flow converts only the forcing to lists.
+    """
+    nsteps, h = _step_count(t0, t1, h)
+    vvals, stages = _rhs_tables(f, v, t0, nsteps, h, orders)
+    return vvals, [(evaluate, rows.tolist()) for evaluate, rows in stages]
+
+
+def _shift_forcing(table, nu: float):
+    """The same stage table with the constant ``nu`` added to the forcing."""
+    forcing, stages = table
+    return forcing + nu, stages
+
+
 def _rk4_scalar(f: Nonlinearity, v, x0: float, t0: float, t1: float, h: float,
-                store: bool = False, variation: bool = False):
+                store: bool = False, variation: bool = False, table=None):
     """Scalar RK4 with Kahan-compensated updates, the one single-lane loop.
 
     With ``variation`` a second lane z' = D2f(t,u) is accumulated from the
-    same stages. Returns (u_end, samples|None, z, blew, sign, blow_time).
+    same stages. ``table`` is a prebuilt ``_stage_table`` of (f, v) at h on
+    [t0, t1], holding order 1 too when ``variation`` is set; f and v are
+    then not evaluated. Returns (u_end, samples|None, z, blew, sign,
+    blow_time).
     """
     nsteps, h = _step_count(t0, t1, h)
-    vvals, stages = _rhs_tables(f, v, t0, nsteps, h,
-                                (0, 1) if variation else (0,))
-    # Python lists keep every stage in plain floats, not numpy scalars
-    v0, vh, v1 = vvals.tolist()
-    fx, rows = stages[0]
-    r0, rh, r1 = rows.tolist()
+    if table is None:
+        table = _stage_table(f, v, h, (0, 1) if variation else (0,), t0, t1)
+    forcing, stages = table
+    v0, vh, v1 = forcing.tolist()
+    if len(v0) != nsteps:
+        raise PreconditionError("stage table was built for another step")
+    fx, (r0, rh, r1) = stages[0]
     if variation:
-        gx, rows = stages[1]
-        d0, dh, d1 = rows.tolist()
+        gx, (d0, dh, d1) = stages[1]
     half, sixth = 0.5 * h, h / 6.0
     u = float(x0)
     z = comp = 0.0
@@ -150,9 +174,13 @@ def _rk4_scalar(f: Nonlinearity, v, x0: float, t0: float, t1: float, h: float,
 
 
 def _flow_scalar(f: Nonlinearity, v, x0: float, t0: float, t1: float, h: float,
-                 store: bool = False):
-    """Scalar RK4 flow; returns (u_end, samples|None, blow info)."""
-    u, samples, _, blew, sign, btime = _rk4_scalar(f, v, x0, t0, t1, h, store)
+                 store: bool = False, table=None):
+    """Scalar RK4 flow; returns (u_end, samples|None, blow info).
+
+    ``table`` is an optional prebuilt ``_stage_table(f, v, h)`` on [t0, t1].
+    """
+    u, samples, _, blew, sign, btime = _rk4_scalar(f, v, x0, t0, t1, h, store,
+                                                   table=table)
     return u, samples, blew, sign, btime
 
 
@@ -225,10 +253,13 @@ def return_map(f: Nonlinearity, v, x0: float, h: float = 1e-3,
     return ReturnValue(float(val), derivative=der)
 
 
-def _flow_with_variation(f: Nonlinearity, v, x0: float, h: float):
-    """Joint RK4 for u and z = int D2f(t,u); returns (u(1), exp(-z(1)), ...)."""
+def _flow_with_variation(f: Nonlinearity, v, x0: float, h: float, table=None):
+    """Joint RK4 for u and z = int D2f(t,u); returns (u(1), exp(-z(1)), ...).
+
+    ``table`` is an optional prebuilt ``_stage_table(f, v, h, (0, 1))``.
+    """
     u, _, z, blew, sign, btime = _rk4_scalar(f, v, x0, 0.0, 1.0, h,
-                                             variation=True)
+                                             variation=True, table=table)
     if blew:
         return None, None, True, sign, btime
     return float(u), float(math.exp(-z)), False, None, None

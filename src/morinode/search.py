@@ -5,8 +5,10 @@ a Fourier ansatz with a free/frozen coefficient mask, and a target for the
 leading singularity functionals. Gauss-Newton iterations use the
 minimum-norm pseudoinverse step (truncated SVD), reporting the smallest
 retained singular value as the surjectivity check. The census scans the
-return map for fixed points, brackets sign changes, refines by bisection,
-and re-verifies the count at half the integration step.
+return map for fixed points, brackets sign changes, refines each bracket
+by a safeguarded Newton iteration on rho(x) - x (the variational flow gives
+rho' with every value), and re-verifies the count at half the integration
+step. All refinement flows of one pass read one stage table.
 """
 
 from __future__ import annotations
@@ -19,11 +21,15 @@ import numpy as np
 from .core import (Grid, Nonlinearity, PreconditionError,
                    Term, TrigPoly, FourierAnsatz)
 from .morin import _sigma_values
-from .odeint import _flow_scalar, _flow_with_variation, _flow_vector
+# _flow_scalar is no longer called here but stays a module attribute: the
+# benchmark's tracer (bench/spans.py) wraps search._flow_scalar
+from .odeint import (_flow_scalar, _flow_with_variation,  # noqa: F401
+                     _flow_vector, _stage_table)
 
 SIGMA_GRID_N = 2048
 SCAN_POINTS = 801
 ROOT_REFINE_TOL = 1e-12
+MAX_REFINE_FLOWS = 80
 ROOT_DEDUP_TOL = 1e-9
 PINV_TRUNCATION = 1e-10
 
@@ -231,9 +237,33 @@ def _jacobian(problem: SearchProblem, x: np.ndarray, mask: np.ndarray) -> np.nda
 
 @dataclass(frozen=True)
 class CensusRoot:
+    """A refined fixed point of the return map.
+
+    ``bracket_width`` is the size of the last refinement step: the Newton
+    correction, or the bisection move where Newton would have left the sign
+    bracket; 0.0 when g hit 0 exactly. For a simple root it bounds the
+    distance to the fixed point of the discretized map.
+    """
+
     x: float
     rho_prime: float
     bracket_width: float
+
+
+@dataclass(frozen=True)
+class CensusPass:
+    """Deterministic work of one census pass at integration step ``h``."""
+
+    h: float
+    flows_per_bracket: tuple[int, ...]  # refinement flows, in scan order
+
+    @property
+    def brackets(self) -> int:
+        return len(self.flows_per_bracket)
+
+    @property
+    def refine_flows(self) -> int:
+        return sum(self.flows_per_bracket)
 
 
 @dataclass(frozen=True)
@@ -248,6 +278,8 @@ class SolutionCensus:
     count_at_half_step: int | None
     scan_xs: np.ndarray
     scan_g: np.ndarray
+    roots_at_half_step: tuple[CensusRoot, ...] = ()
+    passes: tuple[CensusPass, ...] = ()  # at h, then at h/2 when checked
 
     @property
     def stable_under_halving(self) -> bool:
@@ -260,34 +292,42 @@ def count_solutions(f: Nonlinearity, v, x_lo: float, x_hi: float,
     """Count fixed points of the return map on [x_lo, x_hi].
 
     The scan evaluates g(x) = rho_v(x) - x at ``scan_n`` points with the
-    compensated vector integrator, brackets sign changes between surviving
-    neighbours, refines each bracket by bisection to 1e-12, and deduplicates
-    within 1e-9. Brackets touching a blow-up boundary are reported
-    unresolved and never counted. The count is re-derived at h/2.
+    compensated vector integrator and brackets sign changes between
+    surviving neighbours. Each bracket is refined by a safeguarded Newton
+    iteration (see ``_refine_root``) until the step is at most 1e-12, and
+    roots are deduplicated within 1e-9. Brackets touching a blow-up boundary
+    are reported unresolved and never counted. The count is re-derived at
+    h/2.
     """
     if not x_lo < x_hi:
         raise PreconditionError("need x_lo < x_hi")
     xs = np.linspace(x_lo, x_hi, scan_n)
-    roots, unresolved, degenerate, g, alive = _census_pass(f, v, xs, h)
+    roots, unresolved, degenerate, g, work = _census_pass(f, v, xs, h)
+    passes = [work]
     count = None if degenerate else len(roots)
     half_count = None
+    roots_half = []
     if check_half_step and not degenerate:
-        roots_half, _, degen_half, _, _ = _census_pass(f, v, xs, h / 2)
+        roots_half, _, degen_half, _, work = _census_pass(f, v, xs, h / 2)
+        passes.append(work)
         half_count = None if degen_half else len(roots_half)
     return SolutionCensus(x_lo=x_lo, x_hi=x_hi, h=h, roots=tuple(roots),
                           count=count, degenerate_continuum=degenerate,
                           unresolved_brackets=tuple(unresolved),
                           count_at_half_step=half_count,
-                          scan_xs=xs, scan_g=g)
+                          scan_xs=xs, scan_g=g,
+                          roots_at_half_step=tuple(roots_half),
+                          passes=tuple(passes))
 
 
 def _census_pass(f: Nonlinearity, v, xs: np.ndarray, h: float):
+    """(roots, unresolved, degenerate, g, CensusPass) of one pass at h."""
     u_end, alive, _, _ = _flow_vector(f, v, xs, h)
     g = u_end - xs
     finite = alive & np.isfinite(g)
     scale = float(np.max(np.abs(g[finite]))) if finite.any() else 0.0
     if finite.sum() >= 2 and scale <= 1e-12 * max(1.0, np.max(np.abs(xs))):
-        return [], [], True, g, alive
+        return [], [], True, g, CensusPass(h, ())
 
     brackets = []
     unresolved = []
@@ -302,48 +342,66 @@ def _census_pass(f: Nonlinearity, v, xs: np.ndarray, h: float):
     if finite[-1] and g[-1] == 0.0:
         brackets.append((xs[-1], xs[-1], 0.0, 0.0))
 
+    # one stage table serves every refinement flow of the pass; it is built
+    # after the scan, so the scan's tables and this one are never alive
+    # together, and it is dropped when the pass returns
+    table = _stage_table(f, v, h, (0, 1)) if brackets else None
     roots = []
+    flows = []
     for lo, hi, glo, ghi in brackets:
-        root, width, ok = _refine_root(f, v, lo, hi, glo, ghi, h)
+        root, width, der, nflows, ok = _refine_root(f, v, lo, hi, glo, ghi, h,
+                                                    table)
+        flows.append(nflows)
         if ok:
-            roots.append((root, width))
+            roots.append((root, width, der))
         else:
             unresolved.append((float(lo), float(hi)))
     roots.sort()
-    dedup: list[tuple[float, float]] = []
-    for root, width in roots:
-        if dedup and abs(root - dedup[-1][0]) <= ROOT_DEDUP_TOL:
-            continue
-        dedup.append((root, width))
-    out = []
-    for root, width in dedup:
-        val, der, blew, _, _ = _flow_with_variation(f, v, root, h)
-        if blew:
+    out: list[CensusRoot] = []
+    for root, width, der in roots:
+        if out and abs(root - out[-1].x) <= ROOT_DEDUP_TOL:
             continue
         out.append(CensusRoot(x=float(root), rho_prime=float(der),
                               bracket_width=float(width)))
-    return out, unresolved, False, g, alive
+    return out, unresolved, False, g, CensusPass(h, tuple(flows))
 
 
-def _refine_root(f, v, lo, hi, glo, ghi, h):
-    """Bisection to ROOT_REFINE_TOL; False when blow-up interrupts."""
+def _refine_root(f, v, lo, hi, glo, ghi, h, table=None):
+    """Safeguarded Newton on g(x) = rho(x) - x inside the sign bracket.
+
+    Starts from the secant point of [lo, hi]. Each iterate costs one
+    variational flow, which gives g and g' = rho' - 1 together. The iterate
+    replaces the bracket end of its sign; a Newton step that would leave
+    the bracket is replaced by bisection. Stops when the step is at most
+    ROOT_REFINE_TOL or g is exactly 0. Returns (x, step, rho' at the last
+    flow, flows, ok); ok is False when a flow blows up inside the bracket.
+    """
     if lo == hi:
-        return lo, 0.0, True
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        u_end, _, blew, _, _ = _flow_scalar(f, v, mid, 0.0, 1.0, h)
+        x = lo
+    else:
+        x = lo - glo * (hi - lo) / (ghi - glo)
+        if not lo < x < hi:
+            x = 0.5 * (lo + hi)
+    for flows in range(1, MAX_REFINE_FLOWS + 1):
+        u_end, der, blew, _, _ = _flow_with_variation(f, v, x, h, table)
         if blew:
-            return mid, hi - lo, False
-        gm = u_end - mid
-        if gm == 0.0:
-            return mid, 0.0, True
-        if (gm < 0) == (glo < 0):
-            lo, glo = mid, gm
+            return x, hi - lo, None, flows, False
+        g = u_end - x
+        if g == 0.0 or lo == hi:
+            return x, 0.0, der, flows, True
+        if (g < 0) == (glo < 0):
+            lo, glo = x, g
         else:
-            hi, ghi = mid, gm
-        if hi - lo <= ROOT_REFINE_TOL:
-            break
-    return 0.5 * (lo + hi), hi - lo, True
+            hi = x
+        slope = der - 1.0
+        nxt = x - g / slope if slope != 0.0 else lo
+        if not lo < nxt < hi:
+            nxt = 0.5 * (lo + hi)
+        step = abs(nxt - x)
+        if step <= ROOT_REFINE_TOL:
+            return nxt, step, der, flows, True
+        x = nxt
+    return x, hi - lo, der, flows, True
 
 
 # ---------------------------------------------------------------------------

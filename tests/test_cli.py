@@ -1,5 +1,7 @@
+import gc
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -111,11 +113,30 @@ class TestCommands:
             "--step", "1e-3", "--scan-n", "201", "--csv", csv_path])
         assert code == EXIT_OK
         assert doc["result"]["count"] == 2
-        lines = open(csv_path).read().strip().split("\n")
+        with open(csv_path) as fh:
+            lines = fh.read().strip().split("\n")
         assert lines[0] == "# x,rho_minus_x"
         first = lines[1].split(",")
         assert len(first) == 2
         float(first[0]); float(first[1])
+
+    def test_count_solutions_diagnostics(self, problem_files, capsys):
+        argv = ["count-solutions", "--problem", problem_files["xsq"],
+                "--rhs", problem_files["ones"], "--range", "-2", "2",
+                "--step", "1e-3", "--scan-n", "201"]
+        code, doc1 = run(capsys, argv)
+        assert code == EXIT_OK
+        passes = doc1["result"]["diagnostics"]["passes"]
+        assert [p["h"] for p in passes] == [1e-3, 5e-4]
+        for p in passes:
+            assert p["brackets"] == 2
+            assert p["refine_flows"] == sum(p["flows_per_bracket"])
+            assert 2 <= p["refine_flows"] <= 16
+        # the work counters are deterministic: payloads repeat
+        _, doc2 = run(capsys, argv)
+        doc1.pop("generated_at")
+        doc2.pop("generated_at")
+        assert doc1 == doc2
 
     def test_fibre_initial_value(self, problem_files, capsys):
         code, doc = run(capsys, ["fibre", "--problem", problem_files["xsq"],
@@ -162,6 +183,20 @@ class TestCommands:
         code, doc2 = run(capsys, argv)
         assert doc2["result"] == doc1["result"]
 
+    def test_sweep_resume_closes_files(self, tmp_path, capsys):
+        family = tmp_path / "family.json"
+        family.write_text(json.dumps({"kind": "quartic_bc"}))
+        argv = ["sweep", "--family", str(family), "--grid", "b=0:0:1",
+                "c=0.5:0.5:1", "--analysis", "classify",
+                "--out", str(tmp_path / "out")]
+        assert run(capsys, argv)[0] == EXIT_OK
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            code, _ = run(capsys, argv)
+            gc.collect()
+        assert code == EXIT_OK
+        assert [w for w in caught if w.category is ResourceWarning] == []
+
 
 class TestPayloadContract:
     def test_roundtrip_and_schema(self, problem_files, tmp_path, capsys):
@@ -171,7 +206,8 @@ class TestPayloadContract:
         assert code == EXIT_OK
         files = os.listdir(os.path.join(out, "degree"))
         assert len(files) == 1
-        reloaded = json.load(open(os.path.join(out, "degree", files[0])))
+        with open(os.path.join(out, "degree", files[0])) as fh:
+            reloaded = json.load(fh)
         validate_payload(reloaded)
         with pytest.raises(MalformedFileError):
             validate_payload({"schema": "bogus"})

@@ -5,6 +5,7 @@ from morinode import (Average, Grid, InitialValue, Nonlinearity, PeriodicFn,
                       eigen_w, fibre_trace, mean, solve_periodic, solve_w)
 from morinode.core import TamenessViolationError
 from morinode.fibre import trace_points
+from morinode.odeint import _flow_scalar
 
 IDENTITY = Nonlinearity.polynomial([0, 1])
 CUBIC_MINUS = Nonlinearity.polynomial([0, -1, 0, 1])   # x^3 - x
@@ -60,6 +61,20 @@ class TestSolvePeriodic:
         vt = PeriodicFn.constant(0.0, Grid(256))
         with pytest.raises(TamenessViolationError):
             solve_periodic(wild, vt, InitialValue(0.0), h=1e-3)
+
+    def test_stored_samples_match_forcing_plus_nu(self):
+        # the solve tabulates vtilde once and adds nu per flow; the stored
+        # orbit is the flow of vtilde + nu evaluated at every stage time,
+        # whether the re-integration reuses the solve's step or refines it
+        grid = Grid(256)
+        square = PeriodicFn(grid, np.where(grid.nodes < 0.5, 0.3, -0.3))
+        for h in (None, 2.0 / 256):
+            fp = solve_periodic(CUBIC_MINUS, square, InitialValue(0.25), h=h)
+            _, samples, blew, _, _ = _flow_scalar(
+                CUBIC_MINUS, lambda t: square.eval(t) + fp.nu, 0.25, 0.0, 1.0,
+                1.0 / 256, store=True)
+            assert not blew
+            assert np.array_equal(fp.u.values, np.asarray(samples[:-1]))
 
     def test_periodicity_residual(self):
         vt = cos_forcing()

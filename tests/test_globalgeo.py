@@ -6,6 +6,7 @@ from morinode import (FromSimplified, Grid, Nonlinearity, PeriodicFn,
                       hull_origin_test, mean, replicate, reparam, seed_shat,
                       sigma_hat, sigma_vec, tameness)
 from morinode.core import PreconditionError
+from morinode import globalgeo
 from morinode.globalgeo import _simplex_max
 
 TWO_PI = 2 * np.pi
@@ -132,6 +133,38 @@ class TestHull:
             x_ref, obj_ref = _row_loop_simplex_max(A, b, c)
             assert np.array_equal(x, x_ref)
             assert obj == obj_ref
+
+    def test_face_lps_match_row_loop(self, quartic, monkeypatch):
+        # the face LPs are filled by slicing; filling them sample by sample
+        # must give the same A and b, bit for bit, in the same face order
+        P = gamma_curve(quartic, 4, -3.0, 3.0).points
+        m, k = P.shape
+        box = 1.0
+        B = 1.0 + float(np.max(np.sum(np.abs(P), axis=1))) * box
+        seen = []
+
+        def record(A, b, c):
+            seen.append((A.copy(), b.copy()))
+            return _simplex_max(A, b, c)
+
+        monkeypatch.setattr(globalgeo, "_simplex_max", record)
+        globalgeo._hull_test_box(P, box)
+        faces = [(j, s) for j in range(k) for s in (+1.0, -1.0)]
+        assert 0 < len(seen) <= len(faces)
+        for (A, b), (j, s) in zip(seen, faces):
+            free = [l for l in range(k) if l != j]
+            nfree = len(free)
+            A_ref = np.zeros((m + nfree, nfree + 1))
+            b_ref = np.zeros(m + nfree)
+            for i in range(m):
+                A_ref[i, :nfree] = -P[i, free]
+                A_ref[i, nfree] = 1.0
+                b_ref[i] = B + s * P[i, j] - box * np.sum(P[i, free])
+            for li in range(nfree):
+                A_ref[m + li, li] = 1.0
+                b_ref[m + li] = 2.0 * box
+            assert np.array_equal(A, A_ref)
+            assert np.array_equal(b, b_ref)
 
 
 class TestDegree:

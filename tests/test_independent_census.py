@@ -11,8 +11,10 @@ import pytest
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
-from morinode import Nonlinearity
-from morinode.odeint import _flow_scalar, _flow_vector, _flow_with_variation
+from morinode import Grid, Nonlinearity, PeriodicFn
+from morinode.core import PreconditionError
+from morinode.odeint import (_flow_scalar, _flow_vector, _flow_with_variation,
+                             _shift_forcing, _stage_table)
 
 
 @pytest.fixture(scope="module")
@@ -56,6 +58,35 @@ def test_vector_and_scalar_flows_agree(quartic, rhs):
                                             0.0, 1.0, 1e-3)
         assert not blew
         assert u_end == pytest.approx(expect, abs=1e-13)
+
+
+def test_prebuilt_table_is_bitwise_identical(quartic, rhs):
+    # a shared stage table only skips rebuilding it: same floats, same order
+    plain = _stage_table(quartic, rhs, 1e-3)
+    joint = _stage_table(quartic, rhs, 1e-3, (0, 1))
+    for x in (-0.3, -0.1, 0.0, 0.2, 2.5):
+        assert (_flow_scalar(quartic, rhs, x, 0.0, 1.0, 1e-3, store=True)
+                == _flow_scalar(quartic, None, x, 0.0, 1.0, 1e-3, store=True,
+                                table=plain))
+        assert (_flow_with_variation(quartic, rhs, x, 1e-3)
+                == _flow_with_variation(quartic, None, x, 1e-3, joint))
+    with pytest.raises(PreconditionError):
+        _flow_scalar(quartic, None, 0.0, 0.0, 1.0, 2e-3, table=plain)
+
+
+def test_shifted_table_matches_shifted_forcing():
+    # the fibre solver adds nu to a table of vtilde instead of evaluating
+    # vtilde + nu at every stage time of every flow
+    f = Nonlinearity.polynomial([0, -1, 0, 1])
+    square = PeriodicFn.from_callable(lambda t: np.where(t < 0.5, 0.3, -0.3),
+                                      Grid(256))
+    h, nu = 1.0 / 256, 0.0123
+    base = _stage_table(f, square, h)
+    for x in (-0.5, 0.0, 0.7):
+        assert (_flow_scalar(f, lambda t: square.eval(t) + nu, x, 0.0, 1.0, h,
+                             store=True)
+                == _flow_scalar(f, None, x, 0.0, 1.0, h, store=True,
+                                table=_shift_forcing(base, nu)))
 
 
 def test_builtin_blowups_agree_across_drivers():

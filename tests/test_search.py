@@ -152,6 +152,67 @@ class TestCountSolutions:
             assert (census.count % 2 == 0) == parity_even
 
 
+# the six-root census (scan 801, h = 2e-4) as refined by 80-step bisection,
+# at h and at h/2; Newton must land on the same fixed points
+BISECTION_ROOTS = {
+    2e-4: (-0.2857740528509022, -0.24999272027611735, -0.22402305865287786,
+           -0.19705842965841297, -0.12101675793714822, 0.1189331861208193),
+    1e-4: (-0.28577482037246227, -0.2499874347150326, -0.22403245443105702,
+           -0.19705293965339657, -0.12101739089377225, 0.1189332065670751),
+}
+
+
+def six_root_rhs(quartic, ans):
+    return lambda t: ans.derivative_eval(t) + np.asarray(
+        quartic.eval(t, ans.eval(t), 0))
+
+
+@pytest.fixture(scope="module")
+def six_root_census(quartic, six_root_ansatz):
+    v = six_root_rhs(quartic, six_root_ansatz)
+    return count_solutions(quartic, v, -0.4, 0.4, scan_n=801, h=2e-4)
+
+
+class TestCensusRefinement:
+    def test_roots_match_bisection(self, six_root_census):
+        census = six_root_census
+        for h, roots in ((2e-4, census.roots),
+                         (1e-4, census.roots_at_half_step)):
+            xs = sorted(r.x for r in roots)
+            assert len(xs) == 6
+            assert np.max(np.abs(np.subtract(xs, BISECTION_ROOTS[h]))) <= 1e-10
+
+    def test_rho_prime_from_last_flow(self, quartic, six_root_ansatz,
+                                      six_root_census):
+        from morinode import return_map
+        v = six_root_rhs(quartic, six_root_ansatz)
+        for h, roots in ((2e-4, six_root_census.roots),
+                         (1e-4, six_root_census.roots_at_half_step)):
+            for r in roots:
+                rv = return_map(quartic, v, r.x, h=h, with_derivative=True)
+                assert abs(r.rho_prime - rv.derivative) <= 1e-9
+                assert 0.0 <= r.bracket_width <= 1e-12
+
+    def test_flows_per_bracket(self, six_root_census):
+        passes = six_root_census.passes
+        assert [p.h for p in passes] == [2e-4, 1e-4]
+        for p in passes:
+            assert p.brackets == 6
+            assert max(p.flows_per_bracket) <= 8
+            assert p.refine_flows == sum(p.flows_per_bracket)
+
+    def test_exact_zero_on_the_scan_grid(self):
+        # u' = -u^2 + 1 has g(+-1) = 0 on a grid through +-1: each root is
+        # its own bracket and costs one flow, for rho'
+        census = count_solutions(SQUARE, PeriodicFn.constant(1.0), -2.0, 2.0,
+                                 scan_n=5, h=1e-3, check_half_step=False)
+        assert [r.x for r in census.roots] == [-1.0, 1.0]
+        assert [r.bracket_width for r in census.roots] == [0.0, 0.0]
+        assert census.passes[0].flows_per_bracket == (1, 1)
+        assert census.roots[0].rho_prime == pytest.approx(np.exp(2.0),
+                                                          rel=1e-9)
+
+
 class TestSweep:
     def test_empty_grid(self):
         table = sweep(ParamFamily.quartic_bc(), {"b": [], "c": []},
