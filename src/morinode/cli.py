@@ -166,8 +166,10 @@ def _cmd_fibre(args):
     vt = PeriodicFn(vt.grid, vt.values - mean(vt))
     if args.trace is not None:
         lo, hi, count = args.trace
-        pts = fibre_mod.fibre_trace(f, vt, lo, hi, int(count))
-        return {"trace": [{"average": a, "phi": p} for a, p in pts]}
+        pts = fibre_mod.trace_points(f, vt, lo, hi, int(count))
+        return {"trace": [{"average": float(a), "phi": fp.phi_bar} for a, fp
+                          in zip(np.linspace(lo, hi, int(count)), pts)],
+                "diagnostics": _trace_diagnostics(pts)}
     if args.average is not None:
         constraint = fibre_mod.Average(args.average)
     elif args.initial is not None:
@@ -178,7 +180,19 @@ def _cmd_fibre(args):
     coeffs = FourierAnsatz.from_periodic(fp.u, min(16, fp.u.grid.n // 4))
     return {"nu": fp.nu, "phi_bar": fp.phi_bar, "mean": mean(fp.u),
             "u0": float(fp.u.values[0]), "residual": fp.residual(f),
-            "u_coefficients": ansatz_to_json(coeffs)}
+            "u_coefficients": ansatz_to_json(coeffs),
+            "diagnostics": dataclasses.asdict(fp.diagnostics)}
+
+
+def _trace_diagnostics(pts):
+    """Work summed over a trace's points, and its worst final gaps."""
+    diags = [dataclasses.asdict(fp.diagnostics) for fp in pts]
+    out = {k: sum(d[k] for d in diags)
+           for k in ("flows", "newton_steps", "expansions", "bisections")}
+    return dict(out, points=len(diags),
+                max_closure_gap=max((d["closure_gap"] for d in diags),
+                                    default=None),
+                max_mean_gap=max((d["mean_gap"] for d in diags), default=None))
 
 
 def _cmd_return_map(args):

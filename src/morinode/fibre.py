@@ -5,11 +5,11 @@ For a fixed mean-zero right-hand side vtilde, the equation
     u' + f(t,u) = vtilde + nu
 
 has, for each initial value c (tame f), exactly one nu admitting a periodic
-solution. The solver brackets nu by the sign ordering: nu belongs to the
-upper set when the solution escapes to +infinity or lands at or above c at
-t=1, and to the lower set symmetrically, so blow-up counts as membership by
-its sign. Bisection plus a bracket-confined secant polish drives
-|u(1) - u(0)| below ``PERIODICITY_TOL``.
+solution. The solver is a safeguarded Newton iteration on nu, or on
+(u(0), nu) for an average constraint, whose derivatives come from the
+tangent lanes of the RK4 flow. nu belongs to the upper set when the
+solution escapes to +infinity or lands at or above c at t=1, and to the
+lower set symmetrically, so blow-up counts as membership by its sign.
 """
 
 from __future__ import annotations
@@ -20,13 +20,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (Nonlinearity, PeriodicFn, PreconditionError,
-                   TamenessViolationError, InternalConsistencyError,
-                   mean, spectral_antiderivative)
+                   TamenessViolationError, mean, spectral_antiderivative)
 from .odeint import _flow_scalar, _shift_forcing, _stage_table
 
 PERIODICITY_TOL = 1e-11
-AVERAGE_TOL = 1e-9
+AVERAGE_TOL = 1e-12
 MAX_BRACKET_DOUBLINGS = 60
+MAX_SOLVE_FLOWS = 200
 
 
 @dataclass(frozen=True)
@@ -42,6 +42,18 @@ class Average:
 
 
 @dataclass(frozen=True)
+class FibreDiagnostics:
+    """Deterministic work and final gaps of one fibre solve."""
+
+    flows: int
+    newton_steps: int
+    expansions: int
+    bisections: int
+    closure_gap: float  # |u(1) - u(0)| of the flow the samples come from
+    mean_gap: float | None  # |mean(u) - a|; None for InitialValue
+
+
+@dataclass(frozen=True)
 class FibrePoint:
     """A periodic solution together with its image data (vtilde, nu)."""
 
@@ -49,6 +61,7 @@ class FibrePoint:
     nu: float
     vtilde: PeriodicFn
     phi_bar: float  # int f(t, u(t)) dt; equals nu for mean-zero vtilde
+    diagnostics: FibreDiagnostics
 
     def residual(self, f: Nonlinearity) -> float:
         """Sup-norm of u' + f(t,u) - vtilde - nu on the grid."""
@@ -70,16 +83,17 @@ def solve_periodic(f: Nonlinearity, vtilde: PeriodicFn, constraint,
                    tol: float = PERIODICITY_TOL) -> FibrePoint:
     """Find the unique nu and periodic u for the given fibre constraint.
 
-    ``constraint`` is InitialValue(c) or Average(a). The Average form wraps
-    an outer root solve on c (the fibre average is strictly monotone in
-    u(0)) around the inner nu solve.
+    ``constraint`` is InitialValue(c) or Average(a); ``nu_hint`` is the
+    first nu tried. Newton steps on tangent lanes of the RK4 flow (see
+    ``_newton_solve``). ``h`` is rounded to the nearest 1/(s n) on the grid
+    of ``vtilde``, so the samples are those of the flow that closed.
     """
     if abs(mean(vtilde)) > 1e-10:
         raise PreconditionError("vtilde must have zero mean")
     if isinstance(constraint, InitialValue):
         return _solve_initial_value(f, vtilde, constraint.c, h, nu_hint, tol)
     if isinstance(constraint, Average):
-        return _solve_average(f, vtilde, constraint.a, h, tol)
+        return _solve_average(f, vtilde, constraint.a, h, tol, nu_hint)
     raise PreconditionError(f"unknown constraint {constraint!r}")
 
 
@@ -90,140 +104,145 @@ def _classify(u_end, blew, sign, c):
     return 1 if u_end >= c else -1
 
 
-def _solve_initial_value(f, vtilde, c, h, nu_hint, tol) -> FibrePoint:
-    grid = vtilde.grid
-    if h is None:
-        h = 1.0 / grid.n
-
-    # vtilde at the RK4 stage times, evaluated once per solve; each flow
-    # adds its nu to a copy
-    table = _stage_table(f, vtilde, h)
-
-    def flow(nu):
-        u_end, _, blew, sign, _ = _flow_scalar(
-            f, None, c, 0.0, 1.0, h, table=_shift_forcing(table, nu))
-        return u_end, blew, sign
-
-    vnorm = float(np.max(np.abs(vtilde.values)))
-    radius = 1.0 + abs(c) + vnorm + f.abs_bound(abs(c) + 2.0)
-
-    if nu_hint is not None:
-        width = 1e-3 * (1.0 + abs(nu_hint))
-        lo, hi = nu_hint - width, nu_hint + width
-    else:
-        lo, hi = -radius, radius
-    lo_res = flow(lo)
-    for _ in range(MAX_BRACKET_DOUBLINGS):
-        if _classify(*lo_res, c) < 0:
-            break
-        lo -= max(abs(lo), radius)
-        lo_res = flow(lo)
-    else:
-        raise TamenessViolationError("no lower bracket for nu; f may be wild")
-    hi_res = flow(hi)
-    for _ in range(MAX_BRACKET_DOUBLINGS):
-        if _classify(*hi_res, c) > 0:
-            break
-        hi += max(abs(hi), radius)
-        hi_res = flow(hi)
-    else:
-        raise TamenessViolationError("no upper bracket for nu; f may be wild")
-
-    # bisection on the sign ordering until the bracket is clean of blow-ups,
-    # then a bracket-confined secant finishes the root of g(nu) = u(1) - c.
-    # The polish target sits well below tol: the stored samples are only
-    # periodic up to this gap, and spectral differentiation amplifies it.
-    polish = max(1e-14, 1e-3 * tol)
-    best_nu, best_gap = None, math.inf
-    for _ in range(240):
-        if not lo_res[1] and not hi_res[1]:
-            nu, gap = _secant_in_bracket(flow, c, lo, hi,
-                                         lo_res[0] - c, hi_res[0] - c, polish)
-            if gap < best_gap:
-                best_nu, best_gap = nu, gap
-            break
-        mid = 0.5 * (lo + hi)
-        res = flow(mid)
-        if not res[1]:
-            gap = abs(res[0] - c)
-            if gap < best_gap:
-                best_nu, best_gap = mid, gap
-        if _classify(*res, c) > 0:
-            hi, hi_res = mid, res
-        else:
-            lo, lo_res = mid, res
-        if hi - lo <= 1e-16 * max(1.0, abs(mid)):
-            break
-    if best_nu is None or best_gap > max(tol, 1e-8):
-        raise TamenessViolationError(
-            f"nu solve failed to close the orbit (gap {best_gap:.3e})")
-    nu = best_nu
-
-    # one re-integration from the converged nu emits the stored samples
-    steps_per_node = max(int(round(1.0 / (h * grid.n))), 1)
-    h_store = 1.0 / (steps_per_node * grid.n)
-    if h_store != h:
-        table = _stage_table(f, vtilde, h_store)
-    _, samples, blew, _, _ = _flow_scalar(f, None, c, 0.0, 1.0, h_store,
-                                          store=True,
-                                          table=_shift_forcing(table, nu))
-    if blew:
-        raise InternalConsistencyError("re-integration at the converged nu blew up")
-    u = PeriodicFn(grid, np.asarray(samples[:-1])[::steps_per_node])
-    phi_bar = float(np.mean(f.on_grid(u)))
-    return FibrePoint(u=u, nu=nu, vtilde=vtilde, phi_bar=phi_bar)
+def _node_step(grid, h):
+    """The step 1/(s n) nearest h (default 1/n) on the grid nodes, and s."""
+    if h is not None and not h > 0:
+        raise PreconditionError("step must be positive")
+    stride = 1 if h is None else max(int(round(1.0 / (h * grid.n))), 1)
+    return 1.0 / (stride * grid.n), stride
 
 
-def _secant_in_bracket(flow, c, a, b, ga, gb, tol, max_iter=120):
-    """Root of g(nu) = u_nu(1) - c on [a, b] with ga <= 0 <= gb.
+class _Bracket:
+    """Sign bracket (lo, hi) on one unknown; None marks an empty side."""
 
-    Illinois-weighted regula falsi: a stuck endpoint has its residual
-    halved, which keeps convergence superlinear even when one endpoint is
-    far from the root.
+    def __init__(self, name: str, step: float):
+        self.name, self.step = name, step
+        self.lo = self.hi = None
+        self.doublings = 0
+
+    def next(self, x, newton, toward):
+        """(next x, kind): the Newton point when it is inside the bracket,
+        else the midpoint of a closed bracket, else a doubling step out of
+        the open side (in direction ``toward`` when both are open)."""
+        lo, hi = self.lo, self.hi
+        if (math.isfinite(newton) and (lo is None or newton > lo)
+                and (hi is None or newton < hi)):
+            return newton, "newton_steps"
+        if lo is not None and hi is not None:
+            return 0.5 * (lo + hi), "bisections"
+        self.doublings += 1
+        if self.doublings > MAX_BRACKET_DOUBLINGS:
+            side = "lower" if lo is None else "upper"
+            raise TamenessViolationError(
+                f"no {side} bracket for {self.name}; f may be wild")
+        step, self.step = self.step, 2.0 * self.step
+        if hi is not None:
+            return hi - step, "expansions"
+        if lo is not None:
+            return lo + step, "expansions"
+        return x + math.copysign(step, toward), "expansions"
+
+
+def _solve_initial_value(f, vtilde, c, h, nu_hint, tol, table=None):
+    """Newton on g(nu) = u(1) - c, with g' = eta(1) > 0."""
+    return _newton_solve(f, vtilde, float(c), None, h, nu_hint, tol, table)
+
+
+def _solve_average(f, vtilde, a, h, tol, nu_hint=None, table=None):
+    """2-D Newton on F(c, nu) = (u(1) - c, mean(u) - a) from c = a."""
+    return _newton_solve(f, vtilde, float(a), float(a), h, nu_hint, tol, table)
+
+
+def _newton_solve(f, vtilde, c, a, h, nu_hint, tol, table) -> FibrePoint:
+    """Safeguarded Newton for nu at u(0) = c, or for (c, nu) when a is set.
+
+    Each flow carries the tangent lanes xi = du/dc and eta = du/dnu and
+    puts nu in a sign bracket for its c (``_classify``); after a blow-up
+    only nu moves, by that bracket. With ``a`` the step solves the Jacobian
+    [[xi(1) - 1, eta(1)], [mean(xi), mean(eta)]]; its c-step is Newton on
+    the fibre average, which increases with c, and nu follows c linearly.
+    As u increases with nu, a flow with u(1) >= c and mean(u) <= a puts c
+    below the root, and one with u(1) <= c and mean(u) >= a above it. A
+    step that leaves its bracket becomes a bisection or a doubling step.
     """
-    if abs(ga) <= tol:
-        return a, abs(ga)
-    if abs(gb) <= tol:
-        return b, abs(gb)
-    best_nu, best_gap = (a, abs(ga)) if abs(ga) < abs(gb) else (b, abs(gb))
-    last_side = 0
-    wa, wb = ga, gb   # Illinois-weighted residuals
-    for _ in range(max_iter):
-        if wb != wa:
-            mid = b - wb * (b - a) / (wb - wa)
+    grid = vtilde.grid
+    h, stride = _node_step(grid, h)
+    if table is None:
+        table = _stage_table(f, vtilde, h, (0, 1))
+    if nu_hint is None:  # the nu of the constant orbit u = c
+        nu_hint = np.mean(f.eval(grid.nodes, c))
+    nu = float(nu_hint)
+    # the closure target sits well below tol: the stored samples are only
+    # periodic up to this gap, and spectral differentiation amplifies it
+    polish = max(1e-14, 1e-3 * tol)
+    vnorm = float(np.max(np.abs(vtilde.values)))
+
+    def nu_bracket(c):
+        return _Bracket("nu", 1.0 + abs(c) + vnorm + f.abs_bound(abs(c) + 2.0))
+
+    nus, cs = nu_bracket(c), _Bracket("u(0)", 1.0 + 0.1 * abs(c))
+    work = dict.fromkeys(("newton_steps", "expansions", "bisections"), 0)
+    flows, best = 0, None  # best: (score, nu, samples, gap, mean gap)
+    merit, nested = math.inf, False
+    while flows < MAX_SOLVE_FLOWS:
+        u_end, samples, blew, sign, _, lanes = _flow_scalar(
+            f, None, c, 0.0, 1.0, h, store=True,
+            table=_shift_forcing(table, nu), tangent_stride=stride)
+        flows += 1
+        if _classify(u_end, blew, sign, c) > 0:
+            nus.hi = nu
         else:
-            mid = 0.5 * (a + b)
-        if not (a < mid < b):
-            mid = 0.5 * (a + b)
-        u_end, blew, sign = flow(mid)
+            nus.lo = nu
+        new_c = c
         if blew:
-            # monotonicity makes this impossible in exact arithmetic; fall
-            # back to shrinking the bracket on the blow-up side
-            if sign > 0:
-                b = mid
-                wb = gb = math.inf
-            else:
-                a = mid
-                wa = ga = -math.inf
-            continue
-        g = u_end - c
-        if abs(g) < best_gap:
-            best_nu, best_gap = mid, abs(g)
-        if abs(g) <= tol:
-            return best_nu, best_gap
-        if g > 0:
-            b, gb, wb = mid, g, g
-            if last_side == +1:
-                wa = 0.5 * wa
-            last_side = +1
+            nested = True
+            new_nu, kind = nus.next(nu, math.nan, -sign)
         else:
-            a, ga, wa = mid, g, g
-            if last_side == -1:
-                wb = 0.5 * wb
-            last_side = -1
-        if b - a <= 1e-17 * max(1.0, abs(mid)):
-            break
-    return best_nu, best_gap
+            xi1, eta1, su, sxi, seta = lanes
+            gap = u_end - c
+            mgap = 0.0 if a is None else su / grid.n - a
+            score = max(abs(gap) / polish, abs(mgap) / AVERAGE_TOL)
+            if best is None or score < best[0]:
+                best = (score, nu, samples, abs(gap), abs(mgap))
+            if score <= 1.0:
+                break
+            if a is not None:
+                mean_xi, mean_eta = sxi / grid.n, seta / grid.n
+                # the mean gap carried to the fibre at c, and its c-slope
+                reduced = mgap - mean_eta * gap / eta1
+                slope = mean_xi + mean_eta * (1.0 - xi1) / eta1
+                closed = abs(gap) <= max(polish, 1e-3 * abs(reduced))
+                if gap >= 0.0 >= mgap or (closed and reduced < 0.0):
+                    cs.lo = c
+                elif gap <= 0.0 <= mgap or (closed and reduced > 0.0):
+                    cs.hi = c
+                # once a joint step fails to shrink the gaps, c moves only
+                # from orbits closed at their own c
+                nested = nested or abs(gap) + abs(mgap) >= merit
+                merit = abs(gap) + abs(mgap)
+            if a is None or (nested and not closed):
+                new_nu, kind = nus.next(nu, nu - gap / eta1, -gap)
+            else:
+                new_c, kind = cs.next(c, c - reduced / slope, -reduced)
+                new_nu = nu - (gap + (xi1 - 1.0) * (new_c - c)) / eta1
+        if new_c == c and new_nu == nu:
+            break  # no step left at float resolution
+        work[kind] += 1
+        if new_c != c:
+            nus = nu_bracket(new_c)
+        c, nu = new_c, new_nu
+    if best is None or best[3] > max(tol, 1e-8) or best[4] > 1e-7:
+        raise TamenessViolationError(
+            "fibre solve failed to close the orbit" if best is None else
+            f"fibre solve stalled at gaps {best[3]:.3e}, {best[4]:.3e}")
+    _, nu, samples, gap, _ = best
+    u = PeriodicFn(grid, np.asarray(samples[:-1])[::stride])
+    diagnostics = FibreDiagnostics(
+        flows=flows, **work, closure_gap=gap,
+        mean_gap=None if a is None else abs(mean(u) - a))
+    return FibrePoint(u=u, nu=nu, vtilde=vtilde,
+                      phi_bar=float(np.mean(f.on_grid(u))),
+                      diagnostics=diagnostics)
 
 
 def fibre_trace(f: Nonlinearity, vtilde: PeriodicFn, a_lo: float, a_hi: float,
@@ -233,95 +252,24 @@ def fibre_trace(f: Nonlinearity, vtilde: PeriodicFn, a_lo: float, a_hi: float,
     Phi(u) = int f(t, u(t)) dt is the scalar map whose folds and cusps
     classify the operator on this fibre.
     """
-    if not a_lo < a_hi:
-        raise PreconditionError("need a_lo < a_hi")
-    out = []
-    nu_hint = None
-    for a in np.linspace(a_lo, a_hi, count):
-        fp = _solve_average(f, vtilde, float(a), h, PERIODICITY_TOL,
-                            nu_hint=nu_hint)
-        nu_hint = fp.nu
-        out.append((float(a), fp.phi_bar))
-    return out
+    return [(float(a), fp.phi_bar) for a, fp in
+            zip(np.linspace(a_lo, a_hi, count),
+                trace_points(f, vtilde, a_lo, a_hi, count, h))]
 
 
 def trace_points(f: Nonlinearity, vtilde: PeriodicFn, a_lo: float, a_hi: float,
                  count: int, h: float | None = None) -> list[FibrePoint]:
-    """Like fibre_trace but returning the full FibrePoints."""
+    """Like fibre_trace but returning the full FibrePoints; they share one
+    stage table of ``vtilde``, and each starts from the nu before it."""
     if not a_lo < a_hi:
         raise PreconditionError("need a_lo < a_hi")
+    h, _ = _node_step(vtilde.grid, h)
+    table = _stage_table(f, vtilde, h, (0, 1))
     out = []
-    nu_hint = None
     for a in np.linspace(a_lo, a_hi, count):
-        fp = _solve_average(f, vtilde, float(a), h, PERIODICITY_TOL,
-                            nu_hint=nu_hint)
-        nu_hint = fp.nu
-        out.append(fp)
+        out.append(_solve_average(f, vtilde, float(a), h, PERIODICITY_TOL,
+                                  out[-1].nu if out else None, table))
     return out
-
-
-def _solve_average(f, vtilde, a, h, tol, nu_hint=None) -> FibrePoint:
-    cache: dict[float, FibrePoint] = {}
-
-    def eval_mean(c):
-        fp = _solve_initial_value(f, vtilde, c, h, nu_hint, tol)
-        cache[c] = fp
-        return mean(fp.u) - a
-
-    lo = float(a)
-    g0 = eval_mean(lo)
-    if abs(g0) <= AVERAGE_TOL:
-        return cache[lo]
-    step = 1.0 + 0.1 * abs(a)
-    if g0 > 0:
-        hi, g_hi = lo, g0
-        for _ in range(MAX_BRACKET_DOUBLINGS):
-            lo = lo - step
-            g_lo = eval_mean(lo)
-            step *= 2
-            if g_lo <= 0:
-                break
-            hi, g_hi = lo, g_lo
-        else:
-            raise TamenessViolationError("no lower bracket for the average solve")
-    else:
-        g_lo = g0
-        hi = lo
-        for _ in range(MAX_BRACKET_DOUBLINGS):
-            hi = hi + step
-            g_hi = eval_mean(hi)
-            step *= 2
-            if g_hi >= 0:
-                break
-            lo, g_lo = hi, g_hi
-        else:
-            raise TamenessViolationError("no upper bracket for the average solve")
-    if g_lo > 0 or g_hi < 0:
-        raise InternalConsistencyError("fibre average is not monotone in u(0)")
-
-    c_best, g_best = (lo, g_lo) if abs(g_lo) < abs(g_hi) else (hi, g_hi)
-    for _ in range(120):
-        if abs(g_best) <= AVERAGE_TOL:
-            break
-        if g_hi != g_lo:
-            c_mid = hi - g_hi * (hi - lo) / (g_hi - g_lo)
-            if not (lo < c_mid < hi):
-                c_mid = 0.5 * (lo + hi)
-        else:
-            c_mid = 0.5 * (lo + hi)
-        g_mid = eval_mean(c_mid)
-        if abs(g_mid) < abs(g_best):
-            c_best, g_best = c_mid, g_mid
-        if g_mid >= 0:
-            hi, g_hi = c_mid, g_mid
-        else:
-            lo, g_lo = c_mid, g_mid
-        if hi - lo < 1e-15 * max(1.0, abs(c_mid)):
-            break
-    if abs(g_best) > max(AVERAGE_TOL, 1e-7):
-        raise InternalConsistencyError(
-            f"average solve stalled at |mean - a| = {abs(g_best):.3e}")
-    return cache[c_best]
 
 
 # ---------------------------------------------------------------------------

@@ -109,11 +109,17 @@ def _stage_table(f: Nonlinearity, v, h: float, orders=(0,), t0: float = 0.0,
 
     Returns ``(forcing, stages)``: the forcing array of ``_rhs_tables`` and,
     per requested order, ``(evaluate, (r0, rh, r1))`` as lists, which keep
-    every stage in plain floats, not numpy scalars. Flows at the same
-    (f, v, h) over [0, 1] can share one such table through their ``table``
-    argument; each flow converts only the forcing to lists.
+    every stage in plain floats, not numpy scalars; an autonomous f repeats
+    one row per order by reference. Flows at the same (f, v, h) over [0, 1]
+    can share one such table through their ``table`` argument; each flow
+    converts only the forcing to lists.
     """
     nsteps, h = _step_count(t0, t1, h)
+    if f.autonomous:
+        vvals, _ = _rhs_tables(f, v, t0, nsteps, h, ())
+        shared = [[f.coeff_rows(np.zeros(1), order)[0].tolist()] * nsteps
+                  for order in orders]
+        return vvals, [(_f_from_row, (rows, rows, rows)) for rows in shared]
     vvals, stages = _rhs_tables(f, v, t0, nsteps, h, orders)
     return vvals, [(evaluate, rows.tolist()) for evaluate, rows in stages]
 
@@ -125,28 +131,35 @@ def _shift_forcing(table, nu: float):
 
 
 def _rk4_scalar(f: Nonlinearity, v, x0: float, t0: float, t1: float, h: float,
-                store: bool = False, variation: bool = False, table=None):
+                store: bool = False, variation: bool = False, table=None,
+                tangent_stride: int = 0):
     """Scalar RK4 with Kahan-compensated updates, the one single-lane loop.
 
     With ``variation`` a second lane z' = D2f(t,u) is accumulated from the
-    same stages. ``table`` is a prebuilt ``_stage_table`` of (f, v) at h on
-    [t0, t1], holding order 1 too when ``variation`` is set; f and v are
-    then not evaluated. Returns (u_end, samples|None, z, blew, sign,
-    blow_time).
+    same stages. With ``tangent_stride`` s > 0 it carries instead the exact
+    derivatives of the discrete step, xi = du/du(t0) and eta = du/dnu for a
+    constant nu added to v, and z is (xi, eta, sum u, sum xi, sum eta) with
+    sums over every s-th step from t0. ``table`` is a prebuilt
+    ``_stage_table`` of (f, v) at h on [t0, t1], holding order 1 too for
+    either lane; f and v are then not evaluated. Returns (u_end,
+    samples|None, z, blew, sign, blow_time).
     """
     nsteps, h = _step_count(t0, t1, h)
     if table is None:
-        table = _stage_table(f, v, h, (0, 1) if variation else (0,), t0, t1)
+        orders = (0, 1) if variation or tangent_stride else (0,)
+        table = _stage_table(f, v, h, orders, t0, t1)
     forcing, stages = table
     v0, vh, v1 = forcing.tolist()
     if len(v0) != nsteps:
         raise PreconditionError("stage table was built for another step")
     fx, (r0, rh, r1) = stages[0]
-    if variation:
+    if variation or tangent_stride:
         gx, (d0, dh, d1) = stages[1]
     half, sixth = 0.5 * h, h / 6.0
     u = float(x0)
     z = comp = 0.0
+    xi, eta = 1.0, 0.0
+    su = sxi = seta = 0.0
     samples = [u] if store else None
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(nsteps):
@@ -160,6 +173,23 @@ def _rk4_scalar(f: Nonlinearity, v, x0: float, t0: float, t1: float, h: float,
             if variation:
                 z += sixth * (gx(d0[k], u) + 2.0 * gx(dh[k], u2)
                               + 2.0 * gx(dh[k], u3) + gx(d1[k], u4))
+            elif tangent_stride:
+                if k % tangent_stride == 0:
+                    su += u
+                    sxi += xi
+                    seta += eta
+                g1, g2 = gx(d0[k], u), gx(dh[k], u2)
+                g3, g4 = gx(dh[k], u3), gx(d1[k], u4)
+                a1 = -g1 * xi
+                a2 = -g2 * (xi + half * a1)
+                a3 = -g3 * (xi + half * a2)
+                a4 = -g4 * (xi + h * a3)
+                xi += sixth * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
+                b1 = 1.0 - g1 * eta
+                b2 = 1.0 - g2 * (eta + half * b1)
+                b3 = 1.0 - g3 * (eta + half * b2)
+                b4 = 1.0 - g4 * (eta + h * b3)
+                eta += sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
             y = sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4) - comp
             s = u + y
             comp = (s - u) - y
@@ -170,17 +200,22 @@ def _rk4_scalar(f: Nonlinearity, v, x0: float, t0: float, t1: float, h: float,
                 return u, samples, z, True, sign, t0 + (k + 1) * h
             if store:
                 samples.append(u)
+    if tangent_stride:
+        z = (xi, eta, su, sxi, seta)
     return u, samples, z, False, None, None
 
 
 def _flow_scalar(f: Nonlinearity, v, x0: float, t0: float, t1: float, h: float,
-                 store: bool = False, table=None):
+                 store: bool = False, table=None, tangent_stride: int = 0):
     """Scalar RK4 flow; returns (u_end, samples|None, blow info).
 
-    ``table`` is an optional prebuilt ``_stage_table(f, v, h)`` on [t0, t1].
+    ``table`` is an optional prebuilt ``_stage_table(f, v, h)`` on [t0, t1];
+    ``tangent_stride`` > 0 appends ``_rk4_scalar``'s tangent lanes.
     """
-    u, samples, _, blew, sign, btime = _rk4_scalar(f, v, x0, t0, t1, h, store,
-                                                   table=table)
+    u, samples, lanes, blew, sign, btime = _rk4_scalar(
+        f, v, x0, t0, t1, h, store, table=table, tangent_stride=tangent_stride)
+    if tangent_stride:
+        return u, samples, blew, sign, btime, lanes
     return u, samples, blew, sign, btime
 
 

@@ -420,9 +420,9 @@ def sweep(family: ParamFamily, grid_values: dict[str, list[float]],
           analysis, existing: dict[str, SweepCell] | None = None) -> dict[str, SweepCell]:
     """Run ``analysis(f, params)`` on the cartesian parameter grid.
 
-    Per-cell failures are recorded as error strings and never abort the
-    sweep; ``existing`` cells (from a previous run) are reused untouched,
-    making sweeps resumable.
+    Per-cell failures are recorded as "<exception type>: <message>" and
+    never abort the sweep; ``existing`` cells (from a previous run) are
+    reused untouched, making sweeps resumable.
     """
     names = list(grid_values.keys())
     missing = [n for n in names if n not in family.names]
@@ -442,7 +442,8 @@ def sweep(family: ParamFamily, grid_values: dict[str, list[float]],
                 f = family.build(params)
                 table[key] = SweepCell(params=point, result=analysis(f, point))
             except Exception as exc:  # per-cell isolation is the contract
-                table[key] = SweepCell(params=point, result=None, error=str(exc))
+                table[key] = SweepCell(params=point, result=None,
+                                       error=f"{type(exc).__name__}: {exc}")
         for pos in range(len(names) - 1, -1, -1):
             index[pos] += 1
             if index[pos] < len(grids[pos]):

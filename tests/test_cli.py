@@ -144,6 +144,23 @@ class TestCommands:
         assert code == EXIT_OK
         assert doc["result"]["residual"] < 1e-8
 
+    def test_fibre_diagnostics_repeat(self, problem_files, capsys):
+        # the solver's work counters and final gaps are deterministic, so
+        # two runs give the same payload apart from the timestamp
+        for extra in (["--average", "0.3"], ["--trace", "-1", "1", "5"]):
+            argv = ["fibre", "--problem", problem_files["xsq"]] + extra
+            _, doc1 = run(capsys, argv)
+            _, doc2 = run(capsys, argv)
+            doc1.pop("generated_at")
+            doc2.pop("generated_at")
+            assert doc1 == doc2
+            diag = doc1["result"]["diagnostics"]
+            assert diag["flows"] >= 1
+            assert diag["expansions"] >= 0 and diag["bisections"] >= 0
+        assert diag["points"] == 5
+        assert diag["max_closure_gap"] <= 1e-11
+        assert diag["max_mean_gap"] <= 1e-12
+
     def test_hull_certificate(self, problem_files, capsys):
         code, doc = run(capsys, ["hull", "--problem", problem_files["quartic"],
                                  "--k", "2", "--range", "-3", "3"])

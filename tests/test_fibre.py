@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from morinode import (Average, Grid, InitialValue, Nonlinearity, PeriodicFn,
-                      eigen_w, fibre_trace, mean, solve_periodic, solve_w)
-from morinode.core import TamenessViolationError
-from morinode.fibre import trace_points
+                      eigen_w, fibre_trace, integrate, mean, solve_periodic,
+                      solve_w)
+from morinode.core import PreconditionError, TamenessViolationError
+from morinode.fibre import PERIODICITY_TOL, trace_points
 from morinode.odeint import _flow_scalar
 
 IDENTITY = Nonlinearity.polynomial([0, 1])
@@ -16,6 +17,39 @@ TWO_PI = 2 * np.pi
 
 def cos_forcing(grid_n=1024):
     return PeriodicFn.from_callable(lambda t: np.cos(TWO_PI * t), Grid(grid_n))
+
+
+# (nu, u(0)) along the 5g trace of x^3 - x over 0.4 cos(2 pi t) at averages
+# linspace(-1.2, 1.2, 20), from the bisection and regula falsi solver that
+# preceded the Newton iteration, run with its average tolerance at 1e-13
+TRACE_5G_REFERENCE = (
+    (-0.5336993160929409, -1.1741134375752398),
+    (-0.16971367244770735, -1.0524287853512697),
+    (0.09173197824284303, -0.9316221599626663),
+    (0.2626979273077452, -0.8110898152814566),
+    (0.35521465728131074, -0.6902541742237865),
+    (0.3813077244072704, -0.568701653332872),
+    (0.35301660590684203, -0.44621639863271995),
+    (0.2824016733979486, -0.32273560987015104),
+    (0.18154228384682108, -0.1982793981061612),
+    (0.06253121367641615, -0.07289084163056128),
+    (-0.06253121367642331, 0.05340239361109178),
+    (-0.181542283846855, 0.18060621681179947),
+    (-0.2824016733979537, 0.3087610738182076),
+    (-0.35301660590686973, 0.43792505402273235),
+    (-0.3813077244072705, 0.5681344983457595),
+    (-0.3552146572813438, 0.6993386990753476),
+    (-0.2626979273077486, 0.8313192839513033),
+    (-0.0917319782429064, 0.9636345030354936),
+    (0.1697136724474957, 1.0956531587292),
+    (0.5336993160927355, 1.2267133628525053),
+)
+
+
+@pytest.fixture(scope="module")
+def trace_5g():
+    vt = PeriodicFn.from_callable(lambda t: 0.4 * np.cos(TWO_PI * t))
+    return trace_points(CUBIC_MINUS, vt, -1.2, 1.2, 20)
 
 
 class TestSolvePeriodic:
@@ -62,6 +96,12 @@ class TestSolvePeriodic:
         with pytest.raises(TamenessViolationError):
             solve_periodic(wild, vt, InitialValue(0.0), h=1e-3)
 
+    def test_nonpositive_step_rejected(self):
+        vt = cos_forcing(256)
+        for h in (0.0, -1e-3):
+            with pytest.raises(PreconditionError):
+                solve_periodic(CUBIC_MINUS, vt, InitialValue(0.3), h=h)
+
     def test_stored_samples_match_forcing_plus_nu(self):
         # the solve tabulates vtilde once and adds nu per flow; the stored
         # orbit is the flow of vtilde + nu evaluated at every stage time,
@@ -81,6 +121,66 @@ class TestSolvePeriodic:
         fp = solve_periodic(SQUARE, vt, InitialValue(0.2))
         # the sup-norm equation residual on the grid
         assert fp.residual(SQUARE) < 1e-9
+
+
+class TestNewtonSolves:
+    def test_trace_matches_reference(self, trace_5g):
+        for fp, (nu, u0) in zip(trace_5g, TRACE_5G_REFERENCE):
+            assert abs(fp.nu - nu) <= 1e-10
+            assert abs(float(fp.u.values[0]) - u0) <= 1e-10
+
+    def test_trace_closes_and_hits_averages(self, trace_5g):
+        for a, fp in zip(np.linspace(-1.2, 1.2, 20), trace_5g):
+            assert abs(mean(fp.u) - a) <= 1e-12
+            assert fp.diagnostics.mean_gap == abs(mean(fp.u) - a)
+            assert fp.diagnostics.closure_gap <= PERIODICITY_TOL
+            assert fp.residual(CUBIC_MINUS) <= 1e-9
+
+    def test_trace_work(self, trace_5g):
+        flows = [fp.diagnostics.flows for fp in trace_5g]
+        assert max(flows) <= 15
+        for fp in trace_5g:
+            d = fp.diagnostics
+            assert d.flows == 1 + d.newton_steps + d.expansions + d.bisections
+
+    def test_cold_average_solve(self):
+        # no nu hint: the start is the constant orbit's nu at c = a
+        vt = PeriodicFn.from_callable(lambda t: 0.4 * np.cos(TWO_PI * t))
+        fp = solve_periodic(CUBIC_MINUS, vt, Average(0.9))
+        assert abs(mean(fp.u) - 0.9) <= 1e-12
+        assert fp.diagnostics.closure_gap <= PERIODICITY_TOL
+        assert fp.residual(CUBIC_MINUS) <= 1e-9
+        assert fp.diagnostics.flows <= 15
+
+    def test_cold_square_wave_initial_value(self):
+        # rough forcing: the orbit of vtilde + nu re-integrated on its own
+        # closes, whatever the spectral residual says
+        grid = Grid()
+        square = PeriodicFn(grid, np.where(grid.nodes < 0.5, 0.3, -0.3))
+        for c in (-0.5, 0.0, 0.5):
+            fp = solve_periodic(CUBIC_MINUS, square, InitialValue(c))
+            traj = integrate(CUBIC_MINUS, lambda t: square.eval(t) + fp.nu,
+                             c, h=1.0 / grid.n)
+            assert abs(traj.final() - c) <= 1e-8
+            assert fp.diagnostics.closure_gap <= PERIODICITY_TOL
+            assert fp.diagnostics.mean_gap is None
+            assert fp.diagnostics.flows <= 15
+
+
+    def test_stiff_quintic_average(self):
+        # u' + u^5 = 0.5 cos(2 pi t) + nu at h = 1/256: bracket doubling out
+        # to |nu| ~ f(|c| + 2) reaches flows that overflow within a step, so
+        # the solve has to stay near its Newton iterates
+        quintic = Nonlinearity.polynomial([0, 0, 0, 0, 0, 1])
+        grid = Grid(256)
+        vt = PeriodicFn.from_callable(lambda t: 0.5 * np.cos(TWO_PI * t),
+                                      grid)
+        fp = solve_periodic(quintic, vt, Average(1.2))
+        assert abs(mean(fp.u) - 1.2) <= 1e-12
+        u0 = float(fp.u.values[0])
+        traj = integrate(quintic, lambda t: vt.eval(t) + fp.nu, u0,
+                         h=1.0 / grid.n)
+        assert abs(traj.final() - u0) <= 1e-11
 
 
 class TestFibreGeometry:

@@ -14,7 +14,7 @@ from scipy.optimize import brentq
 from morinode import Grid, Nonlinearity, PeriodicFn
 from morinode.core import PreconditionError
 from morinode.odeint import (_flow_scalar, _flow_vector, _flow_with_variation,
-                             _shift_forcing, _stage_table)
+                             _rhs_tables, _shift_forcing, _stage_table)
 
 
 @pytest.fixture(scope="module")
@@ -72,6 +72,27 @@ def test_prebuilt_table_is_bitwise_identical(quartic, rhs):
                 == _flow_with_variation(quartic, None, x, 1e-3, joint))
     with pytest.raises(PreconditionError):
         _flow_scalar(quartic, None, 0.0, 0.0, 1.0, 2e-3, table=plain)
+
+
+def test_shared_autonomous_rows_are_bitwise_identical(quartic, rhs):
+    # an autonomous polynomial's table holds one row per order, shared by
+    # every stage; flows read the same floats as from the full table
+    h, nsteps = 1e-3, 1000
+    shared = _stage_table(quartic, rhs, h, (0, 1))
+    vvals, stages = _rhs_tables(quartic, rhs, 0.0, nsteps, h, (0, 1))
+    full = (vvals, [(evaluate, rows.tolist()) for evaluate, rows in stages])
+    assert np.array_equal(shared[0], full[0])
+    for (_, rows), (_, full_rows) in zip(shared[1], full[1]):
+        assert rows[0] is rows[1] is rows[2]
+        assert all(row is rows[0][0] for row in rows[0])
+        assert list(rows) == full_rows
+    for x in (-0.3, -0.1, 0.0, 0.2, 2.5):
+        assert (_flow_scalar(quartic, None, x, 0.0, 1.0, h, store=True,
+                             table=shared)
+                == _flow_scalar(quartic, None, x, 0.0, 1.0, h, store=True,
+                                table=full))
+        assert (_flow_with_variation(quartic, None, x, h, shared)
+                == _flow_with_variation(quartic, None, x, h, full))
 
 
 def test_shifted_table_matches_shifted_forcing():

@@ -3,10 +3,11 @@ import warnings
 import numpy as np
 import pytest
 
-from morinode import (Nonlinearity, PeriodicFn, contact_order, integrate,
-                      return_map)
+from morinode import (Grid, Nonlinearity, PeriodicFn, contact_order,
+                      integrate, return_map)
 from morinode.core import PreconditionError
-from morinode.odeint import _flow_vector
+from morinode.odeint import (_flow_scalar, _flow_vector, _shift_forcing,
+                             _stage_table)
 
 
 IDENTITY = Nonlinearity.polynomial([0, 1])     # f(x) = x
@@ -93,6 +94,53 @@ class TestReturnMap:
         idx = np.nonzero(alive)[0]
         assert len(idx) > 0
         assert np.array_equal(idx, np.arange(idx[0], idx[-1] + 1))
+
+
+class TestTangentLanes:
+    # x^3 - x under 0.4 cos(2 pi t) + nu, two RK4 steps per node of a
+    # 256-point grid, so the lane sums are node sums
+    F = Nonlinearity.polynomial([0, -1, 0, 1])
+    H, STRIDE, NODES = 1.0 / 512, 2, 256
+
+    def flow(self, table, c, nu, lanes=True):
+        return _flow_scalar(self.F, None, c, 0.0, 1.0, self.H, store=True,
+                            table=_shift_forcing(table, nu),
+                            tangent_stride=self.STRIDE if lanes else 0)
+
+    @pytest.fixture(scope="class")
+    def table(self):
+        vt = PeriodicFn.from_callable(lambda t: 0.4 * np.cos(2 * np.pi * t),
+                                      Grid(self.NODES))
+        return _stage_table(self.F, vt, self.H, (0, 1))
+
+    def test_lanes_leave_u_unchanged(self, table):
+        with_lanes = self.flow(table, 0.4, -0.2)
+        assert with_lanes[:5] == self.flow(table, 0.4, -0.2, lanes=False)
+        samples = with_lanes[1]
+        assert with_lanes[5][2] == pytest.approx(
+            sum(samples[:-1][::self.STRIDE]), rel=1e-15)
+
+    def test_lanes_match_central_differences(self, table):
+        # the lanes are the exact derivatives of the discrete flow, so
+        # central differences of u(1) and of the node mean of u approach
+        # them at O(d^2): halving d divides the error by four
+        c, nu = 0.4, -0.2
+        _, _, _, _, _, (xi, eta, _, sum_xi, sum_eta) = self.flow(table, c, nu)
+
+        def errors(d):
+            up, dn = self.flow(table, c, nu + d), self.flow(table, c, nu - d)
+            right, left = self.flow(table, c + d, nu), self.flow(table, c - d, nu)
+            return np.abs([
+                (up[0] - dn[0]) / (2 * d) - eta,
+                (up[5][2] - dn[5][2]) / (2 * d) - sum_eta,
+                (right[0] - left[0]) / (2 * d) - xi,
+                (right[5][2] - left[5][2]) / (2 * d) - sum_xi]) / [
+                    1, self.NODES, 1, self.NODES]
+
+        coarse, fine = errors(4e-3), errors(2e-3)
+        assert np.all(coarse <= 5.0 * 4e-3 ** 2)
+        assert np.all((coarse / fine > 3.6) & (coarse / fine < 4.4))
+        assert eta > 0 and xi > 0
 
 
 class TestContactOrder:

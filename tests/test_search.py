@@ -244,8 +244,25 @@ class TestSweep:
         table = sweep(ParamFamily.quartic_bc(), {"b": [1.0], "c": [0.0]},
                       analysis)
         cell = next(iter(table.values()))
-        assert cell.error == "boom"
+        assert cell.error == "ValueError: boom"
         assert cell.result is None
+
+    def test_error_records_exception_type(self):
+        # a fibre solve on a wild nonlinearity fails inside the cell; the
+        # cell keeps the exception type with the message
+        from morinode import Grid, InitialValue, solve_periodic
+        from morinode.core import TamenessViolationError
+
+        def analysis(f, p):
+            wild = Nonlinearity.from_builtin("cosh2_cos")
+            vt = PeriodicFn.constant(0.0, Grid(256))
+            solve_periodic(wild, vt, InitialValue(0.0), h=1e-3)
+        table = sweep(ParamFamily.quartic_bc(), {"b": [1.0], "c": [0.0]},
+                      analysis)
+        cell = next(iter(table.values()))
+        assert cell.result is None
+        assert cell.error.startswith(TamenessViolationError.__name__ + ": ")
+        assert len(cell.error) > len(TamenessViolationError.__name__) + 2
 
     def test_resume_skips_existing(self):
         calls = []
