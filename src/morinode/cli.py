@@ -166,10 +166,9 @@ def _cmd_fibre(args):
     vt = PeriodicFn(vt.grid, vt.values - mean(vt))
     if args.trace is not None:
         lo, hi, count = args.trace
-        pts = fibre_mod.trace_points(f, vt, lo, hi, int(count))
-        return {"trace": [{"average": float(a), "phi": fp.phi_bar} for a, fp
-                          in zip(np.linspace(lo, hi, int(count)), pts)],
-                "diagnostics": _trace_diagnostics(pts)}
+        pairs = fibre_mod.trace_pairs(f, vt, lo, hi, int(count))
+        return {"trace": [{"average": a, "phi": fp.phi_bar} for a, fp in pairs],
+                "diagnostics": _trace_diagnostics(pairs)}
     if args.average is not None:
         constraint = fibre_mod.Average(args.average)
     elif args.initial is not None:
@@ -184,9 +183,9 @@ def _cmd_fibre(args):
             "diagnostics": dataclasses.asdict(fp.diagnostics)}
 
 
-def _trace_diagnostics(pts):
+def _trace_diagnostics(pairs):
     """Work summed over a trace's points, and its worst final gaps."""
-    diags = [dataclasses.asdict(fp.diagnostics) for fp in pts]
+    diags = [dataclasses.asdict(fp.diagnostics) for _, fp in pairs]
     out = {k: sum(d[k] for d in diags)
            for k in ("flows", "newton_steps", "expansions", "bisections")}
     return dict(out, points=len(diags),

@@ -19,7 +19,6 @@ TWO_PI = 2.0 * math.pi
 
 DEFAULT_GRID_N = 1024
 MAX_X_DERIVATIVE = 5
-_EVAL_CHUNK = 512  # points per block of PeriodicFn.eval
 
 
 class MorinodeError(Exception):
@@ -99,28 +98,24 @@ class PeriodicFn:
         return cls(grid, np.full(grid.n, float(value)))
 
     def _fourier(self) -> tuple[np.ndarray, np.ndarray]:
-        """Significant harmonics and weights (2c; c at 0 and Nyquist)."""
+        """Significant one-sided Fourier coefficients (harmonics, coeffs)."""
         if self._coeffs is None:
             c = np.fft.rfft(self.values) / self.grid.n
             keep = np.abs(c) > 1e-15 * (np.max(np.abs(c)) + 1e-300)
             keep[0] = True
-            harm = np.nonzero(keep)[0]
-            scale = np.where(harm == 0, 1.0, 2.0)
-            if 2 * harm[-1] == self.grid.n:
-                scale[-1] = 1.0
-            self._coeffs = (harm, scale * c[keep])
+            self._coeffs = (np.nonzero(keep)[0], c[keep])
         return self._coeffs
 
     def eval(self, t: np.ndarray | float) -> np.ndarray | float:
         """Trigonometric-interpolant value at arbitrary circle points."""
         t = np.asarray(t, dtype=float)
-        harm, weights = self._fourier()
-        flat = t.reshape(-1)
-        # blocks of points keep the complex points x harmonics table small
-        vals = np.concatenate([
-            (np.exp(2j * np.pi * np.outer(flat[i:i + _EVAL_CHUNK], harm))
-             * weights).sum(axis=1).real
-            for i in range(0, max(flat.size, 1), _EVAL_CHUNK)])
+        harm, c = self._fourier()
+        phase = np.exp(2j * np.pi * np.outer(t, harm))
+        # one-sided sum: double every positive harmonic, Nyquist included once
+        scale = np.where(harm == 0, 1.0, 2.0)
+        if 2 * harm[-1] == self.grid.n:
+            scale[-1] = 1.0
+        vals = (phase * (scale * c)).sum(axis=1).real
         return vals.reshape(t.shape) if t.shape else float(vals[0])
 
     def __call__(self, t):

@@ -143,9 +143,9 @@ class _Bracket:
         return x + math.copysign(step, toward), "expansions"
 
 
-def _solve_initial_value(f, vtilde, c, h, nu_hint, tol, table=None):
+def _solve_initial_value(f, vtilde, c, h, nu_hint, tol):
     """Newton on g(nu) = u(1) - c, with g' = eta(1) > 0."""
-    return _newton_solve(f, vtilde, float(c), None, h, nu_hint, tol, table)
+    return _newton_solve(f, vtilde, float(c), None, h, nu_hint, tol, None)
 
 
 def _solve_average(f, vtilde, a, h, tol, nu_hint=None, table=None):
@@ -252,23 +252,31 @@ def fibre_trace(f: Nonlinearity, vtilde: PeriodicFn, a_lo: float, a_hi: float,
     Phi(u) = int f(t, u(t)) dt is the scalar map whose folds and cusps
     classify the operator on this fibre.
     """
-    return [(float(a), fp.phi_bar) for a, fp in
-            zip(np.linspace(a_lo, a_hi, count),
-                trace_points(f, vtilde, a_lo, a_hi, count, h))]
+    return [(a, fp.phi_bar)
+            for a, fp in trace_pairs(f, vtilde, a_lo, a_hi, count, h)]
 
 
 def trace_points(f: Nonlinearity, vtilde: PeriodicFn, a_lo: float, a_hi: float,
                  count: int, h: float | None = None) -> list[FibrePoint]:
-    """Like fibre_trace but returning the full FibrePoints; they share one
-    stage table of ``vtilde``, and each starts from the nu before it."""
+    """Like fibre_trace but returning the full FibrePoints."""
+    return [fp for _, fp in trace_pairs(f, vtilde, a_lo, a_hi, count, h)]
+
+
+def trace_pairs(f: Nonlinearity, vtilde: PeriodicFn, a_lo: float, a_hi: float,
+                count: int, h: float | None = None
+                ) -> list[tuple[float, FibrePoint]]:
+    """(a, FibrePoint) at ``count`` averages evenly from a_lo to a_hi; the
+    points share one stage table of ``vtilde``, and each starts from the
+    nu before it."""
     if not a_lo < a_hi:
         raise PreconditionError("need a_lo < a_hi")
     h, _ = _node_step(vtilde.grid, h)
     table = _stage_table(f, vtilde, h, (0, 1))
-    out = []
+    out, nu = [], None
     for a in np.linspace(a_lo, a_hi, count):
-        out.append(_solve_average(f, vtilde, float(a), h, PERIODICITY_TOL,
-                                  out[-1].nu if out else None, table))
+        fp = _solve_average(f, vtilde, float(a), h, PERIODICITY_TOL, nu, table)
+        out.append((float(a), fp))
+        nu = fp.nu
     return out
 
 

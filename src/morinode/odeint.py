@@ -3,8 +3,8 @@
 The integrator is classical fixed-step RK4 with Kahan-compensated state
 updates. Blow-up is declared when |u| crosses ``U_MAX``; the sign of the
 last finite sample and the first-crossing time are recorded. The return map
-rho_v sends u(0) to u(1); its first derivative comes from the variational
-equation xi' = -D2f(t,u) xi and is always positive.
+rho_v sends u(0) to u(1); its first derivative is carried through the same
+RK4 steps as the exact derivative of the discrete flow.
 """
 
 from __future__ import annotations
@@ -131,33 +131,31 @@ def _shift_forcing(table, nu: float):
 
 
 def _rk4_scalar(f: Nonlinearity, v, x0: float, t0: float, t1: float, h: float,
-                store: bool = False, variation: bool = False, table=None,
-                tangent_stride: int = 0):
+                store: bool = False, table=None, tangent_stride: int = 0):
     """Scalar RK4 with Kahan-compensated updates, the one single-lane loop.
 
-    With ``variation`` a second lane z' = D2f(t,u) is accumulated from the
-    same stages. With ``tangent_stride`` s > 0 it carries instead the exact
-    derivatives of the discrete step, xi = du/du(t0) and eta = du/dnu for a
-    constant nu added to v, and z is (xi, eta, sum u, sum xi, sum eta) with
-    sums over every s-th step from t0. ``table`` is a prebuilt
+    With ``tangent_stride`` s > 0 it also carries the exact derivatives of
+    the discrete step, xi = du/du(t0) and eta = du/dnu for a constant nu
+    added to v, and returns as ``lanes`` (xi, eta, sum u, sum xi, sum eta)
+    at t1, with sums over every s-th step from t0. ``table`` is a prebuilt
     ``_stage_table`` of (f, v) at h on [t0, t1], holding order 1 too for
-    either lane; f and v are then not evaluated. Returns (u_end,
-    samples|None, z, blew, sign, blow_time).
+    the lanes; f and v are then not evaluated. Returns (u_end,
+    samples|None, lanes|None, blew, sign, blow_time).
     """
     nsteps, h = _step_count(t0, t1, h)
     if table is None:
-        orders = (0, 1) if variation or tangent_stride else (0,)
+        orders = (0, 1) if tangent_stride else (0,)
         table = _stage_table(f, v, h, orders, t0, t1)
     forcing, stages = table
     v0, vh, v1 = forcing.tolist()
     if len(v0) != nsteps:
         raise PreconditionError("stage table was built for another step")
     fx, (r0, rh, r1) = stages[0]
-    if variation or tangent_stride:
+    if tangent_stride:
         gx, (d0, dh, d1) = stages[1]
     half, sixth = 0.5 * h, h / 6.0
     u = float(x0)
-    z = comp = 0.0
+    comp = 0.0
     xi, eta = 1.0, 0.0
     su = sxi = seta = 0.0
     samples = [u] if store else None
@@ -170,10 +168,7 @@ def _rk4_scalar(f: Nonlinearity, v, x0: float, t0: float, t1: float, h: float,
             k3 = vh[k] - fx(rh[k], u3)
             u4 = u + h * k3
             k4 = v1[k] - fx(r1[k], u4)
-            if variation:
-                z += sixth * (gx(d0[k], u) + 2.0 * gx(dh[k], u2)
-                              + 2.0 * gx(dh[k], u3) + gx(d1[k], u4))
-            elif tangent_stride:
+            if tangent_stride:
                 if k % tangent_stride == 0:
                     su += u
                     sxi += xi
@@ -197,12 +192,11 @@ def _rk4_scalar(f: Nonlinearity, v, x0: float, t0: float, t1: float, h: float,
             u = s
             if not math.isfinite(u) or abs(u) > U_MAX:
                 sign = -1 if (u if math.isfinite(u) else last) < 0 else 1
-                return u, samples, z, True, sign, t0 + (k + 1) * h
+                return u, samples, None, True, sign, t0 + (k + 1) * h
             if store:
                 samples.append(u)
-    if tangent_stride:
-        z = (xi, eta, su, sxi, seta)
-    return u, samples, z, False, None, None
+    lanes = (xi, eta, su, sxi, seta) if tangent_stride else None
+    return u, samples, lanes, False, None, None
 
 
 def _flow_scalar(f: Nonlinearity, v, x0: float, t0: float, t1: float, h: float,
@@ -274,9 +268,8 @@ def return_map(f: Nonlinearity, v, x0: float, h: float = 1e-3,
                with_derivative: bool = False) -> ReturnValue:
     """rho_v(x0) = u(1) for the solve over [0,1], with optional derivative.
 
-    The derivative is exp(-int_0^1 D2f(t,u(t)) dt), accumulated along the
-    trajectory by integrating z' = D2f(t,u) with the same RK4 stages; it is
-    positive whenever the solution survives.
+    The derivative is du(1)/du(0) of the discrete RK4 flow, from the
+    tangent lane of the same steps.
     """
     der = None
     if with_derivative:
@@ -289,15 +282,15 @@ def return_map(f: Nonlinearity, v, x0: float, h: float = 1e-3,
 
 
 def _flow_with_variation(f: Nonlinearity, v, x0: float, h: float, table=None):
-    """Joint RK4 for u and z = int D2f(t,u); returns (u(1), exp(-z(1)), ...).
+    """RK4 flow with its tangent lane; returns (u(1), du(1)/du(0), ...).
 
     ``table`` is an optional prebuilt ``_stage_table(f, v, h, (0, 1))``.
     """
-    u, _, z, blew, sign, btime = _rk4_scalar(f, v, x0, 0.0, 1.0, h,
-                                             variation=True, table=table)
+    u, _, lanes, blew, sign, btime = _rk4_scalar(f, v, x0, 0.0, 1.0, h,
+                                                 table=table, tangent_stride=1)
     if blew:
         return None, None, True, sign, btime
-    return float(u), float(math.exp(-z)), False, None, None
+    return float(u), float(lanes[0]), False, None, None
 
 
 @dataclass(frozen=True)

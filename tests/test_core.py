@@ -124,26 +124,6 @@ class TestSpectral:
         t = np.array([0.03, 0.41, 0.777])
         assert np.allclose(u.eval(t), ans.eval(t), atol=1e-12)
 
-    def test_chunked_eval_matches_one_outer_product(self):
-        # eval works through its points in blocks; every value is the same
-        # float as from one points x harmonics product over all of them
-        t = Grid().nodes
-        square = PeriodicFn(Grid(), np.where(t < 0.5, 0.3, -0.3))
-        c = np.fft.rfft(square.values) / square.grid.n
-        keep = np.abs(c) > 1e-15 * np.max(np.abs(c))
-        keep[0] = True
-        harm = np.nonzero(keep)[0]
-        assert 2 * harm[-1] < square.grid.n  # no Nyquist term
-        weights = np.where(harm == 0, 1.0, 2.0) * c[harm]
-        rng = np.random.default_rng(5)
-        for pts in (rng.uniform(0, 1, 3073), rng.uniform(0, 1, (3, 700)),
-                    np.linspace(0, 1, 512), np.array([0.3])):
-            ref = (np.exp(2j * np.pi * np.outer(pts, harm))
-                   * weights).sum(axis=1).real.reshape(pts.shape)
-            assert np.array_equal(square.eval(pts), ref)
-        assert square.eval(0.3) == float(square.eval(np.array([0.3]))[0])
-        assert square.eval(np.array([])).shape == (0,)
-
     def test_spectral_derivative(self):
         u = PeriodicFn.from_callable(lambda t: np.sin(2 * np.pi * t))
         du = u.derivative()

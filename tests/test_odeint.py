@@ -6,8 +6,8 @@ import pytest
 from morinode import (Grid, Nonlinearity, PeriodicFn, contact_order,
                       integrate, return_map)
 from morinode.core import PreconditionError
-from morinode.odeint import (_flow_scalar, _flow_vector, _shift_forcing,
-                             _stage_table)
+from morinode.odeint import (_flow_scalar, _flow_vector, _flow_with_variation,
+                             _shift_forcing, _stage_table)
 
 
 IDENTITY = Nonlinearity.polynomial([0, 1])     # f(x) = x
@@ -141,6 +141,13 @@ class TestTangentLanes:
         assert np.all(coarse <= 5.0 * 4e-3 ** 2)
         assert np.all((coarse / fine > 3.6) & (coarse / fine < 4.4))
         assert eta > 0 and xi > 0
+
+    def test_return_map_derivative_is_the_xi_lane(self, table):
+        # the census reads rho' from the same lane as the fibre solver
+        u_end, der, blew, _, _ = _flow_with_variation(self.F, None, 0.4,
+                                                      self.H, table)
+        lanes = self.flow(table, 0.4, 0.0)
+        assert not blew and (u_end, der) == (lanes[0], lanes[5][0])
 
 
 class TestContactOrder:
