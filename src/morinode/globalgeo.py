@@ -18,10 +18,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (Grid, Nonlinearity, PeriodicFn, PreconditionError,
-                   mean, spectral_antiderivative)
-from .morin import eigen_w
+                   cumulative, mean)
+from .morin import ZERO_TOL_FACTOR, eigen_w
 
 DEFAULT_CURVE_SAMPLES = 401
+_NEWTON_MAX_STEPS = 50
+_NEWTON_TOL = 4 * np.finfo(float).eps   # relative step that ends Newton
 
 
 # ---------------------------------------------------------------------------
@@ -548,21 +550,40 @@ class TimeChange:
     params: dict
 
 
-def _invert_monotone_ode(rhs, grid: Grid, substeps: int = 4) -> np.ndarray:
-    """Integrate psi' = rhs(psi), psi(0) = 0 across one period, RK4."""
-    n = grid.n
-    h = 1.0 / (substeps * n)
-    psi = 0.0
-    out = np.zeros(n)
-    for i in range(n):
-        out[i] = psi
-        for _ in range(substeps):
-            k1 = rhs(psi)
-            k2 = rhs(psi + 0.5 * h * k1)
-            k3 = rhs(psi + 0.5 * h * k2)
-            k4 = rhs(psi + h * k3)
-            psi += (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-    return out
+def _newton(step, x, tol: float):
+    """Iterate x -= step(x) until the largest step is at most ``tol`` or
+    stops falling; returns (x, steps taken)."""
+    prev = math.inf
+    for steps in range(1, _NEWTON_MAX_STEPS + 1):
+        dx = step(x)
+        x = x - dx
+        size = float(np.max(np.abs(dx)))
+        if size <= tol or size >= prev:
+            break
+        prev = size
+    return x, steps
+
+
+def _invert_monotone_ode(rate: PeriodicFn) -> tuple[np.ndarray, np.ndarray, int]:
+    """The circle map t -> int_0^t rate / mean(rate), rate > 0, and its inverse.
+
+    Returns both maps' node values and the Newton step count. The inverse
+    nodes come from Newton on all nodes at once, on the spectral running
+    integral ``cumulative(rate)`` with slope ``rate``, seeded by linear
+    interpolation; a residual above 1e-12 raises PreconditionError.
+    """
+    forward = cumulative(rate)
+    total = mean(rate)
+    t = rate.grid.nodes
+    nodes = forward.at_nodes / total
+    x0 = np.interp(t, np.append(nodes, 1.0), np.append(t, 1.0))
+    x, steps = _newton(lambda x: (forward(x) - total * t) / rate.eval(x), x0,
+                       _NEWTON_TOL)
+    resid = float(np.max(np.abs(forward(x) / total - t)))
+    if not resid <= 1e-12:
+        raise PreconditionError(f"circle-map inverse residual {resid:.2e} "
+                                f"after {steps} Newton steps")
+    return nodes, x, steps
 
 
 def reparam(f: Nonlinearity, direction) -> tuple[PeriodicFn, TimeChange]:
@@ -570,10 +591,16 @@ def reparam(f: Nonlinearity, direction) -> tuple[PeriodicFn, TimeChange]:
     second-order strata.
 
     ToSimplified(u): beta is the normalized running integral of the positive
-    eigenfunction w(u); returns v = u o beta^{-1}. FromSimplified(v): solves
-    for the unique constant A making the inverse time change alpha run over
-    one full period, then returns u = v o alpha^{-1}. The two directions are
-    mutually inverse.
+    eigenfunction w(u); returns v = u o beta^{-1}. FromSimplified(v): with h
+    the running integral of f_x(v), Newton solves mean(1/(A - h)) = 1 for
+    the constant A > max h, so that alpha = int 1/(A - h) runs over one full
+    period; returns u = v o alpha^{-1}. Both inverses are spectral (Newton
+    on the running integral); ``params`` records the Newton step counts.
+
+    FromSimplified needs v on the fold stratum mean(f_x(v)) = 0, where
+    1/(A - h) is periodic, and raises PreconditionError elsewhere. As
+    ToSimplified lands at mean(f_x(v)) = Sigma_1(u), the two directions are
+    mutually inverse exactly when Sigma_1(u) = 0.
     """
     if not f.autonomous:
         raise PreconditionError("reparametrization requires an autonomous f")
@@ -585,109 +612,34 @@ def reparam(f: Nonlinearity, direction) -> tuple[PeriodicFn, TimeChange]:
 
 
 def _to_simplified(f, u):
-    grid = u.grid
-    pair = eigen_w(f, u)
-    w = pair.w
-    wbar = mean(w)
-    osc = spectral_antiderivative(w.values)
-    beta_nodes = (wbar * grid.nodes + osc - osc[0]) / wbar
-
-    chi = _invert_monotone_ode(lambda x: wbar / float(w.eval(x % 1.0)), grid)
-    v = PeriodicFn(grid, u.eval(chi))
-    tc = TimeChange(forward=beta_nodes, inverse=chi, params={"wbar": wbar})
-    return v, tc
+    w = eigen_w(f, u).w
+    beta, chi, steps = _invert_monotone_ode(w)
+    v = PeriodicFn(u.grid, u.eval(chi))
+    return v, TimeChange(beta, chi, {"wbar": mean(w), "newton_steps": steps})
 
 
 def _from_simplified(f, v):
-    grid = v.grid
-    n = grid.n
     gv = f.on_grid(v, 1)
     mu = float(np.mean(gv))
-    osc = spectral_antiderivative(gv)
-    osc_fn = PeriodicFn(grid, osc)
+    if abs(mu) > ZERO_TOL_FACTOR * (1.0 + float(np.max(np.abs(gv)))):
+        raise PreconditionError("FromSimplified needs v on the fold stratum "
+                                f"mean(f_x(v)) = 0, got {mu:.3e}")
+    h = cumulative(PeriodicFn(v.grid, gv)).at_nodes
 
-    def h_eval(x):
-        return mu * x + float(osc_fn.eval(x % 1.0)) - osc[0]
+    def a_step(A):
+        r = 1.0 / (A - h)
+        return (np.mean(r) - 1.0) / -np.mean(r * r)
 
-    h_nodes = mu * grid.nodes + osc - osc[0]
-    h_closed = np.concatenate([h_nodes, [mu]])   # h(1) = mu
-    hmax = float(np.max(h_closed))
-
-    def alpha_end_quadrature(A):
-        vals = 1.0 / (A - h_closed)
-        # composite Simpson on the n+1 closed-interval nodes (n even)
-        s = vals[0] + vals[-1] + 4.0 * np.sum(vals[1:-1:2]) + 2.0 * np.sum(vals[2:-2:2])
-        return s / (3.0 * n)
-
-    # bracket A: alpha(1) decreases from +inf (A -> max h) to 0 (A -> inf)
-    span = max(1.0, float(np.max(np.abs(h_closed))))
-    lo = hmax + 1e-9 * span
-    while alpha_end_quadrature(lo) < 1.0:
-        lo = hmax + 0.1 * (lo - hmax)
-        if lo - hmax < 1e-300:
-            raise PreconditionError("time-change constant could not be bracketed")
-    hi = hmax + span
-    for _ in range(200):
-        if alpha_end_quadrature(hi) < 1.0:
-            break
-        hi = hmax + 2.0 * (hi - hmax)
-    else:
-        raise PreconditionError("time-change constant could not be bracketed")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if alpha_end_quadrature(mid) >= 1.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-14 * max(1.0, abs(mid)):
-            break
-    A = 0.5 * (lo + hi)
-
-    # polish A on the ODE-based end condition psi_A(1) = 1
-    def psi_end(Aval):
-        psi = _invert_monotone_ode(lambda x: Aval - h_eval(x), grid)
-        # advance the last node to t = 1
-        h_sub = 1.0 / (4 * n)
-        x = psi[-1]
-        for _ in range(4):
-            k1 = Aval - h_eval(x)
-            k2 = Aval - h_eval(x + 0.5 * h_sub * k1)
-            k3 = Aval - h_eval(x + 0.5 * h_sub * k2)
-            k4 = Aval - h_eval(x + h_sub * k3)
-            x += (h_sub / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        return psi, x
-
-    psi, end = psi_end(A)
-    A2 = A * (1.0 + 1e-7) + 1e-12
-    psi2, end2 = psi_end(A2)
-    for _ in range(3):
-        if abs(end - 1.0) < 1e-12 or end2 == end:
-            break
-        A_new = A + (1.0 - end) * (A2 - A) / (end2 - end)
-        A, A2, end2 = A_new, A, end
-        psi, end = psi_end(A)
-    u = PeriodicFn(grid, v.eval(psi % 1.0))
-    # alpha itself at the nodes: running Simpson of 1/(A - h(t))
-    integrand = 1.0 / (A - np.concatenate([h_nodes, [mu]]))
-    alpha_nodes = _cumulative_simpson(integrand)[:-1]
-    tc = TimeChange(forward=alpha_nodes, inverse=psi,
-                    params={"A": A, "alpha_end": end})
-    return u, tc
-
-
-def _cumulative_simpson(vals: np.ndarray) -> np.ndarray:
-    """Running integral over uniform nodes (len odd-or-even, spacing 1/(N-1))."""
-    N = len(vals)
-    dx = 1.0 / (N - 1)
-    out = np.zeros(N)
-    # Simpson on even pairs, trapezoid-corrected odd points
-    for i in range(1, N):
-        if i >= 2:
-            out[i] = out[i - 2] + dx / 3.0 * (vals[i - 2] + 4 * vals[i - 1] + vals[i])
-        else:
-            out[i] = out[i - 1] + dx * 0.5 * (vals[i - 1] + vals[i]) \
-                - dx / 12.0 * (vals[min(i + 1, N - 1)] - vals[i - 1])
-    return out
+    # mean(1/(A - h)) is convex and decreasing on (max h, inf) and at most 1
+    # at max h + 1, so Newton from there falls monotonically onto the root.
+    A0 = float(np.max(h)) + 1.0
+    A, a_steps = _newton(a_step, A0, _NEWTON_TOL * A0)
+    rate = PeriodicFn(v.grid, 1.0 / (A - h))
+    alpha, psi, steps = _invert_monotone_ode(rate)
+    u = PeriodicFn(v.grid, v.eval(psi))
+    return u, TimeChange(alpha, psi, {"A": float(A), "alpha_end": mean(rate),
+                                      "newton_steps": steps,
+                                      "a_newton_steps": a_steps})
 
 
 # ---------------------------------------------------------------------------

@@ -174,6 +174,13 @@ class TestCommands:
                                  "--direction", "to"])
         assert code == EXIT_OK
         assert "result_coefficients" in doc["result"]
+        assert doc["result"]["diagnostics"]["newton_steps"] >= 1
+
+    def test_reparam_from_needs_fold_stratum(self, problem_files, capsys):
+        # f = x^2 and mean(f_x(u)) = 2 a0 = -0.023 is off the fold stratum
+        code = execute(["reparam", "--problem", problem_files["xsq"],
+                        "--ansatz", problem_files["ub"], "--direction", "from"])
+        assert code == EXIT_PRECONDITION
 
     def test_find_singularity(self, tmp_path, problem_files, capsys):
         family = tmp_path / "family.json"

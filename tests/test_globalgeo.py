@@ -15,6 +15,8 @@ SQUARE = Nonlinearity.polynomial([0, 0, 1])
 CUBIC_PLUS = Nonlinearity.polynomial([0, 1, 0, 1])     # x^3 + x
 CUBIC_MINUS = Nonlinearity.polynomial([0, -1, 0, 1])   # x^3 - x
 NEG_CUBIC = Nonlinearity.polynomial([0, 0, 0, -1])     # -x^3
+GENERIC_U = PeriodicFn.from_callable(
+    lambda t: 0.3 + 0.5 * np.cos(TWO_PI * t) + 0.2 * np.sin(2 * TWO_PI * t))
 
 
 def _row_loop_simplex_max(A, b, c):
@@ -233,16 +235,33 @@ class TestReparam:
         hat = sigma_hat(f, v, 2)
         assert np.max(np.abs(hat)) < 1e-7
 
-    def test_roundtrip_identity(self, located_cusp):
-        f, u, _ = located_cusp
+    @pytest.mark.parametrize("n", [64, 256, 1024, 4096])
+    def test_roundtrip_identity(self, located_cusp, n):
+        f, _, ans = located_cusp
+        u = ans.sample(Grid(n))
         v, _ = reparam(f, ToSimplified(u))
         back, _ = reparam(f, FromSimplified(v))
-        assert np.max(np.abs(back.values - u.values)) < 1e-8
+        assert np.max(np.abs(back.values - u.values)) < 1e-12
+
+    def test_directions_return_the_same_maps(self, located_cusp):
+        f, u, _ = located_cusp
+        v, to = reparam(f, ToSimplified(u))
+        _, back = reparam(f, FromSimplified(v))
+        assert np.max(np.abs(back.forward - to.inverse)) <= 1e-12
+        assert np.max(np.abs(back.inverse - to.forward)) <= 1e-12
+        assert abs(back.params["alpha_end"] - 1.0) <= 1e-14
+        for steps in (to.params["newton_steps"], back.params["newton_steps"],
+                      back.params["a_newton_steps"]):
+            assert 1 <= steps <= 10
+
+    def test_from_simplified_needs_fold_stratum(self):
+        # ToSimplified lands at mean(f_x(v)) = Sigma_1(u) = -0.295 here
+        v, _ = reparam(CUBIC_MINUS, ToSimplified(GENERIC_U))
+        with pytest.raises(PreconditionError, match="fold stratum"):
+            reparam(CUBIC_MINUS, FromSimplified(v))
 
     def test_beta_gauge(self):
-        u = PeriodicFn.from_callable(
-            lambda t: 0.3 + 0.5 * np.cos(TWO_PI * t) + 0.2 * np.sin(2 * TWO_PI * t))
-        _, tc = reparam(CUBIC_MINUS, ToSimplified(u))
+        _, tc = reparam(CUBIC_MINUS, ToSimplified(GENERIC_U))
         beta = tc.forward
         assert beta[0] == pytest.approx(0.0, abs=1e-14)
         assert np.all(np.diff(beta) > 0)
