@@ -275,12 +275,9 @@ def _cmd_reparam(args):
                  else globalgeo.FromSimplified(u))
     out, tc = globalgeo.reparam(f, direction)
     coeffs = FourierAnsatz.from_periodic(out, min(32, out.grid.n // 4))
-    params = dict(tc.params)
-    diagnostics = {k: params.pop(k) for k in ("newton_steps", "a_newton_steps")
-                   if k in params}
     return {"direction": args.direction,
             "result_coefficients": ansatz_to_json(coeffs),
-            "time_change_params": params, "diagnostics": diagnostics}
+            "time_change_params": tc.params, "diagnostics": tc.diagnostics}
 
 
 def _cmd_sweep(args):

@@ -547,21 +547,31 @@ class TimeChange:
 
     forward: np.ndarray   # the map applied inside the returned composition
     inverse: np.ndarray
-    params: dict
+    params: dict          # time-change parameters, plain floats
+    diagnostics: dict     # Newton step counts
 
 
-def _newton(step, x, tol: float):
-    """Iterate x -= step(x) until the largest step is at most ``tol`` or
-    stops falling; returns (x, steps taken)."""
-    prev = math.inf
-    for steps in range(1, _NEWTON_MAX_STEPS + 1):
-        dx = step(x)
-        x = x - dx
-        size = float(np.max(np.abs(dx)))
-        if size <= tol or size >= prev:
+def _solve_a(h: np.ndarray) -> tuple[float, int]:
+    """The A > max h with mean(1/(A - h)) = 1, and the Newton step count.
+
+    Newton runs on the harmonic mean H(A) = 1/mean(1/(A - h)), concave and
+    increasing in A, from a start with H <= 1 (H <= n (A - max h) and
+    H <= A - mean(h) give two), so the iterates rise onto the root and stay
+    above max h. A last correction above 1e-12 (1 + |A|) raises
+    PreconditionError.
+    """
+    A = max(float(np.max(h)) + 1.0 / h.size, float(np.mean(h)) + 1.0)
+    for steps in range(_NEWTON_MAX_STEPS + 1):
+        r = 1.0 / (A - h)
+        m = float(np.mean(r))
+        step = m * (m - 1.0) / float(np.mean(r * r))   # (1 - H) / H'
+        if not step > _NEWTON_TOL * A or steps == _NEWTON_MAX_STEPS:
             break
-        prev = size
-    return x, steps
+        A += step
+    if not abs(step) <= 1e-12 * (1.0 + abs(A)):
+        raise PreconditionError(f"mean(1/(A - h)) = {m!r} at A = {A!r} "
+                                f"after {steps} Newton steps")
+    return A, steps
 
 
 def _invert_monotone_ode(rate: PeriodicFn) -> tuple[np.ndarray, np.ndarray, int]:
@@ -570,15 +580,22 @@ def _invert_monotone_ode(rate: PeriodicFn) -> tuple[np.ndarray, np.ndarray, int]
     Returns both maps' node values and the Newton step count. The inverse
     nodes come from Newton on all nodes at once, on the spectral running
     integral ``cumulative(rate)`` with slope ``rate``, seeded by linear
-    interpolation; a residual above 1e-12 raises PreconditionError.
+    interpolation, until the step reaches a few ulps or stops falling; a
+    residual above 1e-12 raises PreconditionError.
     """
     forward = cumulative(rate)
     total = mean(rate)
     t = rate.grid.nodes
     nodes = forward.at_nodes / total
-    x0 = np.interp(t, np.append(nodes, 1.0), np.append(t, 1.0))
-    x, steps = _newton(lambda x: (forward(x) - total * t) / rate.eval(x), x0,
-                       _NEWTON_TOL)
+    x = np.interp(t, np.append(nodes, 1.0), np.append(t, 1.0))
+    prev = math.inf
+    for steps in range(1, _NEWTON_MAX_STEPS + 1):
+        dx = (forward(x) - total * t) / rate.eval(x)
+        x = x - dx
+        size = float(np.max(np.abs(dx)))
+        if size <= _NEWTON_TOL or size >= prev:
+            break
+        prev = size
     resid = float(np.max(np.abs(forward(x) / total - t)))
     if not resid <= 1e-12:
         raise PreconditionError(f"circle-map inverse residual {resid:.2e} "
@@ -595,7 +612,7 @@ def reparam(f: Nonlinearity, direction) -> tuple[PeriodicFn, TimeChange]:
     the running integral of f_x(v), Newton solves mean(1/(A - h)) = 1 for
     the constant A > max h, so that alpha = int 1/(A - h) runs over one full
     period; returns u = v o alpha^{-1}. Both inverses are spectral (Newton
-    on the running integral); ``params`` records the Newton step counts.
+    on the running integral); ``diagnostics`` records the Newton step counts.
 
     FromSimplified needs v on the fold stratum mean(f_x(v)) = 0, where
     1/(A - h) is periodic, and raises PreconditionError elsewhere. As
@@ -615,7 +632,7 @@ def _to_simplified(f, u):
     w = eigen_w(f, u).w
     beta, chi, steps = _invert_monotone_ode(w)
     v = PeriodicFn(u.grid, u.eval(chi))
-    return v, TimeChange(beta, chi, {"wbar": mean(w), "newton_steps": steps})
+    return v, TimeChange(beta, chi, {"wbar": mean(w)}, {"newton_steps": steps})
 
 
 def _from_simplified(f, v):
@@ -625,21 +642,12 @@ def _from_simplified(f, v):
         raise PreconditionError("FromSimplified needs v on the fold stratum "
                                 f"mean(f_x(v)) = 0, got {mu:.3e}")
     h = cumulative(PeriodicFn(v.grid, gv)).at_nodes
-
-    def a_step(A):
-        r = 1.0 / (A - h)
-        return (np.mean(r) - 1.0) / -np.mean(r * r)
-
-    # mean(1/(A - h)) is convex and decreasing on (max h, inf) and at most 1
-    # at max h + 1, so Newton from there falls monotonically onto the root.
-    A0 = float(np.max(h)) + 1.0
-    A, a_steps = _newton(a_step, A0, _NEWTON_TOL * A0)
+    A, a_steps = _solve_a(h)
     rate = PeriodicFn(v.grid, 1.0 / (A - h))
     alpha, psi, steps = _invert_monotone_ode(rate)
     u = PeriodicFn(v.grid, v.eval(psi))
-    return u, TimeChange(alpha, psi, {"A": float(A), "alpha_end": mean(rate),
-                                      "newton_steps": steps,
-                                      "a_newton_steps": a_steps})
+    return u, TimeChange(alpha, psi, {"A": A, "alpha_end": mean(rate)},
+                         {"newton_steps": steps, "a_newton_steps": a_steps})
 
 
 # ---------------------------------------------------------------------------

@@ -250,9 +250,25 @@ class TestReparam:
         assert np.max(np.abs(back.forward - to.inverse)) <= 1e-12
         assert np.max(np.abs(back.inverse - to.forward)) <= 1e-12
         assert abs(back.params["alpha_end"] - 1.0) <= 1e-14
-        for steps in (to.params["newton_steps"], back.params["newton_steps"],
-                      back.params["a_newton_steps"]):
+        for steps in (to.diagnostics["newton_steps"],
+                      back.diagnostics["newton_steps"],
+                      back.diagnostics["a_newton_steps"]):
             assert 1 <= steps <= 10
+
+    @pytest.mark.parametrize("amplitude", [0.5, 3.0, 10.0])
+    def test_large_amplitude_fold_stratum(self, amplitude):
+        # f = x^2, v = a cos(2 pi t): h = (a / pi) sin(2 pi t), and the
+        # solved A sits 0.85 ... 0.15 above max h; Newton must not step
+        # below max h, where 1/(A - h) has poles
+        v = PeriodicFn.from_callable(
+            lambda t: amplitude * np.cos(TWO_PI * t), Grid(1024))
+        u, tc = reparam(SQUARE, FromSimplified(v))
+        assert tc.params["A"] > amplitude / np.pi
+        assert abs(tc.params["alpha_end"] - 1.0) <= 1e-14
+        assert np.all(np.diff(tc.inverse) > 0)
+        assert 1 <= tc.diagnostics["a_newton_steps"] <= 10
+        back, _ = reparam(SQUARE, ToSimplified(u))
+        assert np.max(np.abs(back.values - v.values)) < 1e-12
 
     def test_from_simplified_needs_fold_stratum(self):
         # ToSimplified lands at mean(f_x(v)) = Sigma_1(u) = -0.295 here
