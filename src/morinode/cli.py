@@ -241,7 +241,7 @@ def _cmd_find_singularity(args):
             "coefficients": dict(zip(res.names, res.params)),
             "jacobian_svals": res.jacobian_svals,
             "smallest_retained_sval": res.smallest_retained_sval,
-            "sigma5": res.sigma5}
+            "sigma5": res.sigma5, "diagnostics": res.diagnostics}
 
 
 def _cmd_hull(args):

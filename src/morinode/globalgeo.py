@@ -24,6 +24,7 @@ from .morin import ZERO_TOL_FACTOR, eigen_w
 DEFAULT_CURVE_SAMPLES = 401
 _NEWTON_MAX_STEPS = 50
 _NEWTON_TOL = 4 * np.finfo(float).eps   # relative step that ends Newton
+_RATE_TAIL_TOL = 1e-8   # top-quarter rfft magnitude / mean coefficient
 
 
 # ---------------------------------------------------------------------------
@@ -581,8 +582,17 @@ def _invert_monotone_ode(rate: PeriodicFn) -> tuple[np.ndarray, np.ndarray, int]
     nodes come from Newton on all nodes at once, on the spectral running
     integral ``cumulative(rate)`` with slope ``rate``, seeded by linear
     interpolation, until the step reaches a few ulps or stops falling; a
-    residual above 1e-12 raises PreconditionError.
+    residual above 1e-12 raises PreconditionError. So does a rate the grid
+    does not resolve (its top quarter of rfft magnitudes above 1e-8 of the
+    mean coefficient): its interpolant can dip below 0 between nodes, and
+    the node residual would then pass on a map that is not monotone.
     """
+    spectrum = np.abs(np.fft.rfft(rate.values))
+    tail = float(np.max(spectrum[-(len(spectrum) // 4):])) / spectrum[0]
+    if not tail <= _RATE_TAIL_TOL:
+        raise PreconditionError(f"time change not resolved on n = "
+                                f"{rate.grid.n}: spectral tail {tail:.2e} of "
+                                f"the mean; refine the grid")
     forward = cumulative(rate)
     total = mean(rate)
     t = rate.grid.nodes

@@ -24,7 +24,6 @@ SIGMA_COUNT = 5
 
 ZERO_TOL_FACTOR = 1e-8   # relative zero test on the Sigma values
 RANK_TOL_FACTOR = 1e-6   # relative smallest-singular-value threshold
-FD_DIRECTION_STEP = 1e-6
 
 
 @dataclass(frozen=True)
@@ -80,24 +79,28 @@ def eigen_w(f: Nonlinearity, u: PeriodicFn) -> EigenPair:
     return EigenPair(PeriodicFn(u.grid, w_vals), lam)
 
 
-def _sigma_values(f: Nonlinearity, u: PeriodicFn) -> tuple[np.ndarray, float]:
-    """Sigma_1..Sigma_5 plus Sigma_b, without the W-field solve."""
-    g = f.on_grid(u, 1)
-    s1 = float(np.mean(g))
-    w = np.exp(-spectral_antiderivative(g))
-    d3 = f.on_grid(u, 3)
-    d4 = f.on_grid(u, 4)
-    d5 = f.on_grid(u, 5)
+def _derivative_samples(f: Nonlinearity, u: PeriodicFn) -> list[np.ndarray]:
+    """D_i = f^(i)(t, u(t)) on the grid, i = 1..5."""
+    return [f.on_grid(u, i) for i in range(1, SIGMA_COUNT + 1)]
 
-    q = f.on_grid(u, 2) * w
+
+def _sigma_stages(D: list[np.ndarray]):
+    """(w, qbar, P, psi3, psi4) of the functionals, from D_1..D_4."""
+    w = np.exp(-spectral_antiderivative(D[0]))
+    q = D[1] * w
     qbar = float(np.mean(q))                  # = Sigma_2
     aq = spectral_antiderivative(q)
     P = aq - aq[0]                            # C(t) = qbar*t + P(t)
+    return w, qbar, P, D[2] * w ** 2, D[3] * w ** 3
 
-    psi3 = d3 * w ** 2
-    psi4 = d4 * w ** 3
-    psi5 = d5 * w ** 4
 
+def _sigma_values(f: Nonlinearity, u: PeriodicFn) -> tuple[np.ndarray, float]:
+    """Sigma_1..Sigma_5 plus Sigma_b, without the W-field solve."""
+    D = _derivative_samples(f, u)
+    w, qbar, P, psi3, psi4 = _sigma_stages(D)
+    psi5 = D[4] * w ** 4
+
+    s1 = float(np.mean(D[0]))
     s3 = float(np.mean(psi3))
     s4 = (float(np.mean(psi4))
           - 2.0 * (float(np.mean(psi3 * P)) + qbar * integral_weighted_t(psi3)))
@@ -106,8 +109,42 @@ def _sigma_values(f: Nonlinearity, u: PeriodicFn) -> tuple[np.ndarray, float]:
           + 5.0 * (float(np.mean(psi3 * P ** 2))
                    + 2.0 * qbar * integral_weighted_t(psi3 * P)
                    + qbar ** 2 * integral_weighted_t2(psi3)))
-    sigma_b = float(np.mean(g * w))
+    sigma_b = float(np.mean(D[0] * w))
     return np.array([s1, qbar, s3, s4, s5]), sigma_b
+
+
+def _sigma_jacobian(D: list[np.ndarray], directions) -> np.ndarray:
+    """Forward-mode derivative of Sigma_1..Sigma_4: (4, d) for d directions.
+
+    Each direction is a perturbation (dD_1, .., dD_4) of the derivative
+    samples D, and its column differentiates every stage of
+    ``_sigma_values`` in closed form: with a the zero-mean antiderivative
+    of dD_1, dw = -w a, dq = w (dD_2 - D_2 a), dpsi3 = w^2 (dD_3 - 2 D_3 a)
+    and dpsi4 = w^3 (dD_4 - 3 D_4 a). Directions are taken one at a time,
+    so no (directions x grid) array is formed.
+    """
+    w, qbar, P, psi3, psi4 = _sigma_stages(D)
+    w2, w3 = w ** 2, w ** 3
+    t_psi3 = integral_weighted_t(psi3)
+    cols = []
+    for d1, d2, d3, d4 in directions:
+        a = spectral_antiderivative(d1)
+        dq = w * (d2 - D[1] * a)
+        dqbar = float(np.mean(dq))
+        daq = spectral_antiderivative(dq)
+        dpsi3 = w2 * (d3 - 2.0 * D[2] * a)
+        dpsi4 = w3 * (d4 - 3.0 * D[3] * a)
+        ds4 = (float(np.mean(dpsi4))
+               - 2.0 * (float(np.mean(dpsi3 * P + psi3 * (daq - daq[0])))
+                        + dqbar * t_psi3 + qbar * integral_weighted_t(dpsi3)))
+        cols.append((float(np.mean(d1)), dqbar, float(np.mean(dpsi3)), ds4))
+    return np.array(cols).T
+
+
+def _u_directions(D: list[np.ndarray], dus):
+    """The perturbations (dD_1, .., dD_4) = (D_2, .., D_5) du of each du."""
+    for du in dus:
+        yield D[1] * du, D[2] * du, D[3] * du, D[4] * du
 
 
 def sigma_vec(f: Nonlinearity, u: PeriodicFn) -> SigmaReport:
@@ -136,13 +173,6 @@ def sigma_hat(f: Nonlinearity, u: PeriodicFn, k: int) -> np.ndarray:
     return np.array([float(np.mean(f.on_grid(u, i))) for i in range(1, k + 1)])
 
 
-def _exact_dsigma1_row(f: Nonlinearity, u: PeriodicFn,
-                       directions: np.ndarray) -> np.ndarray:
-    """D Sigma_1(u) . v = int D2^2f(t,u) v dt, exact on each direction."""
-    d2 = f.on_grid(u, 2)
-    return directions @ d2 / u.grid.n
-
-
 def _fourier_directions(grid, M: int) -> np.ndarray:
     t = grid.nodes
     dirs = [np.ones_like(t)]
@@ -159,8 +189,8 @@ def classify_point(f: Nonlinearity, u: PeriodicFn, basis_size: int = 8) -> Sigma
     tolerance for i <= k, Sigma_(k+1) above it, and the Jacobian of
     (Sigma_1..Sigma_(k-1)) restricted to ``2*basis_size + 1`` Fourier
     directions of full rank (smallest singular value above the relative
-    rank tolerance). Only Sigma_1 has an exact derivative row; higher rows
-    use central differences.
+    rank tolerance). The rows are exact directional derivatives
+    (``_sigma_jacobian``).
     """
     report = sigma_vec(f, u)
     s = report.sigma
@@ -183,11 +213,9 @@ def classify_point(f: Nonlinearity, u: PeriodicFn, basis_size: int = 8) -> Sigma
     svals = None
     tol_rank = None
     if k >= 2:
+        D = _derivative_samples(f, u)
         dirs = _fourier_directions(u.grid, basis_size)
-        rows = [_exact_dsigma1_row(f, u, dirs)]
-        for i in range(2, k):
-            rows.append(_fd_sigma_row(f, u, i, dirs))
-        jac = np.asarray(rows)
+        jac = _sigma_jacobian(D, _u_directions(D, dirs))[:k - 1]
         svals = np.linalg.svd(jac, compute_uv=False)
         tol_rank = RANK_TOL_FACTOR * svals[0]
         if svals[-1] <= tol_rank:
@@ -199,17 +227,3 @@ def classify_point(f: Nonlinearity, u: PeriodicFn, basis_size: int = 8) -> Sigma
     order = MorinOrder("morin", k=k)
     return replace(report, order=order, jacobian_svals=svals,
                    tol_zero=tol_zero, tol_rank=tol_rank)
-
-
-def _fd_sigma_row(f: Nonlinearity, u: PeriodicFn, i: int,
-                  directions: np.ndarray) -> np.ndarray:
-    """Central-difference row of D Sigma_i(u) on the given directions."""
-    eps = FD_DIRECTION_STEP
-    row = np.zeros(len(directions))
-    for j, d in enumerate(directions):
-        up = PeriodicFn(u.grid, u.values + eps * d)
-        um = PeriodicFn(u.grid, u.values - eps * d)
-        sp = _sigma_values(f, up)[0][i - 1]
-        sm = _sigma_values(f, um)[0][i - 1]
-        row[j] = (sp - sm) / (2 * eps)
-    return row

@@ -3,24 +3,27 @@
 A search problem pairs a nonlinearity family with free scalar parameters,
 a Fourier ansatz with a free/frozen coefficient mask, and a target for the
 leading singularity functionals. Gauss-Newton iterations use the
-minimum-norm pseudoinverse step (truncated SVD), reporting the smallest
-retained singular value as the surjectivity check. The census scans the
-return map for fixed points, brackets sign changes, refines each bracket
-by a safeguarded Newton iteration on rho(x) - x (the variational flow gives
-rho' with every value), and re-verifies the count at half the integration
-step. All refinement flows of one pass read one stage table.
+minimum-norm pseudoinverse step (truncated SVD) on the exact forward-mode
+Jacobian of the functionals, reporting the smallest retained singular
+value as the surjectivity check. The census scans the return map for
+fixed points, brackets sign changes, refines each bracket by a safeguarded
+Newton iteration on rho(x) - x (the variational flow gives rho' with every
+value), and re-verifies the count at half the integration step. All
+refinement flows of one pass read one stage table.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (Grid, Nonlinearity, PreconditionError,
+from .core import (Grid, Nonlinearity, PeriodicFn, PreconditionError,
                    Term, TrigPoly, FourierAnsatz)
-from .morin import _sigma_values
+from .morin import (_derivative_samples, _fourier_directions, _sigma_jacobian,
+                    _sigma_values, _u_directions)
 # _flow_scalar is no longer called here but stays a module attribute: the
 # benchmark's tracer (bench/spans.py) wraps search._flow_scalar
 from .odeint import (_flow_scalar, _flow_with_variation,  # noqa: F401
@@ -58,6 +61,13 @@ class ParamFamily:
                 terms.append(Term(power, TrigPoly(a0=value)))
         return Nonlinearity(terms)
 
+    def partial(self, name: str) -> Nonlinearity:
+        """d f / d name: ``build`` is linear in the parameters, so this is
+        the monomials that reference ``name``, each with its scale."""
+        return Nonlinearity([Term(power, TrigPoly(a0=coeff[1]))
+                             for power, coeff in self.entries
+                             if isinstance(coeff, tuple) and coeff[0] == name])
+
     @classmethod
     def fixed(cls, f: Nonlinearity) -> "ParamFamily":
         if not f.autonomous:
@@ -84,7 +94,6 @@ class SearchProblem:
     frozen: tuple[str, ...] = ()        # e.g. ("b", "c", "b1")
     max_iterations: int = 100
     residual_tol: float = 1e-10
-    fd_step: float = 1e-6
     damping: float = 0.5
     grid_n: int = SIGMA_GRID_N
 
@@ -126,12 +135,14 @@ class SearchProblem:
         b = rest[2::2][:M]
         return fam, FourierAnsatz(float(rest[0]), a.copy(), b.copy())
 
+    def _point(self, x: np.ndarray) -> tuple[Nonlinearity, PeriodicFn]:
+        """The nonlinearity and the sampled ansatz at coordinates x."""
+        fam, ans = self.unpack(x)
+        return self.family.build(fam), ans.sample(Grid(self.grid_n))
+
     def sigma_at(self, x: np.ndarray) -> tuple[np.ndarray, float]:
         """First len(target) functionals and the order-5 monitor."""
-        fam, ans = self.unpack(x)
-        f = self.family.build(fam)
-        u = ans.sample(Grid(self.grid_n))
-        sigma, _ = _sigma_values(f, u)
+        sigma, _ = _sigma_values(*self._point(x))
         return sigma[:len(self.target)], float(sigma[4])
 
 
@@ -145,6 +156,7 @@ class GaussNewtonResult:
     sigma5: float
     converged: bool
     message: str
+    diagnostics: dict   # work counters and the final residual
 
     def coefficient(self, name: str) -> float:
         return float(self.params[self.names.index(name)])
@@ -153,16 +165,27 @@ class GaussNewtonResult:
 def gauss_newton(problem: SearchProblem) -> GaussNewtonResult:
     """Minimum-norm Gauss-Newton on the free coordinates.
 
-    Steps are x <- x - J^+ (sigma(x) - target) with J by central differences
-    and J^+ the truncated-SVD pseudoinverse; a halving line search keeps the
-    residual from increasing. Stops on the residual tolerance, stagnation
-    (relative decrease under 1e-3 over 10 steps), or the iteration cap.
+    Steps are x <- x - J^+ (sigma(x) - target) with J the exact Jacobian
+    (``_jacobian``) and J^+ the truncated-SVD pseudoinverse; a halving line
+    search keeps the residual from increasing. Stops on the residual
+    tolerance, stagnation (relative decrease under 1e-3 over 10 steps), or
+    the iteration cap. ``diagnostics`` counts iterations, line-search
+    halvings, ``sigma_at`` evaluations and Jacobian builds, next to the
+    final residual and ``residual_tol``.
     """
     x = problem.pack()
     mask = problem.free_mask()
     if mask.sum() < len(problem.target):
         raise PreconditionError("fewer free coordinates than target equations")
     names = tuple(problem._coordinate_names())
+    work = {"sigma_evals": 0, "jacobian_builds": 0, "line_search_halvings": 0}
+
+    def residual(x):
+        work["sigma_evals"] += 1
+        r, s5 = problem.sigma_at(x)
+        r = r - problem.target
+        return float(np.linalg.norm(r)), r, s5
+
     history: list[float] = []
     svals = np.zeros(len(problem.target))
     smallest = math.inf
@@ -170,9 +193,7 @@ def gauss_newton(problem: SearchProblem) -> GaussNewtonResult:
     message = "iteration cap reached"
     converged = False
     for it in range(problem.max_iterations):
-        r, s5 = problem.sigma_at(x)
-        r = r - problem.target
-        rnorm = float(np.linalg.norm(r))
+        rnorm, r, s5 = residual(x)
         history.append(rnorm)
         if rnorm < best_norm:
             best_x, best_norm = x.copy(), rnorm
@@ -184,8 +205,9 @@ def gauss_newton(problem: SearchProblem) -> GaussNewtonResult:
                 (history[-11] - rnorm) / history[-11] < 1e-3:
             message = "residual stagnated; best iterate returned"
             break
-        J = _jacobian(problem, x, mask)
-        U, s, Vt = np.linalg.svd(J, full_matrices=False)
+        work["jacobian_builds"] += 1
+        U, s, Vt = np.linalg.svd(_jacobian(problem, x, mask),
+                                 full_matrices=False)
         keep = s > PINV_TRUNCATION * s[0]
         svals = s
         smallest = float(s[keep][-1])
@@ -195,39 +217,44 @@ def gauss_newton(problem: SearchProblem) -> GaussNewtonResult:
         # halving line search: never accept a residual increase
         lam = 1.0
         for _ in range(12):
-            r_try, _ = problem.sigma_at(x - lam * step)
-            if np.linalg.norm(r_try - problem.target) <= rnorm:
+            if residual(x - lam * step)[0] <= rnorm:
                 break
             lam *= problem.damping
+            work["line_search_halvings"] += 1
         x = x - lam * step
     else:
-        r, s5 = problem.sigma_at(x)
-        rnorm = float(np.linalg.norm(r - problem.target))
+        rnorm, _, s5 = residual(x)
         history.append(rnorm)
         if rnorm <= problem.residual_tol:
             converged = True
             message = "residual tolerance reached at the iteration cap"
     if not converged:
         x = best_x
-    r, s5 = problem.sigma_at(x)
+        rnorm, _, s5 = residual(x)
+    work.update(iterations=len(history) - 1, residual=rnorm,
+                residual_tol=problem.residual_tol)
     return GaussNewtonResult(params=x, names=names, residual_history=history,
                              jacobian_svals=svals,
                              smallest_retained_sval=smallest,
-                             sigma5=s5, converged=converged, message=message)
+                             sigma5=s5, converged=converged, message=message,
+                             diagnostics=work)
 
 
 def _jacobian(problem: SearchProblem, x: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    eps = problem.fd_step
-    cols = []
-    for idx in np.nonzero(mask)[0]:
-        xp = x.copy()
-        xm = x.copy()
-        xp[idx] += eps
-        xm[idx] -= eps
-        sp, _ = problem.sigma_at(xp)
-        sm, _ = problem.sigma_at(xm)
-        cols.append((sp - sm) / (2 * eps))
-    return np.column_stack(cols)
+    """Exact Jacobian of the targeted functionals on the free coordinates.
+
+    Columns follow ``_coordinate_names``: the family parameters, whose
+    directions are the x-derivatives of ``ParamFamily.partial`` along u,
+    then the ansatz coefficients, whose directions move u itself.
+    """
+    f, u = problem._point(x)
+    D = _derivative_samples(f, u)
+    params = (tuple(problem.family.partial(name).on_grid(u, i)
+                    for i in range(1, 5))
+              for name in problem.family.names)
+    dus = _fourier_directions(u.grid, problem.ansatz.harmonics)
+    J = _sigma_jacobian(D, itertools.chain(params, _u_directions(D, dus)))
+    return J[:len(problem.target), mask]
 
 
 # ---------------------------------------------------------------------------

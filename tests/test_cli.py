@@ -182,6 +182,17 @@ class TestCommands:
                         "--ansatz", problem_files["ub"], "--direction", "from"])
         assert code == EXIT_PRECONDITION
 
+    def test_reparam_from_under_resolved(self, tmp_path, problem_files,
+                                         capsys):
+        # f = x^2, v = 500 cos(2 pi t) on n = 64: the time change is not
+        # resolved by the grid
+        wide = tmp_path / "wide.json"
+        wide.write_text(json.dumps({"a0": 0.0, "cos": [500.0], "sin": [0.0]}))
+        code = execute(["reparam", "--problem", problem_files["xsq"],
+                        "--ansatz", str(wide), "--direction", "from",
+                        "--grid-n", "64"])
+        assert code == EXIT_PRECONDITION
+
     def test_find_singularity(self, tmp_path, problem_files, capsys):
         family = tmp_path / "family.json"
         family.write_text(json.dumps({"kind": "quartic_bc"}))
@@ -192,6 +203,15 @@ class TestCommands:
         assert code == EXIT_OK
         assert doc["result"]["converged"] is True
         assert doc["result"]["smallest_retained_sval"] > 1e-6
+        diag = doc["result"]["diagnostics"]
+        assert diag["residual"] <= diag["residual_tol"]
+        assert diag["residual"] == doc["result"]["residual_history"][-1]
+        assert diag["iterations"] == len(doc["result"]["residual_history"]) - 1
+        # one Jacobian per step, one functional evaluation per iterate and
+        # per line-search trial
+        assert diag["jacobian_builds"] == diag["iterations"] >= 1
+        assert diag["sigma_evals"] == (2 * diag["iterations"] + 1
+                                       + diag["line_search_halvings"])
 
     def test_sweep_persistence_and_resume(self, tmp_path, problem_files, capsys):
         family = tmp_path / "family.json"

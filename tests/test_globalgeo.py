@@ -276,6 +276,16 @@ class TestReparam:
         with pytest.raises(PreconditionError, match="fold stratum"):
             reparam(CUBIC_MINUS, FromSimplified(v))
 
+    @pytest.mark.parametrize("amplitude", [10.0, 500.0])
+    def test_under_resolved_time_change_raises(self, amplitude):
+        # on n = 64 the rate 1/(A - h) of f = x^2, v = a cos(2 pi t) is not
+        # resolved: its interpolant dips below 0 between nodes, and the
+        # round trip was off by 2.2e-3 (a = 10) and 611 (a = 500)
+        v = PeriodicFn.from_callable(
+            lambda t: amplitude * np.cos(TWO_PI * t), Grid(64))
+        with pytest.raises(PreconditionError, match="not resolved"):
+            reparam(SQUARE, FromSimplified(v))
+
     def test_beta_gauge(self):
         _, tc = reparam(CUBIC_MINUS, ToSimplified(GENERIC_U))
         beta = tc.forward

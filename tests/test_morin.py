@@ -1,9 +1,14 @@
 import numpy as np
 import pytest
 
-from morinode import (Grid, Nonlinearity, PeriodicFn, classify_point,
-                      contact_order, eigen_w, mean, sigma_hat, sigma_vec)
+from morinode import (Grid, Nonlinearity, ParamFamily, PeriodicFn,
+                      SearchProblem, classify_point, contact_order, eigen_w,
+                      mean, sigma_hat, sigma_vec)
 from morinode.core import PreconditionError, Term, TrigPoly
+from morinode.morin import (_derivative_samples, _fourier_directions,
+                            _sigma_jacobian, _sigma_values, _u_directions)
+from morinode.search import _jacobian
+from tests.conftest import BUTTERFLY_B, BUTTERFLY_C
 
 TWO_PI = 2 * np.pi
 
@@ -110,6 +115,79 @@ class TestSigmaValues:
             assert sc / sa > 0
             assert sb / sa < 1e3
             assert sc / sa < 1e3
+
+
+# central differences are the test oracle of the exact derivative; their
+# O(eps^2) truncation and O(macheps / eps) rounding sit far below 1e-6
+FD_EPS = 1e-6
+FD_RTOL = 1e-6
+
+
+def _central_difference(sigma_of, count):
+    cols = [(sigma_of(FD_EPS, j) - sigma_of(-FD_EPS, j)) / (2 * FD_EPS)
+            for j in range(count)]
+    return np.column_stack(cols)
+
+
+def _assert_rows_agree(exact, oracle):
+    for i, (row, ref) in enumerate(zip(exact, oracle)):
+        err = np.max(np.abs(row - ref)) / np.max(np.abs(ref))
+        assert err <= FD_RTOL, f"dSigma_{i + 1}: relative error {err:.2e}"
+
+
+def _assert_u_rows_agree(f, u):
+    dirs = _fourier_directions(u.grid, 8)
+    D = _derivative_samples(f, u)
+    exact = _sigma_jacobian(D, _u_directions(D, dirs))
+
+    def sigma_of(eps, j):
+        moved = PeriodicFn(u.grid, u.values + eps * dirs[j])
+        return _sigma_values(f, moved)[0][:4]
+
+    _assert_rows_agree(exact, _central_difference(sigma_of, len(dirs)))
+
+
+class TestSigmaJacobian:
+    def test_u_directions_on_butterfly(self, refined_butterfly):
+        f, ans, _ = refined_butterfly
+        _assert_u_rows_agree(f, ans.sample(Grid(2048)))
+
+    def test_u_directions_on_located_cusp(self, located_cusp):
+        f, u, _ = located_cusp
+        _assert_u_rows_agree(f, u)
+
+    def test_u_directions_t_dependent_polynomial(self):
+        f = Nonlinearity([Term(4, TrigPoly(0.5)),
+                          Term(3, TrigPoly(0.2, (0.7,), (0.3,))),
+                          Term(2, TrigPoly(-1.0, (0.4,))),
+                          Term(1, TrigPoly(0.0, (), (1.5,)))])
+        assert not f.autonomous
+        _assert_u_rows_agree(f, random_periodic(np.random.default_rng(14)))
+
+    def test_u_directions_on_builtin(self):
+        f = Nonlinearity.from_builtin("cosh2_cos")
+        u = PeriodicFn.from_callable(lambda t: 0.3 + 0.4 * np.cos(TWO_PI * t)
+                                     - 0.2 * np.sin(2 * TWO_PI * t))
+        _assert_u_rows_agree(f, u)
+
+    def test_family_parameter_columns(self, butterfly_ansatz):
+        # all coordinates but the b1 gauge free: the quartic_bc partials
+        # (b, c) and the ansatz coefficients, in _coordinate_names order
+        problem = SearchProblem(
+            family=ParamFamily.quartic_bc(), ansatz=butterfly_ansatz,
+            target=np.zeros(4),
+            family_params=np.array([BUTTERFLY_B, BUTTERFLY_C]))
+        x = problem.pack()
+        mask = problem.free_mask()
+        free = np.nonzero(mask)[0]
+        exact = _jacobian(problem, x, mask)
+
+        def sigma_of(eps, j):
+            xj = x.copy()
+            xj[free[j]] += eps
+            return problem.sigma_at(xj)[0]
+
+        _assert_rows_agree(exact, _central_difference(sigma_of, len(free)))
 
 
 class TestSigmaHat:
