@@ -252,7 +252,8 @@ def _cmd_hull(args):
     return {"k": args.k, "interior": verdict.interior, "margin": verdict.margin,
             "convex_coefficients": verdict.convex_coefficients,
             "direction": verdict.direction, "evidence": verdict.evidence,
-            "certificate_residual": verdict.certificate_residual(curve.points)}
+            "certificate_residual": verdict.certificate_residual(curve.points),
+            "diagnostics": verdict.diagnostics}
 
 
 def _cmd_degree(args):

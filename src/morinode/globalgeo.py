@@ -13,7 +13,9 @@ simplified strata, and step-function seeds for the singularity search.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import Counter
+from contextvars import ContextVar
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -28,7 +30,8 @@ _RATE_TAIL_TOL = 1e-8   # top-quarter rfft magnitude / mean coefficient
 
 
 # ---------------------------------------------------------------------------
-# textbook simplex (dense tableau, Bland fallback)
+# simplex on a condensed (Tucker) tableau: Dantzig's rule, Bland fallback,
+# entering ties to the lowest label, ratio ties to the lowest row
 # ---------------------------------------------------------------------------
 
 
@@ -36,63 +39,79 @@ class _SimplexFailure(Exception):
     pass
 
 
-def _pivot(T: np.ndarray, entering: int, max_iter: int,
-           bland_after: int) -> np.ndarray:
-    """Simplex pivots on tableau T in place; returns the basic solution.
+# work counts of the hull test in progress, set by ``hull_origin_test``; a
+# context variable, since ``_simplex_max(A, b, c)`` keeps its signature
+_HULL_WORK: ContextVar[Counter | None] = ContextVar("_HULL_WORK", default=None)
 
-    The last row holds the reduced costs and the last column the basic
-    values; the starting basis is the identity block in the m columns before
-    it. Only the first ``entering`` columns may enter the basis. Dantzig's
-    rule picks the entering column, switching to Bland's rule after
-    ``bland_after`` iterations to escape cycling. Raises _SimplexFailure
-    when the entering column is unbounded.
+
+def _count(**work: int) -> None:
+    tally = _HULL_WORK.get()
+    if tally is not None:
+        tally.update(work)
+
+
+def _pivot(T: np.ndarray, entering: int, max_iter: int,
+           bland_after: int) -> tuple[np.ndarray, int]:
+    """Simplex pivots on the condensed (Tucker) tableau T in place.
+
+    T is (m+1) x (n+1): row i gives basic label ``basic[i]`` in the n
+    nonbasic labels, the last row their reduced costs and the last column
+    the basic values; labels 0..n-1 start nonbasic, n..n+m-1 basic. Only
+    labels below ``entering`` may enter. A pivot on p = T[i, j] swaps the
+    two labels and forms the full tableau's products on the nonbasic
+    columns, with 1/p and -T[r, j] * (1/p) in column j. Dantzig's rule picks
+    the entering label (ties to the lowest), Bland's (lowest negative label)
+    after ``bland_after`` pivots; ratio ties go to the lowest row. Returns
+    the basic solution over all n+m labels and the pivot count. Raises
+    _SimplexFailure when unbounded or when ``max_iter`` pivots end short of
+    the optimum.
     """
-    m, width = T.shape[0] - 1, T.shape[1] - 1
-    basis = list(range(width - m, width))
-    for it in range(max_iter):
-        row = T[m, :entering]
-        if it < bland_after:
-            j = int(np.argmin(row))
-            if row[j] >= -1e-11:
-                break
-        else:
-            neg = np.nonzero(row < -1e-11)[0]
-            if len(neg) == 0:
-                break
-            j = int(neg[0])
+    m, n = T.shape[0] - 1, T.shape[1] - 1
+    nonbasic, basic = np.arange(n), np.arange(n, n + m)
+    for it in range(max_iter + 1):
+        row = np.where(nonbasic < entering, T[m, :n], np.inf)
+        if it < bland_after:   # most negative, then lowest label
+            j = int(np.lexsort((nonbasic, row))[0])
+        else:                  # lowest label of a negative reduced cost
+            j = int(np.argmin(np.where(row < -1e-11, nonbasic, n + m)))
+        if row[j] >= -1e-11:
+            break
+        if it == max_iter:
+            raise _SimplexFailure("iteration limit")
         col = T[:m, j]
         pos = col > 1e-12
         if not pos.any():
             raise _SimplexFailure("unbounded")
-        ratios = np.full(m, np.inf)
-        ratios[pos] = T[:m, -1][pos] / col[pos]
-        i = int(np.argmin(ratios))
+        i = int(np.divide(T[:m, n], col, out=np.full(m, np.inf),
+                          where=pos).argmin())
+        inv = 1.0 / T[i, j]
         T[i] /= T[i, j]
         factors = T[:, j].copy()
         factors[i] = 0.0
-        T -= np.outer(factors, T[i])
-        basis[i] = j
-    x = np.zeros(width)
-    x[basis] = T[:m, -1]
-    return x
+        T -= factors[:, None] * T[i]
+        T[:, j] = -factors * inv
+        T[i, j] = inv
+        basic[i], nonbasic[j] = nonbasic[j], basic[i]
+    x = np.zeros(n + m)
+    x[basic] = T[:m, n]
+    return x, it
 
 
 def _simplex_max(A: np.ndarray, b: np.ndarray, c: np.ndarray,
                  max_iter: int = 5000):
     """max c.x s.t. A x <= b, x >= 0, requiring b >= 0 (slack basis start).
 
-    Returns (x, objective). Raises _SimplexFailure on cycling/unbounded.
+    Returns (x, objective). Raises _SimplexFailure when unbounded or when
+    ``max_iter`` pivots do not reach the optimum.
     """
     m, n = A.shape
     if np.any(b < 0):
         raise _SimplexFailure("negative RHS; slack start invalid")
-    T = np.zeros((m + 1, n + m + 1))
-    T[:m, :n] = A
-    T[:m, n:n + m] = np.eye(m)
-    T[:m, -1] = b
-    T[m, :n] = -c
-    x = _pivot(T, n + m, max_iter, max_iter // 2)
-    return x[:n], float(T[m, -1])
+    T = np.zeros((m + 1, n + 1))
+    T[:m, :n], T[:m, n], T[m, :n] = A, b, -c
+    x, pivots = _pivot(T, n + m, max_iter, max_iter // 2)
+    _count(face_lps=1, face_pivots=pivots)
+    return x[:n], float(T[m, n])
 
 
 def _feasible_combination(P: np.ndarray) -> np.ndarray | None:
@@ -105,24 +124,18 @@ def _feasible_combination(P: np.ndarray) -> np.ndarray | None:
     rhs = np.concatenate([np.zeros(k), [1.0]])
     scale = np.max(np.abs(G), axis=1)
     scale[scale == 0] = 1.0
-    G = G / scale[:, None]
-    rhs = rhs / scale
     rows = k + 1
-    # classic phase-1 tableau: minimize the sum of artificials
-    T = np.zeros((rows + 1, m + rows + 1))
-    T[:rows, :m] = G
-    T[:rows, m:m + rows] = np.eye(rows)
-    T[:rows, -1] = rhs
-    # objective: minimize sum of artificials -> reduced costs
-    T[rows, :] = -np.sum(T[:rows, :], axis=0)
-    T[rows, m:m + rows] = 0.0
+    # phase 1 from the artificial basis: minimize the sum of artificials,
+    # whose labels m..m+k never re-enter; Dantzig's rule throughout
+    T = np.zeros((rows + 1, m + 1))
+    T[:rows, :m], T[:rows, m] = G / scale[:, None], rhs / scale
+    T[rows] = -np.sum(T[:rows], axis=0)
     try:
-        # artificials never re-enter; Dantzig's rule throughout
-        lam = _pivot(T, m, 4000, 4000)
+        lam, pivots = _pivot(T, m, 4000, 4000)
     except _SimplexFailure:
         return None
-    art = lam[m:]
-    if np.max(np.abs(art)) > 1e-9:
+    _count(phase1_pivots=pivots)
+    if np.max(np.abs(lam[m:])) > 1e-9:
         return None
     lam = np.clip(lam[:m], 0.0, None)
     s = lam.sum()
@@ -159,13 +172,19 @@ def gamma_curve(f: Nonlinearity, k: int, x_lo: float, x_hi: float,
 
 @dataclass(frozen=True)
 class HullVerdict:
-    """Origin-in-interior decision with a recomputable certificate."""
+    """Origin-in-interior decision with a recomputable certificate.
+
+    ``diagnostics`` holds the test's deterministic work counts (face LPs
+    solved, their pivots, phase-1 pivots, box retries), the largest face
+    optimum and the certificate residual beside its tolerance.
+    """
 
     interior: bool
     margin: float
     convex_coefficients: np.ndarray | None = None   # interior witness
     direction: np.ndarray | None = None             # separating direction
     evidence: dict = field(default_factory=dict)
+    diagnostics: dict = field(default_factory=dict)
 
     def certificate_residual(self, points: np.ndarray) -> float:
         """How well the stored witness certifies the verdict."""
@@ -193,13 +212,26 @@ def hull_origin_test(curve: GammaCurve) -> HullVerdict:
     if m < 2 * k + 1:
         raise PreconditionError(f"need at least {2 * k + 1} sample points")
     box = 1.0
-    for attempt in range(2):
-        try:
-            return _hull_test_box(P, box)
-        except _SimplexFailure:
-            box *= 10.0  # widen and retry once
-    verdict = _hull_test_box(P, box, best_effort=True)
-    return verdict
+    work = Counter(face_lps=0, face_pivots=0, phase1_pivots=0, box_retries=0)
+    token = _HULL_WORK.set(work)
+    try:
+        for attempt in range(2):
+            try:
+                verdict = _hull_test_box(P, box)
+                break
+            except _SimplexFailure:
+                box *= 10.0  # widen and retry once
+                work["box_retries"] += 1
+        else:
+            verdict = _hull_test_box(P, box, best_effort=True)
+    finally:
+        _HULL_WORK.reset(token)
+    evidence = verdict.evidence
+    certified = verdict.interior or verdict.direction is not None
+    return replace(verdict, diagnostics=dict(
+        work, max_face_delta=evidence.get("max_face_delta", evidence.get("delta")),
+        certificate_residual=verdict.certificate_residual(P) if certified else None,
+        certificate_tol=1e-9 if verdict.interior else 1e-12))
 
 
 def _hull_test_box(P: np.ndarray, box: float, best_effort: bool = False):
@@ -232,16 +264,12 @@ def _hull_test_box(P: np.ndarray, box: float, best_effort: bool = False):
             delta = x[nfree] - B
             if delta > worst:
                 worst = delta
-                nu = np.zeros(k)
-                nu[free] = x[:nfree] - box
-                nu[j] = s
-                witness_nu = nu
+                witness_nu = np.zeros(k)
+                witness_nu[free] = x[:nfree] - box
+                witness_nu[j] = s
             if delta >= 0:
-                nu = np.zeros(k)
-                nu[free] = x[:nfree] - box
-                nu[j] = s
                 return HullVerdict(interior=False, margin=float(-delta),
-                                   direction=nu,
+                                   direction=witness_nu,
                                    evidence={"face": (j, s), "delta": float(delta),
                                              "box": box})
     lam = _feasible_combination(P)

@@ -2,7 +2,8 @@
 
 The integrator is classical fixed-step RK4 with Kahan-compensated state
 updates. Blow-up is declared when |u| crosses ``U_MAX``; the sign of the
-last finite sample and the first-crossing time are recorded. The return map
+first stage state of that step past ``U_MAX`` (of the last finite sample
+when none is) and the first-crossing time are recorded. The return map
 rho_v sends u(0) to u(1); its first derivative is carried through the same
 RK4 steps as the exact derivative of the discrete flow.
 """
@@ -191,8 +192,8 @@ def _rk4_scalar(f: Nonlinearity, v, x0: float, t0: float, t1: float, h: float,
             last = u
             u = s
             if not math.isfinite(u) or abs(u) > U_MAX:
-                sign = -1 if (u if math.isfinite(u) else last) < 0 else 1
-                return u, samples, None, True, sign, t0 + (k + 1) * h
+                w = next((w for w in (u2, u3, u4, u) if abs(w) > U_MAX), last)
+                return u, samples, None, True, -1 if w < 0 else 1, t0 + (k + 1) * h
             if store:
                 samples.append(u)
     lanes = (xi, eta, su, sxi, seta) if tangent_stride else None
@@ -239,7 +240,12 @@ def _flow_vector(f: Nonlinearity, v, x0: np.ndarray, h: float):
             u = s
             dead = alive & (~np.isfinite(u) | (np.abs(u) > U_MAX))
             if dead.any():
-                ref = np.where(np.isfinite(u), u, last)
+                # the first stage state past U_MAX wins: u2, u3, u4, then u
+                # (last holds each live lane's state before this step)
+                ref = last
+                for w in (u, last + h * k3, last + 0.5 * h * k2,
+                          last + 0.5 * h * k1):
+                    ref = np.where(np.abs(w) > U_MAX, w, ref)
                 blow_sign[dead] = np.where(ref[dead] < 0, -1, 1)
                 blow_time[dead] = (k + 1) * h
                 alive &= ~dead

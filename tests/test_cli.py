@@ -168,6 +168,22 @@ class TestCommands:
         assert doc["result"]["interior"] is True
         assert doc["result"]["certificate_residual"] < 1e-9
 
+    def test_hull_diagnostics(self, problem_files, capsys):
+        code, doc = run(capsys, ["hull", "--problem", problem_files["quartic"],
+                                 "--k", "2", "--range", "-3", "3"])
+        assert code == EXIT_OK
+        diag = doc["result"]["diagnostics"]
+        assert diag["face_lps"] == 4 and diag["box_retries"] == 0
+        assert diag["face_pivots"] >= 4 and diag["phase1_pivots"] >= 1
+        assert diag["max_face_delta"] == -doc["result"]["margin"]
+        assert diag["certificate_residual"] == doc["result"]["certificate_residual"]
+        assert diag["certificate_residual"] <= diag["certificate_tol"] == 1e-9
+        # classify-operator carries each hull verdict's counters in its evidence
+        code, doc = run(capsys, ["classify-operator", "--problem",
+                                 problem_files["quartic"]])
+        assert code == EXIT_OK
+        assert doc["result"]["evidence"]["hull_gamma2"]["diagnostics"]["face_lps"] == 4
+
     def test_reparam_roundtrip_via_cli(self, problem_files, capsys):
         code, doc = run(capsys, ["reparam", "--problem", problem_files["quartic"],
                                  "--ansatz", problem_files["ub"],

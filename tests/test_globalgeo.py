@@ -123,8 +123,11 @@ class TestHull:
         assert agreements == 30
 
     def test_rank_one_pivot_matches_row_loop(self):
-        # the pivot updates the tableau by one outer product; a row-by-row
-        # update in the same arithmetic must reach the identical optimum
+        # the condensed pivot forms the full tableau's products on its
+        # nonbasic columns (the leaving column as -a_rj * (1/p)) and makes
+        # the same label-ordered choices, so a row-by-row update of the full
+        # tableau must reach the identical optimum; HiGHS confirms the value
+        from scipy.optimize import linprog
         rng = np.random.default_rng(7)
         for trial in range(20):
             m, n = int(rng.integers(5, 40)), int(rng.integers(2, 6))
@@ -135,6 +138,58 @@ class TestHull:
             x_ref, obj_ref = _row_loop_simplex_max(A, b, c)
             assert np.array_equal(x, x_ref)
             assert obj == obj_ref
+            res = linprog(-c, A_ub=A, b_ub=b, method="highs")
+            assert res.status == 0
+            assert abs(obj + res.fun) <= 1e-9
+
+    def test_every_face_lp_matches_row_loop(self, quartic):
+        # all 2k face LPs of a 401-sample gamma_4, including the faces the
+        # hull test skips once it finds a separating one
+        P = gamma_curve(quartic, 4, -3.0, 3.0).points
+        m, k = P.shape
+        B = 1.0 + float(np.max(np.sum(np.abs(P), axis=1)))
+        for j in range(k):
+            for s in (+1.0, -1.0):
+                free = [l for l in range(k) if l != j]
+                A = np.vstack([np.column_stack([-P[:, free], np.ones(m)]),
+                               np.eye(k - 1, k)])
+                b = np.concatenate([B + s * P[:, j] - P[:, free].sum(axis=1),
+                                    np.full(k - 1, 2.0)])
+                c = np.eye(k)[-1]
+                x, obj = _simplex_max(A, b, c)
+                x_ref, obj_ref = _row_loop_simplex_max(A, b, c)
+                assert np.array_equal(x, x_ref)
+                assert obj == obj_ref
+
+    def test_iteration_limit_raises(self):
+        # Beale's LP cycles under Dantzig's rule; the cap must not return
+        # the cycling basis as if it were optimal, and Bland's rule must
+        # escape the cycle once it takes over
+        A = np.array([[0.25, -60.0, -0.04, 9.0], [0.5, -90.0, -0.02, 3.0],
+                      [0.0, 0.0, 1.0, 0.0]])
+        b = np.array([0.0, 0.0, 1.0])
+        c = np.array([0.75, -150.0, 0.02, -6.0])
+        with pytest.raises(globalgeo._SimplexFailure, match="iteration limit"):
+            _simplex_max(A, b, c, max_iter=3)
+        for cap in (20, 5000):
+            x, obj = _simplex_max(A, b, c, max_iter=cap)
+            assert obj == pytest.approx(0.05, abs=1e-12)
+            assert np.allclose(x, [0.04, 0.0, 1.0, 0.0], rtol=0, atol=1e-12)
+
+    def test_diagnostics_count_the_solve(self, quartic):
+        interior = hull_origin_test(gamma_curve(quartic, 2, -3.0, 3.0))
+        d = interior.diagnostics
+        assert interior.interior and d["face_lps"] == 4
+        assert d["face_pivots"] >= d["face_lps"] and d["phase1_pivots"] >= 1
+        assert d["box_retries"] == 0
+        assert d["max_face_delta"] == -interior.margin
+        assert d["certificate_residual"] <= d["certificate_tol"] == 1e-9
+        curve = gamma_curve(SQUARE, 2, -2.0, 2.0)
+        separating = hull_origin_test(curve)
+        d = separating.diagnostics
+        assert not separating.interior and d["phase1_pivots"] == 0
+        assert d["certificate_residual"] == separating.certificate_residual(
+            curve.points) <= d["certificate_tol"] == 1e-12
 
     def test_face_lps_match_row_loop(self, quartic, monkeypatch):
         # the face LPs are filled by slicing; filling them sample by sample

@@ -87,6 +87,22 @@ class TestReturnMap:
         assert (joint.blow_sign, joint.blow_time) == (plain.blow_sign,
                                                       plain.blow_time)
 
+    def test_one_step_overflow_keeps_its_sign(self):
+        # cosh^2 under forcing -1e6 overflows to -inf within the first step
+        # from x0 = 0, so no finite sample carries the escape's sign
+        wild = Nonlinearity.from_builtin("cosh2_cos")
+
+        def push(t):
+            return np.full(np.shape(t), -1e6)
+        u, _, blew, sign, btime = _flow_scalar(wild, push, 0.0, 0.0, 1.0, 1e-3)
+        assert blew and u == -np.inf
+        assert (sign, btime) == (-1, 1e-3)
+        _, alive, signs, times = _flow_vector(wild, push, np.array([0.0, 0.5]),
+                                              1e-3)
+        assert not alive.any()
+        assert signs.tolist() == [-1, -1]
+        assert times.tolist() == [1e-3, 1e-3]
+
     def test_surviving_set_is_interval(self):
         # no revival after blow-up when scanning upward through start values
         xs = np.linspace(-5.0, 2.0, 141)
