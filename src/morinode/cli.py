@@ -131,6 +131,24 @@ def _family_from_json(doc: dict) -> search.ParamFamily:
         raise MalformedFileError(f"bad family document: {exc}") from exc
 
 
+def _assignment(text: str, names, parse):
+    """(NAME, parse(VALUE)) of a ``NAME=VALUE`` argument, NAME in ``names``."""
+    name, sep, value = text.partition("=")
+    if not sep or name not in names:
+        raise PreconditionError(
+            f"{text!r}: expected NAME=VALUE with NAME in {list(names)}")
+    try:
+        return name, parse(value)
+    except ValueError as exc:
+        raise PreconditionError(f"{text!r}: {exc}") from exc
+
+
+def _grid_axis(text: str) -> list[float]:
+    """The NUM evenly spaced values of ``LO:HI:NUM``."""
+    lo, hi, num = text.split(":")
+    return np.linspace(float(lo), float(hi), int(num)).tolist()
+
+
 def _write_csv(path: str, xs: np.ndarray, gs: np.ndarray) -> None:
     with open(path, "w") as fh:
         fh.write("# x,rho_minus_x\n")
@@ -229,8 +247,9 @@ def _cmd_count_solutions(args):
 def _cmd_find_singularity(args):
     family = _family_from_json(load_json(args.family))
     ansatz = _load_ansatz(args.seed)
-    params = dict(kv.split("=") for kv in args.params or [])
-    fam_values = np.array([float(params.get(n, 0.0)) for n in family.names])
+    params = dict(_assignment(kv, family.names, float)
+                  for kv in args.params or [])
+    fam_values = np.array([params.get(n, 0.0) for n in family.names])
     problem = search.SearchProblem(
         family=family, ansatz=ansatz, target=np.asarray(args.target),
         family_params=fam_values, frozen=tuple(args.frozen or ()),
@@ -283,11 +302,8 @@ def _cmd_reparam(args):
 
 def _cmd_sweep(args):
     family = _family_from_json(load_json(args.family))
-    grid_values = {}
-    for spec_str in args.grid:
-        name, rng = spec_str.split("=")
-        lo, hi, num = rng.split(":")
-        grid_values[name] = np.linspace(float(lo), float(hi), int(num)).tolist()
+    grid_values = dict(_assignment(spec, family.names, _grid_axis)
+                       for spec in args.grid)
 
     def analysis(f, point):
         if args.analysis == "classify":

@@ -19,6 +19,7 @@ TWO_PI = 2.0 * math.pi
 
 DEFAULT_GRID_N = 1024
 MAX_X_DERIVATIVE = 5
+EVAL_BLOCK = 512  # points per block of PeriodicFn.eval's direct sum
 
 
 class MorinodeError(Exception):
@@ -110,12 +111,15 @@ class PeriodicFn:
         """Trigonometric-interpolant value at arbitrary circle points."""
         t = np.asarray(t, dtype=float)
         harm, c = self._fourier()
-        phase = np.exp(2j * np.pi * np.outer(t, harm))
         # one-sided sum: double every positive harmonic, Nyquist included once
         scale = np.where(harm == 0, 1.0, 2.0)
         if 2 * harm[-1] == self.grid.n:
             scale[-1] = 1.0
-        vals = (phase * (scale * c)).sum(axis=1).real
+        weights, flat = scale * c, t.ravel()
+        vals = np.empty(flat.shape)
+        for i in range(0, len(flat), EVAL_BLOCK):  # bounded complex temporary
+            phase = np.exp(2j * np.pi * np.outer(flat[i:i + EVAL_BLOCK], harm))
+            vals[i:i + EVAL_BLOCK] = (phase * weights).sum(axis=1).real
         return vals.reshape(t.shape) if t.shape else float(vals[0])
 
     def __call__(self, t):
@@ -245,6 +249,14 @@ class Term:
             raise PreconditionError("polynomial powers must be non-negative")
 
 
+def horner(coeffs, x):
+    """sum_m coeffs[m] x^m by Horner's rule, coefficients ascending."""
+    acc = coeffs[-1]
+    for m in range(len(coeffs) - 2, -1, -1):
+        acc = acc * x + coeffs[m]
+    return acc
+
+
 def _falling(j: int, k: int) -> int:
     out = 1
     for i in range(k):
@@ -326,17 +338,7 @@ class Nonlinearity:
         """Autonomous-only: coefficients of d^order f/dx^order in x."""
         if not self.autonomous or self.builtin is not None:
             raise PreconditionError("poly_coeffs requires an autonomous polynomial")
-        deg = max((t.power for t in self.terms), default=0)
-        c = np.zeros(deg + 1)
-        for term in self.terms:
-            c[term.power] += term.coeff.a0
-        if order == 0:
-            return c
-        for _ in range(order):
-            c = c[1:] * np.arange(1, len(c))
-            if len(c) == 0:
-                return np.zeros(1)
-        return c if len(c) else np.zeros(1)
+        return self.coeff_rows(np.zeros(1), order)[0]
 
     def coeff_rows(self, times: np.ndarray, order: int = 0) -> np.ndarray:
         """Coefficient table C with f^(order)(t_i, x) = sum_m C[i, m] x^m."""

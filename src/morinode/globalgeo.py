@@ -19,8 +19,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import (Grid, Nonlinearity, PeriodicFn, PreconditionError,
-                   cumulative, mean)
+from .core import (MAX_X_DERIVATIVE, Grid, Nonlinearity, PeriodicFn,
+                   PreconditionError, cumulative, horner, mean)
 from .morin import ZERO_TOL_FACTOR, eigen_w
 
 DEFAULT_CURVE_SAMPLES = 401
@@ -163,6 +163,8 @@ def gamma_curve(f: Nonlinearity, k: int, x_lo: float, x_hi: float,
     """Sample the derivative curve of an autonomous nonlinearity."""
     if not f.autonomous:
         raise PreconditionError("gamma curves require an autonomous nonlinearity")
+    if not 1 <= k <= MAX_X_DERIVATIVE:
+        raise PreconditionError(f"order {k} not in 1..{MAX_X_DERIVATIVE}")
     if count < 2 * k + 1:
         raise PreconditionError(f"need at least {2 * k + 1} sample points")
     xs = np.linspace(x_lo, x_hi, count)
@@ -412,10 +414,6 @@ def _real_roots(coeffs: np.ndarray) -> np.ndarray:
     return np.sort(real.real)
 
 
-def _poly_eval(coeffs, x):
-    return np.polyval(np.asarray(coeffs, dtype=float)[::-1], x)
-
-
 def _strictly_positive(coeffs: np.ndarray) -> bool:
     """Polynomial > 0 on all of R (no real roots, positive somewhere)."""
     c = np.trim_zeros(np.asarray(coeffs, dtype=float), "b")
@@ -423,7 +421,7 @@ def _strictly_positive(coeffs: np.ndarray) -> bool:
         return False
     if len(_real_roots(c)) > 0:
         return False
-    return _poly_eval(c, 0.0) > 0
+    return horner(c, 0.0) > 0
 
 
 def _one_signed(coeffs: np.ndarray) -> int:
@@ -441,7 +439,7 @@ def _one_signed(coeffs: np.ndarray) -> int:
         if len(roots) > 1 else roots
     xs = np.concatenate([probes, np.linspace(-1, 1, 41) * (1 + np.max(
         np.abs(roots), initial=1.0)), [1e3, -1e3]])
-    vals = _poly_eval(c, xs)
+    vals = horner(c, xs)
     scale = np.max(np.abs(vals)) + 1.0
     if np.all(vals >= -1e-12 * scale):
         return 1
@@ -452,7 +450,7 @@ def _one_signed(coeffs: np.ndarray) -> int:
 
 def _takes_both_signs(coeffs: np.ndarray, x_lo: float, x_hi: float) -> bool:
     xs = np.linspace(x_lo, x_hi, 2001)
-    vals = _poly_eval(np.asarray(coeffs), xs)
+    vals = horner(coeffs, xs)
     return bool(vals.min() < 0.0 < vals.max())
 
 
@@ -467,7 +465,7 @@ def _k_good(f: Nonlinearity, k: int) -> bool:
         return False
     base = _real_roots(derivs[0])
     for r in base:
-        vals = [abs(_poly_eval(d, r)) for d in derivs]
+        vals = [abs(horner(d, r)) for d in derivs]
         if max(vals) <= 1e-9 * (1.0 + abs(r)):
             return False
     return True

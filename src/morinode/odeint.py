@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .core import BUILTINS, BracketError, Nonlinearity, PreconditionError
+from .core import BracketError, Nonlinearity, PreconditionError, horner
 
 U_MAX = 1e6
 
@@ -60,14 +61,16 @@ class ReturnValue:
 
 def _rhs_tables(f: Nonlinearity, v, t0: float, nsteps: int, h: float,
                 orders=(0,)):
-    """Forcing values and x-derivative tables of f at the RK4 stage times.
+    """Stage table of (f, v): forcing and x-derivative rows at the RK4 stages.
 
     The stage times of step k are t_k, t_k + h/2 and t_k + h. Returns
-    ``(vvals, stages)``: the forcing at those times, shape (3, nsteps), and
-    for each requested x-derivative order an ``(evaluate, rows)`` pair with
-    ``rows`` = (r0, rh, r1) stacked such that ``evaluate(r0[k], x)`` is
-    d^order f/dx^order at (t_k, x). A polynomial row is its coefficient
-    table at that time, evaluated by Horner; a builtin's row is the time.
+    ``(forcing, stages)``: the forcing at those times, shape (3, nsteps),
+    and per requested x-derivative order an ``(evaluate, (r0, rh, r1))``
+    pair of plain-float lists such that ``evaluate(r0[k], x)`` is
+    d^order f/dx^order at (t_k, x). A polynomial row is its ascending
+    coefficients at that time, evaluated by ``horner``; an autonomous f
+    repeats one row per order by reference. A builtin's row is the time.
+    Flows at the same (f, v, h) can share one through their ``table``.
     """
     times = t0 + h * np.arange(nsteps)
     stage_times = np.concatenate([times, times + h / 2, times + h])
@@ -78,22 +81,15 @@ def _rhs_tables(f: Nonlinearity, v, t0: float, nsteps: int, h: float,
     stages = []
     for order in orders:
         if f.builtin is not None:
-            fn = BUILTINS[f.builtin]
-            evaluate = lambda t, x, fn=fn, order=order: fn(t, x, order)
-            rows = stage_times
+            stages.append((partial(f.eval, order=order),
+                           stage_times.reshape(3, nsteps).tolist()))
+        elif f.autonomous:
+            row = f.poly_coeffs(order).tolist()
+            stages.append((horner, ([row] * nsteps,) * 3))
         else:
-            evaluate = _f_from_row
             rows = f.coeff_rows(stage_times, order=order)
-        stages.append((evaluate, rows.reshape(3, nsteps, *rows.shape[1:])))
+            stages.append((horner, rows.reshape(3, nsteps, -1).tolist()))
     return vvals.reshape(3, nsteps), stages
-
-
-def _f_from_row(row, x):
-    """Horner evaluation of the per-time polynomial row at x."""
-    acc = row[-1]
-    for m in range(len(row) - 2, -1, -1):
-        acc = acc * x + row[m]
-    return acc
 
 
 def _step_count(t0: float, t1: float, h: float) -> tuple[int, float]:
@@ -106,23 +102,9 @@ def _step_count(t0: float, t1: float, h: float) -> tuple[int, float]:
 
 def _stage_table(f: Nonlinearity, v, h: float, orders=(0,), t0: float = 0.0,
                  t1: float = 1.0):
-    """``_rhs_tables`` on [t0, t1] with the rows as plain-float lists.
-
-    Returns ``(forcing, stages)``: the forcing array of ``_rhs_tables`` and,
-    per requested order, ``(evaluate, (r0, rh, r1))`` as lists, which keep
-    every stage in plain floats, not numpy scalars; an autonomous f repeats
-    one row per order by reference. Flows at the same (f, v, h) over [0, 1]
-    can share one such table through their ``table`` argument; each flow
-    converts only the forcing to lists.
-    """
+    """``_rhs_tables`` on [t0, t1] at the step size ``_step_count`` gives."""
     nsteps, h = _step_count(t0, t1, h)
-    if f.autonomous:
-        vvals, _ = _rhs_tables(f, v, t0, nsteps, h, ())
-        shared = [[f.coeff_rows(np.zeros(1), order)[0].tolist()] * nsteps
-                  for order in orders]
-        return vvals, [(_f_from_row, (rows, rows, rows)) for rows in shared]
-    vvals, stages = _rhs_tables(f, v, t0, nsteps, h, orders)
-    return vvals, [(evaluate, rows.tolist()) for evaluate, rows in stages]
+    return _rhs_tables(f, v, t0, nsteps, h, orders)
 
 
 def _shift_forcing(table, nu: float):
@@ -146,7 +128,7 @@ def _rk4_scalar(f: Nonlinearity, v, x0: float, t0: float, t1: float, h: float,
     nsteps, h = _step_count(t0, t1, h)
     if table is None:
         orders = (0, 1) if tangent_stride else (0,)
-        table = _stage_table(f, v, h, orders, t0, t1)
+        table = _rhs_tables(f, v, t0, nsteps, h, orders)
     forcing, stages = table
     v0, vh, v1 = forcing.tolist()
     if len(v0) != nsteps:
@@ -214,19 +196,24 @@ def _flow_scalar(f: Nonlinearity, v, x0: float, t0: float, t1: float, h: float,
     return u, samples, blew, sign, btime
 
 
-def _flow_vector(f: Nonlinearity, v, x0: np.ndarray, h: float):
+def _flow_vector(f: Nonlinearity, v, x0: np.ndarray, h: float, table=None):
     """Vectorized RK4 over [0,1] for many start values simultaneously.
 
-    Returns (u_end, alive, blow_sign, blow_time); dead components hold nan.
+    ``table`` is an optional prebuilt ``_stage_table(f, v, h)``. Returns
+    (u_end, alive, blow_sign, blow_time); dead components hold nan.
     """
     u = np.array(x0, dtype=float)
     nsteps, h = _step_count(0.0, 1.0, h)
-    (v0, vh, v1), [(fx, (r0, rh, r1))] = _rhs_tables(f, v, 0.0, nsteps, h)
+    if table is None:
+        table = _rhs_tables(f, v, 0.0, nsteps, h)
+    forcing, [(fx, (r0, rh, r1)), *_] = table
+    v0, vh, v1 = forcing.tolist()
+    if len(v0) != nsteps:
+        raise PreconditionError("stage table was built for another step")
     comp = np.zeros_like(u)
     alive = np.ones(u.shape, dtype=bool)
     blow_sign = np.zeros(u.shape, dtype=int)
     blow_time = np.full(u.shape, np.nan)
-    last = u.copy()
     with np.errstate(all="ignore"):
         for k in range(nsteps):
             k1 = v0[k] - fx(r0[k], u)
@@ -236,8 +223,7 @@ def _flow_vector(f: Nonlinearity, v, x0: np.ndarray, h: float):
             y = (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4) - comp
             s = u + y
             comp = (s - u) - y
-            np.copyto(last, u, where=alive & np.isfinite(u))
-            u = s
+            last, u = u, s
             dead = alive & (~np.isfinite(u) | (np.abs(u) > U_MAX))
             if dead.any():
                 # the first stage state past U_MAX wins: u2, u3, u4, then u

@@ -8,8 +8,8 @@ Jacobian of the functionals, reporting the smallest retained singular
 value as the surjectivity check. The census scans the return map for
 fixed points, brackets sign changes, refines each bracket by a safeguarded
 Newton iteration on rho(x) - x (the variational flow gives rho' with every
-value), and re-verifies the count at half the integration step. All
-refinement flows of one pass read one stage table.
+value), and re-verifies the count at half the integration step. The
+scan and all refinement flows of one pass read one stage table.
 """
 
 from __future__ import annotations
@@ -328,6 +328,8 @@ def count_solutions(f: Nonlinearity, v, x_lo: float, x_hi: float,
     """
     if not x_lo < x_hi:
         raise PreconditionError("need x_lo < x_hi")
+    if scan_n < 2:
+        raise PreconditionError(f"scan needs at least 2 points, got {scan_n}")
     xs = np.linspace(x_lo, x_hi, scan_n)
     roots, unresolved, degenerate, g, work = _census_pass(f, v, xs, h)
     passes = [work]
@@ -349,7 +351,8 @@ def count_solutions(f: Nonlinearity, v, x_lo: float, x_hi: float,
 
 def _census_pass(f: Nonlinearity, v, xs: np.ndarray, h: float):
     """(roots, unresolved, degenerate, g, CensusPass) of one pass at h."""
-    u_end, alive, _, _ = _flow_vector(f, v, xs, h)
+    table = _stage_table(f, v, h, (0, 1))
+    u_end, alive, _, _ = _flow_vector(f, v, xs, h, table)
     g = u_end - xs
     finite = alive & np.isfinite(g)
     scale = float(np.max(np.abs(g[finite]))) if finite.any() else 0.0
@@ -369,10 +372,6 @@ def _census_pass(f: Nonlinearity, v, xs: np.ndarray, h: float):
     if finite[-1] and g[-1] == 0.0:
         brackets.append((xs[-1], xs[-1], 0.0, 0.0))
 
-    # one stage table serves every refinement flow of the pass; it is built
-    # after the scan, so the scan's tables and this one are never alive
-    # together, and it is dropped when the pass returns
-    table = _stage_table(f, v, h, (0, 1)) if brackets else None
     roots = []
     flows = []
     for lo, hi, glo, ghi in brackets:
@@ -456,12 +455,8 @@ def sweep(family: ParamFamily, grid_values: dict[str, list[float]],
     if missing:
         raise PreconditionError(f"grid names {missing} not in family parameters")
     table: dict[str, SweepCell] = dict(existing or {})
-    grids = [grid_values[n] for n in names]
-    if any(len(g) == 0 for g in grids):
-        return table
-    index = [0] * len(names)
-    while True:
-        point = {n: float(grids[i][index[i]]) for i, n in enumerate(names)}
+    for values in itertools.product(*(grid_values[n] for n in names)):
+        point = {n: float(x) for n, x in zip(names, values)}
         key = ",".join(f"{n}={point[n]:.12g}" for n in names)
         if key not in table:
             params = np.array([point.get(n, 0.0) for n in family.names])
@@ -471,11 +466,4 @@ def sweep(family: ParamFamily, grid_values: dict[str, list[float]],
             except Exception as exc:  # per-cell isolation is the contract
                 table[key] = SweepCell(params=point, result=None,
                                        error=f"{type(exc).__name__}: {exc}")
-        for pos in range(len(names) - 1, -1, -1):
-            index[pos] += 1
-            if index[pos] < len(grids[pos]):
-                break
-            index[pos] = 0
-        else:
-            break
     return table

@@ -1,7 +1,10 @@
 import gc
 import json
 import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,9 +28,10 @@ def problem_files(tmp_path):
           "cos": [SIX_ROOT_COEFFS[f"a{j}"] for j in range(1, 5)],
           "sin": [0.0] + [SIX_ROOT_COEFFS[f"b{j}"] for j in range(2, 5)]}
     ones = {"a0": 1.0, "cos": [0.0], "sin": [0.0]}
+    family = {"kind": "quartic_bc"}
     paths = {}
     for name, doc in [("quartic", quartic), ("xsq", squares), ("ub", ub),
-                      ("u1", u1), ("ones", ones)]:
+                      ("u1", u1), ("ones", ones), ("family", family)]:
         p = tmp_path / f"{name}.json"
         p.write_text(json.dumps(doc))
         paths[name] = str(p)
@@ -58,16 +62,43 @@ class TestExitCodes:
                         "--ansatz", str(bad)])
         assert code == EXIT_BAD_FILE
 
-    def test_precondition_violation(self, problem_files, capsys):
-        # hull with k beyond the supported order
-        code = execute(["hull", "--problem", problem_files["quartic"],
-                        "--k", "7"])
+    CENSUS = ("count-solutions --problem {quartic} --rhs {u1} "
+              "--apply-operator --range -0.4 0.4 --scan-n ")
+    SEARCH = "find-singularity --family {family} --seed {ub} --target 0 "
+
+    @pytest.mark.parametrize("argv", [
+        pytest.param("hull --problem {quartic} --k 7", id="hull-k7"),
+        pytest.param("hull --problem {quartic} --k 0", id="hull-k0"),
+        pytest.param(CENSUS + "0", id="scan-n0"),
+        pytest.param(CENSUS + "1", id="scan-n1"),
+        pytest.param(SEARCH + "--params b", id="params-no-value"),
+        pytest.param(SEARCH + "--params B=4.0", id="params-unknown-name"),
+        pytest.param("sweep --family {family} --grid b=0:1",
+                     id="grid-no-count"),
+    ])
+    def test_precondition_violation(self, argv, problem_files, capsys):
+        # out-of-domain arguments end in exit code 2, not a traceback or a
+        # silently wrong answer
+        code = execute([a.format(**problem_files) for a in argv.split()])
         assert code == EXIT_PRECONDITION
+        assert "precondition violated" in capsys.readouterr().err
 
     def test_ok(self, problem_files, capsys):
         code, doc = run(capsys, ["degree", "--problem", problem_files["xsq"]])
         assert code == EXIT_OK
         assert doc["result"]["degree"] == 0
+
+    def test_module_entry_point(self, problem_files):
+        # ``python -m morinode`` runs the CLI from a source checkout
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "morinode", "degree", "--problem",
+             problem_files["xsq"]], capture_output=True, text=True, env=env,
+            timeout=120)
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert json.loads(proc.stdout)["result"]["degree"] == 0
 
 
 class TestCommands:

@@ -124,6 +124,17 @@ class TestSpectral:
         t = np.array([0.03, 0.41, 0.777])
         assert np.allclose(u.eval(t), ans.eval(t), atol=1e-12)
 
+    def test_blocked_eval_matches_pointwise(self):
+        # 1,500 points are summed in three blocks, the last one partial;
+        # each point's sum is the one-point sum, bit for bit
+        u = PeriodicFn.from_callable(lambda t: np.where(t < 0.5, 0.3, -0.3),
+                                     Grid(1024))
+        t = np.linspace(-0.2, 1.3, 1500)
+        for shape in ((1500,), (30, 50)):
+            vals = u.eval(t.reshape(shape))
+            assert vals.shape == shape
+            assert vals.ravel().tolist() == [u.eval(x) for x in t]
+
     def test_spectral_derivative(self):
         u = PeriodicFn.from_callable(lambda t: np.sin(2 * np.pi * t))
         du = u.derivative()

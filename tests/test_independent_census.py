@@ -11,10 +11,10 @@ import pytest
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
-from morinode import Grid, Nonlinearity, PeriodicFn
-from morinode.core import PreconditionError
+from morinode import Grid, Nonlinearity, PeriodicFn, count_solutions, odeint
+from morinode.core import PreconditionError, horner
 from morinode.odeint import (_flow_scalar, _flow_vector, _flow_with_variation,
-                             _rhs_tables, _shift_forcing, _stage_table)
+                             _shift_forcing, _stage_table)
 
 
 @pytest.fixture(scope="module")
@@ -70,19 +70,33 @@ def test_prebuilt_table_is_bitwise_identical(quartic, rhs):
                                 table=plain))
         assert (_flow_with_variation(quartic, rhs, x, 1e-3)
                 == _flow_with_variation(quartic, None, x, 1e-3, joint))
+    xs = np.array([-0.3, -0.1, 0.0, 0.2, 2.5])
+    built = _flow_vector(quartic, rhs, xs, 1e-3)
+    for table in (plain, joint):
+        shared = _flow_vector(quartic, None, xs, 1e-3, table)
+        for a, b in zip(built, shared):
+            assert np.array_equal(a, b, equal_nan=True)
     with pytest.raises(PreconditionError):
         _flow_scalar(quartic, None, 0.0, 0.0, 1.0, 2e-3, table=plain)
+    with pytest.raises(PreconditionError):
+        _flow_vector(quartic, None, xs, 2e-3, plain)
 
 
 def test_shared_autonomous_rows_are_bitwise_identical(quartic, rhs):
     # an autonomous polynomial's table holds one row per order, shared by
-    # every stage; flows read the same floats as from the full table
+    # every stage; flows read the same floats as from a full table of
+    # coefficient rows at every stage time
     h, nsteps = 1e-3, 1000
     shared = _stage_table(quartic, rhs, h, (0, 1))
-    vvals, stages = _rhs_tables(quartic, rhs, 0.0, nsteps, h, (0, 1))
-    full = (vvals, [(evaluate, rows.tolist()) for evaluate, rows in stages])
-    assert np.array_equal(shared[0], full[0])
-    for (_, rows), (_, full_rows) in zip(shared[1], full[1]):
+    times = h * np.arange(nsteps)
+    stage_times = np.concatenate([times, times + h / 2, times + h])
+    full = (shared[0], [
+        (horner, quartic.coeff_rows(stage_times, order)
+         .reshape(3, nsteps, -1).tolist()) for order in (0, 1)])
+    assert np.array_equal(shared[0],
+                          np.reshape(rhs(stage_times), (3, nsteps)))
+    for (evaluate, rows), (_, full_rows) in zip(shared[1], full[1]):
+        assert evaluate is horner
         assert rows[0] is rows[1] is rows[2]
         assert all(row is rows[0][0] for row in rows[0])
         assert list(rows) == full_rows
@@ -93,6 +107,24 @@ def test_shared_autonomous_rows_are_bitwise_identical(quartic, rhs):
                                 table=full))
         assert (_flow_with_variation(quartic, None, x, h, shared)
                 == _flow_with_variation(quartic, None, x, h, full))
+    xs = np.array([-0.3, -0.1, 0.0, 0.2, 2.5])
+    for a, b in zip(_flow_vector(quartic, None, xs, h, shared),
+                    _flow_vector(quartic, None, xs, h, full)):
+        assert np.array_equal(a, b, equal_nan=True)
+
+
+def test_census_builds_one_table_per_pass(quartic, rhs, monkeypatch):
+    # the scan and every refinement flow of a pass read one stage table
+    calls = []
+    build = odeint._rhs_tables
+
+    def counted(*args, **kwargs):
+        calls.append(args[3])
+        return build(*args, **kwargs)
+    monkeypatch.setattr(odeint, "_rhs_tables", counted)
+    census = count_solutions(quartic, rhs, -0.35, 0.15, scan_n=51, h=1e-3)
+    assert census.count == census.count_at_half_step == 6
+    assert calls == [1000, 2000]
 
 
 def test_shifted_table_matches_shifted_forcing():

@@ -219,6 +219,18 @@ class TestSweep:
                       lambda f, p: {"ok": True})
         assert table == {}
 
+    def test_cells_in_row_major_order(self):
+        # the last grid name varies fastest; an empty axis gives no cells
+        seen = []
+        table = sweep(ParamFamily.quartic_bc(),
+                      {"b": [1.0, 2.0], "c": [0.0, 0.5, -1.0]},
+                      lambda f, p: seen.append(p) or {})
+        assert list(table) == [f"b={b:.12g},c={c:.12g}" for b in (1.0, 2.0)
+                               for c in (0.0, 0.5, -1.0)]
+        assert seen == [cell.params for cell in table.values()]
+        assert sweep(ParamFamily.quartic_bc(), {"b": [1.0], "c": []},
+                     lambda f, p: {}) == {}
+
     def test_single_cell_classification(self):
         from morinode import classify_operator
         table = sweep(ParamFamily.quartic_bc(),
