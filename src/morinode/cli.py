@@ -144,9 +144,12 @@ def _assignment(text: str, names, parse):
 
 
 def _grid_axis(text: str) -> list[float]:
-    """The NUM evenly spaced values of ``LO:HI:NUM``."""
+    """The NUM >= 1 evenly spaced values of ``LO:HI:NUM``."""
     lo, hi, num = text.split(":")
-    return np.linspace(float(lo), float(hi), int(num)).tolist()
+    num = int(num)
+    if num < 1:
+        raise PreconditionError(f"grid axis {text!r} needs NUM >= 1")
+    return np.linspace(float(lo), float(hi), num).tolist()
 
 
 def _write_csv(path: str, xs: np.ndarray, gs: np.ndarray) -> None:

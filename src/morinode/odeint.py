@@ -5,7 +5,13 @@ updates. Blow-up is declared when |u| crosses ``U_MAX``; the sign of the
 first stage state of that step past ``U_MAX`` (of the last finite sample
 when none is) and the first-crossing time are recorded. The return map
 rho_v sends u(0) to u(1); its first derivative is carried through the same
-RK4 steps as the exact derivative of the discrete flow.
+RK4 steps as the exact derivative of the discrete flow. ``contact_order``
+reads rho and its derivatives up to order kmax + 1 from one flow on
+truncated Taylor series in the start value (``_rk4_jet``): they are the
+exact jets of the discrete RK4 map, not finite differences, and a
+derivative counts as zero below ``CONTACT_ZERO_TOL`` = 1e-6 relative to
+the leading one. ``_rho_derivative_fd`` and ``_fd_once`` remain only as
+the tests' finite-difference cross-check.
 """
 
 from __future__ import annotations
@@ -16,13 +22,20 @@ from functools import partial
 
 import numpy as np
 
-from .core import BracketError, Nonlinearity, PreconditionError, horner
+from .core import (MAX_X_DERIVATIVE, BracketError, Nonlinearity,
+                   PreconditionError, horner)
 
 U_MAX = 1e6
 
 FIXED_POINT_TOL = 1e-9
 
-# half-widths for return-map derivative stencils, by derivative order;
+# relative size below which contact_order counts a return-map derivative as
+# zero: on the located fold, cusp and butterfly the jets put the vanishing
+# ones at most 7.2e-12 of the scale they are tested against and the leading
+# one at full scale, so 1e-6 leaves over five decades on either side
+CONTACT_ZERO_TOL = 1e-6
+
+# half-widths for the FD cross-check's stencils, by derivative order;
 # higher orders need wider stencils to stay above the rho-evaluation noise
 _STENCIL_HALF_WIDTH = {2: 1e-3, 3: 1e-3, 4: 4e-3, 5: 8e-3, 6: 1.5e-2}
 
@@ -196,6 +209,64 @@ def _flow_scalar(f: Nonlinearity, v, x0: float, t0: float, t1: float, h: float,
     return u, samples, blew, sign, btime
 
 
+def _rk4_jet(f: Nonlinearity, v, x0: float, h: float, K: int):
+    """Scalar RK4 over [0, 1] on Taylor series truncated after e^K.
+
+    Carries u(t; x0 + e) = u_0 + u_1 e + ... + u_K e^K through the steps,
+    so the result is exactly the K-jet of the discrete RK4 map at x0 and
+    rho^(j)(x0) = j! u_j(1). Each stage evaluates f on the jet by Faa di
+    Bruno on its nilpotent part d: f(w_0 + d) = sum_j f^(j)(w_0)/j! d^j,
+    with f^(j) from the order-j rows of one stage table. u_0 and its Kahan
+    compensation are ``_rk4_scalar``'s arithmetic and u_1 that of its xi
+    lane, bit for bit. Returns [u_0, ..., u_K] at t = 1, or None if the
+    flow blew up.
+    """
+    nsteps, h = _step_count(0.0, 1.0, h)
+    forcing, stages = _rhs_tables(f, v, 0.0, nsteps, h, range(K + 1))
+    v0, vh, v1 = forcing.tolist()
+    evals = [evaluate for evaluate, _ in stages]
+    rows0, rowsh, rows1 = zip(*(rows for _, rows in stages))
+    scale = [1.0 / math.factorial(j) for j in range(K + 1)]
+    tail = range(1, K + 1)
+    half, sixth = 0.5 * h, h / 6.0
+
+    def field(vk, rows, w):
+        # v - f(w) on the jet w; p holds the powers of d = w - w_0
+        w0 = w[0]
+        fj = [evaluate(row, w0) for evaluate, row in zip(evals, rows)]
+        g = fj[1]
+        acc = [g * x for x in w]
+        p = w
+        for j in range(2, K + 1):
+            p = [0.0] * j + [sum(p[i] * w[n - i] for i in range(j - 1, n))
+                             for n in range(j, K + 1)]
+            c = fj[j] * scale[j]
+            for n in range(j, K + 1):
+                acc[n] += c * p[n]
+        return [vk - fj[0]] + [-acc[n] for n in tail]
+
+    u = [float(x0), 1.0] + [0.0] * (K - 1)
+    comp = 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(nsteps):
+            rkh = [r[k] for r in rowsh]
+            k1 = field(v0[k], [r[k] for r in rows0], u)
+            w2 = [a + half * b for a, b in zip(u, k1)]
+            k2 = field(vh[k], rkh, w2)
+            w3 = [a + half * b for a, b in zip(u, k2)]
+            k3 = field(vh[k], rkh, w3)
+            w4 = [a + h * b for a, b in zip(u, k3)]
+            k4 = field(v1[k], [r[k] for r in rows1], w4)
+            y = sixth * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0]) - comp
+            s = u[0] + y
+            comp = (s - u[0]) - y
+            if not math.isfinite(s) or abs(s) > U_MAX:
+                return None
+            u = [s] + [u[n] + sixth * (k1[n] + 2.0 * k2[n] + 2.0 * k3[n] + k4[n])
+                       for n in tail]
+    return u
+
+
 def _flow_vector(f: Nonlinearity, v, x0: np.ndarray, h: float, table=None):
     """Vectorized RK4 over [0,1] for many start values simultaneously.
 
@@ -299,34 +370,39 @@ def contact_order(f: Nonlinearity, v, x0: float, kmax: int = 4,
                   h: float = 2e-4, fixed_tol: float = FIXED_POINT_TOL) -> ContactReport:
     """Largest k with rho' = 1 and rho'' = ... = rho^(k) = 0 at a fixed point.
 
-    Derivatives beyond the first come from Richardson-extrapolated central
-    differences of rho, with half-widths that grow with the derivative order.
-    A derivative counts as zero when |rho^(i)| <= 1e-4 * max(1, |rho^(k+1)|).
+    rho(x0), rho' and rho'' ... rho^(kmax+1) are the exact jets of the
+    discrete RK4 map, from one ``_rk4_jet`` flow of order kmax + 1. A
+    derivative counts as zero when |rho^(i)| <= ``CONTACT_ZERO_TOL`` *
+    max(1, |rho^(k+1)|), and rho' as one when |rho' - 1| is within
+    ``CONTACT_ZERO_TOL`` * max(1, max_i |rho^(i)|).
     """
     if kmax < 1 or kmax > 5:
         raise PreconditionError("contact order supported for kmax in 1..5")
-    rv = return_map(f, v, x0, h=h, with_derivative=True)
-    if rv.blew_up:
-        raise PreconditionError("trajectory blew up at the fixed point itself")
-    if abs(rv.value - x0) > fixed_tol:
+    if f.builtin is not None and kmax + 1 > MAX_X_DERIVATIVE:
         raise PreconditionError(
-            f"x0 is not a fixed point: |rho(x0)-x0| = {abs(rv.value - x0):.3e}")
-    rho_prime = rv.derivative
+            f"kmax = {kmax} needs x-derivative order {kmax + 1} of "
+            f"{f.builtin!r}, which has 0..{MAX_X_DERIVATIVE}")
+    jet = _rk4_jet(f, v, x0, h, kmax + 1)
+    if jet is None:
+        raise PreconditionError("trajectory blew up at the fixed point itself")
+    if abs(jet[0] - x0) > fixed_tol:
+        raise PreconditionError(
+            f"x0 is not a fixed point: |rho(x0)-x0| = {abs(jet[0] - x0):.3e}")
+    rho_prime = float(jet[1])
+    # rho^(2) .. rho^(kmax+1)
+    derivs = np.array([math.factorial(j) * jet[j] for j in range(2, kmax + 2)])
 
-    derivs = np.zeros(kmax)  # rho^(2) .. rho^(kmax+1)
-    for i in range(2, kmax + 2):
-        derivs[i - 2] = _rho_derivative_fd(f, v, x0, i, h)
-
-    if abs(rho_prime - 1.0) > 1e-4 * max(1.0, float(np.max(np.abs(derivs)))):
+    tol = CONTACT_ZERO_TOL
+    if abs(rho_prime - 1.0) > tol * max(1.0, float(np.max(np.abs(derivs)))):
         return ContactReport(order=0, exceeds_kmax=False,
                              rho_prime=rho_prime, derivatives=derivs)
     # largest k whose first nonvanishing derivative is rho^(k+1), tested
     # against the scale of that derivative
     for k in range(kmax, 0, -1):
         nxt = abs(derivs[k - 1])
-        if nxt <= 1e-4 * max(1.0, nxt):
+        if nxt <= tol * max(1.0, nxt):
             continue
-        if all(abs(derivs[i - 2]) <= 1e-4 * max(1.0, nxt)
+        if all(abs(derivs[i - 2]) <= tol * max(1.0, nxt)
                for i in range(2, k + 1)):
             return ContactReport(order=k, exceeds_kmax=False,
                                  rho_prime=rho_prime, derivatives=derivs)
@@ -335,7 +411,10 @@ def contact_order(f: Nonlinearity, v, x0: float, kmax: int = 4,
 
 
 def _rho_derivative_fd(f: Nonlinearity, v, x0: float, i: int, h: float) -> float:
-    """i-th derivative of rho at x0 (i >= 2) by central FD with Richardson."""
+    """i-th derivative of rho at x0 (i >= 2) by central FD with Richardson.
+
+    Not used by the library: the tests' cross-check of ``_rk4_jet``.
+    """
     base = _STENCIL_HALF_WIDTH.get(i, 8e-3)
     for attempt in range(3):
         d = base / (2 ** attempt)  # shrink on blow-up inside the stencil

@@ -75,6 +75,8 @@ class TestExitCodes:
         pytest.param(SEARCH + "--params B=4.0", id="params-unknown-name"),
         pytest.param("sweep --family {family} --grid b=0:1",
                      id="grid-no-count"),
+        pytest.param("sweep --family {family} --grid b=0:1:0 c=0:0:1",
+                     id="grid-num0"),
     ])
     def test_precondition_violation(self, argv, problem_files, capsys):
         # out-of-domain arguments end in exit code 2, not a traceback or a

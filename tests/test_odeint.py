@@ -1,18 +1,21 @@
+import math
 import warnings
 
 import numpy as np
 import pytest
 
 from morinode import (Grid, Nonlinearity, PeriodicFn, contact_order,
-                      integrate, return_map)
-from morinode.core import PreconditionError
+                      integrate, odeint, return_map)
+from morinode.core import PreconditionError, Term, TrigPoly
 from morinode.odeint import (_flow_scalar, _flow_vector, _flow_with_variation,
-                             _shift_forcing, _stage_table)
+                             _rho_derivative_fd, _rk4_jet, _shift_forcing,
+                             _stage_table)
 
 
 IDENTITY = Nonlinearity.polynomial([0, 1])     # f(x) = x
 SQUARE = Nonlinearity.polynomial([0, 0, 1])    # f(x) = x^2
 ZERO = Nonlinearity.polynomial([])
+WILD = Nonlinearity.from_builtin("cosh2_cos")
 
 
 class TestIntegrate:
@@ -166,6 +169,61 @@ class TestTangentLanes:
         assert not blew and (u_end, der) == (lanes[0], lanes[5][0])
 
 
+def _located_rhs(f, ans):
+    # analytic right-hand side v = u' + f(u) of a located singularity
+    return lambda t: ans.derivative_eval(t) + np.asarray(
+        f.eval(t, ans.eval(t), 0))
+
+
+class TestJetFlow:
+    def test_riccati_closed_form(self):
+        # u' = -u^2 gives rho(x) = x/(1+x): rho^(n)(0) = (-1)^(n+1) n!
+        jet = _rk4_jet(SQUARE, None, 0.0, 1e-3, 6)
+        for n in range(2, 7):
+            exact = (-1) ** (n + 1) * math.factorial(n)
+            assert math.factorial(n) * jet[n] == pytest.approx(exact,
+                                                               rel=1e-10)
+
+    @pytest.mark.parametrize("f, v, x0, h", [
+        (Nonlinearity.polynomial([0, -1, 0, 1]),
+         PeriodicFn.from_callable(lambda t: 0.4 * np.cos(2 * np.pi * t)),
+         0.4, 1.0 / 512),
+        (Nonlinearity([Term(1, TrigPoly(-1.0, (), (0.2,))),
+                       Term(3, TrigPoly(0.7, (0.05,), ()))]),
+         lambda t: 0.3 * np.sin(2 * np.pi * t), -0.6, 1e-3),
+        # u = 0.2 solves the builtin under v = f(t, 0.2), and 0.25 survives
+        (WILD, lambda t: WILD.eval(t, 0.2), 0.25, 1e-2),
+    ], ids=["cubic", "t-dependent", "builtin"])
+    def test_value_and_slope_match_the_tangent_lane(self, f, v, x0, h):
+        # u_0 and u_1 are _rk4_scalar's u and xi arithmetic, bit for bit
+        jet = _rk4_jet(f, v, x0, h, 4)
+        u_end, der, blew, _, _ = _flow_with_variation(f, v, x0, h)
+        assert not blew and (jet[0], jet[1]) == (u_end, der)
+
+    def test_blowup_gives_none(self):
+        assert _rk4_jet(SQUARE, None, -2.0, 1e-3, 3) is None
+
+    def test_butterfly_jets_within_fd_error(self, refined_butterfly,
+                                            monkeypatch):
+        # the FD error is the spread of _rho_derivative_fd between stencil
+        # half-widths d and 2d; each jet lies within it of one of the two
+        f, ans, _ = refined_butterfly
+        v, x0, h = _located_rhs(f, ans), float(ans.eval(0.0)), 2e-4
+        jet = _rk4_jet(f, v, x0, h, 5)
+        assert (jet[0], jet[1]) == _flow_with_variation(f, v, x0, h)[:2]
+        orders = range(2, 6)
+        narrow = [_rho_derivative_fd(f, v, x0, i, h) for i in orders]
+        for i in orders:
+            monkeypatch.setitem(odeint._STENCIL_HALF_WIDTH, i,
+                                2.0 * odeint._STENCIL_HALF_WIDTH[i])
+        wide = [_rho_derivative_fd(f, v, x0, i, h) for i in orders]
+        for i, a, b in zip(orders, narrow, wide):
+            rho = math.factorial(i) * jet[i]
+            assert min(abs(rho - a), abs(rho - b)) <= abs(a - b), i
+        # the first nonvanishing derivative is the butterfly's rho^(5)
+        assert abs(math.factorial(5) * jet[5]) > 10.0
+
+
 class TestContactOrder:
     def test_fold_of_riccati(self):
         rep = contact_order(SQUARE, None, 0.0, kmax=3, h=1e-3)
@@ -179,10 +237,20 @@ class TestContactOrder:
 
     def test_butterfly_contact_order_four(self, refined_butterfly):
         f, ans, _ = refined_butterfly
-        # analytic right-hand side v = u' + f(u) of the located singularity
-        v = lambda t: ans.derivative_eval(t) + np.asarray(
-            f.eval(t, ans.eval(t), 0))
         x0 = float(ans.eval(0.0))
-        rep = contact_order(f, v, x0, kmax=4, h=2e-4)
+        rep = contact_order(f, _located_rhs(f, ans), x0, kmax=4, h=2e-4)
         assert rep.order == 4
         assert rep.rho_prime == pytest.approx(1.0, abs=1e-8)
+
+    def test_polynomial_kmax_five(self):
+        # rho^(6) needs f's order-6 rows, past MAX_X_DERIVATIVE = 5: a
+        # polynomial's coefficient rows have no bound
+        rep = contact_order(SQUARE, None, 0.0, kmax=5, h=1e-3)
+        assert rep.order == 1
+        assert rep.derivatives[-1] == pytest.approx(-720.0, rel=1e-10)
+
+    def test_builtin_kmax_five_raises_before_any_flow(self):
+        def forcing(t):
+            raise AssertionError("contact_order started a flow")
+        with pytest.raises(PreconditionError, match="order 6"):
+            contact_order(WILD, forcing, 0.0, kmax=5)
