@@ -99,10 +99,6 @@ def _load_ansatz(path: str) -> FourierAnsatz:
     return ansatz_from_json(load_json(path))
 
 
-def _periodic_from_ansatz_file(path: str, n: int) -> PeriodicFn:
-    return _load_ansatz(path).sample(Grid(n))
-
-
 def _rhs_from_file(f: Nonlinearity, path: str, n: int, apply_operator: bool):
     """Load a right-hand side; optionally build v = u' + f(t,u) from u."""
     ans = _load_ansatz(path)
@@ -166,7 +162,7 @@ def _write_csv(path: str, xs: np.ndarray, gs: np.ndarray) -> None:
 
 def _cmd_sigma(args):
     f = _load_nonlinearity(args.problem)
-    u = _periodic_from_ansatz_file(args.ansatz, args.grid_n)
+    u = _load_ansatz(args.ansatz).sample(Grid(args.grid_n))
     report = morin.classify_point(f, u, basis_size=args.basis_size)
     result = {"sigma": report.sigma, "sigma_abc": report.sigma_abc,
               "order": report.order, "jacobian_svals": report.jacobian_svals,
@@ -274,7 +270,7 @@ def _cmd_hull(args):
     return {"k": args.k, "interior": verdict.interior, "margin": verdict.margin,
             "convex_coefficients": verdict.convex_coefficients,
             "direction": verdict.direction, "evidence": verdict.evidence,
-            "certificate_residual": verdict.certificate_residual(curve.points),
+            "certificate_residual": verdict.diagnostics["certificate_residual"],
             "diagnostics": verdict.diagnostics}
 
 
@@ -293,7 +289,7 @@ def _cmd_tameness(args):
 
 def _cmd_reparam(args):
     f = _load_nonlinearity(args.problem)
-    u = _periodic_from_ansatz_file(args.ansatz, args.grid_n)
+    u = _load_ansatz(args.ansatz).sample(Grid(args.grid_n))
     direction = (globalgeo.ToSimplified(u) if args.direction == "to"
                  else globalgeo.FromSimplified(u))
     out, tc = globalgeo.reparam(f, direction)
@@ -348,9 +344,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="morinode", description=__doc__)
     sub = p.add_subparsers(dest="command")
 
-    def common(sp, rhs=False):
+    def common(sp, rhs=False, grid=True):
         sp.add_argument("--problem", required=True, help="nonlinearity JSON file")
-        sp.add_argument("--grid-n", type=int, default=1024)
+        if grid:
+            sp.add_argument("--grid-n", type=int, default=1024)
         sp.add_argument("--out", default=None, help="output directory")
         if rhs:
             sp.add_argument("--rhs", default=None, help="right-hand side ansatz JSON")
@@ -368,7 +365,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--basis-size", type=int, default=8)
 
     sp = sub.add_parser("classify-operator")
-    common(sp)
+    common(sp, grid=False)
     sp.add_argument("--range", type=float, nargs=2, default=(-4.0, 4.0))
 
     sp = sub.add_parser("fibre")
@@ -402,16 +399,16 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", default=None)
 
     sp = sub.add_parser("hull")
-    common(sp)
+    common(sp, grid=False)
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--range", type=float, nargs=2, default=(-4.0, 4.0))
     sp.add_argument("--count", type=int, default=globalgeo.DEFAULT_CURVE_SAMPLES)
 
     sp = sub.add_parser("degree")
-    common(sp)
+    common(sp, grid=False)
 
     sp = sub.add_parser("tameness")
-    common(sp)
+    common(sp, grid=False)
     sp.add_argument("--s-max", type=float, default=50.0)
 
     sp = sub.add_parser("reparam")

@@ -14,13 +14,12 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from contextvars import ContextVar
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import (MAX_X_DERIVATIVE, Grid, Nonlinearity, PeriodicFn,
-                   PreconditionError, cumulative, horner, mean)
+from .core import (MAX_X_DERIVATIVE, Grid, MorinodeError, Nonlinearity,
+                   PeriodicFn, PreconditionError, cumulative, horner, mean)
 from .morin import ZERO_TOL_FACTOR, eigen_w
 
 DEFAULT_CURVE_SAMPLES = 401
@@ -35,19 +34,8 @@ _RATE_TAIL_TOL = 1e-8   # top-quarter rfft magnitude / mean coefficient
 # ---------------------------------------------------------------------------
 
 
-class _SimplexFailure(Exception):
-    pass
-
-
-# work counts of the hull test in progress, set by ``hull_origin_test``; a
-# context variable, since ``_simplex_max(A, b, c)`` keeps its signature
-_HULL_WORK: ContextVar[Counter | None] = ContextVar("_HULL_WORK", default=None)
-
-
-def _count(**work: int) -> None:
-    tally = _HULL_WORK.get()
-    if tally is not None:
-        tally.update(work)
+class _SimplexFailure(MorinodeError):
+    """A simplex solve that ended without a certified optimum."""
 
 
 def _pivot(T: np.ndarray, entering: int, max_iter: int,
@@ -101,8 +89,8 @@ def _simplex_max(A: np.ndarray, b: np.ndarray, c: np.ndarray,
                  max_iter: int = 5000):
     """max c.x s.t. A x <= b, x >= 0, requiring b >= 0 (slack basis start).
 
-    Returns (x, objective). Raises _SimplexFailure when unbounded or when
-    ``max_iter`` pivots do not reach the optimum.
+    Returns (x, objective, pivot count). Raises _SimplexFailure when
+    unbounded or when ``max_iter`` pivots do not reach the optimum.
     """
     m, n = A.shape
     if np.any(b < 0):
@@ -110,14 +98,15 @@ def _simplex_max(A: np.ndarray, b: np.ndarray, c: np.ndarray,
     T = np.zeros((m + 1, n + 1))
     T[:m, :n], T[:m, n], T[m, :n] = A, b, -c
     x, pivots = _pivot(T, n + m, max_iter, max_iter // 2)
-    _count(face_lps=1, face_pivots=pivots)
-    return x[:n], float(T[m, n])
+    return x[:n], float(T[m, n]), pivots
 
 
-def _feasible_combination(P: np.ndarray) -> np.ndarray | None:
+def _feasible_combination(P: np.ndarray,
+                          work: Counter | None = None) -> np.ndarray | None:
     """lambda >= 0 with sum lambda = 1 and lambda . P = 0, by phase-1 simplex.
 
-    P has one sample point per row. Returns None when infeasible.
+    P has one sample point per row. Returns None when infeasible. A phase 1
+    that ends adds its pivots to ``work["phase1_pivots"]``.
     """
     m, k = P.shape
     G = np.vstack([P.T, np.ones((1, m))])           # (k+1) x m
@@ -134,7 +123,8 @@ def _feasible_combination(P: np.ndarray) -> np.ndarray | None:
         lam, pivots = _pivot(T, m, 4000, 4000)
     except _SimplexFailure:
         return None
-    _count(phase1_pivots=pivots)
+    if work is not None:
+        work["phase1_pivots"] += pivots
     if np.max(np.abs(lam[m:])) > 1e-9:
         return None
     lam = np.clip(lam[:m], 0.0, None)
@@ -174,11 +164,11 @@ def gamma_curve(f: Nonlinearity, k: int, x_lo: float, x_hi: float,
 
 @dataclass(frozen=True)
 class HullVerdict:
-    """Origin-in-interior decision with a recomputable certificate.
+    """Origin-in-interior decision with its recomputable certificate.
 
     ``diagnostics`` holds the test's deterministic work counts (face LPs
-    solved, their pivots, phase-1 pivots, box retries), the largest face
-    optimum and the certificate residual beside its tolerance.
+    solved, their pivots, phase-1 pivots), the largest face optimum and
+    the certificate residual beside its tolerance.
     """
 
     interior: bool
@@ -204,8 +194,13 @@ def hull_origin_test(curve: GammaCurve) -> HullVerdict:
 
     For each face fixing one coordinate of nu to +-1, maximize delta subject
     to nu . p_i >= delta and |nu_j| <= 1. The origin is interior exactly
-    when every face optimum is negative; otherwise the optimal nu of a
-    non-negative face is a separating-direction certificate.
+    when every face optimum is negative, certified by phase-1 convex
+    coefficients; otherwise the optimal nu of a non-negative face is a
+    separating-direction certificate. A pass that cannot produce its
+    certificate raises _SimplexFailure, a MorinodeError: a face LP at the
+    pivot cap, one whose right-hand side rounds below 0 (b >= 1 exactly,
+    but B loses its 1 once the rows of |P| sum past 2^53), or no phase-1
+    combination although every face optimum is negative.
     """
     if curve.k > 5:
         raise PreconditionError("hull test supported for k <= 5")
@@ -213,81 +208,52 @@ def hull_origin_test(curve: GammaCurve) -> HullVerdict:
     m, k = P.shape
     if m < 2 * k + 1:
         raise PreconditionError(f"need at least {2 * k + 1} sample points")
-    box = 1.0
-    work = Counter(face_lps=0, face_pivots=0, phase1_pivots=0, box_retries=0)
-    token = _HULL_WORK.set(work)
-    try:
-        for attempt in range(2):
-            try:
-                verdict = _hull_test_box(P, box)
-                break
-            except _SimplexFailure:
-                box *= 10.0  # widen and retry once
-                work["box_retries"] += 1
-        else:
-            verdict = _hull_test_box(P, box, best_effort=True)
-    finally:
-        _HULL_WORK.reset(token)
+    work = Counter(face_lps=0, face_pivots=0, phase1_pivots=0)
+    verdict = _hull_test_box(P, work)
     evidence = verdict.evidence
-    certified = verdict.interior or verdict.direction is not None
     return replace(verdict, diagnostics=dict(
         work, max_face_delta=evidence.get("max_face_delta", evidence.get("delta")),
-        certificate_residual=verdict.certificate_residual(P) if certified else None,
+        certificate_residual=verdict.certificate_residual(P),
         certificate_tol=1e-9 if verdict.interior else 1e-12))
 
 
-def _hull_test_box(P: np.ndarray, box: float, best_effort: bool = False):
+def _hull_test_box(P: np.ndarray, work: Counter) -> HullVerdict:
+    """Face LPs over the box |nu_l| <= 1, then phase 1; work into ``work``."""
     m, k = P.shape
-    B = 1.0 + float(np.max(np.sum(np.abs(P), axis=1))) * box
+    B = 1.0 + float(np.max(np.sum(np.abs(P), axis=1)))
     worst = -math.inf
-    witness_nu = None
-    undetermined = []
     for j in range(k):
+        free = [l for l in range(k) if l != j]
+        nfree = k - 1
         for s in (+1.0, -1.0):
-            free = [l for l in range(k) if l != j]
-            nfree = len(free)
-            # variables: y_l = nu_l + box (l free), d = delta + B
+            # variables: y_l = nu_l + 1 (l free), d = delta + B
             A = np.zeros((m + nfree, nfree + 1))
             b = np.zeros(m + nfree)
             A[:m, :nfree] = -P[:, free]
             A[:m, nfree] = 1.0
-            b[:m] = B + s * P[:, j] - box * P[:, free].sum(axis=1)
+            b[:m] = B + s * P[:, j] - P[:, free].sum(axis=1)
             A[m:, :nfree] = np.eye(nfree)
-            b[m:] = 2.0 * box
+            b[m:] = 2.0
             c = np.zeros(nfree + 1)
             c[nfree] = 1.0
-            try:
-                x, obj = _simplex_max(A, b, c)
-            except _SimplexFailure:
-                if not best_effort:
-                    raise
-                undetermined.append((j, s))
-                continue
+            x, _, pivots = _simplex_max(A, b, c)
+            work.update(face_lps=1, face_pivots=pivots)
             delta = x[nfree] - B
-            if delta > worst:
-                worst = delta
-                witness_nu = np.zeros(k)
-                witness_nu[free] = x[:nfree] - box
-                witness_nu[j] = s
             if delta >= 0:
+                nu = np.zeros(k)
+                nu[free] = x[:nfree] - 1.0
+                nu[j] = s
                 return HullVerdict(interior=False, margin=float(-delta),
-                                   direction=witness_nu,
-                                   evidence={"face": (j, s), "delta": float(delta),
-                                             "box": box})
-    lam = _feasible_combination(P)
-    evidence = {"max_face_delta": float(worst), "box": box}
-    if undetermined:
-        evidence["undetermined_faces"] = undetermined
-        return HullVerdict(interior=False, margin=0.0, direction=witness_nu,
-                           evidence=evidence)
+                                   direction=nu,
+                                   evidence={"face": (j, s), "delta": float(delta)})
+            worst = max(worst, delta)
+    lam = _feasible_combination(P, work)
     if lam is None:
-        # all face optima negative yet no convex certificate: numerically
-        # inconsistent; report non-interior with the best direction found
-        evidence["certificate"] = "missing"
-        return HullVerdict(interior=False, margin=0.0, direction=witness_nu,
-                           evidence=evidence)
+        raise _SimplexFailure("no phase-1 convex combination although every "
+                              f"face optimum is negative (largest {worst:.3e})")
     return HullVerdict(interior=True, margin=float(-worst),
-                       convex_coefficients=lam, evidence=evidence)
+                       convex_coefficients=lam,
+                       evidence={"max_face_delta": float(worst)})
 
 
 # ---------------------------------------------------------------------------
@@ -295,15 +261,14 @@ def _hull_test_box(P: np.ndarray, box: float, best_effort: bool = False):
 # ---------------------------------------------------------------------------
 
 
-def degree(f: Nonlinearity, probe_radius: float = 8.0,
-           t_samples: int = 128) -> int:
+def degree(f: Nonlinearity) -> int:
     """(sgn f(+inf) - sgn f(-inf)) / 2 with t-uniform signs checked by probes.
 
     With this normalization a monotone proper nonlinearity has degree +-1
     and even-limit ones have degree 0.
     """
-    t = np.arange(t_samples) / t_samples
-    X = probe_radius
+    t = np.arange(128) / 128
+    X = 8.0
     for _ in range(60):
         with np.errstate(over="ignore"):
             plus1 = np.asarray(f.eval(t, X, 0))
@@ -343,8 +308,7 @@ class TamenessReport:
         return len(self.wild_suspected_at) == 0
 
 
-def tameness(f: Nonlinearity, s_max: float = 50.0,
-             probe_points: int = 160, t_samples: int = 128) -> TamenessReport:
+def tameness(f: Nonlinearity, s_max: float = 50.0) -> TamenessReport:
     """Quadrature-and-tail-slope diagnostic of wildness at both ends.
 
     An end is flagged wild when both integrands 1/max(1, sup_t f) and
@@ -356,9 +320,9 @@ def tameness(f: Nonlinearity, s_max: float = 50.0,
     if f.autonomous:
         return TamenessReport("diverging", "diverging", (),
                               {"basis": "autonomous"})
-    t = np.arange(t_samples) / t_samples
+    t = np.arange(128) / 128
     s = np.concatenate([np.linspace(0, 1, 17)[1:],
-                        np.geomspace(1.0, s_max, probe_points)])
+                        np.geomspace(1.0, s_max, 160)])
 
     def end_report(sgn):
         with np.errstate(over="ignore"):
@@ -471,8 +435,8 @@ def _k_good(f: Nonlinearity, k: int) -> bool:
     return True
 
 
-def classify_operator(f: Nonlinearity, x_lo: float = -4.0, x_hi: float = 4.0,
-                      curve_samples: int = DEFAULT_CURVE_SAMPLES) -> OperatorClass:
+def classify_operator(f: Nonlinearity, x_lo: float = -4.0,
+                      x_hi: float = 4.0) -> OperatorClass:
     """Decision cascade for autonomous polynomial nonlinearities.
 
     Order of tests: strict monotonicity (diffeomorphism), strict convexity
@@ -525,7 +489,7 @@ def classify_operator(f: Nonlinearity, x_lo: float = -4.0, x_hi: float = 4.0,
     if not (even_plus and good23):
         return OperatorClass("undetermined", evidence | {
             "reason": "hull dichotomy needs 2,3-goodness and +inf limits"})
-    curve2 = gamma_curve(f, 2, x_lo, x_hi, curve_samples)
+    curve2 = gamma_curve(f, 2, x_lo, x_hi)
     hull2 = hull_origin_test(curve2)
     evidence["hull_gamma2"] = hull2
     evidence["curve_gamma2"] = curve2
@@ -534,7 +498,7 @@ def classify_operator(f: Nonlinearity, x_lo: float = -4.0, x_hi: float = 4.0,
             "criterion": "all critical points are folds (origin outside "
                          "the gamma_2 hull), even proper growth"})
     for k in (3, 4):
-        curve_k = gamma_curve(f, k, x_lo, x_hi, curve_samples)
+        curve_k = gamma_curve(f, k, x_lo, x_hi)
         hk = hull_origin_test(curve_k)
         evidence[f"hull_gamma{k}"] = hk
         evidence[f"curve_gamma{k}"] = curve_k
@@ -743,8 +707,8 @@ def replicate(u: PeriodicFn, N: int) -> PeriodicFn:
     return PeriodicFn(u.grid, u.values[idx])
 
 
-def seed_shat(f: Nonlinearity, k: int, anchors, epsilon: float = 0.05,
-              arc_quadrature: int = 4096) -> SeedFunction:
+def seed_shat(f: Nonlinearity, k: int, anchors,
+              epsilon: float = 0.05) -> SeedFunction:
     """Build a smoothed step function annihilating the first k simplified
     functionals.
 
@@ -767,7 +731,7 @@ def seed_shat(f: Nonlinearity, k: int, anchors, epsilon: float = 0.05,
             "origin is not strictly inside the hull of the anchor vectors")
 
     # arc contributions: each joining arc has fixed length epsilon / 2k
-    tau = (np.arange(arc_quadrature) + 0.5) / arc_quadrature
+    tau = (np.arange(4096) + 0.5) / 4096
     shape = _smootherstep(tau)
     arc_vec = np.zeros(k)
     for j in range(2 * k):

@@ -367,7 +367,7 @@ class ContactReport:
 
 
 def contact_order(f: Nonlinearity, v, x0: float, kmax: int = 4,
-                  h: float = 2e-4, fixed_tol: float = FIXED_POINT_TOL) -> ContactReport:
+                  h: float = 2e-4) -> ContactReport:
     """Largest k with rho' = 1 and rho'' = ... = rho^(k) = 0 at a fixed point.
 
     rho(x0), rho' and rho'' ... rho^(kmax+1) are the exact jets of the
@@ -385,7 +385,7 @@ def contact_order(f: Nonlinearity, v, x0: float, kmax: int = 4,
     jet = _rk4_jet(f, v, x0, h, kmax + 1)
     if jet is None:
         raise PreconditionError("trajectory blew up at the fixed point itself")
-    if abs(jet[0] - x0) > fixed_tol:
+    if abs(jet[0] - x0) > FIXED_POINT_TOL:
         raise PreconditionError(
             f"x0 is not a fixed point: |rho(x0)-x0| = {abs(jet[0] - x0):.3e}")
     rho_prime = float(jet[1])

@@ -94,7 +94,6 @@ class SearchProblem:
     frozen: tuple[str, ...] = ()        # e.g. ("b", "c", "b1")
     max_iterations: int = 100
     residual_tol: float = 1e-10
-    damping: float = 0.5
     grid_n: int = SIGMA_GRID_N
 
     def __post_init__(self):
@@ -219,7 +218,7 @@ def gauss_newton(problem: SearchProblem) -> GaussNewtonResult:
         for _ in range(12):
             if residual(x - lam * step)[0] <= rnorm:
                 break
-            lam *= problem.damping
+            lam *= 0.5
             work["line_search_halvings"] += 1
         x = x - lam * step
     else:

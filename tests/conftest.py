@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from morinode import (FourierAnsatz, Grid, Nonlinearity, ParamFamily,
-                      SearchProblem, gauss_newton)
+                      SearchProblem, gauss_newton, globalgeo)
 
 # quartic family and the published coefficient set of a located order-4
 # singularity (b, c, a0, a1, a2, b2, a3, b3, a4, b4)
@@ -22,6 +22,23 @@ SIX_ROOT_COEFFS = {
     "a4": -0.018458472190807, "b2": -0.685621717642052,
     "b3": 0.185481811055651, "b4": 0.210509692732880,
 }
+
+
+# faults that leave a hull pass without its certificate: every face LP
+# stops at the pivot cap, or phase 1 finds no convex combination
+def _fail_face_lps(monkeypatch):
+    def fail(A, b, c):
+        raise globalgeo._SimplexFailure("iteration limit")
+    monkeypatch.setattr(globalgeo, "_simplex_max", fail)
+
+
+def _fail_phase1(monkeypatch):
+    monkeypatch.setattr(globalgeo, "_feasible_combination",
+                        lambda P, work=None: None)
+
+
+HULL_FAULTS = [pytest.param(_fail_face_lps, id="face-lp-fails"),
+               pytest.param(_fail_phase1, id="no-phase1-certificate")]
 
 
 def ansatz_from(coeffs: dict) -> FourierAnsatz:

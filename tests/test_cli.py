@@ -12,7 +12,7 @@ import pytest
 from morinode.cli import (EXIT_BAD_FILE, EXIT_OK, EXIT_PRECONDITION,
                           EXIT_USAGE, execute, validate_payload)
 from morinode.core import MalformedFileError
-from tests.conftest import BUTTERFLY_COEFFS, SIX_ROOT_COEFFS
+from tests.conftest import BUTTERFLY_COEFFS, HULL_FAULTS, SIX_ROOT_COEFFS
 
 
 @pytest.fixture()
@@ -206,7 +206,7 @@ class TestCommands:
                                  "--k", "2", "--range", "-3", "3"])
         assert code == EXIT_OK
         diag = doc["result"]["diagnostics"]
-        assert diag["face_lps"] == 4 and diag["box_retries"] == 0
+        assert diag["face_lps"] == 4
         assert diag["face_pivots"] >= 4 and diag["phase1_pivots"] >= 1
         assert diag["max_face_delta"] == -doc["result"]["margin"]
         assert diag["certificate_residual"] == doc["result"]["certificate_residual"]
@@ -275,6 +275,33 @@ class TestCommands:
         assert len(saved) == 1
         code, doc2 = run(capsys, argv)
         assert doc2["result"] == doc1["result"]
+
+    def test_sweep_count(self, tmp_path, capsys):
+        # f = x^2 - c from explicit entries: the equilibria +-sqrt(c) are
+        # the two periodic solutions for c > 0, and there are none for c < 0
+        family = tmp_path / "family.json"
+        family.write_text(json.dumps({
+            "entries": [[2, 1.0], [0, {"param": "c", "scale": -1.0}]],
+            "names": ["c"]}))
+        counts = {}
+        for axis in ("c=0.25:1:2", "c=-1:-1:1"):
+            code, doc = run(capsys, ["sweep", "--family", str(family),
+                                     "--grid", axis, "--analysis", "count",
+                                     "--range", "-1.5", "1.5"])
+            assert code == EXIT_OK
+            for cell in doc["result"]["cells"].values():
+                assert cell["error"] is None
+                counts[cell["params"]["c"]] = cell["result"]["count"]
+        assert counts == {0.25: 2, 1.0: 2, -1.0: 0}
+
+    @pytest.mark.parametrize("inject", HULL_FAULTS)
+    def test_uncertified_hull_exits_2(self, inject, problem_files,
+                                      monkeypatch, capsys):
+        inject(monkeypatch)
+        code = execute(["classify-operator", "--problem",
+                        problem_files["quartic"]])
+        assert code == EXIT_PRECONDITION
+        assert capsys.readouterr().out == ""
 
     def test_sweep_resume_closes_files(self, tmp_path, capsys):
         family = tmp_path / "family.json"

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -5,9 +7,10 @@ from morinode import (FromSimplified, Grid, Nonlinearity, PeriodicFn,
                       ToSimplified, classify_operator, degree, gamma_curve,
                       hull_origin_test, mean, replicate, reparam, seed_shat,
                       sigma_hat, sigma_vec, tameness)
-from morinode.core import PreconditionError
+from morinode.core import MorinodeError, PreconditionError
 from morinode import globalgeo
 from morinode.globalgeo import _simplex_max
+from tests.conftest import HULL_FAULTS
 
 TWO_PI = 2 * np.pi
 
@@ -134,7 +137,7 @@ class TestHull:
             A = np.vstack([rng.normal(size=(m, n)), np.eye(n)])
             b = np.concatenate([rng.uniform(0.5, 2.0, m), np.ones(n)])
             c = rng.normal(size=n)
-            x, obj = _simplex_max(A, b, c)
+            x, obj, _ = _simplex_max(A, b, c)
             x_ref, obj_ref = _row_loop_simplex_max(A, b, c)
             assert np.array_equal(x, x_ref)
             assert obj == obj_ref
@@ -156,7 +159,7 @@ class TestHull:
                 b = np.concatenate([B + s * P[:, j] - P[:, free].sum(axis=1),
                                     np.full(k - 1, 2.0)])
                 c = np.eye(k)[-1]
-                x, obj = _simplex_max(A, b, c)
+                x, obj, _ = _simplex_max(A, b, c)
                 x_ref, obj_ref = _row_loop_simplex_max(A, b, c)
                 assert np.array_equal(x, x_ref)
                 assert obj == obj_ref
@@ -172,7 +175,7 @@ class TestHull:
         with pytest.raises(globalgeo._SimplexFailure, match="iteration limit"):
             _simplex_max(A, b, c, max_iter=3)
         for cap in (20, 5000):
-            x, obj = _simplex_max(A, b, c, max_iter=cap)
+            x, obj, _ = _simplex_max(A, b, c, max_iter=cap)
             assert obj == pytest.approx(0.05, abs=1e-12)
             assert np.allclose(x, [0.04, 0.0, 1.0, 0.0], rtol=0, atol=1e-12)
 
@@ -181,7 +184,6 @@ class TestHull:
         d = interior.diagnostics
         assert interior.interior and d["face_lps"] == 4
         assert d["face_pivots"] >= d["face_lps"] and d["phase1_pivots"] >= 1
-        assert d["box_retries"] == 0
         assert d["max_face_delta"] == -interior.margin
         assert d["certificate_residual"] <= d["certificate_tol"] == 1e-9
         curve = gamma_curve(SQUARE, 2, -2.0, 2.0)
@@ -196,8 +198,7 @@ class TestHull:
         # must give the same A and b, bit for bit, in the same face order
         P = gamma_curve(quartic, 4, -3.0, 3.0).points
         m, k = P.shape
-        box = 1.0
-        B = 1.0 + float(np.max(np.sum(np.abs(P), axis=1))) * box
+        B = 1.0 + float(np.max(np.sum(np.abs(P), axis=1)))
         seen = []
 
         def record(A, b, c):
@@ -205,7 +206,7 @@ class TestHull:
             return _simplex_max(A, b, c)
 
         monkeypatch.setattr(globalgeo, "_simplex_max", record)
-        globalgeo._hull_test_box(P, box)
+        globalgeo._hull_test_box(P, Counter())
         faces = [(j, s) for j in range(k) for s in (+1.0, -1.0)]
         assert 0 < len(seen) <= len(faces)
         for (A, b), (j, s) in zip(seen, faces):
@@ -216,12 +217,21 @@ class TestHull:
             for i in range(m):
                 A_ref[i, :nfree] = -P[i, free]
                 A_ref[i, nfree] = 1.0
-                b_ref[i] = B + s * P[i, j] - box * np.sum(P[i, free])
+                b_ref[i] = B + s * P[i, j] - np.sum(P[i, free])
             for li in range(nfree):
                 A_ref[m + li, li] = 1.0
-                b_ref[m + li] = 2.0 * box
+                b_ref[m + li] = 2.0
             assert np.array_equal(A, A_ref)
             assert np.array_equal(b, b_ref)
+
+    @pytest.mark.parametrize("inject", HULL_FAULTS)
+    def test_uncertified_pass_raises(self, quartic, inject, monkeypatch):
+        # the butterfly quartic has singularities of order 4 (gamma_2
+        # interior); a hull pass left without its certificate must raise,
+        # not read as a separated gamma_2 and so as a global fold
+        inject(monkeypatch)
+        with pytest.raises(MorinodeError):
+            classify_operator(quartic)
 
 
 class TestDegree:
