@@ -33,10 +33,6 @@ EXIT_PRECONDITION = 2
 EXIT_USAGE = 64
 EXIT_BAD_FILE = 65
 
-COMMANDS = ("sigma", "classify-point", "classify-operator", "fibre",
-            "return-map", "count-solutions", "find-singularity", "hull",
-            "degree", "tameness", "reparam", "sweep")
-
 
 def _jsonable(obj):
     if isinstance(obj, np.ndarray):
@@ -172,7 +168,7 @@ def _cmd_sigma(args):
 
 def _cmd_classify_operator(args):
     f = _load_nonlinearity(args.problem)
-    oc = globalgeo.classify_operator(f, args.range[0], args.range[1])
+    oc = globalgeo.classify_operator(f)
     return {"verdict": oc.verdict, "evidence": oc.evidence}
 
 
@@ -354,19 +350,14 @@ def _build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--apply-operator", action="store_true",
                             help="treat --rhs as u and use v = u' + f(t,u)")
 
-    sp = sub.add_parser("sigma")
-    common(sp)
-    sp.add_argument("--ansatz", required=True)
-    sp.add_argument("--basis-size", type=int, default=8)
-
-    sp = sub.add_parser("classify-point")
-    common(sp)
-    sp.add_argument("--ansatz", required=True)
-    sp.add_argument("--basis-size", type=int, default=8)
+    for name in ("sigma", "classify-point"):
+        sp = sub.add_parser(name)
+        common(sp)
+        sp.add_argument("--ansatz", required=True)
+        sp.add_argument("--basis-size", type=int, default=8)
 
     sp = sub.add_parser("classify-operator")
     common(sp, grid=False)
-    sp.add_argument("--range", type=float, nargs=2, default=(-4.0, 4.0))
 
     sp = sub.add_parser("fibre")
     common(sp, rhs=True)
@@ -452,7 +443,7 @@ def execute(argv: list[str]) -> int:
     if not argv or argv[0] in ("-h", "--help"):
         _build_parser().print_help()
         return EXIT_OK
-    if argv[0] not in COMMANDS:
+    if argv[0] not in _HANDLERS:
         sys.stderr.write(f"morinode: unknown subcommand {argv[0]!r}\n")
         return EXIT_USAGE
     parser = _build_parser()

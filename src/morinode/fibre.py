@@ -79,8 +79,8 @@ class WField:
 
 
 def solve_periodic(f: Nonlinearity, vtilde: PeriodicFn, constraint,
-                   h: float | None = None, nu_hint: float | None = None,
-                   tol: float = PERIODICITY_TOL) -> FibrePoint:
+                   h: float | None = None,
+                   nu_hint: float | None = None) -> FibrePoint:
     """Find the unique nu and periodic u for the given fibre constraint.
 
     ``constraint`` is InitialValue(c) or Average(a); ``nu_hint`` is the
@@ -91,9 +91,9 @@ def solve_periodic(f: Nonlinearity, vtilde: PeriodicFn, constraint,
     if abs(mean(vtilde)) > 1e-10:
         raise PreconditionError("vtilde must have zero mean")
     if isinstance(constraint, InitialValue):
-        return _solve_initial_value(f, vtilde, constraint.c, h, nu_hint, tol)
+        return _solve_initial_value(f, vtilde, constraint.c, h, nu_hint)
     if isinstance(constraint, Average):
-        return _solve_average(f, vtilde, constraint.a, h, tol, nu_hint)
+        return _solve_average(f, vtilde, constraint.a, h, nu_hint)
     raise PreconditionError(f"unknown constraint {constraint!r}")
 
 
@@ -143,17 +143,17 @@ class _Bracket:
         return x + math.copysign(step, toward), "expansions"
 
 
-def _solve_initial_value(f, vtilde, c, h, nu_hint, tol):
+def _solve_initial_value(f, vtilde, c, h, nu_hint=None):
     """Newton on g(nu) = u(1) - c, with g' = eta(1) > 0."""
-    return _newton_solve(f, vtilde, float(c), None, h, nu_hint, tol, None)
+    return _newton_solve(f, vtilde, float(c), None, h, nu_hint, None)
 
 
-def _solve_average(f, vtilde, a, h, tol, nu_hint=None, table=None):
+def _solve_average(f, vtilde, a, h, nu_hint=None, table=None):
     """2-D Newton on F(c, nu) = (u(1) - c, mean(u) - a) from c = a."""
-    return _newton_solve(f, vtilde, float(a), float(a), h, nu_hint, tol, table)
+    return _newton_solve(f, vtilde, float(a), float(a), h, nu_hint, table)
 
 
-def _newton_solve(f, vtilde, c, a, h, nu_hint, tol, table) -> FibrePoint:
+def _newton_solve(f, vtilde, c, a, h, nu_hint, table) -> FibrePoint:
     """Safeguarded Newton for nu at u(0) = c, or for (c, nu) when a is set.
 
     Each flow carries the tangent lanes xi = du/dc and eta = du/dnu and
@@ -172,9 +172,10 @@ def _newton_solve(f, vtilde, c, a, h, nu_hint, tol, table) -> FibrePoint:
     if nu_hint is None:  # the nu of the constant orbit u = c
         nu_hint = np.mean(f.eval(grid.nodes, c))
     nu = float(nu_hint)
-    # the closure target sits well below tol: the stored samples are only
-    # periodic up to this gap, and spectral differentiation amplifies it
-    polish = max(1e-14, 1e-3 * tol)
+    # the closure target sits well below PERIODICITY_TOL: the stored samples
+    # are only periodic up to this gap, and spectral differentiation
+    # amplifies it
+    polish = max(1e-14, 1e-3 * PERIODICITY_TOL)
     vnorm = float(np.max(np.abs(vtilde.values)))
 
     def nu_bracket(c):
@@ -231,7 +232,7 @@ def _newton_solve(f, vtilde, c, a, h, nu_hint, tol, table) -> FibrePoint:
         if new_c != c:
             nus = nu_bracket(new_c)
         c, nu = new_c, new_nu
-    if best is None or best[3] > max(tol, 1e-8) or best[4] > 1e-7:
+    if best is None or best[3] > max(PERIODICITY_TOL, 1e-8) or best[4] > 1e-7:
         raise TamenessViolationError(
             "fibre solve failed to close the orbit" if best is None else
             f"fibre solve stalled at gaps {best[3]:.3e}, {best[4]:.3e}")
@@ -274,7 +275,7 @@ def trace_pairs(f: Nonlinearity, vtilde: PeriodicFn, a_lo: float, a_hi: float,
     table = _stage_table(f, vtilde, h, (0, 1))
     out, nu = [], None
     for a in np.linspace(a_lo, a_hi, count):
-        fp = _solve_average(f, vtilde, float(a), h, PERIODICITY_TOL, nu, table)
+        fp = _solve_average(f, vtilde, float(a), h, nu, table)
         out.append((float(a), fp))
         nu = fp.nu
     return out

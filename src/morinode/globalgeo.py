@@ -26,6 +26,7 @@ DEFAULT_CURVE_SAMPLES = 401
 _NEWTON_MAX_STEPS = 50
 _NEWTON_TOL = 4 * np.finfo(float).eps   # relative step that ends Newton
 _RATE_TAIL_TOL = 1e-8   # top-quarter rfft magnitude / mean coefficient
+_WINDOW = 4.0           # classify_operator curves span at least [-4, 4]
 
 
 # ---------------------------------------------------------------------------
@@ -368,58 +369,34 @@ class OperatorClass:
     evidence: dict
 
 
-def _real_roots(coeffs: np.ndarray) -> np.ndarray:
-    """Real roots of a polynomial given by ascending coefficients."""
-    c = np.trim_zeros(np.asarray(coeffs, dtype=float), "b")
-    if len(c) <= 1:
-        return np.array([])
-    r = np.roots(c[::-1])
-    real = r[np.abs(r.imag) <= 1e-9 * (1.0 + np.abs(r))]
-    return np.sort(real.real)
+def _signs(coeffs: np.ndarray) -> tuple[np.ndarray, set[int]]:
+    """Real roots of a polynomial (ascending coefficients) and its signs on R.
 
-
-def _strictly_positive(coeffs: np.ndarray) -> bool:
-    """Polynomial > 0 on all of R (no real roots, positive somewhere)."""
+    The distinct real parts of all roots cut R; the sign is read at each
+    midpoint between cuts and one unit beyond each outer cut, so no probe
+    sits on a root. A value within Horner's rounding bound
+    1e-12 sum |c_m| |x|^m is a rounding zero and adds no sign, so a double
+    root that np.roots splits adds none. The zero polynomial has no signs.
+    """
     c = np.trim_zeros(np.asarray(coeffs, dtype=float), "b")
     if len(c) == 0:
-        return False
-    if len(_real_roots(c)) > 0:
-        return False
-    return horner(c, 0.0) > 0
-
-
-def _one_signed(coeffs: np.ndarray) -> int:
-    """+1 / -1 if the polynomial is >= 0 / <= 0 on R with isolated roots, else 0."""
-    c = np.trim_zeros(np.asarray(coeffs, dtype=float), "b")
-    if len(c) <= 1:
-        if len(c) == 0 or c[0] == 0.0:
-            return 0  # identically zero: roots not isolated
-        return 1 if c[0] > 0 else -1
-    deg = len(c) - 1
-    if deg % 2 == 1:
-        return 0
-    roots = _real_roots(c)
-    probes = np.concatenate([roots, 0.5 * (roots[:-1] + roots[1:])]) \
-        if len(roots) > 1 else roots
-    xs = np.concatenate([probes, np.linspace(-1, 1, 41) * (1 + np.max(
-        np.abs(roots), initial=1.0)), [1e3, -1e3]])
+        return np.array([]), set()
+    r = np.roots(c[::-1])
+    real = np.sort(r[np.abs(r.imag) <= 1e-9 * (1.0 + np.abs(r))].real)
+    cuts = np.sort(r.real)   # np.unique's first call costs ~1.3 MB of RSS
+    cuts = cuts[np.diff(cuts, prepend=-np.inf) > 0]
+    xs = np.concatenate([cuts[:1] - 1.0, 0.5 * (cuts[:-1] + cuts[1:]),
+                         cuts[-1:] + 1.0]) if len(cuts) else np.zeros(1)
     vals = horner(c, xs)
-    scale = np.max(np.abs(vals)) + 1.0
-    if np.all(vals >= -1e-12 * scale):
-        return 1
-    if np.all(vals <= 1e-12 * scale):
-        return -1
-    return 0
+    nonzero = np.abs(vals) > 1e-12 * horner(np.abs(c), np.abs(xs))
+    return real, {int(v) for v in np.sign(vals[nonzero])}
 
 
-def _takes_both_signs(coeffs: np.ndarray, x_lo: float, x_hi: float) -> bool:
-    xs = np.linspace(x_lo, x_hi, 2001)
-    vals = horner(coeffs, xs)
-    return bool(vals.min() < 0.0 < vals.max())
+def _k_good(f: Nonlinearity, k: int, base: np.ndarray) -> bool:
+    """gamma_k never vanishes and no arc lies in a hyperplane through 0.
 
-
-def _k_good(f: Nonlinearity, k: int) -> bool:
-    """gamma_k never vanishes and no arc lies in a hyperplane through 0."""
+    ``base`` holds the real roots of f'.
+    """
     derivs = [f.poly_coeffs(i) for i in range(1, k + 1)]
     width = max(len(d) for d in derivs)
     M = np.zeros((k, width))
@@ -427,7 +404,6 @@ def _k_good(f: Nonlinearity, k: int) -> bool:
         M[i, :len(d)] = d
     if np.linalg.matrix_rank(M, tol=1e-12 * (1 + np.max(np.abs(M)))) < k:
         return False
-    base = _real_roots(derivs[0])
     for r in base:
         vals = [abs(horner(d, r)) for d in derivs]
         if max(vals) <= 1e-9 * (1.0 + abs(r)):
@@ -435,60 +411,54 @@ def _k_good(f: Nonlinearity, k: int) -> bool:
     return True
 
 
-def classify_operator(f: Nonlinearity, x_lo: float = -4.0,
-                      x_hi: float = 4.0) -> OperatorClass:
+def classify_operator(f: Nonlinearity) -> OperatorClass:
     """Decision cascade for autonomous polynomial nonlinearities.
 
     Order of tests: strict monotonicity (diffeomorphism), strict convexity
-    (global fold), the one-signed-third-derivative criterion (global cusp),
-    then the hull dichotomy on gamma_2 for even proper growth, escalating
-    to gamma_3 and gamma_4 for higher-order singularities. The supplied
-    x-range must cover all real critical points of f', f'', f'''.
+    (global fold), a one-signed third derivative with a first derivative of
+    both signs (global cusp), each read off the sign tables (``_signs``) of
+    f', f'' and f'''; then the hull dichotomy on gamma_2 for even proper
+    growth, escalating to gamma_3 and gamma_4 for higher-order
+    singularities. The gamma curves span [-4, 4], widened to reach 2 beyond
+    every real root of f', f'' and f'''.
     """
     if f.builtin is not None or not f.autonomous:
         return OperatorClass("undetermined",
                              {"reason": "limit signs unverifiable for "
                                         "non-polynomial or time-dependent f"})
-    try:
-        c0 = f.poly_coeffs(0)
-    except PreconditionError:
-        return OperatorClass("undetermined", {"reason": "not a polynomial"})
+    c0 = f.poly_coeffs(0)
     deg = len(np.trim_zeros(c0, "b")) - 1
     if deg < 1:
         return OperatorClass("undetermined", {"reason": "constant nonlinearity"})
-    c1, c2, c3 = f.poly_coeffs(1), f.poly_coeffs(2), f.poly_coeffs(3)
+    (r1, s1), (r2, s2), (r3, s3) = (_signs(f.poly_coeffs(i))
+                                    for i in (1, 2, 3))
 
-    # widen the window so it covers every real critical point of f', f'', f'''
-    crit = np.concatenate([_real_roots(c) for c in (c1, c2, c3)])
-    if len(crit):
-        x_lo = min(x_lo, float(crit.min()) - 2.0)
-        x_hi = max(x_hi, float(crit.max()) + 2.0)
-
-    if _strictly_positive(c1) or _strictly_positive(-c1):
+    if len(r1) == 0 and len(s1) == 1:
         return OperatorClass("diffeomorphism",
                              {"criterion": "strictly monotone and proper",
-                              "derivative_sign": 1 if _strictly_positive(c1) else -1})
-    if _strictly_positive(c2) or _strictly_positive(-c2):
+                              "derivative_sign": s1.pop()})
+    if len(r2) == 0 and len(s2) == 1:
         return OperatorClass("global_fold",
                              {"criterion": "strictly convex (or concave) and proper",
-                              "second_derivative_sign":
-                                  1 if _strictly_positive(c2) else -1})
-    third_sign = _one_signed(c3)
-    if third_sign != 0 and _takes_both_signs(c1, x_lo, x_hi):
+                              "second_derivative_sign": s2.pop()})
+    if len(s3) == 1 and len(s1) == 2:
         return OperatorClass("global_cusp",
                              {"criterion": "one-signed third derivative with "
                                            "isolated roots, first derivative of "
                                            "both signs, proper",
-                              "third_derivative_sign": third_sign})
+                              "third_derivative_sign": s3.pop()})
 
     lead = np.trim_zeros(c0, "b")[-1]
     even_plus = (deg % 2 == 0 and lead > 0)
-    good23 = _k_good(f, 2) and _k_good(f, 3)
+    good23 = _k_good(f, 2, r1) and _k_good(f, 3, r1)
     evidence: dict = {"degree": deg, "even_with_positive_leading": even_plus,
                       "two_three_good": good23}
     if not (even_plus and good23):
         return OperatorClass("undetermined", evidence | {
             "reason": "hull dichotomy needs 2,3-goodness and +inf limits"})
+    crit = np.concatenate([r1, r2, r3])
+    x_lo = float(np.min(crit - 2.0, initial=-_WINDOW))
+    x_hi = float(np.max(crit + 2.0, initial=_WINDOW))
     curve2 = gamma_curve(f, 2, x_lo, x_hi)
     hull2 = hull_origin_test(curve2)
     evidence["hull_gamma2"] = hull2

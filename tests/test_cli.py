@@ -9,8 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from morinode.cli import (EXIT_BAD_FILE, EXIT_OK, EXIT_PRECONDITION,
-                          EXIT_USAGE, execute, validate_payload)
+from morinode.cli import (_HANDLERS, EXIT_BAD_FILE, EXIT_OK,
+                          EXIT_PRECONDITION, EXIT_USAGE, execute,
+                          validate_payload)
 from morinode.core import MalformedFileError
 from tests.conftest import BUTTERFLY_COEFFS, HULL_FAULTS, SIX_ROOT_COEFFS
 
@@ -48,6 +49,15 @@ def run(capsys, argv):
 class TestExitCodes:
     def test_unknown_subcommand(self, capsys):
         assert execute(["frobnicate"]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("command", sorted(_HANDLERS))
+    def test_every_subcommand_parses(self, command, capsys):
+        assert execute([command, "--help"]) == EXIT_OK
+
+    def test_classify_operator_takes_no_range(self, problem_files, capsys):
+        code = execute(["classify-operator", "--problem",
+                        problem_files["quartic"], "--range", "-4", "4"])
+        assert code == EXIT_PRECONDITION
 
     def test_malformed_problem_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -1,4 +1,5 @@
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -268,12 +269,84 @@ class TestTameness:
         assert rep.tame
 
 
+def _derivative(p):
+    return [j * c for j, c in enumerate(p)][1:]
+
+
+def _remainder(a, b):
+    """Remainder of a by b; exact polynomials, ascending coefficients."""
+    a = list(a)
+    while len(a) >= len(b):
+        q = a[-1] / b[-1]
+        for i, c in enumerate(b):
+            a[len(a) - len(b) + i] -= q * c
+        a.pop()   # the leading term is now exactly zero
+        while a and a[-1] == 0:
+            a.pop()
+    return a
+
+
+def _sturm(p):
+    """(distinct real roots, squarefree) of an exact polynomial p of degree
+    >= 1, by Sturm's theorem: sign variations of the sequence p, p',
+    -rem(...) at -inf minus those at +inf; its last term is gcd(p, p')."""
+    seq = [p, _derivative(p)]
+    while seq[-1]:
+        seq.append([-c for c in _remainder(seq[-2], seq[-1])])
+    seq.pop()
+
+    def variations(positive):
+        return sum(a != b for a, b in zip(positive, positive[1:]))
+
+    at_plus = [q[-1] > 0 for q in seq]
+    at_minus = [(q[-1] > 0) == (len(q) % 2 == 1) for q in seq]
+    return variations(at_minus) - variations(at_plus), len(seq[-1]) == 1
+
+
 class TestClassifyOperator:
     def test_table(self, quartic):
         assert classify_operator(CUBIC_PLUS).verdict == "diffeomorphism"
         assert classify_operator(SQUARE).verdict == "global_fold"
         assert classify_operator(CUBIC_MINUS).verdict == "global_cusp"
         assert classify_operator(quartic).verdict == "has_higher_singularities"
+        # f''' = -210 x^2 (x^2 - 1) is positive on (-1, 0) and (0, 1)
+        hump = Nonlinearity.polynomial([0, 210, 0, 0, 0, 3.5, 0, -1])
+        assert classify_operator(hump).verdict != "global_cusp"
+        # f''' = 180 x^2: an exact double root keeps f''' one-signed
+        oc = classify_operator(Nonlinearity.polynomial([-2, 2, 4, 0, 0, 3]))
+        assert oc.verdict == "global_cusp"
+        assert oc.evidence["third_derivative_sign"] == 1
+        # f' = -(x - 2)^2 (x - 3) has a real root, so f is no diffeomorphism
+        touch = Nonlinearity.polynomial([0, 12, -8, 7 / 3, -0.25])
+        assert classify_operator(touch).verdict != "diffeomorphism"
+
+    def test_sign_verdicts_against_sturm_oracle(self):
+        # exact oracle on random integer polynomials of degree 5 to 7 whose
+        # f', f'' and f''' are squarefree, so that every real root is simple
+        # and a sign change: each sign-table verdict must hold exactly
+        rng = np.random.default_rng(11)
+        checked, verdicts = 0, Counter()
+        while checked < 200:
+            coeffs = [int(c) for c in rng.integers(-9, 10,
+                                                   size=rng.integers(6, 9))]
+            if coeffs[-1] == 0:
+                continue
+            c1 = _derivative([Fraction(c) for c in coeffs])
+            c2 = _derivative(c1)
+            (n1, sf1), (n2, sf2), (n3, sf3) = map(
+                _sturm, (c1, c2, _derivative(c2)))
+            if not (sf1 and sf2 and sf3):
+                continue
+            checked += 1
+            oc = classify_operator(Nonlinearity.polynomial(coeffs))
+            verdicts[oc.verdict] += 1
+            if oc.verdict == "global_cusp":
+                assert n3 == 0 and n1 > 0, coeffs
+            elif oc.verdict == "diffeomorphism":
+                assert n1 == 0, coeffs
+            elif "second_derivative_sign" in oc.evidence:
+                assert n2 == 0, coeffs
+        assert verdicts["global_cusp"] and verdicts["diffeomorphism"]
 
     def test_evidence_is_checkable(self, quartic):
         oc = classify_operator(quartic)
