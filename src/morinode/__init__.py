@@ -9,7 +9,7 @@ solutions through the return map.
 
 from .core import (FourierAnsatz, Grid, MorinodeError, Nonlinearity,
                    PeriodicFn, PreconditionError, Term, TrigPoly,
-                   cumulative, eval_f, green_kernel, mean)
+                   cumulative, green_kernel, mean)
 from .odeint import (ContactReport, ReturnValue, Trajectory, contact_order,
                      integrate, return_map)
 from .fibre import (Average, FibrePoint, InitialValue, WField, fibre_trace,

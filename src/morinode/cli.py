@@ -33,6 +33,10 @@ EXIT_PRECONDITION = 2
 EXIT_USAGE = 64
 EXIT_BAD_FILE = 65
 
+# the sweep's count analysis: RK4 step and scan points of each cell's census
+SWEEP_STEP = 1e-3
+SWEEP_SCAN_N = 201
+
 
 def _jsonable(obj):
     if isinstance(obj, np.ndarray):
@@ -159,17 +163,12 @@ def _write_csv(path: str, xs: np.ndarray, gs: np.ndarray) -> None:
 def _cmd_sigma(args):
     f = _load_nonlinearity(args.problem)
     u = _load_ansatz(args.ansatz).sample(Grid(args.grid_n))
-    report = morin.classify_point(f, u, basis_size=args.basis_size)
-    result = {"sigma": report.sigma, "sigma_abc": report.sigma_abc,
-              "order": report.order, "jacobian_svals": report.jacobian_svals,
-              "tol_zero": report.tol_zero, "tol_rank": report.tol_rank}
-    return result
+    return morin.classify_point(f, u)
 
 
 def _cmd_classify_operator(args):
     f = _load_nonlinearity(args.problem)
-    oc = globalgeo.classify_operator(f)
-    return {"verdict": oc.verdict, "evidence": oc.evidence}
+    return globalgeo.classify_operator(f)
 
 
 def _cmd_fibre(args):
@@ -212,9 +211,7 @@ def _cmd_return_map(args):
     v = _rhs_from_file(f, args.rhs, args.grid_n, args.apply_operator) \
         if args.rhs else None
     rv = return_map(f, v, args.x0, h=args.step, with_derivative=args.derivative)
-    return {"x0": args.x0, "value": rv.value, "blew_up": rv.blew_up,
-            "blow_sign": rv.blow_sign, "blow_time": rv.blow_time,
-            "derivative": rv.derivative}
+    return {"x0": args.x0, **dataclasses.asdict(rv)}
 
 
 def _cmd_count_solutions(args):
@@ -247,8 +244,7 @@ def _cmd_find_singularity(args):
     fam_values = np.array([params.get(n, 0.0) for n in family.names])
     problem = search.SearchProblem(
         family=family, ansatz=ansatz, target=np.asarray(args.target),
-        family_params=fam_values, frozen=tuple(args.frozen or ()),
-        max_iterations=args.max_iterations, grid_n=args.grid_n)
+        family_params=fam_values, frozen=tuple(args.frozen or ()))
     res = search.gauss_newton(problem)
     return {"converged": res.converged, "message": res.message,
             "residual_history": res.residual_history,
@@ -260,14 +256,10 @@ def _cmd_find_singularity(args):
 
 def _cmd_hull(args):
     f = _load_nonlinearity(args.problem)
-    curve = globalgeo.gamma_curve(f, args.k, args.range[0], args.range[1],
-                                  count=args.count)
+    curve = globalgeo.gamma_curve(f, args.k, args.range[0], args.range[1])
     verdict = globalgeo.hull_origin_test(curve)
-    return {"k": args.k, "interior": verdict.interior, "margin": verdict.margin,
-            "convex_coefficients": verdict.convex_coefficients,
-            "direction": verdict.direction, "evidence": verdict.evidence,
-            "certificate_residual": verdict.diagnostics["certificate_residual"],
-            "diagnostics": verdict.diagnostics}
+    return {"k": args.k, **dataclasses.asdict(verdict),
+            "certificate_residual": verdict.diagnostics["certificate_residual"]}
 
 
 def _cmd_degree(args):
@@ -278,9 +270,7 @@ def _cmd_degree(args):
 def _cmd_tameness(args):
     f = _load_nonlinearity(args.problem)
     rep = globalgeo.tameness(f, s_max=args.s_max)
-    return {"plus": rep.plus, "minus": rep.minus,
-            "wild_suspected_at": list(rep.wild_suspected_at),
-            "tame": rep.tame, "detail": rep.detail}
+    return {**dataclasses.asdict(rep), "tame": rep.tame}
 
 
 def _cmd_reparam(args):
@@ -305,9 +295,8 @@ def _cmd_sweep(args):
             oc = globalgeo.classify_operator(f)
             return {"verdict": oc.verdict}
         census = search.count_solutions(
-            f, PeriodicFn.constant(args.rhs_constant, Grid(args.grid_n)),
-            args.range[0], args.range[1], scan_n=args.scan_n, h=args.step,
-            check_half_step=False)
+            f, None, args.range[0], args.range[1], scan_n=SWEEP_SCAN_N,
+            h=SWEEP_STEP, check_half_step=False)
         return {"count": census.count}
 
     existing = {}
@@ -354,7 +343,6 @@ def _build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(name)
         common(sp)
         sp.add_argument("--ansatz", required=True)
-        sp.add_argument("--basis-size", type=int, default=8)
 
     sp = sub.add_parser("classify-operator")
     common(sp, grid=False)
@@ -385,15 +373,12 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--target", type=float, nargs="+", required=True)
     sp.add_argument("--params", nargs="*", default=None, metavar="NAME=VALUE")
     sp.add_argument("--frozen", nargs="*", default=None)
-    sp.add_argument("--max-iterations", type=int, default=100)
-    sp.add_argument("--grid-n", type=int, default=search.SIGMA_GRID_N)
     sp.add_argument("--out", default=None)
 
     sp = sub.add_parser("hull")
     common(sp, grid=False)
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--range", type=float, nargs=2, default=(-4.0, 4.0))
-    sp.add_argument("--count", type=int, default=globalgeo.DEFAULT_CURVE_SAMPLES)
 
     sp = sub.add_parser("degree")
     common(sp, grid=False)
@@ -414,10 +399,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--analysis", choices=("classify", "count"),
                     default="classify")
     sp.add_argument("--range", type=float, nargs=2, default=(-2.0, 2.0))
-    sp.add_argument("--step", type=float, default=1e-3)
-    sp.add_argument("--scan-n", type=int, default=201)
-    sp.add_argument("--rhs-constant", type=float, default=0.0)
-    sp.add_argument("--grid-n", type=int, default=1024)
     sp.add_argument("--out", default=None)
     return p
 

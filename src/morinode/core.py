@@ -372,11 +372,6 @@ class Nonlinearity:
         return f"Nonlinearity({len(self.terms)} terms, autonomous={self.autonomous})"
 
 
-def eval_f(f: Nonlinearity, t, x, order: int = 0):
-    """Module-level alias for ``Nonlinearity.eval``."""
-    return f.eval(t, x, order)
-
-
 # ---------------------------------------------------------------------------
 # finite Fourier ansatz
 # ---------------------------------------------------------------------------

@@ -175,7 +175,7 @@ def _newton_solve(f, vtilde, c, a, h, nu_hint, table) -> FibrePoint:
     # the closure target sits well below PERIODICITY_TOL: the stored samples
     # are only periodic up to this gap, and spectral differentiation
     # amplifies it
-    polish = max(1e-14, 1e-3 * PERIODICITY_TOL)
+    polish = 1e-14
     vnorm = float(np.max(np.abs(vtilde.values)))
 
     def nu_bracket(c):
@@ -232,7 +232,7 @@ def _newton_solve(f, vtilde, c, a, h, nu_hint, table) -> FibrePoint:
         if new_c != c:
             nus = nu_bracket(new_c)
         c, nu = new_c, new_nu
-    if best is None or best[3] > max(PERIODICITY_TOL, 1e-8) or best[4] > 1e-7:
+    if best is None or best[3] > PERIODICITY_TOL or best[4] > 1e-7:
         raise TamenessViolationError(
             "fibre solve failed to close the orbit" if best is None else
             f"fibre solve stalled at gaps {best[3]:.3e}, {best[4]:.3e}")
@@ -247,31 +247,30 @@ def _newton_solve(f, vtilde, c, a, h, nu_hint, table) -> FibrePoint:
 
 
 def fibre_trace(f: Nonlinearity, vtilde: PeriodicFn, a_lo: float, a_hi: float,
-                count: int, h: float | None = None) -> list[tuple[float, float]]:
+                count: int) -> list[tuple[float, float]]:
     """Sample (a, Phi(u_a)) along one fibre at ``count`` averages.
 
     Phi(u) = int f(t, u(t)) dt is the scalar map whose folds and cusps
     classify the operator on this fibre.
     """
     return [(a, fp.phi_bar)
-            for a, fp in trace_pairs(f, vtilde, a_lo, a_hi, count, h)]
+            for a, fp in trace_pairs(f, vtilde, a_lo, a_hi, count)]
 
 
 def trace_points(f: Nonlinearity, vtilde: PeriodicFn, a_lo: float, a_hi: float,
-                 count: int, h: float | None = None) -> list[FibrePoint]:
+                 count: int) -> list[FibrePoint]:
     """Like fibre_trace but returning the full FibrePoints."""
-    return [fp for _, fp in trace_pairs(f, vtilde, a_lo, a_hi, count, h)]
+    return [fp for _, fp in trace_pairs(f, vtilde, a_lo, a_hi, count)]
 
 
 def trace_pairs(f: Nonlinearity, vtilde: PeriodicFn, a_lo: float, a_hi: float,
-                count: int, h: float | None = None
-                ) -> list[tuple[float, FibrePoint]]:
+                count: int) -> list[tuple[float, FibrePoint]]:
     """(a, FibrePoint) at ``count`` averages evenly from a_lo to a_hi; the
-    points share one stage table of ``vtilde``, and each starts from the
-    nu before it."""
+    points share one stage table of ``vtilde`` at the node step 1/n, and
+    each starts from the nu before it."""
     if not a_lo < a_hi:
         raise PreconditionError("need a_lo < a_hi")
-    h, _ = _node_step(vtilde.grid, h)
+    h, _ = _node_step(vtilde.grid, None)
     table = _stage_table(f, vtilde, h, (0, 1))
     out, nu = [], None
     for a in np.linspace(a_lo, a_hi, count):

@@ -723,11 +723,11 @@ def seed_shat(f: Nonlinearity, k: int, anchors,
     return SeedFunction(anchors=anchors, plateau_lengths=a, epsilon=epsilon)
 
 
-def _equality_nnls(G, rhs, a_init, max_iter=50):
+def _equality_nnls(G, rhs, a_init):
     """min |a - a_init| s.t. G a = rhs, a >= 0, by active-set projection."""
     m = G.shape[1]
     active = np.zeros(m, dtype=bool)
-    for _ in range(max_iter):
+    for _ in range(m):  # each pass returns or pins one more a_i at 0
         free = ~active
         Gf = G[:, free]
         delta, *_ = np.linalg.lstsq(Gf, rhs - Gf @ a_init[free], rcond=None)

@@ -24,6 +24,7 @@ SIGMA_COUNT = 5
 
 ZERO_TOL_FACTOR = 1e-8   # relative zero test on the Sigma values
 RANK_TOL_FACTOR = 1e-6   # relative smallest-singular-value threshold
+BASIS_SIZE = 8           # Fourier harmonics of the rank test's directions
 
 
 @dataclass(frozen=True)
@@ -182,12 +183,12 @@ def _fourier_directions(grid, M: int) -> np.ndarray:
     return np.asarray(dirs)
 
 
-def classify_point(f: Nonlinearity, u: PeriodicFn, basis_size: int = 8) -> SigmaReport:
+def classify_point(f: Nonlinearity, u: PeriodicFn) -> SigmaReport:
     """Decide the singularity order of u with the transversality check.
 
     The order is the largest k <= 4 with |Sigma_i| below the relative zero
     tolerance for i <= k, Sigma_(k+1) above it, and the Jacobian of
-    (Sigma_1..Sigma_(k-1)) restricted to ``2*basis_size + 1`` Fourier
+    (Sigma_1..Sigma_(k-1)) restricted to ``2 * BASIS_SIZE + 1`` Fourier
     directions of full rank (smallest singular value above the relative
     rank tolerance). The rows are exact directional derivatives
     (``_sigma_jacobian``).
@@ -207,14 +208,12 @@ def classify_point(f: Nonlinearity, u: PeriodicFn, basis_size: int = 8) -> Sigma
     if k >= SIGMA_COUNT:
         order = MorinOrder("exceeds", reason="all five functionals vanish")
         return replace(report, order=order, tol_zero=tol_zero)
-    if basis_size < k + 2:
-        raise PreconditionError(f"basis_size must be at least k+2 = {k + 2}")
 
     svals = None
     tol_rank = None
     if k >= 2:
         D = _derivative_samples(f, u)
-        dirs = _fourier_directions(u.grid, basis_size)
+        dirs = _fourier_directions(u.grid, BASIS_SIZE)
         jac = _sigma_jacobian(D, _u_directions(D, dirs))[:k - 1]
         svals = np.linalg.svd(jac, compute_uv=False)
         tol_rank = RANK_TOL_FACTOR * svals[0]

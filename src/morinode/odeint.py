@@ -10,8 +10,9 @@ reads rho and its derivatives up to order kmax + 1 from one flow on
 truncated Taylor series in the start value (``_rk4_jet``): they are the
 exact jets of the discrete RK4 map, not finite differences, and a
 derivative counts as zero below ``CONTACT_ZERO_TOL`` = 1e-6 relative to
-the leading one. ``_rho_derivative_fd`` and ``_fd_once`` remain only as
-the tests' finite-difference cross-check.
+the leading one. ``_rho_derivative_fd`` and ``_fd_once`` remain as the
+tests' finite-difference cross-check, and because the benchmark's tracer
+(``bench/spans.py``) binds both by name.
 """
 
 from __future__ import annotations
@@ -52,10 +53,6 @@ class Trajectory:
     blew_up: bool
     blow_sign: int | None = None
     blow_time: float | None = None
-
-    @property
-    def completed(self) -> bool:
-        return not self.blew_up
 
     def final(self) -> float:
         return float(self.samples[-1])
@@ -113,11 +110,10 @@ def _step_count(t0: float, t1: float, h: float) -> tuple[int, float]:
     return nsteps, (t1 - t0) / nsteps
 
 
-def _stage_table(f: Nonlinearity, v, h: float, orders=(0,), t0: float = 0.0,
-                 t1: float = 1.0):
-    """``_rhs_tables`` on [t0, t1] at the step size ``_step_count`` gives."""
-    nsteps, h = _step_count(t0, t1, h)
-    return _rhs_tables(f, v, t0, nsteps, h, orders)
+def _stage_table(f: Nonlinearity, v, h: float, orders=(0,)):
+    """``_rhs_tables`` on [0, 1] at the step size ``_step_count`` gives."""
+    nsteps, h = _step_count(0.0, 1.0, h)
+    return _rhs_tables(f, v, 0.0, nsteps, h, orders)
 
 
 def _shift_forcing(table, nu: float):
@@ -134,9 +130,9 @@ def _rk4_scalar(f: Nonlinearity, v, x0: float, t0: float, t1: float, h: float,
     the discrete step, xi = du/du(t0) and eta = du/dnu for a constant nu
     added to v, and returns as ``lanes`` (xi, eta, sum u, sum xi, sum eta)
     at t1, with sums over every s-th step from t0. ``table`` is a prebuilt
-    ``_stage_table`` of (f, v) at h on [t0, t1], holding order 1 too for
-    the lanes; f and v are then not evaluated. Returns (u_end,
-    samples|None, lanes|None, blew, sign, blow_time).
+    ``_stage_table`` of (f, v) at h, so [t0, t1] = [0, 1], holding order 1
+    too for the lanes; f and v are then not evaluated. Returns (u_end,
+    samples|None, blew, sign, blow_time, lanes|None).
     """
     nsteps, h = _step_count(t0, t1, h)
     if table is None:
@@ -188,25 +184,23 @@ def _rk4_scalar(f: Nonlinearity, v, x0: float, t0: float, t1: float, h: float,
             u = s
             if not math.isfinite(u) or abs(u) > U_MAX:
                 w = next((w for w in (u2, u3, u4, u) if abs(w) > U_MAX), last)
-                return u, samples, None, True, -1 if w < 0 else 1, t0 + (k + 1) * h
+                return u, samples, True, -1 if w < 0 else 1, t0 + (k + 1) * h, None
             if store:
                 samples.append(u)
     lanes = (xi, eta, su, sxi, seta) if tangent_stride else None
-    return u, samples, lanes, False, None, None
+    return u, samples, False, None, None, lanes
 
 
 def _flow_scalar(f: Nonlinearity, v, x0: float, t0: float, t1: float, h: float,
                  store: bool = False, table=None, tangent_stride: int = 0):
-    """Scalar RK4 flow; returns (u_end, samples|None, blow info).
+    """``_rk4_scalar`` under the name the benchmark's tracer counts.
 
-    ``table`` is an optional prebuilt ``_stage_table(f, v, h)`` on [t0, t1];
-    ``tangent_stride`` > 0 appends ``_rk4_scalar``'s tangent lanes.
+    ``bench/spans.py`` wraps this name to count scalar flows and their
+    steps, so the fibre solves and ``integrate`` call it, while
+    ``_flow_with_variation`` calls ``_rk4_scalar`` directly and its census
+    refinement flows are not counted as scalar flows.
     """
-    u, samples, lanes, blew, sign, btime = _rk4_scalar(
-        f, v, x0, t0, t1, h, store, table=table, tangent_stride=tangent_stride)
-    if tangent_stride:
-        return u, samples, blew, sign, btime, lanes
-    return u, samples, blew, sign, btime
+    return _rk4_scalar(f, v, x0, t0, t1, h, store, table, tangent_stride)
 
 
 def _rk4_jet(f: Nonlinearity, v, x0: float, h: float, K: int):
@@ -320,7 +314,8 @@ def integrate(f: Nonlinearity, v, x0: float, t0: float = 0.0, t1: float = 1.0,
     """
     if h <= 0:
         raise PreconditionError("step must be positive")
-    u_end, samples, blew, sign, btime = _flow_scalar(f, v, x0, t0, t1, h, store=True)
+    u_end, samples, blew, sign, btime, _ = _flow_scalar(f, v, x0, t0, t1, h,
+                                                        store=True)
     samples = np.asarray(samples, dtype=float)
     times = t0 + _step_count(t0, t1, h)[1] * np.arange(len(samples))
     return Trajectory(t0=t0, t1=t1, h=h, times=times, samples=samples,
@@ -338,7 +333,7 @@ def return_map(f: Nonlinearity, v, x0: float, h: float = 1e-3,
     if with_derivative:
         val, der, blew, sign, btime = _flow_with_variation(f, v, x0, h)
     else:
-        val, _, blew, sign, btime = _flow_scalar(f, v, x0, 0.0, 1.0, h)
+        val, _, blew, sign, btime, _ = _flow_scalar(f, v, x0, 0.0, 1.0, h)
     if blew:
         return ReturnValue(None, True, sign, btime)
     return ReturnValue(float(val), derivative=der)
@@ -349,7 +344,7 @@ def _flow_with_variation(f: Nonlinearity, v, x0: float, h: float, table=None):
 
     ``table`` is an optional prebuilt ``_stage_table(f, v, h, (0, 1))``.
     """
-    u, _, lanes, blew, sign, btime = _rk4_scalar(f, v, x0, 0.0, 1.0, h,
+    u, _, blew, sign, btime, lanes = _rk4_scalar(f, v, x0, 0.0, 1.0, h,
                                                  table=table, tangent_stride=1)
     if blew:
         return None, None, True, sign, btime

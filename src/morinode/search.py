@@ -30,6 +30,7 @@ from .odeint import (_flow_scalar, _flow_with_variation,  # noqa: F401
                      _flow_vector, _stage_table)
 
 SIGMA_GRID_N = 2048
+MAX_GN_ITERATIONS = 100
 SCAN_POINTS = 801
 ROOT_REFINE_TOL = 1e-12
 MAX_REFINE_FLOWS = 80
@@ -92,9 +93,7 @@ class SearchProblem:
     target: np.ndarray
     family_params: np.ndarray = field(default_factory=lambda: np.zeros(0))
     frozen: tuple[str, ...] = ()        # e.g. ("b", "c", "b1")
-    max_iterations: int = 100
     residual_tol: float = 1e-10
-    grid_n: int = SIGMA_GRID_N
 
     def __post_init__(self):
         self.target = np.atleast_1d(np.asarray(self.target, dtype=float))
@@ -137,7 +136,7 @@ class SearchProblem:
     def _point(self, x: np.ndarray) -> tuple[Nonlinearity, PeriodicFn]:
         """The nonlinearity and the sampled ansatz at coordinates x."""
         fam, ans = self.unpack(x)
-        return self.family.build(fam), ans.sample(Grid(self.grid_n))
+        return self.family.build(fam), ans.sample(Grid(SIGMA_GRID_N))
 
     def sigma_at(self, x: np.ndarray) -> tuple[np.ndarray, float]:
         """First len(target) functionals and the order-5 monitor."""
@@ -168,7 +167,7 @@ def gauss_newton(problem: SearchProblem) -> GaussNewtonResult:
     (``_jacobian``) and J^+ the truncated-SVD pseudoinverse; a halving line
     search keeps the residual from increasing. Stops on the residual
     tolerance, stagnation (relative decrease under 1e-3 over 10 steps), or
-    the iteration cap. ``diagnostics`` counts iterations, line-search
+    ``MAX_GN_ITERATIONS`` steps. ``diagnostics`` counts iterations, line-search
     halvings, ``sigma_at`` evaluations and Jacobian builds, next to the
     final residual and ``residual_tol``.
     """
@@ -191,7 +190,7 @@ def gauss_newton(problem: SearchProblem) -> GaussNewtonResult:
     best_x, best_norm = x.copy(), math.inf
     message = "iteration cap reached"
     converged = False
-    for it in range(problem.max_iterations):
+    for it in range(MAX_GN_ITERATIONS):
         rnorm, r, s5 = residual(x)
         history.append(rnorm)
         if rnorm < best_norm:
@@ -391,7 +390,7 @@ def _census_pass(f: Nonlinearity, v, xs: np.ndarray, h: float):
     return out, unresolved, False, g, CensusPass(h, tuple(flows))
 
 
-def _refine_root(f, v, lo, hi, glo, ghi, h, table=None):
+def _refine_root(f, v, lo, hi, glo, ghi, h, table):
     """Safeguarded Newton on g(x) = rho(x) - x inside the sign bracket.
 
     Starts from the secant point of [lo, hi]. Each iterate costs one
@@ -400,6 +399,7 @@ def _refine_root(f, v, lo, hi, glo, ghi, h, table=None):
     the bracket is replaced by bisection. Stops when the step is at most
     ROOT_REFINE_TOL or g is exactly 0. Returns (x, step, rho' at the last
     flow, flows, ok); ok is False when a flow blows up inside the bracket.
+    Every flow reads ``table``, the pass's ``_stage_table(f, v, h, (0, 1))``.
     """
     if lo == hi:
         x = lo

@@ -1,4 +1,6 @@
+import argparse
 import gc
+import inspect
 import json
 import os
 import subprocess
@@ -9,10 +11,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from morinode import Grid, classify_point, globalgeo, return_map
 from morinode.cli import (_HANDLERS, EXIT_BAD_FILE, EXIT_OK,
-                          EXIT_PRECONDITION, EXIT_USAGE, execute,
-                          validate_payload)
-from morinode.core import MalformedFileError
+                          EXIT_PRECONDITION, EXIT_USAGE, _build_parser,
+                          _jsonable, execute, validate_payload)
+from morinode.core import (MalformedFileError, ansatz_from_json, load_json,
+                           nonlinearity_from_json)
 from tests.conftest import BUTTERFLY_COEFFS, HULL_FAULTS, SIX_ROOT_COEFFS
 
 
@@ -54,10 +58,45 @@ class TestExitCodes:
     def test_every_subcommand_parses(self, command, capsys):
         assert execute([command, "--help"]) == EXIT_OK
 
-    def test_classify_operator_takes_no_range(self, problem_files, capsys):
-        code = execute(["classify-operator", "--problem",
-                        problem_files["quartic"], "--range", "-4", "4"])
+    def test_every_flag_is_read(self):
+        # a flag whose value no handler reads is an option nothing sets
+        subparsers = next(a for a in _build_parser()._actions
+                          if isinstance(a, argparse._SubParsersAction))
+        unread = []
+        for name, sp in subparsers.choices.items():
+            source = inspect.getsource(_HANDLERS[name])
+            unread += [f"{name} --{a.dest}" for a in sp._actions
+                       if a.dest not in ("help", "out")
+                       and f"args.{a.dest}" not in source]
+        assert unread == []
+
+    CENSUS = ("count-solutions --problem {quartic} --rhs {u1} "
+              "--apply-operator --range -0.4 0.4 --scan-n ")
+    SEARCH = "find-singularity --family {family} --seed {ub} --target 0 "
+    PROBLEM = "--problem {quartic} "
+    SIGMA = PROBLEM + "--ansatz {ub} "
+    SWEEP = "sweep --family {family} --grid c=0:0:1 --analysis count "
+
+    @pytest.mark.parametrize("argv", [
+        pytest.param("classify-operator " + PROBLEM + "--range -4 4",
+                     id="classify-operator-range"),
+        pytest.param("sigma " + SIGMA + "--basis-size 8", id="sigma-basis-size"),
+        pytest.param("classify-point " + SIGMA + "--basis-size 8",
+                     id="classify-point-basis-size"),
+        pytest.param(SEARCH + "--max-iterations 100",
+                     id="find-singularity-max-iterations"),
+        pytest.param(SEARCH + "--grid-n 2048", id="find-singularity-grid-n"),
+        pytest.param("hull " + PROBLEM + "--k 2 --count 401", id="hull-count"),
+        pytest.param(SWEEP + "--step 1e-3", id="sweep-step"),
+        pytest.param(SWEEP + "--scan-n 201", id="sweep-scan-n"),
+        pytest.param(SWEEP + "--rhs-constant 0", id="sweep-rhs-constant"),
+        pytest.param(SWEEP + "--grid-n 1024", id="sweep-grid-n"),
+    ])
+    def test_removed_flag_exits_2(self, argv, problem_files, capsys):
+        # a flag that no longer exists is a usage error, not silently ignored
+        code = execute([a.format(**problem_files) for a in argv.split()])
         assert code == EXIT_PRECONDITION
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_malformed_problem_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -71,10 +110,6 @@ class TestExitCodes:
         code = execute(["sigma", "--problem", problem_files["quartic"],
                         "--ansatz", str(bad)])
         assert code == EXIT_BAD_FILE
-
-    CENSUS = ("count-solutions --problem {quartic} --rhs {u1} "
-              "--apply-operator --range -0.4 0.4 --scan-n ")
-    SEARCH = "find-singularity --family {family} --seed {ub} --target 0 "
 
     @pytest.mark.parametrize("argv", [
         pytest.param("hull --problem {quartic} --k 7", id="hull-k7"),
@@ -341,6 +376,37 @@ class TestPayloadContract:
         validate_payload(reloaded)
         with pytest.raises(MalformedFileError):
             validate_payload({"schema": "bogus"})
+
+    def test_payloads_are_library_records(self, problem_files, capsys):
+        # five commands emit their library record plus a few extra keys, so
+        # a field added to the record reaches the payload unchanged
+        quartic = nonlinearity_from_json(load_json(problem_files["quartic"]))
+        xsq = nonlinearity_from_json(load_json(problem_files["xsq"]))
+        ub = ansatz_from_json(load_json(problem_files["ub"])).sample(Grid(1024))
+        ones = ansatz_from_json(load_json(problem_files["ones"])).sample(
+            Grid(1024))
+        verdict = globalgeo.hull_origin_test(
+            globalgeo.gamma_curve(quartic, 2, -3.0, 3.0))
+        tame = globalgeo.tameness(quartic)
+        point = classify_point(quartic, ub)
+        cases = [
+            ("sigma --problem {quartic} --ansatz {ub}", point, {}),
+            ("classify-point --problem {quartic} --ansatz {ub}", point, {}),
+            ("classify-operator --problem {quartic}",
+             globalgeo.classify_operator(quartic), {}),
+            ("return-map --problem {xsq} --rhs {ones} --x0 0.5 --derivative",
+             return_map(xsq, ones, 0.5, h=1e-3, with_derivative=True),
+             {"x0": 0.5}),
+            ("hull --problem {quartic} --k 2 --range -3 3", verdict,
+             {"k": 2, "certificate_residual":
+              verdict.diagnostics["certificate_residual"]}),
+            ("tameness --problem {quartic}", tame, {"tame": tame.tame}),
+        ]
+        for argv, record, extra in cases:
+            code, doc = run(capsys, argv.format(**problem_files).split())
+            assert code == EXIT_OK
+            expect = dict(_jsonable(record), **extra)
+            assert doc["result"] == json.loads(json.dumps(expect)), argv
 
     def test_idempotent_modulo_timestamp(self, problem_files, capsys):
         argv = ["sigma", "--problem", problem_files["quartic"],

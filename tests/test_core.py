@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from morinode import (FourierAnsatz, Grid, Nonlinearity, PeriodicFn,
-                      cumulative, eval_f, green_kernel, mean)
+                      cumulative, green_kernel, mean)
 from morinode.core import (Term, TrigPoly, UnsupportedOrderError,
                            ansatz_from_json, ansatz_to_json,
                            nonlinearity_from_json, nonlinearity_to_json)
@@ -13,17 +13,17 @@ from morinode.core import (Term, TrigPoly, UnsupportedOrderError,
 class TestEvalF:
     def test_power_rule(self):
         f = Nonlinearity.polynomial([0, 0, 1])          # x^2
-        assert eval_f(f, 0.0, 3.0, 1) == pytest.approx(6.0, abs=0)
+        assert f.eval(0.0, 3.0, 1) == pytest.approx(6.0, abs=0)
 
     def test_quartic_first_derivative_at_zero(self, quartic):
-        assert eval_f(quartic, 0.0, 0.0, 1) == pytest.approx(-0.3, abs=0)
+        assert quartic.eval(0.0, 0.0, 1) == pytest.approx(-0.3, abs=0)
 
     def test_quartic_third_derivative(self, quartic):
-        assert eval_f(quartic, 0.0, 1.0, 3) == pytest.approx(24.0, abs=0)
+        assert quartic.eval(0.0, 1.0, 3) == pytest.approx(24.0, abs=0)
 
     def test_order_above_five_rejected(self, quartic):
         with pytest.raises(UnsupportedOrderError):
-            eval_f(quartic, 0.0, 1.0, 6)
+            quartic.eval(0.0, 1.0, 6)
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(7)
@@ -36,18 +36,18 @@ class TestEvalF:
             for k in range(1, 6):
                 d = 1e-2 if k >= 3 else 1e-4
                 grid_pts = x + d * np.arange(-3, 4)
-                vals = np.array([eval_f(f, t, xx, k - 1) for xx in grid_pts])
+                vals = np.array([f.eval(t, xx, k - 1) for xx in grid_pts])
                 fd = (vals[4] - vals[2]) / (2 * d)
-                exact = eval_f(f, t, x, k)
+                exact = f.eval(t, x, k)
                 assert fd == pytest.approx(exact, rel=1e-4, abs=1e-6)
 
     def test_builtin_cosh(self):
         f = Nonlinearity.from_builtin("cosh2_cos")
         t, x = 0.1, 0.7
         base = 2 * np.pi * np.cos(2 * np.pi * t)
-        assert eval_f(f, t, x, 0) == pytest.approx(base * np.cosh(x) ** 2)
-        assert eval_f(f, t, x, 1) == pytest.approx(base * np.sinh(2 * x))
-        assert eval_f(f, t, x, 2) == pytest.approx(base * 2 * np.cosh(2 * x))
+        assert f.eval(t, x, 0) == pytest.approx(base * np.cosh(x) ** 2)
+        assert f.eval(t, x, 1) == pytest.approx(base * np.sinh(2 * x))
+        assert f.eval(t, x, 2) == pytest.approx(base * 2 * np.cosh(2 * x))
         assert not f.autonomous
 
     def test_autonomous_flag(self, quartic):

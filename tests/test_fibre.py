@@ -96,6 +96,19 @@ class TestSolvePeriodic:
         with pytest.raises(TamenessViolationError):
             solve_periodic(wild, vt, InitialValue(0.0), h=1e-3)
 
+    def test_stalled_closure_above_periodicity_tol_raises(self):
+        # this solve stalls with a best closure gap of 8.6e-11 after 27
+        # flows; a gap above PERIODICITY_TOL is a failed solve, not an answer
+        f = Nonlinearity.polynomial([0.5619, 1.3948, 0.3537, -1.5119,
+                                     -1.0423, 0.328])
+        grid = Grid(256)
+        t = grid.nodes
+        v = 2.5765 * (np.cos(TWO_PI * t + 4.0374)
+                      + 0.16365 * np.sin(2 * TWO_PI * t))
+        vt = PeriodicFn(grid, v - np.mean(v))
+        with pytest.raises(TamenessViolationError, match="stalled"):
+            solve_periodic(f, vt, InitialValue(1.6012))
+
     def test_nonpositive_step_rejected(self):
         vt = cos_forcing(256)
         for h in (0.0, -1e-3):
@@ -110,7 +123,7 @@ class TestSolvePeriodic:
         square = PeriodicFn(grid, np.where(grid.nodes < 0.5, 0.3, -0.3))
         for h in (None, 2.0 / 256):
             fp = solve_periodic(CUBIC_MINUS, square, InitialValue(0.25), h=h)
-            _, samples, blew, _, _ = _flow_scalar(
+            _, samples, blew, _, _, _ = _flow_scalar(
                 CUBIC_MINUS, lambda t: square.eval(t) + fp.nu, 0.25, 0.0, 1.0,
                 1.0 / 256, store=True)
             assert not blew

@@ -54,8 +54,8 @@ def test_vector_and_scalar_flows_agree(quartic, rhs):
     vec, alive, _, _ = _flow_vector(quartic, rhs, xs, 1e-3)
     assert alive.all()
     for x, expect in zip(xs, vec):
-        u_end, _, blew, _, _ = _flow_scalar(quartic, rhs, float(x),
-                                            0.0, 1.0, 1e-3)
+        u_end, _, blew, _, _, _ = _flow_scalar(quartic, rhs, float(x),
+                                               0.0, 1.0, 1e-3)
         assert not blew
         assert u_end == pytest.approx(expect, abs=1e-13)
 
@@ -151,7 +151,7 @@ def test_builtin_blowups_agree_across_drivers():
     _, alive, signs, times = _flow_vector(wild, None, xs, 1e-3)
     assert not alive.any()
     for x, sign, btime, (esign, etime) in zip(xs, signs, times, expected):
-        _, _, blew, s, t = _flow_scalar(wild, None, float(x), 0.0, 1.0, 1e-3)
+        _, _, blew, s, t, _ = _flow_scalar(wild, None, float(x), 0.0, 1.0, 1e-3)
         assert blew
         assert (s, t) == (sign, btime)
         assert s == esign and t == pytest.approx(etime, abs=1e-12)
