@@ -18,10 +18,10 @@ def main():
         ("2*pi*cos(2*pi*t)*cosh^2(x)", Nonlinearity.from_builtin("cosh2_cos")),
     ]
     # cubic with forcing: x^3 + cos(2*pi*t)
-    from morinode.core import Term, TrigPoly
+    from morinode.core import FourierAnsatz, Term
     cases.append(("x^3 + cos(2*pi*t)",
-                  Nonlinearity([Term(3, TrigPoly(1.0)),
-                                Term(0, TrigPoly(0.0, (1.0,), ()))])))
+                  Nonlinearity([Term(3, FourierAnsatz(1.0)),
+                                Term(0, FourierAnsatz(0.0, [1.0]))])))
     for name, f in cases:
         rep = tameness(f)
         flag = "tame" if rep.tame else f"wild suspected at {rep.wild_suspected_at}"

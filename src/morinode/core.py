@@ -1,9 +1,11 @@
-"""Grids, periodic functions, spectral quadrature, and the nonlinearity model.
+"""Grids, periodic functions, spectral quadrature, Fourier series, nonlinearities.
 
 Everything here works on the unit-period circle. Functions are represented
 by their samples on a uniform grid; off-node values, derivatives and
 antiderivatives come from the trigonometric interpolant, which is exact for
 band-limited data and spectrally accurate for smooth periodic data.
+
+One series, ``FourierAnsatz``, is an ansatz u or a coefficient c_j(t) of f.
 """
 
 from __future__ import annotations
@@ -206,35 +208,108 @@ def green_kernel(x: np.ndarray | float) -> np.ndarray | float:
 
 
 # ---------------------------------------------------------------------------
-# trigonometric polynomials and the nonlinearity model
+# the trigonometric series
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TrigPoly:
-    """c(t) = a0 + sum_m cos_m cos(2 pi m t) + sin_m sin(2 pi m t)."""
+@dataclass(frozen=True, eq=False)
+class FourierAnsatz:
+    """u(t) = a0 + sum_j a[j-1] cos(2 pi j t) + b[j-1] sin(2 pi j t).
+
+    An ansatz u, or the coefficient c_j(t) of a nonlinearity term. The
+    shorter of ``a`` and ``b`` is zero-padded; both are read-only. The
+    coordinates run (a0, a1, b1, a2, b2, ...), as ``names`` lists them.
+    """
 
     a0: float = 0.0
-    cos: tuple[float, ...] = ()
-    sin: tuple[float, ...] = ()
+    a: np.ndarray = ()
+    b: np.ndarray = ()
 
-    def __call__(self, t: np.ndarray | float) -> np.ndarray | float:
-        t = np.asarray(t, dtype=float)
-        out = np.full(t.shape or (1,), self.a0)
-        for m, c in enumerate(self.cos, start=1):
-            if c:
-                out = out + c * np.cos(TWO_PI * m * t)
-        for m, s in enumerate(self.sin, start=1):
-            if s:
-                out = out + s * np.sin(TWO_PI * m * t)
-        return out.reshape(t.shape) if t.shape else float(out[0])
+    def __post_init__(self):
+        a, b = (np.atleast_1d(np.asarray(c, dtype=float)) for c in (self.a, self.b))
+        M = max(len(a), len(b))
+        for name, c in (("a", a), ("b", b)):
+            c = np.pad(c, (0, M - len(c)))  # a copy: the caller's stays writable
+            c.setflags(write=False)
+            object.__setattr__(self, name, c)
+        object.__setattr__(self, "a0", float(self.a0))
+
+    @property
+    def harmonics(self) -> int:
+        return len(self.a)
 
     @property
     def is_constant(self) -> bool:
-        return not any(self.cos) and not any(self.sin)
+        return not self.a.any() and not self.b.any()
 
     def abs_bound(self) -> float:
-        return abs(self.a0) + sum(map(abs, self.cos)) + sum(map(abs, self.sin))
+        return float(abs(self.a0) + np.abs(self.a).sum() + np.abs(self.b).sum())
+
+    def eval(self, t: np.ndarray | float) -> np.ndarray | float:
+        t = np.asarray(t, dtype=float)
+        out = np.full(t.shape or (1,), self.a0)
+        if not self.is_constant:
+            for j in range(1, self.harmonics + 1):
+                out = out + (self.a[j - 1] * np.cos(TWO_PI * j * t)
+                             + self.b[j - 1] * np.sin(TWO_PI * j * t))
+        return out.reshape(t.shape) if t.shape else float(out[0])
+
+    __call__ = eval
+
+    def derivative_eval(self, t: np.ndarray | float) -> np.ndarray | float:
+        t = np.asarray(t, dtype=float)
+        out = np.zeros(t.shape or (1,))
+        for j in range(1, self.harmonics + 1):
+            w = TWO_PI * j
+            out = out + w * (-self.a[j - 1] * np.sin(w * t)
+                             + self.b[j - 1] * np.cos(w * t))
+        return out.reshape(t.shape) if t.shape else float(out[0])
+
+    def sample(self, grid: Grid | None = None) -> PeriodicFn:
+        grid = grid or Grid()
+        return PeriodicFn(grid, self.eval(grid.nodes))
+
+    def names(self) -> list[str]:
+        return ["a0"] + [f"{c}{j}" for j in range(1, self.harmonics + 1)
+                         for c in "ab"]
+
+    def vector(self) -> np.ndarray:
+        return np.r_[self.a0, np.column_stack((self.a, self.b)).ravel()]
+
+    @classmethod
+    def from_vector(cls, x: np.ndarray) -> "FourierAnsatz":
+        x = np.asarray(x, dtype=float)
+        if x.ndim != 1 or len(x) % 2 == 0:
+            raise PreconditionError("a coordinate vector has odd length 1 + 2M")
+        return cls(x[0], x[1::2], x[2::2])
+
+    @staticmethod
+    def basis(grid: Grid, M: int) -> np.ndarray:
+        """Rows 1, cos 2 pi t, sin 2 pi t, ..., sin 2 pi M t on the grid nodes:
+        d u / d ``vector()`` for an ansatz of M harmonics."""
+        t = grid.nodes
+        dirs = [np.ones_like(t)]
+        for j in range(1, M + 1):
+            dirs.append(np.cos(2 * np.pi * j * t))
+            dirs.append(np.sin(2 * np.pi * j * t))
+        return np.asarray(dirs)
+
+    @classmethod
+    def from_periodic(cls, u: PeriodicFn, harmonics: int) -> "FourierAnsatz":
+        """Read coefficients back by discrete transform (exact for M < n/2)."""
+        n = u.grid.n
+        if harmonics >= n // 2:
+            raise PreconditionError("requested harmonics not resolved by the grid")
+        c = np.fft.rfft(u.values) / n
+        a0 = float(c[0].real)
+        a = 2.0 * c[1:harmonics + 1].real
+        b = -2.0 * c[1:harmonics + 1].imag
+        return cls(a0, a, b)
+
+
+# ---------------------------------------------------------------------------
+# the nonlinearity model
+# ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -242,7 +317,7 @@ class Term:
     """One monomial c_j(t) * x^j of the nonlinearity."""
 
     power: int
-    coeff: TrigPoly
+    coeff: FourierAnsatz
 
     def __post_init__(self):
         if self.power < 0:
@@ -302,7 +377,7 @@ class Nonlinearity:
     @classmethod
     def polynomial(cls, coeffs: Sequence[float]) -> "Nonlinearity":
         """Autonomous polynomial sum_j coeffs[j] * x^j."""
-        terms = [Term(j, TrigPoly(a0=float(c)))
+        terms = [Term(j, FourierAnsatz(float(c)))
                  for j, c in enumerate(coeffs) if c != 0.0]
         return cls(terms)
 
@@ -373,86 +448,31 @@ class Nonlinearity:
 
 
 # ---------------------------------------------------------------------------
-# finite Fourier ansatz
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class FourierAnsatz:
-    """u(t) = a0 + sum_j a[j-1] cos(2 pi j t) + b[j-1] sin(2 pi j t)."""
-
-    a0: float
-    a: np.ndarray
-    b: np.ndarray
-
-    def __post_init__(self):
-        self.a = np.atleast_1d(np.asarray(self.a, dtype=float))
-        self.b = np.atleast_1d(np.asarray(self.b, dtype=float))
-        if len(self.a) != len(self.b) or len(self.a) < 1:
-            raise PreconditionError("cosine/sine coefficient lists must match, M >= 1")
-
-    @property
-    def harmonics(self) -> int:
-        return len(self.a)
-
-    def eval(self, t: np.ndarray | float) -> np.ndarray | float:
-        t = np.asarray(t, dtype=float)
-        out = np.full(t.shape or (1,), self.a0)
-        for j in range(1, self.harmonics + 1):
-            out = out + (self.a[j - 1] * np.cos(TWO_PI * j * t)
-                         + self.b[j - 1] * np.sin(TWO_PI * j * t))
-        return out.reshape(t.shape) if t.shape else float(out[0])
-
-    def derivative_eval(self, t: np.ndarray | float) -> np.ndarray | float:
-        t = np.asarray(t, dtype=float)
-        out = np.zeros(t.shape or (1,))
-        for j in range(1, self.harmonics + 1):
-            w = TWO_PI * j
-            out = out + w * (-self.a[j - 1] * np.sin(w * t)
-                             + self.b[j - 1] * np.cos(w * t))
-        return out.reshape(t.shape) if t.shape else float(out[0])
-
-    def sample(self, grid: Grid | None = None) -> PeriodicFn:
-        grid = grid or Grid()
-        return PeriodicFn(grid, self.eval(grid.nodes))
-
-    @classmethod
-    def from_periodic(cls, u: PeriodicFn, harmonics: int) -> "FourierAnsatz":
-        """Read coefficients back by discrete transform (exact for M < n/2)."""
-        n = u.grid.n
-        if harmonics >= n // 2:
-            raise PreconditionError("requested harmonics not resolved by the grid")
-        c = np.fft.rfft(u.values) / n
-        a0 = float(c[0].real)
-        a = 2.0 * c[1:harmonics + 1].real
-        b = -2.0 * c[1:harmonics + 1].imag
-        return cls(a0, a, b)
-
-
-# ---------------------------------------------------------------------------
 # JSON interchange
 # ---------------------------------------------------------------------------
 
 
 def nonlinearity_to_json(f: Nonlinearity) -> dict:
-    doc: dict = {"terms": [
-        {"power": t.power, "a0": t.coeff.a0,
-         "cos": list(t.coeff.cos), "sin": list(t.coeff.sin)}
-        for t in f.terms]}
+    doc: dict = {"terms": [{"power": t.power, **ansatz_to_json(t.coeff)}
+                           for t in f.terms]}
     if f.builtin is not None:
         doc["builtin"] = f.builtin
     return doc
 
 
+def _series_from_json(doc: dict) -> FourierAnsatz:
+    """``{"a0", "cos", "sin"}`` as a series: a0 defaults to 0, lists to []."""
+    return FourierAnsatz(float(doc.get("a0", 0.0)),
+                         [float(c) for c in doc.get("cos", [])],
+                         [float(s) for s in doc.get("sin", [])])
+
+
 def nonlinearity_from_json(doc: dict) -> Nonlinearity:
     try:
-        terms = [Term(int(td["power"]),
-                      TrigPoly(float(td.get("a0", 0.0)),
-                               tuple(map(float, td.get("cos", []))),
-                               tuple(map(float, td.get("sin", [])))))
+        terms = [Term(int(td["power"]), _series_from_json(td))
                  for td in doc.get("terms", [])]
         return Nonlinearity(terms, builtin=doc.get("builtin"))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise MalformedFileError(f"bad nonlinearity document: {exc}") from exc
 
 
@@ -461,10 +481,11 @@ def ansatz_to_json(u: FourierAnsatz) -> dict:
 
 
 def ansatz_from_json(doc: dict) -> FourierAnsatz:
+    """An ansatz needs ``a0`` and ``cos``/``sin`` of one equal, nonzero length."""
     try:
-        return FourierAnsatz(float(doc["a0"]),
-                             np.asarray(doc["cos"], dtype=float),
-                             np.asarray(doc["sin"], dtype=float))
+        if "a0" not in doc or not 0 < len(doc["cos"]) == len(doc["sin"]):
+            raise ValueError("needs a0, and cos and sin of one nonzero length")
+        return _series_from_json(doc)
     except (KeyError, TypeError, ValueError) as exc:
         raise MalformedFileError(f"bad ansatz document: {exc}") from exc
 

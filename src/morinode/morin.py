@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import fibre as _fibre
-from .core import (Nonlinearity, PeriodicFn, PreconditionError,
+from .core import (FourierAnsatz, Nonlinearity, PeriodicFn, PreconditionError,
                    integral_weighted_t, integral_weighted_t2,
                    spectral_antiderivative)
 
@@ -174,15 +174,6 @@ def sigma_hat(f: Nonlinearity, u: PeriodicFn, k: int) -> np.ndarray:
     return np.array([float(np.mean(f.on_grid(u, i))) for i in range(1, k + 1)])
 
 
-def _fourier_directions(grid, M: int) -> np.ndarray:
-    t = grid.nodes
-    dirs = [np.ones_like(t)]
-    for j in range(1, M + 1):
-        dirs.append(np.cos(2 * np.pi * j * t))
-        dirs.append(np.sin(2 * np.pi * j * t))
-    return np.asarray(dirs)
-
-
 def classify_point(f: Nonlinearity, u: PeriodicFn) -> SigmaReport:
     """Decide the singularity order of u with the transversality check.
 
@@ -213,7 +204,7 @@ def classify_point(f: Nonlinearity, u: PeriodicFn) -> SigmaReport:
     tol_rank = None
     if k >= 2:
         D = _derivative_samples(f, u)
-        dirs = _fourier_directions(u.grid, BASIS_SIZE)
+        dirs = FourierAnsatz.basis(u.grid, BASIS_SIZE)
         jac = _sigma_jacobian(D, _u_directions(D, dirs))[:k - 1]
         svals = np.linalg.svd(jac, compute_uv=False)
         tol_rank = RANK_TOL_FACTOR * svals[0]

@@ -21,9 +21,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (Grid, Nonlinearity, PeriodicFn, PreconditionError,
-                   Term, TrigPoly, FourierAnsatz)
-from .morin import (_derivative_samples, _fourier_directions, _sigma_jacobian,
-                    _sigma_values, _u_directions)
+                   Term, FourierAnsatz)
+from .morin import (_derivative_samples, _sigma_jacobian, _sigma_values,
+                    _u_directions)
 # _flow_scalar is no longer called here but stays a module attribute: the
 # benchmark's tracer (bench/spans.py) wraps search._flow_scalar
 from .odeint import (_flow_scalar, _flow_with_variation,  # noqa: F401
@@ -59,13 +59,13 @@ class ParamFamily:
             else:
                 value = float(coeff)
             if value != 0.0:
-                terms.append(Term(power, TrigPoly(a0=value)))
+                terms.append(Term(power, FourierAnsatz(value)))
         return Nonlinearity(terms)
 
     def partial(self, name: str) -> Nonlinearity:
         """d f / d name: ``build`` is linear in the parameters, so this is
         the monomials that reference ``name``, each with its scale."""
-        return Nonlinearity([Term(power, TrigPoly(a0=coeff[1]))
+        return Nonlinearity([Term(power, FourierAnsatz(coeff[1]))
                              for power, coeff in self.entries
                              if isinstance(coeff, tuple) and coeff[0] == name])
 
@@ -84,9 +84,9 @@ class ParamFamily:
 
 @dataclass
 class SearchProblem:
-    """Free coordinates = family parameters followed by unfrozen ansatz
-    coefficients (a0, a1.., b1..); the b1 gauge is frozen automatically for
-    autonomous families."""
+    """Free coordinates = family parameters followed by the unfrozen ansatz
+    coefficients in ``FourierAnsatz.names`` order (a0, a1, b1, a2, b2, ...);
+    the b1 gauge is frozen automatically for autonomous families."""
 
     family: ParamFamily
     ansatz: FourierAnsatz
@@ -105,12 +105,7 @@ class SearchProblem:
     # -- coordinate packing -------------------------------------------------
 
     def _coordinate_names(self) -> list[str]:
-        names = list(self.family.names)
-        names.append("a0")
-        for j in range(1, self.ansatz.harmonics + 1):
-            names.append(f"a{j}")
-            names.append(f"b{j}")
-        return names
+        return list(self.family.names) + self.ansatz.names()
 
     def free_mask(self) -> np.ndarray:
         names = self._coordinate_names()
@@ -119,19 +114,11 @@ class SearchProblem:
         return np.array([nm not in frozen for nm in names])
 
     def pack(self) -> np.ndarray:
-        coeffs = [self.ansatz.a0]
-        for j in range(self.ansatz.harmonics):
-            coeffs += [self.ansatz.a[j], self.ansatz.b[j]]
-        return np.concatenate([self.family_params, coeffs])
+        return np.concatenate([self.family_params, self.ansatz.vector()])
 
     def unpack(self, x: np.ndarray) -> tuple[np.ndarray, FourierAnsatz]:
         nf = len(self.family.names)
-        fam = x[:nf]
-        rest = x[nf:]
-        M = self.ansatz.harmonics
-        a = rest[1::2][:M]
-        b = rest[2::2][:M]
-        return fam, FourierAnsatz(float(rest[0]), a.copy(), b.copy())
+        return x[:nf], FourierAnsatz.from_vector(x[nf:])
 
     def _point(self, x: np.ndarray) -> tuple[Nonlinearity, PeriodicFn]:
         """The nonlinearity and the sampled ansatz at coordinates x."""
@@ -250,7 +237,7 @@ def _jacobian(problem: SearchProblem, x: np.ndarray, mask: np.ndarray) -> np.nda
     params = (tuple(problem.family.partial(name).on_grid(u, i)
                     for i in range(1, 5))
               for name in problem.family.names)
-    dus = _fourier_directions(u.grid, problem.ansatz.harmonics)
+    dus = FourierAnsatz.basis(u.grid, problem.ansatz.harmonics)
     J = _sigma_jacobian(D, itertools.chain(params, _u_directions(D, dus)))
     return J[:len(problem.target), mask]
 

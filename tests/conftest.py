@@ -1,10 +1,13 @@
-"""Shared fixtures: reference nonlinearities and the located butterfly."""
+"""Shared fixtures: reference nonlinearities, the located butterfly and
+the six-root census."""
+
+import time
 
 import numpy as np
 import pytest
 
 from morinode import (FourierAnsatz, Grid, Nonlinearity, ParamFamily,
-                      SearchProblem, gauss_newton, globalgeo)
+                      SearchProblem, count_solutions, gauss_newton, globalgeo)
 
 # quartic family and the published coefficient set of a located order-4
 # singularity (b, c, a0, a1, a2, b2, a3, b3, a4, b4)
@@ -47,6 +50,13 @@ def ansatz_from(coeffs: dict) -> FourierAnsatz:
     return FourierAnsatz(coeffs["a0"], np.array(a), np.array(b))
 
 
+def operator_rhs(f: Nonlinearity, ans: FourierAnsatz):
+    """The right-hand side v = u' + f(t, u) for the ansatz u, so that u
+    itself is a periodic solution of u' + f(t, u) = v."""
+    return lambda t: ans.derivative_eval(t) + np.asarray(
+        f.eval(t, ans.eval(t), 0))
+
+
 @pytest.fixture(scope="session")
 def quartic() -> Nonlinearity:
     return Nonlinearity.quartic(BUTTERFLY_B, BUTTERFLY_C)
@@ -60,6 +70,15 @@ def butterfly_ansatz() -> FourierAnsatz:
 @pytest.fixture(scope="session")
 def six_root_ansatz() -> FourierAnsatz:
     return ansatz_from(SIX_ROOT_COEFFS)
+
+
+@pytest.fixture(scope="session")
+def six_root_census(quartic, six_root_ansatz):
+    """The six-root census (scan 801, h = 2e-4) and its wall time in s."""
+    v = operator_rhs(quartic, six_root_ansatz)
+    start = time.monotonic()
+    census = count_solutions(quartic, v, -0.4, 0.4, scan_n=801, h=2e-4)
+    return census, time.monotonic() - start
 
 
 @pytest.fixture(scope="session")

@@ -9,7 +9,6 @@ coefficients is 0.1648 (stable under step halving and scan refinement).
 import time
 
 import numpy as np
-import pytest
 from scipy.integrate import cumulative_simpson, simpson
 
 from morinode import (FourierAnsatz, Grid, Nonlinearity, ParamFamily,
@@ -20,7 +19,7 @@ from morinode import (FourierAnsatz, Grid, Nonlinearity, ParamFamily,
                       ToSimplified, FromSimplified)
 from morinode.fibre import trace_points
 from morinode.morin import ZERO_TOL_FACTOR
-from tests.conftest import BUTTERFLY_B, BUTTERFLY_C
+from tests.conftest import BUTTERFLY_B, BUTTERFLY_C, operator_rhs
 
 TWO_PI = 2 * np.pi
 
@@ -51,11 +50,6 @@ def _oracle_sigma(f: Nonlinearity, ans: FourierAnsatz, n: int = 8192) -> np.ndar
     s5 = simpson(d[5] * w ** 4 - 5.0 * d[4] * w ** 3 * C
                  + 5.0 * d[3] * w ** 2 * C ** 2, dx=1.0 / n)
     return np.array([s1, s2, s3, s4, s5])
-
-
-def _analytic_rhs(f: Nonlinearity, ans: FourierAnsatz):
-    return lambda t: ans.derivative_eval(t) + np.asarray(
-        f.eval(t, ans.eval(t), 0))
 
 
 # ---------------------------------------------------------------------------
@@ -93,10 +87,10 @@ def test_criterion_1_butterfly_residuals(quartic, butterfly_ansatz):
 
 def test_criterion_2_butterfly_reconvergence(butterfly_ansatz):
     start = time.monotonic()
+    b = butterfly_ansatz.b + 1e-3
+    b[0] = 0.0
     seed = FourierAnsatz(butterfly_ansatz.a0 + 1e-3,
-                         butterfly_ansatz.a + 1e-3,
-                         butterfly_ansatz.b + 1e-3)
-    seed.b[0] = 0.0
+                         butterfly_ansatz.a + 1e-3, b)
     problem = SearchProblem(
         family=ParamFamily.quartic_bc(), ansatz=seed, target=np.zeros(4),
         family_params=np.array([BUTTERFLY_B + 1e-3, BUTTERFLY_C + 1e-3]))
@@ -123,17 +117,9 @@ def test_criterion_2_butterfly_reconvergence(butterfly_ansatz):
 # ---------------------------------------------------------------------------
 
 
-@pytest.fixture(scope="module")
-def six_root_census(quartic, six_root_ansatz):
-    v = _analytic_rhs(quartic, six_root_ansatz)
-    start = time.monotonic()
-    census = count_solutions(quartic, v, -0.4, 0.4, scan_n=801, h=2e-4)
-    return census, time.monotonic() - start
-
-
 def test_criterion_3_census_count(quartic, six_root_ansatz, six_root_census):
     census, elapsed = six_root_census
-    v = _analytic_rhs(quartic, six_root_ansatz)
+    v = operator_rhs(quartic, six_root_ansatz)
     recloses = []
     for r in census.roots:
         rv = return_map(quartic, v, r.x, h=2e-4)
@@ -255,12 +241,12 @@ def test_criterion_5c_contact_order_agreement(refined_butterfly, located_cusp):
     # cusp
     f_c, u_c, ans_c = located_cusp
     cusp_rep = classify_point(f_c, u_c)
-    cusp_con = contact_order(f_c, _analytic_rhs(f_c, ans_c),
+    cusp_con = contact_order(f_c, operator_rhs(f_c, ans_c),
                              float(ans_c.eval(0.0)), kmax=3, h=5e-4)
     # butterfly
     f_b, ans_b, _ = refined_butterfly
     but_rep = classify_point(f_b, ans_b.sample(Grid(2048)))
-    but_con = contact_order(f_b, _analytic_rhs(f_b, ans_b),
+    but_con = contact_order(f_b, operator_rhs(f_b, ans_b),
                             float(ans_b.eval(0.0)), kmax=4, h=2e-4)
     agree = (fold_rep.order.k == fold_con.order == 1
              and cusp_rep.order.k == cusp_con.order == 2

@@ -104,9 +104,16 @@ class TestExitCodes:
         code = execute(["degree", "--problem", str(bad)])
         assert code == EXIT_BAD_FILE
 
-    def test_missing_field_in_ansatz(self, tmp_path, problem_files, capsys):
+    @pytest.mark.parametrize("doc", [
+        pytest.param({"cos": [1.0]}, id="no-a0-no-sin"),
+        pytest.param({"a0": 1.0, "cos": [], "sin": []}, id="no-harmonics"),
+        pytest.param({"a0": 1.0, "cos": [0.1, 0.2], "sin": [0.3]},
+                     id="unequal-lengths"),
+    ])
+    def test_missing_field_in_ansatz(self, tmp_path, problem_files, capsys,
+                                     doc):
         bad = tmp_path / "badansatz.json"
-        bad.write_text(json.dumps({"cos": [1.0]}))
+        bad.write_text(json.dumps(doc))
         code = execute(["sigma", "--problem", problem_files["quartic"],
                         "--ansatz", str(bad)])
         assert code == EXIT_BAD_FILE

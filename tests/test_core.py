@@ -3,11 +3,13 @@ import json
 import numpy as np
 import pytest
 
-from morinode import (FourierAnsatz, Grid, Nonlinearity, PeriodicFn,
-                      cumulative, green_kernel, mean)
-from morinode.core import (Term, TrigPoly, UnsupportedOrderError,
-                           ansatz_from_json, ansatz_to_json,
-                           nonlinearity_from_json, nonlinearity_to_json)
+from morinode import (FourierAnsatz, Grid, Nonlinearity, ParamFamily,
+                      PeriodicFn, SearchProblem, cumulative, green_kernel,
+                      mean)
+from morinode.core import (MalformedFileError, PreconditionError, Term,
+                           UnsupportedOrderError, ansatz_from_json,
+                           ansatz_to_json, nonlinearity_from_json,
+                           nonlinearity_to_json)
 
 
 class TestEvalF:
@@ -27,9 +29,9 @@ class TestEvalF:
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(7)
-        f = Nonlinearity([Term(0, TrigPoly(0.5, (0.3,), (0.1,))),
-                          Term(1, TrigPoly(-1.0, (), (0.2,))),
-                          Term(3, TrigPoly(0.7, (0.05,), ()))])
+        f = Nonlinearity([Term(0, FourierAnsatz(0.5, [0.3], [0.1])),
+                          Term(1, FourierAnsatz(-1.0, [], [0.2])),
+                          Term(3, FourierAnsatz(0.7, [0.05]))])
         for _ in range(25):
             t = float(rng.uniform(0, 1))
             x = float(rng.uniform(-2, 2))
@@ -52,7 +54,7 @@ class TestEvalF:
 
     def test_autonomous_flag(self, quartic):
         assert quartic.autonomous
-        g = Nonlinearity([Term(1, TrigPoly(0.0, (1.0,), ()))])
+        g = Nonlinearity([Term(1, FourierAnsatz(0.0, [1.0]))])
         assert not g.autonomous
 
 
@@ -105,6 +107,33 @@ class TestGreenKernel:
             assert abs(q) < 1e-12
 
 
+class TestSeries:
+    @pytest.mark.parametrize("M", [1, 4, 8])
+    def test_coordinates(self, M):
+        x = np.random.default_rng(M).standard_normal(1 + 2 * M)
+        ans = FourierAnsatz.from_vector(x)
+        assert np.array_equal(ans.vector(), x)
+        grid = Grid(256)
+        gap = ans.sample(grid).values - x @ FourierAnsatz.basis(grid, M)
+        assert np.max(np.abs(gap)) <= 1e-13
+        problem = SearchProblem(family=ParamFamily.quartic_bc(), ansatz=ans,
+                                target=np.zeros(2), family_params=[4.0, -0.3])
+        assert problem._coordinate_names()[-(1 + 2 * M):] == ans.names()
+        with pytest.raises(PreconditionError):
+            FourierAnsatz.from_vector(x[:-1])
+
+    def test_unequal_lists_are_zero_padded(self):
+        ans = FourierAnsatz(0.5, [1.0, 2.0], [3.0])
+        assert ans.names() == ["a0", "a1", "b1", "a2", "b2"]
+        assert ans.vector().tolist() == [0.5, 1.0, 3.0, 2.0, 0.0]
+
+    def test_coefficients_are_read_only(self, butterfly_ansatz):
+        with pytest.raises(ValueError):
+            butterfly_ansatz.a[0] = 0.0
+        with pytest.raises(ValueError):
+            butterfly_ansatz.b[0] = 0.0
+
+
 class TestSpectral:
     def test_ansatz_roundtrip(self):
         rng = np.random.default_rng(11)
@@ -148,6 +177,23 @@ class TestJson:
         f2 = nonlinearity_from_json(json.loads(json.dumps(doc)))
         xs = np.linspace(-2, 2, 7)
         assert np.allclose(f2.eval(0.0, xs, 0), quartic.eval(0.0, xs, 0))
+
+    def test_time_dependent_nonlinearity_roundtrip(self):
+        # cosine and sine lists of different lengths, either way round
+        f = Nonlinearity([Term(0, FourierAnsatz(0.5, [0.3, -0.2], [0.1])),
+                          Term(1, FourierAnsatz(-1.0, [], [0.2, 0.4])),
+                          Term(4, FourierAnsatz(0.7))])
+        f2 = nonlinearity_from_json(json.loads(json.dumps(
+            nonlinearity_to_json(f))))
+        assert not f2.autonomous
+        t, x = np.meshgrid(np.linspace(0, 1, 17), np.linspace(-2, 2, 9))
+        for order in range(6):
+            assert np.array_equal(f2.eval(t, x, order), f.eval(t, x, order))
+
+    @pytest.mark.parametrize("doc", [[1, 2], {"terms": [7]}])
+    def test_nonlinearity_not_an_object(self, doc):
+        with pytest.raises(MalformedFileError):
+            nonlinearity_from_json(doc)
 
     def test_ansatz_roundtrip(self, butterfly_ansatz):
         doc = ansatz_to_json(butterfly_ansatz)

@@ -263,8 +263,9 @@ class TestTameness:
         assert not rep.tame
 
     def test_cubic_with_forcing_tame(self):
-        from morinode.core import Term, TrigPoly
-        f = Nonlinearity([Term(3, TrigPoly(1.0)), Term(0, TrigPoly(0.0, (1.0,), ()))])
+        from morinode.core import FourierAnsatz, Term
+        f = Nonlinearity([Term(3, FourierAnsatz(1.0)),
+                          Term(0, FourierAnsatz(0.0, [1.0]))])
         rep = tameness(f)
         assert rep.tame
 

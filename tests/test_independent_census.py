@@ -15,16 +15,12 @@ from morinode import Grid, Nonlinearity, PeriodicFn, count_solutions, odeint
 from morinode.core import PreconditionError, horner
 from morinode.odeint import (_flow_scalar, _flow_vector, _flow_with_variation,
                              _shift_forcing, _stage_table)
+from tests.conftest import operator_rhs
 
 
 @pytest.fixture(scope="module")
 def rhs(quartic, six_root_ansatz):
-    ans = six_root_ansatz
-
-    def v(t):
-        return ans.derivative_eval(t) + np.asarray(
-            quartic.eval(t, ans.eval(t), 0))
-    return v
+    return operator_rhs(quartic, six_root_ansatz)
 
 
 def test_six_roots_via_scipy(quartic, rhs):

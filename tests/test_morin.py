@@ -4,11 +4,11 @@ import pytest
 from morinode import (Grid, Nonlinearity, ParamFamily, PeriodicFn,
                       SearchProblem, classify_point, contact_order, eigen_w,
                       mean, sigma_hat, sigma_vec)
-from morinode.core import PreconditionError, Term, TrigPoly
-from morinode.morin import (_derivative_samples, _fourier_directions,
-                            _sigma_jacobian, _sigma_values, _u_directions)
+from morinode.core import FourierAnsatz, PreconditionError, Term
+from morinode.morin import (_derivative_samples, _sigma_jacobian,
+                            _sigma_values, _u_directions)
 from morinode.search import _jacobian
-from tests.conftest import BUTTERFLY_B, BUTTERFLY_C
+from tests.conftest import BUTTERFLY_B, BUTTERFLY_C, operator_rhs
 
 TWO_PI = 2 * np.pi
 
@@ -136,7 +136,7 @@ def _assert_rows_agree(exact, oracle):
 
 
 def _assert_u_rows_agree(f, u):
-    dirs = _fourier_directions(u.grid, 8)
+    dirs = FourierAnsatz.basis(u.grid, 8)
     D = _derivative_samples(f, u)
     exact = _sigma_jacobian(D, _u_directions(D, dirs))
 
@@ -157,10 +157,10 @@ class TestSigmaJacobian:
         _assert_u_rows_agree(f, u)
 
     def test_u_directions_t_dependent_polynomial(self):
-        f = Nonlinearity([Term(4, TrigPoly(0.5)),
-                          Term(3, TrigPoly(0.2, (0.7,), (0.3,))),
-                          Term(2, TrigPoly(-1.0, (0.4,))),
-                          Term(1, TrigPoly(0.0, (), (1.5,)))])
+        f = Nonlinearity([Term(4, FourierAnsatz(0.5)),
+                          Term(3, FourierAnsatz(0.2, [0.7], [0.3])),
+                          Term(2, FourierAnsatz(-1.0, [0.4])),
+                          Term(1, FourierAnsatz(0.0, [], [1.5]))])
         assert not f.autonomous
         _assert_u_rows_agree(f, random_periodic(np.random.default_rng(14)))
 
@@ -205,7 +205,7 @@ class TestSigmaHat:
             assert sigma_hat(f, u, 1)[0] == sigma_vec(f, u).sigma[0]
 
     def test_requires_autonomous(self):
-        g = Nonlinearity([Term(1, TrigPoly(0.0, (1.0,), ()))])
+        g = Nonlinearity([Term(1, FourierAnsatz(0.0, [1.0]))])
         with pytest.raises(PreconditionError):
             sigma_hat(g, PeriodicFn.constant(0.0), 2)
 
@@ -243,15 +243,13 @@ class TestContactAgreement:
     def test_cusp_agreement(self, located_cusp):
         f, u, ans = located_cusp
         rep = classify_point(f, u)
-        v = lambda t: ans.derivative_eval(t) + np.asarray(
-            f.eval(t, ans.eval(t), 0))
-        con = contact_order(f, v, float(ans.eval(0.0)), kmax=3, h=5e-4)
+        con = contact_order(f, operator_rhs(f, ans), float(ans.eval(0.0)),
+                            kmax=3, h=5e-4)
         assert rep.order.k == con.order == 2
 
     def test_butterfly_agreement(self, refined_butterfly):
         f, ans, _ = refined_butterfly
-        v = lambda t: ans.derivative_eval(t) + np.asarray(
-            f.eval(t, ans.eval(t), 0))
-        con = contact_order(f, v, float(ans.eval(0.0)), kmax=4, h=2e-4)
+        con = contact_order(f, operator_rhs(f, ans), float(ans.eval(0.0)),
+                            kmax=4, h=2e-4)
         rep = classify_point(f, ans.sample(Grid(2048)))
         assert rep.order.k == con.order == 4

@@ -6,10 +6,11 @@ import pytest
 
 from morinode import (Grid, Nonlinearity, PeriodicFn, contact_order,
                       integrate, odeint, return_map)
-from morinode.core import PreconditionError, Term, TrigPoly
+from morinode.core import FourierAnsatz, PreconditionError, Term
 from morinode.odeint import (_flow_scalar, _flow_vector, _flow_with_variation,
                              _rho_derivative_fd, _rk4_jet, _shift_forcing,
                              _stage_table)
+from tests.conftest import operator_rhs
 
 
 IDENTITY = Nonlinearity.polynomial([0, 1])     # f(x) = x
@@ -169,12 +170,6 @@ class TestTangentLanes:
         assert not blew and (u_end, der) == (lanes[0], lanes[5][0])
 
 
-def _located_rhs(f, ans):
-    # analytic right-hand side v = u' + f(u) of a located singularity
-    return lambda t: ans.derivative_eval(t) + np.asarray(
-        f.eval(t, ans.eval(t), 0))
-
-
 class TestJetFlow:
     def test_riccati_closed_form(self):
         # u' = -u^2 gives rho(x) = x/(1+x): rho^(n)(0) = (-1)^(n+1) n!
@@ -188,8 +183,8 @@ class TestJetFlow:
         (Nonlinearity.polynomial([0, -1, 0, 1]),
          PeriodicFn.from_callable(lambda t: 0.4 * np.cos(2 * np.pi * t)),
          0.4, 1.0 / 512),
-        (Nonlinearity([Term(1, TrigPoly(-1.0, (), (0.2,))),
-                       Term(3, TrigPoly(0.7, (0.05,), ()))]),
+        (Nonlinearity([Term(1, FourierAnsatz(-1.0, [], [0.2])),
+                       Term(3, FourierAnsatz(0.7, [0.05]))]),
          lambda t: 0.3 * np.sin(2 * np.pi * t), -0.6, 1e-3),
         # u = 0.2 solves the builtin under v = f(t, 0.2), and 0.25 survives
         (WILD, lambda t: WILD.eval(t, 0.2), 0.25, 1e-2),
@@ -208,7 +203,7 @@ class TestJetFlow:
         # the FD error is the spread of _rho_derivative_fd between stencil
         # half-widths d and 2d; each jet lies within it of one of the two
         f, ans, _ = refined_butterfly
-        v, x0, h = _located_rhs(f, ans), float(ans.eval(0.0)), 2e-4
+        v, x0, h = operator_rhs(f, ans), float(ans.eval(0.0)), 2e-4
         jet = _rk4_jet(f, v, x0, h, 5)
         assert (jet[0], jet[1]) == _flow_with_variation(f, v, x0, h)[:2]
         orders = range(2, 6)
@@ -238,7 +233,7 @@ class TestContactOrder:
     def test_butterfly_contact_order_four(self, refined_butterfly):
         f, ans, _ = refined_butterfly
         x0 = float(ans.eval(0.0))
-        rep = contact_order(f, _located_rhs(f, ans), x0, kmax=4, h=2e-4)
+        rep = contact_order(f, operator_rhs(f, ans), x0, kmax=4, h=2e-4)
         assert rep.order == 4
         assert rep.rho_prime == pytest.approx(1.0, abs=1e-8)
 

@@ -6,7 +6,7 @@ from morinode import (FourierAnsatz, Grid, Nonlinearity, ParamFamily,
                       gauss_newton, sweep)
 from morinode.core import PreconditionError
 from tests.conftest import (BUTTERFLY_B, BUTTERFLY_C, BUTTERFLY_COEFFS,
-                            SIX_ROOT_COEFFS, ansatz_from)
+                            SIX_ROOT_COEFFS, ansatz_from, operator_rhs)
 
 SQUARE = Nonlinearity.polynomial([0, 0, 1])
 ZERO = Nonlinearity.polynomial([])
@@ -31,10 +31,10 @@ class TestGaussNewton:
         assert res.coefficient("a0") == pytest.approx(0.0, abs=1e-10)
 
     def test_butterfly_reconvergence(self, butterfly_ansatz):
+        b = butterfly_ansatz.b + 1e-3
+        b[0] = 0.0  # gauge coordinate stays frozen at zero
         seed = FourierAnsatz(butterfly_ansatz.a0 + 1e-3,
-                             butterfly_ansatz.a + 1e-3,
-                             butterfly_ansatz.b + 1e-3)
-        seed.b[0] = 0.0  # gauge coordinate stays frozen at zero
+                             butterfly_ansatz.a + 1e-3, b)
         problem = SearchProblem(
             family=ParamFamily.quartic_bc(), ansatz=seed, target=np.zeros(4),
             family_params=np.array([BUTTERFLY_B + 1e-3, BUTTERFLY_C + 1e-3]))
@@ -126,9 +126,7 @@ class TestCountSolutions:
         def census_for(da):
             coeffs = dict(SIX_ROOT_COEFFS)
             coeffs["a0"] += da
-            ans = ansatz_from(coeffs)
-            v = lambda t: ans.derivative_eval(t) + np.asarray(
-                quartic.eval(t, ans.eval(t), 0))
+            v = operator_rhs(quartic, ansatz_from(coeffs))
             return count_solutions(quartic, v, -0.4, 0.4, scan_n=801,
                                    h=2e-4, check_half_step=False)
 
@@ -162,20 +160,9 @@ BISECTION_ROOTS = {
 }
 
 
-def six_root_rhs(quartic, ans):
-    return lambda t: ans.derivative_eval(t) + np.asarray(
-        quartic.eval(t, ans.eval(t), 0))
-
-
-@pytest.fixture(scope="module")
-def six_root_census(quartic, six_root_ansatz):
-    v = six_root_rhs(quartic, six_root_ansatz)
-    return count_solutions(quartic, v, -0.4, 0.4, scan_n=801, h=2e-4)
-
-
 class TestCensusRefinement:
     def test_roots_match_bisection(self, six_root_census):
-        census = six_root_census
+        census, _ = six_root_census
         for h, roots in ((2e-4, census.roots),
                          (1e-4, census.roots_at_half_step)):
             xs = sorted(r.x for r in roots)
@@ -185,16 +172,17 @@ class TestCensusRefinement:
     def test_rho_prime_from_last_flow(self, quartic, six_root_ansatz,
                                       six_root_census):
         from morinode import return_map
-        v = six_root_rhs(quartic, six_root_ansatz)
-        for h, roots in ((2e-4, six_root_census.roots),
-                         (1e-4, six_root_census.roots_at_half_step)):
+        census, _ = six_root_census
+        v = operator_rhs(quartic, six_root_ansatz)
+        for h, roots in ((2e-4, census.roots),
+                         (1e-4, census.roots_at_half_step)):
             for r in roots:
                 rv = return_map(quartic, v, r.x, h=h, with_derivative=True)
                 assert abs(r.rho_prime - rv.derivative) <= 1e-9
                 assert 0.0 <= r.bracket_width <= 1e-12
 
     def test_flows_per_bracket(self, six_root_census):
-        passes = six_root_census.passes
+        passes = six_root_census[0].passes
         assert [p.h for p in passes] == [2e-4, 1e-4]
         for p in passes:
             assert p.brackets == 6
