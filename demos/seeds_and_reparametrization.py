@@ -37,7 +37,7 @@ def main():
     print("\n== the time replicator pushes seeds toward true singularities ==")
     grid = Grid(8192)
     for N in (1, 2, 4, 8):
-        u = seed.replicate(N, grid)
+        u = replicate(seed.sample(grid), N)
         full = sigma_vec(f, u).sigma[:2]
         print(f"  N = {N}: (Sigma_1, Sigma_2) = ({full[0]:+.4f}, {full[1]:+.4f})")
     print("  both approach the (vanishing) simplified values as N grows")

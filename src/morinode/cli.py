@@ -1,9 +1,10 @@
 """Command-line surface: problem loading, analysis commands, persistence.
 
 Results are JSON documents on stdout; with --out they are also persisted
-under out/<command>/<config-hash>.json so long sweeps survive interruption.
-Exit codes: 0 success, 2 precondition violation, 64 unknown subcommand,
-65 malformed problem file.
+under out/<command>/<config-hash>.json; a sweep reuses the saved cells of
+sweeps whose configuration differs from its own only in --grid. A missing
+--rhs is zero forcing. Exit codes: 0 success, 2 precondition violation,
+64 unknown subcommand, 65 malformed input file.
 """
 
 from __future__ import annotations
@@ -100,7 +101,10 @@ def _load_ansatz(path: str) -> FourierAnsatz:
 
 
 def _rhs_from_file(f: Nonlinearity, path: str, n: int, apply_operator: bool):
-    """Load a right-hand side; optionally build v = u' + f(t,u) from u."""
+    """Load a right-hand side, None without a file (zero forcing);
+    optionally build v = u' + f(t,u) from u."""
+    if not path:
+        return None
     ans = _load_ansatz(path)
     grid = Grid(n)
     if not apply_operator:
@@ -115,13 +119,12 @@ def _family_from_json(doc: dict) -> search.ParamFamily:
         if doc.get("kind") == "quartic_bc":
             return search.ParamFamily.quartic_bc()
         entries = []
-        for item in doc["entries"]:
-            power, coeff = item
-            if isinstance(coeff, dict):
-                entries.append((int(power),
-                                (coeff["param"], float(coeff.get("scale", 1.0)))))
-            else:
-                entries.append((int(power), float(coeff)))
+        for power, coeff in doc["entries"]:
+            ref = isinstance(coeff, dict)
+            value = float(coeff.get("scale", 1.0) if ref else coeff)
+            if not np.isfinite(value):
+                raise ValueError(f"non-finite coefficient of power {power}")
+            entries.append((int(power), (coeff["param"], value) if ref else value))
         return search.ParamFamily(tuple(entries), tuple(doc.get("names", ())))
     except (KeyError, TypeError, ValueError) as exc:
         raise MalformedFileError(f"bad family document: {exc}") from exc
@@ -174,7 +177,7 @@ def _cmd_classify_operator(args):
 def _cmd_fibre(args):
     f = _load_nonlinearity(args.problem)
     vt = _rhs_from_file(f, args.rhs, args.grid_n, args.apply_operator) \
-        if args.rhs else PeriodicFn.constant(0.0, Grid(args.grid_n))
+        or PeriodicFn.constant(0.0, Grid(args.grid_n))
     vt = PeriodicFn(vt.grid, vt.values - mean(vt))
     if args.trace is not None:
         lo, hi, count = args.trace
@@ -208,8 +211,7 @@ def _trace_diagnostics(pairs):
 
 def _cmd_return_map(args):
     f = _load_nonlinearity(args.problem)
-    v = _rhs_from_file(f, args.rhs, args.grid_n, args.apply_operator) \
-        if args.rhs else None
+    v = _rhs_from_file(f, args.rhs, args.grid_n, args.apply_operator)
     rv = return_map(f, v, args.x0, h=args.step, with_derivative=args.derivative)
     return {"x0": args.x0, **dataclasses.asdict(rv)}
 
@@ -299,6 +301,8 @@ def _cmd_sweep(args):
             h=SWEEP_STEP, check_half_step=False)
         return {"count": census.count}
 
+    config = _jsonable({k: v for k, v in vars(args).items()
+                        if k not in ("command", "grid")})
     existing = {}
     if args.out:
         prev = os.path.join(args.out, "sweep")
@@ -308,6 +312,9 @@ def _cmd_sweep(args):
                     with open(os.path.join(prev, fn)) as fh:
                         doc = json.load(fh)
                     validate_payload(doc)
+                    if {k: v for k, v in doc["config"].items()
+                            if k != "grid"} != config:
+                        continue
                     for key, cell in doc["result"]["cells"].items():
                         existing[key] = search.SweepCell(
                             params=cell["params"], result=cell["result"],

@@ -461,10 +461,14 @@ def nonlinearity_to_json(f: Nonlinearity) -> dict:
 
 
 def _series_from_json(doc: dict) -> FourierAnsatz:
-    """``{"a0", "cos", "sin"}`` as a series: a0 defaults to 0, lists to []."""
-    return FourierAnsatz(float(doc.get("a0", 0.0)),
-                         [float(c) for c in doc.get("cos", [])],
-                         [float(s) for s in doc.get("sin", [])])
+    """``{"a0", "cos", "sin"}`` as a series: a0 defaults to 0, lists to [];
+    a non-finite number raises ``ValueError``."""
+    series = FourierAnsatz(float(doc.get("a0", 0.0)),
+                           [float(c) for c in doc.get("cos", [])],
+                           [float(s) for s in doc.get("sin", [])])
+    if not np.isfinite(series.vector()).all():
+        raise ValueError("series coefficients must be finite")
+    return series
 
 
 def nonlinearity_from_json(doc: dict) -> Nonlinearity:
@@ -472,7 +476,8 @@ def nonlinearity_from_json(doc: dict) -> Nonlinearity:
         terms = [Term(int(td["power"]), _series_from_json(td))
                  for td in doc.get("terms", [])]
         return Nonlinearity(terms, builtin=doc.get("builtin"))
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError,
+            PreconditionError) as exc:
         raise MalformedFileError(f"bad nonlinearity document: {exc}") from exc
 
 

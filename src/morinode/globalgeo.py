@@ -459,20 +459,16 @@ def classify_operator(f: Nonlinearity) -> OperatorClass:
     crit = np.concatenate([r1, r2, r3])
     x_lo = float(np.min(crit - 2.0, initial=-_WINDOW))
     x_hi = float(np.max(crit + 2.0, initial=_WINDOW))
-    curve2 = gamma_curve(f, 2, x_lo, x_hi)
-    hull2 = hull_origin_test(curve2)
-    evidence["hull_gamma2"] = hull2
-    evidence["curve_gamma2"] = curve2
-    if not hull2.interior:
-        return OperatorClass("global_fold", evidence | {
-            "criterion": "all critical points are folds (origin outside "
-                         "the gamma_2 hull), even proper growth"})
-    for k in (3, 4):
-        curve_k = gamma_curve(f, k, x_lo, x_hi)
-        hk = hull_origin_test(curve_k)
-        evidence[f"hull_gamma{k}"] = hk
-        evidence[f"curve_gamma{k}"] = curve_k
-        if hk.interior:
+    for k in (2, 3, 4):
+        curve = gamma_curve(f, k, x_lo, x_hi)
+        hull = hull_origin_test(curve)
+        evidence[f"hull_gamma{k}"] = hull
+        evidence[f"curve_gamma{k}"] = curve
+        if k == 2 and not hull.interior:
+            return OperatorClass("global_fold", evidence | {
+                "criterion": "all critical points are folds (origin outside "
+                             "the gamma_2 hull), even proper growth"})
+        if k > 2 and hull.interior:
             evidence["criterion"] = (
                 f"origin interior to the gamma_{k} hull: order-{k} "
                 "singularities of the simplified operator exist and "
@@ -664,10 +660,6 @@ class SeedFunction:
     def sample(self, grid: Grid | None = None) -> PeriodicFn:
         grid = grid or Grid()
         return PeriodicFn(grid, self.eval(grid.nodes))
-
-    def replicate(self, N: int, grid: Grid | None = None) -> PeriodicFn:
-        grid = grid or Grid()
-        return PeriodicFn(grid, self.eval(N * grid.nodes))
 
 
 def replicate(u: PeriodicFn, N: int) -> PeriodicFn:

@@ -109,7 +109,7 @@ def _sigma_values(f: Nonlinearity, u: PeriodicFn) -> tuple[np.ndarray, float]:
           - 5.0 * (float(np.mean(psi4 * P)) + qbar * integral_weighted_t(psi4))
           + 5.0 * (float(np.mean(psi3 * P ** 2))
                    + 2.0 * qbar * integral_weighted_t(psi3 * P)
-                   + qbar ** 2 * integral_weighted_t2(psi3)))
+                   + qbar * qbar * integral_weighted_t2(psi3)))
     sigma_b = float(np.mean(D[0] * w))
     return np.array([s1, qbar, s3, s4, s5]), sigma_b
 

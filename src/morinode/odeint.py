@@ -1,9 +1,10 @@
 """Initial-value integration of u' = -f(t,u) + v(t) and the return map.
 
 The integrator is classical fixed-step RK4 with Kahan-compensated state
-updates. Blow-up is declared when |u| crosses ``U_MAX``; the sign of the
-first stage state of that step past ``U_MAX`` (of the last finite sample
-when none is) and the first-crossing time are recorded. The return map
+updates. Blow-up is declared when |u| crosses ``U_MAX``; only the scalar
+loop records the sign of the first stage state of that step past
+``U_MAX`` (of the last finite sample when none is) and the first-crossing
+time. The return map
 rho_v sends u(0) to u(1); its first derivative is carried through the same
 RK4 steps as the exact derivative of the discrete flow. ``contact_order``
 reads rho and its derivatives up to order kmax + 1 from one flow on
@@ -116,6 +117,18 @@ def _stage_table(f: Nonlinearity, v, h: float, orders=(0,)):
     return _rhs_tables(f, v, 0.0, nsteps, h, orders)
 
 
+def _read_table(f: Nonlinearity, v, t0, t1, h, orders, table):
+    """(nsteps, h, forcing lists, stages) of ``table``, built if None."""
+    nsteps, h = _step_count(t0, t1, h)
+    if table is None:
+        table = _rhs_tables(f, v, t0, nsteps, h, orders)
+    forcing, stages = table
+    v0, vh, v1 = forcing.tolist()
+    if len(v0) != nsteps:
+        raise PreconditionError("stage table was built for another step")
+    return nsteps, h, (v0, vh, v1), stages
+
+
 def _shift_forcing(table, nu: float):
     """The same stage table with the constant ``nu`` added to the forcing."""
     forcing, stages = table
@@ -134,14 +147,8 @@ def _rk4_scalar(f: Nonlinearity, v, x0: float, t0: float, t1: float, h: float,
     too for the lanes; f and v are then not evaluated. Returns (u_end,
     samples|None, blew, sign, blow_time, lanes|None).
     """
-    nsteps, h = _step_count(t0, t1, h)
-    if table is None:
-        orders = (0, 1) if tangent_stride else (0,)
-        table = _rhs_tables(f, v, t0, nsteps, h, orders)
-    forcing, stages = table
-    v0, vh, v1 = forcing.tolist()
-    if len(v0) != nsteps:
-        raise PreconditionError("stage table was built for another step")
+    nsteps, h, (v0, vh, v1), stages = _read_table(
+        f, v, t0, t1, h, (0, 1) if tangent_stride else (0,), table)
     fx, (r0, rh, r1) = stages[0]
     if tangent_stride:
         gx, (d0, dh, d1) = stages[1]
@@ -215,9 +222,8 @@ def _rk4_jet(f: Nonlinearity, v, x0: float, h: float, K: int):
     lane, bit for bit. Returns [u_0, ..., u_K] at t = 1, or None if the
     flow blew up.
     """
-    nsteps, h = _step_count(0.0, 1.0, h)
-    forcing, stages = _rhs_tables(f, v, 0.0, nsteps, h, range(K + 1))
-    v0, vh, v1 = forcing.tolist()
+    nsteps, h, (v0, vh, v1), stages = _read_table(f, v, 0.0, 1.0, h,
+                                                  range(K + 1), None)
     evals = [evaluate for evaluate, _ in stages]
     rows0, rowsh, rows1 = zip(*(rows for _, rows in stages))
     scale = [1.0 / math.factorial(j) for j in range(K + 1)]
@@ -265,20 +271,13 @@ def _flow_vector(f: Nonlinearity, v, x0: np.ndarray, h: float, table=None):
     """Vectorized RK4 over [0,1] for many start values simultaneously.
 
     ``table`` is an optional prebuilt ``_stage_table(f, v, h)``. Returns
-    (u_end, alive, blow_sign, blow_time); dead components hold nan.
+    (u_end, alive); dead components hold nan (no escape sign or time).
     """
     u = np.array(x0, dtype=float)
-    nsteps, h = _step_count(0.0, 1.0, h)
-    if table is None:
-        table = _rhs_tables(f, v, 0.0, nsteps, h)
-    forcing, [(fx, (r0, rh, r1)), *_] = table
-    v0, vh, v1 = forcing.tolist()
-    if len(v0) != nsteps:
-        raise PreconditionError("stage table was built for another step")
+    nsteps, h, (v0, vh, v1), [(fx, (r0, rh, r1)), *_] = _read_table(
+        f, v, 0.0, 1.0, h, (0,), table)
     comp = np.zeros_like(u)
     alive = np.ones(u.shape, dtype=bool)
-    blow_sign = np.zeros(u.shape, dtype=int)
-    blow_time = np.full(u.shape, np.nan)
     with np.errstate(all="ignore"):
         for k in range(nsteps):
             k1 = v0[k] - fx(r0[k], u)
@@ -288,21 +287,13 @@ def _flow_vector(f: Nonlinearity, v, x0: np.ndarray, h: float, table=None):
             y = (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4) - comp
             s = u + y
             comp = (s - u) - y
-            last, u = u, s
+            u = s
             dead = alive & (~np.isfinite(u) | (np.abs(u) > U_MAX))
             if dead.any():
-                # the first stage state past U_MAX wins: u2, u3, u4, then u
-                # (last holds each live lane's state before this step)
-                ref = last
-                for w in (u, last + h * k3, last + 0.5 * h * k2,
-                          last + 0.5 * h * k1):
-                    ref = np.where(np.abs(w) > U_MAX, w, ref)
-                blow_sign[dead] = np.where(ref[dead] < 0, -1, 1)
-                blow_time[dead] = (k + 1) * h
                 alive &= ~dead
                 u[~alive] = np.nan
                 comp[~alive] = 0.0
-    return u, alive, blow_sign, blow_time
+    return u, alive
 
 
 def integrate(f: Nonlinearity, v, x0: float, t0: float = 0.0, t1: float = 1.0,
@@ -436,7 +427,7 @@ _FD_WEIGHTS = {
 def _fd_once(f: Nonlinearity, v, x0: float, i: int, d: float, h: float) -> float:
     wts, offs, _ = _FD_WEIGHTS[i]
     xs = x0 + d * offs.astype(float)
-    vals, alive, _, _ = _flow_vector(f, v, xs, h)
+    vals, alive = _flow_vector(f, v, xs, h)
     if not alive.all():
         raise BracketError("blow-up in FD stencil")
     return float(np.dot(wts, vals) / d ** i)

@@ -150,13 +150,14 @@ class GaussNewtonResult:
 def gauss_newton(problem: SearchProblem) -> GaussNewtonResult:
     """Minimum-norm Gauss-Newton on the free coordinates.
 
-    Steps are x <- x - J^+ (sigma(x) - target) with J the exact Jacobian
-    (``_jacobian``) and J^+ the truncated-SVD pseudoinverse; a halving line
-    search keeps the residual from increasing. Stops on the residual
-    tolerance, stagnation (relative decrease under 1e-3 over 10 steps), or
-    ``MAX_GN_ITERATIONS`` steps. ``diagnostics`` counts iterations, line-search
-    halvings, ``sigma_at`` evaluations and Jacobian builds, next to the
-    final residual and ``residual_tol``.
+    Steps are x <- x - lam J^+ (sigma(x) - target), J the exact Jacobian
+    (``_jacobian``), J^+ its truncated-SVD pseudoinverse and lam the first
+    of 1, 1/2, ..., 2^-11 that does not increase the residual. Stops on the
+    residual tolerance, stagnation (relative decrease under 1e-3 over 10
+    steps), a line search with no such lam, or ``MAX_GN_ITERATIONS`` steps,
+    and returns the last iterate, which is the best. ``diagnostics`` counts
+    iterations, line-search halvings, ``sigma_at`` evaluations and Jacobian
+    builds, next to the final residual and ``residual_tol``.
     """
     x = problem.pack()
     mask = problem.free_mask()
@@ -174,17 +175,16 @@ def gauss_newton(problem: SearchProblem) -> GaussNewtonResult:
     history: list[float] = []
     svals = np.zeros(len(problem.target))
     smallest = math.inf
-    best_x, best_norm = x.copy(), math.inf
     message = "iteration cap reached"
     converged = False
-    for it in range(MAX_GN_ITERATIONS):
+    for it in range(MAX_GN_ITERATIONS + 1):
         rnorm, r, s5 = residual(x)
         history.append(rnorm)
-        if rnorm < best_norm:
-            best_x, best_norm = x.copy(), rnorm
         if rnorm <= problem.residual_tol:
             converged = True
             message = f"residual tolerance reached in {it} iterations"
+            break
+        if it == MAX_GN_ITERATIONS:
             break
         if len(history) > 10 and history[-11] > 0 and \
                 (history[-11] - rnorm) / history[-11] < 1e-3:
@@ -200,22 +200,14 @@ def gauss_newton(problem: SearchProblem) -> GaussNewtonResult:
         step = np.zeros_like(x)
         step[mask] = step_free
         # halving line search: never accept a residual increase
-        lam = 1.0
-        for _ in range(12):
-            if residual(x - lam * step)[0] <= rnorm:
-                break
-            lam *= 0.5
-            work["line_search_halvings"] += 1
-        x = x - lam * step
-    else:
-        rnorm, _, s5 = residual(x)
-        history.append(rnorm)
-        if rnorm <= problem.residual_tol:
-            converged = True
-            message = "residual tolerance reached at the iteration cap"
-    if not converged:
-        x = best_x
-        rnorm, _, s5 = residual(x)
+        trials = 12
+        halvings = next((j for j in range(trials)
+                         if residual(x - 0.5 ** j * step)[0] <= rnorm), trials)
+        work["line_search_halvings"] += halvings
+        if halvings == trials:
+            message = "line search found no decrease; best iterate returned"
+            break
+        x = x - 0.5 ** halvings * step
     work.update(iterations=len(history) - 1, residual=rnorm,
                 residual_tol=problem.residual_tol)
     return GaussNewtonResult(params=x, names=names, residual_history=history,
@@ -337,7 +329,7 @@ def count_solutions(f: Nonlinearity, v, x_lo: float, x_hi: float,
 def _census_pass(f: Nonlinearity, v, xs: np.ndarray, h: float):
     """(roots, unresolved, degenerate, g, CensusPass) of one pass at h."""
     table = _stage_table(f, v, h, (0, 1))
-    u_end, alive, _, _ = _flow_vector(f, v, xs, h, table)
+    u_end, alive = _flow_vector(f, v, xs, h, table)
     g = u_end - xs
     finite = alive & np.isfinite(g)
     scale = float(np.max(np.abs(g[finite]))) if finite.any() else 0.0
@@ -433,18 +425,22 @@ def sweep(family: ParamFamily, grid_values: dict[str, list[float]],
     """Run ``analysis(f, params)`` on the cartesian parameter grid.
 
     Per-cell failures are recorded as "<exception type>: <message>" and
-    never abort the sweep; ``existing`` cells (from a previous run) are
-    reused untouched, making sweeps resumable.
+    never abort the sweep. Returns the cells of this grid only; a cell
+    whose key is in ``existing`` (from a previous run of the same
+    analysis) is taken from there untouched.
     """
     names = list(grid_values.keys())
     missing = [n for n in names if n not in family.names]
     if missing:
         raise PreconditionError(f"grid names {missing} not in family parameters")
-    table: dict[str, SweepCell] = dict(existing or {})
+    existing = existing or {}
+    table: dict[str, SweepCell] = {}
     for values in itertools.product(*(grid_values[n] for n in names)):
         point = {n: float(x) for n, x in zip(names, values)}
         key = ",".join(f"{n}={point[n]:.12g}" for n in names)
-        if key not in table:
+        if key in existing:
+            table[key] = existing[key]
+        else:
             params = np.array([point.get(n, 0.0) for n in family.names])
             try:
                 f = family.build(params)

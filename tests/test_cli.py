@@ -98,17 +98,39 @@ class TestExitCodes:
         assert code == EXIT_PRECONDITION
         assert "unrecognized arguments" in capsys.readouterr().err
 
-    def test_malformed_problem_file(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command, text", [
+        pytest.param("degree --problem", "{not json", id="not-json"),
+        pytest.param("degree --problem", '{"builtin": "nope"}',
+                     id="unknown-builtin"),
+        pytest.param("degree --problem", '{"terms": [{"power": -1, "a0": 1}]}',
+                     id="negative-power"),
+        pytest.param("classify-operator --problem",
+                     '{"terms": [{"power": 2, "a0": NaN}]}',
+                     id="nan-coefficient"),
+        pytest.param("sweep --grid c=0:0:1 --family",
+                     '{"entries": [[2, NaN], [1, {"param": "c"}]], '
+                     '"names": ["c"]}', id="nan-family-coefficient"),
+        pytest.param("sweep --grid c=0:0:1 --family",
+                     '{"entries": [[2, 1.0], [1, {"param": "c", '
+                     '"scale": Infinity}]], "names": ["c"]}',
+                     id="infinite-family-scale"),
+    ])
+    def test_malformed_problem_file(self, tmp_path, capsys, command, text):
+        # a file that does not parse, or parses to a value outside the
+        # model, exits 65
         bad = tmp_path / "bad.json"
-        bad.write_text("{not json")
-        code = execute(["degree", "--problem", str(bad)])
+        bad.write_text(text)
+        code = execute(command.split() + [str(bad)])
         assert code == EXIT_BAD_FILE
+        assert "malformed input" in capsys.readouterr().err
 
     @pytest.mark.parametrize("doc", [
         pytest.param({"cos": [1.0]}, id="no-a0-no-sin"),
         pytest.param({"a0": 1.0, "cos": [], "sin": []}, id="no-harmonics"),
         pytest.param({"a0": 1.0, "cos": [0.1, 0.2], "sin": [0.3]},
                      id="unequal-lengths"),
+        pytest.param({"a0": 1.0, "cos": [float("nan")], "sin": [0.0]},
+                     id="nan-cos"),
     ])
     def test_missing_field_in_ansatz(self, tmp_path, problem_files, capsys,
                                      doc):
@@ -327,6 +349,61 @@ class TestCommands:
         assert len(saved) == 1
         code, doc2 = run(capsys, argv)
         assert doc2["result"] == doc1["result"]
+
+    def test_sweep_reuses_cells_of_its_own_configuration(self, tmp_path,
+                                                         capsys, monkeypatch):
+        # one --out for all runs: a count sweep does not take the cells of
+        # a classify sweep, and a sweep returns the cells of its own grid
+        family = tmp_path / "family.json"
+        family.write_text(json.dumps({"kind": "quartic_bc"}))
+        base = ["sweep", "--family", str(family), "--out", str(tmp_path / "out")]
+        classify = ["--analysis", "classify"]
+        count = ["--analysis", "count", "--range", "-2", "2"]
+        grid = ["--grid", "b=0:0:1", "c=-0.5:0.4:3"]
+        code, first = run(capsys, base + grid + classify)
+        assert code == EXIT_OK
+        code, doc = run(capsys, base + grid + count)
+        assert code == EXIT_OK
+        assert [list(cell["result"]) for cell in
+                doc["result"]["cells"].values()] == [["count"]] * 3
+        code, doc = run(capsys, base + ["--grid", "b=0:0:1", "c=1:1:1"] + count)
+        assert code == EXIT_OK
+        assert list(doc["result"]["cells"]) == ["b=0,c=1"]
+        # a saved cell of the same configuration is reused, not recomputed
+        monkeypatch.setattr(globalgeo, "classify_operator", None)
+        code, doc = run(capsys, base + ["--grid", "b=0:0:1", "c=-0.5:-0.5:1"]
+                        + classify)
+        assert code == EXIT_OK
+        assert doc["result"]["cells"] == {
+            "b=0,c=-0.5": first["result"]["cells"]["b=0,c=-0.5"]}
+
+    def test_count_solutions_without_rhs(self, capsys):
+        # a missing --rhs is zero forcing: the equilibria of x^3 - x
+        problem = Path(__file__).resolve().parents[1] / "demos" / "problems"
+        code, doc = run(capsys, ["count-solutions", "--problem",
+                                 str(problem / "cubic_minus.json"),
+                                 "--range", "-1.5", "1.5", "--step", "1e-3"])
+        assert code == EXIT_OK
+        assert doc["result"]["count"] == 3
+        roots = [r["x"] for r in doc["result"]["roots"]]
+        assert roots == pytest.approx([-1.0, 0.0, 1.0], abs=1e-9)
+
+    def test_find_singularity_unreachable_target(self, tmp_path, capsys):
+        # Sigma_2 = 2 mean(w) > 0 for f = x^2, so the target -1 is out of
+        # reach: the search stops when the line search finds no decrease
+        # and returns its best iterate
+        family = tmp_path / "family.json"
+        family.write_text(json.dumps({"entries": [[2, 1.0]], "names": []}))
+        seed = tmp_path / "seed.json"
+        seed.write_text(json.dumps({"a0": 0.3, "cos": [0.2], "sin": [0.0]}))
+        code, doc = run(capsys, ["find-singularity", "--family", str(family),
+                                 "--seed", str(seed), "--target", "0", "-1"])
+        assert code == EXIT_OK
+        res = doc["result"]
+        assert res["converged"] is False
+        assert res["message"] == ("line search found no decrease; "
+                                  "best iterate returned")
+        assert res["diagnostics"]["residual"] == min(res["residual_history"])
 
     def test_sweep_count(self, tmp_path, capsys):
         # f = x^2 - c from explicit entries: the equilibria +-sqrt(c) are

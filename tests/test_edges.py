@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from morinode import (FourierAnsatz, Grid, Nonlinearity, PeriodicFn,
-                      contact_order, cumulative, integrate, mean, replicate,
+                      contact_order, cumulative, integrate, mean,
                       return_map, seed_shat, solve_periodic, InitialValue)
 from morinode.cli import EXIT_OK, execute
 from morinode.core import PreconditionError
@@ -71,16 +71,6 @@ class TestAnsatzEdges:
 
 
 class TestSeedEdges:
-    def test_replicated_seed_matches_index_trick(self):
-        seed = seed_shat(SQUARE, 1, [-1.0, 1.0], epsilon=0.125)
-        grid = Grid(1024)
-        analytic = seed.replicate(4, grid)
-        # striding the sampled seed gives exactly the same values: the
-        # plateau/arc breakpoints need not align with the grid, only the
-        # evaluation points N*t_i mod 1 do
-        strided = replicate(seed.sample(grid), 4)
-        assert np.max(np.abs(analytic.values - strided.values)) < 1e-15
-
     def test_epsilon_domain(self):
         with pytest.raises(PreconditionError):
             seed_shat(SQUARE, 1, [-1.0, 1.0], epsilon=0.6)

@@ -459,7 +459,7 @@ class TestSeeds:
         anchors = _anchor_spread(curve.xs, lam, 4)
         seed = seed_shat(CUBIC_MINUS, 2, anchors, epsilon=0.08)
         grid = Grid(8192)
-        rep = seed.replicate(8, grid)
+        rep = replicate(seed.sample(grid), 8)
         hat = sigma_hat(CUBIC_MINUS, rep, 2)
         full = sigma_vec(CUBIC_MINUS, rep)
         assert abs(full.sigma[0] - hat[0]) < 0.05

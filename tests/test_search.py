@@ -3,7 +3,7 @@ import pytest
 
 from morinode import (FourierAnsatz, Grid, Nonlinearity, ParamFamily,
                       PeriodicFn, SearchProblem, count_solutions, degree,
-                      gauss_newton, sweep)
+                      gauss_newton, search, sweep)
 from morinode.core import PreconditionError
 from tests.conftest import (BUTTERFLY_B, BUTTERFLY_C, BUTTERFLY_COEFFS,
                             SIX_ROOT_COEFFS, ansatz_from, operator_rhs)
@@ -81,6 +81,26 @@ class TestGaussNewton:
         res = gauss_newton(problem)
         hist = res.residual_history
         assert all(b <= a * (1 + 1e-12) for a, b in zip(hist[3:], hist[4:]))
+
+    def test_iteration_cap_returns_last_iterate(self, butterfly_ansatz,
+                                                monkeypatch):
+        # the bench's butterfly relocation stopped after two steps: the last
+        # iterate is the best one, returned as evaluated
+        monkeypatch.setattr(search, "MAX_GN_ITERATIONS", 2)
+        b = butterfly_ansatz.b + 1e-3
+        b[0] = 0.0
+        problem = SearchProblem(
+            family=ParamFamily.quartic_bc(),
+            ansatz=FourierAnsatz(butterfly_ansatz.a0 + 1e-3,
+                                 butterfly_ansatz.a + 1e-3, b),
+            target=np.zeros(4), residual_tol=1e-13,
+            family_params=np.array([BUTTERFLY_B + 1e-3, BUTTERFLY_C + 1e-3]))
+        res = gauss_newton(problem)
+        assert not res.converged and res.message == "iteration cap reached"
+        hist = res.residual_history
+        assert len(hist) == 3 and hist[-1] < 1e-8
+        assert res.diagnostics["residual"] == min(hist)
+        assert np.linalg.norm(problem.sigma_at(res.params)[0]) == min(hist)
 
     def test_too_few_free_coordinates(self):
         problem = SearchProblem(
