@@ -14,6 +14,7 @@ import dataclasses
 import datetime
 import hashlib
 import json
+import math
 import os
 import sys
 
@@ -130,6 +131,17 @@ def _family_from_json(doc: dict) -> search.ParamFamily:
         raise MalformedFileError(f"bad family document: {exc}") from exc
 
 
+def _finite_float(text: str) -> float:
+    """The float of a number argument; nan, +-inf and non-numbers raise."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return value
+
+
 def _assignment(text: str, names, parse):
     """(NAME, parse(VALUE)) of a ``NAME=VALUE`` argument, NAME in ``names``."""
     name, sep, value = text.partition("=")
@@ -138,7 +150,7 @@ def _assignment(text: str, names, parse):
             f"{text!r}: expected NAME=VALUE with NAME in {list(names)}")
     try:
         return name, parse(value)
-    except ValueError as exc:
+    except (ValueError, argparse.ArgumentTypeError) as exc:
         raise PreconditionError(f"{text!r}: {exc}") from exc
 
 
@@ -148,7 +160,7 @@ def _grid_axis(text: str) -> list[float]:
     num = int(num)
     if num < 1:
         raise PreconditionError(f"grid axis {text!r} needs NUM >= 1")
-    return np.linspace(float(lo), float(hi), num).tolist()
+    return np.linspace(_finite_float(lo), _finite_float(hi), num).tolist()
 
 
 def _write_csv(path: str, xs: np.ndarray, gs: np.ndarray) -> None:
@@ -241,7 +253,7 @@ def _cmd_count_solutions(args):
 def _cmd_find_singularity(args):
     family = _family_from_json(load_json(args.family))
     ansatz = _load_ansatz(args.seed)
-    params = dict(_assignment(kv, family.names, float)
+    params = dict(_assignment(kv, family.names, _finite_float)
                   for kv in args.params or [])
     fam_values = np.array([params.get(n, 0.0) for n in family.names])
     problem = search.SearchProblem(
@@ -288,7 +300,11 @@ def _cmd_reparam(args):
 
 
 def _cmd_sweep(args):
-    family = _family_from_json(load_json(args.family))
+    family_doc = load_json(args.family)
+    family = _family_from_json(family_doc)
+    # saved cells are reused for the same family contents, not the same path
+    args.family_sha256 = hashlib.sha256(json.dumps(
+        family_doc, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
     grid_values = dict(_assignment(spec, family.names, _grid_axis)
                        for spec in args.grid)
 
@@ -356,28 +372,28 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("fibre")
     common(sp, rhs=True)
-    sp.add_argument("--initial", type=float, default=None)
-    sp.add_argument("--average", type=float, default=None)
-    sp.add_argument("--trace", type=float, nargs=3, default=None,
+    sp.add_argument("--initial", type=_finite_float, default=None)
+    sp.add_argument("--average", type=_finite_float, default=None)
+    sp.add_argument("--trace", type=_finite_float, nargs=3, default=None,
                     metavar=("LO", "HI", "COUNT"))
 
     sp = sub.add_parser("return-map")
     common(sp, rhs=True)
-    sp.add_argument("--x0", type=float, required=True)
-    sp.add_argument("--step", type=float, default=1e-3)
+    sp.add_argument("--x0", type=_finite_float, required=True)
+    sp.add_argument("--step", type=_finite_float, default=1e-3)
     sp.add_argument("--derivative", action="store_true")
 
     sp = sub.add_parser("count-solutions")
     common(sp, rhs=True)
-    sp.add_argument("--range", type=float, nargs=2, required=True)
-    sp.add_argument("--step", type=float, default=2e-4)
+    sp.add_argument("--range", type=_finite_float, nargs=2, required=True)
+    sp.add_argument("--step", type=_finite_float, default=2e-4)
     sp.add_argument("--scan-n", type=int, default=search.SCAN_POINTS)
     sp.add_argument("--csv", default=None, help="write the scan curve here")
 
     sp = sub.add_parser("find-singularity")
     sp.add_argument("--family", required=True, help="family JSON file")
     sp.add_argument("--seed", required=True, help="seed ansatz JSON")
-    sp.add_argument("--target", type=float, nargs="+", required=True)
+    sp.add_argument("--target", type=_finite_float, nargs="+", required=True)
     sp.add_argument("--params", nargs="*", default=None, metavar="NAME=VALUE")
     sp.add_argument("--frozen", nargs="*", default=None)
     sp.add_argument("--out", default=None)
@@ -385,14 +401,15 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("hull")
     common(sp, grid=False)
     sp.add_argument("--k", type=int, required=True)
-    sp.add_argument("--range", type=float, nargs=2, default=(-4.0, 4.0))
+    sp.add_argument("--range", type=_finite_float, nargs=2,
+                    default=(-4.0, 4.0))
 
     sp = sub.add_parser("degree")
     common(sp, grid=False)
 
     sp = sub.add_parser("tameness")
     common(sp, grid=False)
-    sp.add_argument("--s-max", type=float, default=50.0)
+    sp.add_argument("--s-max", type=_finite_float, default=50.0)
 
     sp = sub.add_parser("reparam")
     common(sp)
@@ -405,7 +422,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     metavar="NAME=LO:HI:NUM")
     sp.add_argument("--analysis", choices=("classify", "count"),
                     default="classify")
-    sp.add_argument("--range", type=float, nargs=2, default=(-2.0, 2.0))
+    sp.add_argument("--range", type=_finite_float, nargs=2, default=(-2.0, 2.0))
     sp.add_argument("--out", default=None)
     return p
 
@@ -439,7 +456,6 @@ def execute(argv: list[str]) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_PRECONDITION if exc.code else EXIT_OK
-    config = {k: v for k, v in sorted(vars(args).items()) if k != "command"}
     try:
         result = _HANDLERS[args.command](args)
     except MalformedFileError as exc:
@@ -451,6 +467,9 @@ def execute(argv: list[str]) -> int:
     except MorinodeError as exc:
         sys.stderr.write(f"morinode: {exc}\n")
         return EXIT_PRECONDITION
+    # read after the handler, which may add what it loaded (a sweep's
+    # family digest)
+    config = {k: v for k, v in sorted(vars(args).items()) if k != "command"}
     _emit(args.command, config, result, getattr(args, "out", None))
     return EXIT_OK
 

@@ -21,7 +21,7 @@ TWO_PI = 2.0 * math.pi
 
 DEFAULT_GRID_N = 1024
 MAX_X_DERIVATIVE = 5
-EVAL_BLOCK = 512  # points per block of PeriodicFn.eval's direct sum
+EVAL_BLOCK = 128  # points per block of PeriodicFn.eval's direct sum
 
 
 class MorinodeError(Exception):
@@ -324,12 +324,32 @@ class Term:
             raise PreconditionError("polynomial powers must be non-negative")
 
 
+_HORNER_KERNELS: dict[int, Callable] = {}
+
+
+def horner_kernel(width: int) -> Callable:
+    """``kernel(r, x)`` = sum_m r[m] x^m for rows of ``width`` coefficients.
+
+    Horner's rule unrolled into one statement per coefficient and
+    compiled once per width. It makes the operations of the Horner loop
+    in the loop's order, so its floats are the loop's bit for bit, but
+    without the interpreter's per-coefficient loop work. The generated
+    source holds only integer indices.
+    """
+    kernel = _HORNER_KERNELS.get(width)
+    if kernel is None:
+        body = "".join(f"    acc = acc * x + r[{m}]\n"
+                       for m in range(width - 2, -1, -1))
+        scope: dict = {}
+        exec(f"def kernel(r, x):\n    acc = r[{width - 1}]\n{body}"
+             "    return acc\n", scope)
+        kernel = _HORNER_KERNELS[width] = scope["kernel"]
+    return kernel
+
+
 def horner(coeffs, x):
     """sum_m coeffs[m] x^m by Horner's rule, coefficients ascending."""
-    acc = coeffs[-1]
-    for m in range(len(coeffs) - 2, -1, -1):
-        acc = acc * x + coeffs[m]
-    return acc
+    return horner_kernel(len(coeffs))(coeffs, x)
 
 
 def _falling(j: int, k: int) -> int:

@@ -4,7 +4,8 @@ The integrator is classical fixed-step RK4 with Kahan-compensated state
 updates. Blow-up is declared when |u| crosses ``U_MAX``; only the scalar
 loop records the sign of the first stage state of that step past
 ``U_MAX`` (of the last finite sample when none is) and the first-crossing
-time. The return map
+time. Every stage evaluates a polynomial f through ``core.horner_kernel``,
+Horner's rule unrolled for the row's width. The return map
 rho_v sends u(0) to u(1); its first derivative is carried through the same
 RK4 steps as the exact derivative of the discrete flow. ``contact_order``
 reads rho and its derivatives up to order kmax + 1 from one flow on
@@ -25,7 +26,7 @@ from functools import partial
 import numpy as np
 
 from .core import (MAX_X_DERIVATIVE, BracketError, Nonlinearity,
-                   PreconditionError, horner)
+                   PreconditionError, horner_kernel)
 
 U_MAX = 1e6
 
@@ -79,8 +80,9 @@ def _rhs_tables(f: Nonlinearity, v, t0: float, nsteps: int, h: float,
     and per requested x-derivative order an ``(evaluate, (r0, rh, r1))``
     pair of plain-float lists such that ``evaluate(r0[k], x)`` is
     d^order f/dx^order at (t_k, x). A polynomial row is its ascending
-    coefficients at that time, evaluated by ``horner``; an autonomous f
-    repeats one row per order by reference. A builtin's row is the time.
+    coefficients at that time, evaluated by the straight-line
+    ``horner_kernel`` of the row's width; an autonomous f repeats one row
+    per order by reference. A builtin's row is the time.
     Flows at the same (f, v, h) can share one through their ``table``.
     """
     times = t0 + h * np.arange(nsteps)
@@ -96,10 +98,11 @@ def _rhs_tables(f: Nonlinearity, v, t0: float, nsteps: int, h: float,
                            stage_times.reshape(3, nsteps).tolist()))
         elif f.autonomous:
             row = f.poly_coeffs(order).tolist()
-            stages.append((horner, ([row] * nsteps,) * 3))
+            stages.append((horner_kernel(len(row)), ([row] * nsteps,) * 3))
         else:
             rows = f.coeff_rows(stage_times, order=order)
-            stages.append((horner, rows.reshape(3, nsteps, -1).tolist()))
+            stages.append((horner_kernel(rows.shape[1]),
+                           rows.reshape(3, nsteps, -1).tolist()))
     return vvals.reshape(3, nsteps), stages
 
 

@@ -155,7 +155,9 @@ def gauss_newton(problem: SearchProblem) -> GaussNewtonResult:
     of 1, 1/2, ..., 2^-11 that does not increase the residual. Stops on the
     residual tolerance, stagnation (relative decrease under 1e-3 over 10
     steps), a line search with no such lam, or ``MAX_GN_ITERATIONS`` steps,
-    and returns the last iterate, which is the best. ``diagnostics`` counts
+    and returns the last iterate, which is the best. The accepted trial of a
+    line search is the next iterate, with its functionals: each point is
+    evaluated once. ``diagnostics`` counts
     iterations, line-search halvings, ``sigma_at`` evaluations and Jacobian
     builds, next to the final residual and ``residual_tol``.
     """
@@ -177,8 +179,8 @@ def gauss_newton(problem: SearchProblem) -> GaussNewtonResult:
     smallest = math.inf
     message = "iteration cap reached"
     converged = False
+    rnorm, r, s5 = residual(x)
     for it in range(MAX_GN_ITERATIONS + 1):
-        rnorm, r, s5 = residual(x)
         history.append(rnorm)
         if rnorm <= problem.residual_tol:
             converged = True
@@ -199,15 +201,21 @@ def gauss_newton(problem: SearchProblem) -> GaussNewtonResult:
         step_free = Vt[keep].T @ ((U[:, keep].T @ r) / s[keep])
         step = np.zeros_like(x)
         step[mask] = step_free
-        # halving line search: never accept a residual increase
+        # halving line search: never accept a residual increase; the
+        # accepted trial's residual is the next iterate's
         trials = 12
-        halvings = next((j for j in range(trials)
-                         if residual(x - 0.5 ** j * step)[0] <= rnorm), trials)
+        for halvings in range(trials):
+            trial = x - 0.5 ** halvings * step
+            accepted = residual(trial)
+            if accepted[0] <= rnorm:
+                break
+        else:
+            halvings = trials
         work["line_search_halvings"] += halvings
         if halvings == trials:
             message = "line search found no decrease; best iterate returned"
             break
-        x = x - 0.5 ** halvings * step
+        x, (rnorm, r, s5) = trial, accepted
     work.update(iterations=len(history) - 1, residual=rnorm,
                 residual_tol=problem.residual_tol)
     return GaussNewtonResult(params=x, names=names, residual_history=history,

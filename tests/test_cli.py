@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from morinode import Grid, classify_point, globalgeo, return_map
+from morinode import Grid, classify_point, globalgeo, return_map, search
 from morinode.cli import (_HANDLERS, EXIT_BAD_FILE, EXIT_OK,
                           EXIT_PRECONDITION, EXIT_USAGE, _build_parser,
                           _jsonable, execute, validate_payload)
@@ -97,6 +97,45 @@ class TestExitCodes:
         code = execute([a.format(**problem_files) for a in argv.split()])
         assert code == EXIT_PRECONDITION
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "1e999"])
+    @pytest.mark.parametrize("argv", [
+        pytest.param("fibre " + PROBLEM + "--initial {bad}", id="initial"),
+        pytest.param("fibre " + PROBLEM + "--average {bad}", id="average"),
+        pytest.param("fibre " + PROBLEM + "--trace -1 {bad} 3", id="trace-hi"),
+        pytest.param("fibre " + PROBLEM + "--trace -1 1 {bad}",
+                     id="trace-count"),
+        pytest.param("return-map " + PROBLEM + "--x0 {bad}", id="x0"),
+        pytest.param("return-map " + PROBLEM + "--x0 0 --step {bad}",
+                     id="return-map-step"),
+        pytest.param("count-solutions " + PROBLEM + "--range -1 {bad}",
+                     id="census-range"),
+        pytest.param("count-solutions " + PROBLEM + "--range -1 1 --step {bad}",
+                     id="census-step"),
+        pytest.param(SEARCH + "{bad}", id="target"),
+        pytest.param(SEARCH + "0 --params b={bad}", id="params"),
+        pytest.param("hull " + PROBLEM + "--k 2 --range {bad} 1",
+                     id="hull-range"),
+        pytest.param("tameness " + PROBLEM + "--s-max {bad}", id="s-max"),
+        pytest.param("sweep --family {family} --grid c=0:0:1 --range -1 {bad}",
+                     id="sweep-range"),
+        pytest.param("sweep --family {family} --grid b=0:{bad}:2",
+                     id="sweep-grid"),
+    ])
+    def test_non_finite_number_exits_2(self, argv, bad, problem_files,
+                                       capsys):
+        code = execute([a.format(bad=bad, **problem_files)
+                        for a in argv.split()])
+        assert code == EXIT_PRECONDITION
+        assert "is not a finite number" in capsys.readouterr().err
+
+    def test_no_flag_takes_a_bare_float(self):
+        # every number flag goes through the finite-float type
+        subparsers = next(a for a in _build_parser()._actions
+                          if isinstance(a, argparse._SubParsersAction))
+        assert [f"{name} --{a.dest}"
+                for name, sp in subparsers.choices.items()
+                for a in sp._actions if a.type is float] == []
 
     @pytest.mark.parametrize("command, text", [
         pytest.param("degree --problem", "{not json", id="not-json"),
@@ -330,10 +369,10 @@ class TestCommands:
         assert diag["residual"] <= diag["residual_tol"]
         assert diag["residual"] == doc["result"]["residual_history"][-1]
         assert diag["iterations"] == len(doc["result"]["residual_history"]) - 1
-        # one Jacobian per step, one functional evaluation per iterate and
-        # per line-search trial
+        # one Jacobian per step and one functional evaluation per
+        # line-search trial; an accepted trial is the next iterate
         assert diag["jacobian_builds"] == diag["iterations"] >= 1
-        assert diag["sigma_evals"] == (2 * diag["iterations"] + 1
+        assert diag["sigma_evals"] == (diag["iterations"] + 1
                                        + diag["line_search_halvings"])
 
     def test_sweep_persistence_and_resume(self, tmp_path, problem_files, capsys):
@@ -376,6 +415,27 @@ class TestCommands:
         assert code == EXIT_OK
         assert doc["result"]["cells"] == {
             "b=0,c=-0.5": first["result"]["cells"]["b=0,c=-0.5"]}
+
+    def test_sweep_reuse_follows_family_contents(self, tmp_path, capsys,
+                                                 monkeypatch):
+        # editing the family file under the same path and --out recomputes
+        # the cells; the first contents still find their saved cells
+        family = tmp_path / "family.json"
+        argv = ["sweep", "--family", str(family), "--grid", "c=1:1:1",
+                "--analysis", "count", "--out", str(tmp_path / "out")]
+
+        def count(scale):
+            family.write_text(json.dumps({
+                "entries": [[2, 1.0], [0, {"param": "c", "scale": scale}]],
+                "names": ["c"]}))
+            code, doc = run(capsys, argv)
+            assert code == EXIT_OK
+            return doc["result"]["cells"]["c=1"]["result"]["count"]
+
+        assert count(-1.0) == 2
+        assert count(1.0) == 0
+        monkeypatch.setattr(search, "count_solutions", None)
+        assert count(-1.0) == 2
 
     def test_count_solutions_without_rhs(self, capsys):
         # a missing --rhs is zero forcing: the equilibria of x^3 - x

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from morinode import (FourierAnsatz, Grid, Nonlinearity, ParamFamily,
-                      PeriodicFn, SearchProblem, cumulative, green_kernel,
-                      mean)
+                      PeriodicFn, SearchProblem, core, cumulative,
+                      green_kernel, mean)
 from morinode.core import (MalformedFileError, PreconditionError, Term,
                            UnsupportedOrderError, ansatz_from_json,
                            ansatz_to_json, nonlinearity_from_json,
@@ -56,6 +56,36 @@ class TestEvalF:
         assert quartic.autonomous
         g = Nonlinearity([Term(1, FourierAnsatz(0.0, [1.0]))])
         assert not g.autonomous
+
+
+def _horner_loop(coeffs, x):
+    # Horner's rule as a loop: the oracle of the unrolled kernels
+    acc = coeffs[-1]
+    for m in range(len(coeffs) - 2, -1, -1):
+        acc = acc * x + coeffs[m]
+    return acc
+
+
+class TestHornerKernel:
+    @pytest.mark.parametrize("width", [*range(1, 13), 300])
+    def test_bitwise_equal_to_the_loop(self, width):
+        rng = np.random.default_rng(width)
+        row = (rng.standard_normal(width) * 10.0 ** rng.uniform(-3, 3, width))
+        kernel = core.horner_kernel(width)
+        xs = np.array([0.0, -0.0, 0.37, -1.9, 3.5, 1e3, -1e120, 1e200,
+                       np.inf, -np.inf, np.nan])
+        with np.errstate(all="ignore"):
+            for coeffs in (row.tolist(), row):
+                for x in (*xs.tolist(), *xs, xs):
+                    got, expect = kernel(coeffs, x), _horner_loop(coeffs, x)
+                    assert type(got) is type(expect)
+                    assert np.array_equal(got, expect, equal_nan=True)
+                    assert np.array_equal(core.horner(coeffs, x), expect,
+                                          equal_nan=True)
+
+    def test_compiled_once_per_width(self):
+        assert core.horner_kernel(5) is core.horner_kernel(5)
+        assert core.horner_kernel(5) is not core.horner_kernel(6)
 
 
 class TestMean:
@@ -154,15 +184,17 @@ class TestSpectral:
         assert np.allclose(u.eval(t), ans.eval(t), atol=1e-12)
 
     def test_blocked_eval_matches_pointwise(self):
-        # 1,500 points are summed in three blocks, the last one partial;
-        # each point's sum is the one-point sum, bit for bit
+        # 1,500 points are summed in blocks, the last one partial; each
+        # point's sum is the one-point sum, bit for bit
+        assert 1500 % core.EVAL_BLOCK
         u = PeriodicFn.from_callable(lambda t: np.where(t < 0.5, 0.3, -0.3),
                                      Grid(1024))
         t = np.linspace(-0.2, 1.3, 1500)
+        pointwise = np.array([u.eval(x) for x in t])
         for shape in ((1500,), (30, 50)):
             vals = u.eval(t.reshape(shape))
             assert vals.shape == shape
-            assert vals.ravel().tolist() == [u.eval(x) for x in t]
+            assert np.array_equal(vals.ravel(), pointwise)
 
     def test_spectral_derivative(self):
         u = PeriodicFn.from_callable(lambda t: np.sin(2 * np.pi * t))
