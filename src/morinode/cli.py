@@ -3,8 +3,10 @@
 Results are JSON documents on stdout; with --out they are also persisted
 under out/<command>/<config-hash>.json; a sweep reuses the saved cells of
 sweeps whose configuration differs from its own only in --grid. A missing
---rhs is zero forcing. Exit codes: 0 success, 2 precondition violation,
-64 unknown subcommand, 65 malformed input file.
+--rhs is zero forcing. ``--log-level``, before or after the subcommand,
+sets the threshold of logging on stderr; ``info`` logs the command's wall
+time, which stays out of the JSON. Exit codes: 0 success, 2 precondition
+violation, 64 unknown subcommand, 65 malformed input file.
 """
 
 from __future__ import annotations
@@ -14,9 +16,11 @@ import dataclasses
 import datetime
 import hashlib
 import json
+import logging
 import math
 import os
 import sys
+import time
 
 import numpy as np
 
@@ -29,6 +33,9 @@ from .core import (Grid, MalformedFileError, MorinodeError, Nonlinearity,
 from .odeint import return_map
 
 SCHEMA = "morinode.result/1"
+
+LOG = logging.getLogger("morinode")
+LOG_LEVELS = ("debug", "info", "warning", "error")
 
 EXIT_OK = 0
 EXIT_PRECONDITION = 2
@@ -127,7 +134,7 @@ def _family_from_json(doc: dict) -> search.ParamFamily:
                 raise ValueError(f"non-finite coefficient of power {power}")
             entries.append((int(power), (coeff["param"], value) if ref else value))
         return search.ParamFamily(tuple(entries), tuple(doc.get("names", ())))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise MalformedFileError(f"bad family document: {exc}") from exc
 
 
@@ -193,6 +200,8 @@ def _cmd_fibre(args):
     vt = PeriodicFn(vt.grid, vt.values - mean(vt))
     if args.trace is not None:
         lo, hi, count = args.trace
+        if not count.is_integer():
+            raise PreconditionError(f"--trace COUNT {count!r} is not an integer")
         pairs = fibre_mod.trace_pairs(f, vt, lo, hi, int(count))
         return {"trace": [{"average": a, "phi": fp.phi_bar} for a, fp in pairs],
                 "diagnostics": _trace_diagnostics(pairs)}
@@ -348,8 +357,18 @@ def _cmd_sweep(args):
 # ---------------------------------------------------------------------------
 
 
+def _global_parser() -> argparse.ArgumentParser:
+    """The options outside any subcommand, read wherever they stand."""
+    g = argparse.ArgumentParser(prog="morinode", add_help=False,
+                                allow_abbrev=False)
+    g.add_argument("--log-level", choices=LOG_LEVELS, default="warning",
+                   help="stderr logging threshold; info logs wall times")
+    return g
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="morinode", description=__doc__)
+    p = argparse.ArgumentParser(prog="morinode", description=__doc__,
+                                parents=[_global_parser()])
     sub = p.add_subparsers(dest="command")
 
     def common(sp, rhs=False, grid=True):
@@ -445,6 +464,24 @@ _HANDLERS = {
 
 def execute(argv: list[str]) -> int:
     """Run one subcommand; returns the process exit code."""
+    try:
+        options, argv = _global_parser().parse_known_args(argv)
+    except SystemExit:
+        return EXIT_PRECONDITION
+    # the handler writes to the sys.stderr of this call, and goes with it
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("morinode: %(levelname)s: %(message)s"))
+    level = LOG.level
+    LOG.addHandler(handler)
+    LOG.setLevel(options.log_level.upper())
+    try:
+        return _execute(argv)
+    finally:
+        LOG.removeHandler(handler)
+        LOG.setLevel(level)
+
+
+def _execute(argv: list[str]) -> int:
     if not argv or argv[0] in ("-h", "--help"):
         _build_parser().print_help()
         return EXIT_OK
@@ -456,6 +493,8 @@ def execute(argv: list[str]) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_PRECONDITION if exc.code else EXIT_OK
+    del args.log_level  # read by execute; not part of the configuration
+    start = time.perf_counter()
     try:
         result = _HANDLERS[args.command](args)
     except MalformedFileError as exc:
@@ -467,6 +506,7 @@ def execute(argv: list[str]) -> int:
     except MorinodeError as exc:
         sys.stderr.write(f"morinode: {exc}\n")
         return EXIT_PRECONDITION
+    LOG.info("%s took %.3f s", args.command, time.perf_counter() - start)
     # read after the handler, which may add what it loaded (a sweep's
     # family digest)
     config = {k: v for k, v in sorted(vars(args).items()) if k != "command"}

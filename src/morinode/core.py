@@ -219,6 +219,7 @@ class FourierAnsatz:
     An ansatz u, or the coefficient c_j(t) of a nonlinearity term. The
     shorter of ``a`` and ``b`` is zero-padded; both are read-only. The
     coordinates run (a0, a1, b1, a2, b2, ...), as ``names`` lists them.
+    A non-finite coefficient raises ``PreconditionError``.
     """
 
     a0: float = 0.0
@@ -233,6 +234,9 @@ class FourierAnsatz:
             c.setflags(write=False)
             object.__setattr__(self, name, c)
         object.__setattr__(self, "a0", float(self.a0))
+        if not (math.isfinite(self.a0) and np.isfinite(a).all()
+                and np.isfinite(b).all()):
+            raise PreconditionError("series coefficients must be finite")
 
     @property
     def harmonics(self) -> int:
@@ -396,7 +400,8 @@ class Nonlinearity:
 
     @classmethod
     def polynomial(cls, coeffs: Sequence[float]) -> "Nonlinearity":
-        """Autonomous polynomial sum_j coeffs[j] * x^j."""
+        """Autonomous polynomial sum_j coeffs[j] * x^j; the coefficients
+        must be finite."""
         terms = [Term(j, FourierAnsatz(float(c)))
                  for j, c in enumerate(coeffs) if c != 0.0]
         return cls(terms)
@@ -482,13 +487,10 @@ def nonlinearity_to_json(f: Nonlinearity) -> dict:
 
 def _series_from_json(doc: dict) -> FourierAnsatz:
     """``{"a0", "cos", "sin"}`` as a series: a0 defaults to 0, lists to [];
-    a non-finite number raises ``ValueError``."""
-    series = FourierAnsatz(float(doc.get("a0", 0.0)),
-                           [float(c) for c in doc.get("cos", [])],
-                           [float(s) for s in doc.get("sin", [])])
-    if not np.isfinite(series.vector()).all():
-        raise ValueError("series coefficients must be finite")
-    return series
+    a non-finite number raises ``PreconditionError``."""
+    return FourierAnsatz(float(doc.get("a0", 0.0)),
+                         [float(c) for c in doc.get("cos", [])],
+                         [float(s) for s in doc.get("sin", [])])
 
 
 def nonlinearity_from_json(doc: dict) -> Nonlinearity:
@@ -511,7 +513,7 @@ def ansatz_from_json(doc: dict) -> FourierAnsatz:
         if "a0" not in doc or not 0 < len(doc["cos"]) == len(doc["sin"]):
             raise ValueError("needs a0, and cos and sin of one nonzero length")
         return _series_from_json(doc)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, PreconditionError) as exc:
         raise MalformedFileError(f"bad ansatz document: {exc}") from exc
 
 

@@ -15,6 +15,7 @@ lower set symmetrically, so blow-up counts as membership by its sign.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -265,11 +266,14 @@ def trace_points(f: Nonlinearity, vtilde: PeriodicFn, a_lo: float, a_hi: float,
 
 def trace_pairs(f: Nonlinearity, vtilde: PeriodicFn, a_lo: float, a_hi: float,
                 count: int) -> list[tuple[float, FibrePoint]]:
-    """(a, FibrePoint) at ``count`` averages evenly from a_lo to a_hi; the
-    points share one stage table of ``vtilde`` at the node step 1/n, and
-    each starts from the nu before it."""
+    """(a, FibrePoint) at ``count`` >= 1 averages evenly from a_lo to a_hi;
+    the points share one stage table of ``vtilde`` at the node step 1/n,
+    and each starts from the nu before it."""
     if not a_lo < a_hi:
         raise PreconditionError("need a_lo < a_hi")
+    if not isinstance(count, numbers.Integral) or count < 1:
+        raise PreconditionError(f"a trace needs an integer count >= 1, "
+                                f"got {count!r}")
     h, _ = _node_step(vtilde.grid, None)
     table = _stage_table(f, vtilde, h, (0, 1))
     out, nu = [], None

@@ -12,7 +12,9 @@ reads rho and its derivatives up to order kmax + 1 from one flow on
 truncated Taylor series in the start value (``_rk4_jet``): they are the
 exact jets of the discrete RK4 map, not finite differences, and a
 derivative counts as zero below ``CONTACT_ZERO_TOL`` = 1e-6 relative to
-the leading one. ``_rho_derivative_fd`` and ``_fd_once`` remain as the
+the leading one. The jet flow's stage field is straight-line code as
+well, its Cauchy products unrolled and compiled once per jet order
+(``_jet_field``). ``_rho_derivative_fd`` and ``_fd_once`` remain as the
 tests' finite-difference cross-check, and because the benchmark's tracer
 (``bench/spans.py``) binds both by name.
 """
@@ -41,6 +43,9 @@ CONTACT_ZERO_TOL = 1e-6
 # half-widths for the FD cross-check's stencils, by derivative order;
 # higher orders need wider stencils to stay above the rho-evaluation noise
 _STENCIL_HALF_WIDTH = {2: 1e-3, 3: 1e-3, 4: 4e-3, 5: 8e-3, 6: 1.5e-2}
+
+# ``_jet_field``'s compiled binders, by jet order K
+_JET_FIELDS: dict = {}
 
 
 @dataclass(frozen=True)
@@ -213,6 +218,48 @@ def _flow_scalar(f: Nonlinearity, v, x0: float, t0: float, t1: float, h: float,
     return _rk4_scalar(f, v, x0, t0, t1, h, store, table, tangent_stride)
 
 
+def _jet_field(K: int):
+    """``bind(e_0, ..., e_K)``, giving the stage field of ``_rk4_jet`` at K.
+
+    ``bind(*evals)`` returns ``field(vk, rows, w)`` = [v_k - f(w_0), -a_1,
+    ..., -a_K], the Taylor coefficients of v - f(w) on the jet w = w_0 + d,
+    where ``evals[j](rows[j], w_0)`` is f^(j)(w_0) and a_n is the e^n
+    coefficient of f(w) - f(w_0) = sum_j f^(j)(w_0)/j! d^j. The field is
+    straight-line code compiled once per K with the Cauchy products
+    unrolled: a_n = f^(1) w_n, each power p_j_n = 0.0 + p_(j-1)_(j-1)
+    w_(n-j+1) + ... + p_(j-1)_(n-1) w_1 (with p_1 = w) summed left to
+    right from zero, and a_n += (f^(j) * (1.0 / j!)) p_j_n for j = 2..K.
+    Those are the operations of the list-comprehension field that the
+    tests keep as its oracle, in that field's order, so every coefficient
+    is the same bit for bit. The generated source holds only integer
+    indices.
+    """
+    bind = _JET_FIELDS.get(K)
+    if bind is None:
+        idx = range(K + 1)
+        body = ["    def field(vk, rows, w):",
+                f"        {', '.join(f'r{j}' for j in idx)}, = rows",
+                f"        {', '.join(f'w{n}' for n in idx)}, = w",
+                "        f1 = e1(r1, w0)"]
+        body += [f"        a{n} = f1 * w{n}" for n in range(1, K + 1)]
+        for j in range(2, K + 1):
+            prev = "w" if j == 2 else f"p{j - 1}_"
+            for n in range(j, K + 1):
+                terms = "".join(f" + {prev}{i} * w{n - i}"
+                                for i in range(j - 1, n))
+                body.append(f"        p{j}_{n} = 0.0{terms}")
+            body.append(f"        c = e{j}(r{j}, w0) * (1.0 / "
+                        f"{math.factorial(j)})")
+            body += [f"        a{n} += c * p{j}_{n}" for n in range(j, K + 1)]
+        body.append("        return [vk - e0(r0, w0), "
+                    + ", ".join(f"-a{n}" for n in range(1, K + 1)) + "]")
+        scope: dict = {}
+        exec(f"def bind({', '.join(f'e{j}' for j in idx)}):\n"
+             + "\n".join(body) + "\n    return field\n", scope)
+        bind = _JET_FIELDS[K] = scope["bind"]
+    return bind
+
+
 def _rk4_jet(f: Nonlinearity, v, x0: float, h: float, K: int):
     """Scalar RK4 over [0, 1] on Taylor series truncated after e^K.
 
@@ -220,34 +267,18 @@ def _rk4_jet(f: Nonlinearity, v, x0: float, h: float, K: int):
     so the result is exactly the K-jet of the discrete RK4 map at x0 and
     rho^(j)(x0) = j! u_j(1). Each stage evaluates f on the jet by Faa di
     Bruno on its nilpotent part d: f(w_0 + d) = sum_j f^(j)(w_0)/j! d^j,
-    with f^(j) from the order-j rows of one stage table. u_0 and its Kahan
+    with f^(j) from the order-j rows of one stage table, in the
+    straight-line field ``_jet_field(K)`` compiles. u_0 and its Kahan
     compensation are ``_rk4_scalar``'s arithmetic and u_1 that of its xi
     lane, bit for bit. Returns [u_0, ..., u_K] at t = 1, or None if the
     flow blew up.
     """
     nsteps, h, (v0, vh, v1), stages = _read_table(f, v, 0.0, 1.0, h,
                                                   range(K + 1), None)
-    evals = [evaluate for evaluate, _ in stages]
+    field = _jet_field(K)(*(evaluate for evaluate, _ in stages))
     rows0, rowsh, rows1 = zip(*(rows for _, rows in stages))
-    scale = [1.0 / math.factorial(j) for j in range(K + 1)]
     tail = range(1, K + 1)
     half, sixth = 0.5 * h, h / 6.0
-
-    def field(vk, rows, w):
-        # v - f(w) on the jet w; p holds the powers of d = w - w_0
-        w0 = w[0]
-        fj = [evaluate(row, w0) for evaluate, row in zip(evals, rows)]
-        g = fj[1]
-        acc = [g * x for x in w]
-        p = w
-        for j in range(2, K + 1):
-            p = [0.0] * j + [sum(p[i] * w[n - i] for i in range(j - 1, n))
-                             for n in range(j, K + 1)]
-            c = fj[j] * scale[j]
-            for n in range(j, K + 1):
-                acc[n] += c * p[n]
-        return [vk - fj[0]] + [-acc[n] for n in tail]
-
     u = [float(x0), 1.0] + [0.0] * (K - 1)
     comp = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
@@ -321,8 +352,10 @@ def return_map(f: Nonlinearity, v, x0: float, h: float = 1e-3,
     """rho_v(x0) = u(1) for the solve over [0,1], with optional derivative.
 
     The derivative is du(1)/du(0) of the discrete RK4 flow, from the
-    tangent lane of the same steps.
+    tangent lane of the same steps. x0 and h must be finite.
     """
+    if not (math.isfinite(x0) and math.isfinite(h)):
+        raise PreconditionError("x0 and the step must be finite")
     der = None
     if with_derivative:
         val, der, blew, sign, btime = _flow_with_variation(f, v, x0, h)

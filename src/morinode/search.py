@@ -309,8 +309,10 @@ def count_solutions(f: Nonlinearity, v, x_lo: float, x_hi: float,
     iteration (see ``_refine_root``) until the step is at most 1e-12, and
     roots are deduplicated within 1e-9. Brackets touching a blow-up boundary
     are reported unresolved and never counted. The count is re-derived at
-    h/2.
+    h/2. The range and the step must be finite.
     """
+    if not all(map(math.isfinite, (x_lo, x_hi, h))):
+        raise PreconditionError("the range and the step must be finite")
     if not x_lo < x_hi:
         raise PreconditionError("need x_lo < x_hi")
     if scan_n < 2:

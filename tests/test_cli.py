@@ -3,6 +3,7 @@ import gc
 import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -153,6 +154,12 @@ class TestExitCodes:
                      '{"entries": [[2, 1.0], [1, {"param": "c", '
                      '"scale": Infinity}]], "names": ["c"]}',
                      id="infinite-family-scale"),
+        pytest.param("sweep --grid c=0:0:1 --family", "[1, 2]",
+                     id="family-list"),
+        pytest.param("sweep --grid c=0:0:1 --family", '"quartic_bc"',
+                     id="family-string"),
+        pytest.param("sweep --grid c=0:0:1 --family", "3",
+                     id="family-number"),
     ])
     def test_malformed_problem_file(self, tmp_path, capsys, command, text):
         # a file that does not parse, or parses to a value outside the
@@ -190,6 +197,12 @@ class TestExitCodes:
                      id="grid-no-count"),
         pytest.param("sweep --family {family} --grid b=0:1:0 c=0:0:1",
                      id="grid-num0"),
+        pytest.param("fibre " + PROBLEM + "--trace -0.5 0.5 2.5",
+                     id="trace-count-fraction"),
+        pytest.param("fibre " + PROBLEM + "--trace -0.5 0.5 0",
+                     id="trace-count-zero"),
+        pytest.param("fibre " + PROBLEM + "--trace -0.5 0.5 -3",
+                     id="trace-count-negative"),
     ])
     def test_precondition_violation(self, argv, problem_files, capsys):
         # out-of-domain arguments end in exit code 2, not a traceback or a
@@ -197,6 +210,30 @@ class TestExitCodes:
         code = execute([a.format(**problem_files) for a in argv.split()])
         assert code == EXIT_PRECONDITION
         assert "precondition violated" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("where", ["before", "after"])
+    def test_log_level_info_times_the_command_on_stderr(self, where,
+                                                        problem_files,
+                                                        capsys):
+        # the timing goes to stderr only: stdout is the run without the flag
+        argv = ["degree", "--problem", problem_files["xsq"]]
+        flag = ["--log-level", "info"]
+        assert execute(argv) == EXIT_OK
+        plain = capsys.readouterr()
+        assert execute(flag + argv if where == "before" else argv + flag) \
+            == EXIT_OK
+        logged = capsys.readouterr()
+        assert plain.err == ""
+        assert re.fullmatch(r"morinode: INFO: degree took \d+\.\d{3} s\n",
+                            logged.err)
+        stamp = re.compile(r'"generated_at": "[^"]*"')
+        assert stamp.sub("", logged.out) == stamp.sub("", plain.out)
+
+    def test_unknown_log_level_exits_2(self, problem_files, capsys):
+        code = execute(["--log-level", "loud", "degree", "--problem",
+                        problem_files["xsq"]])
+        assert code == EXIT_PRECONDITION
+        assert "invalid choice" in capsys.readouterr().err
 
     def test_ok(self, problem_files, capsys):
         code, doc = run(capsys, ["degree", "--problem", problem_files["xsq"]])

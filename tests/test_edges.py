@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from morinode import (FourierAnsatz, Grid, Nonlinearity, PeriodicFn,
-                      contact_order, cumulative, integrate, mean,
-                      return_map, seed_shat, solve_periodic, InitialValue)
+                      contact_order, count_solutions, cumulative, integrate,
+                      mean, return_map, seed_shat, solve_periodic,
+                      InitialValue)
 from morinode.cli import EXIT_OK, execute
 from morinode.core import PreconditionError
 
@@ -35,6 +36,31 @@ class TestIntegrateEdges:
         r1 = return_map(SQUARE, fn, 0.1, h=1e-3)
         r2 = return_map(SQUARE, v, 0.1, h=1e-3)
         assert r1.value == pytest.approx(r2.value, abs=1e-12)
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"),
+                                     -float("inf")])
+    @pytest.mark.parametrize("call", [
+        pytest.param(lambda x: return_map(SQUARE, None, x), id="return-map-x0"),
+        pytest.param(lambda x: return_map(SQUARE, None, 0.1, h=x,
+                                          with_derivative=True),
+                     id="return-map-step"),
+        pytest.param(lambda x: count_solutions(SQUARE, None, -1.0, x),
+                     id="census-range"),
+        pytest.param(lambda x: count_solutions(SQUARE, None, -1.0, 1.0, h=x),
+                     id="census-step"),
+        pytest.param(lambda x: Nonlinearity.polynomial([0.0, x, 1.0]),
+                     id="polynomial"),
+        pytest.param(lambda x: FourierAnsatz(x), id="ansatz-a0"),
+        pytest.param(lambda x: FourierAnsatz(0.0, [0.1, x]), id="ansatz-cos"),
+        pytest.param(lambda x: FourierAnsatz(0.0, [0.1], [x]),
+                     id="ansatz-sin"),
+    ])
+    def test_entry_points_reject_non_finite_numbers(self, call, bad):
+        # a nan or an infinity is a precondition violation, not an answer
+        with pytest.raises(PreconditionError, match="finite"):
+            call(bad)
 
 
 class TestContactEdges:

@@ -5,7 +5,7 @@ from morinode import (Average, Grid, InitialValue, Nonlinearity, PeriodicFn,
                       eigen_w, fibre_trace, integrate, mean, solve_periodic,
                       solve_w)
 from morinode.core import PreconditionError, TamenessViolationError
-from morinode.fibre import PERIODICITY_TOL, trace_points
+from morinode.fibre import PERIODICITY_TOL, trace_pairs, trace_points
 from morinode.odeint import _flow_scalar
 
 IDENTITY = Nonlinearity.polynomial([0, 1])
@@ -243,6 +243,11 @@ class TestFibreGeometry:
             trace = fibre_trace(f, vt, -1.5, 1.5, 9)
             dist = max(abs(phi - b) for (_, phi), b in zip(trace, base))
             assert dist < 2.0 * eps
+
+    @pytest.mark.parametrize("count", [0, -3, 2.5, 3.0])
+    def test_trace_needs_an_integer_count_of_one_or_more(self, count):
+        with pytest.raises(PreconditionError, match="integer count"):
+            trace_pairs(SQUARE, PeriodicFn.constant(0.0), -1.0, 1.0, count)
 
 
 class TestSolveW:

@@ -1,4 +1,7 @@
+import functools
+import itertools
 import math
+import operator
 import warnings
 
 import numpy as np
@@ -8,8 +11,8 @@ from morinode import (Grid, Nonlinearity, PeriodicFn, contact_order,
                       integrate, odeint, return_map)
 from morinode.core import FourierAnsatz, PreconditionError, Term
 from morinode.odeint import (_flow_scalar, _flow_vector, _flow_with_variation,
-                             _rho_derivative_fd, _rk4_jet, _shift_forcing,
-                             _stage_table)
+                             _jet_field, _rho_derivative_fd, _rk4_jet,
+                             _shift_forcing, _stage_table)
 from tests.conftest import operator_rhs
 
 
@@ -17,6 +20,39 @@ IDENTITY = Nonlinearity.polynomial([0, 1])     # f(x) = x
 SQUARE = Nonlinearity.polynomial([0, 0, 1])    # f(x) = x^2
 ZERO = Nonlinearity.polynomial([])
 WILD = Nonlinearity.from_builtin("cosh2_cos")
+
+
+def _comprehension_field(K):
+    # the list-comprehension stage field that _jet_field's compiled one
+    # replaced, as a binder of the same shape: the oracle of its bits. Its
+    # sums are the left fold from 0 that ``sum`` makes up to CPython 3.11;
+    # from 3.12 on ``sum`` compensates, so the fold is spelled out
+    scale = [1.0 / math.factorial(j) for j in range(K + 1)]
+    tail = range(1, K + 1)
+
+    def bind(*evals):
+        def field(vk, rows, w):
+            w0 = w[0]
+            fj = [evaluate(row, w0) for evaluate, row in zip(evals, rows)]
+            g = fj[1]
+            acc = [g * x for x in w]
+            p = w
+            for j in range(2, K + 1):
+                p = [0.0] * j + [
+                    functools.reduce(operator.add, (p[i] * w[n - i]
+                                                    for i in range(j - 1, n)), 0)
+                    for n in range(j, K + 1)]
+                c = fj[j] * scale[j]
+                for n in range(j, K + 1):
+                    acc[n] += c * p[n]
+            return [vk - fj[0]] + [-acc[n] for n in tail]
+        return field
+    return bind
+
+
+def _bits(values):
+    return None if values is None else [(type(x), float.hex(float(x)))
+                                        for x in values]
 
 
 class TestIntegrate:
@@ -194,6 +230,54 @@ class TestJetFlow:
 
     def test_blowup_gives_none(self):
         assert _rk4_jet(SQUARE, None, -2.0, 1e-3, 3) is None
+
+    JET_CASES = [
+        pytest.param(SQUARE, None, 0.0, 1e-3, range(1, 7), id="riccati"),
+        pytest.param(Nonlinearity.polynomial([0, -1, 0, 1]),
+                     PeriodicFn.from_callable(
+                         lambda t: 0.4 * np.cos(2 * np.pi * t)),
+                     0.4, 1.0 / 512, range(1, 7), id="cubic"),
+        pytest.param(Nonlinearity([Term(1, FourierAnsatz(-1.0, [], [0.2])),
+                                   Term(3, FourierAnsatz(0.7, [0.05]))]),
+                     lambda t: 0.3 * np.sin(2 * np.pi * t), -0.6, 1e-3,
+                     range(1, 7), id="t-dependent"),
+        pytest.param(SQUARE, None, -2.0, 1e-3, range(1, 7), id="blow-up"),
+        pytest.param(WILD, lambda t: WILD.eval(t, 0.2), 0.25, 1e-2,
+                     range(1, 5), id="builtin"),
+    ]
+
+    @pytest.mark.parametrize("f, v, x0, h, orders", JET_CASES)
+    def test_compiled_field_is_the_comprehension_bitwise(self, f, v, x0, h,
+                                                          orders, monkeypatch):
+        got = [_bits(_rk4_jet(f, v, x0, h, K)) for K in orders]
+        monkeypatch.setattr(odeint, "_jet_field", _comprehension_field)
+        assert got == [_bits(_rk4_jet(f, v, x0, h, K)) for K in orders]
+
+    def test_butterfly_jet_is_the_comprehension_bitwise(self, refined_butterfly,
+                                                        monkeypatch):
+        f, ans, _ = refined_butterfly
+        v, x0 = operator_rhs(f, ans), float(ans.eval(0.0))
+        got = _bits(_rk4_jet(f, v, x0, 2e-4, 5))
+        monkeypatch.setattr(odeint, "_jet_field", _comprehension_field)
+        assert got == _bits(_rk4_jet(f, v, x0, 2e-4, 5))
+
+    @pytest.mark.parametrize("K", range(1, 7))
+    def test_compiled_field_on_signed_zeros_and_non_finite_jets(self, K):
+        # -0.0, overflow, inf and nan take the comprehension's path too:
+        # every jet over these values up to K = 3, sampled above
+        rng = np.random.default_rng(K)
+        evals = [odeint.horner_kernel(4)] * (K + 1)
+        rows = rng.standard_normal((K + 1, 4)).tolist()
+        values = [0.0, -0.0, 0.7, -1.3, 1e200, -np.inf, np.nan]
+        jets = (itertools.product(values, repeat=K + 1) if K <= 3 else
+                rng.choice(values, (3000, K + 1)).tolist())
+        got, expect = _jet_field(K)(*evals), _comprehension_field(K)(*evals)
+        for w in jets:
+            assert _bits(got(0.5, rows, w)) == _bits(expect(0.5, rows, w))
+
+    def test_field_compiled_once_per_order(self):
+        assert _jet_field(5) is _jet_field(5)
+        assert _jet_field(5) is not _jet_field(6)
 
     def test_butterfly_jets_within_fd_error(self, refined_butterfly,
                                             monkeypatch):
