@@ -32,14 +32,22 @@ MAX_SOLVE_FLOWS = 200
 
 @dataclass(frozen=True)
 class InitialValue:
-    """Constraint u(0) = c."""
+    """Constraint u(0) = c; c must be finite."""
     c: float
+
+    def __post_init__(self):
+        if not math.isfinite(self.c):
+            raise PreconditionError("the initial value must be finite")
 
 
 @dataclass(frozen=True)
 class Average:
-    """Constraint mean(u) = a."""
+    """Constraint mean(u) = a; a must be finite."""
     a: float
+
+    def __post_init__(self):
+        if not math.isfinite(self.a):
+            raise PreconditionError("the average must be finite")
 
 
 @dataclass(frozen=True)

@@ -151,7 +151,12 @@ class GammaCurve:
 
 def gamma_curve(f: Nonlinearity, k: int, x_lo: float, x_hi: float,
                 count: int = DEFAULT_CURVE_SAMPLES) -> GammaCurve:
-    """Sample the derivative curve of an autonomous nonlinearity."""
+    """Sample the derivative curve of an autonomous nonlinearity.
+
+    x_lo and x_hi must be finite.
+    """
+    if not (math.isfinite(x_lo) and math.isfinite(x_hi)):
+        raise PreconditionError("the x-range must be finite")
     if not f.autonomous:
         raise PreconditionError("gamma curves require an autonomous nonlinearity")
     if not 1 <= k <= MAX_X_DERIVATIVE:
@@ -201,11 +206,14 @@ def hull_origin_test(curve: GammaCurve) -> HullVerdict:
     certificate raises _SimplexFailure, a MorinodeError: a face LP at the
     pivot cap, one whose right-hand side rounds below 0 (b >= 1 exactly,
     but B loses its 1 once the rows of |P| sum past 2^53), or no phase-1
-    combination although every face optimum is negative.
+    combination although every face optimum is negative. The curve's
+    points must be finite.
     """
     if curve.k > 5:
         raise PreconditionError("hull test supported for k <= 5")
     P = curve.points
+    if not np.all(np.isfinite(P)):
+        raise PreconditionError("the curve's points must be finite")
     m, k = P.shape
     if m < 2 * k + 1:
         raise PreconditionError(f"need at least {2 * k + 1} sample points")

@@ -5,18 +5,23 @@ updates. Blow-up is declared when |u| crosses ``U_MAX``; only the scalar
 loop records the sign of the first stage state of that step past
 ``U_MAX`` (of the last finite sample when none is) and the first-crossing
 time. Every stage evaluates a polynomial f through ``core.horner_kernel``,
-Horner's rule unrolled for the row's width. The return map
-rho_v sends u(0) to u(1); its first derivative is carried through the same
-RK4 steps as the exact derivative of the discrete flow. ``contact_order``
-reads rho and its derivatives up to order kmax + 1 from one flow on
-truncated Taylor series in the start value (``_rk4_jet``): they are the
-exact jets of the discrete RK4 map, not finite differences, and a
-derivative counts as zero below ``CONTACT_ZERO_TOL`` = 1e-6 relative to
-the leading one. The jet flow's stage field is straight-line code as
-well, its Cauchy products unrolled and compiled once per jet order
-(``_jet_field``). ``_rho_derivative_fd`` and ``_fd_once`` remain as the
-tests' finite-difference cross-check, and because the benchmark's tracer
-(``bench/spans.py``) binds both by name.
+Horner's rule unrolled for the row's width. The many-lane loop
+``_flow_vector`` uses its in-place array twin ``core.horner_array_kernel``
+and writes every stage into seven lane buffers, so a polynomial step
+allocates no array; one NaN-propagating reduction, max |u| <= ``U_MAX``,
+clears a step in which no lane escaped. The return map rho_v sends u(0)
+to u(1); its first derivative is carried through the same RK4 steps as
+the exact derivative of the discrete flow, on the scalar loop's xi lane
+alone, while the fibre solves carry eta = du/dnu and strided sums too.
+``contact_order`` reads rho and its derivatives up to order kmax + 1
+from one flow on truncated Taylor series in the start value
+(``_rk4_jet``): they are the exact jets of the discrete RK4 map, not
+finite differences, and a derivative counts as zero below
+``CONTACT_ZERO_TOL`` = 1e-6 relative to the leading one. The jet flow's
+stage field is straight-line code as well, its Cauchy products unrolled
+and compiled once per jet order (``_jet_field``). ``_rho_derivative_fd``
+and ``_fd_once`` remain as the tests' finite-difference cross-check, and
+because the benchmark's tracer (``bench/spans.py``) binds both by name.
 """
 
 from __future__ import annotations
@@ -28,7 +33,8 @@ from functools import partial
 import numpy as np
 
 from .core import (MAX_X_DERIVATIVE, BracketError, Nonlinearity,
-                   PreconditionError, horner_kernel)
+                   PreconditionError, horner_array_kernel,
+                   horner_kernel)
 
 U_MAX = 1e6
 
@@ -113,7 +119,9 @@ def _rhs_tables(f: Nonlinearity, v, t0: float, nsteps: int, h: float,
 
 def _step_count(t0: float, t1: float, h: float) -> tuple[int, float]:
     """Number of steps of about h across [t0, t1], and their exact size."""
-    nsteps = int(round((t1 - t0) / h))
+    if not (math.isfinite(t0) and math.isfinite(t1) and math.isfinite(h)):
+        raise PreconditionError("t0, t1 and the step must be finite")
+    nsteps = int(round((t1 - t0) / h)) if h > 0 else 0
     if nsteps <= 0 or not (t0 < t1):
         raise PreconditionError("need t0 < t1 and a positive step")
     return nsteps, (t1 - t0) / nsteps
@@ -144,13 +152,17 @@ def _shift_forcing(table, nu: float):
 
 
 def _rk4_scalar(f: Nonlinearity, v, x0: float, t0: float, t1: float, h: float,
-                store: bool = False, table=None, tangent_stride: int = 0):
+                store: bool = False, table=None, tangent_stride: int = 0,
+                *, xi_only: bool = False):
     """Scalar RK4 with Kahan-compensated updates, the one single-lane loop.
 
     With ``tangent_stride`` s > 0 it also carries the exact derivatives of
     the discrete step, xi = du/du(t0) and eta = du/dnu for a constant nu
     added to v, and returns as ``lanes`` (xi, eta, sum u, sum xi, sum eta)
-    at t1, with sums over every s-th step from t0. ``table`` is a prebuilt
+    at t1, with sums over every s-th step from t0. ``xi_only`` (with s >
+    0) keeps the xi lane alone, in the same arithmetic, and returns
+    ``lanes`` = (xi,): the return map's slope needs neither eta nor the
+    sums, which only the fibre solves read. ``table`` is a prebuilt
     ``_stage_table`` of (f, v) at h, so [t0, t1] = [0, 1], holding order 1
     too for the lanes; f and v are then not evaluated. Returns (u_end,
     samples|None, blew, sign, blow_time, lanes|None).
@@ -160,6 +172,7 @@ def _rk4_scalar(f: Nonlinearity, v, x0: float, t0: float, t1: float, h: float,
     fx, (r0, rh, r1) = stages[0]
     if tangent_stride:
         gx, (d0, dh, d1) = stages[1]
+    full = bool(tangent_stride) and not xi_only
     half, sixth = 0.5 * h, h / 6.0
     u = float(x0)
     comp = 0.0
@@ -176,7 +189,7 @@ def _rk4_scalar(f: Nonlinearity, v, x0: float, t0: float, t1: float, h: float,
             u4 = u + h * k3
             k4 = v1[k] - fx(r1[k], u4)
             if tangent_stride:
-                if k % tangent_stride == 0:
+                if full and k % tangent_stride == 0:
                     su += u
                     sxi += xi
                     seta += eta
@@ -187,11 +200,12 @@ def _rk4_scalar(f: Nonlinearity, v, x0: float, t0: float, t1: float, h: float,
                 a3 = -g3 * (xi + half * a2)
                 a4 = -g4 * (xi + h * a3)
                 xi += sixth * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
-                b1 = 1.0 - g1 * eta
-                b2 = 1.0 - g2 * (eta + half * b1)
-                b3 = 1.0 - g3 * (eta + half * b2)
-                b4 = 1.0 - g4 * (eta + h * b3)
-                eta += sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+                if full:
+                    b1 = 1.0 - g1 * eta
+                    b2 = 1.0 - g2 * (eta + half * b1)
+                    b3 = 1.0 - g3 * (eta + half * b2)
+                    b4 = 1.0 - g4 * (eta + h * b3)
+                    eta += sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
             y = sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4) - comp
             s = u + y
             comp = (s - u) - y
@@ -202,7 +216,9 @@ def _rk4_scalar(f: Nonlinearity, v, x0: float, t0: float, t1: float, h: float,
                 return u, samples, True, -1 if w < 0 else 1, t0 + (k + 1) * h, None
             if store:
                 samples.append(u)
-    lanes = (xi, eta, su, sxi, seta) if tangent_stride else None
+    lanes = None
+    if tangent_stride:
+        lanes = (xi, eta, su, sxi, seta) if full else (xi,)
     return u, samples, False, None, None, lanes
 
 
@@ -306,28 +322,69 @@ def _flow_vector(f: Nonlinearity, v, x0: np.ndarray, h: float, table=None):
 
     ``table`` is an optional prebuilt ``_stage_table(f, v, h)``. Returns
     (u_end, alive); dead components hold nan (no escape sign or time).
+    A polynomial step allocates no array: seven lane buffers take every
+    stage through ``out=`` and in-place ufuncs, and a row goes through
+    ``core.horner_array_kernel``. A builtin's f.eval returns a fresh array,
+    read into the same buffers. The stages make the additions and
+    multiplications of ``k2 = v - f(u + (h/2) k1)``, ..., ``y = (h/6) (k1
+    + 2 k2 + 2 k3 + k4) - comp`` in their order, some with their operands
+    swapped, which IEEE arithmetic does not see; so every lane is bit for
+    bit that of the loop of fresh arrays that the tests keep as oracle.
+    The escape test is one NaN-propagating reduction, max |u| <=
+    ``U_MAX``; only a step that fails it looks at the lanes, marks the
+    newly escaped ones dead and fills them with nan.
     """
-    u = np.array(x0, dtype=float)
     nsteps, h, (v0, vh, v1), [(fx, (r0, rh, r1)), *_] = _read_table(
         f, v, 0.0, 1.0, h, (0,), table)
+    if f.builtin is None:
+        fx = horner_array_kernel(len(r0[0]))
+    else:
+        fx = partial(_fresh_into, fx)
+    half, sixth = 0.5 * h, h / 6.0
+    u = np.array(x0, dtype=float)
     comp = np.zeros_like(u)
+    w, k1, k2, k3, k4 = (np.empty_like(u) for _ in range(5))
     alive = np.ones(u.shape, dtype=bool)
     with np.errstate(all="ignore"):
         for k in range(nsteps):
-            k1 = v0[k] - fx(r0[k], u)
-            k2 = vh[k] - fx(rh[k], u + 0.5 * h * k1)
-            k3 = vh[k] - fx(rh[k], u + 0.5 * h * k2)
-            k4 = v1[k] - fx(r1[k], u + h * k3)
-            y = (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4) - comp
-            s = u + y
-            comp = (s - u) - y
-            u = s
-            dead = alive & (~np.isfinite(u) | (np.abs(u) > U_MAX))
-            if dead.any():
-                alive &= ~dead
-                u[~alive] = np.nan
-                comp[~alive] = 0.0
+            np.subtract(v0[k], fx(r0[k], u, k1), out=k1)
+            np.multiply(k1, half, out=w)
+            w += u
+            np.subtract(vh[k], fx(rh[k], w, k2), out=k2)
+            np.multiply(k2, half, out=w)
+            w += u
+            np.subtract(vh[k], fx(rh[k], w, k3), out=k3)
+            np.multiply(k3, h, out=w)
+            w += u
+            np.subtract(v1[k], fx(r1[k], w, k4), out=k4)
+            # w = y = (h/6) (k1 + 2 k2 + 2 k3 + k4) - comp, then k1 = u + y
+            np.multiply(k2, 2.0, out=w)
+            w += k1
+            k3 *= 2.0
+            w += k3
+            w += k4
+            w *= sixth
+            w -= comp
+            np.add(u, w, out=k1)
+            np.subtract(k1, u, out=comp)
+            comp -= w
+            u, k1 = k1, u
+            if not np.abs(u, out=w).max(initial=0.0) <= U_MAX:
+                dead = alive & (~np.isfinite(u) | (np.abs(u) > U_MAX))
+                if dead.any():
+                    alive &= ~dead
+                    u[~alive] = np.nan
+                    comp[~alive] = 0.0
     return u, alive
+
+
+def _fresh_into(evaluate, r, x, out):
+    """A builtin's ``evaluate(r, x)`` under the array kernels' signature.
+
+    It returns a fresh array and leaves out alone; ``_flow_vector`` reads
+    whichever array a kernel returns.
+    """
+    return evaluate(r, x)
 
 
 def integrate(f: Nonlinearity, v, x0: float, t0: float = 0.0, t1: float = 1.0,
@@ -335,10 +392,11 @@ def integrate(f: Nonlinearity, v, x0: float, t0: float = 0.0, t1: float = 1.0,
     """RK4 solve of u' + f(t,u) = v(t) from u(t0) = x0.
 
     ``v`` may be a PeriodicFn (interpolated spectrally between nodes), a
-    callable of t, or None for zero forcing.
+    callable of t, or None for zero forcing. x0, t0, t1 and h must be
+    finite.
     """
-    if h <= 0:
-        raise PreconditionError("step must be positive")
+    if not math.isfinite(x0):
+        raise PreconditionError("x0 must be finite")
     u_end, samples, blew, sign, btime, _ = _flow_scalar(f, v, x0, t0, t1, h,
                                                         store=True)
     samples = np.asarray(samples, dtype=float)
@@ -371,8 +429,8 @@ def _flow_with_variation(f: Nonlinearity, v, x0: float, h: float, table=None):
 
     ``table`` is an optional prebuilt ``_stage_table(f, v, h, (0, 1))``.
     """
-    u, _, blew, sign, btime, lanes = _rk4_scalar(f, v, x0, 0.0, 1.0, h,
-                                                 table=table, tangent_stride=1)
+    u, _, blew, sign, btime, lanes = _rk4_scalar(
+        f, v, x0, 0.0, 1.0, h, table=table, tangent_stride=1, xi_only=True)
     if blew:
         return None, None, True, sign, btime
     return float(u), float(lanes[0]), False, None, None
@@ -396,8 +454,11 @@ def contact_order(f: Nonlinearity, v, x0: float, kmax: int = 4,
     discrete RK4 map, from one ``_rk4_jet`` flow of order kmax + 1. A
     derivative counts as zero when |rho^(i)| <= ``CONTACT_ZERO_TOL`` *
     max(1, |rho^(k+1)|), and rho' as one when |rho' - 1| is within
-    ``CONTACT_ZERO_TOL`` * max(1, max_i |rho^(i)|).
+    ``CONTACT_ZERO_TOL`` * max(1, max_i |rho^(i)|). x0 and h must be
+    finite.
     """
+    if not math.isfinite(x0):
+        raise PreconditionError("x0 must be finite")
     if kmax < 1 or kmax > 5:
         raise PreconditionError("contact order supported for kmax in 1..5")
     if f.builtin is not None and kmax + 1 > MAX_X_DERIVATIVE:

@@ -66,6 +66,10 @@ def _horner_loop(coeffs, x):
     return acc
 
 
+def _hex(values, shape):
+    return [float.hex(float(x)) for x in np.broadcast_to(values, shape)]
+
+
 class TestHornerKernel:
     @pytest.mark.parametrize("width", [*range(1, 13), 300])
     def test_bitwise_equal_to_the_loop(self, width):
@@ -83,9 +87,29 @@ class TestHornerKernel:
                     assert np.array_equal(core.horner(coeffs, x), expect,
                                           equal_nan=True)
 
+    @pytest.mark.parametrize("width", [*range(1, 13), 300])
+    def test_array_twin_bitwise_equal_to_the_loop(self, width):
+        rng = np.random.default_rng(width)
+        row = (rng.standard_normal(width) * 10.0 ** rng.uniform(-3, 3, width))
+        # and a row of signed zeros, whose sums keep the sign of each step
+        zeros = np.where(rng.random(width) < 0.5, -0.0, 0.0)
+        kernel = core.horner_array_kernel(width)
+        xs = np.array([0.0, -0.0, 0.37, -1.9, 3.5, 1e3, -1e120, 1e200,
+                       np.inf, -np.inf, np.nan])
+        with np.errstate(all="ignore"):
+            for coeffs in (row.tolist(), row, zeros.tolist()):
+                out = np.empty_like(xs)
+                got = kernel(coeffs, xs, out)
+                expect = _horner_loop(coeffs, xs)
+                # width 1 returns the float r[0], as the scalar kernel does
+                assert got is out if width > 1 else type(got) is type(expect)
+                assert _hex(got, xs.shape) == _hex(expect, xs.shape)
+
     def test_compiled_once_per_width(self):
         assert core.horner_kernel(5) is core.horner_kernel(5)
         assert core.horner_kernel(5) is not core.horner_kernel(6)
+        assert core.horner_array_kernel(5) is core.horner_array_kernel(5)
+        assert core.horner_array_kernel(5) is not core.horner_array_kernel(6)
 
 
 class TestMean:

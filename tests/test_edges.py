@@ -1,20 +1,30 @@
 """Edge paths of the public contracts not covered by the main suites."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from morinode import (FourierAnsatz, Grid, Nonlinearity, PeriodicFn,
-                      contact_order, count_solutions, cumulative, integrate,
-                      mean, return_map, seed_shat, solve_periodic,
-                      InitialValue)
+from morinode import (Average, FourierAnsatz, Grid, Nonlinearity, PeriodicFn,
+                      contact_order, count_solutions, cumulative, gamma_curve,
+                      hull_origin_test, integrate, mean, return_map,
+                      seed_shat, solve_periodic, InitialValue)
 from morinode.cli import EXIT_OK, execute
 from morinode.core import PreconditionError
 
 TWO_PI = 2 * np.pi
 ZERO = Nonlinearity.polynomial([])
 SQUARE = Nonlinearity.polynomial([0, 0, 1])
+CUBIC = Nonlinearity.polynomial([0, -1, 0, 1])
+
+
+def _curve_with_point(x):
+    # the gamma_2 curve of x^3 - x on [-2, 2] with one coordinate set to x
+    curve = gamma_curve(CUBIC, 2, -2.0, 2.0)
+    points = curve.points.copy()
+    points[7, 1] = x
+    return dataclasses.replace(curve, points=points)
 
 
 class TestIntegrateEdges:
@@ -56,6 +66,27 @@ class TestNonFiniteInput:
         pytest.param(lambda x: FourierAnsatz(0.0, [0.1, x]), id="ansatz-cos"),
         pytest.param(lambda x: FourierAnsatz(0.0, [0.1], [x]),
                      id="ansatz-sin"),
+        pytest.param(lambda x: integrate(SQUARE, None, x), id="integrate-x0"),
+        pytest.param(lambda x: integrate(SQUARE, None, 0.1, h=x),
+                     id="integrate-step"),
+        pytest.param(lambda x: integrate(SQUARE, None, 0.1, t0=x),
+                     id="integrate-t0"),
+        pytest.param(lambda x: integrate(SQUARE, None, 0.1, t1=x),
+                     id="integrate-t1"),
+        pytest.param(lambda x: contact_order(SQUARE, None, x, kmax=2, h=1e-3),
+                     id="contact-x0"),
+        pytest.param(lambda x: contact_order(SQUARE, None, 0.0, kmax=2, h=x),
+                     id="contact-step"),
+        pytest.param(lambda x: gamma_curve(CUBIC, 2, x, 1.0), id="gamma-lo"),
+        pytest.param(lambda x: gamma_curve(CUBIC, 2, -1.0, x), id="gamma-hi"),
+        pytest.param(lambda x: hull_origin_test(_curve_with_point(x)),
+                     id="hull-points"),
+        pytest.param(lambda x: solve_periodic(SQUARE, PeriodicFn.constant(0.0),
+                                              InitialValue(x)),
+                     id="fibre-initial-value"),
+        pytest.param(lambda x: solve_periodic(SQUARE, PeriodicFn.constant(0.0),
+                                              Average(x)),
+                     id="fibre-average"),
     ])
     def test_entry_points_reject_non_finite_numbers(self, call, bad):
         # a nan or an infinity is a precondition violation, not an answer

@@ -50,6 +50,32 @@ def _comprehension_field(K):
     return bind
 
 
+def _allocating_flow_vector(f, v, x0, h, table=None):
+    # the batched RK4 step that made fresh arrays at every stage, before
+    # _flow_vector's in-place buffers and array kernel: the oracle of its bits
+    u = np.array(x0, dtype=float)
+    nsteps, h, (v0, vh, v1), [(fx, (r0, rh, r1)), *_] = odeint._read_table(
+        f, v, 0.0, 1.0, h, (0,), table)
+    comp = np.zeros_like(u)
+    alive = np.ones(u.shape, dtype=bool)
+    with np.errstate(all="ignore"):
+        for k in range(nsteps):
+            k1 = v0[k] - fx(r0[k], u)
+            k2 = vh[k] - fx(rh[k], u + 0.5 * h * k1)
+            k3 = vh[k] - fx(rh[k], u + 0.5 * h * k2)
+            k4 = v1[k] - fx(r1[k], u + h * k3)
+            y = (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4) - comp
+            s = u + y
+            comp = (s - u) - y
+            u = s
+            dead = alive & (~np.isfinite(u) | (np.abs(u) > odeint.U_MAX))
+            if dead.any():
+                alive &= ~dead
+                u[~alive] = np.nan
+                comp[~alive] = 0.0
+    return u, alive
+
+
 def _bits(values):
     return None if values is None else [(type(x), float.hex(float(x)))
                                         for x in values]
@@ -149,6 +175,72 @@ class TestReturnMap:
         assert np.array_equal(idx, np.arange(idx[0], idx[-1] + 1))
 
 
+def _push(t):
+    return np.full(np.shape(t), -1e6)
+
+
+class TestVectorStep:
+    # the in-place step against the allocating one, float.hex of every lane
+
+    # under SQUARE the first seven escape at seven different steps
+    ESCAPING = np.array([-5.0, -4.0, -3.0, -2.5, -2.0, -1.5, -1.2, np.nan,
+                         0.5, np.inf, -np.inf, 0.0, -0.0])
+
+    @pytest.mark.parametrize("f, v, xs, h", [
+        pytest.param(Nonlinearity([Term(1, FourierAnsatz(-1.0, [], [0.2])),
+                                   Term(3, FourierAnsatz(0.7, [0.05]))]),
+                     lambda t: 0.3 * np.sin(2 * np.pi * t),
+                     np.linspace(-3.0, 3.0, 61), 1e-3, id="t-dependent"),
+        # u = 0.2 solves the builtin under v = f(t, 0.2); 11 of 41 survive
+        pytest.param(WILD, lambda t: WILD.eval(t, 0.2),
+                     np.linspace(-2.0, 2.0, 41), 1e-3, id="builtin"),
+        pytest.param(WILD, _push, np.array([0.0, 0.5, np.nan]), 1e-3,
+                     id="builtin-one-step-overflow"),
+        pytest.param(Nonlinearity.polynomial([0.7]),
+                     lambda t: 0.3 * np.cos(2 * np.pi * t), ESCAPING, 1e-3,
+                     id="width-1"),
+        pytest.param(ZERO, None, ESCAPING, 1e-2, id="width-1-zero"),
+        pytest.param(IDENTITY, lambda t: 0.3 * np.cos(2 * np.pi * t),
+                     ESCAPING, 1e-3, id="width-2"),
+        pytest.param(SQUARE, None, ESCAPING, 1e-3, id="escapes"),
+        pytest.param(SQUARE, None, np.array([]), 1e-3, id="no-lanes"),
+        # u' = u: +-367880 e^t passes U_MAX in the last step and stays
+        # finite, so it ends as nan only if that step's escape test fires
+        pytest.param(Nonlinearity.polynomial([0, -1.0]), None,
+                     np.array([367880.0, 1.0, -367880.0]), 1e-3,
+                     id="last-step-escape"),
+        pytest.param(Nonlinearity.polynomial([0, 0, 0, 0, 0, -1.0]),
+                     lambda t: 0.5 * np.cos(2 * np.pi * t),
+                     np.linspace(-1.3, 1.3, 79), 1.0 / 256, id="x5-escapes"),
+    ])
+    def test_in_place_step_is_the_allocating_step_bitwise(self, f, v, xs, h):
+        u, alive = _flow_vector(f, v, xs, h)
+        expect_u, expect_alive = _allocating_flow_vector(f, v, xs, h)
+        assert _bits(u) == _bits(expect_u)
+        assert alive.tolist() == expect_alive.tolist()
+
+    def test_escaping_lanes_leave_at_different_steps(self):
+        # so the cases above mix dead and live lanes over many steps
+        times = {_flow_scalar(SQUARE, None, float(x), 0.0, 1.0, 1e-3)[4]
+                 for x in self.ESCAPING[:7]}
+        assert len(times) == 7 and max(times) < 1.0
+        _, alive = _flow_vector(Nonlinearity.polynomial([0, 0, 0, 0, 0, -1.0]),
+                                lambda t: 0.5 * np.cos(2 * np.pi * t),
+                                np.linspace(-1.3, 1.3, 79), 1.0 / 256)
+        assert 0 < alive.sum() < 79
+
+    def test_census_scan_is_the_allocating_scan_bitwise(self, quartic,
+                                                         six_root_ansatz):
+        v = operator_rhs(quartic, six_root_ansatz)
+        xs = np.linspace(-0.4, 0.4, 801)
+        table = _stage_table(quartic, v, 2e-4, (0, 1))
+        u, alive = _flow_vector(quartic, v, xs, 2e-4, table)
+        expect_u, expect_alive = _allocating_flow_vector(quartic, v, xs,
+                                                         2e-4, table)
+        assert _bits(u) == _bits(expect_u)
+        assert alive.tolist() == expect_alive.tolist()
+
+
 class TestTangentLanes:
     # x^3 - x under 0.4 cos(2 pi t) + nu, two RK4 steps per node of a
     # 256-point grid, so the lane sums are node sums
@@ -194,6 +286,52 @@ class TestTangentLanes:
         assert np.all(coarse <= 5.0 * 4e-3 ** 2)
         assert np.all((coarse / fine > 3.6) & (coarse / fine < 4.4))
         assert eta > 0 and xi > 0
+
+    # (xi, eta, sum u, sum xi, sum eta) of x^3 - x under 0.3 - 0.6 t from
+    # c at h = 1/512, recorded from the loop before the xi-only lane split;
+    # the forcing is plain arithmetic, so these bits hold on every machine
+    PINNED = {
+        (1, 0.4): ("0x1.9393b4435a9b4p-1", "0x1.98909625bc7aep-1",
+                   "0x1.440c2bc9951cep+8", "0x1.fe36fedf37118p+8",
+                   "0x1.d5c4400c1e259p+7"),
+        (1, -1.2): ("0x1.7cefaf6c7ab2fp-4", "0x1.95ab399aff7d8p-2",
+                    "-0x1.0f59248a314afp+9", "0x1.6ebe37ef16966p+7",
+                    "0x1.0f76f69ecc851p+7"),
+        (3, 0.4): ("0x1.9393b4435a9b4p-1", "0x1.98909625bc7aep-1",
+                   "0x1.b098793ce1b79p+6", "0x1.54cf473a132a7p+7",
+                   "0x1.392cf62e76ecfp+6"),
+        (3, -1.2): ("0x1.7cefaf6c7ab2fp-4", "0x1.95ab399aff7d8p-2",
+                    "-0x1.6a99280ef2130p+7", "0x1.ebab576a413b3p+5",
+                    "0x1.69f309f77d71fp+5"),
+    }
+
+    @pytest.mark.parametrize("stride, c", list(PINNED))
+    def test_full_lanes_unchanged(self, stride, c):
+        lanes = _flow_scalar(self.F, lambda t: 0.3 - 0.6 * t, c, 0.0, 1.0,
+                             self.H, tangent_stride=stride)[5]
+        assert tuple(x.hex() for x in lanes) == self.PINNED[stride, c]
+
+    @pytest.mark.parametrize("f, v, x0, h", [
+        (F, lambda t: 0.3 - 0.6 * t, 0.4, H),
+        (F, lambda t: 0.3 - 0.6 * t, -1.2, H),
+        (Nonlinearity([Term(1, FourierAnsatz(-1.0, [], [0.2])),
+                       Term(3, FourierAnsatz(0.7, [0.05]))]),
+         lambda t: 0.3 * np.sin(2 * np.pi * t), -0.6, 1e-3),
+        (SQUARE, None, -2.0, 1e-3),
+        (WILD, None, 0.1, 1e-3),
+        (WILD, _push, 0.0, 1e-3),
+    ], ids=["cubic", "cubic-low", "t-dependent", "riccati-escape",
+            "builtin-escape", "one-step-overflow"])
+    def test_xi_only_lane_is_the_full_lanes_xi(self, f, v, x0, h):
+        # _flow_with_variation's whole tuple, escape sign and time included,
+        # is what the full-lane flow at stride 1 reads
+        u, _, blew, sign, btime, lanes = odeint._rk4_scalar(
+            f, v, x0, 0.0, 1.0, h, tangent_stride=1)
+        expect = ((None, None, True, sign, btime) if blew else
+                  (float(u), float(lanes[0]), False, None, None))
+        got = _flow_with_variation(f, v, x0, h)
+        assert [_bits([x]) if isinstance(x, float) else x for x in got] == [
+            _bits([x]) if isinstance(x, float) else x for x in expect]
 
     def test_return_map_derivative_is_the_xi_lane(self, table):
         # the census reads rho' from the same lane as the fibre solver
