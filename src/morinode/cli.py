@@ -29,7 +29,7 @@ from . import globalgeo, morin, search
 from .core import (Grid, MalformedFileError, MorinodeError, Nonlinearity,
                    PeriodicFn, PreconditionError, FourierAnsatz,
                    ansatz_from_json, ansatz_to_json, load_json, mean,
-                   nonlinearity_from_json)
+                   nonlinearity_from_json, power_from_json)
 from .odeint import return_map
 
 SCHEMA = "morinode.result/1"
@@ -54,8 +54,6 @@ def _jsonable(obj):
         return obj.item()
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {k: _jsonable(v) for k, v in dataclasses.asdict(obj).items()}
-    if isinstance(obj, PeriodicFn):
-        return {"n": obj.grid.n, "mean": mean(obj)}
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -126,14 +124,24 @@ def _family_from_json(doc: dict) -> search.ParamFamily:
     try:
         if doc.get("kind") == "quartic_bc":
             return search.ParamFamily.quartic_bc()
+        names = doc.get("names", [])
+        if not (isinstance(names, list)
+                and all(isinstance(n, str) for n in names)):
+            raise ValueError(f"names {names!r} is not a list of strings")
+        if len(set(names)) != len(names):
+            raise ValueError(f"names {names} repeat a parameter")
         entries = []
         for power, coeff in doc["entries"]:
             ref = isinstance(coeff, dict)
             value = float(coeff.get("scale", 1.0) if ref else coeff)
             if not np.isfinite(value):
                 raise ValueError(f"non-finite coefficient of power {power}")
-            entries.append((int(power), (coeff["param"], value) if ref else value))
-        return search.ParamFamily(tuple(entries), tuple(doc.get("names", ())))
+            if ref and coeff["param"] not in names:
+                raise ValueError(f"parameter {coeff['param']!r} is not in "
+                                 f"names {names}")
+            entries.append((power_from_json(power),
+                            (coeff["param"], value) if ref else value))
+        return search.ParamFamily(tuple(entries), tuple(names))
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise MalformedFileError(f"bad family document: {exc}") from exc
 

@@ -10,6 +10,7 @@ One series, ``FourierAnsatz``, is an ansatz u or a coefficient c_j(t) of f.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -66,28 +67,22 @@ class Grid:
         return np.arange(self.n) / self.n
 
 
+@dataclass(frozen=True, eq=False, repr=False)
 class PeriodicFn:
     """A real function on the circle, stored as samples at grid nodes."""
 
-    __slots__ = ("grid", "values", "_coeffs")
+    grid: Grid
+    values: np.ndarray
 
-    def __init__(self, grid: Grid, values: np.ndarray):
-        values = np.array(values, dtype=float)
-        if values.shape != (grid.n,):
+    def __post_init__(self):
+        values = np.array(self.values, dtype=float)
+        if values.shape != (self.grid.n,):
             raise PreconditionError(
-                f"expected {grid.n} samples, got shape {values.shape}")
+                f"expected {self.grid.n} samples, got shape {values.shape}")
         if not np.all(np.isfinite(values)):
             raise PreconditionError("periodic function samples must be finite")
-        object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "_coeffs", None)
         values.setflags(write=False)
-
-    def __setattr__(self, name, value):
-        if name == "_coeffs":
-            object.__setattr__(self, name, value)
-        else:
-            raise AttributeError("PeriodicFn is immutable")
+        object.__setattr__(self, "values", values)
 
     @classmethod
     def from_callable(cls, fn: Callable[[np.ndarray], np.ndarray],
@@ -100,19 +95,18 @@ class PeriodicFn:
         grid = grid or Grid()
         return cls(grid, np.full(grid.n, float(value)))
 
+    @functools.cached_property
     def _fourier(self) -> tuple[np.ndarray, np.ndarray]:
         """Significant one-sided Fourier coefficients (harmonics, coeffs)."""
-        if self._coeffs is None:
-            c = np.fft.rfft(self.values) / self.grid.n
-            keep = np.abs(c) > 1e-15 * (np.max(np.abs(c)) + 1e-300)
-            keep[0] = True
-            self._coeffs = (np.nonzero(keep)[0], c[keep])
-        return self._coeffs
+        c = np.fft.rfft(self.values) / self.grid.n
+        keep = np.abs(c) > 1e-15 * (np.max(np.abs(c)) + 1e-300)
+        keep[0] = True
+        return np.nonzero(keep)[0], c[keep]
 
     def eval(self, t: np.ndarray | float) -> np.ndarray | float:
         """Trigonometric-interpolant value at arbitrary circle points."""
         t = np.asarray(t, dtype=float)
-        harm, c = self._fourier()
+        harm, c = self._fourier
         # one-sided sum: double every positive harmonic, Nyquist included once
         scale = np.where(harm == 0, 1.0, 2.0)
         if 2 * harm[-1] == self.grid.n:
@@ -328,9 +322,7 @@ class Term:
             raise PreconditionError("polynomial powers must be non-negative")
 
 
-_HORNER_KERNELS: dict[int, Callable] = {}
-
-
+@functools.cache
 def horner_kernel(width: int) -> Callable:
     """``kernel(r, x)`` = sum_m r[m] x^m for rows of ``width`` coefficients.
 
@@ -340,20 +332,15 @@ def horner_kernel(width: int) -> Callable:
     without the interpreter's per-coefficient loop work. The generated
     source holds only integer indices.
     """
-    kernel = _HORNER_KERNELS.get(width)
-    if kernel is None:
-        body = "".join(f"    acc = acc * x + r[{m}]\n"
-                       for m in range(width - 2, -1, -1))
-        scope: dict = {}
-        exec(f"def kernel(r, x):\n    acc = r[{width - 1}]\n{body}"
-             "    return acc\n", scope)
-        kernel = _HORNER_KERNELS[width] = scope["kernel"]
-    return kernel
+    body = "".join(f"    acc = acc * x + r[{m}]\n"
+                   for m in range(width - 2, -1, -1))
+    scope: dict = {}
+    exec(f"def kernel(r, x):\n    acc = r[{width - 1}]\n{body}"
+         "    return acc\n", scope)
+    return scope["kernel"]
 
 
-_HORNER_ARRAY_KERNELS: dict[int, Callable] = {}
-
-
+@functools.cache
 def horner_array_kernel(width: int) -> Callable:
     """``kernel(r, x, out)``: ``horner_kernel(width)(r, x)`` written into out.
 
@@ -365,31 +352,21 @@ def horner_array_kernel(width: int) -> Callable:
     allocated. out must not be x. Returns out; width 1 returns the float
     r[0], as the scalar kernel does.
     """
-    kernel = _HORNER_ARRAY_KERNELS.get(width)
-    if kernel is None:
-        if width == 1:
-            body = "    return r[0]\n"
-        else:
-            steps = "    out *= x\n".join(f"    out += r[{m}]\n"
-                                          for m in range(width - 2, -1, -1))
-            body = (f"    multiply(x, r[{width - 1}], out=out)\n{steps}"
-                    "    return out\n")
-        scope: dict = {"multiply": np.multiply}
-        exec(f"def kernel(r, x, out):\n{body}", scope)
-        kernel = _HORNER_ARRAY_KERNELS[width] = scope["kernel"]
-    return kernel
+    if width == 1:
+        body = "    return r[0]\n"
+    else:
+        steps = "    out *= x\n".join(f"    out += r[{m}]\n"
+                                      for m in range(width - 2, -1, -1))
+        body = (f"    multiply(x, r[{width - 1}], out=out)\n{steps}"
+                "    return out\n")
+    scope: dict = {"multiply": np.multiply}
+    exec(f"def kernel(r, x, out):\n{body}", scope)
+    return scope["kernel"]
 
 
 def horner(coeffs, x):
     """sum_m coeffs[m] x^m by Horner's rule, coefficients ascending."""
     return horner_kernel(len(coeffs))(coeffs, x)
-
-
-def _falling(j: int, k: int) -> int:
-    out = 1
-    for i in range(k):
-        out *= (j - i)
-    return out
 
 
 # builtin nonlinearities: name -> (pairs of x-derivative tables, description)
@@ -459,8 +436,7 @@ class Nonlinearity:
             j = term.power
             if j < order:
                 continue
-            fac = _falling(j, order)
-            out = out + term.coeff(t) * fac * x ** (j - order)
+            out = out + term.coeff(t) * math.perm(j, order) * x ** (j - order)
         return out if out.shape else float(out)
 
     def poly_coeffs(self, order: int = 0) -> np.ndarray:
@@ -481,7 +457,7 @@ class Nonlinearity:
             j = term.power
             if j < order:
                 continue
-            rows[:, j - order] += term.coeff(times) * _falling(j, order)
+            rows[:, j - order] += term.coeff(times) * math.perm(j, order)
         return rows
 
     def abs_bound(self, x_bound: float) -> float:
@@ -522,9 +498,19 @@ def _series_from_json(doc: dict) -> FourierAnsatz:
                          [float(s) for s in doc.get("sin", [])])
 
 
+def power_from_json(value) -> int:
+    """A term's power read from a file: an integral number >= 0, so 2.0
+    reads as 2; 2.5, -1, a string or a bool raise ``ValueError``."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if type(value) is not int or value < 0:
+        raise ValueError(f"power {value!r} is not an integral number >= 0")
+    return value
+
+
 def nonlinearity_from_json(doc: dict) -> Nonlinearity:
     try:
-        terms = [Term(int(td["power"]), _series_from_json(td))
+        terms = [Term(power_from_json(td["power"]), _series_from_json(td))
                  for td in doc.get("terms", [])]
         return Nonlinearity(terms, builtin=doc.get("builtin"))
     except (AttributeError, KeyError, TypeError, ValueError,

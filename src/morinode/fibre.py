@@ -96,7 +96,10 @@ def solve_periodic(f: Nonlinearity, vtilde: PeriodicFn, constraint,
     first nu tried. Newton steps on tangent lanes of the RK4 flow (see
     ``_newton_solve``). ``h`` is rounded to the nearest 1/(s n) on the grid
     of ``vtilde``, so the samples are those of the flow that closed.
+    ``h`` and ``nu_hint`` must be finite when given.
     """
+    if nu_hint is not None and not math.isfinite(nu_hint):
+        raise PreconditionError("nu_hint must be finite")
     if abs(mean(vtilde)) > 1e-10:
         raise PreconditionError("vtilde must have zero mean")
     if isinstance(constraint, InitialValue):
@@ -115,8 +118,8 @@ def _classify(u_end, blew, sign, c):
 
 def _node_step(grid, h):
     """The step 1/(s n) nearest h (default 1/n) on the grid nodes, and s."""
-    if h is not None and not h > 0:
-        raise PreconditionError("step must be positive")
+    if h is not None and not 0.0 < h < math.inf:
+        raise PreconditionError("the step h must be finite and positive")
     stride = 1 if h is None else max(int(round(1.0 / (h * grid.n))), 1)
     return 1.0 / (stride * grid.n), stride
 

@@ -1,34 +1,35 @@
 """Initial-value integration of u' = -f(t,u) + v(t) and the return map.
 
 The integrator is classical fixed-step RK4 with Kahan-compensated state
-updates. Blow-up is declared when |u| crosses ``U_MAX``; only the scalar
-loop records the sign of the first stage state of that step past
-``U_MAX`` (of the last finite sample when none is) and the first-crossing
-time. Every stage evaluates a polynomial f through ``core.horner_kernel``,
-Horner's rule unrolled for the row's width. The many-lane loop
-``_flow_vector`` uses its in-place array twin ``core.horner_array_kernel``
-and writes every stage into seven lane buffers, so a polynomial step
-allocates no array; one NaN-propagating reduction, max |u| <= ``U_MAX``,
-clears a step in which no lane escaped. The return map rho_v sends u(0)
-to u(1); its first derivative is carried through the same RK4 steps as
-the exact derivative of the discrete flow, on the scalar loop's xi lane
-alone, while the fibre solves carry eta = du/dnu and strided sums too.
-``contact_order`` reads rho and its derivatives up to order kmax + 1
-from one flow on truncated Taylor series in the start value
-(``_rk4_jet``): they are the exact jets of the discrete RK4 map, not
-finite differences, and a derivative counts as zero below
-``CONTACT_ZERO_TOL`` = 1e-6 relative to the leading one. The jet flow's
-stage field is straight-line code as well, its Cauchy products unrolled
-and compiled once per jet order (``_jet_field``). ``_rho_derivative_fd``
-and ``_fd_once`` remain as the tests' finite-difference cross-check, and
-because the benchmark's tracer (``bench/spans.py``) binds both by name.
+updates. All three loops declare blow-up by one test, not |u| <=
+``U_MAX``, which nan fails too; only the scalar loop records the sign of
+the first stage state of that step past ``U_MAX`` (of the last finite
+sample when none is) and the first-crossing time. Every stage evaluates
+a polynomial f through ``core.horner_kernel``, Horner's rule unrolled
+for the row's width. The many-lane loop ``_flow_vector`` uses its
+in-place array twin ``core.horner_array_kernel`` and writes every stage
+into seven lane buffers, so a polynomial step allocates no array; its
+test is one reduction over the lanes, which a dead lane, parked at 0,
+passes. The return map rho_v sends u(0) to u(1); its first derivative is
+carried through the same RK4 steps as the exact derivative of the
+discrete flow, on the scalar loop's xi lane alone, while the fibre
+solves carry eta = du/dnu and strided sums too. ``contact_order`` reads
+rho and its derivatives up to order kmax + 1 from one flow on truncated
+Taylor series in the start value (``_rk4_jet``): they are the exact jets
+of the discrete RK4 map, not finite differences, and a derivative counts
+as zero below ``CONTACT_ZERO_TOL`` = 1e-6 relative to the leading one.
+The jet flow's stage field is straight-line code as well, its Cauchy
+products unrolled and compiled once per jet order (``_jet_field``).
+``_rho_derivative_fd`` and ``_fd_once`` remain as the tests'
+finite-difference cross-check, and because the benchmark's tracer
+(``bench/spans.py``) binds both by name.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -49,9 +50,6 @@ CONTACT_ZERO_TOL = 1e-6
 # half-widths for the FD cross-check's stencils, by derivative order;
 # higher orders need wider stencils to stay above the rho-evaluation noise
 _STENCIL_HALF_WIDTH = {2: 1e-3, 3: 1e-3, 4: 4e-3, 5: 8e-3, 6: 1.5e-2}
-
-# ``_jet_field``'s compiled binders, by jet order K
-_JET_FIELDS: dict = {}
 
 
 @dataclass(frozen=True)
@@ -211,7 +209,7 @@ def _rk4_scalar(f: Nonlinearity, v, x0: float, t0: float, t1: float, h: float,
             comp = (s - u) - y
             last = u
             u = s
-            if not math.isfinite(u) or abs(u) > U_MAX:
+            if not abs(u) <= U_MAX:
                 w = next((w for w in (u2, u3, u4, u) if abs(w) > U_MAX), last)
                 return u, samples, True, -1 if w < 0 else 1, t0 + (k + 1) * h, None
             if store:
@@ -234,6 +232,7 @@ def _flow_scalar(f: Nonlinearity, v, x0: float, t0: float, t1: float, h: float,
     return _rk4_scalar(f, v, x0, t0, t1, h, store, table, tangent_stride)
 
 
+@cache
 def _jet_field(K: int):
     """``bind(e_0, ..., e_K)``, giving the stage field of ``_rk4_jet`` at K.
 
@@ -250,30 +249,27 @@ def _jet_field(K: int):
     is the same bit for bit. The generated source holds only integer
     indices.
     """
-    bind = _JET_FIELDS.get(K)
-    if bind is None:
-        idx = range(K + 1)
-        body = ["    def field(vk, rows, w):",
-                f"        {', '.join(f'r{j}' for j in idx)}, = rows",
-                f"        {', '.join(f'w{n}' for n in idx)}, = w",
-                "        f1 = e1(r1, w0)"]
-        body += [f"        a{n} = f1 * w{n}" for n in range(1, K + 1)]
-        for j in range(2, K + 1):
-            prev = "w" if j == 2 else f"p{j - 1}_"
-            for n in range(j, K + 1):
-                terms = "".join(f" + {prev}{i} * w{n - i}"
-                                for i in range(j - 1, n))
-                body.append(f"        p{j}_{n} = 0.0{terms}")
-            body.append(f"        c = e{j}(r{j}, w0) * (1.0 / "
-                        f"{math.factorial(j)})")
-            body += [f"        a{n} += c * p{j}_{n}" for n in range(j, K + 1)]
-        body.append("        return [vk - e0(r0, w0), "
-                    + ", ".join(f"-a{n}" for n in range(1, K + 1)) + "]")
-        scope: dict = {}
-        exec(f"def bind({', '.join(f'e{j}' for j in idx)}):\n"
-             + "\n".join(body) + "\n    return field\n", scope)
-        bind = _JET_FIELDS[K] = scope["bind"]
-    return bind
+    idx = range(K + 1)
+    body = ["    def field(vk, rows, w):",
+            f"        {', '.join(f'r{j}' for j in idx)}, = rows",
+            f"        {', '.join(f'w{n}' for n in idx)}, = w",
+            "        f1 = e1(r1, w0)"]
+    body += [f"        a{n} = f1 * w{n}" for n in range(1, K + 1)]
+    for j in range(2, K + 1):
+        prev = "w" if j == 2 else f"p{j - 1}_"
+        for n in range(j, K + 1):
+            terms = "".join(f" + {prev}{i} * w{n - i}"
+                            for i in range(j - 1, n))
+            body.append(f"        p{j}_{n} = 0.0{terms}")
+        body.append(f"        c = e{j}(r{j}, w0) * (1.0 / "
+                    f"{math.factorial(j)})")
+        body += [f"        a{n} += c * p{j}_{n}" for n in range(j, K + 1)]
+    body.append("        return [vk - e0(r0, w0), "
+                + ", ".join(f"-a{n}" for n in range(1, K + 1)) + "]")
+    scope: dict = {}
+    exec(f"def bind({', '.join(f'e{j}' for j in idx)}):\n"
+         + "\n".join(body) + "\n    return field\n", scope)
+    return scope["bind"]
 
 
 def _rk4_jet(f: Nonlinearity, v, x0: float, h: float, K: int):
@@ -310,7 +306,7 @@ def _rk4_jet(f: Nonlinearity, v, x0: float, h: float, K: int):
             y = sixth * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0]) - comp
             s = u[0] + y
             comp = (s - u[0]) - y
-            if not math.isfinite(s) or abs(s) > U_MAX:
+            if not abs(s) <= U_MAX:
                 return None
             u = [s] + [u[n] + sixth * (k1[n] + 2.0 * k2[n] + 2.0 * k3[n] + k4[n])
                        for n in tail]
@@ -331,8 +327,8 @@ def _flow_vector(f: Nonlinearity, v, x0: np.ndarray, h: float, table=None):
     swapped, which IEEE arithmetic does not see; so every lane is bit for
     bit that of the loop of fresh arrays that the tests keep as oracle.
     The escape test is one NaN-propagating reduction, max |u| <=
-    ``U_MAX``; only a step that fails it looks at the lanes, marks the
-    newly escaped ones dead and fills them with nan.
+    ``U_MAX``. A step that fails it marks the escaped lanes dead and parks
+    them at 0, so later reductions pass them; they get nan at the end.
     """
     nsteps, h, (v0, vh, v1), [(fx, (r0, rh, r1)), *_] = _read_table(
         f, v, 0.0, 1.0, h, (0,), table)
@@ -370,11 +366,11 @@ def _flow_vector(f: Nonlinearity, v, x0: np.ndarray, h: float, table=None):
             comp -= w
             u, k1 = k1, u
             if not np.abs(u, out=w).max(initial=0.0) <= U_MAX:
-                dead = alive & (~np.isfinite(u) | (np.abs(u) > U_MAX))
-                if dead.any():
-                    alive &= ~dead
-                    u[~alive] = np.nan
-                    comp[~alive] = 0.0
+                dead = ~(w <= U_MAX)
+                alive &= ~dead
+                u[dead] = 0.0
+                comp[dead] = 0.0
+    u[~alive] = np.nan
     return u, alive
 
 

@@ -77,6 +77,7 @@ class TestExitCodes:
     PROBLEM = "--problem {quartic} "
     SIGMA = PROBLEM + "--ansatz {ub} "
     SWEEP = "sweep --family {family} --grid c=0:0:1 --analysis count "
+    SEARCH_FAMILY = "find-singularity --seed {ub} --target 0 --family"
 
     @pytest.mark.parametrize("argv", [
         pytest.param("classify-operator " + PROBLEM + "--range -4 4",
@@ -160,13 +161,39 @@ class TestExitCodes:
                      id="family-string"),
         pytest.param("sweep --grid c=0:0:1 --family", "3",
                      id="family-number"),
+        pytest.param("degree --problem", '{"terms": [{"power": 2.5, "a0": 1}]}',
+                     id="non-integral-power"),
+        pytest.param("degree --problem", '{"terms": [{"power": "2", "a0": 1}]}',
+                     id="string-power"),
+        pytest.param("sweep --grid c=0:0:1 --family",
+                     '{"entries": [[1, {"param": "z"}]], "names": ["b", "c"]}',
+                     id="undeclared-family-param"),
+        pytest.param(SEARCH_FAMILY,
+                     '{"entries": [[1, {"param": "z"}]], "names": ["b", "c"]}',
+                     id="undeclared-family-param-search"),
+        pytest.param("sweep --grid c=0:0:1 --family",
+                     '{"entries": [[-1, 1.0], [1, {"param": "c"}]], '
+                     '"names": ["c"]}', id="negative-family-power"),
+        pytest.param(SEARCH_FAMILY,
+                     '{"entries": [[-1, 1.0], [1, {"param": "c"}]], '
+                     '"names": ["c"]}', id="negative-family-power-search"),
+        pytest.param("sweep --grid c=0:0:1 --family",
+                     '{"entries": [[4.7, 1.0], [1, {"param": "c"}]], '
+                     '"names": ["c"]}', id="non-integral-family-power"),
+        pytest.param("sweep --grid c=0:0:1 --family",
+                     '{"entries": [[1, {"param": "c"}]], "names": ["c", "c"]}',
+                     id="repeated-family-name"),
+        pytest.param("sweep --grid c=0:0:1 --family",
+                     '{"entries": [[1, {"param": "c"}]], "names": "c"}',
+                     id="family-names-string"),
     ])
-    def test_malformed_problem_file(self, tmp_path, capsys, command, text):
+    def test_malformed_problem_file(self, tmp_path, problem_files, capsys,
+                                    command, text):
         # a file that does not parse, or parses to a value outside the
         # model, exits 65
         bad = tmp_path / "bad.json"
         bad.write_text(text)
-        code = execute(command.split() + [str(bad)])
+        code = execute(command.format(**problem_files).split() + [str(bad)])
         assert code == EXIT_BAD_FILE
         assert "malformed input" in capsys.readouterr().err
 

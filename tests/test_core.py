@@ -227,6 +227,38 @@ class TestSpectral:
         assert np.max(np.abs(du.values - expect)) < 1e-9
 
 
+class TestPeriodicFn:
+    @pytest.mark.parametrize("values", [np.zeros(15), np.zeros((16, 1)),
+                                        np.zeros(32)], ids=["short", "2-d",
+                                                            "long"])
+    def test_wrong_shape_rejected(self, values):
+        with pytest.raises(PreconditionError, match="expected 16 samples"):
+            PeriodicFn(Grid(16), values)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_sample_rejected(self, bad):
+        values = np.zeros(16)
+        values[5] = bad
+        with pytest.raises(PreconditionError, match="must be finite"):
+            PeriodicFn(Grid(16), values)
+
+    def test_samples_are_a_read_only_copy(self):
+        values = np.arange(16.0)
+        u = PeriodicFn(Grid(16), values)
+        values[0] = 7.0
+        assert u.values[0] == 0.0
+        with pytest.raises(ValueError):
+            u.values[0] = 1.0
+        with pytest.raises(AttributeError):
+            u.values = np.zeros(16)
+
+    def test_equality_is_identity(self):
+        u = PeriodicFn.constant(1.0, Grid(16))
+        assert u != PeriodicFn.constant(1.0, Grid(16))
+        assert {u: 1}[u] == 1
+        assert repr(u) == "PeriodicFn(n=16, mean=1)"
+
+
 class TestJson:
     def test_nonlinearity_roundtrip(self, quartic):
         doc = nonlinearity_to_json(quartic)
@@ -245,6 +277,10 @@ class TestJson:
         t, x = np.meshgrid(np.linspace(0, 1, 17), np.linspace(-2, 2, 9))
         for order in range(6):
             assert np.array_equal(f2.eval(t, x, order), f.eval(t, x, order))
+
+    def test_integral_float_power_reads_as_int(self):
+        f = nonlinearity_from_json({"terms": [{"power": 2.0, "a0": 1.0}]})
+        assert [(type(t.power), t.power) for t in f.terms] == [(int, 2)]
 
     @pytest.mark.parametrize("doc", [[1, 2], {"terms": [7]}])
     def test_nonlinearity_not_an_object(self, doc):

@@ -87,6 +87,12 @@ class TestNonFiniteInput:
         pytest.param(lambda x: solve_periodic(SQUARE, PeriodicFn.constant(0.0),
                                               Average(x)),
                      id="fibre-average"),
+        pytest.param(lambda x: solve_periodic(SQUARE, PeriodicFn.constant(0.0),
+                                              InitialValue(0.1), nu_hint=x),
+                     id="fibre-nu-hint"),
+        pytest.param(lambda x: solve_periodic(SQUARE, PeriodicFn.constant(0.0),
+                                              InitialValue(0.1), h=x),
+                     id="fibre-step"),
     ])
     def test_entry_points_reject_non_finite_numbers(self, call, bad):
         # a nan or an infinity is a precondition violation, not an answer

@@ -232,6 +232,23 @@ class TestClassifyPoint:
         assert rep.order.kind == "morin" and rep.order.k == 2
         assert rep.sigma[2] > 0  # the cubic family only has positive Sigma_3
 
+    def test_degenerate_when_the_rank_test_fails(self):
+        # x^3 at u = 0: Sigma_1 = Sigma_2 = 0 and Sigma_3 = 6, but Sigma_1 =
+        # mean(3 u^2) has a zero derivative there, so the cusp is not
+        # transversal
+        rep = classify_point(Nonlinearity.polynomial([0, 0, 0, 1]),
+                             PeriodicFn.constant(0.0, Grid(256)))
+        assert rep.order.kind == "degenerate"
+        assert rep.order.reason.startswith("rank test failed at k=2")
+        assert rep.jacobian_svals.tolist() == [0.0]
+
+    def test_exceeds_when_every_functional_vanishes(self):
+        rep = classify_point(Nonlinearity.polynomial([]),
+                             PeriodicFn.constant(0.0, Grid(256)))
+        assert rep.order.kind == "exceeds"
+        assert rep.order.reason == "all five functionals vanish"
+        assert rep.sigma.tolist() == [0.0] * 5
+
 
 class TestContactAgreement:
     def test_fold_agreement(self):

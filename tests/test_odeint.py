@@ -182,6 +182,7 @@ def _push(t):
 class TestVectorStep:
     # the in-place step against the allocating one, float.hex of every lane
 
+    RE_ESCAPING = Nonlinearity.polynomial([-100.0, 0, -1.0])
     # under SQUARE the first seven escape at seven different steps
     ESCAPING = np.array([-5.0, -4.0, -3.0, -2.5, -2.0, -1.5, -1.2, np.nan,
                          0.5, np.inf, -np.inf, 0.0, -0.0])
@@ -212,6 +213,14 @@ class TestVectorStep:
         pytest.param(Nonlinearity.polynomial([0, 0, 0, 0, 0, -1.0]),
                      lambda t: 0.5 * np.cos(2 * np.pi * t),
                      np.linspace(-1.3, 1.3, 79), 1.0 / 256, id="x5-escapes"),
+        # u' = u^2 + 100 escapes from 0 by t = pi/20, so a lane parked at 0
+        # after its escape escapes again, several times over the period
+        pytest.param(RE_ESCAPING, None, np.array([-50.0, -1.0, 0.0, 1.0,
+                                                  np.nan]), 1e-3,
+                     id="re-escapes"),
+        # the census quartic unforced on [-2, 2]: its outer lanes escape
+        pytest.param(Nonlinearity.quartic(4.0, -0.3), None,
+                     np.linspace(-2.0, 2.0, 801), 2e-4, id="quartic-scan"),
     ])
     def test_in_place_step_is_the_allocating_step_bitwise(self, f, v, xs, h):
         u, alive = _flow_vector(f, v, xs, h)
@@ -228,6 +237,15 @@ class TestVectorStep:
                                 lambda t: 0.5 * np.cos(2 * np.pi * t),
                                 np.linspace(-1.3, 1.3, 79), 1.0 / 256)
         assert 0 < alive.sum() < 79
+
+    def test_parked_lanes_escape_again(self):
+        # so the cases above park lanes: from 0 the re-escaping field leaves
+        # within half a period, and 8 lanes of the quartic scan escape
+        assert _flow_scalar(self.RE_ESCAPING, None, 0.0, 0.0, 1.0,
+                            1e-3)[4] < 0.5
+        _, alive = _flow_vector(Nonlinearity.quartic(4.0, -0.3), None,
+                                np.linspace(-2.0, 2.0, 801), 2e-4)
+        assert np.nonzero(~alive)[0].tolist() == list(range(8))
 
     def test_census_scan_is_the_allocating_scan_bitwise(self, quartic,
                                                          six_root_ansatz):
