@@ -34,8 +34,8 @@ def main():
         if verdict.interior:
             lam = verdict.convex_coefficients
             resid = np.linalg.norm(lam @ curve.points)
-            print(f"  gamma_{k}: origin interior (margin {verdict.margin:.3f}, "
-                  f"certificate residual {resid:.1e}, "
+            print(f"  gamma_{k}: origin interior (margin t = "
+                  f"{verdict.margin:.2e}, certificate residual {resid:.1e}, "
                   f"{np.count_nonzero(lam > 1e-12)} support points)")
         else:
             nu = verdict.direction

@@ -25,7 +25,7 @@ def main():
     verdict = hull_origin_test(curve)
     lam = verdict.convex_coefficients
     support = curve.xs[lam > 1e-9]
-    print(f"  origin interior with margin {verdict.margin:.3f}; "
+    print(f"  origin interior with margin t = {verdict.margin:.2e}; "
           f"certificate supported at x = {np.round(support, 3)}")
 
     anchors = [-1.35, -0.45, 0.45, 1.35]

@@ -3,8 +3,8 @@
 The autonomous derivative curve gamma_k(x) = (f'(x), ..., f^(k)(x)) decides
 whether order-k singularities of the simplified operator exist: they do
 exactly when the origin lies in the interior of the convex hull of the
-curve's image. The test is run as 2k small linear programs over the faces
-of the unit box, each yielding a machine-checkable certificate. On top of
+curve's image. The test is one linear program on power-of-two-scaled
+points, and each verdict carries a machine-checkable certificate. On top of
 this sit the topological degree, the wildness diagnostic, the operator
 classification cascade, the time reparametrization linking the full and
 simplified strata, and step-function seeds for the singularity search.
@@ -172,16 +172,15 @@ def gamma_curve(f: Nonlinearity, k: int, x_lo: float, x_hi: float,
 class HullVerdict:
     """Origin-in-interior decision with its recomputable certificate.
 
-    ``diagnostics`` holds the test's deterministic work counts (face LPs
-    solved, their pivots, phase-1 pivots), the largest face optimum and
-    the certificate residual beside its tolerance.
+    ``margin`` is the LP margin t (``_hull_test_box``), -inf for points in a
+    hyperplane; ``diagnostics`` holds the LP and phase-1 pivots and the
+    certificate residual on the scaled points beside its tolerance.
     """
 
     interior: bool
     margin: float
     convex_coefficients: np.ndarray | None = None   # interior witness
     direction: np.ndarray | None = None             # separating direction
-    evidence: dict = field(default_factory=dict)
     diagnostics: dict = field(default_factory=dict)
 
     def certificate_residual(self, points: np.ndarray) -> float:
@@ -196,18 +195,15 @@ class HullVerdict:
 
 
 def hull_origin_test(curve: GammaCurve) -> HullVerdict:
-    """Decide 0 in int conv(curve points) via 2k box-face linear programs.
+    """Decide 0 in int conv(curve points) by one LP (``_hull_test_box``).
 
-    For each face fixing one coordinate of nu to +-1, maximize delta subject
-    to nu . p_i >= delta and |nu_j| <= 1. The origin is interior exactly
-    when every face optimum is negative, certified by phase-1 convex
-    coefficients; otherwise the optimal nu of a non-negative face is a
-    separating-direction certificate. A pass that cannot produce its
-    certificate raises _SimplexFailure, a MorinodeError: a face LP at the
-    pivot cap, one whose right-hand side rounds below 0 (b >= 1 exactly,
-    but B loses its 1 once the rows of |P| sum past 2^53), or no phase-1
-    combination although every face optimum is negative. The curve's
-    points must be finite.
+    An interior verdict carries phase-1 convex coefficients, the other a
+    direction nu with nu . p_i >= 0. A test that cannot certify its verdict
+    raises _SimplexFailure, a MorinodeError: the LP at its pivot cap, |t|
+    within the rounding bound m (pivots + 1) eps (the origin on the hull
+    boundary to rounding), no phase-1 combination although t > 0, or a
+    certificate residual on the scaled points above 1e-9 (interior) or
+    1e-12 (separating). The curve's points must be finite.
     """
     if curve.k > 5:
         raise PreconditionError("hull test supported for k <= 5")
@@ -217,52 +213,52 @@ def hull_origin_test(curve: GammaCurve) -> HullVerdict:
     m, k = P.shape
     if m < 2 * k + 1:
         raise PreconditionError(f"need at least {2 * k + 1} sample points")
-    work = Counter(face_lps=0, face_pivots=0, phase1_pivots=0)
-    verdict = _hull_test_box(P, work)
-    evidence = verdict.evidence
-    return replace(verdict, diagnostics=dict(
-        work, max_face_delta=evidence.get("max_face_delta", evidence.get("delta")),
-        certificate_residual=verdict.certificate_residual(P),
-        certificate_tol=1e-9 if verdict.interior else 1e-12))
+    return _hull_test_box(P, Counter(lp_pivots=0, phase1_pivots=0))
 
 
 def _hull_test_box(P: np.ndarray, work: Counter) -> HullVerdict:
-    """Face LPs over the box |nu_l| <= 1, then phase 1; work into ``work``."""
+    """One LP on the scaled points, phase 1 for a witness; pivots to ``work``.
+
+    S is P with column j scaled by 2^-e_j, which puts its largest |entry| in
+    [0.5, 1). With p the mean row of S and Q = S - p, the LP
+    max -p.y s.t. Q y <= 1 (y free) starts feasible, and its dual makes the
+    weights mu + t, t = (1 - optimum) / m, a convex combination at 0: the
+    origin is interior exactly when t > 0. Else nu = -y has
+    S nu >= -m t >= 0, and 2^-e nu separates P exactly. A Q of rank below k
+    (the LP unbounded) separates by its null vector d, oriented so that
+    p.d >= 0.
+    """
     m, k = P.shape
-    B = 1.0 + float(np.max(np.sum(np.abs(P), axis=1)))
-    worst = -math.inf
-    for j in range(k):
-        free = [l for l in range(k) if l != j]
-        nfree = k - 1
-        for s in (+1.0, -1.0):
-            # variables: y_l = nu_l + 1 (l free), d = delta + B
-            A = np.zeros((m + nfree, nfree + 1))
-            b = np.zeros(m + nfree)
-            A[:m, :nfree] = -P[:, free]
-            A[:m, nfree] = 1.0
-            b[:m] = B + s * P[:, j] - P[:, free].sum(axis=1)
-            A[m:, :nfree] = np.eye(nfree)
-            b[m:] = 2.0
-            c = np.zeros(nfree + 1)
-            c[nfree] = 1.0
-            x, _, pivots = _simplex_max(A, b, c)
-            work.update(face_lps=1, face_pivots=pivots)
-            delta = x[nfree] - B
-            if delta >= 0:
-                nu = np.zeros(k)
-                nu[free] = x[:nfree] - 1.0
-                nu[j] = s
-                return HullVerdict(interior=False, margin=float(-delta),
-                                   direction=nu,
-                                   evidence={"face": (j, s), "delta": float(delta)})
-            worst = max(worst, delta)
-    lam = _feasible_combination(P, work)
-    if lam is None:
-        raise _SimplexFailure("no phase-1 convex combination although every "
-                              f"face optimum is negative (largest {worst:.3e})")
-    return HullVerdict(interior=True, margin=float(-worst),
-                       convex_coefficients=lam,
-                       evidence={"max_face_delta": float(worst)})
+    e = np.frexp(np.max(np.abs(P), axis=0))[1]
+    S = np.ldexp(P, -e)
+    pbar = S.mean(axis=0)
+    Q = S - pbar
+    _, sv, vt = np.linalg.svd(Q, full_matrices=False)
+    if sv[-1] <= sv[0] * m * np.finfo(float).eps:
+        nu, t = (vt[-1] if pbar @ vt[-1] >= 0 else -vt[-1]), -math.inf
+    else:
+        x, opt, pivots = _simplex_max(np.hstack([Q, -Q]), np.ones(m),
+                                      np.concatenate([-pbar, pbar]))
+        work["lp_pivots"] += pivots
+        nu, t = x[k:] - x[:k], (1.0 - opt) / m
+        if abs(t) <= m * (pivots + 1) * np.finfo(float).eps:
+            raise _SimplexFailure(f"origin on the hull boundary to rounding: "
+                                  f"t = {t:.2e}")
+    if t > 0:
+        lam = _feasible_combination(S, work)
+        if lam is None:
+            raise _SimplexFailure("no phase-1 convex combination although "
+                                  f"t = {t:.2e} > 0")
+        verdict, tol = HullVerdict(True, t, convex_coefficients=lam), 1e-9
+    else:
+        verdict, tol = HullVerdict(False, t, direction=nu), 1e-12
+    resid = verdict.certificate_residual(S)
+    if not resid <= tol:
+        raise _SimplexFailure(f"certificate residual {resid:.2e} exceeds "
+                              f"{tol:g} on the scaled points (t = {t:.2e})")
+    return replace(verdict, direction=None if t > 0 else np.ldexp(nu, -e),
+                   diagnostics=dict(work, certificate_residual=resid,
+                                    certificate_tol=tol))
 
 
 # ---------------------------------------------------------------------------
@@ -324,8 +320,9 @@ def tameness(f: Nonlinearity, s_max: float = 50.0) -> TamenessReport:
     1/max(1, sup_t(-f)) appear to have convergent tails. Autonomous
     nonlinearities are reported tame unconditionally.
     """
-    if s_max < 10:
-        raise PreconditionError("s_max must be at least 10")
+    if not (math.isfinite(s_max) and s_max >= 10):
+        raise PreconditionError(f"s_max must be finite and at least 10, "
+                                f"got {s_max!r}")
     if f.autonomous:
         return TamenessReport("diverging", "diverging", (),
                               {"basis": "autonomous"})
@@ -672,6 +669,8 @@ class SeedFunction:
 
 def replicate(u: PeriodicFn, N: int) -> PeriodicFn:
     """Time compression t -> N t on the same grid (exact index striding)."""
+    if not isinstance(N, (int, np.integer)) or N < 1:
+        raise PreconditionError(f"replicate needs an integer N >= 1, got {N!r}")
     n = u.grid.n
     idx = (N * np.arange(n)) % n
     return PeriodicFn(u.grid, u.values[idx])
@@ -689,8 +688,8 @@ def seed_shat(f: Nonlinearity, k: int, anchors,
     if not f.autonomous:
         raise PreconditionError("seeds require an autonomous nonlinearity")
     anchors = np.asarray(anchors, dtype=float)
-    if len(anchors) != 2 * k:
-        raise PreconditionError(f"need exactly {2 * k} anchors for k = {k}")
+    if len(anchors) != 2 * k or not np.all(np.isfinite(anchors)):
+        raise PreconditionError(f"need exactly {2 * k} finite anchors for k = {k}")
     if not 0 < epsilon < 0.5:
         raise PreconditionError("epsilon must lie in (0, 1/2)")
     pts = np.column_stack([np.asarray(f.eval(0.0, anchors, i))

@@ -27,9 +27,10 @@ SIX_ROOT_COEFFS = {
 }
 
 
-# faults that leave a hull pass without its certificate: every face LP
-# stops at the pivot cap, or phase 1 finds no convex combination
-def _fail_face_lps(monkeypatch):
+# faults that leave a hull pass without its certificate: the LP stops at
+# the pivot cap, phase 1 finds no convex combination, or its combination
+# misses the origin
+def _fail_lp(monkeypatch):
     def fail(A, b, c):
         raise globalgeo._SimplexFailure("iteration limit")
     monkeypatch.setattr(globalgeo, "_simplex_max", fail)
@@ -40,8 +41,14 @@ def _fail_phase1(monkeypatch):
                         lambda P, work=None: None)
 
 
-HULL_FAULTS = [pytest.param(_fail_face_lps, id="face-lp-fails"),
-               pytest.param(_fail_phase1, id="no-phase1-certificate")]
+def _uniform_phase1(monkeypatch):
+    monkeypatch.setattr(globalgeo, "_feasible_combination",
+                        lambda P, work=None: np.full(len(P), 1.0 / len(P)))
+
+
+HULL_FAULTS = [pytest.param(_fail_lp, id="lp-fails"),
+               pytest.param(_fail_phase1, id="no-phase1-certificate"),
+               pytest.param(_uniform_phase1, id="phase1-misses-origin")]
 
 
 def ansatz_from(coeffs: dict) -> FourierAnsatz:

@@ -383,16 +383,18 @@ class TestCommands:
                                  "--k", "2", "--range", "-3", "3"])
         assert code == EXIT_OK
         diag = doc["result"]["diagnostics"]
-        assert diag["face_lps"] == 4
-        assert diag["face_pivots"] >= 4 and diag["phase1_pivots"] >= 1
-        assert diag["max_face_delta"] == -doc["result"]["margin"]
+        assert set(diag) == {"lp_pivots", "phase1_pivots",
+                             "certificate_residual", "certificate_tol"}
+        assert diag["lp_pivots"] >= 1 and diag["phase1_pivots"] >= 1
+        assert 0 < doc["result"]["margin"] <= 1 / 401
         assert diag["certificate_residual"] == doc["result"]["certificate_residual"]
         assert diag["certificate_residual"] <= diag["certificate_tol"] == 1e-9
         # classify-operator carries each hull verdict's counters in its evidence
         code, doc = run(capsys, ["classify-operator", "--problem",
                                  problem_files["quartic"]])
         assert code == EXIT_OK
-        assert doc["result"]["evidence"]["hull_gamma2"]["diagnostics"]["face_lps"] == 4
+        hull2 = doc["result"]["evidence"]["hull_gamma2"]["diagnostics"]
+        assert hull2["lp_pivots"] >= 1
 
     def test_reparam_roundtrip_via_cli(self, problem_files, capsys):
         code, doc = run(capsys, ["reparam", "--problem", problem_files["quartic"],

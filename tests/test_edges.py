@@ -8,8 +8,9 @@ import pytest
 
 from morinode import (Average, FourierAnsatz, Grid, Nonlinearity, PeriodicFn,
                       contact_order, count_solutions, cumulative, gamma_curve,
-                      hull_origin_test, integrate, mean, return_map,
-                      seed_shat, solve_periodic, InitialValue)
+                      hull_origin_test, integrate, mean, replicate,
+                      return_map, seed_shat, solve_periodic, tameness,
+                      InitialValue)
 from morinode.cli import EXIT_OK, execute
 from morinode.core import PreconditionError
 
@@ -81,6 +82,9 @@ class TestNonFiniteInput:
         pytest.param(lambda x: gamma_curve(CUBIC, 2, -1.0, x), id="gamma-hi"),
         pytest.param(lambda x: hull_origin_test(_curve_with_point(x)),
                      id="hull-points"),
+        pytest.param(lambda x: tameness(SQUARE, s_max=x), id="tameness-s-max"),
+        pytest.param(lambda x: seed_shat(SQUARE, 1, [-1.0, x]),
+                     id="seed-anchor"),
         pytest.param(lambda x: solve_periodic(SQUARE, PeriodicFn.constant(0.0),
                                               InitialValue(x)),
                      id="fibre-initial-value"),
@@ -137,6 +141,11 @@ class TestSeedEdges:
     def test_epsilon_domain(self):
         with pytest.raises(PreconditionError):
             seed_shat(SQUARE, 1, [-1.0, 1.0], epsilon=0.6)
+
+    @pytest.mark.parametrize("N", [0, -3, 2.5, float("nan")])
+    def test_replicate_needs_an_integer_of_one_or_more(self, N):
+        with pytest.raises(PreconditionError, match="integer N >= 1"):
+            replicate(PeriodicFn.constant(0.0), N)
 
 
 class TestSolveEdges:

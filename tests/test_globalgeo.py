@@ -1,3 +1,6 @@
+import dataclasses
+import math
+import warnings
 from collections import Counter
 from fractions import Fraction
 
@@ -47,17 +50,41 @@ def _row_loop_simplex_max(A, b, c):
     return x[:n], float(T[m, -1])
 
 
+def _column_scale(P):
+    """Per column, the power of two that puts its largest |entry| in
+    [0.5, 1); 1 for a zero column."""
+    return np.array([math.ldexp(1.0, -math.frexp(float(max(abs(col))))[1])
+                     for col in P.T])
+
+
+# rounded coefficients of four large-scale operators on which the box-face
+# hull test answered without a valid certificate or raised "negative RHS",
+# and the margin t the one LP finds on the curve it stops at: each lies
+# within the rounding bound m (pivots + 1) eps
+BOUNDARY_CASES = [
+    pytest.param([-1275, 441.4, 172.6, -4395, 0.1706, 15660, 1.508, 8.463,
+                  0.004355], 2.5e-15, id="uncertified-fold"),
+    pytest.param([-0.05063, 5489, 3416, -56.69, 0.3209, 142.9, 0.02231],
+                 -7.8e-14, id="big-m-negative-rhs"),
+    pytest.param([-575.2, 7564, 2205, -3227, -550.1, 4260, -3394, -1443,
+                  7.329], 6.1e-13, id="absolute-tolerance"),
+    pytest.param([-0.06025, 6.385, -0.004779, 1031, -0.0126, 543.6,
+                  0.005399], -1.1e-18, id="gamma-1e23"),
+]
+
+
 class TestHull:
     def test_squares_not_interior(self):
         curve = gamma_curve(SQUARE, 2, -2.0, 2.0)
         verdict = hull_origin_test(curve)
         assert not verdict.interior
         nu = verdict.direction
-        # the constant-positive second coordinate separates: nu = (0, 1)
+        # the points lie on the line f'' = 2, so the direction is the null
+        # vector of the centred points, oriented by their mean: nu = (0, +)
         assert nu is not None
         assert np.min(curve.points @ nu) >= -1e-12
-        assert nu[1] == pytest.approx(1.0, abs=1e-12)
-        assert abs(nu[0]) < 1e-9
+        assert nu[0] == 0.0 and nu[1] > 0
+        assert verdict.margin == -np.inf
 
     def test_cubic_interior_with_brute_force_oracle(self):
         curve = gamma_curve(CUBIC_MINUS, 2, -2.0, 2.0)
@@ -147,8 +174,8 @@ class TestHull:
             assert abs(obj + res.fun) <= 1e-9
 
     def test_every_face_lp_matches_row_loop(self, quartic):
-        # all 2k face LPs of a 401-sample gamma_4, including the faces the
-        # hull test skips once it finds a separating one
+        # the 2k big-M box-face LPs of a 401-sample gamma_4, a degenerate
+        # family: the condensed pivots must match the row loop on each
         P = gamma_curve(quartic, 4, -3.0, 3.0).points
         m, k = P.shape
         B = 1.0 + float(np.max(np.sum(np.abs(P), axis=1)))
@@ -181,49 +208,121 @@ class TestHull:
             assert np.allclose(x, [0.04, 0.0, 1.0, 0.0], rtol=0, atol=1e-12)
 
     def test_diagnostics_count_the_solve(self, quartic):
-        interior = hull_origin_test(gamma_curve(quartic, 2, -3.0, 3.0))
+        curve = gamma_curve(quartic, 2, -3.0, 3.0)
+        interior = hull_origin_test(curve)
         d = interior.diagnostics
-        assert interior.interior and d["face_lps"] == 4
-        assert d["face_pivots"] >= d["face_lps"] and d["phase1_pivots"] >= 1
-        assert d["max_face_delta"] == -interior.margin
+        assert set(d) == {"lp_pivots", "phase1_pivots",
+                          "certificate_residual", "certificate_tol"}
+        assert interior.interior and 0 < interior.margin <= 1 / 401
+        assert d["lp_pivots"] >= 1 and d["phase1_pivots"] >= 1
+        S = curve.points * _column_scale(curve.points)
+        assert d["certificate_residual"] == interior.certificate_residual(S)
         assert d["certificate_residual"] <= d["certificate_tol"] == 1e-9
-        curve = gamma_curve(SQUARE, 2, -2.0, 2.0)
+        # separating by the LP (x^4 + x: f'' >= 0 and f' > 0 where f'' = 0)
+        curve = gamma_curve(Nonlinearity.polynomial([0, 1, 0, 0, 1]), 2,
+                            -2.0, 2.0)
         separating = hull_origin_test(curve)
         d = separating.diagnostics
-        assert not separating.interior and d["phase1_pivots"] == 0
+        assert not separating.interior and separating.margin < 0
+        assert d["lp_pivots"] >= 1 and d["phase1_pivots"] == 0
+        # the direction maps back exactly: its residual on the raw points
+        # is the one on the scaled points
         assert d["certificate_residual"] == separating.certificate_residual(
             curve.points) <= d["certificate_tol"] == 1e-12
+        # separating by the null vector of points in a line: no LP
+        separating = hull_origin_test(gamma_curve(SQUARE, 2, -2.0, 2.0))
+        assert separating.diagnostics["lp_pivots"] == 0
+        assert separating.diagnostics["phase1_pivots"] == 0
 
-    def test_face_lps_match_row_loop(self, quartic, monkeypatch):
-        # the face LPs are filled by slicing; filling them sample by sample
-        # must give the same A and b, bit for bit, in the same face order
-        P = gamma_curve(quartic, 4, -3.0, 3.0).points
-        m, k = P.shape
-        B = 1.0 + float(np.max(np.sum(np.abs(P), axis=1)))
+    def test_column_scaling_by_powers_of_two(self):
+        # the test runs on the points scaled column by column by powers of
+        # two, so such a scaling of the input leaves its answer bitwise
+        # unchanged, and no column scale over- or underflows, not even for
+        # a subnormal column or a zero one
+        curve = gamma_curve(CUBIC_MINUS, 2, -2.0, 2.0)
+
+        def scaled(s):
+            return hull_origin_test(dataclasses.replace(
+                curve, points=curve.points * [1.0, s]))
+
+        base = hull_origin_test(curve)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for s in (2.0 ** -1000, 2.0 ** 1000):
+                verdict = scaled(s)
+                assert verdict.margin == base.margin
+                assert np.array_equal(verdict.convex_coefficients,
+                                      base.convex_coefficients)
+            assert scaled(2.0 ** -1060).interior
+            flat = scaled(0.0)
+        assert not flat.interior and flat.margin == -np.inf
+        assert np.array_equal(np.abs(flat.direction), [0.0, 1.0])
+
+    def test_lp_matches_row_loop_fill(self, quartic, monkeypatch):
+        # the one LP is filled by slicing; scaling and filling it sample by
+        # sample must give the same A, b and c, bit for bit
         seen = []
 
         def record(A, b, c):
-            seen.append((A.copy(), b.copy()))
+            seen.append((A.copy(), b.copy(), c.copy()))
             return _simplex_max(A, b, c)
 
         monkeypatch.setattr(globalgeo, "_simplex_max", record)
-        globalgeo._hull_test_box(P, Counter())
-        faces = [(j, s) for j in range(k) for s in (+1.0, -1.0)]
-        assert 0 < len(seen) <= len(faces)
-        for (A, b), (j, s) in zip(seen, faces):
-            free = [l for l in range(k) if l != j]
-            nfree = len(free)
-            A_ref = np.zeros((m + nfree, nfree + 1))
-            b_ref = np.zeros(m + nfree)
+        for k in (2, 3):
+            P = gamma_curve(quartic, k, -3.0, 3.0).points
+            m = len(P)
+            seen.clear()
+            globalgeo._hull_test_box(P, Counter())
+            assert len(seen) == 1
+            A, b, c = seen[0]
+            scale = _column_scale(P)
+            top = np.max(np.abs(P), axis=0) * scale
+            assert np.all((0.5 <= top) & (top < 1.0))
+            S = np.zeros_like(P)
             for i in range(m):
-                A_ref[i, :nfree] = -P[i, free]
-                A_ref[i, nfree] = 1.0
-                b_ref[i] = B + s * P[i, j] - np.sum(P[i, free])
-            for li in range(nfree):
-                A_ref[m + li, li] = 1.0
-                b_ref[m + li] = 2.0
+                for j in range(k):
+                    S[i, j] = P[i, j] * scale[j]
+            pbar = S.mean(axis=0)
+            A_ref = np.zeros((m, 2 * k))
+            for i in range(m):
+                for j in range(k):
+                    A_ref[i, j] = S[i, j] - pbar[j]
+                    A_ref[i, k + j] = -(S[i, j] - pbar[j])
             assert np.array_equal(A, A_ref)
-            assert np.array_equal(b, b_ref)
+            assert np.array_equal(b, np.ones(m))
+            assert np.array_equal(c, np.concatenate([-pbar, pbar]))
+
+    def test_lp_optimum_and_margin_match_oracles(self, quartic, monkeypatch):
+        # the LP's optimum equals the row loop's bit for bit and HiGHS's to
+        # 1e-9, and its margin t = (1 - optimum) / m equals the one HiGHS
+        # reads off the dual min sum mu s.t. Q^T mu = -pbar, mu >= 0
+        from scipy.optimize import linprog
+        seen = []
+
+        def record(A, b, c):
+            seen.append((A, b, c))
+            return _simplex_max(A, b, c)
+
+        monkeypatch.setattr(globalgeo, "_simplex_max", record)
+        curves = [gamma_curve(quartic, k, -3.0, 3.0) for k in (2, 3)]
+        curves.append(gamma_curve(Nonlinearity.polynomial([0, 1, 0, 0, 1]),
+                                  2, -2.0, 2.0))
+        for curve in curves:
+            seen.clear()
+            verdict = hull_origin_test(curve)
+            (A, b, c), = seen
+            m, k = curve.points.shape
+            x, obj, _ = _simplex_max(A, b, c)
+            x_ref, obj_ref = _row_loop_simplex_max(A, b, c)
+            assert np.array_equal(x, x_ref) and obj == obj_ref
+            res = linprog(-c, A_ub=A, b_ub=b, method="highs")
+            assert res.status == 0 and abs(obj + res.fun) <= 1e-9
+            assert verdict.margin == (1.0 - obj) / m
+            Q, pbar = A[:, :k], -c[:k]
+            dual = linprog(np.ones(m), A_eq=Q.T, b_eq=-pbar,
+                           bounds=(0, None), method="highs")
+            assert dual.status == 0
+            assert abs(verdict.margin - (1.0 - dual.fun) / m) <= 1e-9 / m
 
     @pytest.mark.parametrize("inject", HULL_FAULTS)
     def test_uncertified_pass_raises(self, quartic, inject, monkeypatch):
@@ -233,6 +332,53 @@ class TestHull:
         inject(monkeypatch)
         with pytest.raises(MorinodeError):
             classify_operator(quartic)
+
+    @pytest.mark.parametrize("coeffs, t", BOUNDARY_CASES)
+    def test_boundary_to_rounding_raises(self, coeffs, t):
+        f = Nonlinearity.polynomial(coeffs)
+        with pytest.raises(globalgeo._SimplexFailure,
+                           match="boundary to rounding") as caught:
+            classify_operator(f)
+        found = float(str(caught.value).rpartition("t = ")[2])
+        assert found == pytest.approx(t, rel=0.02)
+
+    def test_seeded_corpus_certificates_hold_on_scaled_points(self):
+        # even-degree polynomials with coefficients over five decades, on
+        # gamma_2..gamma_4 over classify_operator's window: every verdict
+        # meets its tolerance on the scaled points, and every raise is the
+        # boundary rule
+        rng = np.random.default_rng(7)
+        outcomes = Counter()
+        for deg in (4, 6, 8):
+            for _ in range(20):
+                c = rng.normal(size=deg + 1)
+                c *= 10.0 ** rng.uniform(-2, 3, deg + 1)
+                c[-1] = abs(c[-1])
+                f = Nonlinearity.polynomial(c)
+                crit = np.concatenate([globalgeo._signs(f.poly_coeffs(i))[0]
+                                       for i in (1, 2, 3)])
+                lo = float(np.min(crit - 2.0, initial=-4.0))
+                hi = float(np.max(crit + 2.0, initial=4.0))
+                for k in (2, 3, 4):
+                    curve = gamma_curve(f, k, lo, hi)
+                    P = curve.points
+                    try:
+                        verdict = hull_origin_test(curve)
+                    except globalgeo._SimplexFailure as exc:
+                        assert "boundary to rounding" in str(exc)
+                        outcomes["boundary"] += 1
+                        continue
+                    d = verdict.diagnostics
+                    if verdict.interior:
+                        resid = verdict.certificate_residual(
+                            P * _column_scale(P))
+                    else:   # S nu = P (2^-e nu) exactly
+                        resid = verdict.certificate_residual(P)
+                    assert resid == d["certificate_residual"]
+                    assert resid <= d["certificate_tol"]
+                    assert (verdict.margin > 0) == verdict.interior
+                    outcomes[verdict.interior] += 1
+        assert min(outcomes.values()) >= 1 and sum(outcomes.values()) == 180
 
 
 class TestDegree:
