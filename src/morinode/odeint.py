@@ -1,26 +1,27 @@
 """Initial-value integration of u' = -f(t,u) + v(t) and the return map.
 
 The integrator is classical fixed-step RK4 with Kahan-compensated state
-updates. All three loops declare blow-up by one test, not |u| <=
-``U_MAX``, which nan fails too; only the scalar loop records the sign of
-the first stage state of that step past ``U_MAX`` (of the last finite
-sample when none is) and the first-crossing time. Every stage evaluates
-a polynomial f through ``core.horner_kernel``, Horner's rule unrolled
-for the row's width. The many-lane loop ``_flow_vector`` uses its
-in-place array twin ``core.horner_array_kernel`` and writes every stage
-into seven lane buffers, so a polynomial step allocates no array; its
-test is one reduction over the lanes, which a dead lane, parked at 0,
-passes. The return map rho_v sends u(0) to u(1); its first derivative is
-carried through the same RK4 steps as the exact derivative of the
-discrete flow, on the scalar loop's xi lane alone, while the fibre
-solves carry eta = du/dnu and strided sums too. ``contact_order`` reads
-rho and its derivatives up to order kmax + 1 from one flow on truncated
-Taylor series in the start value (``_rk4_jet``): they are the exact jets
-of the discrete RK4 map, not finite differences, and a derivative counts
-as zero below ``CONTACT_ZERO_TOL`` = 1e-6 relative to the leading one.
-The jet flow's stage field is straight-line code as well, its Cauchy
-products unrolled and compiled once per jet order (``_jet_field``).
-``_rho_derivative_fd`` and ``_fd_once`` remain as the tests'
+updates. Both loops declare blow-up by one test, not |u| <= ``U_MAX``,
+which nan fails too; only the scalar loop records the sign of the first
+stage state of that step past ``U_MAX`` (of the last finite sample when
+none is) and the first-crossing time. Every scalar flow is one generated
+straight-line loop (``_rk4_loop``), compiled with ``exec`` on first use
+once per key: f's shape (autonomous polynomial, t-dependent polynomial or
+builtin), jet order K, fibre lanes and stored samples. It inlines Horner's
+rule on the coefficient rows and carries the K-jet of the flow in its
+start value by Taylor-mode propagation of the discrete RK4 map: K = 0 is
+the plain flow (``integrate``, ``return_map``), K = 1 adds the exact
+derivative xi = du/du(0) that the census and the return map's slope
+read, the fibre lanes add eta = du/dnu and strided sums, and
+``contact_order`` reads rho and its derivatives up to order kmax + 1 from
+one flow at K = kmax + 1 (``_rk4_jet``). The jets are exact for the
+discrete map, not finite differences, and a derivative counts as zero
+below ``CONTACT_ZERO_TOL`` = 1e-6 relative to the leading one. The
+many-lane loop ``_flow_vector`` evaluates a polynomial through the
+in-place array kernel ``core.horner_array_kernel`` and writes every
+stage into seven lane buffers, so a polynomial step allocates no array;
+its test is one reduction over the lanes, which a dead lane, parked at
+0, passes. ``_rho_derivative_fd`` and ``_fd_once`` remain as the tests'
 finite-difference cross-check, and because the benchmark's tracer
 (``bench/spans.py``) binds both by name.
 """
@@ -28,6 +29,7 @@ finite-difference cross-check, and because the benchmark's tracer
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cache, partial
 
@@ -90,9 +92,12 @@ def _rhs_tables(f: Nonlinearity, v, t0: float, nsteps: int, h: float,
     pair of plain-float lists such that ``evaluate(r0[k], x)`` is
     d^order f/dx^order at (t_k, x). A polynomial row is its ascending
     coefficients at that time, evaluated by the straight-line
-    ``horner_kernel`` of the row's width; an autonomous f repeats one row
-    per order by reference. A builtin's row is the time.
-    Flows at the same (f, v, h) can share one through their ``table``.
+    ``horner_kernel`` of the row's width (the generated scalar loops
+    inline Horner's rule on the rows instead); an autonomous f repeats one
+    row per order by reference. A builtin's row is the time. A forcing value
+    that is not finite raises ``PreconditionError``, since a flow would
+    read it as an escape. Flows at the same (f, v, h) can share one
+    through their ``table``.
     """
     times = t0 + h * np.arange(nsteps)
     stage_times = np.concatenate([times, times + h / 2, times + h])
@@ -100,6 +105,9 @@ def _rhs_tables(f: Nonlinearity, v, t0: float, nsteps: int, h: float,
         vvals = np.zeros(stage_times.shape)
     else:  # a PeriodicFn calls its spectral interpolant
         vvals = np.asarray(v(stage_times), dtype=float)
+        if not np.isfinite(vvals).all():
+            raise PreconditionError("the forcing must be finite at the "
+                                    "stage times")
     stages = []
     for order in orders:
         if f.builtin is not None:
@@ -149,75 +157,174 @@ def _shift_forcing(table, nu: float):
     return forcing + nu, stages
 
 
+def _escape_sign(states, last) -> int:
+    """Sign of the first of ``states`` past ``U_MAX``, else that of last."""
+    w = next((w for w in states if abs(w) > U_MAX), last)
+    return -1 if w < 0 else 1
+
+
+def _horner_source(names, x: str) -> str:
+    """Horner's rule on the named coefficients, ascending, as one expression.
+
+    ``acc = c[w-1]`` and ``acc = acc * x + c[m]`` for m from w-2 down are
+    ``horner_kernel``'s operations in its order, so its floats bit for bit.
+    """
+    expr = names[-1]
+    for c in reversed(names[:-1]):
+        expr = f"({expr}) * {x} + {c}"
+    return expr
+
+
+def _rk4_source(kind: str, widths: tuple, K: int, lanes: bool,
+                store: bool) -> str:
+    """Source of the ``run`` function ``_rk4_loop`` compiles for one key.
+
+    Names and integer indices only: the coefficients, the forcing and the
+    step arrive as arguments. The jet state is u0..uK, a stage's state
+    w{s}_0..w{s}_K (stage 1 reads u), its slopes k{s}_0..k{s}_K.
+    """
+    orders, tail = range(K + 1), range(1, K + 1)
+
+    def value(j, tau, x):  # f^(j) at stage time tau (a, b, c) and state x
+        if kind == "builtin":
+            return f"e{j}(R{j}{tau}[k], {x})"
+        at = "" if kind == "autonomous" else tau
+        return _horner_source([f"c{j}{at}_{m}" for m in range(widths[j])], x)
+
+    head = ["def run(start, t0, h, nsteps, stride, v0, vh, v1, rows, evals):",
+            "    half, sixth, umax = 0.5 * h, h / 6.0, U_MAX",
+            f"    {', '.join(f'u{n}' for n in orders)}, = start",
+            "    comp = 0.0"]
+    for j in orders:
+        if kind == "autonomous":
+            names = ", ".join(f"c{j}_{m}" for m in range(widths[j]))
+            head.append(f"    {names}, = rows[{j}][0][0]")
+        else:
+            head.append(f"    R{j}a, R{j}b, R{j}c = rows[{j}]")
+        if kind == "builtin":
+            head.append(f"    e{j} = evals[{j}]")
+    if lanes:
+        head.append("    eta = su = sxi = seta = 0.0")
+    if store:
+        head.append("    samples = [u0]")
+    head.append("    for k in range(nsteps):")
+    body = []
+    if lanes:
+        body += ["if k % stride == 0:",
+                 "    su += u0", "    sxi += u1", "    seta += eta"]
+    if kind == "t-dependent":
+        for tau in "abc":
+            for j in orders:
+                names = ", ".join(f"c{j}{tau}_{m}" for m in range(widths[j]))
+                body.append(f"{names}, = R{j}{tau}[k]")
+    for s, (tau, vk) in enumerate(zip("abbc", ("v0", "vh", "vh", "v1")), 1):
+        x = [f"u{n}" if s == 1 else f"w{s}_{n}" for n in orders]
+        into = "h" if s == 4 else "half"
+        if s > 1:
+            body += [f"w{s}_{n} = u{n} + {into} * k{s - 1}_{n}"
+                     for n in orders]
+        body.append(f"k{s}_0 = {vk}[k] - ({value(0, tau, x[0])})")
+        if K:
+            body.append(f"f1 = {value(1, tau, x[0])}")
+        # k_n = -a_n, the e^n coefficient of f(w) - f(w_0) = sum_j
+        # f^(j)(w_0)/j! d^j: a_n = f1 w_n + sum_j g_j p_j_n, with the
+        # powers p_j_n of d summed left to right from zero
+        for j in range(2, K + 1):
+            body.append(f"g{j} = ({value(j, tau, x[0])}) * "
+                        f"(1.0 / {math.factorial(j)})")
+            for n in range(j, K + 1):
+                terms = "".join(
+                    f" + {x[i] if j == 2 else f'p{j - 1}_{i}'} * {x[n - i]}"
+                    for i in range(j - 1, n))
+                body.append(f"p{j}_{n} = 0.0{terms}")
+        for n in tail:
+            terms = "".join(f" + g{j} * p{j}_{n}" for j in range(2, n + 1))
+            body.append(f"k{s}_{n} = -(f1 * {x[n]}{terms})")
+        if lanes:
+            body.append("b1 = 1.0 - f1 * eta" if s == 1 else
+                        f"b{s} = 1.0 - f1 * (eta + {into} * b{s - 1})")
+    kept = "samples" if store else "None"
+    body += ["y = sixth * (k1_0 + 2.0 * k2_0 + 2.0 * k3_0 + k4_0) - comp",
+             "s = u0 + y",
+             "if not abs(s) <= umax:",
+             f"    return (s, {kept}, True, escape_sign((w2_0, w3_0, w4_0, s),"
+             " u0), t0 + (k + 1) * h, None)",
+             "comp = (s - u0) - y",
+             "u0 = s"]
+    body += [f"u{n} += sixth * (k1_{n} + 2.0 * k2_{n} + 2.0 * k3_{n} + k4_{n})"
+             for n in tail]
+    if lanes:
+        body.append("eta += sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)")
+    if store:
+        body.append("samples.append(s)")
+    out = [f"u{n}" for n in tail] + ["eta", "su", "sxi", "seta"] * lanes
+    result = f"({', '.join(out)},)" if out else "None"
+    return "\n".join(head + ["        " + line for line in body]
+                     + [f"    return u0, {kept}, False, None, None, {result}"]
+                     ) + "\n"
+
+
+@cache
+def _rk4_loop(kind: str, widths: tuple, K: int, lanes: bool, store: bool):
+    """The whole scalar RK4 loop as straight-line code, compiled per key.
+
+    ``kind`` is f's shape: "autonomous" (a polynomial whose coefficient
+    rows of orders 0..K, of ``widths``, are unpacked into locals once),
+    "t-dependent" (a polynomial whose rows are unpacked at every step) or
+    "builtin" (a call ``evals[j](time, x)``). Horner's rule is inlined.
+    The loop carries the K-jet u0..uK of the flow in its start value
+    (``_rk4_jet``'s Taylor mode, the Cauchy products unrolled), so K = 1
+    is the xi lane; ``lanes`` adds eta = du/dnu and the sums of u, xi and
+    eta over every stride-th step, and ``store`` the samples of u0.
+
+    ``run(start, t0, h, nsteps, stride, v0, vh, v1, rows, evals)`` starts
+    from the jet ``start`` and returns (u0, samples|None, blew, sign,
+    blow_time, lanes|None), lanes = (u1, ..., uK) followed by (eta, sum
+    u, sum xi, sum eta) with ``lanes``. Every float is the one the
+    interpreted loops the tests keep as oracles make, bit for bit.
+    """
+    scope = {"U_MAX": U_MAX, "escape_sign": _escape_sign}
+    exec(_rk4_source(kind, widths, K, lanes, store), scope)
+    return scope["run"]
+
+
+def _rk4(f: Nonlinearity, v, start: tuple, t0: float, t1: float, h: float,
+         table=None, store: bool = False, lanes: bool = False,
+         stride: int = 0):
+    """``_rk4_loop``'s run for f's shape, from the jet ``start``."""
+    K = len(start) - 1
+    nsteps, h, forcing, stages = _read_table(f, v, t0, t1, h, range(K + 1),
+                                             table)
+    evals, rows = zip(*stages[:K + 1])
+    if f.builtin is not None:
+        kind, widths = "builtin", ()
+    else:
+        kind = "autonomous" if f.autonomous else "t-dependent"
+        widths = tuple(len(r[0][0]) for r in rows)
+    run = _rk4_loop(kind, widths, K, lanes, store)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return run(start, t0, h, nsteps, stride, *forcing, rows, evals)
+
+
 def _rk4_scalar(f: Nonlinearity, v, x0: float, t0: float, t1: float, h: float,
                 store: bool = False, table=None, tangent_stride: int = 0,
                 *, xi_only: bool = False):
-    """Scalar RK4 with Kahan-compensated updates, the one single-lane loop.
+    """Scalar RK4 with Kahan-compensated updates: ``_rk4_loop`` at K <= 1.
 
     With ``tangent_stride`` s > 0 it also carries the exact derivatives of
     the discrete step, xi = du/du(t0) and eta = du/dnu for a constant nu
     added to v, and returns as ``lanes`` (xi, eta, sum u, sum xi, sum eta)
     at t1, with sums over every s-th step from t0. ``xi_only`` (with s >
-    0) keeps the xi lane alone, in the same arithmetic, and returns
-    ``lanes`` = (xi,): the return map's slope needs neither eta nor the
-    sums, which only the fibre solves read. ``table`` is a prebuilt
-    ``_stage_table`` of (f, v) at h, so [t0, t1] = [0, 1], holding order 1
-    too for the lanes; f and v are then not evaluated. Returns (u_end,
-    samples|None, blew, sign, blow_time, lanes|None).
+    0) keeps the xi lane alone, the K = 1 jet, and returns ``lanes`` =
+    (xi,): the return map's slope needs neither eta nor the sums, which
+    only the fibre solves read. ``table`` is a prebuilt ``_stage_table``
+    of (f, v) at h, so [t0, t1] = [0, 1], holding order 1 too for the
+    lanes; f and v are then not evaluated. Returns (u_end, samples|None,
+    blew, sign, blow_time, lanes|None).
     """
-    nsteps, h, (v0, vh, v1), stages = _read_table(
-        f, v, t0, t1, h, (0, 1) if tangent_stride else (0,), table)
-    fx, (r0, rh, r1) = stages[0]
-    if tangent_stride:
-        gx, (d0, dh, d1) = stages[1]
-    full = bool(tangent_stride) and not xi_only
-    half, sixth = 0.5 * h, h / 6.0
-    u = float(x0)
-    comp = 0.0
-    xi, eta = 1.0, 0.0
-    su = sxi = seta = 0.0
-    samples = [u] if store else None
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(nsteps):
-            k1 = v0[k] - fx(r0[k], u)
-            u2 = u + half * k1
-            k2 = vh[k] - fx(rh[k], u2)
-            u3 = u + half * k2
-            k3 = vh[k] - fx(rh[k], u3)
-            u4 = u + h * k3
-            k4 = v1[k] - fx(r1[k], u4)
-            if tangent_stride:
-                if full and k % tangent_stride == 0:
-                    su += u
-                    sxi += xi
-                    seta += eta
-                g1, g2 = gx(d0[k], u), gx(dh[k], u2)
-                g3, g4 = gx(dh[k], u3), gx(d1[k], u4)
-                a1 = -g1 * xi
-                a2 = -g2 * (xi + half * a1)
-                a3 = -g3 * (xi + half * a2)
-                a4 = -g4 * (xi + h * a3)
-                xi += sixth * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
-                if full:
-                    b1 = 1.0 - g1 * eta
-                    b2 = 1.0 - g2 * (eta + half * b1)
-                    b3 = 1.0 - g3 * (eta + half * b2)
-                    b4 = 1.0 - g4 * (eta + h * b3)
-                    eta += sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-            y = sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4) - comp
-            s = u + y
-            comp = (s - u) - y
-            last = u
-            u = s
-            if not abs(u) <= U_MAX:
-                w = next((w for w in (u2, u3, u4, u) if abs(w) > U_MAX), last)
-                return u, samples, True, -1 if w < 0 else 1, t0 + (k + 1) * h, None
-            if store:
-                samples.append(u)
-    lanes = None
-    if tangent_stride:
-        lanes = (xi, eta, su, sxi, seta) if full else (xi,)
-    return u, samples, False, None, None, lanes
+    start = (float(x0), 1.0) if tangent_stride else (float(x0),)
+    return _rk4(f, v, start, t0, t1, h, table, store,
+                bool(tangent_stride) and not xi_only, tangent_stride)
 
 
 def _flow_scalar(f: Nonlinearity, v, x0: float, t0: float, t1: float, h: float,
@@ -226,91 +333,28 @@ def _flow_scalar(f: Nonlinearity, v, x0: float, t0: float, t1: float, h: float,
 
     ``bench/spans.py`` wraps this name to count scalar flows and their
     steps, so the fibre solves and ``integrate`` call it, while
-    ``_flow_with_variation`` calls ``_rk4_scalar`` directly and its census
-    refinement flows are not counted as scalar flows.
+    ``_flow_with_variation`` calls ``_rk4_scalar`` and its census
+    refinement flows are not counted as scalar flows. Both run the same
+    generated loop.
     """
     return _rk4_scalar(f, v, x0, t0, t1, h, store, table, tangent_stride)
 
 
-@cache
-def _jet_field(K: int):
-    """``bind(e_0, ..., e_K)``, giving the stage field of ``_rk4_jet`` at K.
-
-    ``bind(*evals)`` returns ``field(vk, rows, w)`` = [v_k - f(w_0), -a_1,
-    ..., -a_K], the Taylor coefficients of v - f(w) on the jet w = w_0 + d,
-    where ``evals[j](rows[j], w_0)`` is f^(j)(w_0) and a_n is the e^n
-    coefficient of f(w) - f(w_0) = sum_j f^(j)(w_0)/j! d^j. The field is
-    straight-line code compiled once per K with the Cauchy products
-    unrolled: a_n = f^(1) w_n, each power p_j_n = 0.0 + p_(j-1)_(j-1)
-    w_(n-j+1) + ... + p_(j-1)_(n-1) w_1 (with p_1 = w) summed left to
-    right from zero, and a_n += (f^(j) * (1.0 / j!)) p_j_n for j = 2..K.
-    Those are the operations of the list-comprehension field that the
-    tests keep as its oracle, in that field's order, so every coefficient
-    is the same bit for bit. The generated source holds only integer
-    indices.
-    """
-    idx = range(K + 1)
-    body = ["    def field(vk, rows, w):",
-            f"        {', '.join(f'r{j}' for j in idx)}, = rows",
-            f"        {', '.join(f'w{n}' for n in idx)}, = w",
-            "        f1 = e1(r1, w0)"]
-    body += [f"        a{n} = f1 * w{n}" for n in range(1, K + 1)]
-    for j in range(2, K + 1):
-        prev = "w" if j == 2 else f"p{j - 1}_"
-        for n in range(j, K + 1):
-            terms = "".join(f" + {prev}{i} * w{n - i}"
-                            for i in range(j - 1, n))
-            body.append(f"        p{j}_{n} = 0.0{terms}")
-        body.append(f"        c = e{j}(r{j}, w0) * (1.0 / "
-                    f"{math.factorial(j)})")
-        body += [f"        a{n} += c * p{j}_{n}" for n in range(j, K + 1)]
-    body.append("        return [vk - e0(r0, w0), "
-                + ", ".join(f"-a{n}" for n in range(1, K + 1)) + "]")
-    scope: dict = {}
-    exec(f"def bind({', '.join(f'e{j}' for j in idx)}):\n"
-         + "\n".join(body) + "\n    return field\n", scope)
-    return scope["bind"]
-
-
 def _rk4_jet(f: Nonlinearity, v, x0: float, h: float, K: int):
-    """Scalar RK4 over [0, 1] on Taylor series truncated after e^K.
+    """Scalar RK4 over [0, 1] on Taylor series truncated after e^K, K >= 1.
 
     Carries u(t; x0 + e) = u_0 + u_1 e + ... + u_K e^K through the steps,
     so the result is exactly the K-jet of the discrete RK4 map at x0 and
     rho^(j)(x0) = j! u_j(1). Each stage evaluates f on the jet by Faa di
     Bruno on its nilpotent part d: f(w_0 + d) = sum_j f^(j)(w_0)/j! d^j,
-    with f^(j) from the order-j rows of one stage table, in the
-    straight-line field ``_jet_field(K)`` compiles. u_0 and its Kahan
-    compensation are ``_rk4_scalar``'s arithmetic and u_1 that of its xi
-    lane, bit for bit. Returns [u_0, ..., u_K] at t = 1, or None if the
+    with f^(j) from the order-j rows of one stage table, in the loop
+    ``_rk4_loop`` generates for K; u_0 and u_1 are ``_rk4_scalar``'s u
+    and xi, bit for bit. Returns [u_0, ..., u_K] at t = 1, or None if the
     flow blew up.
     """
-    nsteps, h, (v0, vh, v1), stages = _read_table(f, v, 0.0, 1.0, h,
-                                                  range(K + 1), None)
-    field = _jet_field(K)(*(evaluate for evaluate, _ in stages))
-    rows0, rowsh, rows1 = zip(*(rows for _, rows in stages))
-    tail = range(1, K + 1)
-    half, sixth = 0.5 * h, h / 6.0
-    u = [float(x0), 1.0] + [0.0] * (K - 1)
-    comp = 0.0
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(nsteps):
-            rkh = [r[k] for r in rowsh]
-            k1 = field(v0[k], [r[k] for r in rows0], u)
-            w2 = [a + half * b for a, b in zip(u, k1)]
-            k2 = field(vh[k], rkh, w2)
-            w3 = [a + half * b for a, b in zip(u, k2)]
-            k3 = field(vh[k], rkh, w3)
-            w4 = [a + h * b for a, b in zip(u, k3)]
-            k4 = field(v1[k], [r[k] for r in rows1], w4)
-            y = sixth * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0]) - comp
-            s = u[0] + y
-            comp = (s - u[0]) - y
-            if not abs(s) <= U_MAX:
-                return None
-            u = [s] + [u[n] + sixth * (k1[n] + 2.0 * k2[n] + 2.0 * k3[n] + k4[n])
-                       for n in tail]
-    return u
+    u, _, blew, _, _, tail = _rk4(f, v, (float(x0), 1.0) + (0.0,) * (K - 1),
+                                  0.0, 1.0, h)
+    return None if blew else [u, *tail]
 
 
 def _flow_vector(f: Nonlinearity, v, x0: np.ndarray, h: float, table=None):
@@ -455,8 +499,11 @@ def contact_order(f: Nonlinearity, v, x0: float, kmax: int = 4,
     """
     if not math.isfinite(x0):
         raise PreconditionError("x0 must be finite")
-    if kmax < 1 or kmax > 5:
-        raise PreconditionError("contact order supported for kmax in 1..5")
+    if (isinstance(kmax, bool) or not isinstance(kmax, numbers.Integral)
+            or not 1 <= kmax <= 5):
+        raise PreconditionError("contact order supported for an integer "
+                                f"kmax in 1..5, not {kmax!r}")
+    kmax = int(kmax)
     if f.builtin is not None and kmax + 1 > MAX_X_DERIVATIVE:
         raise PreconditionError(
             f"kmax = {kmax} needs x-derivative order {kmax + 1} of "

@@ -20,6 +20,11 @@ SQUARE = Nonlinearity.polynomial([0, 0, 1])
 CUBIC = Nonlinearity.polynomial([0, -1, 0, 1])
 
 
+def _constant(x):
+    # a forcing callable of the constant value x
+    return lambda t: np.full(np.shape(t), x)
+
+
 def _curve_with_point(x):
     # the gamma_2 curve of x^3 - x on [-2, 2] with one coordinate set to x
     curve = gamma_curve(CUBIC, 2, -2.0, 2.0)
@@ -78,6 +83,19 @@ class TestNonFiniteInput:
                      id="contact-x0"),
         pytest.param(lambda x: contact_order(SQUARE, None, 0.0, kmax=2, h=x),
                      id="contact-step"),
+        pytest.param(lambda x: return_map(SQUARE, _constant(x), 0.0, h=1e-2),
+                     id="return-map-forcing"),
+        pytest.param(lambda x: return_map(SQUARE, _constant(x), 0.0, h=1e-2,
+                                          with_derivative=True),
+                     id="return-map-derivative-forcing"),
+        pytest.param(lambda x: integrate(SQUARE, _constant(x), 0.1),
+                     id="integrate-forcing"),
+        pytest.param(lambda x: contact_order(SQUARE, _constant(x), 0.0,
+                                             kmax=2, h=1e-2),
+                     id="contact-forcing"),
+        pytest.param(lambda x: count_solutions(SQUARE, _constant(x), -1.0,
+                                               1.0, h=1e-2),
+                     id="census-forcing"),
         pytest.param(lambda x: gamma_curve(CUBIC, 2, x, 1.0), id="gamma-lo"),
         pytest.param(lambda x: gamma_curve(CUBIC, 2, -1.0, x), id="gamma-hi"),
         pytest.param(lambda x: hull_origin_test(_curve_with_point(x)),
@@ -114,6 +132,11 @@ class TestContactEdges:
     def test_kmax_bounds(self):
         with pytest.raises(PreconditionError):
             contact_order(SQUARE, None, 0.0, kmax=6)
+
+    @pytest.mark.parametrize("kmax", [2.5, True, 2.0, "2"])
+    def test_kmax_must_be_an_integer(self, kmax):
+        with pytest.raises(PreconditionError, match="integer kmax"):
+            contact_order(SQUARE, None, 0.0, kmax=kmax, h=1e-2)
 
 
 class TestCumulativeOffNode:

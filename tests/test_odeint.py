@@ -11,8 +11,9 @@ from morinode import (Grid, Nonlinearity, PeriodicFn, contact_order,
                       integrate, odeint, return_map)
 from morinode.core import FourierAnsatz, PreconditionError, Term
 from morinode.odeint import (_flow_scalar, _flow_vector, _flow_with_variation,
-                             _jet_field, _rho_derivative_fd, _rk4_jet,
-                             _shift_forcing, _stage_table)
+                             _rho_derivative_fd, _rk4_jet, _rk4_loop,
+                             _rk4_scalar, _rk4_source, _shift_forcing,
+                             _stage_table)
 from tests.conftest import operator_rhs
 
 
@@ -22,9 +23,111 @@ ZERO = Nonlinearity.polynomial([])
 WILD = Nonlinearity.from_builtin("cosh2_cos")
 
 
+def _interpreted_rk4_scalar(f, v, x0, t0, t1, h, store=False, table=None,
+                            tangent_stride=0, *, xi_only=False):
+    # the interpreted scalar loop that odeint._rk4_loop's generated code
+    # replaced, one Horner-kernel call per row per stage: the oracle of
+    # _rk4_scalar's bits, escape sign and time included
+    nsteps, h, (v0, vh, v1), stages = odeint._read_table(
+        f, v, t0, t1, h, (0, 1) if tangent_stride else (0,), table)
+    fx, (r0, rh, r1) = stages[0]
+    if tangent_stride:
+        gx, (d0, dh, d1) = stages[1]
+    full = bool(tangent_stride) and not xi_only
+    half, sixth = 0.5 * h, h / 6.0
+    u = float(x0)
+    comp = 0.0
+    xi, eta = 1.0, 0.0
+    su = sxi = seta = 0.0
+    samples = [u] if store else None
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(nsteps):
+            k1 = v0[k] - fx(r0[k], u)
+            u2 = u + half * k1
+            k2 = vh[k] - fx(rh[k], u2)
+            u3 = u + half * k2
+            k3 = vh[k] - fx(rh[k], u3)
+            u4 = u + h * k3
+            k4 = v1[k] - fx(r1[k], u4)
+            if tangent_stride:
+                if full and k % tangent_stride == 0:
+                    su += u
+                    sxi += xi
+                    seta += eta
+                g1, g2 = gx(d0[k], u), gx(dh[k], u2)
+                g3, g4 = gx(dh[k], u3), gx(d1[k], u4)
+                a1 = -g1 * xi
+                a2 = -g2 * (xi + half * a1)
+                a3 = -g3 * (xi + half * a2)
+                a4 = -g4 * (xi + h * a3)
+                xi += sixth * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
+                if full:
+                    b1 = 1.0 - g1 * eta
+                    b2 = 1.0 - g2 * (eta + half * b1)
+                    b3 = 1.0 - g3 * (eta + half * b2)
+                    b4 = 1.0 - g4 * (eta + h * b3)
+                    eta += sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+            y = sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4) - comp
+            s = u + y
+            comp = (s - u) - y
+            last = u
+            u = s
+            if not abs(u) <= odeint.U_MAX:
+                w = next((w for w in (u2, u3, u4, u) if abs(w) > odeint.U_MAX),
+                         last)
+                return u, samples, True, -1 if w < 0 else 1, t0 + (k + 1) * h, None
+            if store:
+                samples.append(u)
+    lanes = None
+    if tangent_stride:
+        lanes = (xi, eta, su, sxi, seta) if full else (xi,)
+    return u, samples, False, None, None, lanes
+
+
+def _comprehension_run(start, h, nsteps, forcing, rows, evals):
+    # the list loop of _rk4_jet on the comprehension field, from the jet
+    # start with order-j stage rows rows[j] read by evals[j]: the oracle of
+    # the generated jet loop's bits; None on escape
+    K = len(start) - 1
+    field = _comprehension_field(K)(*evals)
+    v0, vh, v1 = forcing
+    rows0, rowsh, rows1 = zip(*rows)
+    tail = range(1, K + 1)
+    half, sixth = 0.5 * h, h / 6.0
+    u = list(start)
+    comp = 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(nsteps):
+            rkh = [r[k] for r in rowsh]
+            k1 = field(v0[k], [r[k] for r in rows0], u)
+            w2 = [a + half * b for a, b in zip(u, k1)]
+            k2 = field(vh[k], rkh, w2)
+            w3 = [a + half * b for a, b in zip(u, k2)]
+            k3 = field(vh[k], rkh, w3)
+            w4 = [a + h * b for a, b in zip(u, k3)]
+            k4 = field(v1[k], [r[k] for r in rows1], w4)
+            y = sixth * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0]) - comp
+            s = u[0] + y
+            comp = (s - u[0]) - y
+            if not abs(s) <= odeint.U_MAX:
+                return None
+            u = [s] + [u[n] + sixth * (k1[n] + 2.0 * k2[n] + 2.0 * k3[n] + k4[n])
+                       for n in tail]
+    return u
+
+
+def _comprehension_jet(f, v, x0, h, K):
+    # _rk4_jet's K-jet from x0 through the comprehension oracle
+    nsteps, h, forcing, stages = odeint._read_table(f, v, 0.0, 1.0, h,
+                                                    range(K + 1), None)
+    evals, rows = zip(*stages)
+    return _comprehension_run([float(x0), 1.0] + [0.0] * (K - 1), h, nsteps,
+                              forcing, rows, evals)
+
+
 def _comprehension_field(K):
-    # the list-comprehension stage field that _jet_field's compiled one
-    # replaced, as a binder of the same shape: the oracle of its bits. Its
+    # the list-comprehension stage field that the generated jet loop
+    # replaced, as a binder bind(e_0, ..., e_K): the oracle of its bits. Its
     # sums are the left fold from 0 that ``sum`` makes up to CPython 3.11;
     # from 3.12 on ``sum`` compensates, so the fold is spelled out
     scale = [1.0 / math.factorial(j) for j in range(K + 1)]
@@ -79,6 +182,15 @@ def _allocating_flow_vector(f, v, x0, h, table=None):
 def _bits(values):
     return None if values is None else [(type(x), float.hex(float(x)))
                                         for x in values]
+
+
+def _deep_bits(x):
+    # a result tuple with every float as its type and float.hex
+    if isinstance(x, (float, np.floating)):
+        return type(x), float.hex(float(x))
+    if isinstance(x, (list, tuple)):
+        return [_deep_bits(y) for y in x]
+    return x
 
 
 class TestIntegrate:
@@ -359,6 +471,113 @@ class TestTangentLanes:
         assert not blew and (u_end, der) == (lanes[0], lanes[5][0])
 
 
+T_DEPENDENT = Nonlinearity([Term(1, FourierAnsatz(-1.0, [], [0.2])),
+                            Term(3, FourierAnsatz(0.7, [0.05]))])
+
+
+class TestGeneratedLoops:
+    # _rk4_scalar's generated loops against the interpreted loop, float.hex
+    # of the whole result tuple, for every f shape and loop variant
+
+    FLOWS = [
+        pytest.param(Nonlinearity.polynomial([0, -1, 0, 1]),
+                     PeriodicFn.from_callable(
+                         lambda t: 0.4 * np.cos(2 * np.pi * t)),
+                     0.4, 1.0 / 512, id="autonomous"),
+        pytest.param(Nonlinearity.quartic(4.0, -0.3), lambda t: 0.3 - 0.6 * t,
+                     -0.0, 1e-3, id="autonomous-from-minus-zero"),
+        pytest.param(Nonlinearity.polynomial([0.7]),
+                     lambda t: 0.3 * np.cos(2 * np.pi * t), 0.2, 1e-2,
+                     id="width-1"),
+        pytest.param(T_DEPENDENT, lambda t: 0.3 * np.sin(2 * np.pi * t), -0.6,
+                     1e-3, id="t-dependent"),
+        pytest.param(WILD, lambda t: WILD.eval(t, 0.2), 0.25, 1e-2,
+                     id="builtin"),
+        pytest.param(SQUARE, None, -2.0, 1e-3, id="riccati-escape"),
+        pytest.param(Nonlinearity([Term(2, FourierAnsatz(1.0, [0.3]))]), None,
+                     -3.0, 1e-3, id="t-dependent-escape"),
+        pytest.param(WILD, None, 0.1, 1e-3, id="builtin-escape"),
+        pytest.param(WILD, _push, 0.0, 1e-3, id="one-step-overflow"),
+    ]
+    VARIANTS = [dict(), dict(store=True), dict(tangent_stride=1, xi_only=True),
+                dict(tangent_stride=1), dict(tangent_stride=3, store=True)]
+
+    @pytest.mark.parametrize("f, v, x0, h", FLOWS)
+    def test_scalar_loop_is_the_interpreted_loop_bitwise(self, f, v, x0, h):
+        for window in ((0.0, 1.0), (0.25, 1.25)):
+            for kw in self.VARIANTS:
+                got = _rk4_scalar(f, v, x0, *window, h, **kw)
+                expect = _interpreted_rk4_scalar(f, v, x0, *window, h, **kw)
+                assert _deep_bits(got) == _deep_bits(expect), (window, kw)
+
+    def test_escape_cases_escape(self):
+        # so the escape cases above compare an escape's sign and time
+        for f, v, x0, h in [(SQUARE, None, -2.0, 1e-3),
+                            (Nonlinearity([Term(2, FourierAnsatz(1.0, [0.3]))]),
+                             None, -3.0, 1e-3),
+                            (WILD, None, 0.1, 1e-3), (WILD, _push, 0.0, 1e-3)]:
+            assert _rk4_scalar(f, v, x0, 0.0, 1.0, h, tangent_stride=1)[2]
+
+    def test_nan_escape_takes_the_last_sign(self):
+        # a nan forcing shift (the fibre's nu) makes every stage state nan,
+        # so none is past U_MAX and the escape takes the sign of the last
+        # finite sample
+        table = _shift_forcing(_stage_table(SQUARE, None, 1e-2, (0, 1)),
+                               np.nan)
+        for kw in self.VARIANTS:
+            got = _rk4_scalar(SQUARE, None, -0.5, 0.0, 1.0, 1e-2, table=table,
+                              **kw)
+            expect = _interpreted_rk4_scalar(SQUARE, None, -0.5, 0.0, 1.0,
+                                             1e-2, table=table, **kw)
+            assert _deep_bits(got) == _deep_bits(expect)
+            assert got[2:5] == (True, -1, 1e-2)
+
+    def test_no_data_in_generated_code(self, monkeypatch):
+        # the generated source holds names and integer indices only, every
+        # key is made of ints, bools and strings, and a key compiles once
+        coeffs = [0.123456789, -0.234567891, 0.345678912, 0.456789123]
+        f = Nonlinearity.polynomial(coeffs)
+        g = Nonlinearity([Term(1, FourierAnsatz(0.567891234, [0.678912345])),
+                          Term(2, FourierAnsatz(0.789123456))])
+        data = coeffs + [0.567891234, 0.678912345, 0.789123456, 0.891234567]
+
+        def forcing(t):
+            return 0.891234567 * np.cos(2 * np.pi * t)
+
+        keys = []
+        real = odeint._rk4_loop
+
+        def spy(*key):
+            keys.append(key)
+            return real(*key)
+
+        monkeypatch.setattr(odeint, "_rk4_loop", spy)
+        real.cache_clear()
+
+        def flows():
+            for fn in (f, g, WILD):
+                _flow_scalar(fn, forcing, 0.1, 0.0, 1.0, 1e-2, store=True)
+                _flow_scalar(fn, forcing, 0.1, 0.0, 1.0, 1e-2,
+                             tangent_stride=2)
+                _flow_with_variation(fn, forcing, 0.1, 1e-2)
+                _rk4_jet(fn, forcing, 0.1, 1e-2, 4)
+
+        flows()
+        compiled = real.cache_info().misses
+        flows()
+        assert real.cache_info().misses == compiled == len(set(keys)) == 12
+
+        def atoms(x):
+            return ([a for y in x for a in atoms(y)]
+                    if isinstance(x, tuple) else [x])
+        for key in keys:
+            assert {type(a) for a in atoms(key)} <= {int, bool, str}, key
+            source = _rk4_source(*key)
+            for value in data:
+                for text in (repr(value), repr(-value), str(value)[2:8]):
+                    assert text not in source, (key, text)
+
+
 class TestJetFlow:
     def test_riccati_closed_form(self):
         # u' = -u^2 gives rho(x) = x/(1+x): rho^(n)(0) = (-1)^(n+1) n!
@@ -404,36 +623,45 @@ class TestJetFlow:
 
     @pytest.mark.parametrize("f, v, x0, h, orders", JET_CASES)
     def test_compiled_field_is_the_comprehension_bitwise(self, f, v, x0, h,
-                                                          orders, monkeypatch):
+                                                          orders):
         got = [_bits(_rk4_jet(f, v, x0, h, K)) for K in orders]
-        monkeypatch.setattr(odeint, "_jet_field", _comprehension_field)
-        assert got == [_bits(_rk4_jet(f, v, x0, h, K)) for K in orders]
+        assert got == [_bits(_comprehension_jet(f, v, x0, h, K))
+                       for K in orders]
 
-    def test_butterfly_jet_is_the_comprehension_bitwise(self, refined_butterfly,
-                                                        monkeypatch):
+    def test_butterfly_jet_is_the_comprehension_bitwise(self,
+                                                        refined_butterfly):
         f, ans, _ = refined_butterfly
         v, x0 = operator_rhs(f, ans), float(ans.eval(0.0))
-        got = _bits(_rk4_jet(f, v, x0, 2e-4, 5))
-        monkeypatch.setattr(odeint, "_jet_field", _comprehension_field)
-        assert got == _bits(_rk4_jet(f, v, x0, 2e-4, 5))
+        assert (_bits(_rk4_jet(f, v, x0, 2e-4, 5))
+                == _bits(_comprehension_jet(f, v, x0, 2e-4, 5)))
 
     @pytest.mark.parametrize("K", range(1, 7))
     def test_compiled_field_on_signed_zeros_and_non_finite_jets(self, K):
-        # -0.0, overflow, inf and nan take the comprehension's path too:
-        # every jet over these values up to K = 3, sampled above
+        # the generated loop from start jets over -0.0, overflow, inf and
+        # nan, with random order-j rows, takes the comprehension's path
+        # too: every such jet up to K = 3, sampled above
         rng = np.random.default_rng(K)
         evals = [odeint.horner_kernel(4)] * (K + 1)
-        rows = rng.standard_normal((K + 1, 4)).tolist()
+        nsteps, h = 2, 0.25
+        rows = [([row] * nsteps,) * 3
+                for row in rng.standard_normal((K + 1, 4)).tolist()]
+        forcing = ([0.5] * nsteps,) * 3
+        run = _rk4_loop("autonomous", (4,) * (K + 1), K, False, False)
         values = [0.0, -0.0, 0.7, -1.3, 1e200, -np.inf, np.nan]
         jets = (itertools.product(values, repeat=K + 1) if K <= 3 else
                 rng.choice(values, (3000, K + 1)).tolist())
-        got, expect = _jet_field(K)(*evals), _comprehension_field(K)(*evals)
         for w in jets:
-            assert _bits(got(0.5, rows, w)) == _bits(expect(0.5, rows, w))
+            u, _, blew, _, _, tail = run(tuple(w), 0.0, h, nsteps, 0,
+                                         *forcing, rows, evals)
+            expect = _comprehension_run(list(w), h, nsteps, forcing, rows,
+                                        evals)
+            assert _bits(None if blew else [u, *tail]) == _bits(expect)
 
     def test_field_compiled_once_per_order(self):
-        assert _jet_field(5) is _jet_field(5)
-        assert _jet_field(5) is not _jet_field(6)
+        key = ("autonomous", (5, 4, 3, 2, 1, 1), 5, False, False)
+        assert _rk4_loop(*key) is _rk4_loop(*key)
+        assert _rk4_loop(*key) is not _rk4_loop("autonomous", key[1][:5], 4,
+                                                False, False)
 
     def test_butterfly_jets_within_fd_error(self, refined_butterfly,
                                             monkeypatch):
