@@ -263,7 +263,7 @@ def _cmd_count_solutions(args):
             "diagnostics": {"passes": [
                 {"h": p.h, "brackets": p.brackets,
                  "refine_flows": p.refine_flows,
-                 "flows_per_bracket": p.flows_per_bracket}
+                 "flows_per_bracket": p.flows_per_bracket, "work": p.work}
                 for p in census.passes]}}
 
 

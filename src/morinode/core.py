@@ -340,30 +340,6 @@ def horner_kernel(width: int) -> Callable:
     return scope["kernel"]
 
 
-@functools.cache
-def horner_array_kernel(width: int) -> Callable:
-    """``kernel(r, x, out)``: ``horner_kernel(width)(r, x)`` written into out.
-
-    The in-place array twin of ``horner_kernel``, compiled once per width:
-    ``np.multiply(x, r[w-1], out=out)``, then ``out += r[m]`` and ``out *=
-    x`` for m from w-2 down, ending with ``out += r[0]``. These are the
-    scalar kernel's multiplications and additions in its order, so every
-    lane is the scalar kernel's float bit for bit, and no array is
-    allocated. out must not be x. Returns out; width 1 returns the float
-    r[0], as the scalar kernel does.
-    """
-    if width == 1:
-        body = "    return r[0]\n"
-    else:
-        steps = "    out *= x\n".join(f"    out += r[{m}]\n"
-                                      for m in range(width - 2, -1, -1))
-        body = (f"    multiply(x, r[{width - 1}], out=out)\n{steps}"
-                "    return out\n")
-    scope: dict = {"multiply": np.multiply}
-    exec(f"def kernel(r, x, out):\n{body}", scope)
-    return scope["kernel"]
-
-
 def horner(coeffs, x):
     """sum_m coeffs[m] x^m by Horner's rule, coefficients ascending."""
     return horner_kernel(len(coeffs))(coeffs, x)

@@ -17,17 +17,22 @@ read, the fibre lanes add eta = du/dnu and strided sums, and
 one flow at K = kmax + 1 (``_rk4_jet``). The jets are exact for the
 discrete map, not finite differences, and a derivative counts as zero
 below ``CONTACT_ZERO_TOL`` = 1e-6 relative to the leading one. The
-many-lane loop ``_flow_vector`` evaluates a polynomial through the
-in-place array kernel ``core.horner_array_kernel`` and writes every
-stage into seven lane buffers, so a polynomial step allocates no array;
-its test is one reduction over the lanes, which a dead lane, parked at
-0, passes. ``_rho_derivative_fd`` and ``_fd_once`` remain as the tests'
-finite-difference cross-check, and because the benchmark's tracer
-(``bench/spans.py``) binds both by name.
+many-lane loop ``_flow_vector`` is one generated loop too
+(``_vector_loop``), compiled per f's shape, row width and number of lane
+groups. Every operation is a positional ufunc call into seven lane
+buffers, so a polynomial step allocates no array. Lane groups, each with
+its own step and stage table (the census's h and h/2 scans), share every
+call but the forcing subtract and a t-dependent or builtin f's
+evaluation: a call costs far more than a lane, so the loop saves calls.
+Its test is one reduction over the running lanes, which a dead lane,
+parked at 0, passes. ``_rho_derivative_fd`` and ``_fd_once`` remain as
+the tests' finite-difference cross-check, and because the benchmark's
+tracer (``bench/spans.py``) binds both by name.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 from dataclasses import dataclass
@@ -36,8 +41,7 @@ from functools import cache, partial
 import numpy as np
 
 from .core import (MAX_X_DERIVATIVE, BracketError, Nonlinearity,
-                   PreconditionError, horner_array_kernel,
-                   horner_kernel)
+                   PreconditionError, horner_kernel)
 
 U_MAX = 1e6
 
@@ -99,8 +103,7 @@ def _rhs_tables(f: Nonlinearity, v, t0: float, nsteps: int, h: float,
     read it as an escape. Flows at the same (f, v, h) can share one
     through their ``table``.
     """
-    times = t0 + h * np.arange(nsteps)
-    stage_times = np.concatenate([times, times + h / 2, times + h])
+    stage_times = _stage_times(t0, nsteps, h)
     if v is None:
         vvals = np.zeros(stage_times.shape)
     else:  # a PeriodicFn calls its spectral interpolant
@@ -108,19 +111,27 @@ def _rhs_tables(f: Nonlinearity, v, t0: float, nsteps: int, h: float,
         if not np.isfinite(vvals).all():
             raise PreconditionError("the forcing must be finite at the "
                                     "stage times")
-    stages = []
-    for order in orders:
-        if f.builtin is not None:
-            stages.append((partial(f.eval, order=order),
-                           stage_times.reshape(3, nsteps).tolist()))
-        elif f.autonomous:
-            row = f.poly_coeffs(order).tolist()
-            stages.append((horner_kernel(len(row)), ([row] * nsteps,) * 3))
-        else:
-            rows = f.coeff_rows(stage_times, order=order)
-            stages.append((horner_kernel(rows.shape[1]),
-                           rows.reshape(3, nsteps, -1).tolist()))
-    return vvals.reshape(3, nsteps), stages
+    return vvals.reshape(3, nsteps), [_stage_rows(f, stage_times, nsteps,
+                                                  order) for order in orders]
+
+
+def _stage_times(t0: float, nsteps: int, h: float) -> np.ndarray:
+    """t_k, then t_k + h/2, then t_k + h, over the steps k from t0."""
+    times = t0 + h * np.arange(nsteps)
+    return np.concatenate([times, times + h / 2, times + h])
+
+
+def _stage_rows(f: Nonlinearity, stage_times: np.ndarray, nsteps: int,
+                order: int):
+    """``_rhs_tables``' (evaluate, (r0, rh, r1)) pair of one order."""
+    if f.builtin is not None:
+        return (partial(f.eval, order=order),
+                stage_times.reshape(3, nsteps).tolist())
+    if f.autonomous:
+        row = f.poly_coeffs(order).tolist()
+        return horner_kernel(len(row)), ([row] * nsteps,) * 3
+    rows = f.coeff_rows(stage_times, order=order)
+    return horner_kernel(rows.shape[1]), rows.reshape(3, nsteps, -1).tolist()
 
 
 def _step_count(t0: float, t1: float, h: float) -> tuple[int, float]:
@@ -137,6 +148,19 @@ def _stage_table(f: Nonlinearity, v, h: float, orders=(0,)):
     """``_rhs_tables`` on [0, 1] at the step size ``_step_count`` gives."""
     nsteps, h = _step_count(0.0, 1.0, h)
     return _rhs_tables(f, v, 0.0, nsteps, h, orders)
+
+
+def _add_orders(f: Nonlinearity, table, h: float, orders):
+    """A ``_stage_table`` at h with the rows of further ``orders`` appended.
+
+    The forcing is not evaluated again. ``table`` must hold the orders
+    before ``orders``, since a flow reads order j from its j-th rows.
+    """
+    nsteps, h = _step_count(0.0, 1.0, h)
+    forcing, stages = table
+    times = _stage_times(0.0, nsteps, h)
+    return forcing, [*stages, *(_stage_rows(f, times, nsteps, order)
+                                for order in orders)]
 
 
 def _read_table(f: Nonlinearity, v, t0, t1, h, orders, table):
@@ -173,6 +197,27 @@ def _horner_source(names, x: str) -> str:
     for c in reversed(names[:-1]):
         expr = f"({expr}) * {x} + {c}"
     return expr
+
+
+def _horner_array_source(names, x: str, out: str) -> tuple[list[str], str]:
+    """Horner's rule on lane arrays as lines of positional ufunc calls.
+
+    ``names`` name the coefficients, ascending. The lines are
+    ``multiply(x, c[w-1], out)``, then ``add(out, c[m], out)`` and
+    ``multiply(out, x, out)`` for m from w-2 down, ending with ``add(out,
+    c[0], out)``: ``horner_kernel``'s multiplications and additions in its
+    order, so every lane is its float bit for bit, and no array is
+    allocated. out must not be x. Returns (lines, the name of the value):
+    out, or c[0] for width 1, which needs no line.
+    """
+    if len(names) == 1:
+        return [], names[0]
+    lines = [f"multiply({x}, {names[-1]}, {out})"]
+    for m in range(len(names) - 2, -1, -1):
+        lines.append(f"add({out}, {names[m]}, {out})")
+        if m:
+            lines.append(f"multiply({out}, {x}, {out})")
+    return lines, out
 
 
 def _rk4_source(kind: str, widths: tuple, K: int, lanes: bool,
@@ -357,74 +402,165 @@ def _rk4_jet(f: Nonlinearity, v, x0: float, h: float, K: int):
     return None if blew else [u, *tail]
 
 
-def _flow_vector(f: Nonlinearity, v, x0: np.ndarray, h: float, table=None):
+_VECTOR_SHARED = "u, comp, w, k1, k2, k3, k4, alive, half, step, sixth"
+
+
+def _vector_source(kind: str, width: int, ngroups: int) -> str:
+    """Source of the ``run`` function ``_vector_loop`` compiles for one key.
+
+    Names and integer indices only: the lanes, the forcing, the rows and
+    the steps arrive as arguments. Group g holds lanes lo{g} up to the next
+    group's and runs n{g} steps; the groups come in ascending step counts,
+    so the lanes still running are a suffix. Phase p runs steps n{p-1} to
+    n{p} on the groups p and after, on views of that suffix named as in
+    ``_VECTOR_SHARED``; u_{g}, k1_{g}, ... are group g's fixed views.
+    """
+    own = ["u", "k1", "k2", "k3", "k4"] + ["w"] * (kind != "autonomous")
+
+    def body(running):
+        lines = []
+        if kind == "t-dependent":
+            for g in running:
+                for tau in "abc":
+                    names = ", ".join(f"r{g}{tau}_{m}" for m in range(width))
+                    lines.append(f"{names}, = R{g}{tau}[k]")
+        for s, tau, vk, into in zip(range(1, 5), "abbc",
+                                    ("v0", "vh", "vh", "v1"),
+                                    (None, "half", "half", "step")):
+            x, out = ("w" if into else "u"), f"k{s}"
+            if into:
+                lines += [f"multiply(k{s - 1}, {into}, w)", "add(w, u, w)"]
+            if kind == "autonomous":
+                shared, value = _horner_array_source(
+                    [f"c{m}" for m in range(width)], x, out)
+                lines += shared
+            for g in running:
+                if kind == "builtin":
+                    value = f"e{g}(R{g}{tau}[k], {x}_{g})"
+                elif kind == "t-dependent":
+                    own_lines, value = _horner_array_source(
+                        [f"r{g}{tau}_{m}" for m in range(width)],
+                        f"{x}_{g}", f"{out}_{g}")
+                    lines += own_lines
+                lines.append(f"subtract({vk}_{g}[k], "
+                             f"{value}{f'_{g}' * (value == out)}, {out}_{g})")
+        # w = y = (h/6) (k1 + 2 k2 + 2 k3 + k4) - comp, then k1 = u + y
+        lines += ["multiply(k2, two, w)", "add(w, k1, w)",
+                  "multiply(k3, two, k3)", "add(w, k3, w)", "add(w, k4, w)",
+                  "multiply(w, sixth, w)", "subtract(w, comp, w)",
+                  "add(u, w, k1)", "subtract(k1, u, comp)",
+                  "subtract(comp, w, comp)"]
+        pairs = [("u", "k1")] + [(f"u_{g}", f"k1_{g}") for g in running]
+        lines += [", ".join(f"{a}, {b}" for a, b in pairs) + " = "
+                  + ", ".join(f"{b}, {a}" for a, b in pairs),
+                  "if not absolute(u, w).max(initial=0.0) <= umax:",
+                  "    dead = ~(w <= umax)",
+                  "    alive &= ~dead",
+                  "    u[dead] = 0.0",
+                  "    comp[dead] = 0.0"]
+        return lines
+
+    src = [f"def run({_VECTOR_SHARED}, two, coeffs, groups):"]
+    if kind == "autonomous":
+        src.append(f"    {', '.join(f'c{m}' for m in range(width))}, = coeffs")
+    for g in range(ngroups):
+        src.append(f"    lo{g}, n{g}, (v0_{g}, vh_{g}, v1_{g}), "
+                   f"((e{g}, (R{g}a, R{g}b, R{g}c)), *_) = groups[{g}]")
+    src.append("    groups.clear()")
+    for g in range(ngroups):
+        end = f"lo{g + 1}" if g + 1 < ngroups else ""
+        src.append(f"    {', '.join(f'{b}_{g}' for b in own)} = "
+                   f"{', '.join(f'{b}[lo{g}:{end}]' for b in own)}")
+    src.append("    ends = []")
+    for p in range(ngroups):
+        if p:
+            src.append(f"    {_VECTOR_SHARED} = (" + ", ".join(
+                f"{b}[lo{p} - lo{p - 1}:]" for b in _VECTOR_SHARED.split(", "))
+                + ")")
+        src.append(f"    for k in range({f'n{p - 1}' if p else '0'}, n{p}):")
+        src += ["        " + line for line in body(range(p, ngroups))]
+        src += [f"    ends.append(u_{p})",
+                f"    del v0_{p}, vh_{p}, v1_{p}, R{p}a, R{p}b, R{p}c"]
+    return "\n".join(src + ["    return ends"]) + "\n"
+
+
+@cache
+def _vector_loop(kind: str, width: int, ngroups: int):
+    """The many-lane RK4 loop as straight-line code, compiled per key.
+
+    ``kind`` is f's shape as in ``_rk4_loop``; ``width`` is the width of an
+    autonomous or t-dependent polynomial's rows (0 for a builtin), and
+    ``ngroups`` the number of lane groups, each with its own step and
+    stage table. Every operation is a positional ``ufunc(a, b, out)`` on
+    lane buffers. It is shared by all running groups, except the forcing
+    subtract and, for a t-dependent polynomial or a builtin, the f
+    evaluation, which are made per group on its fixed views. Horner's rule
+    is inlined as ``_horner_array_source`` writes it.
+
+    ``run(u, comp, w, k1, k2, k3, k4, alive, half, step, sixth, two,
+    coeffs, groups)`` takes the lane buffers, the lane arrays of each
+    group's h/2, h and h/6, the 0-d arrays 2.0 and, for an autonomous f,
+    its coefficients, and ``groups``, one (first lane, nsteps, forcing
+    lists, stages) per group in ascending nsteps, which it empties. It
+    returns every group's final view of u.
+    """
+    scope = {"add": np.add, "multiply": np.multiply,
+             "subtract": np.subtract, "absolute": np.absolute,
+             "umax": U_MAX}
+    exec(_vector_source(kind, width, ngroups), scope)
+    return scope["run"]
+
+
+def _flow_vector(f: Nonlinearity, v, x0: np.ndarray, h: float, table=None,
+                 more=()):
     """Vectorized RK4 over [0,1] for many start values simultaneously.
 
-    ``table`` is an optional prebuilt ``_stage_table(f, v, h)``. Returns
-    (u_end, alive); dead components hold nan (no escape sign or time).
-    A polynomial step allocates no array: seven lane buffers take every
-    stage through ``out=`` and in-place ufuncs, and a row goes through
-    ``core.horner_array_kernel``. A builtin's f.eval returns a fresh array,
-    read into the same buffers. The stages make the additions and
-    multiplications of ``k2 = v - f(u + (h/2) k1)``, ..., ``y = (h/6) (k1
-    + 2 k2 + 2 k3 + k4) - comp`` in their order, some with their operands
-    swapped, which IEEE arithmetic does not see; so every lane is bit for
-    bit that of the loop of fresh arrays that the tests keep as oracle.
-    The escape test is one NaN-propagating reduction, max |u| <=
-    ``U_MAX``. A step that fails it marks the escaped lanes dead and parks
-    them at 0, so later reductions pass them; they get nan at the end.
+    ``table`` is an optional prebuilt ``_stage_table(f, v, h)``. ``more``
+    adds lane groups, each an (x0, h, table) triple with its own step, run
+    in the same ``_vector_loop`` calls. Returns (u_end, alive) over the
+    lanes of every group, x0's first; dead components hold nan (no escape
+    sign or time). The stages make the additions and multiplications of
+    ``k2 = v - f(u + (h/2) k1)``, ..., ``y = (h/6) (k1 + 2 k2 + 2 k3 + k4)
+    - comp`` in their order, some with their operands swapped, which IEEE
+    arithmetic does not see, with 0-d and lane arrays holding each
+    group's floats; so every lane is bit for bit that of the loop of fresh
+    arrays that the tests keep as oracle, run on its group alone. The
+    escape test is one NaN-propagating reduction, max |u| <= ``U_MAX``. A
+    step that fails it marks the escaped lanes dead and parks them at 0,
+    so later reductions pass them; they get nan at the end.
     """
-    nsteps, h, (v0, vh, v1), [(fx, (r0, rh, r1)), *_] = _read_table(
-        f, v, 0.0, 1.0, h, (0,), table)
-    if f.builtin is None:
-        fx = horner_array_kernel(len(r0[0]))
-    else:
-        fx = partial(_fresh_into, fx)
-    half, sixth = 0.5 * h, h / 6.0
-    u = np.array(x0, dtype=float)
+    read = [(np.asarray(x, dtype=float),
+             *_read_table(f, v, 0.0, 1.0, step, (0,), tab))
+            for x, step, tab in ((x0, h, table), *more)]
+    order = sorted(range(len(read)), key=lambda g: read[g][1])
+    sizes = [len(read[g][0]) for g in order]
+    lo = [0, *itertools.accumulate(sizes)]
+    steps = np.array([read[g][2] for g in order])
+    u = np.concatenate([read[g][0] for g in order])
     comp = np.zeros_like(u)
     w, k1, k2, k3, k4 = (np.empty_like(u) for _ in range(5))
     alive = np.ones(u.shape, dtype=bool)
+    if f.builtin is not None:
+        kind, width, coeffs = "builtin", 0, ()
+    else:
+        row = read[0][4][0][1][0][0]  # order 0, stage t_k, step 0
+        kind = "autonomous" if f.autonomous else "t-dependent"
+        width = len(row)
+        coeffs = tuple(map(np.array, row)) if f.autonomous else ()
+    groups = [(lo[i], read[g][1], *read[g][3:]) for i, g in enumerate(order)]
+    del read
+    run = _vector_loop(kind, width, len(groups))
     with np.errstate(all="ignore"):
-        for k in range(nsteps):
-            np.subtract(v0[k], fx(r0[k], u, k1), out=k1)
-            np.multiply(k1, half, out=w)
-            w += u
-            np.subtract(vh[k], fx(rh[k], w, k2), out=k2)
-            np.multiply(k2, half, out=w)
-            w += u
-            np.subtract(vh[k], fx(rh[k], w, k3), out=k3)
-            np.multiply(k3, h, out=w)
-            w += u
-            np.subtract(v1[k], fx(r1[k], w, k4), out=k4)
-            # w = y = (h/6) (k1 + 2 k2 + 2 k3 + k4) - comp, then k1 = u + y
-            np.multiply(k2, 2.0, out=w)
-            w += k1
-            k3 *= 2.0
-            w += k3
-            w += k4
-            w *= sixth
-            w -= comp
-            np.add(u, w, out=k1)
-            np.subtract(k1, u, out=comp)
-            comp -= w
-            u, k1 = k1, u
-            if not np.abs(u, out=w).max(initial=0.0) <= U_MAX:
-                dead = ~(w <= U_MAX)
-                alive &= ~dead
-                u[dead] = 0.0
-                comp[dead] = 0.0
+        ends = run(u, comp, w, k1, k2, k3, k4, alive,
+                   np.repeat(0.5 * steps, sizes),
+                   np.repeat(steps, sizes), np.repeat(steps / 6.0, sizes),
+                   np.array(2.0), coeffs, groups)
+    out = [None] * len(order)
+    for i, g in enumerate(order):
+        out[g] = ends[i], alive[lo[i]:lo[i + 1]]
+    u, alive = (np.concatenate(part) for part in zip(*out))
     u[~alive] = np.nan
     return u, alive
-
-
-def _fresh_into(evaluate, r, x, out):
-    """A builtin's ``evaluate(r, x)`` under the array kernels' signature.
-
-    It returns a fresh array and leaves out alone; ``_flow_vector`` reads
-    whichever array a kernel returns.
-    """
-    return evaluate(r, x)
 
 
 def integrate(f: Nonlinearity, v, x0: float, t0: float = 0.0, t1: float = 1.0,

@@ -8,8 +8,10 @@ Jacobian of the functionals, reporting the smallest retained singular
 value as the surjectivity check. The census scans the return map for
 fixed points, brackets sign changes, refines each bracket by a safeguarded
 Newton iteration on rho(x) - x (the variational flow gives rho' with every
-value), and re-verifies the count at half the integration step. The
-scan and all refinement flows of one pass read one stage table.
+value), and re-verifies the count at half the integration step. One
+many-lane flow scans at h and at h/2 as two lane groups; each pass's
+refinement flows then read that pass's stage table, whose order-1 rows
+are built only when the pass has a bracket.
 """
 
 from __future__ import annotations
@@ -26,8 +28,8 @@ from .morin import (_derivative_samples, _sigma_jacobian, _sigma_values,
                     _u_directions)
 # _flow_scalar is no longer called here but stays a module attribute: the
 # benchmark's tracer (bench/spans.py) wraps search._flow_scalar
-from .odeint import (_flow_scalar, _flow_with_variation,  # noqa: F401
-                     _flow_vector, _stage_table)
+from .odeint import (_add_orders, _flow_scalar,  # noqa: F401
+                     _flow_vector, _flow_with_variation, _stage_table)
 
 SIGMA_GRID_N = 2048
 MAX_GN_ITERATIONS = 100
@@ -264,10 +266,15 @@ class CensusRoot:
 
 @dataclass(frozen=True)
 class CensusPass:
-    """Deterministic work of one census pass at integration step ``h``."""
+    """Deterministic work of one census pass at integration step ``h``.
+
+    ``work`` counts the scan's lane-steps (lanes x RK4 steps), then the
+    refinement flows and their RK4 steps.
+    """
 
     h: float
     flows_per_bracket: tuple[int, ...]  # refinement flows, in scan order
+    work: dict  # {"lane_steps", "flows", "steps"}
 
     @property
     def brackets(self) -> int:
@@ -309,7 +316,10 @@ def count_solutions(f: Nonlinearity, v, x_lo: float, x_hi: float,
     iteration (see ``_refine_root``) until the step is at most 1e-12, and
     roots are deduplicated within 1e-9. Brackets touching a blow-up boundary
     are reported unresolved and never counted. The count is re-derived at
-    h/2. The range and the step must be finite.
+    h/2, from a scan made in the same ``_flow_vector`` call as the scan at
+    h (``_census_pass``); it is dropped when the pass at h is degenerate.
+    Each of ``passes`` records its work. The range and the step must be
+    finite.
     """
     if not all(map(math.isfinite, (x_lo, x_hi, h))):
         raise PreconditionError("the range and the step must be finite")
@@ -318,13 +328,14 @@ def count_solutions(f: Nonlinearity, v, x_lo: float, x_hi: float,
     if scan_n < 2:
         raise PreconditionError(f"scan needs at least 2 points, got {scan_n}")
     xs = np.linspace(x_lo, x_hi, scan_n)
-    roots, unresolved, degenerate, g, work = _census_pass(f, v, xs, h)
+    (roots, unresolved, degenerate, g, work), *half = _census_pass(
+        f, v, xs, h, check_half_step)
     passes = [work]
     count = None if degenerate else len(roots)
     half_count = None
     roots_half = []
-    if check_half_step and not degenerate:
-        roots_half, _, degen_half, _, work = _census_pass(f, v, xs, h / 2)
+    if half:
+        roots_half, _, degen_half, _, work = half[0]
         passes.append(work)
         half_count = None if degen_half else len(roots_half)
     return SolutionCensus(x_lo=x_lo, x_hi=x_hi, h=h, roots=tuple(roots),
@@ -336,15 +347,44 @@ def count_solutions(f: Nonlinearity, v, x_lo: float, x_hi: float,
                           passes=tuple(passes))
 
 
-def _census_pass(f: Nonlinearity, v, xs: np.ndarray, h: float):
-    """(roots, unresolved, degenerate, g, CensusPass) of one pass at h."""
-    table = _stage_table(f, v, h, (0, 1))
-    u_end, alive = _flow_vector(f, v, xs, h, table)
+def _census_pass(f: Nonlinearity, v, xs: np.ndarray, h: float,
+                 check_half_step: bool):
+    """The passes at h and, with ``check_half_step``, at h/2.
+
+    One ``_flow_vector`` call scans both steps as two lane groups, from
+    order-0 stage tables. Each pass then brackets and refines its own scan
+    (``_census_roots``) and releases its table; the h/2 pass is dropped
+    when the h pass is degenerate. Returns a list of (roots, unresolved,
+    degenerate, g, CensusPass), one per pass kept.
+    """
+    steps = (h, h / 2) if check_half_step else (h,)
+    tables = [_stage_table(f, v, step) for step in steps]
+    u_end, alive = _flow_vector(f, v, xs, h, tables[0],
+                                [(xs, step, table) for step, table
+                                 in zip(steps[1:], tables[1:])])
+    passes = []
+    for step, u, live in zip(steps, np.split(u_end, len(steps)),
+                             np.split(alive, len(steps))):
+        passes.append(_census_roots(f, v, xs, u, live, step, tables.pop(0)))
+        if passes[0][2]:
+            break
+    return passes
+
+
+def _census_roots(f: Nonlinearity, v, xs: np.ndarray, u_end: np.ndarray,
+                  alive: np.ndarray, h: float, table):
+    """(roots, unresolved, degenerate, g, CensusPass) of one pass's scan.
+
+    ``table`` is the pass's order-0 ``_stage_table``; the order-1 rows
+    the refinement flows read are added only when there is a bracket.
+    """
+    work = {"lane_steps": len(xs) * table[0].shape[1], "flows": 0,
+            "steps": 0}
     g = u_end - xs
     finite = alive & np.isfinite(g)
     scale = float(np.max(np.abs(g[finite]))) if finite.any() else 0.0
     if finite.sum() >= 2 and scale <= 1e-12 * max(1.0, np.max(np.abs(xs))):
-        return [], [], True, g, CensusPass(h, ())
+        return [], [], True, g, CensusPass(h, (), work)
 
     brackets = []
     unresolved = []
@@ -359,12 +399,16 @@ def _census_pass(f: Nonlinearity, v, xs: np.ndarray, h: float):
     if finite[-1] and g[-1] == 0.0:
         brackets.append((xs[-1], xs[-1], 0.0, 0.0))
 
+    if brackets:
+        table = _add_orders(f, table, h, (1,))
     roots = []
     flows = []
     for lo, hi, glo, ghi in brackets:
-        root, width, der, nflows, ok = _refine_root(f, v, lo, hi, glo, ghi, h,
-                                                    table)
+        root, width, der, nflows, steps, ok = _refine_root(f, v, lo, hi, glo,
+                                                           ghi, h, table)
         flows.append(nflows)
+        work["flows"] += nflows
+        work["steps"] += steps
         if ok:
             roots.append((root, width, der))
         else:
@@ -376,7 +420,7 @@ def _census_pass(f: Nonlinearity, v, xs: np.ndarray, h: float):
             continue
         out.append(CensusRoot(x=float(root), rho_prime=float(der),
                               bracket_width=float(width)))
-    return out, unresolved, False, g, CensusPass(h, tuple(flows))
+    return out, unresolved, False, g, CensusPass(h, tuple(flows), work)
 
 
 def _refine_root(f, v, lo, hi, glo, ghi, h, table):
@@ -387,9 +431,11 @@ def _refine_root(f, v, lo, hi, glo, ghi, h, table):
     replaces the bracket end of its sign; a Newton step that would leave
     the bracket is replaced by bisection. Stops when the step is at most
     ROOT_REFINE_TOL or g is exactly 0. Returns (x, step, rho' at the last
-    flow, flows, ok); ok is False when a flow blows up inside the bracket.
-    Every flow reads ``table``, the pass's ``_stage_table(f, v, h, (0, 1))``.
+    flow, flows, their RK4 steps, ok); ok is False when a flow blows up
+    inside the bracket. Every flow reads ``table``, the pass's
+    ``_stage_table`` with orders 0 and 1.
     """
+    nsteps = table[0].shape[1]
     if lo == hi:
         x = lo
     else:
@@ -397,12 +443,14 @@ def _refine_root(f, v, lo, hi, glo, ghi, h, table):
         if not lo < x < hi:
             x = 0.5 * (lo + hi)
     for flows in range(1, MAX_REFINE_FLOWS + 1):
-        u_end, der, blew, _, _ = _flow_with_variation(f, v, x, h, table)
+        u_end, der, blew, _, btime = _flow_with_variation(f, v, x, h, table)
+        rk4 = flows * nsteps
         if blew:
-            return x, hi - lo, None, flows, False
+            return (x, hi - lo, None, flows,
+                    rk4 - nsteps + round(btime * nsteps), False)
         g = u_end - x
         if g == 0.0 or lo == hi:
-            return x, 0.0, der, flows, True
+            return x, 0.0, der, flows, rk4, True
         if (g < 0) == (glo < 0):
             lo, glo = x, g
         else:
@@ -413,9 +461,9 @@ def _refine_root(f, v, lo, hi, glo, ghi, h, table):
             nxt = 0.5 * (lo + hi)
         step = abs(nxt - x)
         if step <= ROOT_REFINE_TOL:
-            return nxt, step, der, flows, True
+            return nxt, step, der, flows, rk4, True
         x = nxt
-    return x, hi - lo, der, flows, True
+    return x, hi - lo, der, flows, rk4, True
 
 
 # ---------------------------------------------------------------------------

@@ -338,10 +338,13 @@ class TestCommands:
         assert code == EXIT_OK
         passes = doc1["result"]["diagnostics"]["passes"]
         assert [p["h"] for p in passes] == [1e-3, 5e-4]
-        for p in passes:
+        for p, nsteps in zip(passes, (1000, 2000)):
             assert p["brackets"] == 2
             assert p["refine_flows"] == sum(p["flows_per_bracket"])
             assert 2 <= p["refine_flows"] <= 16
+            assert p["work"] == {"lane_steps": 201 * nsteps,
+                                 "flows": p["refine_flows"],
+                                 "steps": p["refine_flows"] * nsteps}
         # the work counters are deterministic: payloads repeat
         _, doc2 = run(capsys, argv)
         doc1.pop("generated_at")
@@ -531,9 +534,17 @@ class TestCommands:
                                   "best iterate returned")
         assert res["diagnostics"]["residual"] == min(res["residual_history"])
 
-    def test_sweep_count(self, tmp_path, capsys):
+    def test_sweep_count(self, tmp_path, capsys, monkeypatch):
         # f = x^2 - c from explicit entries: the equilibria +-sqrt(c) are
         # the two periodic solutions for c > 0, and there are none for c < 0
+        groups = []
+        flow = search._flow_vector
+
+        def spy(f, v, x0, h, table=None, more=()):
+            groups.append(1 + len(more))
+            return flow(f, v, x0, h, table, more)
+        # a sweep cell counts at one step: one lane group per scan
+        monkeypatch.setattr(search, "_flow_vector", spy)
         family = tmp_path / "family.json"
         family.write_text(json.dumps({
             "entries": [[2, 1.0], [0, {"param": "c", "scale": -1.0}]],
@@ -548,6 +559,7 @@ class TestCommands:
                 assert cell["error"] is None
                 counts[cell["params"]["c"]] = cell["result"]["count"]
         assert counts == {0.25: 2, 1.0: 2, -1.0: 0}
+        assert groups == [1, 1, 1]
 
     @pytest.mark.parametrize("inject", HULL_FAULTS)
     def test_uncertified_hull_exits_2(self, inject, problem_files,

@@ -5,7 +5,7 @@ import pytest
 
 from morinode import (FourierAnsatz, Grid, Nonlinearity, ParamFamily,
                       PeriodicFn, SearchProblem, core, cumulative,
-                      green_kernel, mean)
+                      green_kernel, mean, odeint)
 from morinode.core import (MalformedFileError, PreconditionError, Term,
                            UnsupportedOrderError, ansatz_from_json,
                            ansatz_to_json, nonlinearity_from_json,
@@ -93,11 +93,20 @@ class TestHornerKernel:
         row = (rng.standard_normal(width) * 10.0 ** rng.uniform(-3, 3, width))
         # and a row of signed zeros, whose sums keep the sign of each step
         zeros = np.where(rng.random(width) < 0.5, -0.0, 0.0)
-        kernel = core.horner_array_kernel(width)
+        # the lines odeint's many-lane loop inlines, on coefficients
+        # r[0] .. r[w-1]: there Python floats or 0-d arrays
+        lines, value = odeint._horner_array_source(
+            [f"r[{m}]" for m in range(width)], "x", "out")
+        scope = {"add": np.add, "multiply": np.multiply}
+        exec("def kernel(r, x, out):\n" + "".join(f"    {line}\n"
+                                                  for line in lines)
+             + f"    return {value}\n", scope)
+        kernel = scope["kernel"]
         xs = np.array([0.0, -0.0, 0.37, -1.9, 3.5, 1e3, -1e120, 1e200,
                        np.inf, -np.inf, np.nan])
         with np.errstate(all="ignore"):
-            for coeffs in (row.tolist(), row, zeros.tolist()):
+            for coeffs in (row.tolist(), tuple(map(np.array, row)),
+                           zeros.tolist(), tuple(map(np.array, zeros))):
                 out = np.empty_like(xs)
                 got = kernel(coeffs, xs, out)
                 expect = _horner_loop(coeffs, xs)
@@ -108,8 +117,6 @@ class TestHornerKernel:
     def test_compiled_once_per_width(self):
         assert core.horner_kernel(5) is core.horner_kernel(5)
         assert core.horner_kernel(5) is not core.horner_kernel(6)
-        assert core.horner_array_kernel(5) is core.horner_array_kernel(5)
-        assert core.horner_array_kernel(5) is not core.horner_array_kernel(6)
 
 
 class TestMean:

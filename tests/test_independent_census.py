@@ -12,7 +12,8 @@ from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
 from morinode import Grid, Nonlinearity, PeriodicFn, count_solutions, odeint
-from morinode.core import PreconditionError, horner, horner_kernel
+from morinode.core import (FourierAnsatz, PreconditionError, Term, horner,
+                           horner_kernel)
 from morinode.odeint import (_flow_scalar, _flow_vector, _flow_with_variation,
                              _shift_forcing, _stage_table)
 from tests.conftest import operator_rhs
@@ -121,6 +122,31 @@ def test_census_builds_one_table_per_pass(quartic, rhs, monkeypatch):
     census = count_solutions(quartic, rhs, -0.35, 0.15, scan_n=51, h=1e-3)
     assert census.count == census.count_at_half_step == 6
     assert calls == [1000, 2000]
+
+
+def test_order_one_rows_only_for_a_pass_with_brackets(quartic, rhs,
+                                                      monkeypatch):
+    # both scans read order-0 tables; a pass adds the order-1 rows its
+    # refinement flows read only when it has a bracket, so a census of a
+    # t-dependent f with none never holds two tables of both orders
+    rows = []
+    build = odeint._stage_rows
+
+    def counted(f, stage_times, nsteps, order):
+        rows.append((nsteps, order))
+        return build(f, stage_times, nsteps, order)
+    monkeypatch.setattr(odeint, "_stage_rows", counted)
+    assert count_solutions(quartic, rhs, -0.35, 0.15, scan_n=51,
+                           h=1e-3).count == 6
+    assert rows == [(1000, 0), (2000, 0), (1000, 1), (2000, 1)]
+    rows.clear()
+    f = Nonlinearity([Term(4, FourierAnsatz(1.0, [0.2])),
+                      Term(2, FourierAnsatz(-4.0, [], [0.3])),
+                      Term(1, FourierAnsatz(-0.3))])
+    census = count_solutions(f, lambda t: 0.5 * np.cos(2 * np.pi * t), -0.4,
+                             0.4, scan_n=51, h=1e-3)
+    assert census.count == census.count_at_half_step == 0
+    assert rows == [(1000, 0), (2000, 0)]
 
 
 def test_shifted_table_matches_shifted_forcing():

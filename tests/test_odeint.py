@@ -155,7 +155,7 @@ def _comprehension_field(K):
 
 def _allocating_flow_vector(f, v, x0, h, table=None):
     # the batched RK4 step that made fresh arrays at every stage, before
-    # _flow_vector's in-place buffers and array kernel: the oracle of its bits
+    # _flow_vector's lane buffers and generated loop: the oracle of its bits
     u = np.array(x0, dtype=float)
     nsteps, h, (v0, vh, v1), [(fx, (r0, rh, r1)), *_] = odeint._read_table(
         f, v, 0.0, 1.0, h, (0,), table)
@@ -369,6 +369,97 @@ class TestVectorStep:
                                                          2e-4, table)
         assert _bits(u) == _bits(expect_u)
         assert alive.tolist() == expect_alive.tolist()
+
+    # lane groups as (x0, h): the first, shorter groups take an odd number
+    # of steps, so they end with u and k1 swapped against the longer ones
+    @pytest.mark.parametrize("f, v, groups", [
+        pytest.param(Nonlinearity.quartic(4.0, -0.3),
+                     lambda t: 0.4 * np.cos(2 * np.pi * t),
+                     [(np.linspace(-2.0, 2.0, 41), 1.0 / 37),
+                      (np.linspace(-2.0, 2.0, 41), 1e-2)],
+                     id="autonomous-odd-shorter"),
+        # the longer group first: the lanes are laid out by step count
+        pytest.param(Nonlinearity.quartic(4.0, -0.3), None,
+                     [(np.linspace(-1.0, 1.0, 9), 1e-2),
+                      (np.linspace(-1.0, 1.0, 5), 1.0 / 7),
+                      (np.linspace(-1.0, 1.0, 7), 1.0 / 40)],
+                     id="three-groups"),
+        # SQUARE's escaping starts in the shorter group only, the longer
+        # one runs on past its escapes; then the other way round
+        pytest.param(SQUARE, None, [(ESCAPING, 1.0 / 333),
+                                    (np.array([0.5, 0.0, 1.0]), 1e-3)],
+                     id="escape-in-shorter"),
+        pytest.param(SQUARE, None, [(np.array([0.5, -0.0, 1.0]), 1.0 / 333),
+                                    (ESCAPING, 1e-3)],
+                     id="escape-in-longer"),
+        pytest.param(Nonlinearity([Term(1, FourierAnsatz(-1.0, [], [0.2])),
+                                   Term(3, FourierAnsatz(0.7, [0.05]))]),
+                     lambda t: 0.3 * np.sin(2 * np.pi * t),
+                     [(np.linspace(-3.0, 3.0, 31), 1.0 / 501),
+                      (np.linspace(-3.0, 3.0, 61), 1e-3)],
+                     id="t-dependent"),
+        pytest.param(WILD, lambda t: WILD.eval(t, 0.2),
+                     [(np.linspace(-2.0, 2.0, 41), 1.0 / 301),
+                      (np.array([0.2, -0.0, np.nan, 0.5]), 1e-3)],
+                     id="builtin"),
+        pytest.param(Nonlinearity.polynomial([0.7]),
+                     lambda t: 0.3 * np.cos(2 * np.pi * t),
+                     [(ESCAPING, 1.0 / 3), (ESCAPING, 1e-3)], id="width-1"),
+        pytest.param(Nonlinearity([Term(0, FourierAnsatz(0.7, [0.2]))]),
+                     None, [(ESCAPING, 1.0 / 3), (ESCAPING, 1e-3)],
+                     id="t-dependent-width-1"),
+    ])
+    def test_lane_groups_are_the_allocating_step_bitwise(self, f, v, groups):
+        # one flow over every group, each group's lanes bit for bit those
+        # of the allocating loop run on that group alone
+        (x0, h), *more = groups
+        u, alive = _flow_vector(f, v, x0, h, None,
+                                [(x, step, None) for x, step in more])
+        expect_u, expect_alive = (np.concatenate(part) for part in zip(
+            *(_allocating_flow_vector(f, v, x, step) for x, step in groups)))
+        assert _bits(u) == _bits(expect_u)
+        assert alive.tolist() == expect_alive.tolist()
+
+    def test_vector_loop_has_no_data(self, monkeypatch):
+        # the generated source holds names and integer indices only, every
+        # key is made of ints, bools and strings, and a key compiles once
+        coeffs = [0.123456789, -0.234567891, 0.345678912, 0.456789123]
+        f = Nonlinearity.polynomial(coeffs)
+        g = Nonlinearity([Term(1, FourierAnsatz(0.567891234, [0.678912345])),
+                          Term(2, FourierAnsatz(0.789123456))])
+        data = coeffs + [0.567891234, 0.678912345, 0.789123456, 0.891234567,
+                         0.5 * 0.01, 0.01 / 6.0, 0.5 * 0.02, 0.02 / 6.0]
+
+        def forcing(t):
+            return 0.891234567 * np.cos(2 * np.pi * t)
+
+        keys = []
+        real = odeint._vector_loop
+
+        def spy(*key):
+            keys.append(key)
+            return real(*key)
+
+        monkeypatch.setattr(odeint, "_vector_loop", spy)
+        real.cache_clear()
+        xs = np.linspace(-0.5, 0.5, 5)
+
+        def flows():
+            for fn in (f, g, WILD):
+                _flow_vector(fn, forcing, xs, 1e-2)
+                _flow_vector(fn, forcing, xs, 1e-2, None,
+                             [(xs, 0.02, None)])
+
+        flows()
+        compiled = real.cache_info().misses
+        flows()
+        assert real.cache_info().misses == compiled == len(set(keys)) == 6
+        for key in keys:
+            assert {type(a) for a in key} <= {int, bool, str}, key
+            source = odeint._vector_source(*key)
+            for value in data:
+                for text in (repr(value), repr(-value), str(value)[2:8]):
+                    assert text not in source, (key, text)
 
 
 class TestTangentLanes:

@@ -111,6 +111,18 @@ class TestGaussNewton:
             gauss_newton(problem)
 
 
+def _spy_vector_groups(monkeypatch):
+    """Record the steps of the lane groups of every census scan."""
+    calls = []
+    flow = search._flow_vector
+
+    def spy(f, v, x0, h, table=None, more=()):
+        calls.append([h] + [step for _, step, _ in more])
+        return flow(f, v, x0, h, table, more)
+    monkeypatch.setattr(search, "_flow_vector", spy)
+    return calls
+
+
 class TestCountSolutions:
     def test_degenerate_continuum(self):
         census = count_solutions(ZERO, PeriodicFn.constant(0.0),
@@ -118,6 +130,28 @@ class TestCountSolutions:
                                  check_half_step=False)
         assert census.degenerate_continuum
         assert census.count is None
+
+    def test_degenerate_pass_drops_the_half_step_scan(self, monkeypatch):
+        # the scan at h/2 runs in the same flow as the scan at h, and is
+        # dropped with the pass at h: one pass, no count at h/2
+        groups = _spy_vector_groups(monkeypatch)
+        census = count_solutions(ZERO, PeriodicFn.constant(0.0),
+                                 -1.0, 1.0, scan_n=101, h=1e-2)
+        assert groups == [[1e-2, 5e-3]]
+        assert census.degenerate_continuum and census.count is None
+        assert census.count_at_half_step is None
+        assert census.roots_at_half_step == ()
+        assert [(p.h, p.flows_per_bracket, p.work) for p in census.passes] \
+            == [(1e-2, (), {"lane_steps": 10_100, "flows": 0, "steps": 0})]
+
+    def test_single_step_census_runs_one_group(self, monkeypatch):
+        groups = _spy_vector_groups(monkeypatch)
+        census = count_solutions(SQUARE, PeriodicFn.constant(1.0),
+                                 -2.0, 2.0, scan_n=201, h=1e-3,
+                                 check_half_step=False)
+        assert groups == [[1e-3]]
+        assert census.count == 2 and len(census.passes) == 1
+        assert census.passes[0].work["lane_steps"] == 201_000
 
     def test_two_constant_orbits(self):
         # u' = 1 - u^2 has exactly the two equilibria u = +-1
@@ -208,6 +242,27 @@ class TestCensusRefinement:
             assert p.brackets == 6
             assert max(p.flows_per_bracket) <= 8
             assert p.refine_flows == sum(p.flows_per_bracket)
+        assert [p.flows_per_bracket for p in passes] == [(3, 2, 2, 3, 4, 3),
+                                                         (3, 2, 2, 3, 5, 3)]
+
+    def test_work_record(self, six_root_census):
+        # 801 scan lanes over 5,000 and 10,000 steps, then the refinement
+        # flows of each pass and their steps, all of which run to t = 1
+        passes = six_root_census[0].passes
+        assert [p.work for p in passes] == [
+            {"lane_steps": 4_005_000, "flows": 17, "steps": 85_000},
+            {"lane_steps": 8_010_000, "flows": 18, "steps": 180_000}]
+
+    def test_blown_refinement_flow_counts_its_steps(self):
+        # u' = -u^2 from the secant point -2.5 of a bracket blows up at
+        # t = 0.4 and passes U_MAX in RK4 step 401 of 1000: the bracket is
+        # unresolved, and its one flow counts the steps it took
+        table = search._add_orders(
+            SQUARE, search._stage_table(SQUARE, None, 1e-3), 1e-3, (1,))
+        x, width, der, flows, steps, ok = search._refine_root(
+            SQUARE, None, -3.0, -2.0, -1.0, 1.0, 1e-3, table)
+        assert (x, width, der, flows, steps, ok) == (-2.5, 1.0, None, 1, 401,
+                                                     False)
 
     def test_exact_zero_on_the_scan_grid(self):
         # u' = -u^2 + 1 has g(+-1) = 0 on a grid through +-1: each root is
