@@ -22,7 +22,9 @@ TWO_PI = 2.0 * math.pi
 
 DEFAULT_GRID_N = 1024
 MAX_X_DERIVATIVE = 5
-EVAL_BLOCK = 128  # points per block of PeriodicFn.eval's direct sum
+# complex elements per block of PeriodicFn.eval's direct sum: a block holds
+# max(1, EVAL_BUDGET // harmonics) points
+EVAL_BUDGET = 8192
 
 
 class MorinodeError(Exception):
@@ -113,9 +115,10 @@ class PeriodicFn:
             scale[-1] = 1.0
         weights, flat = scale * c, t.ravel()
         vals = np.empty(flat.shape)
-        for i in range(0, len(flat), EVAL_BLOCK):  # bounded complex temporary
-            phase = np.exp(2j * np.pi * np.outer(flat[i:i + EVAL_BLOCK], harm))
-            vals[i:i + EVAL_BLOCK] = (phase * weights).sum(axis=1).real
+        block = max(1, EVAL_BUDGET // len(harm))  # bounded complex temporary
+        for i in range(0, len(flat), block):
+            phase = np.exp(2j * np.pi * np.outer(flat[i:i + block], harm))
+            vals[i:i + block] = (phase * weights).sum(axis=1).real
         return vals.reshape(t.shape) if t.shape else float(vals[0])
 
     def __call__(self, t):

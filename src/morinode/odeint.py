@@ -1,32 +1,39 @@
 """Initial-value integration of u' = -f(t,u) + v(t) and the return map.
 
 The integrator is classical fixed-step RK4 with Kahan-compensated state
-updates. Both loops declare blow-up by one test, not |u| <= ``U_MAX``,
-which nan fails too; only the scalar loop records the sign of the first
-stage state of that step past ``U_MAX`` (of the last finite sample when
-none is) and the first-crossing time. Every scalar flow is one generated
-straight-line loop (``_rk4_loop``), compiled with ``exec`` on first use
-once per key: f's shape (autonomous polynomial, t-dependent polynomial or
-builtin), jet order K, fibre lanes and stored samples. It inlines Horner's
-rule on the coefficient rows and carries the K-jet of the flow in its
-start value by Taylor-mode propagation of the discrete RK4 map: K = 0 is
-the plain flow (``integrate``, ``return_map``), K = 1 adds the exact
-derivative xi = du/du(0) that the census and the return map's slope
-read, the fibre lanes add eta = du/dnu and strided sums, and
-``contact_order`` reads rho and its derivatives up to order kmax + 1 from
-one flow at K = kmax + 1 (``_rk4_jet``). The jets are exact for the
-discrete map, not finite differences, and a derivative counts as zero
-below ``CONTACT_ZERO_TOL`` = 1e-6 relative to the leading one. The
-many-lane loop ``_flow_vector`` is one generated loop too
-(``_vector_loop``), compiled per f's shape, row width and number of lane
-groups. Every operation is a positional ufunc call into seven lane
-buffers, so a polynomial step allocates no array. Lane groups, each with
-its own step and stage table (the census's h and h/2 scans), share every
-call but the forcing subtract and a t-dependent or builtin f's
-evaluation: a call costs far more than a lane, so the loop saves calls.
-Its test is one reduction over the running lanes, which a dead lane,
-parked at 0, passes. ``_rho_derivative_fd`` and ``_fd_once`` remain as
-the tests' finite-difference cross-check, and because the benchmark's
+updates. Both loops declare blow-up by one test that nan fails too, not
+-``U_MAX`` <= u <= ``U_MAX`` (scalar) or not max |u| <= ``U_MAX``
+(vector); only the scalar loop records the sign of the first stage state
+of that step past ``U_MAX`` (of the last finite sample when none is) and
+the first-crossing time. Every scalar flow is one generated straight-line
+loop (``_rk4_loop``), compiled with ``exec`` on first use once per key:
+f's shape (autonomous polynomial, t-dependent polynomial or builtin), jet
+order K, fibre lanes, stored samples and, for an autonomous polynomial,
+each coefficient row's pattern (``_pattern``: "0" for +0.0, "1" for 1.0,
+"x" for any other value; no value itself). It inlines Horner's rule on
+the coefficient rows, without the multiplication by a leading 1.0 and the
+addition of an interior +0.0 (``_horner_steps``). The constant term is
+always added, which turns a -0.0 that a skipped addition left back into
+full Horner's +0.0, and a row whose constant term is -0.0 is left
+unspecialised, so every float is full Horner's. The loop carries the
+K-jet of the flow in its start value by Taylor-mode propagation of the
+discrete RK4 map: K = 0 is the plain flow (``integrate``,
+``return_map``), K = 1 adds the exact derivative xi = du/du(0) that the
+census and the return map's slope read, the fibre lanes add eta = du/dnu
+and strided sums, and ``contact_order`` reads rho and its derivatives up
+to order kmax + 1 from one flow at K = kmax + 1 (``_rk4_jet``). The jets
+are exact for the discrete map, not finite differences, and a derivative
+counts as zero below ``CONTACT_ZERO_TOL`` = 1e-6 relative to the leading
+one. The many-lane loop ``_flow_vector`` is one generated loop too
+(``_vector_loop``), compiled per f's shape, row width, number of lane
+groups and row pattern. Every operation is a positional ufunc call into
+seven lane buffers, so a polynomial step allocates no array. Lane groups,
+each with its own step and stage table (the census's h and h/2 scans),
+share every call but the forcing subtract and a t-dependent or builtin
+f's evaluation: a call costs far more than a lane, so the loop saves
+calls. Its test is one reduction over the running lanes, which a dead
+lane, parked at 0, passes. ``_rho_derivative_fd`` and ``_fd_once`` remain
+as the tests' finite-difference cross-check, and because the benchmark's
 tracer (``bench/spans.py``) binds both by name.
 """
 
@@ -163,20 +170,38 @@ def _add_orders(f: Nonlinearity, table, h: float, orders):
                                 for order in orders)]
 
 
+def _forcing_lists(table):
+    """The same stage table with its forcing held as three float lists.
+
+    ``_read_table`` reads such a table's lists as they are, so the flows
+    of a census pass share one conversion of its forcing array.
+    """
+    forcing, stages = table
+    return forcing.tolist(), stages
+
+
 def _read_table(f: Nonlinearity, v, t0, t1, h, orders, table):
-    """(nsteps, h, forcing lists, stages) of ``table``, built if None."""
+    """(nsteps, h, forcing lists, stages) of ``table``, built if None.
+
+    A forcing array is converted to lists, once per read; the lists of a
+    ``_forcing_lists`` table are read as they are.
+    """
     nsteps, h = _step_count(t0, t1, h)
     if table is None:
         table = _rhs_tables(f, v, t0, nsteps, h, orders)
     forcing, stages = table
-    v0, vh, v1 = forcing.tolist()
+    v0, vh, v1 = (forcing.tolist() if isinstance(forcing, np.ndarray)
+                  else forcing)
     if len(v0) != nsteps:
         raise PreconditionError("stage table was built for another step")
     return nsteps, h, (v0, vh, v1), stages
 
 
 def _shift_forcing(table, nu: float):
-    """The same stage table with the constant ``nu`` added to the forcing."""
+    """The same stage table with the constant ``nu`` added to the forcing.
+
+    ``table`` holds its forcing as the array ``_rhs_tables`` builds.
+    """
     forcing, stages = table
     return forcing + nu, stages
 
@@ -187,46 +212,90 @@ def _escape_sign(states, last) -> int:
     return -1 if w < 0 else 1
 
 
-def _horner_source(names, x: str) -> str:
+def _pattern(row) -> str:
+    """The coefficient pattern of an autonomous row, one character each.
+
+    "0" marks +0.0, "1" marks 1.0 and "x" any other coefficient; "" leaves
+    the row unspecialised, which a row whose constant term is -0.0 needs.
+    No value enters the pattern, so generated code still holds no data.
+    """
+    if row[0] == 0.0 and math.copysign(1.0, row[0]) < 0:
+        return ""
+    return "".join("1" if c == 1.0 else
+                   "0" if c == 0.0 and math.copysign(1.0, c) > 0 else "x"
+                   for c in row)
+
+
+def _horner_steps(pattern: str, width: int):
+    """The (m, add) steps of Horner's rule under a coefficient pattern.
+
+    Full Horner is ``acc = c[w-1]``, then ``acc = acc * x + c[m]`` for m
+    from w-2 down. The pattern drops the multiplication by a leading 1.0,
+    which gives ``acc = x`` bit for bit, and the addition of an interior
+    +0.0, which can only leave a -0.0 where full Horner has +0.0. The two
+    then stay equal up to the sign of a zero, and the constant term's
+    addition, always made and never of -0.0 (``_pattern``), makes that
+    sign the one of full Horner. Returns whether the leading coefficient
+    is skipped and, per m, whether c[m] is added.
+    """
+    lead = width > 1 and pattern[-1:] == "1"
+    return lead, [(m, not m or pattern[m:m + 1] != "0")
+                  for m in range(width - 2, -1, -1)]
+
+
+def _horner_source(names, x: str, pattern: str) -> str:
     """Horner's rule on the named coefficients, ascending, as one expression.
 
     ``acc = c[w-1]`` and ``acc = acc * x + c[m]`` for m from w-2 down are
-    ``horner_kernel``'s operations in its order, so its floats bit for bit.
+    ``horner_kernel``'s operations in its order, so its floats bit for bit,
+    less what ``_horner_steps`` drops for the row's ``pattern``.
     """
-    expr = names[-1]
-    for c in reversed(names[:-1]):
-        expr = f"({expr}) * {x} + {c}"
+    lead, steps = _horner_steps(pattern, len(names))
+    expr = None if lead else names[-1]
+    for m, add in steps:
+        expr = x if expr is None else f"({expr}) * {x}"
+        if add:
+            expr = f"{expr} + {names[m]}"
     return expr
 
 
-def _horner_array_source(names, x: str, out: str) -> tuple[list[str], str]:
+def _horner_array_source(names, x: str, out: str,
+                         pattern: str) -> tuple[list[str], str]:
     """Horner's rule on lane arrays as lines of positional ufunc calls.
 
     ``names`` name the coefficients, ascending. The lines are
-    ``multiply(x, c[w-1], out)``, then ``add(out, c[m], out)`` and
+    ``multiply(c[w-1], x, out)``, then ``add(out, c[m], out)`` and
     ``multiply(out, x, out)`` for m from w-2 down, ending with ``add(out,
     c[0], out)``: ``horner_kernel``'s multiplications and additions in its
-    order, so every lane is its float bit for bit, and no array is
+    order, so every lane is its float bit for bit, less what
+    ``_horner_steps`` drops for the row's ``pattern``, and no array is
     allocated. out must not be x. Returns (lines, the name of the value):
     out, or c[0] for width 1, which needs no line.
     """
-    if len(names) == 1:
+    lead, steps = _horner_steps(pattern, len(names))
+    if not steps:
         return [], names[0]
-    lines = [f"multiply({x}, {names[-1]}, {out})"]
-    for m in range(len(names) - 2, -1, -1):
-        lines.append(f"add({out}, {names[m]}, {out})")
-        if m:
-            lines.append(f"multiply({out}, {x}, {out})")
-    return lines, out
+    lines, acc = [], None if lead else names[-1]
+    for m, add in steps:
+        if acc is None:
+            acc = x
+        else:
+            lines.append(f"multiply({acc}, {x}, {out})")
+            acc = out
+        if add:
+            lines.append(f"add({acc}, {names[m]}, {out})")
+            acc = out
+    return lines, acc
 
 
 def _rk4_source(kind: str, widths: tuple, K: int, lanes: bool,
-                store: bool) -> str:
+                store: bool, patterns: tuple) -> str:
     """Source of the ``run`` function ``_rk4_loop`` compiles for one key.
 
     Names and integer indices only: the coefficients, the forcing and the
     step arrive as arguments. The jet state is u0..uK, a stage's state
-    w{s}_0..w{s}_K (stage 1 reads u), its slopes k{s}_0..k{s}_K.
+    w{s}_0..w{s}_K (stage 1 reads u), its slopes k{s}_0..k{s}_K; va, vb
+    and vc are the step's forcing at its three stage times.
     """
     orders, tail = range(K + 1), range(1, K + 1)
 
@@ -234,10 +303,11 @@ def _rk4_source(kind: str, widths: tuple, K: int, lanes: bool,
         if kind == "builtin":
             return f"e{j}(R{j}{tau}[k], {x})"
         at = "" if kind == "autonomous" else tau
-        return _horner_source([f"c{j}{at}_{m}" for m in range(widths[j])], x)
+        return _horner_source([f"c{j}{at}_{m}" for m in range(widths[j])], x,
+                              patterns[j])
 
     head = ["def run(start, t0, h, nsteps, stride, v0, vh, v1, rows, evals):",
-            "    half, sixth, umax = 0.5 * h, h / 6.0, U_MAX",
+            "    half, sixth, umin, umax = 0.5 * h, h / 6.0, -U_MAX, U_MAX",
             f"    {', '.join(f'u{n}' for n in orders)}, = start",
             "    comp = 0.0"]
     for j in orders:
@@ -252,7 +322,7 @@ def _rk4_source(kind: str, widths: tuple, K: int, lanes: bool,
         head.append("    eta = su = sxi = seta = 0.0")
     if store:
         head.append("    samples = [u0]")
-    head.append("    for k in range(nsteps):")
+    head.append("    for k, va, vb, vc in zip(range(nsteps), v0, vh, v1):")
     body = []
     if lanes:
         body += ["if k % stride == 0:",
@@ -262,13 +332,13 @@ def _rk4_source(kind: str, widths: tuple, K: int, lanes: bool,
             for j in orders:
                 names = ", ".join(f"c{j}{tau}_{m}" for m in range(widths[j]))
                 body.append(f"{names}, = R{j}{tau}[k]")
-    for s, (tau, vk) in enumerate(zip("abbc", ("v0", "vh", "vh", "v1")), 1):
+    for s, tau in enumerate("abbc", 1):
         x = [f"u{n}" if s == 1 else f"w{s}_{n}" for n in orders]
         into = "h" if s == 4 else "half"
         if s > 1:
             body += [f"w{s}_{n} = u{n} + {into} * k{s - 1}_{n}"
                      for n in orders]
-        body.append(f"k{s}_0 = {vk}[k] - ({value(0, tau, x[0])})")
+        body.append(f"k{s}_0 = v{tau} - ({value(0, tau, x[0])})")
         if K:
             body.append(f"f1 = {value(1, tau, x[0])}")
         # k_n = -a_n, the e^n coefficient of f(w) - f(w_0) = sum_j
@@ -291,7 +361,7 @@ def _rk4_source(kind: str, widths: tuple, K: int, lanes: bool,
     kept = "samples" if store else "None"
     body += ["y = sixth * (k1_0 + 2.0 * k2_0 + 2.0 * k3_0 + k4_0) - comp",
              "s = u0 + y",
-             "if not abs(s) <= umax:",
+             "if not umin <= s <= umax:",
              f"    return (s, {kept}, True, escape_sign((w2_0, w3_0, w4_0, s),"
              " u0), t0 + (k + 1) * h, None)",
              "comp = (s - u0) - y",
@@ -310,13 +380,16 @@ def _rk4_source(kind: str, widths: tuple, K: int, lanes: bool,
 
 
 @cache
-def _rk4_loop(kind: str, widths: tuple, K: int, lanes: bool, store: bool):
+def _rk4_loop(kind: str, widths: tuple, K: int, lanes: bool, store: bool,
+              patterns: tuple):
     """The whole scalar RK4 loop as straight-line code, compiled per key.
 
     ``kind`` is f's shape: "autonomous" (a polynomial whose coefficient
     rows of orders 0..K, of ``widths``, are unpacked into locals once),
     "t-dependent" (a polynomial whose rows are unpacked at every step) or
-    "builtin" (a call ``evals[j](time, x)``). Horner's rule is inlined.
+    "builtin" (a call ``evals[j](time, x)``). Horner's rule is inlined,
+    specialised on the ``patterns`` entry of each row (``_pattern``; ""
+    for a t-dependent row, and no entries for a builtin).
     The loop carries the K-jet u0..uK of the flow in its start value
     (``_rk4_jet``'s Taylor mode, the Cauchy products unrolled), so K = 1
     is the xi lane; ``lanes`` adds eta = du/dnu and the sums of u, xi and
@@ -329,7 +402,7 @@ def _rk4_loop(kind: str, widths: tuple, K: int, lanes: bool, store: bool):
     interpreted loops the tests keep as oracles make, bit for bit.
     """
     scope = {"U_MAX": U_MAX, "escape_sign": _escape_sign}
-    exec(_rk4_source(kind, widths, K, lanes, store), scope)
+    exec(_rk4_source(kind, widths, K, lanes, store, patterns), scope)
     return scope["run"]
 
 
@@ -342,11 +415,13 @@ def _rk4(f: Nonlinearity, v, start: tuple, t0: float, t1: float, h: float,
                                              table)
     evals, rows = zip(*stages[:K + 1])
     if f.builtin is not None:
-        kind, widths = "builtin", ()
+        kind, widths, patterns = "builtin", (), ()
     else:
         kind = "autonomous" if f.autonomous else "t-dependent"
         widths = tuple(len(r[0][0]) for r in rows)
-    run = _rk4_loop(kind, widths, K, lanes, store)
+        patterns = tuple(_pattern(r[0][0]) if f.autonomous else ""
+                         for r in rows)
+    run = _rk4_loop(kind, widths, K, lanes, store, patterns)
     with np.errstate(over="ignore", invalid="ignore"):
         return run(start, t0, h, nsteps, stride, *forcing, rows, evals)
 
@@ -405,7 +480,7 @@ def _rk4_jet(f: Nonlinearity, v, x0: float, h: float, K: int):
 _VECTOR_SHARED = "u, comp, w, k1, k2, k3, k4, alive, half, step, sixth"
 
 
-def _vector_source(kind: str, width: int, ngroups: int) -> str:
+def _vector_source(kind: str, width: int, ngroups: int, pattern: str) -> str:
     """Source of the ``run`` function ``_vector_loop`` compiles for one key.
 
     Names and integer indices only: the lanes, the forcing, the rows and
@@ -432,7 +507,7 @@ def _vector_source(kind: str, width: int, ngroups: int) -> str:
                 lines += [f"multiply(k{s - 1}, {into}, w)", "add(w, u, w)"]
             if kind == "autonomous":
                 shared, value = _horner_array_source(
-                    [f"c{m}" for m in range(width)], x, out)
+                    [f"c{m}" for m in range(width)], x, out, pattern)
                 lines += shared
             for g in running:
                 if kind == "builtin":
@@ -440,9 +515,12 @@ def _vector_source(kind: str, width: int, ngroups: int) -> str:
                 elif kind == "t-dependent":
                     own_lines, value = _horner_array_source(
                         [f"r{g}{tau}_{m}" for m in range(width)],
-                        f"{x}_{g}", f"{out}_{g}")
+                        f"{x}_{g}", f"{out}_{g}", "")
                     lines += own_lines
-                lines.append(f"subtract({vk}_{g}[k], "
+                if s == 2:  # the h/2 forcing, read once for stages 2 and 3
+                    lines.append(f"vb_{g} = vh_{g}[k]")
+                force = f"vb_{g}" if tau == "b" else f"{vk}_{g}[k]"
+                lines.append(f"subtract({force}, "
                              f"{value}{f'_{g}' * (value == out)}, {out}_{g})")
         # w = y = (h/6) (k1 + 2 k2 + 2 k3 + k4) - comp, then k1 = u + y
         lines += ["multiply(k2, two, w)", "add(w, k1, w)",
@@ -453,7 +531,8 @@ def _vector_source(kind: str, width: int, ngroups: int) -> str:
         pairs = [("u", "k1")] + [(f"u_{g}", f"k1_{g}") for g in running]
         lines += [", ".join(f"{a}, {b}" for a, b in pairs) + " = "
                   + ", ".join(f"{b}, {a}" for a, b in pairs),
-                  "if not absolute(u, w).max(initial=0.0) <= umax:",
+                  "if not maximum.reduce(absolute(u, w), initial=0.0) "
+                  "<= umax:",
                   "    dead = ~(w <= umax)",
                   "    alive &= ~dead",
                   "    u[dead] = 0.0",
@@ -485,17 +564,18 @@ def _vector_source(kind: str, width: int, ngroups: int) -> str:
 
 
 @cache
-def _vector_loop(kind: str, width: int, ngroups: int):
+def _vector_loop(kind: str, width: int, ngroups: int, pattern: str):
     """The many-lane RK4 loop as straight-line code, compiled per key.
 
     ``kind`` is f's shape as in ``_rk4_loop``; ``width`` is the width of an
-    autonomous or t-dependent polynomial's rows (0 for a builtin), and
+    autonomous or t-dependent polynomial's rows (0 for a builtin),
     ``ngroups`` the number of lane groups, each with its own step and
-    stage table. Every operation is a positional ``ufunc(a, b, out)`` on
+    stage table, and ``pattern`` an autonomous row's ``_pattern`` ("" for
+    the other kinds). Every operation is a positional ``ufunc(a, b, out)`` on
     lane buffers. It is shared by all running groups, except the forcing
     subtract and, for a t-dependent polynomial or a builtin, the f
     evaluation, which are made per group on its fixed views. Horner's rule
-    is inlined as ``_horner_array_source`` writes it.
+    is inlined as ``_horner_array_source`` writes it for the pattern.
 
     ``run(u, comp, w, k1, k2, k3, k4, alive, half, step, sixth, two,
     coeffs, groups)`` takes the lane buffers, the lane arrays of each
@@ -506,8 +586,8 @@ def _vector_loop(kind: str, width: int, ngroups: int):
     """
     scope = {"add": np.add, "multiply": np.multiply,
              "subtract": np.subtract, "absolute": np.absolute,
-             "umax": U_MAX}
-    exec(_vector_source(kind, width, ngroups), scope)
+             "maximum": np.maximum, "umax": U_MAX}
+    exec(_vector_source(kind, width, ngroups, pattern), scope)
     return scope["run"]
 
 
@@ -540,16 +620,16 @@ def _flow_vector(f: Nonlinearity, v, x0: np.ndarray, h: float, table=None,
     comp = np.zeros_like(u)
     w, k1, k2, k3, k4 = (np.empty_like(u) for _ in range(5))
     alive = np.ones(u.shape, dtype=bool)
-    if f.builtin is not None:
-        kind, width, coeffs = "builtin", 0, ()
-    else:
+    kind, width, coeffs, pattern = "builtin", 0, (), ""
+    if f.builtin is None:
         row = read[0][4][0][1][0][0]  # order 0, stage t_k, step 0
-        kind = "autonomous" if f.autonomous else "t-dependent"
-        width = len(row)
-        coeffs = tuple(map(np.array, row)) if f.autonomous else ()
+        kind, width = "t-dependent", len(row)
+        if f.autonomous:
+            kind, coeffs, pattern = ("autonomous", tuple(map(np.array, row)),
+                                     _pattern(row))
     groups = [(lo[i], read[g][1], *read[g][3:]) for i, g in enumerate(order)]
     del read
-    run = _vector_loop(kind, width, len(groups))
+    run = _vector_loop(kind, width, len(groups), pattern)
     with np.errstate(all="ignore"):
         ends = run(u, comp, w, k1, k2, k3, k4, alive,
                    np.repeat(0.5 * steps, sizes),

@@ -91,28 +91,42 @@ class TestHornerKernel:
     def test_array_twin_bitwise_equal_to_the_loop(self, width):
         rng = np.random.default_rng(width)
         row = (rng.standard_normal(width) * 10.0 ** rng.uniform(-3, 3, width))
-        # and a row of signed zeros, whose sums keep the sign of each step
+        # and a row of signed zeros, whose sums keep the sign of each step,
+        # and one of signed zeros, units and other values, which
+        # odeint._pattern specialises the kernels on
         zeros = np.where(rng.random(width) < 0.5, -0.0, 0.0)
-        # the lines odeint's many-lane loop inlines, on coefficients
-        # r[0] .. r[w-1]: there Python floats or 0-d arrays
-        lines, value = odeint._horner_array_source(
-            [f"r[{m}]" for m in range(width)], "x", "out")
-        scope = {"add": np.add, "multiply": np.multiply}
-        exec("def kernel(r, x, out):\n" + "".join(f"    {line}\n"
-                                                  for line in lines)
-             + f"    return {value}\n", scope)
-        kernel = scope["kernel"]
+        units = rng.choice([0.0, -0.0, 1.0, 1.0, -2.5], width)
         xs = np.array([0.0, -0.0, 0.37, -1.9, 3.5, 1e3, -1e120, 1e200,
                        np.inf, -np.inf, np.nan])
+        names = [f"r[{m}]" for m in range(width)]
         with np.errstate(all="ignore"):
-            for coeffs in (row.tolist(), tuple(map(np.array, row)),
-                           zeros.tolist(), tuple(map(np.array, zeros))):
-                out = np.empty_like(xs)
-                got = kernel(coeffs, xs, out)
-                expect = _horner_loop(coeffs, xs)
-                # width 1 returns the float r[0], as the scalar kernel does
-                assert got is out if width > 1 else type(got) is type(expect)
-                assert _hex(got, xs.shape) == _hex(expect, xs.shape)
+            for floats in (row, zeros, units):
+                floats = floats.tolist()
+                for pattern in ("", odeint._pattern(floats)):
+                    # the lines odeint's many-lane loop inlines, on
+                    # coefficients r[0] .. r[w-1]: there Python floats or
+                    # 0-d arrays; and the scalar loop's expression
+                    lines, value = odeint._horner_array_source(
+                        names, "x", "out", pattern)
+                    scope = {"add": np.add, "multiply": np.multiply}
+                    exec("def kernel(r, x, out):\n"
+                         + "".join(f"    {line}\n" for line in lines)
+                         + f"    return {value}\n", scope)
+                    kernel = scope["kernel"]
+                    for coeffs in (floats, tuple(map(np.array, floats))):
+                        out = np.empty_like(xs)
+                        got = kernel(coeffs, xs, out)
+                        expect = _horner_loop(coeffs, xs)
+                        # width 1 returns the float r[0], as the scalar
+                        # kernel does
+                        assert (got is out if width > 1
+                                else type(got) is type(expect))
+                        assert _hex(got, xs.shape) == _hex(expect, xs.shape)
+                    if width < 200:  # one parenthesis per coefficient
+                        scalar = eval("lambda r, x: " + odeint._horner_source(
+                            names, "x", pattern))
+                        assert _hex([scalar(floats, x) for x in xs.tolist()],
+                                    xs.shape) == _hex(expect, xs.shape)
 
     def test_compiled_once_per_width(self):
         assert core.horner_kernel(5) is core.horner_kernel(5)
@@ -215,17 +229,36 @@ class TestSpectral:
         assert np.allclose(u.eval(t), ans.eval(t), atol=1e-12)
 
     def test_blocked_eval_matches_pointwise(self):
-        # 1,500 points are summed in blocks, the last one partial; each
-        # point's sum is the one-point sum, bit for bit
-        assert 1500 % core.EVAL_BLOCK
+        # 1,500 points are summed in blocks of EVAL_BUDGET // harmonics
+        # points, the last one partial; each point's sum is the one-point
+        # sum, bit for bit
         u = PeriodicFn.from_callable(lambda t: np.where(t < 0.5, 0.3, -0.3),
                                      Grid(1024))
+        block = core.EVAL_BUDGET // len(u._fourier[0])
+        assert 1 < block < 1500 and 1500 % block
         t = np.linspace(-0.2, 1.3, 1500)
         pointwise = np.array([u.eval(x) for x in t])
         for shape in ((1500,), (30, 50)):
             vals = u.eval(t.reshape(shape))
             assert vals.shape == shape
             assert np.array_equal(vals.ravel(), pointwise)
+
+    @pytest.mark.parametrize("fn", [
+        lambda t: np.where(t < 0.5, 0.3, -0.3),
+        # harmonics 0 to 4
+        lambda t: (0.1 + 0.4 * np.cos(2 * np.pi * t)
+                   + 0.2 * np.cos(4 * np.pi * t)
+                   + 0.05 * np.sin(6 * np.pi * t)
+                   - 0.1 * np.sin(8 * np.pi * t))],
+        ids=["square-wave", "five-harmonics"])
+    def test_eval_blocks_do_not_change_the_sums(self, fn, monkeypatch):
+        # a point's row sum does not depend on how many rows its block has
+        u = PeriodicFn.from_callable(fn, Grid(1024))
+        t = np.linspace(-0.2, 1.3, 1500)
+        expect = u.eval(t)
+        for budget in (1, 7 * len(u._fourier[0]), 10 ** 7):
+            monkeypatch.setattr(core, "EVAL_BUDGET", budget)
+            assert np.array_equal(u.eval(t), expect), budget
 
     def test_spectral_derivative(self):
         u = PeriodicFn.from_callable(lambda t: np.sin(2 * np.pi * t))

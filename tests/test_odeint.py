@@ -193,6 +193,32 @@ def _deep_bits(x):
     return x
 
 
+# autonomous rows mixing +0.0, -0.0, 1.0 and other values, widths 1 to 5;
+# a -0.0 constant term leaves a row unspecialised (odeint._pattern)
+SIGNED_ROWS = [
+    [-0.0, 0.0, 1.0], [-0.0, 0.0, 0.0, 0.0, 1.0], [-0.0, 0.0, 0.0, 1.0],
+    [0.0, 0.0, 0.0, 1.0], [0.0, -1.0, 0.0, 1.0],
+    [-0.0, 1.0, 0.0, 1.0], [0.5, 0.0, 1.0, 0.0], [1.0, 1.0, 1.0, 1.0],
+    [0.0, -0.0, 1.0, 1.0], [-0.0, 1.0], [0.0, 1.0], [1.0], [-0.0],
+    [0.0, -0.3, -4.0, 0.0, 1.0], [-0.0, 0.0, -4.0, 0.0, 1.0],
+]
+SIGNED_JETS = [0.0, -0.0, 0.7, -1.3, 1e200, -np.inf, np.nan]
+
+
+def _row_table(rows, forcing, nsteps):
+    # a stage table of constant forcing whose order-j rows are rows[j]
+    return (np.full((3, nsteps), forcing),
+            [(odeint.horner_kernel(len(r)), ([r] * nsteps,) * 3)
+             for r in rows])
+
+
+def _mixed_rows(rng, K):
+    # K + 1 rows of widths 1 to 5, each coefficient +0.0, -0.0, 1.0 or a
+    # normal draw
+    return [[float(rng.choice([0.0, -0.0, 1.0, rng.standard_normal()]))
+             for _ in range(rng.integers(1, 6))] for _ in range(K + 1)]
+
+
 class TestIntegrate:
     def test_zero_field_constant(self):
         traj = integrate(ZERO, None, 1.0, 0.0, 1.0, 1e-2)
@@ -370,6 +396,67 @@ class TestVectorStep:
         assert _bits(u) == _bits(expect_u)
         assert alive.tolist() == expect_alive.tolist()
 
+    @pytest.mark.parametrize("row", SIGNED_ROWS, ids=str)
+    def test_specialised_step_is_the_allocating_step_bitwise(self, row):
+        # the loop specialised on the row's zero and unit coefficients, from
+        # signed zeros, overflow, inf and nan under forcing 0.5, +0.0 and
+        # -0.0, in lane groups of which some are empty
+        xs = np.array(SIGNED_JETS * 2)
+        none = np.array([])
+        for forcing in (0.5, 0.0, -0.0):
+            tables = {n: _row_table([row], forcing, n) for n in (3, 5)}
+            for groups in ([(xs, 3), (xs[::-1], 5)], [(xs, 3), (none, 5)],
+                           [(none, 3), (xs, 5)], [(none, 3), (none, 5)]):
+                (x0, n), *more = groups
+                u, alive = _flow_vector(
+                    IDENTITY, None, x0, 1.0 / n, tables[n],
+                    [(x, 1.0 / m, tables[m]) for x, m in more])
+                expect_u, expect_alive = (np.concatenate(part) for part in zip(
+                    *(_allocating_flow_vector(IDENTITY, None, x, 1.0 / m,
+                                              tables[m]) for x, m in groups)))
+                assert _bits(u) == _bits(expect_u), (forcing, groups)
+                assert alive.tolist() == expect_alive.tolist()
+
+    def test_census_iteration_ufunc_calls(self, monkeypatch):
+        # one iteration of the census quartic's two-group loop makes 50
+        # ufunc calls, 58 unspecialised: x^4 - 4x^2 - 0.3x drops the
+        # multiplication by its leading 1.0 and the addition of its zero
+        # x^3 coefficient in each of the four stages
+        quartic = Nonlinearity.quartic(4.0, -0.3)
+        pattern = odeint._pattern(quartic.poly_coeffs(0).tolist())
+        assert pattern == "0xx01"
+        calls = []
+
+        class Counted:
+            def __init__(self, ufunc):
+                self.ufunc = ufunc
+
+            def __call__(self, *args):
+                calls.append(self.ufunc.__name__)
+                return self.ufunc(*args)
+
+            def reduce(self, *args, **kwargs):
+                calls.append(self.ufunc.__name__ + ".reduce")
+                return self.ufunc.reduce(*args, **kwargs)
+
+        def counted_loop(kind, width, ngroups, key_pattern):
+            scope = {name: Counted(getattr(np, name)) for name in
+                     ("add", "multiply", "subtract", "absolute", "maximum")}
+            scope["umax"] = odeint.U_MAX
+            exec(odeint._vector_source(kind, width, ngroups, key_pattern),
+                 scope)
+            return scope["run"]
+
+        xs = np.linspace(-0.4, 0.4, 5)
+        for key_pattern, per_step in ((pattern, 50), ("", 58)):
+            monkeypatch.setattr(odeint, "_vector_loop", lambda *key: (
+                counted_loop(*key[:3], key_pattern)))
+            calls.clear()
+            _flow_vector(quartic, None, xs, 1.0 / 8, None,
+                         [(xs, 1.0 / 8, None)])
+            assert len(calls) == 8 * per_step, key_pattern
+            assert calls.count("maximum.reduce") == 8
+
     # lane groups as (x0, h): the first, shorter groups take an odd number
     # of steps, so they end with u and k1 swapped against the longer ones
     @pytest.mark.parametrize("f, v, groups", [
@@ -427,7 +514,10 @@ class TestVectorStep:
         f = Nonlinearity.polynomial(coeffs)
         g = Nonlinearity([Term(1, FourierAnsatz(0.567891234, [0.678912345])),
                           Term(2, FourierAnsatz(0.789123456))])
+        # zero and unit coefficients specialise the loop
+        units = Nonlinearity.polynomial([0.912345678, 0.0, 1.0, 0.0, 1.0])
         data = coeffs + [0.567891234, 0.678912345, 0.789123456, 0.891234567,
+                         0.912345678,
                          0.5 * 0.01, 0.01 / 6.0, 0.5 * 0.02, 0.02 / 6.0]
 
         def forcing(t):
@@ -445,7 +535,7 @@ class TestVectorStep:
         xs = np.linspace(-0.5, 0.5, 5)
 
         def flows():
-            for fn in (f, g, WILD):
+            for fn in (f, g, WILD, units):
                 _flow_vector(fn, forcing, xs, 1e-2)
                 _flow_vector(fn, forcing, xs, 1e-2, None,
                              [(xs, 0.02, None)])
@@ -453,7 +543,8 @@ class TestVectorStep:
         flows()
         compiled = real.cache_info().misses
         flows()
-        assert real.cache_info().misses == compiled == len(set(keys)) == 6
+        assert real.cache_info().misses == compiled == len(set(keys)) == 8
+        assert {key[3] for key in keys} == {"", "xxxx", "x0101"}
         for key in keys:
             assert {type(a) for a in key} <= {int, bool, str}, key
             source = odeint._vector_source(*key)
@@ -623,6 +714,20 @@ class TestGeneratedLoops:
             assert _deep_bits(got) == _deep_bits(expect)
             assert got[2:5] == (True, -1, 1e-2)
 
+    def test_cubic_stage_drops_its_unit_and_zero_coefficients(self):
+        # x^3 - x: no multiplication by the leading 1.0 and no addition of
+        # the zero x^2 coefficient; the constant term's addition stays
+        f = Nonlinearity.polynomial([0, -1, 0, 1])
+        patterns = tuple(odeint._pattern(f.poly_coeffs(j).tolist())
+                         for j in (0, 1))
+        assert patterns == ("0x01", "x0x")
+        source = _rk4_source("autonomous", (4, 3), 1, False, False, patterns)
+        assert "k1_0 = va - (((u0) * u0 + c0_1) * u0 + c0_0)" in source
+        assert "f1 = ((c1_2) * u0) * u0 + c1_0" in source
+        loop = source[source.index("for k"):]
+        assert "c0_3" not in loop and "c0_2" not in loop
+        assert "c1_1" not in loop
+
     def test_no_data_in_generated_code(self, monkeypatch):
         # the generated source holds names and integer indices only, every
         # key is made of ints, bools and strings, and a key compiles once
@@ -630,7 +735,10 @@ class TestGeneratedLoops:
         f = Nonlinearity.polynomial(coeffs)
         g = Nonlinearity([Term(1, FourierAnsatz(0.567891234, [0.678912345])),
                           Term(2, FourierAnsatz(0.789123456))])
-        data = coeffs + [0.567891234, 0.678912345, 0.789123456, 0.891234567]
+        # zero and unit coefficients specialise the loop
+        units = Nonlinearity.polynomial([0.912345678, 0.0, 1.0, 0.0, 1.0])
+        data = coeffs + [0.567891234, 0.678912345, 0.789123456, 0.891234567,
+                         0.912345678]
 
         def forcing(t):
             return 0.891234567 * np.cos(2 * np.pi * t)
@@ -646,7 +754,7 @@ class TestGeneratedLoops:
         real.cache_clear()
 
         def flows():
-            for fn in (f, g, WILD):
+            for fn in (f, g, WILD, units):
                 _flow_scalar(fn, forcing, 0.1, 0.0, 1.0, 1e-2, store=True)
                 _flow_scalar(fn, forcing, 0.1, 0.0, 1.0, 1e-2,
                              tangent_stride=2)
@@ -656,7 +764,9 @@ class TestGeneratedLoops:
         flows()
         compiled = real.cache_info().misses
         flows()
-        assert real.cache_info().misses == compiled == len(set(keys)) == 12
+        assert real.cache_info().misses == compiled == len(set(keys)) == 16
+        assert ("autonomous", (5, 4, 3, 2, 1), 4, False, False,
+                ("x0101", "0x0x", "x0x", "0x", "x")) in keys
 
         def atoms(x):
             return ([a for y in x for a in atoms(y)]
@@ -737,7 +847,8 @@ class TestJetFlow:
         rows = [([row] * nsteps,) * 3
                 for row in rng.standard_normal((K + 1, 4)).tolist()]
         forcing = ([0.5] * nsteps,) * 3
-        run = _rk4_loop("autonomous", (4,) * (K + 1), K, False, False)
+        run = _rk4_loop("autonomous", (4,) * (K + 1), K, False, False,
+                        ("",) * (K + 1))
         values = [0.0, -0.0, 0.7, -1.3, 1e200, -np.inf, np.nan]
         jets = (itertools.product(values, repeat=K + 1) if K <= 3 else
                 rng.choice(values, (3000, K + 1)).tolist())
@@ -748,11 +859,48 @@ class TestJetFlow:
                                         evals)
             assert _bits(None if blew else [u, *tail]) == _bits(expect)
 
+    @pytest.mark.parametrize("K", range(1, 4))
+    def test_specialised_loop_on_signed_zeros_and_units(self, K):
+        # the loops specialised on rows mixing +0.0, -0.0, 1.0 and other
+        # values, from every start jet over signed zeros, overflow, inf and
+        # nan under forcing 0.5, +0.0 and -0.0, take the comprehension's
+        # path bit for bit. Specialising a row with a -0.0 constant term
+        # too would change some of them, so these cases can tell
+        rng = np.random.default_rng(K)
+        row_sets = [SIGNED_ROWS[:K + 1]] + [_mixed_rows(rng, K)
+                                            for _ in range(3)]
+        nsteps, compared, changed = 2, 0, 0
+        for rows in row_sets:
+            careless = tuple("".join(
+                "1" if c == 1.0 else "0" if c == 0.0 and
+                math.copysign(1.0, c) > 0 else "x" for c in r) for r in rows)
+            unruled = _rk4_loop("autonomous", tuple(map(len, rows)), K, False,
+                                False, careless)
+            for forcing in (0.5, 0.0, -0.0):
+                table = _row_table(rows, forcing, nsteps)
+                evals, stage_rows = zip(*table[1])
+                lists = table[0].tolist()
+                for w in itertools.product(SIGNED_JETS, repeat=K + 1):
+                    u, _, blew, _, _, tail = odeint._rk4(
+                        IDENTITY, None, w, 0.0, 1.0, 1.0 / nsteps, table)
+                    expect = _bits(_comprehension_run(
+                        list(w), 1.0 / nsteps, nsteps, lists, stage_rows,
+                        evals))
+                    assert _bits(None if blew else [u, *tail]) == expect, (
+                        rows, forcing, w)
+                    u, _, blew, _, _, tail = unruled(
+                        w, 0.0, 1.0 / nsteps, nsteps, 0, *lists, stage_rows,
+                        evals)
+                    changed += _bits(None if blew else [u, *tail]) != expect
+                    compared += 1
+        assert compared == 4 * 3 * 7 ** (K + 1)
+        assert changed > 0
+
     def test_field_compiled_once_per_order(self):
-        key = ("autonomous", (5, 4, 3, 2, 1, 1), 5, False, False)
+        key = ("autonomous", (5, 4, 3, 2, 1, 1), 5, False, False, ("",) * 6)
         assert _rk4_loop(*key) is _rk4_loop(*key)
         assert _rk4_loop(*key) is not _rk4_loop("autonomous", key[1][:5], 4,
-                                                False, False)
+                                                False, False, ("",) * 5)
 
     def test_butterfly_jets_within_fd_error(self, refined_butterfly,
                                             monkeypatch):

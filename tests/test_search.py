@@ -3,7 +3,7 @@ import pytest
 
 from morinode import (FourierAnsatz, Grid, Nonlinearity, ParamFamily,
                       PeriodicFn, SearchProblem, count_solutions, degree,
-                      gauss_newton, search, sweep)
+                      gauss_newton, odeint, search, sweep)
 from morinode.core import PreconditionError
 from tests.conftest import (BUTTERFLY_B, BUTTERFLY_C, BUTTERFLY_COEFFS,
                             SIX_ROOT_COEFFS, ansatz_from, operator_rhs)
@@ -152,6 +152,24 @@ class TestCountSolutions:
         assert groups == [[1e-3]]
         assert census.count == 2 and len(census.passes) == 1
         assert census.passes[0].work["lane_steps"] == 201_000
+
+    def test_each_pass_converts_its_forcing_once(self, monkeypatch):
+        # the scan and every refinement flow of a pass read one list copy
+        # of its forcing, made by the pass, not one conversion per flow
+        reads = []
+        read = odeint._read_table
+
+        def spy(f, v, t0, t1, h, orders, table):
+            reads.append(table[0])
+            return read(f, v, t0, t1, h, orders, table)
+        monkeypatch.setattr(odeint, "_read_table", spy)
+        census = count_solutions(SQUARE, PeriodicFn.constant(1.0),
+                                 -2.0, 2.0, scan_n=201, h=1e-3)
+        flows = sum(p.work["flows"] for p in census.passes)
+        assert census.count == census.count_at_half_step == 2
+        assert len(reads) == 2 + flows and flows > 0
+        assert all(isinstance(forcing, list) for forcing in reads)
+        assert len({id(forcing) for forcing in reads}) == 2
 
     def test_two_constant_orbits(self):
         # u' = 1 - u^2 has exactly the two equilibria u = +-1
