@@ -325,27 +325,17 @@ class Term:
             raise PreconditionError("polynomial powers must be non-negative")
 
 
-@functools.cache
-def horner_kernel(width: int) -> Callable:
-    """``kernel(r, x)`` = sum_m r[m] x^m for rows of ``width`` coefficients.
-
-    Horner's rule unrolled into one statement per coefficient and
-    compiled once per width. It makes the operations of the Horner loop
-    in the loop's order, so its floats are the loop's bit for bit, but
-    without the interpreter's per-coefficient loop work. The generated
-    source holds only integer indices.
-    """
-    body = "".join(f"    acc = acc * x + r[{m}]\n"
-                   for m in range(width - 2, -1, -1))
-    scope: dict = {}
-    exec(f"def kernel(r, x):\n    acc = r[{width - 1}]\n{body}"
-         "    return acc\n", scope)
-    return scope["kernel"]
-
-
 def horner(coeffs, x):
-    """sum_m coeffs[m] x^m by Horner's rule, coefficients ascending."""
-    return horner_kernel(len(coeffs))(coeffs, x)
+    """sum_m coeffs[m] x^m by Horner's rule, coefficients ascending.
+
+    ``acc = coeffs[w-1]``, then ``acc = acc * x + coeffs[m]`` for m from
+    w-2 down: the operations, in their order, that odeint's generated
+    loops inline, so its floats are theirs bit for bit.
+    """
+    acc = coeffs[-1]
+    for m in range(len(coeffs) - 2, -1, -1):
+        acc = acc * x + coeffs[m]
+    return acc
 
 
 # builtin nonlinearities: name -> (pairs of x-derivative tables, description)

@@ -22,7 +22,7 @@ import numpy as np
 
 from .core import (Nonlinearity, PeriodicFn, PreconditionError,
                    TamenessViolationError, mean, spectral_antiderivative)
-from .odeint import _flow_scalar, _shift_forcing, _stage_table
+from .odeint import _flow_scalar, _forcing_shifts, _stage_table
 
 PERIODICITY_TOL = 1e-11
 AVERAGE_TOL = 1e-12
@@ -160,12 +160,12 @@ def _solve_initial_value(f, vtilde, c, h, nu_hint=None):
     return _newton_solve(f, vtilde, float(c), None, h, nu_hint, None)
 
 
-def _solve_average(f, vtilde, a, h, nu_hint=None, table=None):
+def _solve_average(f, vtilde, a, h, nu_hint=None, shifts=None):
     """2-D Newton on F(c, nu) = (u(1) - c, mean(u) - a) from c = a."""
-    return _newton_solve(f, vtilde, float(a), float(a), h, nu_hint, table)
+    return _newton_solve(f, vtilde, float(a), float(a), h, nu_hint, shifts)
 
 
-def _newton_solve(f, vtilde, c, a, h, nu_hint, table) -> FibrePoint:
+def _newton_solve(f, vtilde, c, a, h, nu_hint, shifts) -> FibrePoint:
     """Safeguarded Newton for nu at u(0) = c, or for (c, nu) when a is set.
 
     Each flow carries the tangent lanes xi = du/dc and eta = du/dnu and
@@ -176,11 +176,13 @@ def _newton_solve(f, vtilde, c, a, h, nu_hint, table) -> FibrePoint:
     As u increases with nu, a flow with u(1) >= c and mean(u) <= a puts c
     below the root, and one with u(1) <= c and mean(u) >= a above it. A
     step that leaves its bracket becomes a bisection or a doubling step.
+    Every flow reads the stage table of vtilde that ``shifts`` (from
+    ``_forcing_shifts``, built here if None) shifts to nu.
     """
     grid = vtilde.grid
     h, stride = _node_step(grid, h)
-    if table is None:
-        table = _stage_table(f, vtilde, h, (0, 1))
+    if shifts is None:
+        shifts = _forcing_shifts(_stage_table(f, vtilde, h, (0, 1)))
     if nu_hint is None:  # the nu of the constant orbit u = c
         nu_hint = np.mean(f.eval(grid.nodes, c))
     nu = float(nu_hint)
@@ -200,7 +202,7 @@ def _newton_solve(f, vtilde, c, a, h, nu_hint, table) -> FibrePoint:
     while flows < MAX_SOLVE_FLOWS:
         u_end, samples, blew, sign, _, lanes = _flow_scalar(
             f, None, c, 0.0, 1.0, h, store=True,
-            table=_shift_forcing(table, nu), tangent_stride=stride)
+            table=shifts(nu), tangent_stride=stride)
         flows += 1
         if _classify(u_end, blew, sign, c) > 0:
             nus.hi = nu
@@ -286,10 +288,10 @@ def trace_pairs(f: Nonlinearity, vtilde: PeriodicFn, a_lo: float, a_hi: float,
         raise PreconditionError(f"a trace needs an integer count >= 1, "
                                 f"got {count!r}")
     h, _ = _node_step(vtilde.grid, None)
-    table = _stage_table(f, vtilde, h, (0, 1))
+    shifts = _forcing_shifts(_stage_table(f, vtilde, h, (0, 1)))
     out, nu = [], None
     for a in np.linspace(a_lo, a_hi, count):
-        fp = _solve_average(f, vtilde, float(a), h, nu, table)
+        fp = _solve_average(f, vtilde, float(a), h, nu, shifts)
         out.append((float(a), fp))
         nu = fp.nu
     return out

@@ -1,40 +1,38 @@
 """Initial-value integration of u' = -f(t,u) + v(t) and the return map.
 
 The integrator is classical fixed-step RK4 with Kahan-compensated state
-updates. Both loops declare blow-up by one test that nan fails too, not
--``U_MAX`` <= u <= ``U_MAX`` (scalar) or not max |u| <= ``U_MAX``
-(vector); only the scalar loop records the sign of the first stage state
-of that step past ``U_MAX`` (of the last finite sample when none is) and
-the first-crossing time. Every scalar flow is one generated straight-line
-loop (``_rk4_loop``), compiled with ``exec`` on first use once per key:
-f's shape (autonomous polynomial, t-dependent polynomial or builtin), jet
-order K, fibre lanes, stored samples and, for an autonomous polynomial,
-each coefficient row's pattern (``_pattern``: "0" for +0.0, "1" for 1.0,
-"x" for any other value; no value itself). It inlines Horner's rule on
-the coefficient rows, without the multiplication by a leading 1.0 and the
-addition of an interior +0.0 (``_horner_steps``). The constant term is
-always added, which turns a -0.0 that a skipped addition left back into
-full Horner's +0.0, and a row whose constant term is -0.0 is left
-unspecialised, so every float is full Horner's. The loop carries the
-K-jet of the flow in its start value by Taylor-mode propagation of the
-discrete RK4 map: K = 0 is the plain flow (``integrate``,
-``return_map``), K = 1 adds the exact derivative xi = du/du(0) that the
-census and the return map's slope read, the fibre lanes add eta = du/dnu
-and strided sums, and ``contact_order`` reads rho and its derivatives up
-to order kmax + 1 from one flow at K = kmax + 1 (``_rk4_jet``). The jets
-are exact for the discrete map, not finite differences, and a derivative
-counts as zero below ``CONTACT_ZERO_TOL`` = 1e-6 relative to the leading
-one. The many-lane loop ``_flow_vector`` is one generated loop too
-(``_vector_loop``), compiled per f's shape, row width, number of lane
-groups and row pattern. Every operation is a positional ufunc call into
-seven lane buffers, so a polynomial step allocates no array. Lane groups,
-each with its own step and stage table (the census's h and h/2 scans),
-share every call but the forcing subtract and a t-dependent or builtin
-f's evaluation: a call costs far more than a lane, so the loop saves
-calls. Its test is one reduction over the running lanes, which a dead
-lane, parked at 0, passes. ``_rho_derivative_fd`` and ``_fd_once`` remain
-as the tests' finite-difference cross-check, and because the benchmark's
-tracer (``bench/spans.py``) binds both by name.
+updates. A flow reads a stage table (``_rhs_tables``), plain-float lists
+that only this module reads: the forcing at each step's three stage
+times, and per x-derivative order one coefficient row of an autonomous
+polynomial or the rows at every stage time of a t-dependent one; a
+builtin's table holds the stage times once. ``_loop_key`` turns f and
+its table into the key of both generated loops: f's shape, its row
+widths and each autonomous row's pattern (``_pattern``: "0" for +0.0,
+"1" for 1.0, "x" for any other value; no value itself).
+
+Every scalar flow is one straight-line loop (``_rk4_loop``), compiled
+with ``exec`` once per key, jet order K, fibre lanes and stored samples.
+It inlines Horner's rule without the multiplication by a leading 1.0 and
+the addition of an interior +0.0 (``_horner_steps``), so every float is
+full Horner's. It carries the K-jet of the flow in its start value by
+Taylor-mode propagation of the discrete RK4 map: K = 0 is the plain flow
+(``integrate``, ``return_map``), K = 1 adds the exact derivative xi =
+du/du(0) that the census reads (``_flow_with_variation``), the fibre
+lanes add eta = du/dnu and strided sums, and ``contact_order`` reads rho
+and its derivatives up to order kmax + 1 from one flow at K = kmax + 1
+(``_rk4_jet``), a derivative counting as zero below ``CONTACT_ZERO_TOL``
+relative to the leading one. The many-lane loop ``_flow_vector`` is one
+generated loop too (``_vector_loop``): positional ufunc calls into seven
+lane buffers, shared by lane groups of their own steps and tables (the
+census's h and h/2 scans) in every call but the forcing subtract and a
+t-dependent or builtin f's evaluation. Both loops declare blow-up by one
+test that nan fails too, not -``U_MAX`` <= u <= ``U_MAX`` (scalar) or
+not max |u| <= ``U_MAX`` (vector, which a dead lane, parked at 0,
+passes); the scalar loop records the sign of the first stage state of
+that step past ``U_MAX`` (of the last finite sample when none is) and
+the crossing time. ``_rho_derivative_fd`` and ``_fd_once`` remain as the
+tests' finite-difference cross-check, and because the benchmark's tracer
+(``bench/spans.py``) binds both by name.
 """
 
 from __future__ import annotations
@@ -48,7 +46,7 @@ from functools import cache, partial
 import numpy as np
 
 from .core import (MAX_X_DERIVATIVE, BracketError, Nonlinearity,
-                   PreconditionError, horner_kernel)
+                   PreconditionError)
 
 U_MAX = 1e6
 
@@ -95,20 +93,15 @@ class ReturnValue:
 
 def _rhs_tables(f: Nonlinearity, v, t0: float, nsteps: int, h: float,
                 orders=(0,)):
-    """Stage table of (f, v): forcing and x-derivative rows at the RK4 stages.
+    """Stage table of (f, v): the forcing and f's data at the RK4 stages.
 
     The stage times of step k are t_k, t_k + h/2 and t_k + h. Returns
-    ``(forcing, stages)``: the forcing at those times, shape (3, nsteps),
-    and per requested x-derivative order an ``(evaluate, (r0, rh, r1))``
-    pair of plain-float lists such that ``evaluate(r0[k], x)`` is
-    d^order f/dx^order at (t_k, x). A polynomial row is its ascending
-    coefficients at that time, evaluated by the straight-line
-    ``horner_kernel`` of the row's width (the generated scalar loops
-    inline Horner's rule on the rows instead); an autonomous f repeats one
-    row per order by reference. A builtin's row is the time. A forcing value
-    that is not finite raises ``PreconditionError``, since a flow would
-    read it as an escape. Flows at the same (f, v, h) can share one
-    through their ``table``.
+    ``(forcing, rows)`` as plain-float lists, which only this module's
+    flows read: ``forcing`` holds the three lists of the forcing at those
+    times, and ``rows`` f's data (``_stage_rows``). A forcing value that
+    is not finite raises ``PreconditionError``, since a flow would read it
+    as an escape. Flows at the same (f, v, h) can share one through their
+    ``table``.
     """
     stage_times = _stage_times(t0, nsteps, h)
     if v is None:
@@ -118,8 +111,8 @@ def _rhs_tables(f: Nonlinearity, v, t0: float, nsteps: int, h: float,
         if not np.isfinite(vvals).all():
             raise PreconditionError("the forcing must be finite at the "
                                     "stage times")
-    return vvals.reshape(3, nsteps), [_stage_rows(f, stage_times, nsteps,
-                                                  order) for order in orders]
+    return (vvals.reshape(3, nsteps).tolist(),
+            _stage_rows(f, stage_times, nsteps, orders))
 
 
 def _stage_times(t0: float, nsteps: int, h: float) -> np.ndarray:
@@ -129,16 +122,20 @@ def _stage_times(t0: float, nsteps: int, h: float) -> np.ndarray:
 
 
 def _stage_rows(f: Nonlinearity, stage_times: np.ndarray, nsteps: int,
-                order: int):
-    """``_rhs_tables``' (evaluate, (r0, rh, r1)) pair of one order."""
+                orders):
+    """f's table data for the x-derivative ``orders``.
+
+    Per order, the ascending coefficients of d^order f/dx^order: one row
+    for an autonomous polynomial, and for a t-dependent one three lists
+    (r0, rh, r1) of the rows at each step's stage times. A builtin's data
+    are the three lists of stage times, once for every order.
+    """
     if f.builtin is not None:
-        return (partial(f.eval, order=order),
-                stage_times.reshape(3, nsteps).tolist())
+        return stage_times.reshape(3, nsteps).tolist()
     if f.autonomous:
-        row = f.poly_coeffs(order).tolist()
-        return horner_kernel(len(row)), ([row] * nsteps,) * 3
-    rows = f.coeff_rows(stage_times, order=order)
-    return horner_kernel(rows.shape[1]), rows.reshape(3, nsteps, -1).tolist()
+        return [f.poly_coeffs(order).tolist() for order in orders]
+    return [f.coeff_rows(stage_times, order=order).reshape(3, nsteps, -1)
+            .tolist() for order in orders]
 
 
 def _step_count(t0: float, t1: float, h: float) -> tuple[int, float]:
@@ -160,50 +157,39 @@ def _stage_table(f: Nonlinearity, v, h: float, orders=(0,)):
 def _add_orders(f: Nonlinearity, table, h: float, orders):
     """A ``_stage_table`` at h with the rows of further ``orders`` appended.
 
-    The forcing is not evaluated again. ``table`` must hold the orders
-    before ``orders``, since a flow reads order j from its j-th rows.
+    The forcing is not evaluated again, and a builtin's table, which
+    serves every order, is returned as it is. ``table`` must hold the
+    orders before ``orders``, since a flow reads order j from its j-th
+    rows.
     """
+    if f.builtin is not None:
+        return table
     nsteps, h = _step_count(0.0, 1.0, h)
-    forcing, stages = table
-    times = _stage_times(0.0, nsteps, h)
-    return forcing, [*stages, *(_stage_rows(f, times, nsteps, order)
-                                for order in orders)]
-
-
-def _forcing_lists(table):
-    """The same stage table with its forcing held as three float lists.
-
-    ``_read_table`` reads such a table's lists as they are, so the flows
-    of a census pass share one conversion of its forcing array.
-    """
-    forcing, stages = table
-    return forcing.tolist(), stages
+    forcing, rows = table
+    return forcing, rows + _stage_rows(f, _stage_times(0.0, nsteps, h),
+                                       nsteps, orders)
 
 
 def _read_table(f: Nonlinearity, v, t0, t1, h, orders, table):
-    """(nsteps, h, forcing lists, stages) of ``table``, built if None.
-
-    A forcing array is converted to lists, once per read; the lists of a
-    ``_forcing_lists`` table are read as they are.
-    """
+    """(nsteps, h, forcing, rows) of ``table``, built if None."""
     nsteps, h = _step_count(t0, t1, h)
     if table is None:
         table = _rhs_tables(f, v, t0, nsteps, h, orders)
-    forcing, stages = table
-    v0, vh, v1 = (forcing.tolist() if isinstance(forcing, np.ndarray)
-                  else forcing)
-    if len(v0) != nsteps:
+    forcing, rows = table
+    if len(forcing[0]) != nsteps:
         raise PreconditionError("stage table was built for another step")
-    return nsteps, h, (v0, vh, v1), stages
+    return nsteps, h, forcing, rows
 
 
-def _shift_forcing(table, nu: float):
-    """The same stage table with the constant ``nu`` added to the forcing.
+def _forcing_shifts(table):
+    """nu -> ``table`` with the constant nu added to its forcing.
 
-    ``table`` holds its forcing as the array ``_rhs_tables`` builds.
+    The forcing is copied to one array here, and each shift converts
+    (array + nu) back to lists, so a fibre solve's flows at many nu share
+    the table's f data and one array.
     """
-    forcing, stages = table
-    return forcing + nu, stages
+    base, rows = np.array(table[0]), table[1]
+    return lambda nu: ((base + nu).tolist(), rows)
 
 
 def _escape_sign(states, last) -> int:
@@ -224,6 +210,33 @@ def _pattern(row) -> str:
     return "".join("1" if c == 1.0 else
                    "0" if c == 0.0 and math.copysign(1.0, c) > 0 else "x"
                    for c in row)
+
+
+# the scalar loop's Horner expression nests a parenthesis per coefficient,
+# and CPython's parser takes 200 levels
+MAX_LOOP_DEGREE = 199
+
+
+def _loop_key(f: Nonlinearity, rows, K: int):
+    """(kind, widths, patterns, evals) of f for both generated loops.
+
+    ``kind`` is f's shape, "autonomous", "t-dependent" or "builtin".
+    Per order 0..K of the table's f data ``rows``: the row width and an
+    autonomous row's ``_pattern``, "" otherwise; a builtin has width 0 and
+    ``evals``, its ``f.eval`` of each order. A degree above
+    ``MAX_LOOP_DEGREE`` raises ``PreconditionError``.
+    """
+    if f.builtin is not None:
+        return ("builtin", (0,) * (K + 1), ("",) * (K + 1),
+                tuple(partial(f.eval, order=j) for j in range(K + 1)))
+    firsts = [r if f.autonomous else r[0][0] for r in rows[:K + 1]]
+    if len(firsts[0]) - 1 > MAX_LOOP_DEGREE:
+        raise PreconditionError(
+            f"f has degree {len(firsts[0]) - 1}; the generated RK4 loops "
+            f"take degree at most MAX_LOOP_DEGREE = {MAX_LOOP_DEGREE}")
+    return ("autonomous" if f.autonomous else "t-dependent",
+            tuple(map(len, firsts)),
+            tuple(_pattern(r) if f.autonomous else "" for r in firsts), ())
 
 
 def _horner_steps(pattern: str, width: int):
@@ -247,8 +260,9 @@ def _horner_source(names, x: str, pattern: str) -> str:
     """Horner's rule on the named coefficients, ascending, as one expression.
 
     ``acc = c[w-1]`` and ``acc = acc * x + c[m]`` for m from w-2 down are
-    ``horner_kernel``'s operations in its order, so its floats bit for bit,
-    less what ``_horner_steps`` drops for the row's ``pattern``.
+    ``core.horner``'s operations in its order, so its floats bit for bit,
+    less what ``_horner_steps`` drops for the row's ``pattern``. It nests
+    one parenthesis per coefficient, so ``_loop_key`` caps the degree.
     """
     lead, steps = _horner_steps(pattern, len(names))
     expr = None if lead else names[-1]
@@ -266,7 +280,7 @@ def _horner_array_source(names, x: str, out: str,
     ``names`` name the coefficients, ascending. The lines are
     ``multiply(c[w-1], x, out)``, then ``add(out, c[m], out)`` and
     ``multiply(out, x, out)`` for m from w-2 down, ending with ``add(out,
-    c[0], out)``: ``horner_kernel``'s multiplications and additions in its
+    c[0], out)``: ``core.horner``'s multiplications and additions in its
     order, so every lane is its float bit for bit, less what
     ``_horner_steps`` drops for the row's ``pattern``, and no array is
     allocated. out must not be x. Returns (lines, the name of the value):
@@ -295,13 +309,14 @@ def _rk4_source(kind: str, widths: tuple, K: int, lanes: bool,
     Names and integer indices only: the coefficients, the forcing and the
     step arrive as arguments. The jet state is u0..uK, a stage's state
     w{s}_0..w{s}_K (stage 1 reads u), its slopes k{s}_0..k{s}_K; va, vb
-    and vc are the step's forcing at its three stage times.
+    and vc are the step's forcing at its three stage times, and ta, tb
+    and tc a builtin's stage times.
     """
     orders, tail = range(K + 1), range(1, K + 1)
 
     def value(j, tau, x):  # f^(j) at stage time tau (a, b, c) and state x
         if kind == "builtin":
-            return f"e{j}(R{j}{tau}[k], {x})"
+            return f"e{j}(t{tau}, {x})"
         at = "" if kind == "autonomous" else tau
         return _horner_source([f"c{j}{at}_{m}" for m in range(widths[j])], x,
                               patterns[j])
@@ -310,19 +325,21 @@ def _rk4_source(kind: str, widths: tuple, K: int, lanes: bool,
             "    half, sixth, umin, umax = 0.5 * h, h / 6.0, -U_MAX, U_MAX",
             f"    {', '.join(f'u{n}' for n in orders)}, = start",
             "    comp = 0.0"]
+    read, lists = "va, vb, vc", "v0, vh, v1"
+    if kind == "builtin":
+        head.append(f"    {', '.join(f'e{j}' for j in orders)}, = evals")
+        read, lists = read + ", ta, tb, tc", lists + ", *rows"
     for j in orders:
         if kind == "autonomous":
             names = ", ".join(f"c{j}_{m}" for m in range(widths[j]))
-            head.append(f"    {names}, = rows[{j}][0][0]")
-        else:
+            head.append(f"    {names}, = rows[{j}]")
+        elif kind == "t-dependent":
             head.append(f"    R{j}a, R{j}b, R{j}c = rows[{j}]")
-        if kind == "builtin":
-            head.append(f"    e{j} = evals[{j}]")
     if lanes:
         head.append("    eta = su = sxi = seta = 0.0")
     if store:
         head.append("    samples = [u0]")
-    head.append("    for k, va, vb, vc in zip(range(nsteps), v0, vh, v1):")
+    head.append(f"    for k, {read} in zip(range(nsteps), {lists}):")
     body = []
     if lanes:
         body += ["if k % stride == 0:",
@@ -384,13 +401,12 @@ def _rk4_loop(kind: str, widths: tuple, K: int, lanes: bool, store: bool,
               patterns: tuple):
     """The whole scalar RK4 loop as straight-line code, compiled per key.
 
-    ``kind`` is f's shape: "autonomous" (a polynomial whose coefficient
-    rows of orders 0..K, of ``widths``, are unpacked into locals once),
-    "t-dependent" (a polynomial whose rows are unpacked at every step) or
-    "builtin" (a call ``evals[j](time, x)``). Horner's rule is inlined,
-    specialised on the ``patterns`` entry of each row (``_pattern``; ""
-    for a t-dependent row, and no entries for a builtin).
-    The loop carries the K-jet u0..uK of the flow in its start value
+    The key is ``_loop_key``'s kind, widths and patterns, the jet order K
+    and the flags. An autonomous polynomial's rows of orders 0..K are
+    unpacked into locals once, a t-dependent one's at every step, and a
+    builtin is called as ``evals[j](time, x)`` on each stage time, read
+    once per step. Horner's rule is inlined for each row's pattern. The
+    loop carries the K-jet u0..uK of the flow in its start value
     (``_rk4_jet``'s Taylor mode, the Cauchy products unrolled), so K = 1
     is the xi lane; ``lanes`` adds eta = du/dnu and the sums of u, xi and
     eta over every stride-th step, and ``store`` the samples of u0.
@@ -409,55 +425,35 @@ def _rk4_loop(kind: str, widths: tuple, K: int, lanes: bool, store: bool,
 def _rk4(f: Nonlinearity, v, start: tuple, t0: float, t1: float, h: float,
          table=None, store: bool = False, lanes: bool = False,
          stride: int = 0):
-    """``_rk4_loop``'s run for f's shape, from the jet ``start``."""
+    """``_rk4_loop``'s run for f, from the jet ``start`` of order K.
+
+    ``table`` is a prebuilt ``_stage_table`` of (f, v) at h, so [t0, t1] =
+    [0, 1], holding orders 0..K; f and v are then not evaluated. Returns
+    (u_end, samples|None, blew, sign, blow_time, lanes|None).
+    """
     K = len(start) - 1
-    nsteps, h, forcing, stages = _read_table(f, v, t0, t1, h, range(K + 1),
-                                             table)
-    evals, rows = zip(*stages[:K + 1])
-    if f.builtin is not None:
-        kind, widths, patterns = "builtin", (), ()
-    else:
-        kind = "autonomous" if f.autonomous else "t-dependent"
-        widths = tuple(len(r[0][0]) for r in rows)
-        patterns = tuple(_pattern(r[0][0]) if f.autonomous else ""
-                         for r in rows)
+    nsteps, h, forcing, rows = _read_table(f, v, t0, t1, h, range(K + 1),
+                                           table)
+    kind, widths, patterns, evals = _loop_key(f, rows, K)
     run = _rk4_loop(kind, widths, K, lanes, store, patterns)
     with np.errstate(over="ignore", invalid="ignore"):
         return run(start, t0, h, nsteps, stride, *forcing, rows, evals)
 
 
-def _rk4_scalar(f: Nonlinearity, v, x0: float, t0: float, t1: float, h: float,
-                store: bool = False, table=None, tangent_stride: int = 0,
-                *, xi_only: bool = False):
-    """Scalar RK4 with Kahan-compensated updates: ``_rk4_loop`` at K <= 1.
+def _flow_scalar(f: Nonlinearity, v, x0: float, t0: float, t1: float, h: float,
+                 store: bool = False, table=None, tangent_stride: int = 0):
+    """Scalar RK4 with Kahan-compensated updates: ``_rk4`` at K <= 1.
 
     With ``tangent_stride`` s > 0 it also carries the exact derivatives of
     the discrete step, xi = du/du(t0) and eta = du/dnu for a constant nu
     added to v, and returns as ``lanes`` (xi, eta, sum u, sum xi, sum eta)
-    at t1, with sums over every s-th step from t0. ``xi_only`` (with s >
-    0) keeps the xi lane alone, the K = 1 jet, and returns ``lanes`` =
-    (xi,): the return map's slope needs neither eta nor the sums, which
-    only the fibre solves read. ``table`` is a prebuilt ``_stage_table``
-    of (f, v) at h, so [t0, t1] = [0, 1], holding order 1 too for the
-    lanes; f and v are then not evaluated. Returns (u_end, samples|None,
-    blew, sign, blow_time, lanes|None).
+    at t1, with sums over every s-th step from t0. ``bench/spans.py``
+    counts the flows of this name: the fibre solves, ``integrate`` and
+    ``return_map``.
     """
     start = (float(x0), 1.0) if tangent_stride else (float(x0),)
-    return _rk4(f, v, start, t0, t1, h, table, store,
-                bool(tangent_stride) and not xi_only, tangent_stride)
-
-
-def _flow_scalar(f: Nonlinearity, v, x0: float, t0: float, t1: float, h: float,
-                 store: bool = False, table=None, tangent_stride: int = 0):
-    """``_rk4_scalar`` under the name the benchmark's tracer counts.
-
-    ``bench/spans.py`` wraps this name to count scalar flows and their
-    steps, so the fibre solves and ``integrate`` call it, while
-    ``_flow_with_variation`` calls ``_rk4_scalar`` and its census
-    refinement flows are not counted as scalar flows. Both run the same
-    generated loop.
-    """
-    return _rk4_scalar(f, v, x0, t0, t1, h, store, table, tangent_stride)
+    return _rk4(f, v, start, t0, t1, h, table, store, bool(tangent_stride),
+                tangent_stride)
 
 
 def _rk4_jet(f: Nonlinearity, v, x0: float, h: float, K: int):
@@ -468,8 +464,8 @@ def _rk4_jet(f: Nonlinearity, v, x0: float, h: float, K: int):
     rho^(j)(x0) = j! u_j(1). Each stage evaluates f on the jet by Faa di
     Bruno on its nilpotent part d: f(w_0 + d) = sum_j f^(j)(w_0)/j! d^j,
     with f^(j) from the order-j rows of one stage table, in the loop
-    ``_rk4_loop`` generates for K; u_0 and u_1 are ``_rk4_scalar``'s u
-    and xi, bit for bit. Returns [u_0, ..., u_K] at t = 1, or None if the
+    ``_rk4_loop`` generates for K; u_0 and u_1 are ``_flow_with_variation``'s
+    u and xi, bit for bit. Returns [u_0, ..., u_K] at t = 1, or None if the
     flow blew up.
     """
     u, _, blew, _, _, tail = _rk4(f, v, (float(x0), 1.0) + (0.0,) * (K - 1),
@@ -510,15 +506,18 @@ def _vector_source(kind: str, width: int, ngroups: int, pattern: str) -> str:
                     [f"c{m}" for m in range(width)], x, out, pattern)
                 lines += shared
             for g in running:
+                if s == 2:  # the h/2 forcing and time, read once for both
+                    lines.append(f"vb_{g} = vh_{g}[k]")
+                    if kind == "builtin":
+                        lines.append(f"tb_{g} = R{g}b[k]")
                 if kind == "builtin":
-                    value = f"e{g}(R{g}{tau}[k], {x}_{g})"
+                    time = f"tb_{g}" if tau == "b" else f"R{g}{tau}[k]"
+                    value = f"e({time}, {x}_{g})"
                 elif kind == "t-dependent":
                     own_lines, value = _horner_array_source(
                         [f"r{g}{tau}_{m}" for m in range(width)],
                         f"{x}_{g}", f"{out}_{g}", "")
                     lines += own_lines
-                if s == 2:  # the h/2 forcing, read once for stages 2 and 3
-                    lines.append(f"vb_{g} = vh_{g}[k]")
                 force = f"vb_{g}" if tau == "b" else f"{vk}_{g}[k]"
                 lines.append(f"subtract({force}, "
                              f"{value}{f'_{g}' * (value == out)}, {out}_{g})")
@@ -539,12 +538,15 @@ def _vector_source(kind: str, width: int, ngroups: int, pattern: str) -> str:
                   "    comp[dead] = 0.0"]
         return lines
 
-    src = [f"def run({_VECTOR_SHARED}, two, coeffs, groups):"]
-    if kind == "autonomous":
-        src.append(f"    {', '.join(f'c{m}' for m in range(width))}, = coeffs")
+    src = [f"def run({_VECTOR_SHARED}, two, fdata, groups):"]
+    names = [f"c{m}" for m in range(width)] if kind == "autonomous" else ["e"]
+    frows = {"autonomous": "_", "builtin": "(R{g}a, R{g}b, R{g}c)",
+             "t-dependent": "((R{g}a, R{g}b, R{g}c), *_)"}[kind]
+    if kind != "t-dependent":
+        src.append(f"    {', '.join(names)}, = fdata")
     for g in range(ngroups):
         src.append(f"    lo{g}, n{g}, (v0_{g}, vh_{g}, v1_{g}), "
-                   f"((e{g}, (R{g}a, R{g}b, R{g}c)), *_) = groups[{g}]")
+                   f"{frows.format(g=g)} = groups[{g}]")
     src.append("    groups.clear()")
     for g in range(ngroups):
         end = f"lo{g + 1}" if g + 1 < ngroups else ""
@@ -558,8 +560,8 @@ def _vector_source(kind: str, width: int, ngroups: int, pattern: str) -> str:
                 + ")")
         src.append(f"    for k in range({f'n{p - 1}' if p else '0'}, n{p}):")
         src += ["        " + line for line in body(range(p, ngroups))]
-        src += [f"    ends.append(u_{p})",
-                f"    del v0_{p}, vh_{p}, v1_{p}, R{p}a, R{p}b, R{p}c"]
+        src += [f"    ends.append(u_{p})", f"    del v0_{p}, vh_{p}, v1_{p}"
+                + f", R{p}a, R{p}b, R{p}c" * (kind != "autonomous")]
     return "\n".join(src + ["    return ends"]) + "\n"
 
 
@@ -567,22 +569,23 @@ def _vector_source(kind: str, width: int, ngroups: int, pattern: str) -> str:
 def _vector_loop(kind: str, width: int, ngroups: int, pattern: str):
     """The many-lane RK4 loop as straight-line code, compiled per key.
 
-    ``kind`` is f's shape as in ``_rk4_loop``; ``width`` is the width of an
-    autonomous or t-dependent polynomial's rows (0 for a builtin),
-    ``ngroups`` the number of lane groups, each with its own step and
-    stage table, and ``pattern`` an autonomous row's ``_pattern`` ("" for
-    the other kinds). Every operation is a positional ``ufunc(a, b, out)`` on
+    ``kind``, ``width`` and ``pattern`` are ``_loop_key``'s for order 0,
+    and ``ngroups`` is the number of lane groups, each with its own step
+    and stage table. Every operation is a positional ``ufunc(a, b, out)`` on
     lane buffers. It is shared by all running groups, except the forcing
     subtract and, for a t-dependent polynomial or a builtin, the f
     evaluation, which are made per group on its fixed views. Horner's rule
     is inlined as ``_horner_array_source`` writes it for the pattern.
 
     ``run(u, comp, w, k1, k2, k3, k4, alive, half, step, sixth, two,
-    coeffs, groups)`` takes the lane buffers, the lane arrays of each
-    group's h/2, h and h/6, the 0-d arrays 2.0 and, for an autonomous f,
-    its coefficients, and ``groups``, one (first lane, nsteps, forcing
-    lists, stages) per group in ascending nsteps, which it empties. It
-    returns every group's final view of u.
+    fdata, groups)`` takes the lane buffers, the lane arrays of each
+    group's h/2, h and h/6, the 0-d array 2.0, ``fdata`` (an autonomous
+    f's coefficients as 0-d arrays, a builtin's ``_loop_key`` evals, or
+    nothing), and ``groups``, one (first lane, nsteps, forcing, rows) per
+    group in ascending nsteps, which it empties: the forcing and rows of
+    the group's ``_stage_table``, of which the loop reads a t-dependent
+    f's order-0 rows and a builtin's stage times. It returns every group's
+    final view of u.
     """
     scope = {"add": np.add, "multiply": np.multiply,
              "subtract": np.subtract, "absolute": np.absolute,
@@ -620,13 +623,9 @@ def _flow_vector(f: Nonlinearity, v, x0: np.ndarray, h: float, table=None,
     comp = np.zeros_like(u)
     w, k1, k2, k3, k4 = (np.empty_like(u) for _ in range(5))
     alive = np.ones(u.shape, dtype=bool)
-    kind, width, coeffs, pattern = "builtin", 0, (), ""
-    if f.builtin is None:
-        row = read[0][4][0][1][0][0]  # order 0, stage t_k, step 0
-        kind, width = "t-dependent", len(row)
-        if f.autonomous:
-            kind, coeffs, pattern = ("autonomous", tuple(map(np.array, row)),
-                                     _pattern(row))
+    kind, (width,), (pattern,), fdata = _loop_key(f, read[0][4], 0)
+    if kind == "autonomous":
+        fdata = tuple(map(np.array, read[0][4][0]))
     groups = [(lo[i], read[g][1], *read[g][3:]) for i, g in enumerate(order)]
     del read
     run = _vector_loop(kind, width, len(groups), pattern)
@@ -634,7 +633,7 @@ def _flow_vector(f: Nonlinearity, v, x0: np.ndarray, h: float, table=None,
         ends = run(u, comp, w, k1, k2, k3, k4, alive,
                    np.repeat(0.5 * steps, sizes),
                    np.repeat(steps, sizes), np.repeat(steps / 6.0, sizes),
-                   np.array(2.0), coeffs, groups)
+                   np.array(2.0), fdata, groups)
     out = [None] * len(order)
     for i, g in enumerate(order):
         out[g] = ends[i], alive[lo[i]:lo[i + 1]]
@@ -683,10 +682,12 @@ def return_map(f: Nonlinearity, v, x0: float, h: float = 1e-3,
 def _flow_with_variation(f: Nonlinearity, v, x0: float, h: float, table=None):
     """RK4 flow with its tangent lane; returns (u(1), du(1)/du(0), ...).
 
-    ``table`` is an optional prebuilt ``_stage_table(f, v, h, (0, 1))``.
+    The K = 1 jet of ``_rk4``: the return map's slope needs neither eta
+    nor the lane sums of ``_flow_scalar``. ``table`` is an optional
+    prebuilt ``_stage_table(f, v, h, (0, 1))``.
     """
-    u, _, blew, sign, btime, lanes = _rk4_scalar(
-        f, v, x0, 0.0, 1.0, h, table=table, tangent_stride=1, xi_only=True)
+    u, _, blew, sign, btime, lanes = _rk4(f, v, (float(x0), 1.0), 0.0, 1.0,
+                                          h, table)
     if blew:
         return None, None, True, sign, btime
     return float(u), float(lanes[0]), False, None, None

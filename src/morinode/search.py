@@ -29,8 +29,8 @@ from .morin import (_derivative_samples, _sigma_jacobian, _sigma_values,
 # _flow_scalar is no longer called here but stays a module attribute: the
 # benchmark's tracer (bench/spans.py) wraps search._flow_scalar
 from .odeint import (_add_orders, _flow_scalar,  # noqa: F401
-                     _flow_vector, _flow_with_variation, _forcing_lists,
-                     _stage_table)
+                     _flow_vector, _flow_with_variation, _stage_table,
+                     _step_count)
 
 SIGMA_GRID_N = 2048
 MAX_GN_ITERATIONS = 100
@@ -353,15 +353,14 @@ def _census_pass(f: Nonlinearity, v, xs: np.ndarray, h: float,
     """The passes at h and, with ``check_half_step``, at h/2.
 
     One ``_flow_vector`` call scans both steps as two lane groups, from
-    order-0 stage tables that hold their forcing as lists
-    (``_forcing_lists``), converted once for the scan and every refinement
-    flow of the pass. Each pass then brackets and refines its own scan
+    order-0 stage tables that the scan and every refinement flow of the
+    pass share. Each pass then brackets and refines its own scan
     (``_census_roots``) and releases its table; the h/2 pass is dropped
     when the h pass is degenerate. Returns a list of (roots, unresolved,
     degenerate, g, CensusPass), one per pass kept.
     """
     steps = (h, h / 2) if check_half_step else (h,)
-    tables = [_forcing_lists(_stage_table(f, v, step)) for step in steps]
+    tables = [_stage_table(f, v, step) for step in steps]
     u_end, alive = _flow_vector(f, v, xs, h, tables[0],
                                 [(xs, step, table) for step, table
                                  in zip(steps[1:], tables[1:])])
@@ -381,8 +380,8 @@ def _census_roots(f: Nonlinearity, v, xs: np.ndarray, u_end: np.ndarray,
     ``table`` is the pass's order-0 ``_stage_table``; the order-1 rows
     the refinement flows read are added only when there is a bracket.
     """
-    work = {"lane_steps": len(xs) * len(table[0][0]), "flows": 0,
-            "steps": 0}
+    work = {"lane_steps": len(xs) * _step_count(0.0, 1.0, h)[0],
+            "flows": 0, "steps": 0}
     g = u_end - xs
     finite = alive & np.isfinite(g)
     scale = float(np.max(np.abs(g[finite]))) if finite.any() else 0.0
@@ -438,7 +437,7 @@ def _refine_root(f, v, lo, hi, glo, ghi, h, table):
     inside the bracket. Every flow reads ``table``, the pass's
     ``_stage_table`` with orders 0 and 1.
     """
-    nsteps = len(table[0][0])
+    nsteps = _step_count(0.0, 1.0, h)[0]
     if lo == hi:
         x = lo
     else:

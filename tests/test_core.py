@@ -59,7 +59,8 @@ class TestEvalF:
 
 
 def _horner_loop(coeffs, x):
-    # Horner's rule as a loop: the oracle of the unrolled kernels
+    # Horner's rule as a loop: the oracle of core.horner and of the
+    # generated kernels
     acc = coeffs[-1]
     for m in range(len(coeffs) - 2, -1, -1):
         acc = acc * x + coeffs[m]
@@ -75,17 +76,15 @@ class TestHornerKernel:
     def test_bitwise_equal_to_the_loop(self, width):
         rng = np.random.default_rng(width)
         row = (rng.standard_normal(width) * 10.0 ** rng.uniform(-3, 3, width))
-        kernel = core.horner_kernel(width)
         xs = np.array([0.0, -0.0, 0.37, -1.9, 3.5, 1e3, -1e120, 1e200,
                        np.inf, -np.inf, np.nan])
         with np.errstate(all="ignore"):
             for coeffs in (row.tolist(), row):
                 for x in (*xs.tolist(), *xs, xs):
-                    got, expect = kernel(coeffs, x), _horner_loop(coeffs, x)
+                    got, expect = core.horner(coeffs, x), _horner_loop(coeffs,
+                                                                       x)
                     assert type(got) is type(expect)
                     assert np.array_equal(got, expect, equal_nan=True)
-                    assert np.array_equal(core.horner(coeffs, x), expect,
-                                          equal_nan=True)
 
     @pytest.mark.parametrize("width", [*range(1, 13), 300])
     def test_array_twin_bitwise_equal_to_the_loop(self, width):
@@ -117,20 +116,17 @@ class TestHornerKernel:
                         out = np.empty_like(xs)
                         got = kernel(coeffs, xs, out)
                         expect = _horner_loop(coeffs, xs)
-                        # width 1 returns the float r[0], as the scalar
-                        # kernel does
+                        # width 1 returns the float r[0], as core.horner
+                        # does
                         assert (got is out if width > 1
                                 else type(got) is type(expect))
                         assert _hex(got, xs.shape) == _hex(expect, xs.shape)
-                    if width < 200:  # one parenthesis per coefficient
+                    # one parenthesis per coefficient, up to the loops' cap
+                    if width <= odeint.MAX_LOOP_DEGREE + 1:
                         scalar = eval("lambda r, x: " + odeint._horner_source(
                             names, "x", pattern))
                         assert _hex([scalar(floats, x) for x in xs.tolist()],
                                     xs.shape) == _hex(expect, xs.shape)
-
-    def test_compiled_once_per_width(self):
-        assert core.horner_kernel(5) is core.horner_kernel(5)
-        assert core.horner_kernel(5) is not core.horner_kernel(6)
 
 
 class TestMean:

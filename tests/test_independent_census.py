@@ -12,11 +12,11 @@ from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
 from morinode import Grid, Nonlinearity, PeriodicFn, count_solutions, odeint
-from morinode.core import (FourierAnsatz, PreconditionError, Term, horner,
-                           horner_kernel)
+from morinode.core import FourierAnsatz, PreconditionError, Term
 from morinode.odeint import (_flow_scalar, _flow_vector, _flow_with_variation,
-                             _shift_forcing, _stage_table)
+                             _forcing_shifts, _stage_table)
 from tests.conftest import operator_rhs
+from tests.test_odeint import _allocating_flow_vector, _interpreted_flow_scalar
 
 
 @pytest.fixture(scope="module")
@@ -80,33 +80,34 @@ def test_prebuilt_table_is_bitwise_identical(quartic, rhs):
 
 
 def test_shared_autonomous_rows_are_bitwise_identical(quartic, rhs):
-    # an autonomous polynomial's table holds one row per order, shared by
-    # every stage; flows read the same floats as from a full table of
-    # coefficient rows at every stage time
+    # an autonomous polynomial's table holds one row per order, the
+    # coefficient row at every stage time, and no callable; flows through
+    # it are the interpreted loops' on that row, evaluated by core.horner
     h, nsteps = 1e-3, 1000
-    shared = _stage_table(quartic, rhs, h, (0, 1))
+    forcing, rows = _stage_table(quartic, rhs, h, (0, 1))
     times = h * np.arange(nsteps)
     stage_times = np.concatenate([times, times + h / 2, times + h])
-    full = (shared[0], [
-        (horner, quartic.coeff_rows(stage_times, order)
-         .reshape(3, nsteps, -1).tolist()) for order in (0, 1)])
-    assert np.array_equal(shared[0],
-                          np.reshape(rhs(stage_times), (3, nsteps)))
-    for (evaluate, rows), (_, full_rows) in zip(shared[1], full[1]):
-        assert evaluate is horner_kernel(len(rows[0][0]))
-        assert rows[0] is rows[1] is rows[2]
-        assert all(row is rows[0][0] for row in rows[0])
-        assert list(rows) == full_rows
+    assert forcing == np.reshape(rhs(stage_times), (3, nsteps)).tolist()
+    assert len(rows) == 2
+    for order, row in enumerate(rows):
+        assert all(isinstance(c, float) for c in row)
+        assert {tuple(map(float.hex, r)) for r in
+                quartic.coeff_rows(stage_times, order).tolist()} == {
+                    tuple(map(float.hex, row))}
+    shared = (forcing, rows)
     for x in (-0.3, -0.1, 0.0, 0.2, 2.5):
         assert (_flow_scalar(quartic, None, x, 0.0, 1.0, h, store=True,
                              table=shared)
-                == _flow_scalar(quartic, None, x, 0.0, 1.0, h, store=True,
-                                table=full))
-        assert (_flow_with_variation(quartic, None, x, h, shared)
-                == _flow_with_variation(quartic, None, x, h, full))
+                == _interpreted_flow_scalar(quartic, None, x, 0.0, 1.0, h,
+                                            store=True, table=shared))
+        u, _, blew, sign, btime, lanes = _interpreted_flow_scalar(
+            quartic, None, x, 0.0, 1.0, h, table=shared, tangent_stride=1)
+        assert _flow_with_variation(quartic, None, x, h, shared) == (
+            (None, None, True, sign, btime) if blew else
+            (u, lanes[0], False, None, None))
     xs = np.array([-0.3, -0.1, 0.0, 0.2, 2.5])
     for a, b in zip(_flow_vector(quartic, None, xs, h, shared),
-                    _flow_vector(quartic, None, xs, h, full)):
+                    _allocating_flow_vector(quartic, None, xs, h, shared)):
         assert np.array_equal(a, b, equal_nan=True)
 
 
@@ -132,13 +133,13 @@ def test_order_one_rows_only_for_a_pass_with_brackets(quartic, rhs,
     rows = []
     build = odeint._stage_rows
 
-    def counted(f, stage_times, nsteps, order):
-        rows.append((nsteps, order))
-        return build(f, stage_times, nsteps, order)
+    def counted(f, stage_times, nsteps, orders):
+        rows.append((nsteps, tuple(orders)))
+        return build(f, stage_times, nsteps, orders)
     monkeypatch.setattr(odeint, "_stage_rows", counted)
     assert count_solutions(quartic, rhs, -0.35, 0.15, scan_n=51,
                            h=1e-3).count == 6
-    assert rows == [(1000, 0), (2000, 0), (1000, 1), (2000, 1)]
+    assert rows == [(1000, (0,)), (2000, (0,)), (1000, (1,)), (2000, (1,))]
     rows.clear()
     f = Nonlinearity([Term(4, FourierAnsatz(1.0, [0.2])),
                       Term(2, FourierAnsatz(-4.0, [], [0.3])),
@@ -146,7 +147,7 @@ def test_order_one_rows_only_for_a_pass_with_brackets(quartic, rhs,
     census = count_solutions(f, lambda t: 0.5 * np.cos(2 * np.pi * t), -0.4,
                              0.4, scan_n=51, h=1e-3)
     assert census.count == census.count_at_half_step == 0
-    assert rows == [(1000, 0), (2000, 0)]
+    assert rows == [(1000, (0,)), (2000, (0,))]
 
 
 def test_shifted_table_matches_shifted_forcing():
@@ -161,7 +162,7 @@ def test_shifted_table_matches_shifted_forcing():
         assert (_flow_scalar(f, lambda t: square.eval(t) + nu, x, 0.0, 1.0, h,
                              store=True)
                 == _flow_scalar(f, None, x, 0.0, 1.0, h, store=True,
-                                table=_shift_forcing(base, nu)))
+                                table=_forcing_shifts(base)(nu)))
 
 
 def test_builtin_blowups_agree_across_drivers():

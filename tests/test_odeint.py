@@ -1,19 +1,22 @@
 import functools
+import io
 import itertools
 import math
 import operator
+import re
+import tokenize
 import warnings
 
 import numpy as np
 import pytest
 
 from morinode import (Grid, Nonlinearity, PeriodicFn, contact_order,
-                      integrate, odeint, return_map)
-from morinode.core import FourierAnsatz, PreconditionError, Term
+                      count_solutions, fibre_trace, integrate, odeint,
+                      return_map)
+from morinode.core import FourierAnsatz, PreconditionError, Term, horner
 from morinode.odeint import (_flow_scalar, _flow_vector, _flow_with_variation,
-                             _rho_derivative_fd, _rk4_jet, _rk4_loop,
-                             _rk4_scalar, _rk4_source, _shift_forcing,
-                             _stage_table)
+                             _forcing_shifts, _rho_derivative_fd, _rk4_jet,
+                             _rk4_loop, _rk4_source, _stage_table)
 from tests.conftest import operator_rhs
 
 
@@ -23,17 +26,29 @@ ZERO = Nonlinearity.polynomial([])
 WILD = Nonlinearity.from_builtin("cosh2_cos")
 
 
-def _interpreted_rk4_scalar(f, v, x0, t0, t1, h, store=False, table=None,
-                            tangent_stride=0, *, xi_only=False):
+def _stage_fns(f, rows, nsteps, orders):
+    # per order of a stage table's f data, (evaluate, (r0, rh, r1)) with
+    # evaluate(r0[k], x) = d^j f/dx^j at (t_k, x): core.horner on a
+    # polynomial's coefficient rows, f.eval on a builtin's stage times
+    if f.builtin is not None:
+        return [(functools.partial(f.eval, order=j), rows) for j in orders]
+    if f.autonomous:
+        return [(horner, ([rows[j]] * nsteps,) * 3) for j in orders]
+    return [(horner, rows[j]) for j in orders]
+
+
+def _interpreted_flow_scalar(f, v, x0, t0, t1, h, store=False, table=None,
+                             tangent_stride=0):
     # the interpreted scalar loop that odeint._rk4_loop's generated code
-    # replaced, one Horner-kernel call per row per stage: the oracle of
-    # _rk4_scalar's bits, escape sign and time included
-    nsteps, h, (v0, vh, v1), stages = odeint._read_table(
-        f, v, t0, t1, h, (0, 1) if tangent_stride else (0,), table)
+    # replaced, one Horner call per row per stage: the oracle of
+    # _flow_scalar's bits, escape sign and time included
+    orders = (0, 1) if tangent_stride else (0,)
+    nsteps, h, (v0, vh, v1), rows = odeint._read_table(f, v, t0, t1, h,
+                                                       orders, table)
+    stages = _stage_fns(f, rows, nsteps, orders)
     fx, (r0, rh, r1) = stages[0]
     if tangent_stride:
         gx, (d0, dh, d1) = stages[1]
-    full = bool(tangent_stride) and not xi_only
     half, sixth = 0.5 * h, h / 6.0
     u = float(x0)
     comp = 0.0
@@ -50,7 +65,7 @@ def _interpreted_rk4_scalar(f, v, x0, t0, t1, h, store=False, table=None,
             u4 = u + h * k3
             k4 = v1[k] - fx(r1[k], u4)
             if tangent_stride:
-                if full and k % tangent_stride == 0:
+                if k % tangent_stride == 0:
                     su += u
                     sxi += xi
                     seta += eta
@@ -61,12 +76,11 @@ def _interpreted_rk4_scalar(f, v, x0, t0, t1, h, store=False, table=None,
                 a3 = -g3 * (xi + half * a2)
                 a4 = -g4 * (xi + h * a3)
                 xi += sixth * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
-                if full:
-                    b1 = 1.0 - g1 * eta
-                    b2 = 1.0 - g2 * (eta + half * b1)
-                    b3 = 1.0 - g3 * (eta + half * b2)
-                    b4 = 1.0 - g4 * (eta + h * b3)
-                    eta += sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+                b1 = 1.0 - g1 * eta
+                b2 = 1.0 - g2 * (eta + half * b1)
+                b3 = 1.0 - g3 * (eta + half * b2)
+                b4 = 1.0 - g4 * (eta + h * b3)
+                eta += sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
             y = sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4) - comp
             s = u + y
             comp = (s - u) - y
@@ -78,9 +92,7 @@ def _interpreted_rk4_scalar(f, v, x0, t0, t1, h, store=False, table=None,
                 return u, samples, True, -1 if w < 0 else 1, t0 + (k + 1) * h, None
             if store:
                 samples.append(u)
-    lanes = None
-    if tangent_stride:
-        lanes = (xi, eta, su, sxi, seta) if full else (xi,)
+    lanes = (xi, eta, su, sxi, seta) if tangent_stride else None
     return u, samples, False, None, None, lanes
 
 
@@ -118,9 +130,9 @@ def _comprehension_run(start, h, nsteps, forcing, rows, evals):
 
 def _comprehension_jet(f, v, x0, h, K):
     # _rk4_jet's K-jet from x0 through the comprehension oracle
-    nsteps, h, forcing, stages = odeint._read_table(f, v, 0.0, 1.0, h,
-                                                    range(K + 1), None)
-    evals, rows = zip(*stages)
+    nsteps, h, forcing, rows = odeint._read_table(f, v, 0.0, 1.0, h,
+                                                  range(K + 1), None)
+    evals, rows = zip(*_stage_fns(f, rows, nsteps, range(K + 1)))
     return _comprehension_run([float(x0), 1.0] + [0.0] * (K - 1), h, nsteps,
                               forcing, rows, evals)
 
@@ -157,8 +169,9 @@ def _allocating_flow_vector(f, v, x0, h, table=None):
     # the batched RK4 step that made fresh arrays at every stage, before
     # _flow_vector's lane buffers and generated loop: the oracle of its bits
     u = np.array(x0, dtype=float)
-    nsteps, h, (v0, vh, v1), [(fx, (r0, rh, r1)), *_] = odeint._read_table(
-        f, v, 0.0, 1.0, h, (0,), table)
+    nsteps, h, (v0, vh, v1), rows = odeint._read_table(f, v, 0.0, 1.0, h,
+                                                       (0,), table)
+    [(fx, (r0, rh, r1))] = _stage_fns(f, rows, nsteps, (0,))
     comp = np.zeros_like(u)
     alive = np.ones(u.shape, dtype=bool)
     with np.errstate(all="ignore"):
@@ -206,10 +219,9 @@ SIGNED_JETS = [0.0, -0.0, 0.7, -1.3, 1e200, -np.inf, np.nan]
 
 
 def _row_table(rows, forcing, nsteps):
-    # a stage table of constant forcing whose order-j rows are rows[j]
-    return (np.full((3, nsteps), forcing),
-            [(odeint.horner_kernel(len(r)), ([r] * nsteps,) * 3)
-             for r in rows])
+    # an autonomous stage table of constant forcing whose order-j row is
+    # rows[j]
+    return np.full((3, nsteps), forcing).tolist(), list(rows)
 
 
 def _mixed_rows(rng, K):
@@ -561,7 +573,7 @@ class TestTangentLanes:
 
     def flow(self, table, c, nu, lanes=True):
         return _flow_scalar(self.F, None, c, 0.0, 1.0, self.H, store=True,
-                            table=_shift_forcing(table, nu),
+                            table=_forcing_shifts(table)(nu),
                             tangent_stride=self.STRIDE if lanes else 0)
 
     @pytest.fixture(scope="class")
@@ -636,8 +648,9 @@ class TestTangentLanes:
             "builtin-escape", "one-step-overflow"])
     def test_xi_only_lane_is_the_full_lanes_xi(self, f, v, x0, h):
         # _flow_with_variation's whole tuple, escape sign and time included,
-        # is what the full-lane flow at stride 1 reads
-        u, _, blew, sign, btime, lanes = odeint._rk4_scalar(
+        # is what the full-lane flow at stride 1 reads: the K = 1 loop
+        # without eta and the lane sums is the full-lane loop's xi
+        u, _, blew, sign, btime, lanes = _flow_scalar(
             f, v, x0, 0.0, 1.0, h, tangent_stride=1)
         expect = ((None, None, True, sign, btime) if blew else
                   (float(u), float(lanes[0]), False, None, None))
@@ -658,8 +671,9 @@ T_DEPENDENT = Nonlinearity([Term(1, FourierAnsatz(-1.0, [], [0.2])),
 
 
 class TestGeneratedLoops:
-    # _rk4_scalar's generated loops against the interpreted loop, float.hex
-    # of the whole result tuple, for every f shape and loop variant
+    # _flow_scalar's generated loops against the interpreted loop,
+    # float.hex of the whole result tuple, for every f shape and loop
+    # variant; the xi lane alone is the full lanes' xi (TestTangentLanes)
 
     FLOWS = [
         pytest.param(Nonlinearity.polynomial([0, -1, 0, 1]),
@@ -681,15 +695,15 @@ class TestGeneratedLoops:
         pytest.param(WILD, None, 0.1, 1e-3, id="builtin-escape"),
         pytest.param(WILD, _push, 0.0, 1e-3, id="one-step-overflow"),
     ]
-    VARIANTS = [dict(), dict(store=True), dict(tangent_stride=1, xi_only=True),
-                dict(tangent_stride=1), dict(tangent_stride=3, store=True)]
+    VARIANTS = [dict(), dict(store=True), dict(tangent_stride=1),
+                dict(tangent_stride=3, store=True)]
 
     @pytest.mark.parametrize("f, v, x0, h", FLOWS)
     def test_scalar_loop_is_the_interpreted_loop_bitwise(self, f, v, x0, h):
         for window in ((0.0, 1.0), (0.25, 1.25)):
             for kw in self.VARIANTS:
-                got = _rk4_scalar(f, v, x0, *window, h, **kw)
-                expect = _interpreted_rk4_scalar(f, v, x0, *window, h, **kw)
+                got = _flow_scalar(f, v, x0, *window, h, **kw)
+                expect = _interpreted_flow_scalar(f, v, x0, *window, h, **kw)
                 assert _deep_bits(got) == _deep_bits(expect), (window, kw)
 
     def test_escape_cases_escape(self):
@@ -698,19 +712,19 @@ class TestGeneratedLoops:
                             (Nonlinearity([Term(2, FourierAnsatz(1.0, [0.3]))]),
                              None, -3.0, 1e-3),
                             (WILD, None, 0.1, 1e-3), (WILD, _push, 0.0, 1e-3)]:
-            assert _rk4_scalar(f, v, x0, 0.0, 1.0, h, tangent_stride=1)[2]
+            assert _flow_scalar(f, v, x0, 0.0, 1.0, h, tangent_stride=1)[2]
 
     def test_nan_escape_takes_the_last_sign(self):
         # a nan forcing shift (the fibre's nu) makes every stage state nan,
         # so none is past U_MAX and the escape takes the sign of the last
         # finite sample
-        table = _shift_forcing(_stage_table(SQUARE, None, 1e-2, (0, 1)),
-                               np.nan)
+        table = _forcing_shifts(_stage_table(SQUARE, None, 1e-2,
+                                             (0, 1)))(np.nan)
         for kw in self.VARIANTS:
-            got = _rk4_scalar(SQUARE, None, -0.5, 0.0, 1.0, 1e-2, table=table,
-                              **kw)
-            expect = _interpreted_rk4_scalar(SQUARE, None, -0.5, 0.0, 1.0,
-                                             1e-2, table=table, **kw)
+            got = _flow_scalar(SQUARE, None, -0.5, 0.0, 1.0, 1e-2, table=table,
+                               **kw)
+            expect = _interpreted_flow_scalar(SQUARE, None, -0.5, 0.0, 1.0,
+                                              1e-2, table=table, **kw)
             assert _deep_bits(got) == _deep_bits(expect)
             assert got[2:5] == (True, -1, 1e-2)
 
@@ -799,7 +813,7 @@ class TestJetFlow:
         (WILD, lambda t: WILD.eval(t, 0.2), 0.25, 1e-2),
     ], ids=["cubic", "t-dependent", "builtin"])
     def test_value_and_slope_match_the_tangent_lane(self, f, v, x0, h):
-        # u_0 and u_1 are _rk4_scalar's u and xi arithmetic, bit for bit
+        # u_0 and u_1 are _flow_with_variation's u and xi, bit for bit
         jet = _rk4_jet(f, v, x0, h, 4)
         u_end, der, blew, _, _ = _flow_with_variation(f, v, x0, h)
         assert not blew and (jet[0], jet[1]) == (u_end, der)
@@ -842,10 +856,10 @@ class TestJetFlow:
         # nan, with random order-j rows, takes the comprehension's path
         # too: every such jet up to K = 3, sampled above
         rng = np.random.default_rng(K)
-        evals = [odeint.horner_kernel(4)] * (K + 1)
         nsteps, h = 2, 0.25
-        rows = [([row] * nsteps,) * 3
-                for row in rng.standard_normal((K + 1, 4)).tolist()]
+        rows = rng.standard_normal((K + 1, 4)).tolist()
+        evals, stage_rows = [horner] * (K + 1), [([row] * nsteps,) * 3
+                                                 for row in rows]
         forcing = ([0.5] * nsteps,) * 3
         run = _rk4_loop("autonomous", (4,) * (K + 1), K, False, False,
                         ("",) * (K + 1))
@@ -854,9 +868,9 @@ class TestJetFlow:
                 rng.choice(values, (3000, K + 1)).tolist())
         for w in jets:
             u, _, blew, _, _, tail = run(tuple(w), 0.0, h, nsteps, 0,
-                                         *forcing, rows, evals)
-            expect = _comprehension_run(list(w), h, nsteps, forcing, rows,
-                                        evals)
+                                         *forcing, rows, ())
+            expect = _comprehension_run(list(w), h, nsteps, forcing,
+                                        stage_rows, evals)
             assert _bits(None if blew else [u, *tail]) == _bits(expect)
 
     @pytest.mark.parametrize("K", range(1, 4))
@@ -878,8 +892,9 @@ class TestJetFlow:
                                 False, careless)
             for forcing in (0.5, 0.0, -0.0):
                 table = _row_table(rows, forcing, nsteps)
-                evals, stage_rows = zip(*table[1])
-                lists = table[0].tolist()
+                lists = table[0]
+                evals, stage_rows = zip(*_stage_fns(IDENTITY, rows, nsteps,
+                                                    range(K + 1)))
                 for w in itertools.product(SIGNED_JETS, repeat=K + 1):
                     u, _, blew, _, _, tail = odeint._rk4(
                         IDENTITY, None, w, 0.0, 1.0, 1.0 / nsteps, table)
@@ -889,8 +904,7 @@ class TestJetFlow:
                     assert _bits(None if blew else [u, *tail]) == expect, (
                         rows, forcing, w)
                     u, _, blew, _, _, tail = unruled(
-                        w, 0.0, 1.0 / nsteps, nsteps, 0, *lists, stage_rows,
-                        evals)
+                        w, 0.0, 1.0 / nsteps, nsteps, 0, *lists, rows, ())
                     changed += _bits(None if blew else [u, *tail]) != expect
                     compared += 1
         assert compared == 4 * 3 * 7 ** (K + 1)
@@ -953,3 +967,124 @@ class TestContactOrder:
             raise AssertionError("contact_order started a flow")
         with pytest.raises(PreconditionError, match="order 6"):
             contact_order(WILD, forcing, 0.0, kmax=5)
+
+
+class TestStageTables:
+    # the stage table is data that only odeint reads, and one key function
+    # picks the generated loops of both drivers
+
+    @staticmethod
+    def _keys(monkeypatch):
+        # the key of every scalar and many-lane loop a flow asks for
+        keys = {"_rk4_loop": [], "_vector_loop": []}
+        for name, seen in keys.items():
+            def spy(*key, real=getattr(odeint, name), seen=seen):
+                seen.append(key)
+                return real(*key)
+            monkeypatch.setattr(odeint, name, spy)
+        return keys
+
+    @pytest.mark.parametrize("f", [Nonlinearity.quartic(4.0, -0.3),
+                                   T_DEPENDENT, WILD],
+                             ids=["autonomous", "t-dependent", "builtin"])
+    def test_table_holds_only_data(self, f):
+        nsteps = 8
+        forcing, rows = _stage_table(f, lambda t: np.cos(t), 1.0 / nsteps,
+                                     (0, 1, 2))
+
+        def entries(x):
+            yield x
+            if isinstance(x, (list, tuple)):
+                for y in x:
+                    yield from entries(y)
+        assert not any(callable(x) for x in entries((forcing, rows)))
+        assert [len(lists) for lists in forcing] == [nsteps] * 3
+        if f.autonomous:  # one coefficient row per order
+            assert rows == [f.poly_coeffs(j).tolist() for j in range(3)]
+        elif f.builtin is not None:  # the stage times, once for every order
+            assert np.array_equal(rows, np.reshape(
+                odeint._stage_times(0.0, nsteps, 1.0 / nsteps), (3, nsteps)))
+        else:  # per order, the rows at each stage time of every step
+            assert [[len(r) for r in order] for order in rows] == [
+                [nsteps] * 3] * 3
+
+    @pytest.mark.parametrize("f, table", [
+        (Nonlinearity.quartic(4.0, -0.3), None),
+        (IDENTITY, _row_table([[-0.0, 1.0, 0.0, 1.0]], 0.5, 100)),
+        (T_DEPENDENT, None), (WILD, None),
+    ], ids=["autonomous", "minus-zero-constant", "t-dependent", "builtin"])
+    def test_scalar_and_many_lane_loops_share_a_key(self, f, table,
+                                                    monkeypatch):
+        keys = self._keys(monkeypatch)
+        _flow_scalar(f, None, 0.1, 0.0, 1.0, 1e-2, table=table)
+        _flow_vector(f, None, np.array([0.1, -0.1]), 1e-2, table)
+        [(kind, widths, _, _, _, patterns)] = keys["_rk4_loop"]
+        [(vkind, width, _, pattern)] = keys["_vector_loop"]
+        assert (kind, widths[0], patterns[0]) == (vkind, width, pattern)
+        if table is not None:  # a -0.0 constant leaves the row unspecialised
+            assert (kind, width, pattern) == ("autonomous", 4, "")
+
+    def test_builtin_loops_read_each_stage_time_once(self):
+        # the scalar loop takes the three stage times from the zip of its
+        # step, and the many-lane loop reads each group's once per step,
+        # as it reads the h/2 forcing
+        for K, lanes, store in itertools.product(range(3), (False, True),
+                                                 (False, True)):
+            source = _rk4_source("builtin", (0,) * (K + 1), K, lanes, store,
+                                 ("",) * (K + 1))
+            loop = source[source.index("    for k, "):]
+            assert loop.startswith("    for k, va, vb, vc, ta, tb, tc in "
+                                   "zip(range(nsteps), v0, vh, v1, *rows):")
+            assert "[k]" not in loop
+        for ngroups in (1, 2, 3):
+            source = odeint._vector_source("builtin", 0, ngroups, "")
+            for body in source.split("    for k in range(")[1:]:
+                times = re.findall(r"R\d+[abc]\[k\]", body)
+                assert times and len(times) == len(set(times)), times
+
+    def test_generated_code_holds_no_float_data(self, monkeypatch, quartic,
+                                                six_root_ansatz):
+        # every loop that a small census, a fibre trace and contact_order
+        # compile holds no float literal but the RK4 weights, 0.0, 1.0 and
+        # the 1.0 of the 1/j! factors: the data arrive as arguments
+        keys = self._keys(monkeypatch)
+        v = operator_rhs(quartic, six_root_ansatz)
+        count_solutions(quartic, v, -0.35, 0.15, scan_n=21, h=1e-2)
+        fibre_trace(Nonlinearity.polynomial([0, -1, 0, 1]),
+                    PeriodicFn.from_callable(lambda t: 0.4 * np.cos(
+                        2 * np.pi * t), Grid(64)), -0.5, 0.5, 2)
+        contact_order(SQUARE, None, 0.0, kmax=3, h=1e-2)
+        contact_order(WILD, lambda t: WILD.eval(t, 0.0), 0.0, kmax=2, h=1e-2)
+        assert len(keys["_vector_loop"]) >= 1 and len(keys["_rk4_loop"]) >= 4
+        sources = ([_rk4_source(*key) for key in set(keys["_rk4_loop"])]
+                   + [odeint._vector_source(*key)
+                      for key in set(keys["_vector_loop"])])
+        for source in sources:
+            floats = {tok.string for tok in tokenize.generate_tokens(
+                io.StringIO(source).readline)
+                if tok.type == tokenize.NUMBER and not tok.string.isdigit()}
+            assert floats <= {"0.0", "0.5", "1.0", "2.0", "6.0"}, floats
+
+    # the scalar loop nests one parenthesis per coefficient, which CPython
+    # parses up to 200 deep: past the cap both drivers raise the library's
+    # error before any code is compiled
+    @staticmethod
+    def _polynomial(degree):
+        return Nonlinearity.polynomial([0.0, 1.0] + [0.01] * (degree - 1))
+
+    def test_degree_at_the_cap_runs(self):
+        f = self._polynomial(odeint.MAX_LOOP_DEGREE)
+        assert odeint.MAX_LOOP_DEGREE == 199
+        assert integrate(f, None, 0.3, h=0.05).final() < 0.3
+        census = count_solutions(f, None, -0.5, 0.5, scan_n=5, h=0.05,
+                                 check_half_step=False)
+        assert [r.x for r in census.roots] == [0.0]
+
+    def test_degree_past_the_cap_raises(self):
+        f = self._polynomial(200)
+        for run in (lambda: integrate(f, None, 0.3, h=0.05),
+                    lambda: count_solutions(f, None, -0.5, 0.5, scan_n=5,
+                                            h=0.05)):
+            with pytest.raises(PreconditionError,
+                               match="degree 200.*MAX_LOOP_DEGREE = 199"):
+                run()
