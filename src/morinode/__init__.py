@@ -8,8 +8,7 @@ solutions through the return map.
 """
 
 from .core import (FourierAnsatz, Grid, MorinodeError, Nonlinearity,
-                   PeriodicFn, PreconditionError, Term, cumulative,
-                   green_kernel, mean)
+                   PeriodicFn, PreconditionError, Term, cumulative, mean)
 from .odeint import (ContactReport, ReturnValue, Trajectory, contact_order,
                      integrate, return_map)
 from .fibre import (Average, FibrePoint, InitialValue, WField, fibre_trace,

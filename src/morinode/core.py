@@ -191,19 +191,6 @@ def cumulative(u: PeriodicFn) -> Cumulative:
     return Cumulative(u)
 
 
-def green_kernel(x: np.ndarray | float) -> np.ndarray | float:
-    """Sawtooth kernel x - floor(x) - 1/2, with value 0 at the jump points.
-
-    The midpoint convention at integers matches the Fourier-series limit and
-    makes the periodic-trapezoid identity ``int k(s-t) ds = 0`` exact on the
-    sampling grid.
-    """
-    x = np.asarray(x, dtype=float)
-    frac = x - np.floor(x)
-    out = np.where(frac == 0.0, 0.0, frac - 0.5)
-    return out if out.shape else float(out)
-
-
 # ---------------------------------------------------------------------------
 # the trigonometric series
 # ---------------------------------------------------------------------------
@@ -449,14 +436,6 @@ class Nonlinearity:
 # ---------------------------------------------------------------------------
 # JSON interchange
 # ---------------------------------------------------------------------------
-
-
-def nonlinearity_to_json(f: Nonlinearity) -> dict:
-    doc: dict = {"terms": [{"power": t.power, **ansatz_to_json(t.coeff)}
-                           for t in f.terms]}
-    if f.builtin is not None:
-        doc["builtin"] = f.builtin
-    return doc
 
 
 def _series_from_json(doc: dict) -> FourierAnsatz:

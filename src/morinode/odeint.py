@@ -1,21 +1,21 @@
 """Initial-value integration of u' = -f(t,u) + v(t) and the return map.
 
 The integrator is classical fixed-step RK4 with Kahan-compensated state
-updates. A flow reads a stage table (``_rhs_tables``), plain-float lists
-that only this module reads: the forcing at each step's three stage
-times, and per x-derivative order one coefficient row of an autonomous
-polynomial or the rows at every stage time of a t-dependent one; a
-builtin's table holds the stage times once. ``_loop_key`` turns f and
+updates. A flow reads a stage table (``_rhs_tables``, ``_table``),
+plain-float lists that only this module reads: the forcing at each
+step's three stage times, and per x-derivative order one coefficient row
+of an autonomous polynomial or the rows at every stage time of a
+t-dependent one; a builtin's table holds the stage times once. The table
+also records whether its forcing holds a -0.0. ``_loop_key`` turns f and
 its table into the key of both generated loops: f's shape, its row
-widths and each autonomous row's pattern (``_pattern``: "0" for +0.0,
-"1" for 1.0, "x" for any other value; no value itself).
+widths and each autonomous row's pattern (``_pattern``: "0" for a +0.0
+that is not added, "1" for 1.0, "x" for any other value; no value
+itself).
 
 Every scalar flow is one straight-line loop (``_rk4_loop``), compiled
 with ``exec`` once per key, jet order K, fibre lanes and stored samples.
-It inlines Horner's rule without the multiplication by a leading 1.0 and
-the addition of an interior +0.0 (``_horner_steps``), so every float is
-full Horner's. It carries the K-jet of the flow in its start value by
-Taylor-mode propagation of the discrete RK4 map: K = 0 is the plain flow
+It carries the K-jet of the flow in its start value by Taylor-mode
+propagation of the discrete RK4 map: K = 0 is the plain flow
 (``integrate``, ``return_map``), K = 1 adds the exact derivative xi =
 du/du(0) that the census reads (``_flow_with_variation``), the fibre
 lanes add eta = du/dnu and strided sums, and ``contact_order`` reads rho
@@ -25,14 +25,30 @@ relative to the leading one. The many-lane loop ``_flow_vector`` is one
 generated loop too (``_vector_loop``): positional ufunc calls into seven
 lane buffers, shared by lane groups of their own steps and tables (the
 census's h and h/2 scans) in every call but the forcing subtract and a
-t-dependent or builtin f's evaluation. Both loops declare blow-up by one
-test that nan fails too, not -``U_MAX`` <= u <= ``U_MAX`` (scalar) or
-not max |u| <= ``U_MAX`` (vector, which a dead lane, parked at 0,
-passes); the scalar loop records the sign of the first stage state of
-that step past ``U_MAX`` (of the last finite sample when none is) and
-the crossing time. ``_rho_derivative_fd`` and ``_fd_once`` remain as the
-tests' finite-difference cross-check, and because the benchmark's tracer
-(``bench/spans.py``) binds both by name.
+t-dependent or builtin f's evaluation.
+
+Both loops inline Horner's rule and compute the textbook RK4 stages,
+with four rewrites that change no float:
+- Horner's rule skips the multiplication by a leading 1.0 and the
+  addition of an interior +0.0; in the order-0 row it skips the addition
+  of a +0.0 constant term too, unless a table the loop reads holds a
+  -0.0 in its forcing (``_horner_steps``).
+- The many-lane loop runs its escape reduction only in a step whose
+  dot(u, u) passes (U_MAX/2)^2, which every step with a lane past
+  ``U_MAX``, nan or inf fails.
+- Its forcing subtracts take 0-d buffers that each step fills with the
+  group's three stage-forcing values, not Python floats.
+- A jet of order K >= 1 keeps the slopes of orders 1..K negated and
+  subtracts them, with one negation left in each step's combination
+  (``_rk4_loop``).
+
+Both loops declare blow-up by one test that nan fails too, not -``U_MAX``
+<= u <= ``U_MAX`` (scalar) or not max |u| <= ``U_MAX`` (vector, which a
+dead lane, parked at 0, passes); the scalar loop records the sign of the
+first stage state of that step past ``U_MAX`` (of the last finite sample
+when none is) and the crossing time. ``_rho_derivative_fd`` and
+``_fd_once`` remain as the tests' finite-difference cross-check, and
+because the benchmark's tracer (``bench/spans.py``) binds both by name.
 """
 
 from __future__ import annotations
@@ -53,9 +69,9 @@ U_MAX = 1e6
 FIXED_POINT_TOL = 1e-9
 
 # relative size below which contact_order counts a return-map derivative as
-# zero: on the located fold, cusp and butterfly the jets put the vanishing
-# ones at most 7.2e-12 of the scale they are tested against and the leading
-# one at full scale, so 1e-6 leaves over five decades on either side
+# zero; test_butterfly_margins_clear_the_contact_tolerance (tests/
+# test_odeint.py) pins every verdict on the located butterfly more than
+# four decades from it on either side
 CONTACT_ZERO_TOL = 1e-6
 
 # half-widths for the FD cross-check's stencils, by derivative order;
@@ -96,12 +112,10 @@ def _rhs_tables(f: Nonlinearity, v, t0: float, nsteps: int, h: float,
     """Stage table of (f, v): the forcing and f's data at the RK4 stages.
 
     The stage times of step k are t_k, t_k + h/2 and t_k + h. Returns
-    ``(forcing, rows)`` as plain-float lists, which only this module's
-    flows read: ``forcing`` holds the three lists of the forcing at those
-    times, and ``rows`` f's data (``_stage_rows``). A forcing value that
-    is not finite raises ``PreconditionError``, since a flow would read it
-    as an escape. Flows at the same (f, v, h) can share one through their
-    ``table``.
+    the ``_table`` of the forcing at those times and of f's data
+    (``_stage_rows``). A forcing value that is not finite raises
+    ``PreconditionError``, since a flow would read it as an escape. Flows
+    at the same (f, v, h) can share one through their ``table``.
     """
     stage_times = _stage_times(t0, nsteps, h)
     if v is None:
@@ -111,8 +125,22 @@ def _rhs_tables(f: Nonlinearity, v, t0: float, nsteps: int, h: float,
         if not np.isfinite(vvals).all():
             raise PreconditionError("the forcing must be finite at the "
                                     "stage times")
-    return (vvals.reshape(3, nsteps).tolist(),
-            _stage_rows(f, stage_times, nsteps, orders))
+    return _table(vvals.reshape(3, nsteps),
+                  _stage_rows(f, stage_times, nsteps, orders))
+
+
+def _table(forcing: np.ndarray, rows):
+    """The stage table ``(forcing, rows, minus_zero)`` that flows read.
+
+    ``forcing`` is the (3, nsteps) array of the forcing at each step's
+    stage times, stored as its three plain-float lists, and ``rows`` f's
+    data. ``minus_zero`` records, once per table, whether the forcing
+    holds a -0.0: only then may v - (p + 0.0) differ from v - p, so only
+    then must a loop add an order-0 row's +0.0 constant term
+    (``_pattern``). Only this module reads a table.
+    """
+    return (forcing.tolist(), rows,
+            bool(np.any((forcing == 0.0) & np.signbit(forcing))))
 
 
 def _stage_times(t0: float, nsteps: int, h: float) -> np.ndarray:
@@ -165,31 +193,31 @@ def _add_orders(f: Nonlinearity, table, h: float, orders):
     if f.builtin is not None:
         return table
     nsteps, h = _step_count(0.0, 1.0, h)
-    forcing, rows = table
+    forcing, rows, minus_zero = table
     return forcing, rows + _stage_rows(f, _stage_times(0.0, nsteps, h),
-                                       nsteps, orders)
+                                       nsteps, orders), minus_zero
 
 
 def _read_table(f: Nonlinearity, v, t0, t1, h, orders, table):
-    """(nsteps, h, forcing, rows) of ``table``, built if None."""
+    """(nsteps, h, forcing, rows, minus_zero) of ``table``, built if None."""
     nsteps, h = _step_count(t0, t1, h)
     if table is None:
         table = _rhs_tables(f, v, t0, nsteps, h, orders)
-    forcing, rows = table
+    forcing, rows, minus_zero = table
     if len(forcing[0]) != nsteps:
         raise PreconditionError("stage table was built for another step")
-    return nsteps, h, forcing, rows
+    return nsteps, h, forcing, rows, minus_zero
 
 
 def _forcing_shifts(table):
     """nu -> ``table`` with the constant nu added to its forcing.
 
-    The forcing is copied to one array here, and each shift converts
-    (array + nu) back to lists, so a fibre solve's flows at many nu share
+    The forcing is copied to one array here, and each shift makes the
+    ``_table`` of (array + nu), so a fibre solve's flows at many nu share
     the table's f data and one array.
     """
     base, rows = np.array(table[0]), table[1]
-    return lambda nu: ((base + nu).tolist(), rows)
+    return lambda nu: _table(base + nu, rows)
 
 
 def _escape_sign(states, last) -> int:
@@ -198,18 +226,24 @@ def _escape_sign(states, last) -> int:
     return -1 if w < 0 else 1
 
 
-def _pattern(row) -> str:
+def _pattern(row, bare: bool) -> str:
     """The coefficient pattern of an autonomous row, one character each.
 
-    "0" marks +0.0, "1" marks 1.0 and "x" any other coefficient; "" leaves
-    the row unspecialised, which a row whose constant term is -0.0 needs.
-    No value enters the pattern, so generated code still holds no data.
+    "0" marks +0.0, which Horner's rule does not add, "1" marks 1.0 and
+    "x" any other coefficient. A +0.0 constant term is "0" only in a
+    ``bare`` row, the order-0 row under a forcing with no -0.0
+    (``_loop_key``), and "x" otherwise. "" leaves the row unspecialised,
+    which a row whose constant term is -0.0 needs. No value enters the
+    pattern, so generated code still holds no data.
     """
     if row[0] == 0.0 and math.copysign(1.0, row[0]) < 0:
         return ""
-    return "".join("1" if c == 1.0 else
-                   "0" if c == 0.0 and math.copysign(1.0, c) > 0 else "x"
-                   for c in row)
+    marks = ["1" if c == 1.0 else
+             "0" if c == 0.0 and math.copysign(1.0, c) > 0 else "x"
+             for c in row]
+    if not bare and marks[0] == "0":
+        marks[0] = "x"
+    return "".join(marks)
 
 
 # the scalar loop's Horner expression nests a parenthesis per coefficient,
@@ -217,14 +251,16 @@ def _pattern(row) -> str:
 MAX_LOOP_DEGREE = 199
 
 
-def _loop_key(f: Nonlinearity, rows, K: int):
+def _loop_key(f: Nonlinearity, rows, K: int, minus_zero: bool):
     """(kind, widths, patterns, evals) of f for both generated loops.
 
     ``kind`` is f's shape, "autonomous", "t-dependent" or "builtin".
     Per order 0..K of the table's f data ``rows``: the row width and an
     autonomous row's ``_pattern``, "" otherwise; a builtin has width 0 and
-    ``evals``, its ``f.eval`` of each order. A degree above
-    ``MAX_LOOP_DEGREE`` raises ``PreconditionError``.
+    ``evals``, its ``f.eval`` of each order. The order-0 row is bare
+    unless ``minus_zero``, the ``_table`` guard of every table the loop
+    reads. A degree above ``MAX_LOOP_DEGREE`` raises
+    ``PreconditionError``.
     """
     if f.builtin is not None:
         return ("builtin", (0,) * (K + 1), ("",) * (K + 1),
@@ -236,7 +272,8 @@ def _loop_key(f: Nonlinearity, rows, K: int):
             f"take degree at most MAX_LOOP_DEGREE = {MAX_LOOP_DEGREE}")
     return ("autonomous" if f.autonomous else "t-dependent",
             tuple(map(len, firsts)),
-            tuple(_pattern(r) if f.autonomous else "" for r in firsts), ())
+            tuple(_pattern(r, not (j or minus_zero)) if f.autonomous else ""
+                  for j, r in enumerate(firsts)), ())
 
 
 def _horner_steps(pattern: str, width: int):
@@ -244,15 +281,18 @@ def _horner_steps(pattern: str, width: int):
 
     Full Horner is ``acc = c[w-1]``, then ``acc = acc * x + c[m]`` for m
     from w-2 down. The pattern drops the multiplication by a leading 1.0,
-    which gives ``acc = x`` bit for bit, and the addition of an interior
-    +0.0, which can only leave a -0.0 where full Horner has +0.0. The two
-    then stay equal up to the sign of a zero, and the constant term's
-    addition, always made and never of -0.0 (``_pattern``), makes that
-    sign the one of full Horner. Returns whether the leading coefficient
-    is skipped and, per m, whether c[m] is added.
+    which gives ``acc = x`` bit for bit, and the addition of each +0.0 it
+    marks "0", which can only leave a -0.0 where full Horner has +0.0.
+    The two then stay equal up to the sign of a zero. An added constant
+    term, never -0.0 (``_pattern``), makes that sign the one of full
+    Horner. A bare row's +0.0 constant is not added: its value then
+    reaches the loops only as the subtrahend of v - p, which no forcing v
+    but -0.0 tells from v - (p + 0.0), and ``_loop_key`` keeps such rows
+    from tables whose forcing holds a -0.0. Returns whether the leading
+    coefficient is skipped and, per m, whether c[m] is added.
     """
     lead = width > 1 and pattern[-1:] == "1"
-    return lead, [(m, not m or pattern[m:m + 1] != "0")
+    return lead, [(m, pattern[m:m + 1] != "0")
                   for m in range(width - 2, -1, -1)]
 
 
@@ -284,7 +324,8 @@ def _horner_array_source(names, x: str, out: str,
     order, so every lane is its float bit for bit, less what
     ``_horner_steps`` drops for the row's ``pattern``, and no array is
     allocated. out must not be x. Returns (lines, the name of the value):
-    out, or c[0] for width 1, which needs no line.
+    out, or, needing no line, c[0] for width 1 and x for the bare row of
+    f = x.
     """
     lead, steps = _horner_steps(pattern, len(names))
     if not steps:
@@ -308,9 +349,9 @@ def _rk4_source(kind: str, widths: tuple, K: int, lanes: bool,
 
     Names and integer indices only: the coefficients, the forcing and the
     step arrive as arguments. The jet state is u0..uK, a stage's state
-    w{s}_0..w{s}_K (stage 1 reads u), its slopes k{s}_0..k{s}_K; va, vb
-    and vc are the step's forcing at its three stage times, and ta, tb
-    and tc a builtin's stage times.
+    w{s}_0..w{s}_K (stage 1 reads u), its slopes k{s}_0..k{s}_K, negated
+    from k{s}_1 on (``_rk4_loop``); va, vb and vc are the step's forcing
+    at its three stage times, and ta, tb and tc a builtin's stage times.
     """
     orders, tail = range(K + 1), range(1, K + 1)
 
@@ -353,14 +394,14 @@ def _rk4_source(kind: str, widths: tuple, K: int, lanes: bool,
         x = [f"u{n}" if s == 1 else f"w{s}_{n}" for n in orders]
         into = "h" if s == 4 else "half"
         if s > 1:
-            body += [f"w{s}_{n} = u{n} + {into} * k{s - 1}_{n}"
-                     for n in orders]
+            body += [f"w{s}_{n} = u{n} {'-' if n else '+'} {into} * "
+                     f"k{s - 1}_{n}" for n in orders]
         body.append(f"k{s}_0 = v{tau} - ({value(0, tau, x[0])})")
         if K:
             body.append(f"f1 = {value(1, tau, x[0])}")
         # k_n = -a_n, the e^n coefficient of f(w) - f(w_0) = sum_j
         # f^(j)(w_0)/j! d^j: a_n = f1 w_n + sum_j g_j p_j_n, with the
-        # powers p_j_n of d summed left to right from zero
+        # powers p_j_n of d summed left to right from zero; k{s}_n holds a_n
         for j in range(2, K + 1):
             body.append(f"g{j} = ({value(j, tau, x[0])}) * "
                         f"(1.0 / {math.factorial(j)})")
@@ -371,7 +412,7 @@ def _rk4_source(kind: str, widths: tuple, K: int, lanes: bool,
                 body.append(f"p{j}_{n} = 0.0{terms}")
         for n in tail:
             terms = "".join(f" + g{j} * p{j}_{n}" for j in range(2, n + 1))
-            body.append(f"k{s}_{n} = -(f1 * {x[n]}{terms})")
+            body.append(f"k{s}_{n} = f1 * {x[n]}{terms}")
         if lanes:
             body.append("b1 = 1.0 - f1 * eta" if s == 1 else
                         f"b{s} = 1.0 - f1 * (eta + {into} * b{s - 1})")
@@ -383,7 +424,7 @@ def _rk4_source(kind: str, widths: tuple, K: int, lanes: bool,
              " u0), t0 + (k + 1) * h, None)",
              "comp = (s - u0) - y",
              "u0 = s"]
-    body += [f"u{n} += sixth * (k1_{n} + 2.0 * k2_{n} + 2.0 * k3_{n} + k4_{n})"
+    body += [f"u{n} += sixth * (-k1_{n} - 2.0 * k2_{n} - 2.0 * k3_{n} - k4_{n})"
              for n in tail]
     if lanes:
         body.append("eta += sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)")
@@ -409,7 +450,13 @@ def _rk4_loop(kind: str, widths: tuple, K: int, lanes: bool, store: bool,
     loop carries the K-jet u0..uK of the flow in its start value
     (``_rk4_jet``'s Taylor mode, the Cauchy products unrolled), so K = 1
     is the xi lane; ``lanes`` adds eta = du/dnu and the sums of u, xi and
-    eta over every stride-th step, and ``store`` the samples of u0.
+    eta over every stride-th step, and ``store`` the samples of u0. For
+    n >= 1 a stage keeps its slope k_n negated, as a_n = -k_n, so the
+    next stage state is u_n - (h/2) a_n (u_n - h a_n for the last), and
+    the step adds (h/6) (-a1 - 2 a2 - 2 a3 - a4): IEEE arithmetic makes
+    x + (-y) and x - y one float, so every float is unchanged. The first
+    negation stays, since -(a1 + 2 a2 + 2 a3 + a4) makes -0.0 where the
+    sum of the negated slopes makes +0.0.
 
     ``run(start, t0, h, nsteps, stride, v0, vh, v1, rows, evals)`` starts
     from the jet ``start`` and returns (u0, samples|None, blew, sign,
@@ -432,9 +479,9 @@ def _rk4(f: Nonlinearity, v, start: tuple, t0: float, t1: float, h: float,
     (u_end, samples|None, blew, sign, blow_time, lanes|None).
     """
     K = len(start) - 1
-    nsteps, h, forcing, rows = _read_table(f, v, t0, t1, h, range(K + 1),
-                                           table)
-    kind, widths, patterns, evals = _loop_key(f, rows, K)
+    nsteps, h, forcing, rows, minus_zero = _read_table(
+        f, v, t0, t1, h, range(K + 1), table)
+    kind, widths, patterns, evals = _loop_key(f, rows, K, minus_zero)
     run = _rk4_loop(kind, widths, K, lanes, store, patterns)
     with np.errstate(over="ignore", invalid="ignore"):
         return run(start, t0, h, nsteps, stride, *forcing, rows, evals)
@@ -484,9 +531,11 @@ def _vector_source(kind: str, width: int, ngroups: int, pattern: str) -> str:
     group's and runs n{g} steps; the groups come in ascending step counts,
     so the lanes still running are a suffix. Phase p runs steps n{p-1} to
     n{p} on the groups p and after, on views of that suffix named as in
-    ``_VECTOR_SHARED``; u_{g}, k1_{g}, ... are group g's fixed views.
+    ``_VECTOR_SHARED``; u_{g}, k1_{g}, ... are group g's fixed views, and
+    va_{g}, vb_{g} and vc_{g} the 0-d buffers of its step's forcing at
+    the three stage times.
     """
-    own = ["u", "k1", "k2", "k3", "k4"] + ["w"] * (kind != "autonomous")
+    own = ["u", "k1", "k2", "k3", "k4", "w"]
 
     def body(running):
         lines = []
@@ -506,10 +555,10 @@ def _vector_source(kind: str, width: int, ngroups: int, pattern: str) -> str:
                     [f"c{m}" for m in range(width)], x, out, pattern)
                 lines += shared
             for g in running:
-                if s == 2:  # the h/2 forcing and time, read once for both
-                    lines.append(f"vb_{g} = vh_{g}[k]")
-                    if kind == "builtin":
-                        lines.append(f"tb_{g} = R{g}b[k]")
+                if s != 3:  # the h/2 forcing serves stages 2 and 3
+                    lines.append(f"v{tau}_{g}[()] = {vk}_{g}[k]")
+                if s == 2 and kind == "builtin":
+                    lines.append(f"tb_{g} = R{g}b[k]")
                 if kind == "builtin":
                     time = f"tb_{g}" if tau == "b" else f"R{g}{tau}[k]"
                     value = f"e({time}, {x}_{g})"
@@ -518,9 +567,8 @@ def _vector_source(kind: str, width: int, ngroups: int, pattern: str) -> str:
                         [f"r{g}{tau}_{m}" for m in range(width)],
                         f"{x}_{g}", f"{out}_{g}", "")
                     lines += own_lines
-                force = f"vb_{g}" if tau == "b" else f"{vk}_{g}[k]"
-                lines.append(f"subtract({force}, "
-                             f"{value}{f'_{g}' * (value == out)}, {out}_{g})")
+                lines.append(f"subtract(v{tau}_{g}, {value}"
+                             f"{f'_{g}' * (value in (x, out))}, {out}_{g})")
         # w = y = (h/6) (k1 + 2 k2 + 2 k3 + k4) - comp, then k1 = u + y
         lines += ["multiply(k2, two, w)", "add(w, k1, w)",
                   "multiply(k3, two, k3)", "add(w, k3, w)", "add(w, k4, w)",
@@ -530,12 +578,13 @@ def _vector_source(kind: str, width: int, ngroups: int, pattern: str) -> str:
         pairs = [("u", "k1")] + [(f"u_{g}", f"k1_{g}") for g in running]
         lines += [", ".join(f"{a}, {b}" for a, b in pairs) + " = "
                   + ", ".join(f"{b}, {a}" for a, b in pairs),
-                  "if not maximum.reduce(absolute(u, w), initial=0.0) "
+                  "if not dot(u, u) <= usq:",
+                  "    if not maximum.reduce(absolute(u, w), initial=0.0) "
                   "<= umax:",
-                  "    dead = ~(w <= umax)",
-                  "    alive &= ~dead",
-                  "    u[dead] = 0.0",
-                  "    comp[dead] = 0.0"]
+                  "        dead = ~(w <= umax)",
+                  "        alive &= ~dead",
+                  "        u[dead] = 0.0",
+                  "        comp[dead] = 0.0"]
         return lines
 
     src = [f"def run({_VECTOR_SHARED}, two, fdata, groups):"]
@@ -547,6 +596,8 @@ def _vector_source(kind: str, width: int, ngroups: int, pattern: str) -> str:
     for g in range(ngroups):
         src.append(f"    lo{g}, n{g}, (v0_{g}, vh_{g}, v1_{g}), "
                    f"{frows.format(g=g)} = groups[{g}]")
+        src.append(f"    va_{g}, vb_{g}, vc_{g} = empty(()), empty(()), "
+                   "empty(())")
     src.append("    groups.clear()")
     for g in range(ngroups):
         end = f"lo{g + 1}" if g + 1 < ngroups else ""
@@ -565,6 +616,16 @@ def _vector_source(kind: str, width: int, ngroups: int, pattern: str) -> str:
     return "\n".join(src + ["    return ends"]) + "\n"
 
 
+# the names a many-lane loop reads besides its arguments; a step whose
+# sum of squares is at most usq = (U_MAX/2)^2 has every |u| <= U_MAX, and
+# nan, inf and an overflowed sum fail the bound too. The method
+# ndarray.dot skips the array-function dispatch of np.dot
+_VECTOR_SCOPE = {"add": np.add, "multiply": np.multiply,
+                 "subtract": np.subtract, "absolute": np.absolute,
+                 "maximum": np.maximum, "dot": np.ndarray.dot,
+                 "empty": np.empty, "umax": U_MAX, "usq": (U_MAX / 2) ** 2}
+
+
 @cache
 def _vector_loop(kind: str, width: int, ngroups: int, pattern: str):
     """The many-lane RK4 loop as straight-line code, compiled per key.
@@ -574,8 +635,12 @@ def _vector_loop(kind: str, width: int, ngroups: int, pattern: str):
     and stage table. Every operation is a positional ``ufunc(a, b, out)`` on
     lane buffers. It is shared by all running groups, except the forcing
     subtract and, for a t-dependent polynomial or a builtin, the f
-    evaluation, which are made per group on its fixed views. Horner's rule
-    is inlined as ``_horner_array_source`` writes it for the pattern.
+    evaluation, which are made per group on its fixed views; the subtract
+    takes the group's 0-d buffer of the stage's forcing, written once per
+    step and stage time. Horner's rule is inlined as
+    ``_horner_array_source`` writes it for the pattern. A step makes the
+    escape reduction only when ``dot(u, u)`` passes ``usq``
+    (``_VECTOR_SCOPE``).
 
     ``run(u, comp, w, k1, k2, k3, k4, alive, half, step, sixth, two,
     fdata, groups)`` takes the lane buffers, the lane arrays of each
@@ -587,9 +652,7 @@ def _vector_loop(kind: str, width: int, ngroups: int, pattern: str):
     f's order-0 rows and a builtin's stage times. It returns every group's
     final view of u.
     """
-    scope = {"add": np.add, "multiply": np.multiply,
-             "subtract": np.subtract, "absolute": np.absolute,
-             "maximum": np.maximum, "umax": U_MAX}
+    scope = dict(_VECTOR_SCOPE)
     exec(_vector_source(kind, width, ngroups, pattern), scope)
     return scope["run"]
 
@@ -607,10 +670,14 @@ def _flow_vector(f: Nonlinearity, v, x0: np.ndarray, h: float, table=None,
     - comp`` in their order, some with their operands swapped, which IEEE
     arithmetic does not see, with 0-d and lane arrays holding each
     group's floats; so every lane is bit for bit that of the loop of fresh
-    arrays that the tests keep as oracle, run on its group alone. The
-    escape test is one NaN-propagating reduction, max |u| <= ``U_MAX``. A
-    step that fails it marks the escaped lanes dead and parks them at 0,
-    so later reductions pass them; they get nan at the end.
+    arrays that the tests keep as oracle, run on its group alone. Horner's
+    rule leaves out what ``_horner_steps`` allows, the +0.0 constant term
+    only when no group's table holds a -0.0 in its forcing. The escape test
+    is one NaN-propagating reduction, max |u| <= ``U_MAX``, made only in a
+    step whose dot(u, u) passes (U_MAX/2)^2, as every step with a lane past
+    ``U_MAX``, nan or inf does. A step that fails it marks the escaped
+    lanes dead and parks them at 0, so later reductions pass them; they get
+    nan at the end.
     """
     read = [(np.asarray(x, dtype=float),
              *_read_table(f, v, 0.0, 1.0, step, (0,), tab))
@@ -623,10 +690,12 @@ def _flow_vector(f: Nonlinearity, v, x0: np.ndarray, h: float, table=None,
     comp = np.zeros_like(u)
     w, k1, k2, k3, k4 = (np.empty_like(u) for _ in range(5))
     alive = np.ones(u.shape, dtype=bool)
-    kind, (width,), (pattern,), fdata = _loop_key(f, read[0][4], 0)
+    kind, (width,), (pattern,), fdata = _loop_key(
+        f, read[0][4], 0, any(r[5] for r in read))
     if kind == "autonomous":
         fdata = tuple(map(np.array, read[0][4][0]))
-    groups = [(lo[i], read[g][1], *read[g][3:]) for i, g in enumerate(order)]
+    groups = [(lo[i], read[g][1], *read[g][3:5])
+              for i, g in enumerate(order)]
     del read
     run = _vector_loop(kind, width, len(groups), pattern)
     with np.errstate(all="ignore"):

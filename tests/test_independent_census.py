@@ -84,17 +84,17 @@ def test_shared_autonomous_rows_are_bitwise_identical(quartic, rhs):
     # coefficient row at every stage time, and no callable; flows through
     # it are the interpreted loops' on that row, evaluated by core.horner
     h, nsteps = 1e-3, 1000
-    forcing, rows = _stage_table(quartic, rhs, h, (0, 1))
+    forcing, rows, minus_zero = _stage_table(quartic, rhs, h, (0, 1))
     times = h * np.arange(nsteps)
     stage_times = np.concatenate([times, times + h / 2, times + h])
     assert forcing == np.reshape(rhs(stage_times), (3, nsteps)).tolist()
-    assert len(rows) == 2
+    assert len(rows) == 2 and minus_zero is False
     for order, row in enumerate(rows):
         assert all(isinstance(c, float) for c in row)
         assert {tuple(map(float.hex, r)) for r in
                 quartic.coeff_rows(stage_times, order).tolist()} == {
                     tuple(map(float.hex, row))}
-    shared = (forcing, rows)
+    shared = (forcing, rows, minus_zero)
     for x in (-0.3, -0.1, 0.0, 0.2, 2.5):
         assert (_flow_scalar(quartic, None, x, 0.0, 1.0, h, store=True,
                              table=shared)

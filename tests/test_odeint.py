@@ -43,8 +43,8 @@ def _interpreted_flow_scalar(f, v, x0, t0, t1, h, store=False, table=None,
     # replaced, one Horner call per row per stage: the oracle of
     # _flow_scalar's bits, escape sign and time included
     orders = (0, 1) if tangent_stride else (0,)
-    nsteps, h, (v0, vh, v1), rows = odeint._read_table(f, v, t0, t1, h,
-                                                       orders, table)
+    nsteps, h, (v0, vh, v1), rows, _ = odeint._read_table(f, v, t0, t1, h,
+                                                          orders, table)
     stages = _stage_fns(f, rows, nsteps, orders)
     fx, (r0, rh, r1) = stages[0]
     if tangent_stride:
@@ -130,8 +130,8 @@ def _comprehension_run(start, h, nsteps, forcing, rows, evals):
 
 def _comprehension_jet(f, v, x0, h, K):
     # _rk4_jet's K-jet from x0 through the comprehension oracle
-    nsteps, h, forcing, rows = odeint._read_table(f, v, 0.0, 1.0, h,
-                                                  range(K + 1), None)
+    nsteps, h, forcing, rows, _ = odeint._read_table(f, v, 0.0, 1.0, h,
+                                                     range(K + 1), None)
     evals, rows = zip(*_stage_fns(f, rows, nsteps, range(K + 1)))
     return _comprehension_run([float(x0), 1.0] + [0.0] * (K - 1), h, nsteps,
                               forcing, rows, evals)
@@ -169,8 +169,8 @@ def _allocating_flow_vector(f, v, x0, h, table=None):
     # the batched RK4 step that made fresh arrays at every stage, before
     # _flow_vector's lane buffers and generated loop: the oracle of its bits
     u = np.array(x0, dtype=float)
-    nsteps, h, (v0, vh, v1), rows = odeint._read_table(f, v, 0.0, 1.0, h,
-                                                       (0,), table)
+    nsteps, h, (v0, vh, v1), rows, _ = odeint._read_table(f, v, 0.0, 1.0, h,
+                                                          (0,), table)
     [(fx, (r0, rh, r1))] = _stage_fns(f, rows, nsteps, (0,))
     comp = np.zeros_like(u)
     alive = np.ones(u.shape, dtype=bool)
@@ -221,7 +221,7 @@ SIGNED_JETS = [0.0, -0.0, 0.7, -1.3, 1e200, -np.inf, np.nan]
 def _row_table(rows, forcing, nsteps):
     # an autonomous stage table of constant forcing whose order-j row is
     # rows[j]
-    return np.full((3, nsteps), forcing).tolist(), list(rows)
+    return odeint._table(np.full((3, nsteps), forcing), list(rows))
 
 
 def _mixed_rows(rng, K):
@@ -371,6 +371,17 @@ class TestVectorStep:
         # the census quartic unforced on [-2, 2]: its outer lanes escape
         pytest.param(Nonlinearity.quartic(4.0, -0.3), None,
                      np.linspace(-2.0, 2.0, 801), 2e-4, id="quartic-scan"),
+        # lanes past 1e154, whose squares overflow the escape prefilter's
+        # sum to inf, escape at once or turn inf and nan within their
+        # first step; the rest stay in bounds
+        pytest.param(SQUARE, None, np.array([1e154, -1e154, 2e154, -3e155,
+                                             1e153, 0.5, -0.0, np.nan]),
+                     1e-3, id="past-1e154"),
+        # lanes between U_MAX/2 and U_MAX fail the prefilter at every step
+        # and pass the escape test, next to lanes past U_MAX that escape
+        pytest.param(ZERO, None, np.array([6e5, -9e5, 1e6, -1e6, 1.5e6,
+                                           0.25]),
+                     1e-2, id="under-u-max"),
     ])
     def test_in_place_step_is_the_allocating_step_bitwise(self, f, v, xs, h):
         u, alive = _flow_vector(f, v, xs, h)
@@ -412,11 +423,14 @@ class TestVectorStep:
     def test_specialised_step_is_the_allocating_step_bitwise(self, row):
         # the loop specialised on the row's zero and unit coefficients, from
         # signed zeros, overflow, inf and nan under forcing 0.5, +0.0 and
-        # -0.0, in lane groups of which some are empty
+        # -0.0, in lane groups of which some are empty; a -0.0 in either
+        # group's forcing keeps the +0.0 constant term of both
         xs = np.array(SIGNED_JETS * 2)
         none = np.array([])
-        for forcing in (0.5, 0.0, -0.0):
-            tables = {n: _row_table([row], forcing, n) for n in (3, 5)}
+        for forcing in ((0.5, 0.5), (0.0, 0.0), (-0.0, -0.0), (0.0, -0.0),
+                        (-0.0, 0.0)):
+            tables = {n: _row_table([row], v, n)
+                      for n, v in zip((3, 5), forcing)}
             for groups in ([(xs, 3), (xs[::-1], 5)], [(xs, 3), (none, 5)],
                            [(none, 3), (xs, 5)], [(none, 3), (none, 5)]):
                 (x0, n), *more = groups
@@ -430,12 +444,15 @@ class TestVectorStep:
                 assert alive.tolist() == expect_alive.tolist()
 
     def test_census_iteration_ufunc_calls(self, monkeypatch):
-        # one iteration of the census quartic's two-group loop makes 50
-        # ufunc calls, 58 unspecialised: x^4 - 4x^2 - 0.3x drops the
-        # multiplication by its leading 1.0 and the addition of its zero
-        # x^3 coefficient in each of the four stages
+        # one iteration of the census quartic's two-group loop makes 44
+        # ufunc calls and one dot, 56 and one dot unspecialised: x^4 - 4x^2
+        # - 0.3x drops the multiplication by its leading 1.0 and the
+        # additions of its zero x^3 coefficient and of its zero constant
+        # term in each of the four stages. The escape reduction runs only
+        # in a step whose sum of squares passes (U_MAX/2)^2: once for a
+        # lane from 6e5, which escapes in its first step
         quartic = Nonlinearity.quartic(4.0, -0.3)
-        pattern = odeint._pattern(quartic.poly_coeffs(0).tolist())
+        pattern = odeint._pattern(quartic.poly_coeffs(0).tolist(), True)
         assert pattern == "0xx01"
         calls = []
 
@@ -452,22 +469,27 @@ class TestVectorStep:
                 return self.ufunc.reduce(*args, **kwargs)
 
         def counted_loop(kind, width, ngroups, key_pattern):
-            scope = {name: Counted(getattr(np, name)) for name in
-                     ("add", "multiply", "subtract", "absolute", "maximum")}
-            scope["umax"] = odeint.U_MAX
+            scope = dict(odeint._VECTOR_SCOPE)
+            for name in ("add", "multiply", "subtract", "absolute",
+                         "maximum", "dot"):
+                scope[name] = Counted(scope[name])
             exec(odeint._vector_source(kind, width, ngroups, key_pattern),
                  scope)
             return scope["run"]
 
         xs = np.linspace(-0.4, 0.4, 5)
-        for key_pattern, per_step in ((pattern, 50), ("", 58)):
+        for key_pattern, per_step in ((pattern, 44), ("", 56)):
             monkeypatch.setattr(odeint, "_vector_loop", lambda *key: (
                 counted_loop(*key[:3], key_pattern)))
-            calls.clear()
-            _flow_vector(quartic, None, xs, 1.0 / 8, None,
-                         [(xs, 1.0 / 8, None)])
-            assert len(calls) == 8 * per_step, key_pattern
-            assert calls.count("maximum.reduce") == 8
+            for lanes, escapes in ((xs, 0), (np.append(xs, 6e5), 1)):
+                calls.clear()
+                _flow_vector(quartic, None, lanes, 1.0 / 8, None,
+                             [(lanes, 1.0 / 8, None)])
+                assert calls.count("dot") == 8
+                assert calls.count("maximum.reduce") == escapes
+                assert calls.count("absolute") == escapes
+                assert len(calls) == 8 * (per_step + 1) + 2 * escapes, (
+                    key_pattern, escapes)
 
     # lane groups as (x0, h): the first, shorter groups take an odd number
     # of steps, so they end with u and k1 swapped against the longer ones
@@ -730,17 +752,30 @@ class TestGeneratedLoops:
 
     def test_cubic_stage_drops_its_unit_and_zero_coefficients(self):
         # x^3 - x: no multiplication by the leading 1.0 and no addition of
-        # the zero x^2 coefficient; the constant term's addition stays
+        # the zero x^2 coefficient; the zero constant term's addition only
+        # where the forcing holds a -0.0. The xi lane keeps its slopes
+        # negated and so needs only the combination's first negation
         f = Nonlinearity.polynomial([0, -1, 0, 1])
-        patterns = tuple(odeint._pattern(f.poly_coeffs(j).tolist())
-                         for j in (0, 1))
-        assert patterns == ("0x01", "x0x")
-        source = _rk4_source("autonomous", (4, 3), 1, False, False, patterns)
-        assert "k1_0 = va - (((u0) * u0 + c0_1) * u0 + c0_0)" in source
-        assert "f1 = ((c1_2) * u0) * u0 + c1_0" in source
-        loop = source[source.index("for k"):]
-        assert "c0_3" not in loop and "c0_2" not in loop
-        assert "c1_1" not in loop
+        rows = [f.poly_coeffs(j).tolist() for j in (0, 1)]
+        for forcing, pattern, constant in ((0.5, "0x01", ""),
+                                           (-0.0, "xx01", " + c0_0")):
+            table = _row_table(rows, forcing, 4)
+            key = odeint._loop_key(f, table[1], 1, table[2])
+            assert key[2] == (pattern, "x0x")
+            source = _rk4_source("autonomous", (4, 3), 1, False, False,
+                                 key[2])
+            assert (f"k1_0 = va - (((u0) * u0 + c0_1) * u0{constant})"
+                    in source)
+            assert "f1 = ((c1_2) * u0) * u0 + c1_0" in source
+            loop = source[source.index("for k"):]
+            assert "c0_3" not in loop and "c0_2" not in loop
+            assert "c1_1" not in loop
+            assert ("c0_0" in loop) == bool(constant)
+            assert "k1_1 = f1 * u1" in loop
+            assert "w4_1 = u1 - h * k3_1" in loop
+            assert ("u1 += sixth * (-k1_1 - 2.0 * k2_1 - 2.0 * k3_1 - k4_1)"
+                    in loop)
+            assert loop.count("-(") == 0
 
     def test_no_data_in_generated_code(self, monkeypatch):
         # the generated source holds names and integer indices only, every
@@ -780,7 +815,7 @@ class TestGeneratedLoops:
         flows()
         assert real.cache_info().misses == compiled == len(set(keys)) == 16
         assert ("autonomous", (5, 4, 3, 2, 1), 4, False, False,
-                ("x0101", "0x0x", "x0x", "0x", "x")) in keys
+                ("x0101", "xx0x", "x0x", "xx", "x")) in keys
 
         def atoms(x):
             return ([a for y in x for a in atoms(y)]
@@ -910,6 +945,69 @@ class TestJetFlow:
         assert compared == 4 * 3 * 7 ** (K + 1)
         assert changed > 0
 
+    # order-0 rows with a +0.0 constant term, which a loop leaves unadded
+    # unless the forcing holds a -0.0
+    BARE_ROWS = [[0.0, 1.0], [0.0, 0.0, 1.0], [0.0, -1.0, 0.0, 1.0],
+                 [0.0, -0.0, 1.0, 1.0], [0.0, 0.0, 0.0, 2.0]]
+
+    @pytest.mark.parametrize("K", range(4))
+    def test_guarded_constant_on_signed_zeros(self, K):
+        # under forcing tables with and without -0.0, every start jet over
+        # signed zeros, overflow, inf and nan takes the oracle's path bit
+        # for bit: the comprehension's for K >= 1, the interpreted loop's
+        # for K = 0 and for the fibre lanes. Leaving the constant unadded
+        # under a -0.0 too would change some of them, so these cases can
+        # tell
+        nsteps, h = 2, 0.5
+        signed = np.full((3, nsteps), -0.0)
+        signed[1, 0] = 0.0
+        mixed = np.zeros((3, nsteps))
+        mixed[0, 0] = -0.0
+        tables = {name: np.full((3, nsteps), v) for name, v in
+                  (("half", 0.5), ("plus", 0.0), ("minus", -0.0))}
+        tables.update(signed=signed, mixed=mixed)
+        rng = np.random.default_rng(K)
+        compared, changed = 0, 0
+        for row0 in self.BARE_ROWS:
+            rows = [row0] + SIGNED_ROWS[1:K + 1]
+            evals, stage_rows = zip(*_stage_fns(IDENTITY, rows, nsteps,
+                                                range(K + 1)))
+            # the loop that leaves the constant unadded under any forcing
+            kind, widths, patterns, _ = odeint._loop_key(IDENTITY, rows, K,
+                                                         False)
+            careless = _rk4_loop(kind, widths, K, False, not K, patterns)
+            for name, forcing in tables.items():
+                table = odeint._table(forcing, rows)
+                assert table[2] == (name in ("minus", "signed", "mixed"))
+                jets = (itertools.product(SIGNED_JETS, repeat=K + 1) if K < 3
+                        else rng.choice(SIGNED_JETS, (400, K + 1)).tolist())
+                for w in map(tuple, jets):
+                    got = odeint._rk4(IDENTITY, None, w, 0.0, 1.0, h, table,
+                                      store=not K)
+                    if K:
+                        expect = _bits(_comprehension_run(
+                            list(w), h, nsteps, table[0], stage_rows, evals))
+                        bits = _bits(None if got[2] else [got[0], *got[5]])
+                    else:
+                        expect = _deep_bits(_interpreted_flow_scalar(
+                            IDENTITY, None, w[0], 0.0, 1.0, h, store=True,
+                            table=table))
+                        bits = _deep_bits(got)
+                    assert bits == expect, (row0, name, w)
+                    if K == 1:  # the fibre lanes, eta and the sums
+                        assert _deep_bits(_flow_scalar(
+                            IDENTITY, None, w[0], 0.0, 1.0, h, table=table,
+                            tangent_stride=1)) == _deep_bits(
+                                _interpreted_flow_scalar(
+                                    IDENTITY, None, w[0], 0.0, 1.0, h,
+                                    table=table, tangent_stride=1)), w
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        blind = careless(w, 0.0, h, nsteps, 0, *table[0],
+                                         rows, ())
+                    changed += _deep_bits(blind) != _deep_bits(got)
+                    compared += 1
+        assert changed > 0 and compared > 0
+
     def test_field_compiled_once_per_order(self):
         key = ("autonomous", (5, 4, 3, 2, 1, 1), 5, False, False, ("",) * 6)
         assert _rk4_loop(*key) is _rk4_loop(*key)
@@ -955,6 +1053,24 @@ class TestContactOrder:
         assert rep.order == 4
         assert rep.rho_prime == pytest.approx(1.0, abs=1e-8)
 
+    def test_butterfly_margins_clear_the_contact_tolerance(self,
+                                                          refined_butterfly):
+        # every verdict behind the butterfly's order 4 sits more than four
+        # decades from its CONTACT_ZERO_TOL threshold: rho^(2) to rho^(4)
+        # below the zero threshold, rho^(5) above it, and |rho' - 1| below
+        # the threshold of rho' = 1
+        f, ans, _ = refined_butterfly
+        rep = contact_order(f, operator_rhs(f, ans), float(ans.eval(0.0)),
+                            kmax=4, h=2e-4)
+        tol, derivs = odeint.CONTACT_ZERO_TOL, np.abs(rep.derivatives)
+        zero = tol * max(1.0, derivs[-1])
+        margins = [math.log10(zero / d) for d in derivs[:-1]]
+        margins.append(math.log10(derivs[-1] / zero))
+        margins.append(math.log10(tol * max(1.0, max(derivs))
+                                  / abs(rep.rho_prime - 1.0)))
+        assert rep.order == 4
+        assert min(margins) > 4.0, margins
+
     def test_polynomial_kmax_five(self):
         # rho^(6) needs f's order-6 rows, past MAX_X_DERIVATIVE = 5: a
         # polynomial's coefficient rows have no bound
@@ -989,8 +1105,8 @@ class TestStageTables:
                              ids=["autonomous", "t-dependent", "builtin"])
     def test_table_holds_only_data(self, f):
         nsteps = 8
-        forcing, rows = _stage_table(f, lambda t: np.cos(t), 1.0 / nsteps,
-                                     (0, 1, 2))
+        forcing, rows, minus_zero = _stage_table(f, lambda t: np.cos(t),
+                                                 1.0 / nsteps, (0, 1, 2))
 
         def entries(x):
             yield x
@@ -999,6 +1115,7 @@ class TestStageTables:
                     yield from entries(y)
         assert not any(callable(x) for x in entries((forcing, rows)))
         assert [len(lists) for lists in forcing] == [nsteps] * 3
+        assert minus_zero is False
         if f.autonomous:  # one coefficient row per order
             assert rows == [f.poly_coeffs(j).tolist() for j in range(3)]
         elif f.builtin is not None:  # the stage times, once for every order
@@ -1007,6 +1124,23 @@ class TestStageTables:
         else:  # per order, the rows at each stage time of every step
             assert [[len(r) for r in order] for order in rows] == [
                 [nsteps] * 3] * 3
+
+    def test_shifts_record_their_own_minus_zero(self):
+        # each shift of a fibre table records whether its own forcing holds
+        # a -0.0: only a -0.0 shift keeps the table's -0.0 values, and the
+        # lanes loop reads the shifted table as the interpreted loop does
+        forcing = np.array([[-0.0, 1.0], [0.5, -0.0], [0.0, 2.0]])
+        rows = [[0.0, 1.0], [1.0]]
+        shifts = _forcing_shifts(odeint._table(forcing, rows))
+        assert [shifts(nu)[2] for nu in (-0.0, 0.0, -1.0, np.nan)] == [
+            True, False, False, False]
+        for nu, x0 in itertools.product((-0.0, 0.0), (-0.0, 0.0)):
+            table = shifts(nu)
+            assert _deep_bits(_flow_scalar(
+                IDENTITY, None, x0, 0.0, 1.0, 0.5, table=table,
+                tangent_stride=1)) == _deep_bits(_interpreted_flow_scalar(
+                    IDENTITY, None, x0, 0.0, 1.0, 0.5, table=table,
+                    tangent_stride=1)), (nu, x0)
 
     @pytest.mark.parametrize("f, table", [
         (Nonlinearity.quartic(4.0, -0.3), None),
