@@ -10,8 +10,8 @@ exactly the singular points of the operator.
 import numpy as np
 
 from morinode import (Average, InitialValue, Nonlinearity, PeriodicFn,
-                      eigen_w, fibre_trace, mean, sigma_vec, solve_periodic,
-                      solve_w)
+                      eigen_w, mean, sigma_vec, solve_periodic, solve_w)
+from morinode.fibre import trace_pairs
 
 TWO_PI = 2 * np.pi
 
@@ -28,7 +28,7 @@ def main():
     print(f"  resolving by that average returns nu = {fp2.nu:+.9f}")
 
     print("\n== the scalar restriction along the fibre ==")
-    trace = fibre_trace(f, vt, -1.4, 1.4, 15)
+    trace = [(a, fp.phi_bar) for a, fp in trace_pairs(f, vt, -1.4, 1.4, 15)]
     print(f"  {'a':>8}  {'Phi(u_a)':>12}  {'Sigma_1(u_a)':>13}")
     for a, phi in trace:
         u = solve_periodic(f, vt, Average(a)).u

@@ -11,8 +11,8 @@ from .core import (FourierAnsatz, Grid, MorinodeError, Nonlinearity,
                    PeriodicFn, PreconditionError, Term, cumulative, mean)
 from .odeint import (ContactReport, ReturnValue, Trajectory, contact_order,
                      integrate, return_map)
-from .fibre import (Average, FibrePoint, InitialValue, WField, fibre_trace,
-                    solve_periodic, solve_w)
+from .fibre import (Average, FibrePoint, InitialValue, WField, solve_periodic,
+                    solve_w)
 from .morin import (EigenPair, MorinOrder, SigmaReport, classify_point,
                     eigen_w, sigma_hat, sigma_vec)
 from .globalgeo import (FromSimplified, GammaCurve, HullVerdict,

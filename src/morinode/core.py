@@ -325,38 +325,15 @@ def horner(coeffs, x):
     return acc
 
 
-# builtin nonlinearities: name -> (pairs of x-derivative tables, description)
-def _cosh2_cos(t, x, order):
-    # d^k/dx^k of cosh^2(x): [cosh^2, sinh 2x, 2 cosh 2x, 4 sinh 2x, ...]
-    x = np.asarray(x, dtype=float)
-    if order == 0:
-        xpart = np.cosh(x) ** 2
-    elif order % 2 == 1:
-        xpart = 2.0 ** (order - 1) * np.sinh(2.0 * x)
-    else:
-        xpart = 2.0 ** (order - 1) * np.cosh(2.0 * x)
-    return TWO_PI * np.cos(TWO_PI * np.asarray(t, dtype=float)) * xpart
-
-
-BUILTINS: dict[str, Callable] = {"cosh2_cos": _cosh2_cos}
-
-
 class Nonlinearity:
     """f(t, x): polynomial in x with trigonometric-polynomial coefficients.
 
-    Partial x-derivatives up to order 5 are exact (power rule). A named
-    builtin replaces the polynomial form entirely.
+    Partial x-derivatives up to order 5 are exact (power rule).
     """
 
-    def __init__(self, terms: Sequence[Term] = (), builtin: str | None = None):
-        if builtin is not None and builtin not in BUILTINS:
-            raise PreconditionError(f"unknown builtin nonlinearity {builtin!r}")
+    def __init__(self, terms: Sequence[Term] = ()):
         self.terms = tuple(terms)
-        self.builtin = builtin
-        if builtin is not None:
-            self.autonomous = False
-        else:
-            self.autonomous = all(t.coeff.is_constant for t in self.terms)
+        self.autonomous = all(t.coeff.is_constant for t in self.terms)
 
     # -- constructors -------------------------------------------------------
 
@@ -367,10 +344,6 @@ class Nonlinearity:
         terms = [Term(j, FourierAnsatz(float(c)))
                  for j, c in enumerate(coeffs) if c != 0.0]
         return cls(terms)
-
-    @classmethod
-    def from_builtin(cls, name: str) -> "Nonlinearity":
-        return cls((), builtin=name)
 
     @classmethod
     def quartic(cls, b: float, c: float) -> "Nonlinearity":
@@ -384,8 +357,6 @@ class Nonlinearity:
         if not 0 <= order <= MAX_X_DERIVATIVE:
             raise UnsupportedOrderError(
                 f"x-derivative order {order} not in 0..{MAX_X_DERIVATIVE}")
-        if self.builtin is not None:
-            return BUILTINS[self.builtin](t, x, order)
         x = np.asarray(x, dtype=float)
         out = np.zeros(np.broadcast(np.asarray(t, dtype=float), x).shape)
         for term in self.terms:
@@ -397,14 +368,12 @@ class Nonlinearity:
 
     def poly_coeffs(self, order: int = 0) -> np.ndarray:
         """Autonomous-only: coefficients of d^order f/dx^order in x."""
-        if not self.autonomous or self.builtin is not None:
+        if not self.autonomous:
             raise PreconditionError("poly_coeffs requires an autonomous polynomial")
         return self.coeff_rows(np.zeros(1), order)[0]
 
     def coeff_rows(self, times: np.ndarray, order: int = 0) -> np.ndarray:
         """Coefficient table C with f^(order)(t_i, x) = sum_m C[i, m] x^m."""
-        if self.builtin is not None:
-            raise PreconditionError("builtin nonlinearities have no coefficient table")
         times = np.asarray(times, dtype=float)
         deg = max((t.power for t in self.terms), default=0)
         width = max(deg - order + 1, 1)
@@ -418,9 +387,6 @@ class Nonlinearity:
 
     def abs_bound(self, x_bound: float) -> float:
         """Upper bound for |f(t,x)| over the circle and |x| <= x_bound."""
-        if self.builtin is not None:
-            return float(np.max(np.abs(
-                self.eval(np.linspace(0, 1, 64), x_bound, 0))) + 1.0)
         return sum(t.coeff.abs_bound() * x_bound ** t.power for t in self.terms)
 
     def on_grid(self, u: PeriodicFn, order: int = 0) -> np.ndarray:
@@ -428,8 +394,6 @@ class Nonlinearity:
         return np.asarray(self.eval(u.grid.nodes, u.values, order), dtype=float)
 
     def __repr__(self):
-        if self.builtin:
-            return f"Nonlinearity(builtin={self.builtin!r})"
         return f"Nonlinearity({len(self.terms)} terms, autonomous={self.autonomous})"
 
 
@@ -457,10 +421,15 @@ def power_from_json(value) -> int:
 
 
 def nonlinearity_from_json(doc: dict) -> Nonlinearity:
+    """f from ``{"terms": [...]}``; the removed ``builtin`` key raises
+    ``MalformedFileError`` like any other malformed document."""
     try:
         terms = [Term(power_from_json(td["power"]), _series_from_json(td))
                  for td in doc.get("terms", [])]
-        return Nonlinearity(terms, builtin=doc.get("builtin"))
+        if "builtin" in doc:
+            raise ValueError("the builtin nonlinearities were removed; write "
+                             "f as polynomial terms")
+        return Nonlinearity(terms)
     except (AttributeError, KeyError, TypeError, ValueError,
             PreconditionError) as exc:
         raise MalformedFileError(f"bad nonlinearity document: {exc}") from exc

@@ -260,20 +260,9 @@ def _newton_solve(f, vtilde, c, a, h, nu_hint, shifts) -> FibrePoint:
                       diagnostics=diagnostics)
 
 
-def fibre_trace(f: Nonlinearity, vtilde: PeriodicFn, a_lo: float, a_hi: float,
-                count: int) -> list[tuple[float, float]]:
-    """Sample (a, Phi(u_a)) along one fibre at ``count`` averages.
-
-    Phi(u) = int f(t, u(t)) dt is the scalar map whose folds and cusps
-    classify the operator on this fibre.
-    """
-    return [(a, fp.phi_bar)
-            for a, fp in trace_pairs(f, vtilde, a_lo, a_hi, count)]
-
-
 def trace_points(f: Nonlinearity, vtilde: PeriodicFn, a_lo: float, a_hi: float,
                  count: int) -> list[FibrePoint]:
-    """Like fibre_trace but returning the full FibrePoints."""
+    """The FibrePoints of ``trace_pairs``, without their averages."""
     return [fp for _, fp in trace_pairs(f, vtilde, a_lo, a_hi, count)]
 
 
@@ -281,7 +270,9 @@ def trace_pairs(f: Nonlinearity, vtilde: PeriodicFn, a_lo: float, a_hi: float,
                 count: int) -> list[tuple[float, FibrePoint]]:
     """(a, FibrePoint) at ``count`` >= 1 averages evenly from a_lo to a_hi;
     the points share one stage table of ``vtilde`` at the node step 1/n,
-    and each starts from the nu before it."""
+    and each starts from the nu before it. A point's ``phi_bar`` is
+    Phi(u_a) = int f(t, u_a(t)) dt, the scalar map whose folds and cusps
+    classify the operator on this fibre."""
     if not a_lo < a_hi:
         raise PreconditionError("need a_lo < a_hi")
     if not isinstance(count, numbers.Integral) or count < 1:

@@ -427,10 +427,10 @@ def classify_operator(f: Nonlinearity) -> OperatorClass:
     singularities. The gamma curves span [-4, 4], widened to reach 2 beyond
     every real root of f', f'' and f'''.
     """
-    if f.builtin is not None or not f.autonomous:
+    if not f.autonomous:
         return OperatorClass("undetermined",
                              {"reason": "limit signs unverifiable for "
-                                        "non-polynomial or time-dependent f"})
+                                        "time-dependent f"})
     c0 = f.poly_coeffs(0)
     deg = len(np.trim_zeros(c0, "b")) - 1
     if deg < 1:

@@ -5,12 +5,12 @@ updates. A flow reads a stage table (``_rhs_tables``, ``_table``),
 plain-float lists that only this module reads: the forcing at each
 step's three stage times, and per x-derivative order one coefficient row
 of an autonomous polynomial or the rows at every stage time of a
-t-dependent one; a builtin's table holds the stage times once. The table
-also records whether its forcing holds a -0.0. ``_loop_key`` turns f and
-its table into the key of both generated loops: f's shape, its row
-widths and each autonomous row's pattern (``_pattern``: "0" for a +0.0
-that is not added, "1" for 1.0, "x" for any other value; no value
-itself).
+t-dependent one. f is always a polynomial in x. The table also records
+whether its forcing holds a -0.0. ``_loop_key`` turns f and its table
+into the key of both generated loops: f's kind, autonomous or
+t-dependent, its row widths and each autonomous row's pattern
+(``_pattern``: "0" for a +0.0 that is not added, "1" for 1.0, "x" for any
+other value; no value itself).
 
 Every scalar flow is one straight-line loop (``_rk4_loop``), compiled
 with ``exec`` once per key, jet order K, fibre lanes and stored samples.
@@ -25,7 +25,7 @@ relative to the leading one. The many-lane loop ``_flow_vector`` is one
 generated loop too (``_vector_loop``): positional ufunc calls into seven
 lane buffers, shared by lane groups of their own steps and tables (the
 census's h and h/2 scans) in every call but the forcing subtract and a
-t-dependent or builtin f's evaluation.
+t-dependent f's evaluation.
 
 Both loops inline Horner's rule and compute the textbook RK4 stages,
 with four rewrites that change no float:
@@ -57,12 +57,11 @@ import itertools
 import math
 import numbers
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import cache
 
 import numpy as np
 
-from .core import (MAX_X_DERIVATIVE, BracketError, Nonlinearity,
-                   PreconditionError)
+from .core import BracketError, Nonlinearity, PreconditionError
 
 U_MAX = 1e6
 
@@ -155,11 +154,8 @@ def _stage_rows(f: Nonlinearity, stage_times: np.ndarray, nsteps: int,
 
     Per order, the ascending coefficients of d^order f/dx^order: one row
     for an autonomous polynomial, and for a t-dependent one three lists
-    (r0, rh, r1) of the rows at each step's stage times. A builtin's data
-    are the three lists of stage times, once for every order.
+    (r0, rh, r1) of the rows at each step's stage times.
     """
-    if f.builtin is not None:
-        return stage_times.reshape(3, nsteps).tolist()
     if f.autonomous:
         return [f.poly_coeffs(order).tolist() for order in orders]
     return [f.coeff_rows(stage_times, order=order).reshape(3, nsteps, -1)
@@ -185,13 +181,9 @@ def _stage_table(f: Nonlinearity, v, h: float, orders=(0,)):
 def _add_orders(f: Nonlinearity, table, h: float, orders):
     """A ``_stage_table`` at h with the rows of further ``orders`` appended.
 
-    The forcing is not evaluated again, and a builtin's table, which
-    serves every order, is returned as it is. ``table`` must hold the
-    orders before ``orders``, since a flow reads order j from its j-th
-    rows.
+    The forcing is not evaluated again. ``table`` must hold the orders
+    before ``orders``, since a flow reads order j from its j-th rows.
     """
-    if f.builtin is not None:
-        return table
     nsteps, h = _step_count(0.0, 1.0, h)
     forcing, rows, minus_zero = table
     return forcing, rows + _stage_rows(f, _stage_times(0.0, nsteps, h),
@@ -252,19 +244,15 @@ MAX_LOOP_DEGREE = 199
 
 
 def _loop_key(f: Nonlinearity, rows, K: int, minus_zero: bool):
-    """(kind, widths, patterns, evals) of f for both generated loops.
+    """(kind, widths, patterns) of f for both generated loops.
 
-    ``kind`` is f's shape, "autonomous", "t-dependent" or "builtin".
-    Per order 0..K of the table's f data ``rows``: the row width and an
-    autonomous row's ``_pattern``, "" otherwise; a builtin has width 0 and
-    ``evals``, its ``f.eval`` of each order. The order-0 row is bare
+    ``kind`` is "autonomous" or "t-dependent". Per order 0..K of the
+    table's f data ``rows``: the row width and an autonomous row's
+    ``_pattern``, "" for a t-dependent one. The order-0 row is bare
     unless ``minus_zero``, the ``_table`` guard of every table the loop
     reads. A degree above ``MAX_LOOP_DEGREE`` raises
     ``PreconditionError``.
     """
-    if f.builtin is not None:
-        return ("builtin", (0,) * (K + 1), ("",) * (K + 1),
-                tuple(partial(f.eval, order=j) for j in range(K + 1)))
     firsts = [r if f.autonomous else r[0][0] for r in rows[:K + 1]]
     if len(firsts[0]) - 1 > MAX_LOOP_DEGREE:
         raise PreconditionError(
@@ -273,7 +261,7 @@ def _loop_key(f: Nonlinearity, rows, K: int, minus_zero: bool):
     return ("autonomous" if f.autonomous else "t-dependent",
             tuple(map(len, firsts)),
             tuple(_pattern(r, not (j or minus_zero)) if f.autonomous else ""
-                  for j, r in enumerate(firsts)), ())
+                  for j, r in enumerate(firsts)))
 
 
 def _horner_steps(pattern: str, width: int):
@@ -351,36 +339,30 @@ def _rk4_source(kind: str, widths: tuple, K: int, lanes: bool,
     step arrive as arguments. The jet state is u0..uK, a stage's state
     w{s}_0..w{s}_K (stage 1 reads u), its slopes k{s}_0..k{s}_K, negated
     from k{s}_1 on (``_rk4_loop``); va, vb and vc are the step's forcing
-    at its three stage times, and ta, tb and tc a builtin's stage times.
+    at its three stage times.
     """
     orders, tail = range(K + 1), range(1, K + 1)
 
     def value(j, tau, x):  # f^(j) at stage time tau (a, b, c) and state x
-        if kind == "builtin":
-            return f"e{j}(t{tau}, {x})"
         at = "" if kind == "autonomous" else tau
         return _horner_source([f"c{j}{at}_{m}" for m in range(widths[j])], x,
                               patterns[j])
 
-    head = ["def run(start, t0, h, nsteps, stride, v0, vh, v1, rows, evals):",
+    head = ["def run(start, t0, h, nsteps, stride, v0, vh, v1, rows):",
             "    half, sixth, umin, umax = 0.5 * h, h / 6.0, -U_MAX, U_MAX",
             f"    {', '.join(f'u{n}' for n in orders)}, = start",
             "    comp = 0.0"]
-    read, lists = "va, vb, vc", "v0, vh, v1"
-    if kind == "builtin":
-        head.append(f"    {', '.join(f'e{j}' for j in orders)}, = evals")
-        read, lists = read + ", ta, tb, tc", lists + ", *rows"
     for j in orders:
         if kind == "autonomous":
             names = ", ".join(f"c{j}_{m}" for m in range(widths[j]))
             head.append(f"    {names}, = rows[{j}]")
-        elif kind == "t-dependent":
+        else:
             head.append(f"    R{j}a, R{j}b, R{j}c = rows[{j}]")
     if lanes:
         head.append("    eta = su = sxi = seta = 0.0")
     if store:
         head.append("    samples = [u0]")
-    head.append(f"    for k, {read} in zip(range(nsteps), {lists}):")
+    head.append("    for k, va, vb, vc in zip(range(nsteps), v0, vh, v1):")
     body = []
     if lanes:
         body += ["if k % stride == 0:",
@@ -444,13 +426,12 @@ def _rk4_loop(kind: str, widths: tuple, K: int, lanes: bool, store: bool,
 
     The key is ``_loop_key``'s kind, widths and patterns, the jet order K
     and the flags. An autonomous polynomial's rows of orders 0..K are
-    unpacked into locals once, a t-dependent one's at every step, and a
-    builtin is called as ``evals[j](time, x)`` on each stage time, read
-    once per step. Horner's rule is inlined for each row's pattern. The
-    loop carries the K-jet u0..uK of the flow in its start value
-    (``_rk4_jet``'s Taylor mode, the Cauchy products unrolled), so K = 1
-    is the xi lane; ``lanes`` adds eta = du/dnu and the sums of u, xi and
-    eta over every stride-th step, and ``store`` the samples of u0. For
+    unpacked into locals once, a t-dependent one's at every step, and
+    Horner's rule is inlined for each row's pattern. The loop carries the
+    K-jet u0..uK of the flow in its start value (``_rk4_jet``'s Taylor
+    mode, the Cauchy products unrolled), so K = 1 is the xi lane;
+    ``lanes`` adds eta = du/dnu and the sums of u, xi and eta over every
+    stride-th step, and ``store`` the samples of u0. For
     n >= 1 a stage keeps its slope k_n negated, as a_n = -k_n, so the
     next stage state is u_n - (h/2) a_n (u_n - h a_n for the last), and
     the step adds (h/6) (-a1 - 2 a2 - 2 a3 - a4): IEEE arithmetic makes
@@ -458,7 +439,7 @@ def _rk4_loop(kind: str, widths: tuple, K: int, lanes: bool, store: bool,
     negation stays, since -(a1 + 2 a2 + 2 a3 + a4) makes -0.0 where the
     sum of the negated slopes makes +0.0.
 
-    ``run(start, t0, h, nsteps, stride, v0, vh, v1, rows, evals)`` starts
+    ``run(start, t0, h, nsteps, stride, v0, vh, v1, rows)`` starts
     from the jet ``start`` and returns (u0, samples|None, blew, sign,
     blow_time, lanes|None), lanes = (u1, ..., uK) followed by (eta, sum
     u, sum xi, sum eta) with ``lanes``. Every float is the one the
@@ -481,10 +462,10 @@ def _rk4(f: Nonlinearity, v, start: tuple, t0: float, t1: float, h: float,
     K = len(start) - 1
     nsteps, h, forcing, rows, minus_zero = _read_table(
         f, v, t0, t1, h, range(K + 1), table)
-    kind, widths, patterns, evals = _loop_key(f, rows, K, minus_zero)
+    kind, widths, patterns = _loop_key(f, rows, K, minus_zero)
     run = _rk4_loop(kind, widths, K, lanes, store, patterns)
     with np.errstate(over="ignore", invalid="ignore"):
-        return run(start, t0, h, nsteps, stride, *forcing, rows, evals)
+        return run(start, t0, h, nsteps, stride, *forcing, rows)
 
 
 def _flow_scalar(f: Nonlinearity, v, x0: float, t0: float, t1: float, h: float,
@@ -557,12 +538,7 @@ def _vector_source(kind: str, width: int, ngroups: int, pattern: str) -> str:
             for g in running:
                 if s != 3:  # the h/2 forcing serves stages 2 and 3
                     lines.append(f"v{tau}_{g}[()] = {vk}_{g}[k]")
-                if s == 2 and kind == "builtin":
-                    lines.append(f"tb_{g} = R{g}b[k]")
-                if kind == "builtin":
-                    time = f"tb_{g}" if tau == "b" else f"R{g}{tau}[k]"
-                    value = f"e({time}, {x}_{g})"
-                elif kind == "t-dependent":
+                if kind == "t-dependent":
                     own_lines, value = _horner_array_source(
                         [f"r{g}{tau}_{m}" for m in range(width)],
                         f"{x}_{g}", f"{out}_{g}", "")
@@ -587,12 +563,10 @@ def _vector_source(kind: str, width: int, ngroups: int, pattern: str) -> str:
                   "        comp[dead] = 0.0"]
         return lines
 
-    src = [f"def run({_VECTOR_SHARED}, two, fdata, groups):"]
-    names = [f"c{m}" for m in range(width)] if kind == "autonomous" else ["e"]
-    frows = {"autonomous": "_", "builtin": "(R{g}a, R{g}b, R{g}c)",
-             "t-dependent": "((R{g}a, R{g}b, R{g}c), *_)"}[kind]
-    if kind != "t-dependent":
-        src.append(f"    {', '.join(names)}, = fdata")
+    src = [f"def run({_VECTOR_SHARED}, two, coeffs, groups):"]
+    frows = "_" if kind == "autonomous" else "((R{g}a, R{g}b, R{g}c), *_)"
+    if kind == "autonomous":
+        src.append(f"    {', '.join(f'c{m}' for m in range(width))}, = coeffs")
     for g in range(ngroups):
         src.append(f"    lo{g}, n{g}, (v0_{g}, vh_{g}, v1_{g}), "
                    f"{frows.format(g=g)} = groups[{g}]")
@@ -634,23 +608,22 @@ def _vector_loop(kind: str, width: int, ngroups: int, pattern: str):
     and ``ngroups`` is the number of lane groups, each with its own step
     and stage table. Every operation is a positional ``ufunc(a, b, out)`` on
     lane buffers. It is shared by all running groups, except the forcing
-    subtract and, for a t-dependent polynomial or a builtin, the f
-    evaluation, which are made per group on its fixed views; the subtract
-    takes the group's 0-d buffer of the stage's forcing, written once per
-    step and stage time. Horner's rule is inlined as
+    subtract and, for a t-dependent polynomial, the f evaluation, which
+    are made per group on its fixed views; the subtract takes the group's
+    0-d buffer of the stage's forcing, written once per step and stage
+    time. Horner's rule is inlined as
     ``_horner_array_source`` writes it for the pattern. A step makes the
     escape reduction only when ``dot(u, u)`` passes ``usq``
     (``_VECTOR_SCOPE``).
 
     ``run(u, comp, w, k1, k2, k3, k4, alive, half, step, sixth, two,
-    fdata, groups)`` takes the lane buffers, the lane arrays of each
-    group's h/2, h and h/6, the 0-d array 2.0, ``fdata`` (an autonomous
-    f's coefficients as 0-d arrays, a builtin's ``_loop_key`` evals, or
-    nothing), and ``groups``, one (first lane, nsteps, forcing, rows) per
-    group in ascending nsteps, which it empties: the forcing and rows of
-    the group's ``_stage_table``, of which the loop reads a t-dependent
-    f's order-0 rows and a builtin's stage times. It returns every group's
-    final view of u.
+    coeffs, groups)`` takes the lane buffers, the lane arrays of each
+    group's h/2, h and h/6, the 0-d array 2.0, ``coeffs`` (an autonomous
+    f's coefficients as 0-d arrays, else nothing), and ``groups``, one
+    (first lane, nsteps, forcing, rows) per group in ascending nsteps,
+    which it empties: the forcing and rows of the group's
+    ``_stage_table``, of which the loop reads a t-dependent f's order-0
+    rows. It returns every group's final view of u.
     """
     scope = dict(_VECTOR_SCOPE)
     exec(_vector_source(kind, width, ngroups, pattern), scope)
@@ -690,10 +663,9 @@ def _flow_vector(f: Nonlinearity, v, x0: np.ndarray, h: float, table=None,
     comp = np.zeros_like(u)
     w, k1, k2, k3, k4 = (np.empty_like(u) for _ in range(5))
     alive = np.ones(u.shape, dtype=bool)
-    kind, (width,), (pattern,), fdata = _loop_key(
-        f, read[0][4], 0, any(r[5] for r in read))
-    if kind == "autonomous":
-        fdata = tuple(map(np.array, read[0][4][0]))
+    kind, (width,), (pattern,) = _loop_key(f, read[0][4], 0,
+                                           any(r[5] for r in read))
+    coeffs = [np.array(c) for c in read[0][4][0]] if f.autonomous else ()
     groups = [(lo[i], read[g][1], *read[g][3:5])
               for i, g in enumerate(order)]
     del read
@@ -702,7 +674,7 @@ def _flow_vector(f: Nonlinearity, v, x0: np.ndarray, h: float, table=None,
         ends = run(u, comp, w, k1, k2, k3, k4, alive,
                    np.repeat(0.5 * steps, sizes),
                    np.repeat(steps, sizes), np.repeat(steps / 6.0, sizes),
-                   np.array(2.0), fdata, groups)
+                   np.array(2.0), coeffs, groups)
     out = [None] * len(order)
     for i, g in enumerate(order):
         out[g] = ends[i], alive[lo[i]:lo[i + 1]]
@@ -790,10 +762,6 @@ def contact_order(f: Nonlinearity, v, x0: float, kmax: int = 4,
         raise PreconditionError("contact order supported for an integer "
                                 f"kmax in 1..5, not {kmax!r}")
     kmax = int(kmax)
-    if f.builtin is not None and kmax + 1 > MAX_X_DERIVATIVE:
-        raise PreconditionError(
-            f"kmax = {kmax} needs x-derivative order {kmax + 1} of "
-            f"{f.builtin!r}, which has 0..{MAX_X_DERIVATIVE}")
     jet = _rk4_jet(f, v, x0, h, kmax + 1)
     if jet is None:
         raise PreconditionError("trajectory blew up at the fixed point itself")

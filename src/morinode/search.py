@@ -320,11 +320,12 @@ def count_solutions(f: Nonlinearity, v, x_lo: float, x_hi: float,
     surviving neighbours. Each bracket is refined by a safeguarded Newton
     iteration (see ``_refine_root``) until the step is at most 1e-12, and
     roots are deduplicated within 1e-9. Brackets touching a blow-up boundary
-    are reported unresolved and never counted. The count is re-derived at
-    h/2, from a scan made in the same ``_flow_vector`` call as the scan at
-    h (``_census_pass``); it is dropped when the pass at h is degenerate.
-    Each of ``passes`` records its work. The range and the step must be
-    finite.
+    are reported unresolved and never counted; a pass in which no scan
+    lane survives reports the whole range unresolved and counts None. The
+    count is re-derived at h/2, from a scan made in the same
+    ``_flow_vector`` call as the scan at h (``_census_pass``); it is
+    dropped when the pass at h is degenerate. Each of ``passes`` records
+    its work. The range and the step must be finite.
     """
     if not all(map(math.isfinite, (x_lo, x_hi, h))):
         raise PreconditionError("the range and the step must be finite")
@@ -336,13 +337,13 @@ def count_solutions(f: Nonlinearity, v, x_lo: float, x_hi: float,
     (roots, unresolved, degenerate, g, work), *half = _census_pass(
         f, v, xs, h, check_half_step)
     passes = [work]
-    count = None if degenerate else len(roots)
+    count = _pass_count(roots, degenerate, g)
     half_count = None
     roots_half = []
     if half:
-        roots_half, _, degen_half, _, work = half[0]
+        roots_half, _, degen_half, g_half, work = half[0]
         passes.append(work)
-        half_count = None if degen_half else len(roots_half)
+        half_count = _pass_count(roots_half, degen_half, g_half)
     return SolutionCensus(x_lo=x_lo, x_hi=x_hi, h=h, roots=tuple(roots),
                           count=count, degenerate_continuum=degenerate,
                           unresolved_brackets=tuple(unresolved),
@@ -350,6 +351,12 @@ def count_solutions(f: Nonlinearity, v, x_lo: float, x_hi: float,
                           scan_xs=xs, scan_g=g,
                           roots_at_half_step=tuple(roots_half),
                           passes=tuple(passes))
+
+
+def _pass_count(roots, degenerate: bool, g: np.ndarray) -> int | None:
+    """A pass's root count, or None when its scan is a degenerate
+    continuum or no lane of it survives."""
+    return None if degenerate or not np.isfinite(g).any() else len(roots)
 
 
 def _census_pass(f: Nonlinearity, v, xs: np.ndarray, h: float,
@@ -388,7 +395,10 @@ def _census_roots(f: Nonlinearity, v, xs: np.ndarray, u_end: np.ndarray,
             "flows": 0, "steps": 0}
     g = u_end - xs
     finite = alive & np.isfinite(g)
-    scale = float(np.max(np.abs(g[finite]))) if finite.any() else 0.0
+    if not finite.any():  # no lane survives, so no root can be told apart
+        return [], [(float(xs[0]), float(xs[-1]))], False, g, CensusPass(
+            h, (), work)
+    scale = float(np.max(np.abs(g[finite])))
     if finite.sum() >= 2 and scale <= 1e-12 * max(1.0, np.max(np.abs(xs))):
         return [], [], True, g, CensusPass(h, (), work)
 

@@ -197,6 +197,19 @@ class TestExitCodes:
         assert code == EXIT_BAD_FILE
         assert "malformed input" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", ['{"builtin": "nope"}',
+                                      '{"terms": [], "builtin": "cosh2_cos"}'])
+    def test_builtin_key_names_its_removal(self, tmp_path, capsys, text):
+        # the builtin kind is gone: any file that names one exits 65 and
+        # says to write f as polynomial terms
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        assert execute(["degree", "--problem", str(bad)]) == EXIT_BAD_FILE
+        err = capsys.readouterr().err
+        assert "malformed input" in err
+        assert ("the builtin nonlinearities were removed; write f as "
+                "polynomial terms") in err
+
     @pytest.mark.parametrize("doc", [
         pytest.param({"cos": [1.0]}, id="no-a0-no-sin"),
         pytest.param({"a0": 1.0, "cos": [], "sin": []}, id="no-harmonics"),

@@ -42,15 +42,6 @@ class TestEvalF:
                 exact = f.eval(t, x, k)
                 assert fd == pytest.approx(exact, rel=1e-4, abs=1e-6)
 
-    def test_builtin_cosh(self):
-        f = Nonlinearity.from_builtin("cosh2_cos")
-        t, x = 0.1, 0.7
-        base = 2 * np.pi * np.cos(2 * np.pi * t)
-        assert f.eval(t, x, 0) == pytest.approx(base * np.cosh(x) ** 2)
-        assert f.eval(t, x, 1) == pytest.approx(base * np.sinh(2 * x))
-        assert f.eval(t, x, 2) == pytest.approx(base * 2 * np.cosh(2 * x))
-        assert not f.autonomous
-
     def test_autonomous_flag(self, quartic):
         assert quartic.autonomous
         g = Nonlinearity([Term(1, FourierAnsatz(0.0, [1.0]))])

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from morinode import (Average, Grid, InitialValue, Nonlinearity, PeriodicFn,
-                      eigen_w, fibre_trace, integrate, mean, solve_periodic,
-                      solve_w)
+from morinode import (Average, FourierAnsatz, Grid, InitialValue,
+                      Nonlinearity, PeriodicFn, Term, eigen_w, integrate, mean,
+                      solve_periodic, solve_w)
 from morinode.core import PreconditionError, TamenessViolationError
 from morinode.fibre import PERIODICITY_TOL, trace_pairs, trace_points
 from morinode.odeint import _flow_scalar
@@ -91,10 +91,12 @@ class TestSolvePeriodic:
         assert np.max(np.abs(fp1.u.values - fp2.u.values)) < 1e-6
 
     def test_wild_nonlinearity_raises(self):
-        wild = Nonlinearity.from_builtin("cosh2_cos")
+        # cos(2 pi t) x^2 escapes from 7 within the period, so no nu closes
+        # the orbit through u(0) = 7
+        wild = Nonlinearity([Term(2, FourierAnsatz(0.0, [1.0]))])
         vt = PeriodicFn.constant(0.0, Grid(256))
         with pytest.raises(TamenessViolationError):
-            solve_periodic(wild, vt, InitialValue(0.0), h=1e-3)
+            solve_periodic(wild, vt, InitialValue(7.0), h=1e-3)
 
     def test_stalled_closure_above_periodicity_tol_raises(self):
         # this solve stalls with a best closure gap of 8.6e-11 after 27
@@ -224,15 +226,13 @@ class TestFibreGeometry:
 
     def test_trace_constants_fibre_squares(self):
         vt = PeriodicFn.constant(0.0)
-        trace = fibre_trace(SQUARE, vt, -1.0, 1.0, 9)
-        for a, phi in trace:
-            assert phi == pytest.approx(a ** 2, abs=1e-7)
+        for a, fp in trace_pairs(SQUARE, vt, -1.0, 1.0, 9):
+            assert fp.phi_bar == pytest.approx(a ** 2, abs=1e-7)
 
     def test_trace_cubic_two_folds(self):
         vt = PeriodicFn.constant(0.0)
-        trace = fibre_trace(CUBIC_MINUS, vt, -1.5, 1.5, 13)
-        for a, phi in trace:
-            assert phi == pytest.approx(a ** 3 - a, abs=1e-7)
+        for a, fp in trace_pairs(CUBIC_MINUS, vt, -1.5, 1.5, 13):
+            assert fp.phi_bar == pytest.approx(a ** 3 - a, abs=1e-7)
 
     def test_trace_deforms_continuously(self):
         f = CUBIC_MINUS
@@ -240,8 +240,8 @@ class TestFibreGeometry:
         base = np.array([a ** 3 - a for a in averages])
         for eps in (0.2, 0.05):
             vt = PeriodicFn.from_callable(lambda t: eps * np.cos(TWO_PI * t))
-            trace = fibre_trace(f, vt, -1.5, 1.5, 9)
-            dist = max(abs(phi - b) for (_, phi), b in zip(trace, base))
+            trace = trace_pairs(f, vt, -1.5, 1.5, 9)
+            dist = max(abs(fp.phi_bar - b) for (_, fp), b in zip(trace, base))
             assert dist < 2.0 * eps
 
     @pytest.mark.parametrize("count", [0, -3, 2.5, 3.0])

@@ -11,7 +11,7 @@ from morinode import (FromSimplified, Grid, Nonlinearity, PeriodicFn,
                       ToSimplified, classify_operator, degree, gamma_curve,
                       hull_origin_test, mean, replicate, reparam, seed_shat,
                       sigma_hat, sigma_vec, tameness)
-from morinode.core import MorinodeError, PreconditionError
+from morinode.core import FourierAnsatz, MorinodeError, PreconditionError, Term
 from morinode import globalgeo
 from morinode.globalgeo import _simplex_max
 from tests.conftest import HULL_FAULTS
@@ -22,6 +22,7 @@ SQUARE = Nonlinearity.polynomial([0, 0, 1])
 CUBIC_PLUS = Nonlinearity.polynomial([0, 1, 0, 1])     # x^3 + x
 CUBIC_MINUS = Nonlinearity.polynomial([0, -1, 0, 1])   # x^3 - x
 NEG_CUBIC = Nonlinearity.polynomial([0, 0, 0, -1])     # -x^3
+WILD = Nonlinearity([Term(2, FourierAnsatz(0.0, [1.0]))])  # cos(2 pi t) x^2
 GENERIC_U = PeriodicFn.from_callable(
     lambda t: 0.3 + 0.5 * np.cos(TWO_PI * t) + 0.2 * np.sin(2 * TWO_PI * t))
 
@@ -392,9 +393,8 @@ class TestDegree:
         assert degree(NEG_CUBIC) == -1
 
     def test_sign_not_uniform_raises(self):
-        wild = Nonlinearity.from_builtin("cosh2_cos")
         with pytest.raises(PreconditionError):
-            degree(wild)
+            degree(WILD)
 
 
 class TestTameness:
@@ -403,13 +403,12 @@ class TestTameness:
         assert rep.tame
         assert rep.detail["basis"] == "autonomous"
 
-    def test_wild_builtin(self):
-        rep = tameness(Nonlinearity.from_builtin("cosh2_cos"))
+    def test_wild_polynomial(self):
+        rep = tameness(WILD)
         assert rep.wild_suspected_at == ("+inf", "-inf")
         assert not rep.tame
 
     def test_cubic_with_forcing_tame(self):
-        from morinode.core import FourierAnsatz, Term
         f = Nonlinearity([Term(3, FourierAnsatz(1.0)),
                           Term(0, FourierAnsatz(0.0, [1.0]))])
         rep = tameness(f)
@@ -503,8 +502,10 @@ class TestClassifyOperator:
         assert hull3.interior
 
     def test_non_polynomial_undetermined(self):
-        oc = classify_operator(Nonlinearity.from_builtin("cosh2_cos"))
+        oc = classify_operator(WILD)
         assert oc.verdict == "undetermined"
+        assert oc.evidence["reason"] == ("limit signs unverifiable for "
+                                         "time-dependent f")
 
 
 class TestReparam:

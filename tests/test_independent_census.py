@@ -6,6 +6,8 @@ RK45 and brentq root refinement, sharing no integration code with the
 library path.
 """
 
+import math
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
@@ -165,13 +167,15 @@ def test_shifted_table_matches_shifted_forcing():
                                 table=_forcing_shifts(base)(nu)))
 
 
-def test_builtin_blowups_agree_across_drivers():
-    # cosh^2(x) * 2 pi cos(2 pi t) escapes from every start value; all three
-    # flows must agree that it does, and the scalar and variational flows
-    # on where and in which direction
-    wild = Nonlinearity.from_builtin("cosh2_cos")
-    xs = np.array([-0.5, -0.1, 0.0, 0.1, 0.5])
-    expected = [(-1, 0.091), (-1, 0.179), (1, 0.738), (1, 0.679), (1, 0.591)]
+def test_wild_blowups_agree_across_drivers():
+    # u' = -cos(2 pi t) u^2 has 1/u = 1/x0 + sin(2 pi t)/(2 pi), which first
+    # reaches 0 at t_star from every |x0| > 2 pi; all three flows must agree
+    # that it escapes, the scalar and variational flows on where and in
+    # which direction, and the step that passes U_MAX ends within h of
+    # t_star
+    wild = Nonlinearity([Term(2, FourierAnsatz(0.0, [1.0]))])
+    xs = np.array([-10.0, -7.0, 7.0, 10.0])
+    expected = [(-1, 0.109), (-1, 0.178), (1, 0.678), (1, 0.609)]
     _, alive = _flow_vector(wild, None, xs, 1e-3)
     assert not alive.any()
     for x, (esign, etime) in zip(xs, expected):
@@ -179,5 +183,8 @@ def test_builtin_blowups_agree_across_drivers():
                                                   1.0, 1e-3)
         assert blew
         assert sign == esign and btime == pytest.approx(etime, abs=1e-12)
+        t_star = ((0.5 if x > 0 else 0.0)
+                  + math.asin(2 * math.pi / abs(x)) / (2 * math.pi))
+        assert abs(btime - t_star) < 1e-3
         _, _, blew, s, t = _flow_with_variation(wild, None, float(x), 1e-3)
         assert blew and (s, t) == (sign, btime)

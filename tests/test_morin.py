@@ -164,12 +164,6 @@ class TestSigmaJacobian:
         assert not f.autonomous
         _assert_u_rows_agree(f, random_periodic(np.random.default_rng(14)))
 
-    def test_u_directions_on_builtin(self):
-        f = Nonlinearity.from_builtin("cosh2_cos")
-        u = PeriodicFn.from_callable(lambda t: 0.3 + 0.4 * np.cos(TWO_PI * t)
-                                     - 0.2 * np.sin(2 * TWO_PI * t))
-        _assert_u_rows_agree(f, u)
-
     def test_family_parameter_columns(self, butterfly_ansatz):
         # all coordinates but the b1 gauge free: the quartic_bc partials
         # (b, c) and the ansatz coefficients, in _coordinate_names order

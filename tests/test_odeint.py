@@ -3,7 +3,6 @@ import io
 import itertools
 import math
 import operator
-import re
 import tokenize
 import warnings
 
@@ -11,9 +10,9 @@ import numpy as np
 import pytest
 
 from morinode import (Grid, Nonlinearity, PeriodicFn, contact_order,
-                      count_solutions, fibre_trace, integrate, odeint,
-                      return_map)
+                      count_solutions, integrate, odeint, return_map)
 from morinode.core import FourierAnsatz, PreconditionError, Term, horner
+from morinode.fibre import trace_pairs
 from morinode.odeint import (_flow_scalar, _flow_vector, _flow_with_variation,
                              _forcing_shifts, _rho_derivative_fd, _rk4_jet,
                              _rk4_loop, _rk4_source, _stage_table)
@@ -23,15 +22,15 @@ from tests.conftest import operator_rhs
 IDENTITY = Nonlinearity.polynomial([0, 1])     # f(x) = x
 SQUARE = Nonlinearity.polynomial([0, 0, 1])    # f(x) = x^2
 ZERO = Nonlinearity.polynomial([])
-WILD = Nonlinearity.from_builtin("cosh2_cos")
+# cos(2 pi t) x^2: 1/u = 1/u0 + sin(2 pi t)/(2 pi), so the flow escapes
+# within the period from every |u0| >= 2 pi
+WILD = Nonlinearity([Term(2, FourierAnsatz(0.0, [1.0]))])
 
 
 def _stage_fns(f, rows, nsteps, orders):
     # per order of a stage table's f data, (evaluate, (r0, rh, r1)) with
-    # evaluate(r0[k], x) = d^j f/dx^j at (t_k, x): core.horner on a
-    # polynomial's coefficient rows, f.eval on a builtin's stage times
-    if f.builtin is not None:
-        return [(functools.partial(f.eval, order=j), rows) for j in orders]
+    # evaluate(r0[k], x) = d^j f/dx^j at (t_k, x): core.horner on the
+    # polynomial's coefficient rows
     if f.autonomous:
         return [(horner, ([rows[j]] * nsteps,) * 3) for j in orders]
     return [(horner, rows[j]) for j in orders]
@@ -293,27 +292,23 @@ class TestReturnMap:
 
     def test_blowup_with_derivative_is_silent(self):
         # the variational flow guards overflow like the plain flow does
-        wild = Nonlinearity.from_builtin("cosh2_cos")
-        plain = return_map(wild, None, 0.1, h=1e-3)
+        plain = return_map(WILD, None, 7.0, h=1e-3)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            joint = return_map(wild, None, 0.1, h=1e-3, with_derivative=True)
+            joint = return_map(WILD, None, 7.0, h=1e-3, with_derivative=True)
         assert [str(w.message) for w in caught] == []
         assert plain.blew_up and joint.blew_up
         assert (joint.blow_sign, joint.blow_time) == (plain.blow_sign,
                                                       plain.blow_time)
 
     def test_one_step_overflow_keeps_its_sign(self):
-        # cosh^2 under forcing -1e6 overflows to -inf within the first step
+        # WILD under forcing -1e154 overflows to -inf within the first step
         # from x0 = 0, so no finite sample carries the escape's sign
-        wild = Nonlinearity.from_builtin("cosh2_cos")
-
-        def push(t):
-            return np.full(np.shape(t), -1e6)
-        u, _, blew, sign, btime, _ = _flow_scalar(wild, push, 0.0, 0.0, 1.0, 1e-3)
+        u, _, blew, sign, btime, _ = _flow_scalar(WILD, _push, 0.0, 0.0, 1.0,
+                                                  1e-3)
         assert blew and u == -np.inf
         assert (sign, btime) == (-1, 1e-3)
-        _, alive = _flow_vector(wild, push, np.array([0.0, 0.5]), 1e-3)
+        _, alive = _flow_vector(WILD, _push, np.array([0.0, 0.5]), 1e-3)
         assert not alive.any()
 
     def test_surviving_set_is_interval(self):
@@ -326,7 +321,8 @@ class TestReturnMap:
 
 
 def _push(t):
-    return np.full(np.shape(t), -1e6)
+    # a forcing whose stage states overflow WILD within the first step
+    return np.full(np.shape(t), -1e154)
 
 
 class TestVectorStep:
@@ -342,11 +338,8 @@ class TestVectorStep:
                                    Term(3, FourierAnsatz(0.7, [0.05]))]),
                      lambda t: 0.3 * np.sin(2 * np.pi * t),
                      np.linspace(-3.0, 3.0, 61), 1e-3, id="t-dependent"),
-        # u = 0.2 solves the builtin under v = f(t, 0.2); 11 of 41 survive
-        pytest.param(WILD, lambda t: WILD.eval(t, 0.2),
-                     np.linspace(-2.0, 2.0, 41), 1e-3, id="builtin"),
         pytest.param(WILD, _push, np.array([0.0, 0.5, np.nan]), 1e-3,
-                     id="builtin-one-step-overflow"),
+                     id="one-step-overflow"),
         pytest.param(Nonlinearity.polynomial([0.7]),
                      lambda t: 0.3 * np.cos(2 * np.pi * t), ESCAPING, 1e-3,
                      id="width-1"),
@@ -519,10 +512,6 @@ class TestVectorStep:
                      [(np.linspace(-3.0, 3.0, 31), 1.0 / 501),
                       (np.linspace(-3.0, 3.0, 61), 1e-3)],
                      id="t-dependent"),
-        pytest.param(WILD, lambda t: WILD.eval(t, 0.2),
-                     [(np.linspace(-2.0, 2.0, 41), 1.0 / 301),
-                      (np.array([0.2, -0.0, np.nan, 0.5]), 1e-3)],
-                     id="builtin"),
         pytest.param(Nonlinearity.polynomial([0.7]),
                      lambda t: 0.3 * np.cos(2 * np.pi * t),
                      [(ESCAPING, 1.0 / 3), (ESCAPING, 1e-3)], id="width-1"),
@@ -569,7 +558,7 @@ class TestVectorStep:
         xs = np.linspace(-0.5, 0.5, 5)
 
         def flows():
-            for fn in (f, g, WILD, units):
+            for fn in (f, g, units):
                 _flow_vector(fn, forcing, xs, 1e-2)
                 _flow_vector(fn, forcing, xs, 1e-2, None,
                              [(xs, 0.02, None)])
@@ -577,7 +566,7 @@ class TestVectorStep:
         flows()
         compiled = real.cache_info().misses
         flows()
-        assert real.cache_info().misses == compiled == len(set(keys)) == 8
+        assert real.cache_info().misses == compiled == len(set(keys)) == 6
         assert {key[3] for key in keys} == {"", "xxxx", "x0101"}
         for key in keys:
             assert {type(a) for a in key} <= {int, bool, str}, key
@@ -664,10 +653,10 @@ class TestTangentLanes:
                        Term(3, FourierAnsatz(0.7, [0.05]))]),
          lambda t: 0.3 * np.sin(2 * np.pi * t), -0.6, 1e-3),
         (SQUARE, None, -2.0, 1e-3),
-        (WILD, None, 0.1, 1e-3),
+        (WILD, None, 7.0, 1e-3),
         (WILD, _push, 0.0, 1e-3),
     ], ids=["cubic", "cubic-low", "t-dependent", "riccati-escape",
-            "builtin-escape", "one-step-overflow"])
+            "wild-escape", "one-step-overflow"])
     def test_xi_only_lane_is_the_full_lanes_xi(self, f, v, x0, h):
         # _flow_with_variation's whole tuple, escape sign and time included,
         # is what the full-lane flow at stride 1 reads: the K = 1 loop
@@ -709,12 +698,10 @@ class TestGeneratedLoops:
                      id="width-1"),
         pytest.param(T_DEPENDENT, lambda t: 0.3 * np.sin(2 * np.pi * t), -0.6,
                      1e-3, id="t-dependent"),
-        pytest.param(WILD, lambda t: WILD.eval(t, 0.2), 0.25, 1e-2,
-                     id="builtin"),
         pytest.param(SQUARE, None, -2.0, 1e-3, id="riccati-escape"),
         pytest.param(Nonlinearity([Term(2, FourierAnsatz(1.0, [0.3]))]), None,
                      -3.0, 1e-3, id="t-dependent-escape"),
-        pytest.param(WILD, None, 0.1, 1e-3, id="builtin-escape"),
+        pytest.param(WILD, None, 7.0, 1e-3, id="wild-escape"),
         pytest.param(WILD, _push, 0.0, 1e-3, id="one-step-overflow"),
     ]
     VARIANTS = [dict(), dict(store=True), dict(tangent_stride=1),
@@ -733,7 +720,7 @@ class TestGeneratedLoops:
         for f, v, x0, h in [(SQUARE, None, -2.0, 1e-3),
                             (Nonlinearity([Term(2, FourierAnsatz(1.0, [0.3]))]),
                              None, -3.0, 1e-3),
-                            (WILD, None, 0.1, 1e-3), (WILD, _push, 0.0, 1e-3)]:
+                            (WILD, None, 7.0, 1e-3), (WILD, _push, 0.0, 1e-3)]:
             assert _flow_scalar(f, v, x0, 0.0, 1.0, h, tangent_stride=1)[2]
 
     def test_nan_escape_takes_the_last_sign(self):
@@ -803,7 +790,7 @@ class TestGeneratedLoops:
         real.cache_clear()
 
         def flows():
-            for fn in (f, g, WILD, units):
+            for fn in (f, g, units):
                 _flow_scalar(fn, forcing, 0.1, 0.0, 1.0, 1e-2, store=True)
                 _flow_scalar(fn, forcing, 0.1, 0.0, 1.0, 1e-2,
                              tangent_stride=2)
@@ -813,7 +800,7 @@ class TestGeneratedLoops:
         flows()
         compiled = real.cache_info().misses
         flows()
-        assert real.cache_info().misses == compiled == len(set(keys)) == 16
+        assert real.cache_info().misses == compiled == len(set(keys)) == 12
         assert ("autonomous", (5, 4, 3, 2, 1), 4, False, False,
                 ("x0101", "xx0x", "x0x", "xx", "x")) in keys
 
@@ -844,9 +831,7 @@ class TestJetFlow:
         (Nonlinearity([Term(1, FourierAnsatz(-1.0, [], [0.2])),
                        Term(3, FourierAnsatz(0.7, [0.05]))]),
          lambda t: 0.3 * np.sin(2 * np.pi * t), -0.6, 1e-3),
-        # u = 0.2 solves the builtin under v = f(t, 0.2), and 0.25 survives
-        (WILD, lambda t: WILD.eval(t, 0.2), 0.25, 1e-2),
-    ], ids=["cubic", "t-dependent", "builtin"])
+    ], ids=["cubic", "t-dependent"])
     def test_value_and_slope_match_the_tangent_lane(self, f, v, x0, h):
         # u_0 and u_1 are _flow_with_variation's u and xi, bit for bit
         jet = _rk4_jet(f, v, x0, h, 4)
@@ -867,8 +852,6 @@ class TestJetFlow:
                      lambda t: 0.3 * np.sin(2 * np.pi * t), -0.6, 1e-3,
                      range(1, 7), id="t-dependent"),
         pytest.param(SQUARE, None, -2.0, 1e-3, range(1, 7), id="blow-up"),
-        pytest.param(WILD, lambda t: WILD.eval(t, 0.2), 0.25, 1e-2,
-                     range(1, 5), id="builtin"),
     ]
 
     @pytest.mark.parametrize("f, v, x0, h, orders", JET_CASES)
@@ -903,7 +886,7 @@ class TestJetFlow:
                 rng.choice(values, (3000, K + 1)).tolist())
         for w in jets:
             u, _, blew, _, _, tail = run(tuple(w), 0.0, h, nsteps, 0,
-                                         *forcing, rows, ())
+                                         *forcing, rows)
             expect = _comprehension_run(list(w), h, nsteps, forcing,
                                         stage_rows, evals)
             assert _bits(None if blew else [u, *tail]) == _bits(expect)
@@ -939,7 +922,7 @@ class TestJetFlow:
                     assert _bits(None if blew else [u, *tail]) == expect, (
                         rows, forcing, w)
                     u, _, blew, _, _, tail = unruled(
-                        w, 0.0, 1.0 / nsteps, nsteps, 0, *lists, rows, ())
+                        w, 0.0, 1.0 / nsteps, nsteps, 0, *lists, rows)
                     changed += _bits(None if blew else [u, *tail]) != expect
                     compared += 1
         assert compared == 4 * 3 * 7 ** (K + 1)
@@ -973,8 +956,8 @@ class TestJetFlow:
             evals, stage_rows = zip(*_stage_fns(IDENTITY, rows, nsteps,
                                                 range(K + 1)))
             # the loop that leaves the constant unadded under any forcing
-            kind, widths, patterns, _ = odeint._loop_key(IDENTITY, rows, K,
-                                                         False)
+            kind, widths, patterns = odeint._loop_key(IDENTITY, rows, K,
+                                                      False)
             careless = _rk4_loop(kind, widths, K, False, not K, patterns)
             for name, forcing in tables.items():
                 table = odeint._table(forcing, rows)
@@ -1003,7 +986,7 @@ class TestJetFlow:
                                     table=table, tangent_stride=1)), w
                     with np.errstate(over="ignore", invalid="ignore"):
                         blind = careless(w, 0.0, h, nsteps, 0, *table[0],
-                                         rows, ())
+                                         rows)
                     changed += _deep_bits(blind) != _deep_bits(got)
                     compared += 1
         assert changed > 0 and compared > 0
@@ -1078,12 +1061,6 @@ class TestContactOrder:
         assert rep.order == 1
         assert rep.derivatives[-1] == pytest.approx(-720.0, rel=1e-10)
 
-    def test_builtin_kmax_five_raises_before_any_flow(self):
-        def forcing(t):
-            raise AssertionError("contact_order started a flow")
-        with pytest.raises(PreconditionError, match="order 6"):
-            contact_order(WILD, forcing, 0.0, kmax=5)
-
 
 class TestStageTables:
     # the stage table is data that only odeint reads, and one key function
@@ -1101,8 +1078,8 @@ class TestStageTables:
         return keys
 
     @pytest.mark.parametrize("f", [Nonlinearity.quartic(4.0, -0.3),
-                                   T_DEPENDENT, WILD],
-                             ids=["autonomous", "t-dependent", "builtin"])
+                                   T_DEPENDENT],
+                             ids=["autonomous", "t-dependent"])
     def test_table_holds_only_data(self, f):
         nsteps = 8
         forcing, rows, minus_zero = _stage_table(f, lambda t: np.cos(t),
@@ -1118,9 +1095,6 @@ class TestStageTables:
         assert minus_zero is False
         if f.autonomous:  # one coefficient row per order
             assert rows == [f.poly_coeffs(j).tolist() for j in range(3)]
-        elif f.builtin is not None:  # the stage times, once for every order
-            assert np.array_equal(rows, np.reshape(
-                odeint._stage_times(0.0, nsteps, 1.0 / nsteps), (3, nsteps)))
         else:  # per order, the rows at each stage time of every step
             assert [[len(r) for r in order] for order in rows] == [
                 [nsteps] * 3] * 3
@@ -1145,8 +1119,8 @@ class TestStageTables:
     @pytest.mark.parametrize("f, table", [
         (Nonlinearity.quartic(4.0, -0.3), None),
         (IDENTITY, _row_table([[-0.0, 1.0, 0.0, 1.0]], 0.5, 100)),
-        (T_DEPENDENT, None), (WILD, None),
-    ], ids=["autonomous", "minus-zero-constant", "t-dependent", "builtin"])
+        (T_DEPENDENT, None),
+    ], ids=["autonomous", "minus-zero-constant", "t-dependent"])
     def test_scalar_and_many_lane_loops_share_a_key(self, f, table,
                                                     monkeypatch):
         keys = self._keys(monkeypatch)
@@ -1158,24 +1132,6 @@ class TestStageTables:
         if table is not None:  # a -0.0 constant leaves the row unspecialised
             assert (kind, width, pattern) == ("autonomous", 4, "")
 
-    def test_builtin_loops_read_each_stage_time_once(self):
-        # the scalar loop takes the three stage times from the zip of its
-        # step, and the many-lane loop reads each group's once per step,
-        # as it reads the h/2 forcing
-        for K, lanes, store in itertools.product(range(3), (False, True),
-                                                 (False, True)):
-            source = _rk4_source("builtin", (0,) * (K + 1), K, lanes, store,
-                                 ("",) * (K + 1))
-            loop = source[source.index("    for k, "):]
-            assert loop.startswith("    for k, va, vb, vc, ta, tb, tc in "
-                                   "zip(range(nsteps), v0, vh, v1, *rows):")
-            assert "[k]" not in loop
-        for ngroups in (1, 2, 3):
-            source = odeint._vector_source("builtin", 0, ngroups, "")
-            for body in source.split("    for k in range(")[1:]:
-                times = re.findall(r"R\d+[abc]\[k\]", body)
-                assert times and len(times) == len(set(times)), times
-
     def test_generated_code_holds_no_float_data(self, monkeypatch, quartic,
                                                 six_root_ansatz):
         # every loop that a small census, a fibre trace and contact_order
@@ -1184,7 +1140,7 @@ class TestStageTables:
         keys = self._keys(monkeypatch)
         v = operator_rhs(quartic, six_root_ansatz)
         count_solutions(quartic, v, -0.35, 0.15, scan_n=21, h=1e-2)
-        fibre_trace(Nonlinearity.polynomial([0, -1, 0, 1]),
+        trace_pairs(Nonlinearity.polynomial([0, -1, 0, 1]),
                     PeriodicFn.from_callable(lambda t: 0.4 * np.cos(
                         2 * np.pi * t), Grid(64)), -0.5, 0.5, 2)
         contact_order(SQUARE, None, 0.0, kmax=3, h=1e-2)

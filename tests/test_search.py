@@ -4,7 +4,7 @@ import pytest
 from morinode import (FourierAnsatz, Grid, Nonlinearity, ParamFamily,
                       PeriodicFn, SearchProblem, count_solutions, degree,
                       gauss_newton, odeint, search, sweep)
-from morinode.core import PreconditionError
+from morinode.core import PreconditionError, Term
 from tests.conftest import (BUTTERFLY_B, BUTTERFLY_C, BUTTERFLY_COEFFS,
                             SIX_ROOT_COEFFS, ansatz_from, operator_rhs)
 
@@ -143,6 +143,18 @@ class TestCountSolutions:
         assert census.roots_at_half_step == ()
         assert [(p.h, p.flows_per_bracket, p.work) for p in census.passes] \
             == [(1e-2, (), {"lane_steps": 10_100, "flows": 0, "steps": 0})]
+
+    def test_no_surviving_lane_counts_none(self):
+        # u' = 2e6 - u has the solution u = 2e6, but every scan lane starts
+        # past U_MAX and dies: the census cannot rule out a root, so the
+        # whole range is unresolved and neither pass has a count
+        census = count_solutions(Nonlinearity.polynomial([-2e6, 1.0]), None,
+                                 1.5e6, 2.5e6, scan_n=21, h=1e-3)
+        assert census.count is None and census.count_at_half_step is None
+        assert census.unresolved_brackets == ((1.5e6, 2.5e6),)
+        assert census.roots == () and not census.degenerate_continuum
+        assert not census.stable_under_halving
+        assert len(census.passes) == 2
 
     def test_single_step_census_runs_one_group(self, monkeypatch):
         groups = _spy_vector_groups(monkeypatch)
@@ -347,9 +359,9 @@ class TestSweep:
         from morinode.core import TamenessViolationError
 
         def analysis(f, p):
-            wild = Nonlinearity.from_builtin("cosh2_cos")
+            wild = Nonlinearity([Term(2, FourierAnsatz(0.0, [1.0]))])
             vt = PeriodicFn.constant(0.0, Grid(256))
-            solve_periodic(wild, vt, InitialValue(0.0), h=1e-3)
+            solve_periodic(wild, vt, InitialValue(7.0), h=1e-3)
         table = sweep(ParamFamily.quartic_bc(), {"b": [1.0], "c": [0.0]},
                       analysis)
         cell = next(iter(table.values()))
