@@ -173,8 +173,11 @@ class HullVerdict:
     """Origin-in-interior decision with its recomputable certificate.
 
     ``margin`` is the LP margin t (``_hull_test_box``), -inf for points in a
-    hyperplane; ``diagnostics`` holds the LP and phase-1 pivots and the
-    certificate residual on the scaled points beside its tolerance.
+    hyperplane; ``diagnostics`` holds the LP and phase-1 pivots, the
+    certificate residual on the scaled points beside its tolerance, and
+    ``margin_decades`` = log10(|t| / (m (pivots + 1) eps)), how far |t|
+    sits above the rounding bound at which the test raises (inf for a
+    hyperplane).
     """
 
     interior: bool
@@ -236,14 +239,17 @@ def _hull_test_box(P: np.ndarray, work: Counter) -> HullVerdict:
     _, sv, vt = np.linalg.svd(Q, full_matrices=False)
     if sv[-1] <= sv[0] * m * np.finfo(float).eps:
         nu, t = (vt[-1] if pbar @ vt[-1] >= 0 else -vt[-1]), -math.inf
+        decades = math.inf
     else:
         x, opt, pivots = _simplex_max(np.hstack([Q, -Q]), np.ones(m),
                                       np.concatenate([-pbar, pbar]))
         work["lp_pivots"] += pivots
         nu, t = x[k:] - x[:k], (1.0 - opt) / m
-        if abs(t) <= m * (pivots + 1) * np.finfo(float).eps:
+        bound = m * (pivots + 1) * np.finfo(float).eps
+        if abs(t) <= bound:
             raise _SimplexFailure(f"origin on the hull boundary to rounding: "
                                   f"t = {t:.2e}")
+        decades = math.log10(abs(t) / bound)
     if t > 0:
         lam = _feasible_combination(S, work)
         if lam is None:
@@ -258,7 +264,8 @@ def _hull_test_box(P: np.ndarray, work: Counter) -> HullVerdict:
                               f"{tol:g} on the scaled points (t = {t:.2e})")
     return replace(verdict, direction=None if t > 0 else np.ldexp(nu, -e),
                    diagnostics=dict(work, certificate_residual=resid,
-                                    certificate_tol=tol))
+                                    certificate_tol=tol,
+                                    margin_decades=decades))
 
 
 # ---------------------------------------------------------------------------

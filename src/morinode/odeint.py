@@ -6,11 +6,13 @@ plain-float lists that only this module reads: the forcing at each
 step's three stage times, and per x-derivative order one coefficient row
 of an autonomous polynomial or the rows at every stage time of a
 t-dependent one. f is always a polynomial in x. The table also records
-whether its forcing holds a -0.0. ``_loop_key`` turns f and its table
-into the key of both generated loops: f's kind, autonomous or
-t-dependent, its row widths and each autonomous row's pattern
-(``_pattern``: "0" for a +0.0 that is not added, "1" for 1.0, "x" for any
-other value; no value itself).
+whether its forcing holds a -0.0. A callable forcing must act pointwise
+on an array of times: a table calls it once, at the distinct stage times
+(``_at_stage_times``), and so do a t-dependent f's coefficients.
+``_loop_key`` turns f and its table into the key of both generated
+loops: f's kind, autonomous or t-dependent, its row widths and each
+autonomous row's pattern (``_pattern``: "0" for a +0.0 that is not added,
+"1" for 1.0, "x" for any other value; no value itself).
 
 Every scalar flow is one straight-line loop (``_rk4_loop``), compiled
 with ``exec`` once per key, jet order K, fibre lanes and stored samples.
@@ -112,15 +114,18 @@ def _rhs_tables(f: Nonlinearity, v, t0: float, nsteps: int, h: float,
 
     The stage times of step k are t_k, t_k + h/2 and t_k + h. Returns
     the ``_table`` of the forcing at those times and of f's data
-    (``_stage_rows``). A forcing value that is not finite raises
-    ``PreconditionError``, since a flow would read it as an escape. Flows
-    at the same (f, v, h) can share one through their ``table``.
+    (``_stage_rows``). A callable forcing (a PeriodicFn calls its spectral
+    interpolant) must act pointwise on an array of times: it is called
+    once per table, at the distinct stage times (``_at_stage_times``). A
+    forcing value that is not finite raises ``PreconditionError``, since a
+    flow would read it as an escape. Flows at the same (f, v, h) can share
+    one through their ``table``.
     """
     stage_times = _stage_times(t0, nsteps, h)
     if v is None:
         vvals = np.zeros(stage_times.shape)
-    else:  # a PeriodicFn calls its spectral interpolant
-        vvals = np.asarray(v(stage_times), dtype=float)
+    else:
+        vvals = _at_stage_times(v, stage_times, nsteps)
         if not np.isfinite(vvals).all():
             raise PreconditionError("the forcing must be finite at the "
                                     "stage times")
@@ -148,17 +153,41 @@ def _stage_times(t0: float, nsteps: int, h: float) -> np.ndarray:
     return np.concatenate([times, times + h / 2, times + h])
 
 
+def _at_stage_times(fn, stage_times: np.ndarray, nsteps: int) -> np.ndarray:
+    """fn at each of the ``_stage_times``, from one call at the distinct ones.
+
+    fn must act pointwise on an array of times, giving one value (or row)
+    per time. It is called once, at every t_k and t_k + h/2 and at each
+    t_k + h that is not bitwise t_(k+1); a t_k + h that is takes the value
+    computed at t_(k+1). A pointwise fn computes each time's value on its
+    own, so every value is the one a call at all 3 nsteps times gives, bit
+    for bit. Returns the values in ``stage_times`` order, as floats.
+    """
+    ends, nexts = stage_times[2 * nsteps:], stage_times[1:nsteps]
+    fresh = np.append(ends[:-1] != nexts, True)
+    values = np.asarray(fn(np.concatenate([stage_times[:2 * nsteps],
+                                           ends[fresh]])), dtype=float)
+    # where each stage time's value sits in fn's result: a shared end at
+    # the next step's t_k, a fresh one after the 2 nsteps of t_k and t_k + h/2
+    where = np.arange(3 * nsteps)
+    where[2 * nsteps:] = np.where(fresh, 2 * nsteps - 1 + np.cumsum(fresh),
+                                  np.arange(1, nsteps + 1))
+    return values[where]
+
+
 def _stage_rows(f: Nonlinearity, stage_times: np.ndarray, nsteps: int,
                 orders):
     """f's table data for the x-derivative ``orders``.
 
     Per order, the ascending coefficients of d^order f/dx^order: one row
     for an autonomous polynomial, and for a t-dependent one three lists
-    (r0, rh, r1) of the rows at each step's stage times.
+    (r0, rh, r1) of the rows at each step's stage times, from one
+    ``coeff_rows`` call at the distinct ones (``_at_stage_times``).
     """
     if f.autonomous:
         return [f.poly_coeffs(order).tolist() for order in orders]
-    return [f.coeff_rows(stage_times, order=order).reshape(3, nsteps, -1)
+    return [_at_stage_times(lambda t: f.coeff_rows(t, order=order),
+                            stage_times, nsteps).reshape(3, nsteps, -1)
             .tolist() for order in orders]
 
 
@@ -688,8 +717,9 @@ def integrate(f: Nonlinearity, v, x0: float, t0: float = 0.0, t1: float = 1.0,
     """RK4 solve of u' + f(t,u) = v(t) from u(t0) = x0.
 
     ``v`` may be a PeriodicFn (interpolated spectrally between nodes), a
-    callable of t, or None for zero forcing. x0, t0, t1 and h must be
-    finite.
+    callable of t, or None for zero forcing. A callable must act pointwise
+    on an array of times; it is called once, at the distinct RK4 stage
+    times (``_rhs_tables``). x0, t0, t1 and h must be finite.
     """
     if not math.isfinite(x0):
         raise PreconditionError("x0 must be finite")
@@ -706,7 +736,9 @@ def return_map(f: Nonlinearity, v, x0: float, h: float = 1e-3,
     """rho_v(x0) = u(1) for the solve over [0,1], with optional derivative.
 
     The derivative is du(1)/du(0) of the discrete RK4 flow, from the
-    tangent lane of the same steps. x0 and h must be finite.
+    tangent lane of the same steps. ``v`` is as in ``integrate``: a
+    callable acts pointwise on an array of times and is called once, at
+    the distinct stage times. x0 and h must be finite.
     """
     if not (math.isfinite(x0) and math.isfinite(h)):
         raise PreconditionError("x0 and the step must be finite")
@@ -752,8 +784,9 @@ def contact_order(f: Nonlinearity, v, x0: float, kmax: int = 4,
     discrete RK4 map, from one ``_rk4_jet`` flow of order kmax + 1. A
     derivative counts as zero when |rho^(i)| <= ``CONTACT_ZERO_TOL`` *
     max(1, |rho^(k+1)|), and rho' as one when |rho' - 1| is within
-    ``CONTACT_ZERO_TOL`` * max(1, max_i |rho^(i)|). x0 and h must be
-    finite.
+    ``CONTACT_ZERO_TOL`` * max(1, max_i |rho^(i)|). ``v`` is as in
+    ``integrate``: a callable acts pointwise on an array of times and is
+    called once, at the distinct stage times. x0 and h must be finite.
     """
     if not math.isfinite(x0):
         raise PreconditionError("x0 must be finite")

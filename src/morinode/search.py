@@ -39,6 +39,10 @@ ROOT_REFINE_TOL = 1e-12
 MAX_REFINE_FLOWS = 80
 ROOT_DEDUP_TOL = 1e-9
 PINV_TRUNCATION = 1e-10
+# RK4's error falls about 16-fold when the step halves, while a nonzero
+# g = rho(x) - x keeps its size: a scan whose max |g| falls at least this
+# many times under halving holds only discretization error, a continuum
+CONTINUUM_HALVING_DROP = 8.0
 
 
 @dataclass(frozen=True)
@@ -260,13 +264,16 @@ class CensusRoot:
     the discretized map. It is 0.0 when g = rho(x) - x evaluated to exactly
     0.0 at x, which does not mean a zero-width bracket: the last sign
     bracket can still be wide (3e-12 to 3.7e-4 on the bench census). Such
-    a root sits in a float-noise zone about ulp(x) / |rho' - 1| wide, in
-    which rounding decides the sign of g.
+    a root sits in a float-noise zone in which rounding decides the sign
+    of g. ``rounding_width`` = ulp(x) / |rho' - 1| is that zone's width,
+    the root's move under a change of one ulp in rho(x); it is inf when
+    rho' = 1.
     """
 
     x: float
     rho_prime: float
     bracket_width: float
+    rounding_width: float
 
 
 @dataclass(frozen=True)
@@ -324,8 +331,11 @@ def count_solutions(f: Nonlinearity, v, x_lo: float, x_hi: float,
     lane survives reports the whole range unresolved and counts None. The
     count is re-derived at h/2, from a scan made in the same
     ``_flow_vector`` call as the scan at h (``_census_pass``); it is
-    dropped when the pass at h is degenerate. Each of ``passes`` records
-    its work. The range and the step must be finite.
+    dropped when the pass at h is degenerate: max |g| within rounding of
+    0, or, with the check at h/2, falling at least
+    ``CONTINUUM_HALVING_DROP``-fold under halving, as the RK4 error of a
+    continuum of periodic solutions does. Each of ``passes`` records its
+    work. The range and the step must be finite.
     """
     if not all(map(math.isfinite, (x_lo, x_hi, h))):
         raise PreconditionError("the range and the step must be finite")
@@ -367,29 +377,49 @@ def _census_pass(f: Nonlinearity, v, xs: np.ndarray, h: float,
     order-0 stage tables that the scan and every refinement flow of the
     pass share. Each pass then brackets and refines its own scan
     (``_census_roots``) and releases its table; the h/2 pass is dropped
-    when the h pass is degenerate. Returns a list of (roots, unresolved,
-    degenerate, g, CensusPass), one per pass kept.
+    when the h pass is degenerate. With both scans, the h pass is also
+    degenerate when max |g| on the lanes finite in both falls at least
+    ``CONTINUUM_HALVING_DROP``-fold from h to h/2. Returns a list of
+    (roots, unresolved, degenerate, g, CensusPass), one per pass kept.
     """
     steps = (h, h / 2) if check_half_step else (h,)
     tables = [_stage_table(f, v, step) for step in steps]
     u_end, alive = _flow_vector(f, v, xs, h, tables[0],
                                 [(xs, step, table) for step, table
                                  in zip(steps[1:], tables[1:])])
+    scans = np.split(u_end, len(steps))
+    continuum = check_half_step and _halving_continuum(xs, *scans)
     passes = []
-    for step, u, live in zip(steps, np.split(u_end, len(steps)),
-                             np.split(alive, len(steps))):
-        passes.append(_census_roots(f, v, xs, u, live, step, tables.pop(0)))
+    for step, u, live in zip(steps, scans, np.split(alive, len(steps))):
+        passes.append(_census_roots(f, v, xs, u, live, step, tables.pop(0),
+                                    continuum))
         if passes[0][2]:
             break
     return passes
 
 
+def _halving_continuum(xs: np.ndarray, u_h: np.ndarray,
+                       u_half: np.ndarray) -> bool:
+    """Whether max |g| falls ``CONTINUUM_HALVING_DROP``-fold from h to h/2.
+
+    g = u - xs on the lanes finite in both scans (a dead lane is nan),
+    of which there must be two.
+    """
+    g_h, g_half = np.abs(u_h - xs), np.abs(u_half - xs)
+    both = np.isfinite(g_h) & np.isfinite(g_half)
+    return bool(both.sum() >= 2 and np.max(g_half[both])
+                <= np.max(g_h[both]) / CONTINUUM_HALVING_DROP)
+
+
 def _census_roots(f: Nonlinearity, v, xs: np.ndarray, u_end: np.ndarray,
-                  alive: np.ndarray, h: float, table):
+                  alive: np.ndarray, h: float, table, continuum: bool):
     """(roots, unresolved, degenerate, g, CensusPass) of one pass's scan.
 
     ``table`` is the pass's order-0 ``_stage_table``; the order-1 rows
     the refinement flows read are added only when there is a bracket.
+    The scan is degenerate when max |g| is at most 1e-12 max(1, max |x|)
+    on two or more finite lanes, or when ``continuum`` (the halving test
+    of ``_census_pass``) says so.
     """
     work = {"lane_steps": len(xs) * _step_count(0.0, 1.0, h)[0],
             "flows": 0, "steps": 0}
@@ -399,7 +429,8 @@ def _census_roots(f: Nonlinearity, v, xs: np.ndarray, u_end: np.ndarray,
         return [], [(float(xs[0]), float(xs[-1]))], False, g, CensusPass(
             h, (), work)
     scale = float(np.max(np.abs(g[finite])))
-    if finite.sum() >= 2 and scale <= 1e-12 * max(1.0, np.max(np.abs(xs))):
+    if continuum or (finite.sum() >= 2
+                     and scale <= 1e-12 * max(1.0, np.max(np.abs(xs)))):
         return [], [], True, g, CensusPass(h, (), work)
 
     brackets = []
@@ -434,8 +465,11 @@ def _census_roots(f: Nonlinearity, v, xs: np.ndarray, u_end: np.ndarray,
     for root, width, der in roots:
         if out and abs(root - out[-1].x) <= ROOT_DEDUP_TOL:
             continue
+        slope = abs(der - 1.0)
         out.append(CensusRoot(x=float(root), rho_prime=float(der),
-                              bracket_width=float(width)))
+                              bracket_width=float(width),
+                              rounding_width=(math.ulp(root) / slope if slope
+                                              else math.inf)))
     return out, unresolved, False, g, CensusPass(h, tuple(flows), work)
 
 

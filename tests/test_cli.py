@@ -2,6 +2,7 @@ import argparse
 import gc
 import inspect
 import json
+import math
 import os
 import re
 import subprocess
@@ -400,8 +401,10 @@ class TestCommands:
         assert code == EXIT_OK
         diag = doc["result"]["diagnostics"]
         assert set(diag) == {"lp_pivots", "phase1_pivots",
-                             "certificate_residual", "certificate_tol"}
+                             "certificate_residual", "certificate_tol",
+                             "margin_decades"}
         assert diag["lp_pivots"] >= 1 and diag["phase1_pivots"] >= 1
+        assert diag["margin_decades"] > 6
         assert 0 < doc["result"]["margin"] <= 1 / 401
         assert diag["certificate_residual"] == doc["result"]["certificate_residual"]
         assert diag["certificate_residual"] <= diag["certificate_tol"] == 1e-9
@@ -410,7 +413,7 @@ class TestCommands:
                                  problem_files["quartic"]])
         assert code == EXIT_OK
         hull2 = doc["result"]["evidence"]["hull_gamma2"]["diagnostics"]
-        assert hull2["lp_pivots"] >= 1
+        assert hull2["lp_pivots"] >= 1 and hull2["margin_decades"] > 6
 
     def test_reparam_roundtrip_via_cli(self, problem_files, capsys):
         code, doc = run(capsys, ["reparam", "--problem", problem_files["quartic"],
@@ -529,6 +532,10 @@ class TestCommands:
         assert doc["result"]["count"] == 3
         roots = [r["x"] for r in doc["result"]["roots"]]
         assert roots == pytest.approx([-1.0, 0.0, 1.0], abs=1e-9)
+        # each root carries ulp(x) / |rho' - 1|
+        assert [r["rounding_width"] for r in doc["result"]["roots"]] == [
+            math.ulp(r["x"]) / abs(r["rho_prime"] - 1.0)
+            for r in doc["result"]["roots"]]
 
     def test_find_singularity_unreachable_target(self, tmp_path, capsys):
         # Sigma_2 = 2 mean(w) > 0 for f = x^2, so the target -1 is out of

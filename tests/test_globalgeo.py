@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import warnings
 from collections import Counter
@@ -213,8 +214,12 @@ class TestHull:
         interior = hull_origin_test(curve)
         d = interior.diagnostics
         assert set(d) == {"lp_pivots", "phase1_pivots",
-                          "certificate_residual", "certificate_tol"}
+                          "certificate_residual", "certificate_tol",
+                          "margin_decades"}
         assert interior.interior and 0 < interior.margin <= 1 / 401
+        assert d["margin_decades"] == math.log10(
+            interior.margin
+            / (401 * (d["lp_pivots"] + 1) * np.finfo(float).eps))
         assert d["lp_pivots"] >= 1 and d["phase1_pivots"] >= 1
         S = curve.points * _column_scale(curve.points)
         assert d["certificate_residual"] == interior.certificate_residual(S)
@@ -226,6 +231,9 @@ class TestHull:
         d = separating.diagnostics
         assert not separating.interior and separating.margin < 0
         assert d["lp_pivots"] >= 1 and d["phase1_pivots"] == 0
+        assert d["margin_decades"] == math.log10(
+            -separating.margin
+            / (401 * (d["lp_pivots"] + 1) * np.finfo(float).eps))
         # the direction maps back exactly: its residual on the raw points
         # is the one on the scaled points
         assert d["certificate_residual"] == separating.certificate_residual(
@@ -234,6 +242,21 @@ class TestHull:
         separating = hull_origin_test(gamma_curve(SQUARE, 2, -2.0, 2.0))
         assert separating.diagnostics["lp_pivots"] == 0
         assert separating.diagnostics["phase1_pivots"] == 0
+        assert separating.margin == -math.inf
+        assert separating.diagnostics["margin_decades"] == math.inf
+
+    def test_classify_sweep_margins_clear_the_rounding_bound(self):
+        # the 32 hull verdicts of a 4 x 4 classify sweep of x^4 - b x^2 + c x
+        # (b in 3.5..4.5, c in -0.5..0.4) have t of 2.6e-4 to 3.5e-4, about
+        # 8.4 to 9.1 decades above the bound at which the test raises
+        decades = []
+        for b, c in itertools.product(np.linspace(3.5, 4.5, 4),
+                                      np.linspace(-0.5, 0.4, 4)):
+            oc = globalgeo.classify_operator(Nonlinearity.quartic(b, c))
+            decades += [v.diagnostics["margin_decades"]
+                        for name, v in oc.evidence.items()
+                        if name.startswith("hull_gamma")]
+        assert len(decades) == 32 and min(decades) > 6
 
     def test_column_scaling_by_powers_of_two(self):
         # the test runs on the points scaled column by column by powers of

@@ -1099,6 +1099,87 @@ class TestStageTables:
             assert [[len(r) for r in order] for order in rows] == [
                 [nsteps] * 3] * 3
 
+    # a table evaluates the forcing once, at the distinct stage times: the
+    # last stage time t_k + h of a step that is bitwise t_(k+1) takes the
+    # value at t_(k+1), which a pointwise forcing makes the same bits
+    STEPS = [1 / 1024, 2e-4, 1e-4, 1e-2, 0.3]
+    FORCINGS = [
+        pytest.param(PeriodicFn(Grid(256), np.where(Grid(256).nodes < 0.5,
+                                                    0.3, -0.3)),
+                     id="square-wave"),
+        pytest.param(lambda t: 0.5 * np.cos(2 * np.pi * t)
+                     + 0.3 * np.sin(6 * np.pi * t) + 0.3, id="callable"),
+        pytest.param(None, id="none")]
+
+    @staticmethod
+    def _direct(v, t0, nsteps, h):
+        # the forcing evaluated at every stage time, shared ones included
+        times = odeint._stage_times(t0, nsteps, h)
+        return np.zeros(times.shape) if v is None else v(times)
+
+    @pytest.mark.parametrize("h", STEPS)
+    @pytest.mark.parametrize("v", FORCINGS)
+    def test_forcing_is_the_direct_evaluation_bitwise(self, v, h):
+        nsteps, step = odeint._step_count(0.0, 1.0, h)
+        forcing, _, _ = _stage_table(IDENTITY, v, h)
+        direct = self._direct(v, 0.0, nsteps, step).reshape(3, nsteps).tolist()
+        assert [_bits(row) for row in forcing] == [_bits(row)
+                                                   for row in direct]
+
+    @pytest.mark.parametrize("v", FORCINGS)
+    def test_forcing_from_a_later_start_is_the_direct_evaluation(
+            self, v, monkeypatch):
+        tables = []
+        build = odeint._rhs_tables
+
+        def spy(*args):
+            tables.append((args[2:5], build(*args)))
+            return tables[-1][1]
+        monkeypatch.setattr(odeint, "_rhs_tables", spy)
+        integrate(IDENTITY, v, 0.2, t0=0.3, t1=1.7, h=1e-3)
+        [((t0, nsteps, h), (forcing, _, _))] = tables
+        assert (t0, nsteps) == (0.3, 1400)
+        direct = self._direct(v, t0, nsteps, h).reshape(3, nsteps).tolist()
+        assert [_bits(row) for row in forcing] == [_bits(row)
+                                                   for row in direct]
+
+    @pytest.mark.parametrize("h, points", [(1 / 1024, 2049), (2e-4, 11_325)])
+    def test_forcing_called_once_at_the_distinct_stage_times(self, h, points):
+        calls = []
+
+        def v(t):
+            calls.append(np.array(t))
+            return np.cos(2 * np.pi * t)
+        _stage_table(SQUARE, v, h)
+        nsteps, step = odeint._step_count(0.0, 1.0, h)
+        [times] = calls
+        assert len(times) == points == len(np.unique(times))
+        assert np.array_equal(np.unique(times), np.unique(
+            odeint._stage_times(0.0, nsteps, step)))
+
+    @pytest.mark.parametrize("h", STEPS)
+    def test_t_dependent_rows_are_the_direct_rows_bitwise(self, h):
+        nsteps, step = odeint._step_count(0.0, 1.0, h)
+        times = odeint._stage_times(0.0, nsteps, step)
+        rows = _stage_table(T_DEPENDENT, None, h, (0, 1, 2))[1]
+        assert _deep_bits(rows) == _deep_bits(
+            [T_DEPENDENT.coeff_rows(times, order=j).reshape(3, nsteps, -1)
+             .tolist() for j in range(3)])
+
+    # at h = 1/1024 the last stage time of step 511 is t_512 = 0.5
+    def test_non_finite_forcing_at_a_shared_time_raises(self):
+        assert 511 / 1024 + 1 / 1024 == 0.5
+        with pytest.raises(PreconditionError, match="finite"):
+            _stage_table(IDENTITY, lambda t: np.where(t == 0.5, np.nan, 1.0),
+                         1 / 1024)
+
+    def test_minus_zero_at_a_shared_time_is_recorded(self):
+        forcing, _, minus_zero = _stage_table(
+            IDENTITY, lambda t: np.where(t == 0.5, -0.0, 1.0), 1 / 1024)
+        assert minus_zero is True
+        assert [_bits([forcing[0][512], forcing[2][511]])] == [
+            _bits([-0.0, -0.0])]
+
     def test_shifts_record_their_own_minus_zero(self):
         # each shift of a fibre table records whether its own forcing holds
         # a -0.0: only a -0.0 shift keeps the table's -0.0 values, and the

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -144,6 +146,28 @@ class TestCountSolutions:
         assert [(p.h, p.flows_per_bracket, p.work) for p in census.passes] \
             == [(1e-2, (), {"lane_steps": 10_100, "flows": 0, "steps": 0})]
 
+    def test_continuum_at_a_coarse_step_is_degenerate(self):
+        # every orbit of u' = -cos(2 pi t) u^2 from |u0| < 2 pi closes, so
+        # g = rho(x) - x is only the RK4 error: 2.2e-10 at h = 1e-2 is far
+        # above the rounding bound, but it falls 32-fold at h/2 where a
+        # nonzero g would keep its size
+        wild = Nonlinearity([Term(2, FourierAnsatz(0.0, [1.0]))])
+        census = count_solutions(wild, None, -1.0, 1.0, scan_n=41, h=1e-2)
+        assert census.degenerate_continuum and census.count is None
+        assert census.count_at_half_step is None and census.roots == ()
+        assert not census.stable_under_halving
+        assert len(census.passes) == 1
+        scan = np.max(np.abs(census.scan_g))
+        assert 1e-10 < scan < 1e-9
+        # without the half-step scan only the rounding bound decides; the
+        # root's rho' is exactly 1, so its rounding width is inf
+        census = count_solutions(wild, None, -1.0, 1.0, scan_n=41, h=1e-2,
+                                 check_half_step=False)
+        assert not census.degenerate_continuum and census.count == 1
+        [root] = census.roots
+        assert (root.x, root.rho_prime, root.rounding_width) == (
+            0.0, 1.0, math.inf)
+
     def test_no_surviving_lane_counts_none(self):
         # u' = 2e6 - u has the solution u = 2e6, but every scan lane starts
         # past U_MAX and dies: the census cannot rule out a root, so the
@@ -264,6 +288,21 @@ class TestCensusRefinement:
                 rv = return_map(quartic, v, r.x, h=h, with_derivative=True)
                 assert abs(r.rho_prime - rv.derivative) <= 1e-9
                 assert 0.0 <= r.bracket_width <= 1e-12
+
+    def test_rounding_width(self, six_root_census):
+        # ulp(x) / |rho' - 1|: the five flat roots (|rho' - 1| < 1e-5) sit
+        # in float-noise zones 1e-12 to 6e-11 wide, widest near -0.224
+        # where rho' - 1 = 5e-7; the steep root near 0.119 in one of 3e-14
+        census, _ = six_root_census
+        for roots in (census.roots, census.roots_at_half_step):
+            widths = [r.rounding_width for r in roots]
+            assert widths == [math.ulp(r.x) / abs(r.rho_prime - 1.0)
+                              for r in roots]
+            flat = [w for r, w in zip(roots, widths)
+                    if abs(r.rho_prime - 1.0) < 1e-5]
+            assert len(flat) == 5 and 1e-12 < min(flat)
+            assert max(flat) == pytest.approx(5.55e-11, rel=1e-3)
+            assert widths[-1] == pytest.approx(3.06e-14, rel=1e-2)
 
     def test_flows_per_bracket(self, six_root_census):
         passes = six_root_census[0].passes
