@@ -300,7 +300,7 @@ def _cmd_degree(args):
 
 def _cmd_tameness(args):
     f = _load_nonlinearity(args.problem)
-    rep = globalgeo.tameness(f, s_max=args.s_max)
+    rep = globalgeo.tameness(f)
     return {**dataclasses.asdict(rep), "tame": rep.tame}
 
 
@@ -436,7 +436,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("tameness")
     common(sp, grid=False)
-    sp.add_argument("--s-max", type=_finite_float, default=50.0)
 
     sp = sub.add_parser("reparam")
     common(sp)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -47,6 +48,16 @@ class TamenessViolationError(BracketError):
     """No periodic solution bracket was found; the nonlinearity looks wild."""
 
 
+def require_int(name: str, value, lo: int, hi: int | None = None) -> int:
+    """``value`` as an int; PreconditionError unless an integer in lo..hi."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or value < lo or (hi is not None and value > hi)):
+        span = f">= {lo}" if hi is None else f"in {lo}..{hi}"
+        raise PreconditionError(f"need an integer {name} {span}, "
+                                f"got {value!r}")
+    return int(value)
+
+
 # ---------------------------------------------------------------------------
 # grid and periodic functions
 # ---------------------------------------------------------------------------
@@ -59,8 +70,7 @@ class Grid:
     n: int = DEFAULT_GRID_N
 
     def __post_init__(self):
-        if self.n < 16:
-            raise PreconditionError(f"grid size {self.n} < 16")
+        require_int("grid size", self.n, 16)
         if self.n & (self.n - 1) != 0:
             raise PreconditionError(f"grid size {self.n} is not a power of two")
 
@@ -286,7 +296,7 @@ class FourierAnsatz:
     def from_periodic(cls, u: PeriodicFn, harmonics: int) -> "FourierAnsatz":
         """Read coefficients back by discrete transform (exact for M < n/2)."""
         n = u.grid.n
-        if harmonics >= n // 2:
+        if require_int("harmonics", harmonics, 0) >= n // 2:
             raise PreconditionError("requested harmonics not resolved by the grid")
         c = np.fft.rfft(u.values) / n
         a0 = float(c[0].real)

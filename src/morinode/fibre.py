@@ -15,13 +15,13 @@ lower set symmetrically, so blow-up counts as membership by its sign.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (Nonlinearity, PeriodicFn, PreconditionError,
-                   TamenessViolationError, mean, spectral_antiderivative)
+                   TamenessViolationError, mean, require_int,
+                   spectral_antiderivative)
 from .odeint import _flow_scalar, _forcing_shifts, _stage_table
 
 PERIODICITY_TOL = 1e-11
@@ -273,11 +273,9 @@ def trace_pairs(f: Nonlinearity, vtilde: PeriodicFn, a_lo: float, a_hi: float,
     and each starts from the nu before it. A point's ``phi_bar`` is
     Phi(u_a) = int f(t, u_a(t)) dt, the scalar map whose folds and cusps
     classify the operator on this fibre."""
-    if not a_lo < a_hi:
-        raise PreconditionError("need a_lo < a_hi")
-    if not isinstance(count, numbers.Integral) or count < 1:
-        raise PreconditionError(f"a trace needs an integer count >= 1, "
-                                f"got {count!r}")
+    if not (math.isfinite(a_lo) and math.isfinite(a_hi) and a_lo < a_hi):
+        raise PreconditionError("need finite a_lo < a_hi")
+    count = require_int("count", count, 1)
     h, _ = _node_step(vtilde.grid, None)
     shifts = _forcing_shifts(_stage_table(f, vtilde, h, (0, 1)))
     out, nu = [], None

@@ -5,9 +5,10 @@ whether order-k singularities of the simplified operator exist: they do
 exactly when the origin lies in the interior of the convex hull of the
 curve's image. The test is one linear program on power-of-two-scaled
 points, and each verdict carries a machine-checkable certificate. On top of
-this sit the topological degree, the wildness diagnostic, the operator
-classification cascade, the time reparametrization linking the full and
-simplified strata, and step-function seeds for the singularity search.
+this sit the topological degree, tameness and the operator classification
+cascade, whose polynomial signs Sturm counts decide exactly (``_sturm``),
+the time reparametrization linking the full and simplified strata, and
+step-function seeds for the singularity search.
 """
 
 from __future__ import annotations
@@ -15,11 +16,13 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field, replace
+from fractions import Fraction
 
 import numpy as np
 
 from .core import (MAX_X_DERIVATIVE, Grid, MorinodeError, Nonlinearity,
-                   PeriodicFn, PreconditionError, cumulative, horner, mean)
+                   PeriodicFn, PreconditionError, cumulative, mean,
+                   require_int)
 from .morin import ZERO_TOL_FACTOR, eigen_w
 
 DEFAULT_CURVE_SAMPLES = 401
@@ -159,10 +162,8 @@ def gamma_curve(f: Nonlinearity, k: int, x_lo: float, x_hi: float,
         raise PreconditionError("the x-range must be finite")
     if not f.autonomous:
         raise PreconditionError("gamma curves require an autonomous nonlinearity")
-    if not 1 <= k <= MAX_X_DERIVATIVE:
-        raise PreconditionError(f"order {k} not in 1..{MAX_X_DERIVATIVE}")
-    if count < 2 * k + 1:
-        raise PreconditionError(f"need at least {2 * k + 1} sample points")
+    k = require_int("order k", k, 1, MAX_X_DERIVATIVE)
+    count = require_int("count", count, 2 * k + 1)
     xs = np.linspace(x_lo, x_hi, count)
     pts = np.column_stack([np.asarray(f.eval(0.0, xs, i)) for i in range(1, k + 1)])
     return GammaCurve(k=k, x_lo=x_lo, x_hi=x_hi, xs=xs, points=pts)
@@ -269,46 +270,100 @@ def _hull_test_box(P: np.ndarray, work: Counter) -> HullVerdict:
 
 
 # ---------------------------------------------------------------------------
-# topological degree and tameness
+# exact signs of polynomials, topological degree and tameness
 # ---------------------------------------------------------------------------
 
 
-def degree(f: Nonlinearity) -> int:
-    """(sgn f(+inf) - sgn f(-inf)) / 2 with t-uniform signs checked by probes.
+def _derivative(p: list) -> list:
+    return [j * c for j, c in enumerate(p)][1:]
 
-    With this normalization a monotone proper nonlinearity has degree +-1
-    and even-limit ones have degree 0.
+
+def _remainder(a: list[int], b: list[int]) -> list[int]:
+    """The remainder of a by b times a positive number, over the gcd of its
+    coefficients: integer polynomials, ascending, no trailing zeros."""
+    a = list(a)
+    while len(a) >= len(b):
+        lead = a[-1] if b[-1] > 0 else -a[-1]
+        a = [abs(b[-1]) * c for c in a]
+        for i, c in enumerate(b):
+            a[len(a) - len(b) + i] -= lead * c
+        while a and a[-1] == 0:   # the leading term is now exactly 0
+            a.pop()
+    g = math.gcd(*a)
+    return [c // g for c in a]
+
+
+def _sturm(p: list) -> tuple[int, int, set[int]]:
+    """(n_0, n_1, signs on R) of an exact nonzero polynomial, ascending.
+
+    Sturm's count on D_0 = p, then on D_(k+1) = gcd(D_k, D_k'), the last
+    term of D_k's Sturm sequence, gives n_k, the number of distinct real
+    roots of multiplicity > k. p changes sign, adding -sgn lc(p) to its
+    signs, when sum (-1)^k n_k, its count of odd-multiplicity roots, is > 0.
+    The sequences run on integers, from p times its common denominator.
     """
-    t = np.arange(128) / 128
-    X = 8.0
-    for _ in range(60):
-        with np.errstate(over="ignore"):
-            plus1 = np.asarray(f.eval(t, X, 0))
-            plus2 = np.asarray(f.eval(t, 2 * X, 0))
-            minus1 = np.asarray(f.eval(t, -X, 0))
-            minus2 = np.asarray(f.eval(t, -2 * X, 0))
-        def usign(v):
-            if np.all(v > 0):
-                return 1
-            if np.all(v < 0):
-                return -1
-            return 0
-        sp, sp2 = usign(plus1), usign(plus2)
-        sm, sm2 = usign(minus1), usign(minus2)
-        if sp != 0 and sp == sp2 and sm != 0 and sm == sm2:
-            return (sp - sm) // 2
-        X *= 2.0
-    raise PreconditionError(
-        "sign of f not t-uniform at the probe radius; properness undetermined")
+    den = math.lcm(*(c.denominator for c in p))
+    counts, d = [], [int(c * den) for c in p]
+    while len(d) > 1:
+        seq = [d, _derivative(d)]
+        while seq[-1]:
+            seq.append([-c for c in _remainder(seq[-2], seq[-1])])
+        seq.pop()
+        at_plus = [q[-1] > 0 for q in seq]
+        at_minus = [(q[-1] > 0) == (len(q) % 2 == 1) for q in seq]
+        counts.append(sum(a != b for a, b in zip(at_minus, at_minus[1:]))
+                      - sum(a != b for a, b in zip(at_plus, at_plus[1:])))
+        d = seq[-1]
+    lead = 1 if p[-1] > 0 else -1
+    odd = sum((-1) ** k * n for k, n in enumerate(counts))
+    counts += [0, 0]
+    return counts[0], counts[1], {lead, -lead} if odd else {lead}
+
+
+def _leading(f: Nonlinearity) -> tuple[int, bool, set[int]]:
+    """(n, a_n vanishes on the circle, a_n's signs) for f's top power n
+    whose coefficient a_n(t), summed exactly over f's terms, is not 0; f = 0
+    gives (0, True, set()). At s = tan(pi t), e^(2 pi i j t) is
+    (1 + i s)^(2j) / (1 + s^2)^j, so P(s) = (1 + s^2)^M a_n(t), M the most
+    harmonics of those terms, has a_n's signs and a_n(1/2) as its s^(2M)
+    coefficient: a_n vanishes when P has a real root or degree below 2M."""
+    for n in sorted({t.power for t in f.terms}, reverse=True):
+        series = [t.coeff for t in f.terms if t.power == n]
+        M = max(c.harmonics for c in series)
+        P = [Fraction(0)] * (2 * M + 1)
+        for c in series:
+            for j, (a, b) in enumerate([(c.a0, 0.0), *zip(c.a, c.b)]):
+                ab = Fraction(float(a)), Fraction(float(b))
+                for k in range(2 * j + 1):   # (1 + i s)^(2j), Re by a, Im by b
+                    w = math.comb(2 * j, k) * (-1) ** (k // 2) * ab[k % 2]
+                    for i in range(M - j + 1):   # times (1 + s^2)^(M - j)
+                        P[k + 2 * i] += math.comb(M - j, i) * w
+        while P and P[-1] == 0:
+            P.pop()
+        if P:
+            roots, _, signs = _sturm(P)
+            return n, roots > 0 or len(P) <= 2 * M, signs
+    return 0, True, set()
+
+
+def degree(f: Nonlinearity) -> int:
+    """(sgn f(+inf) - sgn f(-inf)) / 2, from f's top power n and its
+    coefficient a_n(t) (``_leading``): sgn a_n for odd n, 0 for even n, so
+    +-1 for a monotone proper f. Raises PreconditionError when a_n vanishes
+    on the circle (f = 0 too).
+    """
+    n, vanishes, signs = _leading(f)
+    if vanishes:
+        raise PreconditionError(f"the x^{n} coefficient vanishes on the circle")
+    return signs.pop() if n % 2 else 0
 
 
 @dataclass(frozen=True)
 class TamenessReport:
-    """Diagnostic (never a certificate) for the reciprocal-growth integrals.
+    """Exact verdict on the reciprocal-growth integrals (``tameness``).
 
-    ``plus``/``minus`` say whether BOTH integrals at that end look
-    convergent ("converging" = wild signature at that end).
-    """
+    ``plus``/``minus`` are "converging" at a wild end, where both integrals
+    converge; ``detail`` holds f's top power n and its coefficient's signs."""
 
     plus: str
     minus: str
@@ -320,51 +375,23 @@ class TamenessReport:
         return len(self.wild_suspected_at) == 0
 
 
-def tameness(f: Nonlinearity, s_max: float = 50.0) -> TamenessReport:
-    """Quadrature-and-tail-slope diagnostic of wildness at both ends.
-
-    An end is flagged wild when both integrands 1/max(1, sup_t f) and
-    1/max(1, sup_t(-f)) appear to have convergent tails. Autonomous
-    nonlinearities are reported tame unconditionally.
+def tameness(f: Nonlinearity) -> TamenessReport:
+    """The wild ends of f, where both integrals of 1/max(1, sup_t f) and
+    1/max(1, sup_t(-f)) converge, exactly from f's top power n and its
+    coefficient a_n(t) (``_leading``). Tame when n <= 1 or a_n never
+    vanishes; wild at both ends when n >= 2 and a_n takes both signs; tame
+    when n = 2 and a_n is one-signed with zeros (then sup_t(-sgn(a_n) f)
+    <= C (1 + |x|)). Raises PreconditionError when n >= 3 and a_n is
+    one-signed with zeros: the lower terms decide there.
     """
-    if not (math.isfinite(s_max) and s_max >= 10):
-        raise PreconditionError(f"s_max must be finite and at least 10, "
-                                f"got {s_max!r}")
-    if f.autonomous:
-        return TamenessReport("diverging", "diverging", (),
-                              {"basis": "autonomous"})
-    t = np.arange(128) / 128
-    s = np.concatenate([np.linspace(0, 1, 17)[1:],
-                        np.geomspace(1.0, s_max, 160)])
-
-    def end_report(sgn):
-        with np.errstate(over="ignore"):
-            vals = np.asarray(f.eval(t[:, None], sgn * s[None, :], 0))
-            sup_f = np.max(vals, axis=0)
-            sup_negf = np.max(-vals, axis=0)
-        conv_f = _tail_converges(s, 1.0 / np.maximum(1.0, sup_f))
-        conv_negf = _tail_converges(s, 1.0 / np.maximum(1.0, sup_negf))
-        return conv_f, conv_negf
-
-    pf, pn = end_report(+1)
-    mf, mn = end_report(-1)
-    plus = "converging" if (pf and pn) else "diverging"
-    minus = "converging" if (mf and mn) else "diverging"
-    wild = tuple(lbl for lbl, flag in (("+inf", plus == "converging"),
-                                       ("-inf", minus == "converging")) if flag)
-    return TamenessReport(plus, minus, wild,
-                          {"plus_integrals": (pf, pn),
-                           "minus_integrals": (mf, mn), "s_max": s_max})
-
-
-def _tail_converges(s: np.ndarray, psi: np.ndarray) -> bool:
-    """Fit the log-log tail slope; convergent when it falls below -1."""
-    tail = s >= s.max() / 8.0
-    st, pt = s[tail], np.maximum(psi[tail], 1e-300)
-    if np.all(pt <= 1e-250):
-        return True
-    slope = np.polyfit(np.log(st), np.log(pt), 1)[0]
-    return bool(slope < -1.1)
+    n, vanishes, signs = _leading(f)
+    if n >= 3 and vanishes and len(signs) == 1:
+        raise PreconditionError(f"the x^{n} coefficient is one-signed with "
+                                "zeros on the circle")
+    wild = n >= 2 and len(signs) == 2
+    end = "converging" if wild else "diverging"
+    return TamenessReport(end, end, ("+inf", "-inf") if wild else (),
+                          {"n": n, "leading_signs": sorted(signs)})
 
 
 # ---------------------------------------------------------------------------
@@ -381,78 +408,51 @@ class OperatorClass:
     evidence: dict
 
 
-def _signs(coeffs: np.ndarray) -> tuple[np.ndarray, set[int]]:
-    """Real roots of a polynomial (ascending coefficients) and its signs on R.
-
-    The distinct real parts of all roots cut R; the sign is read at each
-    midpoint between cuts and one unit beyond each outer cut, so no probe
-    sits on a root. A value within Horner's rounding bound
-    1e-12 sum |c_m| |x|^m is a rounding zero and adds no sign, so a double
-    root that np.roots splits adds none. The zero polynomial has no signs.
-    """
-    c = np.trim_zeros(np.asarray(coeffs, dtype=float), "b")
-    if len(c) == 0:
-        return np.array([]), set()
-    r = np.roots(c[::-1])
-    real = np.sort(r[np.abs(r.imag) <= 1e-9 * (1.0 + np.abs(r))].real)
-    cuts = np.sort(r.real)   # np.unique's first call costs ~1.3 MB of RSS
-    cuts = cuts[np.diff(cuts, prepend=-np.inf) > 0]
-    xs = np.concatenate([cuts[:1] - 1.0, 0.5 * (cuts[:-1] + cuts[1:]),
-                         cuts[-1:] + 1.0]) if len(cuts) else np.zeros(1)
-    vals = horner(c, xs)
-    nonzero = np.abs(vals) > 1e-12 * horner(np.abs(c), np.abs(xs))
-    return real, {int(v) for v in np.sign(vals[nonzero])}
-
-
-def _k_good(f: Nonlinearity, k: int, base: np.ndarray) -> bool:
-    """gamma_k never vanishes and no arc lies in a hyperplane through 0.
-
-    ``base`` holds the real roots of f'.
-    """
-    derivs = [f.poly_coeffs(i) for i in range(1, k + 1)]
-    width = max(len(d) for d in derivs)
-    M = np.zeros((k, width))
-    for i, d in enumerate(derivs):
-        M[i, :len(d)] = d
-    if np.linalg.matrix_rank(M, tol=1e-12 * (1 + np.max(np.abs(M)))) < k:
-        return False
-    for r in base:
-        vals = [abs(horner(d, r)) for d in derivs]
-        if max(vals) <= 1e-9 * (1.0 + abs(r)):
-            return False
-    return True
+def _window(f: Nonlinearity) -> tuple[float, float]:
+    """[-4, 4], widened to reach 2 beyond every real root (imaginary part
+    within 1e-9 (1 + |r|)) that ``np.roots`` places for f', f'' and f'''."""
+    r = np.concatenate([np.roots(np.trim_zeros(f.poly_coeffs(i), "b")[::-1])
+                        for i in (1, 2, 3)])
+    crit = r[np.abs(r.imag) <= 1e-9 * (1.0 + np.abs(r))].real
+    return (float(np.min(crit - 2.0, initial=-_WINDOW)),
+            float(np.max(crit + 2.0, initial=_WINDOW)))
 
 
 def classify_operator(f: Nonlinearity) -> OperatorClass:
     """Decision cascade for autonomous polynomial nonlinearities.
 
-    Order of tests: strict monotonicity (diffeomorphism), strict convexity
+    Order of tests, each exact (``_sturm``) on the derivatives of f's
+    coefficients: strict monotonicity (diffeomorphism), strict convexity
     (global fold), a one-signed third derivative with a first derivative of
-    both signs (global cusp), each read off the sign tables (``_signs``) of
-    f', f'' and f'''; then the hull dichotomy on gamma_2 for even proper
-    growth, escalating to gamma_3 and gamma_4 for higher-order
-    singularities. The gamma curves span [-4, 4], widened to reach 2 beyond
-    every real root of f', f'' and f'''.
+    both signs (global cusp); then, for 2,3-good f of even proper growth,
+    the hull dichotomy on gamma_2 over ``_window``, escalating to gamma_3
+    and gamma_4 for higher-order singularities. 2,3-good is "f' has no
+    multiple real root" (so gamma_2, gamma_3 never vanish); its rank half,
+    no arc in a hyperplane through 0, holds wherever it is read: every
+    verdict above returns when deg f <= 2, and for deg f >= 3 f', f'' and
+    f''' have distinct degrees.
     """
     if not f.autonomous:
         return OperatorClass("undetermined",
                              {"reason": "limit signs unverifiable for "
                                         "time-dependent f"})
-    c0 = f.poly_coeffs(0)
-    deg = len(np.trim_zeros(c0, "b")) - 1
+    exact = [Fraction(c) for c in np.trim_zeros(f.poly_coeffs(0), "b")]
+    deg = len(exact) - 1
     if deg < 1:
         return OperatorClass("undetermined", {"reason": "constant nonlinearity"})
-    (r1, s1), (r2, s2), (r3, s3) = (_signs(f.poly_coeffs(i))
-                                    for i in (1, 2, 3))
-
-    if len(r1) == 0 and len(s1) == 1:
+    d1 = _derivative(exact)
+    roots1, multiple1, s1 = _sturm(d1)
+    if not roots1:
         return OperatorClass("diffeomorphism",
                              {"criterion": "strictly monotone and proper",
                               "derivative_sign": s1.pop()})
-    if len(r2) == 0 and len(s2) == 1:
+    d2 = _derivative(d1)
+    roots2, _, s2 = _sturm(d2)
+    if not roots2:
         return OperatorClass("global_fold",
                              {"criterion": "strictly convex (or concave) and proper",
                               "second_derivative_sign": s2.pop()})
+    _, _, s3 = _sturm(_derivative(d2))
     if len(s3) == 1 and len(s1) == 2:
         return OperatorClass("global_cusp",
                              {"criterion": "one-signed third derivative with "
@@ -460,17 +460,13 @@ def classify_operator(f: Nonlinearity) -> OperatorClass:
                                            "both signs, proper",
                               "third_derivative_sign": s3.pop()})
 
-    lead = np.trim_zeros(c0, "b")[-1]
-    even_plus = (deg % 2 == 0 and lead > 0)
-    good23 = _k_good(f, 2, r1) and _k_good(f, 3, r1)
+    even_plus = (deg % 2 == 0 and exact[-1] > 0)
     evidence: dict = {"degree": deg, "even_with_positive_leading": even_plus,
-                      "two_three_good": good23}
-    if not (even_plus and good23):
+                      "two_three_good": multiple1 == 0}
+    if not (even_plus and multiple1 == 0):
         return OperatorClass("undetermined", evidence | {
             "reason": "hull dichotomy needs 2,3-goodness and +inf limits"})
-    crit = np.concatenate([r1, r2, r3])
-    x_lo = float(np.min(crit - 2.0, initial=-_WINDOW))
-    x_hi = float(np.max(crit + 2.0, initial=_WINDOW))
+    x_lo, x_hi = _window(f)
     for k in (2, 3, 4):
         curve = gamma_curve(f, k, x_lo, x_hi)
         hull = hull_origin_test(curve)
@@ -676,8 +672,7 @@ class SeedFunction:
 
 def replicate(u: PeriodicFn, N: int) -> PeriodicFn:
     """Time compression t -> N t on the same grid (exact index striding)."""
-    if not isinstance(N, (int, np.integer)) or N < 1:
-        raise PreconditionError(f"replicate needs an integer N >= 1, got {N!r}")
+    N = require_int("N", N, 1)
     n = u.grid.n
     idx = (N * np.arange(n)) % n
     return PeriodicFn(u.grid, u.values[idx])
@@ -694,6 +689,7 @@ def seed_shat(f: Nonlinearity, k: int, anchors,
     """
     if not f.autonomous:
         raise PreconditionError("seeds require an autonomous nonlinearity")
+    k = require_int("k", k, 1, MAX_X_DERIVATIVE)
     anchors = np.asarray(anchors, dtype=float)
     if len(anchors) != 2 * k or not np.all(np.isfinite(anchors)):
         raise PreconditionError(f"need exactly {2 * k} finite anchors for k = {k}")

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import fibre as _fibre
 from .core import (FourierAnsatz, Nonlinearity, PeriodicFn, PreconditionError,
-                   integral_weighted_t, integral_weighted_t2,
+                   integral_weighted_t, integral_weighted_t2, require_int,
                    spectral_antiderivative)
 
 SIGMA_COUNT = 5
@@ -169,8 +169,7 @@ def sigma_hat(f: Nonlinearity, u: PeriodicFn, k: int) -> np.ndarray:
     """
     if not f.autonomous:
         raise PreconditionError("sigma_hat requires an autonomous nonlinearity")
-    if not 1 <= k <= SIGMA_COUNT:
-        raise PreconditionError("k must be in 1..5")
+    k = require_int("k", k, 1, SIGMA_COUNT)
     return np.array([float(np.mean(f.on_grid(u, i))) for i in range(1, k + 1)])
 
 

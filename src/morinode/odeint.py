@@ -57,13 +57,12 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
 
-from .core import BracketError, Nonlinearity, PreconditionError
+from .core import BracketError, Nonlinearity, PreconditionError, require_int
 
 U_MAX = 1e6
 
@@ -790,11 +789,7 @@ def contact_order(f: Nonlinearity, v, x0: float, kmax: int = 4,
     """
     if not math.isfinite(x0):
         raise PreconditionError("x0 must be finite")
-    if (isinstance(kmax, bool) or not isinstance(kmax, numbers.Integral)
-            or not 1 <= kmax <= 5):
-        raise PreconditionError("contact order supported for an integer "
-                                f"kmax in 1..5, not {kmax!r}")
-    kmax = int(kmax)
+    kmax = require_int("kmax", kmax, 1, 5)
     jet = _rk4_jet(f, v, x0, h, kmax + 1)
     if jet is None:
         raise PreconditionError("trajectory blew up at the fixed point itself")

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (Grid, Nonlinearity, PeriodicFn, PreconditionError,
-                   Term, FourierAnsatz)
+                   Term, FourierAnsatz, require_int)
 from .morin import (_derivative_samples, _sigma_jacobian, _sigma_values,
                     _u_directions)
 # _flow_scalar is no longer called here but stays a module attribute: the
@@ -341,8 +341,7 @@ def count_solutions(f: Nonlinearity, v, x_lo: float, x_hi: float,
         raise PreconditionError("the range and the step must be finite")
     if not x_lo < x_hi:
         raise PreconditionError("need x_lo < x_hi")
-    if scan_n < 2:
-        raise PreconditionError(f"scan needs at least 2 points, got {scan_n}")
+    scan_n = require_int("scan_n", scan_n, 2)
     xs = np.linspace(x_lo, x_hi, scan_n)
     (roots, unresolved, degenerate, g, work), *half = _census_pass(
         f, v, xs, h, check_half_step)

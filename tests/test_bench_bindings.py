@@ -2,7 +2,12 @@
 attribute name; a renamed or removed attribute must fail here rather than
 as a KeyError in ``bench/run.py --trace 1``."""
 
+import inspect
+
+import pytest
+
 from bench import spans
+from morinode import core, odeint
 
 
 def test_tracer_boundaries_are_bound():
@@ -10,3 +15,16 @@ def test_tracer_boundaries_are_bound():
                for owner, attr, _, _ in spans.BOUNDARIES
                if attr not in owner.__dict__]
     assert not missing, f"unbound tracer boundaries: {missing}"
+
+
+# the positional parameters that the tracer's work counters read by index
+# (args[i]); a reordering would miscount under --trace 1 without an error
+@pytest.mark.parametrize("fn, positions", [
+    (odeint._flow_scalar, {3: "t0", 4: "t1", 5: "h"}),
+    (odeint._flow_with_variation, {3: "h"}),
+    (odeint._flow_vector, {2: "x0", 3: "h"}),
+    (core.PeriodicFn.eval, {1: "t"}),
+])
+def test_counted_parameters_keep_their_positions(fn, positions):
+    names = list(inspect.signature(fn).parameters)
+    assert {i: names[i] for i in positions} == positions

@@ -94,6 +94,7 @@ class TestExitCodes:
         pytest.param(SWEEP + "--scan-n 201", id="sweep-scan-n"),
         pytest.param(SWEEP + "--rhs-constant 0", id="sweep-rhs-constant"),
         pytest.param(SWEEP + "--grid-n 1024", id="sweep-grid-n"),
+        pytest.param("tameness " + PROBLEM + "--s-max 50", id="tameness-s-max"),
     ])
     def test_removed_flag_exits_2(self, argv, problem_files, capsys):
         # a flag that no longer exists is a usage error, not silently ignored
@@ -119,7 +120,6 @@ class TestExitCodes:
         pytest.param(SEARCH + "0 --params b={bad}", id="params"),
         pytest.param("hull " + PROBLEM + "--k 2 --range {bad} 1",
                      id="hull-range"),
-        pytest.param("tameness " + PROBLEM + "--s-max {bad}", id="s-max"),
         pytest.param("sweep --family {family} --grid c=0:0:1 --range -1 {bad}",
                      id="sweep-range"),
         pytest.param("sweep --family {family} --grid b=0:{bad}:2",

@@ -9,15 +9,17 @@ import pytest
 from morinode import (Average, FourierAnsatz, Grid, Nonlinearity, PeriodicFn,
                       contact_order, count_solutions, cumulative, gamma_curve,
                       hull_origin_test, integrate, mean, replicate,
-                      return_map, seed_shat, solve_periodic, tameness,
+                      return_map, seed_shat, sigma_hat, solve_periodic,
                       InitialValue)
 from morinode.cli import EXIT_OK, execute
 from morinode.core import PreconditionError
+from morinode.fibre import trace_pairs
 
 TWO_PI = 2 * np.pi
 ZERO = Nonlinearity.polynomial([])
 SQUARE = Nonlinearity.polynomial([0, 0, 1])
 CUBIC = Nonlinearity.polynomial([0, -1, 0, 1])
+VTILDE = PeriodicFn.from_callable(lambda t: 0.3 * np.cos(TWO_PI * t))
 
 
 def _constant(x):
@@ -100,7 +102,10 @@ class TestNonFiniteInput:
         pytest.param(lambda x: gamma_curve(CUBIC, 2, -1.0, x), id="gamma-hi"),
         pytest.param(lambda x: hull_origin_test(_curve_with_point(x)),
                      id="hull-points"),
-        pytest.param(lambda x: tameness(SQUARE, s_max=x), id="tameness-s-max"),
+        pytest.param(lambda x: trace_pairs(CUBIC, VTILDE, x, 1.0, 3),
+                     id="trace-lo"),
+        pytest.param(lambda x: trace_pairs(CUBIC, VTILDE, -1.0, x, 3),
+                     id="trace-hi"),
         pytest.param(lambda x: seed_shat(SQUARE, 1, [-1.0, x]),
                      id="seed-anchor"),
         pytest.param(lambda x: solve_periodic(SQUARE, PeriodicFn.constant(0.0),
@@ -139,6 +144,36 @@ class TestContactEdges:
             contact_order(SQUARE, None, 0.0, kmax=kmax, h=1e-2)
 
 
+class TestIntegerArguments:
+    # integer arguments go through core.require_int: a bool, an integral
+    # float or a string is no integer (kmax, replicate's N and a trace's
+    # count are checked by their own tests)
+    @pytest.mark.parametrize("bad", [2.5, 3.0, True, "3"])
+    @pytest.mark.parametrize("call", [
+        pytest.param(lambda n: gamma_curve(CUBIC, n, -1.0, 1.0),
+                     id="gamma-k"),
+        pytest.param(lambda n: gamma_curve(CUBIC, 2, -1.0, 1.0, count=n),
+                     id="gamma-count"),
+        pytest.param(lambda n: count_solutions(SQUARE, None, -1.0, 1.0,
+                                               scan_n=n, h=1e-2),
+                     id="census-scan-n"),
+        pytest.param(lambda n: sigma_hat(SQUARE, PeriodicFn.constant(0.1), n),
+                     id="sigma-hat-k"),
+        pytest.param(lambda n: seed_shat(SQUARE, n, [-1.0, 1.0]),
+                     id="seed-k"),
+        pytest.param(lambda n: FourierAnsatz.from_periodic(
+            PeriodicFn.constant(0.1), n), id="from-periodic-harmonics"),
+    ])
+    def test_non_integer_raises(self, call, bad):
+        with pytest.raises(PreconditionError, match="need an integer"):
+            call(bad)
+
+    @pytest.mark.parametrize("n", [16.0, True, 32.5, "16"])
+    def test_grid_size(self, n):
+        with pytest.raises(PreconditionError, match="integer grid size"):
+            Grid(n)
+
+
 class TestCumulativeOffNode:
     def test_off_node_evaluation(self):
         u = PeriodicFn.from_callable(lambda t: np.cos(TWO_PI * t))
@@ -165,7 +200,7 @@ class TestSeedEdges:
         with pytest.raises(PreconditionError):
             seed_shat(SQUARE, 1, [-1.0, 1.0], epsilon=0.6)
 
-    @pytest.mark.parametrize("N", [0, -3, 2.5, float("nan")])
+    @pytest.mark.parametrize("N", [0, -3, 2.5, float("nan"), True])
     def test_replicate_needs_an_integer_of_one_or_more(self, N):
         with pytest.raises(PreconditionError, match="integer N >= 1"):
             replicate(PeriodicFn.constant(0.0), N)
@@ -210,8 +245,3 @@ class TestCliEdges:
         out = json.loads(capsys.readouterr().out)
         assert code == EXIT_OK
         assert out["result"]["order"]["kind"] == "regular"
-
-    def test_tameness_precondition(self, files, capsys):
-        code = execute(["tameness", "--problem", str(files / "xsq.json"),
-                        "--s-max", "5"])
-        assert code == 2

@@ -244,7 +244,7 @@ class TestFibreGeometry:
             dist = max(abs(fp.phi_bar - b) for (_, fp), b in zip(trace, base))
             assert dist < 2.0 * eps
 
-    @pytest.mark.parametrize("count", [0, -3, 2.5, 3.0])
+    @pytest.mark.parametrize("count", [0, -3, 2.5, 3.0, True])
     def test_trace_needs_an_integer_count_of_one_or_more(self, count):
         with pytest.raises(PreconditionError, match="integer count"):
             trace_pairs(SQUARE, PeriodicFn.constant(0.0), -1.0, 1.0, count)

@@ -24,6 +24,9 @@ CUBIC_PLUS = Nonlinearity.polynomial([0, 1, 0, 1])     # x^3 + x
 CUBIC_MINUS = Nonlinearity.polynomial([0, -1, 0, 1])   # x^3 - x
 NEG_CUBIC = Nonlinearity.polynomial([0, 0, 0, -1])     # -x^3
 WILD = Nonlinearity([Term(2, FourierAnsatz(0.0, [1.0]))])  # cos(2 pi t) x^2
+# (1 + cos(2 pi t)) x^3 + x
+ONE_SIGNED_CUBIC = Nonlinearity([Term(3, FourierAnsatz(1.0, [1.0])),
+                                 Term(1, FourierAnsatz(1.0))])
 GENERIC_U = PeriodicFn.from_callable(
     lambda t: 0.3 + 0.5 * np.cos(TWO_PI * t) + 0.2 * np.sin(2 * TWO_PI * t))
 
@@ -379,10 +382,7 @@ class TestHull:
                 c *= 10.0 ** rng.uniform(-2, 3, deg + 1)
                 c[-1] = abs(c[-1])
                 f = Nonlinearity.polynomial(c)
-                crit = np.concatenate([globalgeo._signs(f.poly_coeffs(i))[0]
-                                       for i in (1, 2, 3)])
-                lo = float(np.min(crit - 2.0, initial=-4.0))
-                hi = float(np.max(crit + 2.0, initial=4.0))
+                lo, hi = globalgeo._window(f)
                 for k in (2, 3, 4):
                     curve = gamma_curve(f, k, lo, hi)
                     P = curve.points
@@ -419,16 +419,35 @@ class TestDegree:
         with pytest.raises(PreconditionError):
             degree(WILD)
 
+    def test_leading_power_summed_exactly(self):
+        # x^3 - x^3 + x^2: the cubic terms cancel, so f is an even square
+        f = Nonlinearity([Term(3, FourierAnsatz(1.0)),
+                          Term(3, FourierAnsatz(-1.0)),
+                          Term(2, FourierAnsatz(1.0))])
+        assert degree(f) == 0
+
+    def test_leading_coefficient_with_zeros_raises(self):
+        # (1 + cos 2 pi t) x^3 + x: a_3 >= 0 vanishes at t = 1/2, where the
+        # lower terms decide the limit signs
+        with pytest.raises(PreconditionError, match="coefficient vanishes"):
+            degree(ONE_SIGNED_CUBIC)
+
+    def test_zero_raises(self):
+        with pytest.raises(PreconditionError):
+            degree(Nonlinearity())
+
 
 class TestTameness:
     def test_autonomous_always_tame(self, quartic):
         rep = tameness(quartic)
         assert rep.tame
-        assert rep.detail["basis"] == "autonomous"
+        assert rep.detail == {"n": 4, "leading_signs": [1]}
 
     def test_wild_polynomial(self):
         rep = tameness(WILD)
         assert rep.wild_suspected_at == ("+inf", "-inf")
+        assert rep.plus == rep.minus == "converging"
+        assert rep.detail == {"n": 2, "leading_signs": [-1, 1]}
         assert not rep.tame
 
     def test_cubic_with_forcing_tame(self):
@@ -437,9 +456,58 @@ class TestTameness:
         rep = tameness(f)
         assert rep.tame
 
+    @pytest.mark.parametrize("f", [
+        # the constant x^4 coefficient decides both ends, however far out
+        # the x^2 term dominates
+        pytest.param(Nonlinearity([Term(2, FourierAnsatz(0.0, [1.0])),
+                                   Term(4, FourierAnsatz(1e-6))]),
+                     id="small-quartic-over-wild-square"),
+        # a_2 = 1 + cos 2 pi t >= 0 with a zero: sup_t(-f) <= C (1 + |x|)
+        pytest.param(Nonlinearity([Term(2, FourierAnsatz(1.0, [1.0]))]),
+                     id="one-signed-square"),
+        pytest.param(Nonlinearity([Term(1, FourierAnsatz(0.0, [1.0]))]),
+                     id="wild-linear"),
+        pytest.param(Nonlinearity(), id="zero"),
+    ])
+    def test_tame(self, f):
+        rep = tameness(f)
+        assert rep.tame and rep.plus == rep.minus == "diverging"
+
+    def test_one_signed_cubic_with_zeros_raises(self):
+        with pytest.raises(PreconditionError, match="one-signed with zeros"):
+            tameness(ONE_SIGNED_CUBIC)
+
+    @pytest.mark.parametrize("series, signs, vanishes", [
+        # sin 2 pi t: both signs, zeros at t = 0 (s = 0) and t = 1/2
+        # (P = 2 s of degree 1 < 2)
+        ((0.0, [0.0], [1.0]), {-1, 1}, True),
+        # 1 + cos 2 pi t: its only zero is t = 1/2, P(s) = 2 of degree 0 < 2
+        ((1.0, [1.0]), {1}, True),
+        # 1.5 + cos 2 pi t - 0.25 sin 4 pi t stays above 0.25
+        ((1.5, [1.0, 0.0], [0.0, -0.25]), {1}, False),
+        # 2^-30 - 1 + cos 2 pi t is positive only on a tiny arc about t = 0
+        ((2.0 ** -30 - 1.0, [1.0]), {-1, 1}, True),
+        ((-2.0, [0.5, 0.5], [0.5, 0.5]), {-1}, False),
+    ])
+    def test_leading_coefficient_on_the_circle(self, series, signs, vanishes):
+        f = Nonlinearity([Term(2, FourierAnsatz(*series)),
+                          Term(1, FourierAnsatz(3.0))])
+        assert globalgeo._leading(f) == (2, vanishes, signs)
+        t = np.arange(4096) / 4096
+        values = FourierAnsatz(*series)(t)
+        assert set(np.sign(values[values != 0]).astype(int)) <= signs
+
 
 def _derivative(p):
     return [j * c for j, c in enumerate(p)][1:]
+
+
+def _product(p, q):
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
 
 
 def _remainder(a, b):
@@ -489,6 +557,26 @@ class TestClassifyOperator:
         touch = Nonlinearity.polynomial([0, 12, -8, 7 / 3, -0.25])
         assert classify_operator(touch).verdict != "diffeomorphism"
 
+    @pytest.mark.parametrize("derivative, expect", [
+        # (x - 10^6)^2 - 0.909 is negative on (10^6 - 0.95, 10^6 + 0.95)
+        ([1e12 - 0.909, -2e6, 1.0], (2, 0, {-1, 1})),
+        # (x - 2^-20)^2 + 2^-90 has no real root
+        ([2.0 ** -40 + 2.0 ** -90, -2.0 ** -19, 1.0], (0, 0, {1})),
+        # 5 (x - 1)^4: one real root, of multiplicity 4, and no sign change
+        ([5, -20, 30, -20, 5], (1, 1, {1})),
+    ])
+    def test_exact_sign_tables(self, derivative, expect):
+        # (distinct real roots, multiple real roots, sign set)
+        assert globalgeo._sturm([Fraction(c) for c in derivative]) == expect
+
+    def test_positive_derivative_near_a_double_root_is_monotone(self):
+        # f' = 3 ((x - 2^-20)^2 + 2^-90), exactly: f is strictly monotone
+        f = Nonlinearity.polynomial([0, 3 * (2.0 ** -40 + 2.0 ** -90),
+                                     -3 * 2.0 ** -20, 1])
+        oc = classify_operator(f)
+        assert oc.verdict == "diffeomorphism"
+        assert oc.evidence["derivative_sign"] == 1
+
     def test_sign_verdicts_against_sturm_oracle(self):
         # exact oracle on random integer polynomials of degree 5 to 7 whose
         # f', f'' and f''' are squarefree, so that every real root is simple
@@ -509,13 +597,50 @@ class TestClassifyOperator:
             checked += 1
             oc = classify_operator(Nonlinearity.polynomial(coeffs))
             verdicts[oc.verdict] += 1
+            assert (oc.verdict == "diffeomorphism") == (n1 == 0), coeffs
             if oc.verdict == "global_cusp":
                 assert n3 == 0 and n1 > 0, coeffs
-            elif oc.verdict == "diffeomorphism":
-                assert n1 == 0, coeffs
             elif "second_derivative_sign" in oc.evidence:
                 assert n2 == 0, coeffs
+            if "two_three_good" in oc.evidence:
+                assert oc.evidence["two_three_good"], coeffs
         assert verdicts["global_cusp"] and verdicts["diffeomorphism"]
+
+    def test_sign_verdicts_on_squared_factors_against_sturm_oracle(self):
+        # f' = 420 g h^2 of degree 6, with random integer g and h and g h
+        # squarefree: every real root of h is a double root of f' and no
+        # sign change, every real root of g a simple one; f = int f' has
+        # integer coefficients (420 = lcm(1..7)). f'' and f''' are kept
+        # squarefree, so the oracle's root counts decide their verdicts
+        rng = np.random.default_rng(13)
+        checked, verdicts, good = 0, Counter(), Counter()
+        while checked < 150:
+            h = [int(c) for c in rng.integers(-4, 5, size=rng.integers(2, 4))]
+            g = [int(c) for c in rng.integers(-9, 10, size=9 - 2 * len(h))]
+            if h[-1] == 0 or g[-1] == 0:
+                continue
+            c1 = [Fraction(420 * c) for c in _product(g, _product(h, h))]
+            c2 = _derivative(c1)
+            (n_gh, sf_gh), (n_g, _), (n_h, _), (n2, sf2), (n3, sf3) = map(
+                _sturm, ([Fraction(c) for c in _product(g, h)],
+                         [Fraction(c) for c in g], [Fraction(c) for c in h],
+                         c2, _derivative(c2)))
+            if not (sf_gh and sf2 and sf3):
+                continue
+            checked += 1
+            coeffs = [0.0] + [float(c / (j + 1)) for j, c in enumerate(c1)]
+            assert all(c.is_integer() for c in coeffs)
+            oc = classify_operator(Nonlinearity.polynomial(coeffs))
+            verdicts[oc.verdict] += 1
+            assert (oc.verdict == "diffeomorphism") == (n_gh == 0), coeffs
+            if n_gh:
+                assert (oc.verdict == "global_cusp") == (n3 == 0
+                                                         and n_g > 0), coeffs
+            if "two_three_good" in oc.evidence:
+                good[oc.evidence["two_three_good"]] += 1
+                assert oc.evidence["two_three_good"] == (n_h == 0), coeffs
+        assert verdicts["global_cusp"] and verdicts["diffeomorphism"]
+        assert good[True] and good[False]
 
     def test_evidence_is_checkable(self, quartic):
         oc = classify_operator(quartic)
