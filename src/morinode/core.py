@@ -213,7 +213,8 @@ class FourierAnsatz:
     An ansatz u, or the coefficient c_j(t) of a nonlinearity term. The
     shorter of ``a`` and ``b`` is zero-padded; both are read-only. The
     coordinates run (a0, a1, b1, a2, b2, ...), as ``names`` lists them.
-    A non-finite coefficient raises ``PreconditionError``.
+    A non-finite coefficient, or an ``a`` or ``b`` that is not 1-D, raises
+    ``PreconditionError``.
     """
 
     a0: float = 0.0
@@ -222,6 +223,8 @@ class FourierAnsatz:
 
     def __post_init__(self):
         a, b = (np.atleast_1d(np.asarray(c, dtype=float)) for c in (self.a, self.b))
+        if a.ndim != 1 or b.ndim != 1:
+            raise PreconditionError("series coefficients a and b must be 1-D")
         M = max(len(a), len(b))
         for name, c in (("a", a), ("b", b)):
             c = np.pad(c, (0, M - len(c)))  # a copy: the caller's stays writable
@@ -312,14 +315,13 @@ class FourierAnsatz:
 
 @dataclass(frozen=True)
 class Term:
-    """One monomial c_j(t) * x^j of the nonlinearity."""
+    """One monomial c_j(t) * x^j of the nonlinearity; j is an integer >= 0."""
 
     power: int
     coeff: FourierAnsatz
 
     def __post_init__(self):
-        if self.power < 0:
-            raise PreconditionError("polynomial powers must be non-negative")
+        object.__setattr__(self, "power", require_int("power", self.power, 0))
 
 
 def horner(coeffs, x):
@@ -364,7 +366,8 @@ class Nonlinearity:
 
     def eval(self, t, x, order: int = 0):
         """d^order f / dx^order at (t, x); exact for polynomial terms."""
-        if not 0 <= order <= MAX_X_DERIVATIVE:
+        order = require_int("order", order, 0)
+        if order > MAX_X_DERIVATIVE:
             raise UnsupportedOrderError(
                 f"x-derivative order {order} not in 0..{MAX_X_DERIVATIVE}")
         x = np.asarray(x, dtype=float)
@@ -384,6 +387,7 @@ class Nonlinearity:
 
     def coeff_rows(self, times: np.ndarray, order: int = 0) -> np.ndarray:
         """Coefficient table C with f^(order)(t_i, x) = sum_m C[i, m] x^m."""
+        order = require_int("order", order, 0)
         times = np.asarray(times, dtype=float)
         deg = max((t.power for t in self.terms), default=0)
         width = max(deg - order + 1, 1)

@@ -87,25 +87,21 @@ class WField:
     alpha: float
 
 
-def solve_periodic(f: Nonlinearity, vtilde: PeriodicFn, constraint,
-                   h: float | None = None,
-                   nu_hint: float | None = None) -> FibrePoint:
+def solve_periodic(f: Nonlinearity, vtilde: PeriodicFn,
+                   constraint) -> FibrePoint:
     """Find the unique nu and periodic u for the given fibre constraint.
 
-    ``constraint`` is InitialValue(c) or Average(a); ``nu_hint`` is the
-    first nu tried. Newton steps on tangent lanes of the RK4 flow (see
-    ``_newton_solve``). ``h`` is rounded to the nearest 1/(s n) on the grid
-    of ``vtilde``, so the samples are those of the flow that closed.
-    ``h`` and ``nu_hint`` must be finite when given.
+    ``constraint`` is InitialValue(c) or Average(a). Newton steps on
+    tangent lanes of the RK4 flow (see ``_newton_solve``), which runs at
+    the node step 1/n of ``vtilde``'s grid, so the samples of the flow
+    that closed are u at the nodes; a finer step takes a finer grid.
     """
-    if nu_hint is not None and not math.isfinite(nu_hint):
-        raise PreconditionError("nu_hint must be finite")
     if abs(mean(vtilde)) > 1e-10:
         raise PreconditionError("vtilde must have zero mean")
     if isinstance(constraint, InitialValue):
-        return _solve_initial_value(f, vtilde, constraint.c, h, nu_hint)
+        return _solve_initial_value(f, vtilde, constraint.c)
     if isinstance(constraint, Average):
-        return _solve_average(f, vtilde, constraint.a, h, nu_hint)
+        return _solve_average(f, vtilde, constraint.a)
     raise PreconditionError(f"unknown constraint {constraint!r}")
 
 
@@ -114,14 +110,6 @@ def _classify(u_end, blew, sign, c):
     if blew:
         return sign
     return 1 if u_end >= c else -1
-
-
-def _node_step(grid, h):
-    """The step 1/(s n) nearest h (default 1/n) on the grid nodes, and s."""
-    if h is not None and not 0.0 < h < math.inf:
-        raise PreconditionError("the step h must be finite and positive")
-    stride = 1 if h is None else max(int(round(1.0 / (h * grid.n))), 1)
-    return 1.0 / (stride * grid.n), stride
 
 
 class _Bracket:
@@ -155,17 +143,17 @@ class _Bracket:
         return x + math.copysign(step, toward), "expansions"
 
 
-def _solve_initial_value(f, vtilde, c, h, nu_hint=None):
+def _solve_initial_value(f, vtilde, c):
     """Newton on g(nu) = u(1) - c, with g' = eta(1) > 0."""
-    return _newton_solve(f, vtilde, float(c), None, h, nu_hint, None)
+    return _newton_solve(f, vtilde, float(c), None, None, None)
 
 
-def _solve_average(f, vtilde, a, h, nu_hint=None, shifts=None):
+def _solve_average(f, vtilde, a, nu_hint=None, shifts=None):
     """2-D Newton on F(c, nu) = (u(1) - c, mean(u) - a) from c = a."""
-    return _newton_solve(f, vtilde, float(a), float(a), h, nu_hint, shifts)
+    return _newton_solve(f, vtilde, float(a), float(a), nu_hint, shifts)
 
 
-def _newton_solve(f, vtilde, c, a, h, nu_hint, shifts) -> FibrePoint:
+def _newton_solve(f, vtilde, c, a, nu_hint, shifts) -> FibrePoint:
     """Safeguarded Newton for nu at u(0) = c, or for (c, nu) when a is set.
 
     Each flow carries the tangent lanes xi = du/dc and eta = du/dnu and
@@ -176,11 +164,13 @@ def _newton_solve(f, vtilde, c, a, h, nu_hint, shifts) -> FibrePoint:
     As u increases with nu, a flow with u(1) >= c and mean(u) <= a puts c
     below the root, and one with u(1) <= c and mean(u) >= a above it. A
     step that leaves its bracket becomes a bisection or a doubling step.
-    Every flow reads the stage table of vtilde that ``shifts`` (from
-    ``_forcing_shifts``, built here if None) shifts to nu.
+    The first nu is ``nu_hint``, else that of the constant orbit u = c.
+    Every flow runs at the node step 1/n and reads the stage table of
+    vtilde that ``shifts`` (from ``_forcing_shifts``, built here if None)
+    shifts to nu.
     """
     grid = vtilde.grid
-    h, stride = _node_step(grid, h)
+    h = 1.0 / grid.n
     if shifts is None:
         shifts = _forcing_shifts(_stage_table(f, vtilde, h, (0, 1)))
     if nu_hint is None:  # the nu of the constant orbit u = c
@@ -200,25 +190,24 @@ def _newton_solve(f, vtilde, c, a, h, nu_hint, shifts) -> FibrePoint:
     flows, best = 0, None  # best: (score, nu, samples, gap, mean gap)
     merit, nested = math.inf, False
     while flows < MAX_SOLVE_FLOWS:
-        u_end, samples, blew, sign, _, lanes = _flow_scalar(
-            f, None, c, 0.0, 1.0, h, store=True,
-            table=shifts(nu), tangent_stride=stride)
+        flow = _flow_scalar(f, None, c, 0.0, 1.0, h, store=True,
+                            table=shifts(nu), lanes=True)
         flows += 1
-        if _classify(u_end, blew, sign, c) > 0:
+        if _classify(flow.u, flow.blew, flow.sign, c) > 0:
             nus.hi = nu
         else:
             nus.lo = nu
         new_c = c
-        if blew:
+        if flow.blew:
             nested = True
-            new_nu, kind = nus.next(nu, math.nan, -sign)
+            new_nu, kind = nus.next(nu, math.nan, -flow.sign)
         else:
-            xi1, eta1, su, sxi, seta = lanes
-            gap = u_end - c
+            xi1, eta1, su, sxi, seta = flow.lanes
+            gap = flow.u - c
             mgap = 0.0 if a is None else su / grid.n - a
             score = max(abs(gap) / polish, abs(mgap) / AVERAGE_TOL)
             if best is None or score < best[0]:
-                best = (score, nu, samples, abs(gap), abs(mgap))
+                best = (score, nu, flow.samples, abs(gap), abs(mgap))
             if score <= 1.0:
                 break
             if a is not None:
@@ -251,7 +240,7 @@ def _newton_solve(f, vtilde, c, a, h, nu_hint, shifts) -> FibrePoint:
             "fibre solve failed to close the orbit" if best is None else
             f"fibre solve stalled at gaps {best[3]:.3e}, {best[4]:.3e}")
     _, nu, samples, gap, _ = best
-    u = PeriodicFn(grid, np.asarray(samples[:-1])[::stride])
+    u = PeriodicFn(grid, samples[:-1])
     diagnostics = FibreDiagnostics(
         flows=flows, **work, closure_gap=gap,
         mean_gap=None if a is None else abs(mean(u) - a))
@@ -270,17 +259,18 @@ def trace_pairs(f: Nonlinearity, vtilde: PeriodicFn, a_lo: float, a_hi: float,
                 count: int) -> list[tuple[float, FibrePoint]]:
     """(a, FibrePoint) at ``count`` >= 1 averages evenly from a_lo to a_hi;
     the points share one stage table of ``vtilde`` at the node step 1/n,
-    and each starts from the nu before it. A point's ``phi_bar`` is
+    and each solve starts from the nu of the point before it
+    (``_solve_average``'s hint). A point's ``phi_bar`` is
     Phi(u_a) = int f(t, u_a(t)) dt, the scalar map whose folds and cusps
     classify the operator on this fibre."""
     if not (math.isfinite(a_lo) and math.isfinite(a_hi) and a_lo < a_hi):
         raise PreconditionError("need finite a_lo < a_hi")
     count = require_int("count", count, 1)
-    h, _ = _node_step(vtilde.grid, None)
-    shifts = _forcing_shifts(_stage_table(f, vtilde, h, (0, 1)))
+    shifts = _forcing_shifts(_stage_table(f, vtilde, 1.0 / vtilde.grid.n,
+                                          (0, 1)))
     out, nu = [], None
     for a in np.linspace(a_lo, a_hi, count):
-        fp = _solve_average(f, vtilde, float(a), h, nu, shifts)
+        fp = _solve_average(f, vtilde, float(a), nu, shifts)
         out.append((float(a), fp))
         nu = fp.nu
     return out

@@ -15,19 +15,20 @@ autonomous row's pattern (``_pattern``: "0" for a +0.0 that is not added,
 "1" for 1.0, "x" for any other value; no value itself).
 
 Every scalar flow is one straight-line loop (``_rk4_loop``), compiled
-with ``exec`` once per key, jet order K, fibre lanes and stored samples.
-It carries the K-jet of the flow in its start value by Taylor-mode
-propagation of the discrete RK4 map: K = 0 is the plain flow
-(``integrate``, ``return_map``), K = 1 adds the exact derivative xi =
-du/du(0) that the census reads (``_flow_with_variation``), the fibre
-lanes add eta = du/dnu and strided sums, and ``contact_order`` reads rho
-and its derivatives up to order kmax + 1 from one flow at K = kmax + 1
-(``_rk4_jet``), a derivative counting as zero below ``CONTACT_ZERO_TOL``
-relative to the leading one. The many-lane loop ``_flow_vector`` is one
-generated loop too (``_vector_loop``): positional ufunc calls into seven
-lane buffers, shared by lane groups of their own steps and tables (the
-census's h and h/2 scans) in every call but the forcing subtract and a
-t-dependent f's evaluation.
+with ``exec`` once per key, jet order K, fibre lanes and stored samples;
+``_rk4`` runs it and returns a ``Flow``. It carries the K-jet of the
+flow in its start value by Taylor-mode propagation of the discrete RK4
+map: K = 0 is the plain flow (``integrate``, ``return_map``), K = 1 adds
+the exact derivative xi = du/du(0) that the census reads
+(``_flow_with_variation``), the fibre lanes add eta = du/dnu and sums
+over the steps, and ``contact_order`` reads rho and its derivatives up
+to order kmax + 1 from one flow from the jet (x0, 1, 0, ..., 0), a
+derivative counting as zero below ``CONTACT_ZERO_TOL`` relative to the
+leading one. The many-lane loop ``_flow_vector`` is one generated loop
+too (``_vector_loop``): positional ufunc calls into seven lane buffers,
+shared by lane groups of their own steps and tables (the census's h and
+h/2 scans) in every call but the forcing subtract and a t-dependent f's
+evaluation.
 
 Both loops inline Horner's rule and compute the textbook RK4 stages,
 with four rewrites that change no float:
@@ -59,6 +60,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -105,6 +107,23 @@ class ReturnValue:
     blow_sign: int | None = None
     blow_time: float | None = None
     derivative: float | None = None
+
+
+class Flow(NamedTuple):
+    """The result of one scalar flow (``_rk4``), read by field name.
+
+    ``u`` is the state at t1, or past ``U_MAX`` (or nan) when the flow
+    ``blew`` with the escape's ``sign`` at ``time``; ``samples`` the
+    stored states, or None; ``lanes`` the jet orders u1..uK at t1, then
+    (eta, sum u, sum xi, sum eta) for the fibre lanes, or None.
+    """
+
+    u: float
+    samples: list | None
+    blew: bool
+    sign: int | None
+    time: float | None
+    lanes: tuple | None
 
 
 def _rhs_tables(f: Nonlinearity, v, t0: float, nsteps: int, h: float,
@@ -376,7 +395,7 @@ def _rk4_source(kind: str, widths: tuple, K: int, lanes: bool,
         return _horner_source([f"c{j}{at}_{m}" for m in range(widths[j])], x,
                               patterns[j])
 
-    head = ["def run(start, t0, h, nsteps, stride, v0, vh, v1, rows):",
+    head = ["def run(start, t0, h, nsteps, v0, vh, v1, rows):",
             "    half, sixth, umin, umax = 0.5 * h, h / 6.0, -U_MAX, U_MAX",
             f"    {', '.join(f'u{n}' for n in orders)}, = start",
             "    comp = 0.0"]
@@ -393,8 +412,7 @@ def _rk4_source(kind: str, widths: tuple, K: int, lanes: bool,
     head.append("    for k, va, vb, vc in zip(range(nsteps), v0, vh, v1):")
     body = []
     if lanes:
-        body += ["if k % stride == 0:",
-                 "    su += u0", "    sxi += u1", "    seta += eta"]
+        body += ["su += u0", "sxi += u1", "seta += eta"]
     if kind == "t-dependent":
         for tau in "abc":
             for j in orders:
@@ -430,8 +448,8 @@ def _rk4_source(kind: str, widths: tuple, K: int, lanes: bool,
     body += ["y = sixth * (k1_0 + 2.0 * k2_0 + 2.0 * k3_0 + k4_0) - comp",
              "s = u0 + y",
              "if not umin <= s <= umax:",
-             f"    return (s, {kept}, True, escape_sign((w2_0, w3_0, w4_0, s),"
-             " u0), t0 + (k + 1) * h, None)",
+             f"    return Flow(s, {kept}, True, escape_sign((w2_0, w3_0, w4_0,"
+             " s), u0), t0 + (k + 1) * h, None)",
              "comp = (s - u0) - y",
              "u0 = s"]
     body += [f"u{n} += sixth * (-k1_{n} - 2.0 * k2_{n} - 2.0 * k3_{n} - k4_{n})"
@@ -442,9 +460,8 @@ def _rk4_source(kind: str, widths: tuple, K: int, lanes: bool,
         body.append("samples.append(s)")
     out = [f"u{n}" for n in tail] + ["eta", "su", "sxi", "seta"] * lanes
     result = f"({', '.join(out)},)" if out else "None"
-    return "\n".join(head + ["        " + line for line in body]
-                     + [f"    return u0, {kept}, False, None, None, {result}"]
-                     ) + "\n"
+    end = f"    return Flow(u0, {kept}, False, None, None, {result})"
+    return "\n".join(head + ["        " + line for line in body] + [end]) + "\n"
 
 
 @cache
@@ -456,36 +473,35 @@ def _rk4_loop(kind: str, widths: tuple, K: int, lanes: bool, store: bool,
     and the flags. An autonomous polynomial's rows of orders 0..K are
     unpacked into locals once, a t-dependent one's at every step, and
     Horner's rule is inlined for each row's pattern. The loop carries the
-    K-jet u0..uK of the flow in its start value (``_rk4_jet``'s Taylor
-    mode, the Cauchy products unrolled), so K = 1 is the xi lane;
-    ``lanes`` adds eta = du/dnu and the sums of u, xi and eta over every
-    stride-th step, and ``store`` the samples of u0. For
-    n >= 1 a stage keeps its slope k_n negated, as a_n = -k_n, so the
-    next stage state is u_n - (h/2) a_n (u_n - h a_n for the last), and
-    the step adds (h/6) (-a1 - 2 a2 - 2 a3 - a4): IEEE arithmetic makes
-    x + (-y) and x - y one float, so every float is unchanged. The first
-    negation stays, since -(a1 + 2 a2 + 2 a3 + a4) makes -0.0 where the
-    sum of the negated slopes makes +0.0.
+    K-jet u0..uK of the flow in its start value (Taylor mode, each stage
+    evaluating f on the jet by Faa di Bruno on its nilpotent part, the
+    Cauchy products unrolled), so K = 1 is the xi lane; ``lanes`` adds
+    eta = du/dnu and the sums of u, xi and eta over the steps, and
+    ``store`` the samples of u0. For n >= 1 a stage keeps its slope k_n
+    negated, as a_n = -k_n, so the next stage state is u_n - (h/2) a_n
+    (u_n - h a_n for the last), and the step adds (h/6) (-a1 - 2 a2 - 2
+    a3 - a4): IEEE arithmetic makes x + (-y) and x - y one float, so
+    every float is unchanged. The first negation stays, since -(a1 + 2 a2
+    + 2 a3 + a4) makes -0.0 where the sum of the negated slopes makes
+    +0.0.
 
-    ``run(start, t0, h, nsteps, stride, v0, vh, v1, rows)`` starts
-    from the jet ``start`` and returns (u0, samples|None, blew, sign,
-    blow_time, lanes|None), lanes = (u1, ..., uK) followed by (eta, sum
-    u, sum xi, sum eta) with ``lanes``. Every float is the one the
+    ``run(start, t0, h, nsteps, v0, vh, v1, rows)`` starts from the jet
+    ``start`` and returns its ``Flow``. Every float is the one the
     interpreted loops the tests keep as oracles make, bit for bit.
     """
-    scope = {"U_MAX": U_MAX, "escape_sign": _escape_sign}
+    scope = {"U_MAX": U_MAX, "escape_sign": _escape_sign, "Flow": Flow}
     exec(_rk4_source(kind, widths, K, lanes, store, patterns), scope)
     return scope["run"]
 
 
 def _rk4(f: Nonlinearity, v, start: tuple, t0: float, t1: float, h: float,
-         table=None, store: bool = False, lanes: bool = False,
-         stride: int = 0):
+         table=None, store: bool = False, lanes: bool = False) -> Flow:
     """``_rk4_loop``'s run for f, from the jet ``start`` of order K.
 
     ``table`` is a prebuilt ``_stage_table`` of (f, v) at h, so [t0, t1] =
-    [0, 1], holding orders 0..K; f and v are then not evaluated. Returns
-    (u_end, samples|None, blew, sign, blow_time, lanes|None).
+    [0, 1], holding orders 0..K; f and v are then not evaluated. With
+    ``start`` = (x0, 1, 0, ..., 0) the ``Flow``'s u and lanes u1..uK are
+    the K-jet of the discrete RK4 map at x0: rho^(j)(x0) = j! u_j(1).
     """
     K = len(start) - 1
     nsteps, h, forcing, rows, minus_zero = _read_table(
@@ -493,40 +509,21 @@ def _rk4(f: Nonlinearity, v, start: tuple, t0: float, t1: float, h: float,
     kind, widths, patterns = _loop_key(f, rows, K, minus_zero)
     run = _rk4_loop(kind, widths, K, lanes, store, patterns)
     with np.errstate(over="ignore", invalid="ignore"):
-        return run(start, t0, h, nsteps, stride, *forcing, rows)
+        return run(start, t0, h, nsteps, *forcing, rows)
 
 
 def _flow_scalar(f: Nonlinearity, v, x0: float, t0: float, t1: float, h: float,
-                 store: bool = False, table=None, tangent_stride: int = 0):
+                 store: bool = False, table=None, lanes: bool = False) -> Flow:
     """Scalar RK4 with Kahan-compensated updates: ``_rk4`` at K <= 1.
 
-    With ``tangent_stride`` s > 0 it also carries the exact derivatives of
-    the discrete step, xi = du/du(t0) and eta = du/dnu for a constant nu
-    added to v, and returns as ``lanes`` (xi, eta, sum u, sum xi, sum eta)
-    at t1, with sums over every s-th step from t0. ``bench/spans.py``
-    counts the flows of this name: the fibre solves, ``integrate`` and
-    ``return_map``.
+    With ``lanes`` it also carries the exact derivatives of the discrete
+    step, xi = du/du(t0) and eta = du/dnu for a constant nu added to v,
+    and the ``Flow``'s lanes are (xi, eta, sum u, sum xi, sum eta) at t1,
+    summed over the steps from t0. ``bench/spans.py`` counts the flows of
+    this name: the fibre solves, ``integrate`` and ``return_map``.
     """
-    start = (float(x0), 1.0) if tangent_stride else (float(x0),)
-    return _rk4(f, v, start, t0, t1, h, table, store, bool(tangent_stride),
-                tangent_stride)
-
-
-def _rk4_jet(f: Nonlinearity, v, x0: float, h: float, K: int):
-    """Scalar RK4 over [0, 1] on Taylor series truncated after e^K, K >= 1.
-
-    Carries u(t; x0 + e) = u_0 + u_1 e + ... + u_K e^K through the steps,
-    so the result is exactly the K-jet of the discrete RK4 map at x0 and
-    rho^(j)(x0) = j! u_j(1). Each stage evaluates f on the jet by Faa di
-    Bruno on its nilpotent part d: f(w_0 + d) = sum_j f^(j)(w_0)/j! d^j,
-    with f^(j) from the order-j rows of one stage table, in the loop
-    ``_rk4_loop`` generates for K; u_0 and u_1 are ``_flow_with_variation``'s
-    u and xi, bit for bit. Returns [u_0, ..., u_K] at t = 1, or None if the
-    flow blew up.
-    """
-    u, _, blew, _, _, tail = _rk4(f, v, (float(x0), 1.0) + (0.0,) * (K - 1),
-                                  0.0, 1.0, h)
-    return None if blew else [u, *tail]
+    start = (float(x0), 1.0) if lanes else (float(x0),)
+    return _rk4(f, v, start, t0, t1, h, table, store, lanes)
 
 
 _VECTOR_SHARED = "u, comp, w, k1, k2, k3, k4, alive, half, step, sixth"
@@ -722,12 +719,12 @@ def integrate(f: Nonlinearity, v, x0: float, t0: float = 0.0, t1: float = 1.0,
     """
     if not math.isfinite(x0):
         raise PreconditionError("x0 must be finite")
-    u_end, samples, blew, sign, btime, _ = _flow_scalar(f, v, x0, t0, t1, h,
-                                                        store=True)
-    samples = np.asarray(samples, dtype=float)
+    flow = _flow_scalar(f, v, x0, t0, t1, h, store=True)
+    samples = np.asarray(flow.samples, dtype=float)
     times = t0 + _step_count(t0, t1, h)[1] * np.arange(len(samples))
     return Trajectory(t0=t0, t1=t1, h=h, times=times, samples=samples,
-                      blew_up=blew, blow_sign=sign, blow_time=btime)
+                      blew_up=flow.blew, blow_sign=flow.sign,
+                      blow_time=flow.time)
 
 
 def return_map(f: Nonlinearity, v, x0: float, h: float = 1e-3,
@@ -741,28 +738,25 @@ def return_map(f: Nonlinearity, v, x0: float, h: float = 1e-3,
     """
     if not (math.isfinite(x0) and math.isfinite(h)):
         raise PreconditionError("x0 and the step must be finite")
-    der = None
     if with_derivative:
-        val, der, blew, sign, btime = _flow_with_variation(f, v, x0, h)
+        flow = _flow_with_variation(f, v, x0, h)
     else:
-        val, _, blew, sign, btime, _ = _flow_scalar(f, v, x0, 0.0, 1.0, h)
-    if blew:
-        return ReturnValue(None, True, sign, btime)
-    return ReturnValue(float(val), derivative=der)
+        flow = _flow_scalar(f, v, x0, 0.0, 1.0, h)
+    if flow.blew:
+        return ReturnValue(None, True, flow.sign, flow.time)
+    der = flow.lanes[0] if with_derivative else None
+    return ReturnValue(float(flow.u), derivative=der)
 
 
-def _flow_with_variation(f: Nonlinearity, v, x0: float, h: float, table=None):
-    """RK4 flow with its tangent lane; returns (u(1), du(1)/du(0), ...).
+def _flow_with_variation(f: Nonlinearity, v, x0: float, h: float,
+                         table=None) -> Flow:
+    """RK4 flow over [0, 1] with its tangent lane: the K = 1 jet of ``_rk4``.
 
-    The K = 1 jet of ``_rk4``: the return map's slope needs neither eta
-    nor the lane sums of ``_flow_scalar``. ``table`` is an optional
-    prebuilt ``_stage_table(f, v, h, (0, 1))``.
+    The ``Flow``'s lanes are (du(1)/du(0),): the return map's slope needs
+    neither eta nor the lane sums of ``_flow_scalar``. ``table`` is an
+    optional prebuilt ``_stage_table(f, v, h, (0, 1))``.
     """
-    u, _, blew, sign, btime, lanes = _rk4(f, v, (float(x0), 1.0), 0.0, 1.0,
-                                          h, table)
-    if blew:
-        return None, None, True, sign, btime
-    return float(u), float(lanes[0]), False, None, None
+    return _rk4(f, v, (float(x0), 1.0), 0.0, 1.0, h, table)
 
 
 @dataclass(frozen=True)
@@ -780,25 +774,27 @@ def contact_order(f: Nonlinearity, v, x0: float, kmax: int = 4,
     """Largest k with rho' = 1 and rho'' = ... = rho^(k) = 0 at a fixed point.
 
     rho(x0), rho' and rho'' ... rho^(kmax+1) are the exact jets of the
-    discrete RK4 map, from one ``_rk4_jet`` flow of order kmax + 1. A
-    derivative counts as zero when |rho^(i)| <= ``CONTACT_ZERO_TOL`` *
-    max(1, |rho^(k+1)|), and rho' as one when |rho' - 1| is within
-    ``CONTACT_ZERO_TOL`` * max(1, max_i |rho^(i)|). ``v`` is as in
-    ``integrate``: a callable acts pointwise on an array of times and is
-    called once, at the distinct stage times. x0 and h must be finite.
+    discrete RK4 map, from one ``_rk4`` flow of order kmax + 1 from the
+    start jet (x0, 1, 0, ..., 0). A derivative counts as zero when
+    |rho^(i)| <= ``CONTACT_ZERO_TOL`` * max(1, |rho^(k+1)|), and rho' as
+    one when |rho' - 1| is within ``CONTACT_ZERO_TOL`` * max(1, max_i
+    |rho^(i)|). ``v`` is as in ``integrate``: a callable acts pointwise
+    on an array of times and is called once, at the distinct stage
+    times. x0 and h must be finite.
     """
     if not math.isfinite(x0):
         raise PreconditionError("x0 must be finite")
     kmax = require_int("kmax", kmax, 1, 5)
-    jet = _rk4_jet(f, v, x0, h, kmax + 1)
-    if jet is None:
+    flow = _rk4(f, v, (float(x0), 1.0) + (0.0,) * kmax, 0.0, 1.0, h)
+    if flow.blew:
         raise PreconditionError("trajectory blew up at the fixed point itself")
-    if abs(jet[0] - x0) > FIXED_POINT_TOL:
+    if abs(flow.u - x0) > FIXED_POINT_TOL:
         raise PreconditionError(
-            f"x0 is not a fixed point: |rho(x0)-x0| = {abs(jet[0] - x0):.3e}")
-    rho_prime = float(jet[1])
-    # rho^(2) .. rho^(kmax+1)
-    derivs = np.array([math.factorial(j) * jet[j] for j in range(2, kmax + 2)])
+            f"x0 is not a fixed point: |rho(x0)-x0| = {abs(flow.u - x0):.3e}")
+    rho_prime = float(flow.lanes[0])
+    # rho^(2) .. rho^(kmax+1), from the jet orders u2 .. u(kmax+1)
+    derivs = np.array([math.factorial(j) * flow.lanes[j - 1]
+                       for j in range(2, kmax + 2)])
 
     tol = CONTACT_ZERO_TOL
     if abs(rho_prime - 1.0) > tol * max(1.0, float(np.max(np.abs(derivs)))):
@@ -821,7 +817,7 @@ def contact_order(f: Nonlinearity, v, x0: float, kmax: int = 4,
 def _rho_derivative_fd(f: Nonlinearity, v, x0: float, i: int, h: float) -> float:
     """i-th derivative of rho at x0 (i >= 2) by central FD with Richardson.
 
-    Not used by the library: the tests' cross-check of ``_rk4_jet``.
+    Not used by the library: the tests' cross-check of the jet flow.
     """
     base = _STENCIL_HALF_WIDTH.get(i, 8e-3)
     for attempt in range(3):

@@ -93,7 +93,9 @@ class ParamFamily:
 class SearchProblem:
     """Free coordinates = family parameters followed by the unfrozen ansatz
     coefficients in ``FourierAnsatz.names`` order (a0, a1, b1, a2, b2, ...);
-    the b1 gauge is frozen automatically for autonomous families."""
+    the b1 gauge is frozen automatically for autonomous families. The
+    target, the family parameters and ``residual_tol`` >= 0 must be
+    finite."""
 
     family: ParamFamily
     ansatz: FourierAnsatz
@@ -108,6 +110,11 @@ class SearchProblem:
                                                       dtype=float))
         if len(self.target) > 4:
             raise PreconditionError("target dimension must be at most 4")
+        for name in ("target", "family_params"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise PreconditionError(f"{name} must be finite")
+        if not 0.0 <= self.residual_tol < math.inf:
+            raise PreconditionError("residual_tol must be finite and >= 0")
 
     # -- coordinate packing -------------------------------------------------
 
@@ -492,12 +499,13 @@ def _refine_root(f, v, lo, hi, glo, ghi, h, table):
         if not lo < x < hi:
             x = 0.5 * (lo + hi)
     for flows in range(1, MAX_REFINE_FLOWS + 1):
-        u_end, der, blew, _, btime = _flow_with_variation(f, v, x, h, table)
+        flow = _flow_with_variation(f, v, x, h, table)
         rk4 = flows * nsteps
-        if blew:
+        if flow.blew:
             return (x, hi - lo, None, flows,
-                    rk4 - nsteps + round(btime * nsteps), False)
-        g = u_end - x
+                    rk4 - nsteps + round(flow.time * nsteps), False)
+        der = flow.lanes[0]
+        g = flow.u - x
         if g == 0.0 or lo == hi:
             return x, 0.0, der, flows, rk4, True
         if (g < 0) == (glo < 0):

@@ -28,3 +28,20 @@ def test_tracer_boundaries_are_bound():
 def test_counted_parameters_keep_their_positions(fn, positions):
     names = list(inspect.signature(fn).parameters)
     assert {i: names[i] for i in positions} == positions
+
+
+# the Flow fields that the tracer's step counters read by position
+# (result[2], result[4]); a reordering would miscount under --trace 1
+def test_counted_flow_fields_keep_their_positions():
+    assert odeint.Flow._fields[2] == "blew"
+    assert odeint.Flow._fields[4] == "time"
+
+
+@pytest.mark.parametrize("flow", [
+    lambda f: odeint._flow_scalar(f, None, 0.5, 0.0, 1.0, 0.25),
+    lambda f: odeint._flow_scalar(f, None, 0.5, 0.0, 1.0, 0.25, lanes=True),
+    lambda f: odeint._flow_with_variation(f, None, 0.5, 0.25),
+    lambda f: odeint._flow_with_variation(f, None, 1e7, 0.25),
+], ids=["scalar", "scalar-lanes", "variation", "variation-escape"])
+def test_counted_flows_return_a_flow(flow):
+    assert type(flow(core.Nonlinearity.polynomial([0, 0, 1]))) is odeint.Flow

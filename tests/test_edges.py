@@ -6,14 +6,15 @@ import json
 import numpy as np
 import pytest
 
-from morinode import (Average, FourierAnsatz, Grid, Nonlinearity, PeriodicFn,
-                      contact_order, count_solutions, cumulative, gamma_curve,
+from morinode import (Average, FourierAnsatz, Grid, Nonlinearity, ParamFamily,
+                      PeriodicFn, SearchProblem, contact_order,
+                      count_solutions, cumulative, gamma_curve,
                       hull_origin_test, integrate, mean, replicate,
                       return_map, seed_shat, sigma_hat, solve_periodic,
                       InitialValue)
 from morinode.cli import EXIT_OK, execute
-from morinode.core import PreconditionError
-from morinode.fibre import trace_pairs
+from morinode.core import PreconditionError, Term
+from morinode.fibre import _solve_average, trace_pairs
 
 TWO_PI = 2 * np.pi
 ZERO = Nonlinearity.polynomial([])
@@ -114,17 +115,43 @@ class TestNonFiniteInput:
         pytest.param(lambda x: solve_periodic(SQUARE, PeriodicFn.constant(0.0),
                                               Average(x)),
                      id="fibre-average"),
-        pytest.param(lambda x: solve_periodic(SQUARE, PeriodicFn.constant(0.0),
-                                              InitialValue(0.1), nu_hint=x),
-                     id="fibre-nu-hint"),
-        pytest.param(lambda x: solve_periodic(SQUARE, PeriodicFn.constant(0.0),
-                                              InitialValue(0.1), h=x),
-                     id="fibre-step"),
+        pytest.param(lambda x: _search_problem(target=[x, 0.0]),
+                     id="search-target"),
+        pytest.param(lambda x: _search_problem(family_params=[0.5, x]),
+                     id="search-family-params"),
+        pytest.param(lambda x: _search_problem(residual_tol=x),
+                     id="search-residual-tol"),
     ])
     def test_entry_points_reject_non_finite_numbers(self, call, bad):
         # a nan or an infinity is a precondition violation, not an answer
         with pytest.raises(PreconditionError, match="finite"):
             call(bad)
+
+
+class TestSearchProblemEdges:
+    @pytest.mark.parametrize("field, value", [
+        ("target", [0.0, float("nan")]),
+        ("family_params", [float("inf"), 0.1]),
+        ("residual_tol", float("nan")),
+        ("residual_tol", -1e-10),
+    ])
+    def test_message_names_the_field(self, field, value):
+        # a nan target or parameter would otherwise surface one SVD step
+        # later as a complaint about the ansatz's coefficients
+        with pytest.raises(PreconditionError, match=field):
+            _search_problem(**{field: value})
+
+    def test_finite_fields_build(self):
+        problem = _search_problem(residual_tol=0.0)
+        assert problem.target.tolist() == [0.0, 0.0]
+
+
+def _search_problem(**fields):
+    # a quartic (b, c) problem with two targets, ``fields`` replaced
+    kw = dict(family=ParamFamily.quartic_bc(),
+              ansatz=FourierAnsatz(0.1, [0.2]), target=[0.0, 0.0],
+              family_params=[0.5, 0.1])
+    return SearchProblem(**{**kw, **fields})
 
 
 class TestContactEdges:
@@ -163,10 +190,24 @@ class TestIntegerArguments:
                      id="seed-k"),
         pytest.param(lambda n: FourierAnsatz.from_periodic(
             PeriodicFn.constant(0.1), n), id="from-periodic-harmonics"),
+        pytest.param(lambda n: Term(n, FourierAnsatz(1.0)), id="term-power"),
+        pytest.param(lambda n: CUBIC.eval(0.0, 1.0, n), id="eval-order"),
+        pytest.param(lambda n: CUBIC.coeff_rows(np.zeros(2), order=n),
+                     id="coeff-rows-order"),
     ])
     def test_non_integer_raises(self, call, bad):
         with pytest.raises(PreconditionError, match="need an integer"):
             call(bad)
+
+    @pytest.mark.parametrize("call", [
+        pytest.param(lambda: Term(-1, FourierAnsatz(1.0)), id="term-power"),
+        pytest.param(lambda: CUBIC.eval(0.0, 1.0, -1), id="eval-order"),
+        pytest.param(lambda: CUBIC.coeff_rows(np.zeros(2), order=-1),
+                     id="coeff-rows-order"),
+    ])
+    def test_negative_raises(self, call):
+        with pytest.raises(PreconditionError, match="need an integer"):
+            call()
 
     @pytest.mark.parametrize("n", [16.0, True, 32.5, "16"])
     def test_grid_size(self, n):
@@ -188,6 +229,12 @@ class TestAnsatzEdges:
         with pytest.raises(PreconditionError):
             FourierAnsatz.from_periodic(u, 32)
 
+    @pytest.mark.parametrize("a, b", [([[0.5, 0.2]], ()), ([0.5], [[0.2]]),
+                                      (np.zeros((2, 2)), np.zeros((2, 2)))])
+    def test_coefficients_must_be_1d(self, a, b):
+        with pytest.raises(PreconditionError, match="1-D"):
+            FourierAnsatz(1.0, a, b)
+
     def test_grid_validation(self):
         with pytest.raises(PreconditionError):
             Grid(8)
@@ -208,11 +255,13 @@ class TestSeedEdges:
 
 class TestSolveEdges:
     def test_nu_hint_speeds_same_answer(self):
+        # the hint trace_pairs passes from one point to the next
         vt = PeriodicFn.from_callable(lambda t: np.cos(TWO_PI * t))
         f = Nonlinearity.polynomial([0, 1])
-        fp1 = solve_periodic(f, vt, InitialValue(0.5))
-        fp2 = solve_periodic(f, vt, InitialValue(0.5), nu_hint=fp1.nu)
+        fp1 = _solve_average(f, vt, 0.5)
+        fp2 = _solve_average(f, vt, 0.5, fp1.nu)
         assert fp2.nu == pytest.approx(fp1.nu, abs=1e-10)
+        assert fp2.diagnostics.flows <= fp1.diagnostics.flows
 
     def test_nonzero_mean_rhs_rejected(self):
         bad = PeriodicFn.constant(0.5)

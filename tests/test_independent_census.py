@@ -53,10 +53,9 @@ def test_vector_and_scalar_flows_agree(quartic, rhs):
     vec, alive = _flow_vector(quartic, rhs, xs, 1e-3)
     assert alive.all()
     for x, expect in zip(xs, vec):
-        u_end, _, blew, _, _, _ = _flow_scalar(quartic, rhs, float(x),
-                                               0.0, 1.0, 1e-3)
-        assert not blew
-        assert u_end == pytest.approx(expect, abs=1e-13)
+        flow = _flow_scalar(quartic, rhs, float(x), 0.0, 1.0, 1e-3)
+        assert not flow.blew
+        assert flow.u == pytest.approx(expect, abs=1e-13)
 
 
 def test_prebuilt_table_is_bitwise_identical(quartic, rhs):
@@ -103,10 +102,9 @@ def test_shared_autonomous_rows_are_bitwise_identical(quartic, rhs):
                 == _interpreted_flow_scalar(quartic, None, x, 0.0, 1.0, h,
                                             store=True, table=shared))
         u, _, blew, sign, btime, lanes = _interpreted_flow_scalar(
-            quartic, None, x, 0.0, 1.0, h, table=shared, tangent_stride=1)
+            quartic, None, x, 0.0, 1.0, h, table=shared, lanes=True)
         assert _flow_with_variation(quartic, None, x, h, shared) == (
-            (None, None, True, sign, btime) if blew else
-            (u, lanes[0], False, None, None))
+            u, None, blew, sign, btime, None if blew else lanes[:1])
     xs = np.array([-0.3, -0.1, 0.0, 0.2, 2.5])
     for a, b in zip(_flow_vector(quartic, None, xs, h, shared),
                     _allocating_flow_vector(quartic, None, xs, h, shared)):
@@ -179,12 +177,12 @@ def test_wild_blowups_agree_across_drivers():
     _, alive = _flow_vector(wild, None, xs, 1e-3)
     assert not alive.any()
     for x, (esign, etime) in zip(xs, expected):
-        _, _, blew, sign, btime, _ = _flow_scalar(wild, None, float(x), 0.0,
-                                                  1.0, 1e-3)
-        assert blew
+        flow = _flow_scalar(wild, None, float(x), 0.0, 1.0, 1e-3)
+        sign, btime = flow.sign, flow.time
+        assert flow.blew
         assert sign == esign and btime == pytest.approx(etime, abs=1e-12)
         t_star = ((0.5 if x > 0 else 0.0)
                   + math.asin(2 * math.pi / abs(x)) / (2 * math.pi))
         assert abs(btime - t_star) < 1e-3
-        _, _, blew, s, t = _flow_with_variation(wild, None, float(x), 1e-3)
-        assert blew and (s, t) == (sign, btime)
+        joint = _flow_with_variation(wild, None, float(x), 1e-3)
+        assert joint.blew and (joint.sign, joint.time) == (sign, btime)

@@ -13,9 +13,10 @@ from morinode import (Grid, Nonlinearity, PeriodicFn, contact_order,
                       count_solutions, integrate, odeint, return_map)
 from morinode.core import FourierAnsatz, PreconditionError, Term, horner
 from morinode.fibre import trace_pairs
-from morinode.odeint import (_flow_scalar, _flow_vector, _flow_with_variation,
-                             _forcing_shifts, _rho_derivative_fd, _rk4_jet,
-                             _rk4_loop, _rk4_source, _stage_table)
+from morinode.odeint import (Flow, _flow_scalar, _flow_vector,
+                             _flow_with_variation, _forcing_shifts,
+                             _rho_derivative_fd, _rk4_loop, _rk4_source,
+                             _stage_table)
 from tests.conftest import operator_rhs
 
 
@@ -37,16 +38,16 @@ def _stage_fns(f, rows, nsteps, orders):
 
 
 def _interpreted_flow_scalar(f, v, x0, t0, t1, h, store=False, table=None,
-                             tangent_stride=0):
+                             lanes=False):
     # the interpreted scalar loop that odeint._rk4_loop's generated code
     # replaced, one Horner call per row per stage: the oracle of
     # _flow_scalar's bits, escape sign and time included
-    orders = (0, 1) if tangent_stride else (0,)
+    orders = (0, 1) if lanes else (0,)
     nsteps, h, (v0, vh, v1), rows, _ = odeint._read_table(f, v, t0, t1, h,
                                                           orders, table)
     stages = _stage_fns(f, rows, nsteps, orders)
     fx, (r0, rh, r1) = stages[0]
-    if tangent_stride:
+    if lanes:
         gx, (d0, dh, d1) = stages[1]
     half, sixth = 0.5 * h, h / 6.0
     u = float(x0)
@@ -63,11 +64,10 @@ def _interpreted_flow_scalar(f, v, x0, t0, t1, h, store=False, table=None,
             k3 = vh[k] - fx(rh[k], u3)
             u4 = u + h * k3
             k4 = v1[k] - fx(r1[k], u4)
-            if tangent_stride:
-                if k % tangent_stride == 0:
-                    su += u
-                    sxi += xi
-                    seta += eta
+            if lanes:
+                su += u
+                sxi += xi
+                seta += eta
                 g1, g2 = gx(d0[k], u), gx(dh[k], u2)
                 g3, g4 = gx(dh[k], u3), gx(d1[k], u4)
                 a1 = -g1 * xi
@@ -91,12 +91,19 @@ def _interpreted_flow_scalar(f, v, x0, t0, t1, h, store=False, table=None,
                 return u, samples, True, -1 if w < 0 else 1, t0 + (k + 1) * h, None
             if store:
                 samples.append(u)
-    lanes = (xi, eta, su, sxi, seta) if tangent_stride else None
-    return u, samples, False, None, None, lanes
+    return (u, samples, False, None, None,
+            (xi, eta, su, sxi, seta) if lanes else None)
+
+
+def _jet(f, v, x0, h, K):
+    # [u_0, ..., u_K] at t = 1 of the K-jet flow from x0, odeint._rk4 from
+    # the start jet (x0, 1, 0, ..., 0); None if it blew up
+    flow = odeint._rk4(f, v, (float(x0), 1.0) + (0.0,) * (K - 1), 0.0, 1.0, h)
+    return None if flow.blew else [flow.u, *flow.lanes]
 
 
 def _comprehension_run(start, h, nsteps, forcing, rows, evals):
-    # the list loop of _rk4_jet on the comprehension field, from the jet
+    # the list loop of the jet flow on the comprehension field, from the jet
     # start with order-j stage rows rows[j] read by evals[j]: the oracle of
     # the generated jet loop's bits; None on escape
     K = len(start) - 1
@@ -128,7 +135,7 @@ def _comprehension_run(start, h, nsteps, forcing, rows, evals):
 
 
 def _comprehension_jet(f, v, x0, h, K):
-    # _rk4_jet's K-jet from x0 through the comprehension oracle
+    # _jet's K-jet from x0 through the comprehension oracle
     nsteps, h, forcing, rows, _ = odeint._read_table(f, v, 0.0, 1.0, h,
                                                      range(K + 1), None)
     evals, rows = zip(*_stage_fns(f, rows, nsteps, range(K + 1)))
@@ -577,15 +584,14 @@ class TestVectorStep:
 
 
 class TestTangentLanes:
-    # x^3 - x under 0.4 cos(2 pi t) + nu, two RK4 steps per node of a
+    # x^3 - x under 0.4 cos(2 pi t) + nu, one RK4 step per node of a
     # 256-point grid, so the lane sums are node sums
     F = Nonlinearity.polynomial([0, -1, 0, 1])
-    H, STRIDE, NODES = 1.0 / 512, 2, 256
+    H, NODES = 1.0 / 256, 256
 
     def flow(self, table, c, nu, lanes=True):
         return _flow_scalar(self.F, None, c, 0.0, 1.0, self.H, store=True,
-                            table=_forcing_shifts(table)(nu),
-                            tangent_stride=self.STRIDE if lanes else 0)
+                            table=_forcing_shifts(table)(nu), lanes=lanes)
 
     @pytest.fixture(scope="class")
     def table(self):
@@ -596,25 +602,24 @@ class TestTangentLanes:
     def test_lanes_leave_u_unchanged(self, table):
         with_lanes = self.flow(table, 0.4, -0.2)
         assert with_lanes[:5] == self.flow(table, 0.4, -0.2, lanes=False)[:5]
-        samples = with_lanes[1]
-        assert with_lanes[5][2] == pytest.approx(
-            sum(samples[:-1][::self.STRIDE]), rel=1e-15)
+        assert with_lanes.lanes[2] == pytest.approx(
+            sum(with_lanes.samples[:-1]), rel=1e-15)
 
     def test_lanes_match_central_differences(self, table):
         # the lanes are the exact derivatives of the discrete flow, so
         # central differences of u(1) and of the node mean of u approach
         # them at O(d^2): halving d divides the error by four
         c, nu = 0.4, -0.2
-        _, _, _, _, _, (xi, eta, _, sum_xi, sum_eta) = self.flow(table, c, nu)
+        xi, eta, _, sum_xi, sum_eta = self.flow(table, c, nu).lanes
 
         def errors(d):
             up, dn = self.flow(table, c, nu + d), self.flow(table, c, nu - d)
             right, left = self.flow(table, c + d, nu), self.flow(table, c - d, nu)
             return np.abs([
-                (up[0] - dn[0]) / (2 * d) - eta,
-                (up[5][2] - dn[5][2]) / (2 * d) - sum_eta,
-                (right[0] - left[0]) / (2 * d) - xi,
-                (right[5][2] - left[5][2]) / (2 * d) - sum_xi]) / [
+                (up.u - dn.u) / (2 * d) - eta,
+                (up.lanes[2] - dn.lanes[2]) / (2 * d) - sum_eta,
+                (right.u - left.u) / (2 * d) - xi,
+                (right.lanes[2] - left.lanes[2]) / (2 * d) - sum_xi]) / [
                     1, self.NODES, 1, self.NODES]
 
         coarse, fine = errors(4e-3), errors(2e-3)
@@ -626,25 +631,19 @@ class TestTangentLanes:
     # c at h = 1/512, recorded from the loop before the xi-only lane split;
     # the forcing is plain arithmetic, so these bits hold on every machine
     PINNED = {
-        (1, 0.4): ("0x1.9393b4435a9b4p-1", "0x1.98909625bc7aep-1",
-                   "0x1.440c2bc9951cep+8", "0x1.fe36fedf37118p+8",
-                   "0x1.d5c4400c1e259p+7"),
-        (1, -1.2): ("0x1.7cefaf6c7ab2fp-4", "0x1.95ab399aff7d8p-2",
-                    "-0x1.0f59248a314afp+9", "0x1.6ebe37ef16966p+7",
-                    "0x1.0f76f69ecc851p+7"),
-        (3, 0.4): ("0x1.9393b4435a9b4p-1", "0x1.98909625bc7aep-1",
-                   "0x1.b098793ce1b79p+6", "0x1.54cf473a132a7p+7",
-                   "0x1.392cf62e76ecfp+6"),
-        (3, -1.2): ("0x1.7cefaf6c7ab2fp-4", "0x1.95ab399aff7d8p-2",
-                    "-0x1.6a99280ef2130p+7", "0x1.ebab576a413b3p+5",
-                    "0x1.69f309f77d71fp+5"),
+        0.4: ("0x1.9393b4435a9b4p-1", "0x1.98909625bc7aep-1",
+              "0x1.440c2bc9951cep+8", "0x1.fe36fedf37118p+8",
+              "0x1.d5c4400c1e259p+7"),
+        -1.2: ("0x1.7cefaf6c7ab2fp-4", "0x1.95ab399aff7d8p-2",
+               "-0x1.0f59248a314afp+9", "0x1.6ebe37ef16966p+7",
+               "0x1.0f76f69ecc851p+7"),
     }
 
-    @pytest.mark.parametrize("stride, c", list(PINNED))
-    def test_full_lanes_unchanged(self, stride, c):
+    @pytest.mark.parametrize("c", list(PINNED))
+    def test_full_lanes_unchanged(self, c):
         lanes = _flow_scalar(self.F, lambda t: 0.3 - 0.6 * t, c, 0.0, 1.0,
-                             self.H, tangent_stride=stride)[5]
-        assert tuple(x.hex() for x in lanes) == self.PINNED[stride, c]
+                             1.0 / 512, lanes=True).lanes
+        assert tuple(x.hex() for x in lanes) == self.PINNED[c]
 
     @pytest.mark.parametrize("f, v, x0, h", [
         (F, lambda t: 0.3 - 0.6 * t, 0.4, H),
@@ -658,23 +657,23 @@ class TestTangentLanes:
     ], ids=["cubic", "cubic-low", "t-dependent", "riccati-escape",
             "wild-escape", "one-step-overflow"])
     def test_xi_only_lane_is_the_full_lanes_xi(self, f, v, x0, h):
-        # _flow_with_variation's whole tuple, escape sign and time included,
-        # is what the full-lane flow at stride 1 reads: the K = 1 loop
-        # without eta and the lane sums is the full-lane loop's xi
-        u, _, blew, sign, btime, lanes = _flow_scalar(
-            f, v, x0, 0.0, 1.0, h, tangent_stride=1)
-        expect = ((None, None, True, sign, btime) if blew else
-                  (float(u), float(lanes[0]), False, None, None))
+        # _flow_with_variation's whole Flow, escape sign and time included,
+        # is what the full-lane flow reads: the K = 1 loop without eta and
+        # the lane sums is the full-lane loop's xi
+        full = _flow_scalar(f, v, x0, 0.0, 1.0, h, lanes=True)
         got = _flow_with_variation(f, v, x0, h)
-        assert [_bits([x]) if isinstance(x, float) else x for x in got] == [
-            _bits([x]) if isinstance(x, float) else x for x in expect]
+        assert type(got) is Flow
+        assert _deep_bits(got._replace(lanes=None)) == _deep_bits(
+            full._replace(lanes=None))
+        assert _deep_bits(got.lanes) == _deep_bits(
+            None if full.blew else full.lanes[:1])
 
     def test_return_map_derivative_is_the_xi_lane(self, table):
         # the census reads rho' from the same lane as the fibre solver
-        u_end, der, blew, _, _ = _flow_with_variation(self.F, None, 0.4,
-                                                      self.H, table)
-        lanes = self.flow(table, 0.4, 0.0)
-        assert not blew and (u_end, der) == (lanes[0], lanes[5][0])
+        flow = _flow_with_variation(self.F, None, 0.4, self.H, table)
+        full = self.flow(table, 0.4, 0.0)
+        assert not flow.blew
+        assert (flow.u, flow.lanes[0]) == (full.u, full.lanes[0])
 
 
 T_DEPENDENT = Nonlinearity([Term(1, FourierAnsatz(-1.0, [], [0.2])),
@@ -704,8 +703,8 @@ class TestGeneratedLoops:
         pytest.param(WILD, None, 7.0, 1e-3, id="wild-escape"),
         pytest.param(WILD, _push, 0.0, 1e-3, id="one-step-overflow"),
     ]
-    VARIANTS = [dict(), dict(store=True), dict(tangent_stride=1),
-                dict(tangent_stride=3, store=True)]
+    VARIANTS = [dict(), dict(store=True), dict(lanes=True),
+                dict(lanes=True, store=True)]
 
     @pytest.mark.parametrize("f, v, x0, h", FLOWS)
     def test_scalar_loop_is_the_interpreted_loop_bitwise(self, f, v, x0, h):
@@ -721,7 +720,7 @@ class TestGeneratedLoops:
                             (Nonlinearity([Term(2, FourierAnsatz(1.0, [0.3]))]),
                              None, -3.0, 1e-3),
                             (WILD, None, 7.0, 1e-3), (WILD, _push, 0.0, 1e-3)]:
-            assert _flow_scalar(f, v, x0, 0.0, 1.0, h, tangent_stride=1)[2]
+            assert _flow_scalar(f, v, x0, 0.0, 1.0, h, lanes=True).blew
 
     def test_nan_escape_takes_the_last_sign(self):
         # a nan forcing shift (the fibre's nu) makes every stage state nan,
@@ -792,10 +791,9 @@ class TestGeneratedLoops:
         def flows():
             for fn in (f, g, units):
                 _flow_scalar(fn, forcing, 0.1, 0.0, 1.0, 1e-2, store=True)
-                _flow_scalar(fn, forcing, 0.1, 0.0, 1.0, 1e-2,
-                             tangent_stride=2)
+                _flow_scalar(fn, forcing, 0.1, 0.0, 1.0, 1e-2, lanes=True)
                 _flow_with_variation(fn, forcing, 0.1, 1e-2)
-                _rk4_jet(fn, forcing, 0.1, 1e-2, 4)
+                _jet(fn, forcing, 0.1, 1e-2, 4)
 
         flows()
         compiled = real.cache_info().misses
@@ -818,7 +816,7 @@ class TestGeneratedLoops:
 class TestJetFlow:
     def test_riccati_closed_form(self):
         # u' = -u^2 gives rho(x) = x/(1+x): rho^(n)(0) = (-1)^(n+1) n!
-        jet = _rk4_jet(SQUARE, None, 0.0, 1e-3, 6)
+        jet = _jet(SQUARE, None, 0.0, 1e-3, 6)
         for n in range(2, 7):
             exact = (-1) ** (n + 1) * math.factorial(n)
             assert math.factorial(n) * jet[n] == pytest.approx(exact,
@@ -834,12 +832,13 @@ class TestJetFlow:
     ], ids=["cubic", "t-dependent"])
     def test_value_and_slope_match_the_tangent_lane(self, f, v, x0, h):
         # u_0 and u_1 are _flow_with_variation's u and xi, bit for bit
-        jet = _rk4_jet(f, v, x0, h, 4)
-        u_end, der, blew, _, _ = _flow_with_variation(f, v, x0, h)
-        assert not blew and (jet[0], jet[1]) == (u_end, der)
+        jet = _jet(f, v, x0, h, 4)
+        flow = _flow_with_variation(f, v, x0, h)
+        assert not flow.blew and (jet[0], jet[1]) == (flow.u, flow.lanes[0])
 
     def test_blowup_gives_none(self):
-        assert _rk4_jet(SQUARE, None, -2.0, 1e-3, 3) is None
+        flow = odeint._rk4(SQUARE, None, (-2.0, 1.0, 0.0, 0.0), 0.0, 1.0, 1e-3)
+        assert flow.blew and flow.lanes is None
 
     JET_CASES = [
         pytest.param(SQUARE, None, 0.0, 1e-3, range(1, 7), id="riccati"),
@@ -857,7 +856,7 @@ class TestJetFlow:
     @pytest.mark.parametrize("f, v, x0, h, orders", JET_CASES)
     def test_compiled_field_is_the_comprehension_bitwise(self, f, v, x0, h,
                                                           orders):
-        got = [_bits(_rk4_jet(f, v, x0, h, K)) for K in orders]
+        got = [_bits(_jet(f, v, x0, h, K)) for K in orders]
         assert got == [_bits(_comprehension_jet(f, v, x0, h, K))
                        for K in orders]
 
@@ -865,7 +864,7 @@ class TestJetFlow:
                                                         refined_butterfly):
         f, ans, _ = refined_butterfly
         v, x0 = operator_rhs(f, ans), float(ans.eval(0.0))
-        assert (_bits(_rk4_jet(f, v, x0, 2e-4, 5))
+        assert (_bits(_jet(f, v, x0, 2e-4, 5))
                 == _bits(_comprehension_jet(f, v, x0, 2e-4, 5)))
 
     @pytest.mark.parametrize("K", range(1, 7))
@@ -885,8 +884,8 @@ class TestJetFlow:
         jets = (itertools.product(values, repeat=K + 1) if K <= 3 else
                 rng.choice(values, (3000, K + 1)).tolist())
         for w in jets:
-            u, _, blew, _, _, tail = run(tuple(w), 0.0, h, nsteps, 0,
-                                         *forcing, rows)
+            u, _, blew, _, _, tail = run(tuple(w), 0.0, h, nsteps, *forcing,
+                                         rows)
             expect = _comprehension_run(list(w), h, nsteps, forcing,
                                         stage_rows, evals)
             assert _bits(None if blew else [u, *tail]) == _bits(expect)
@@ -922,7 +921,7 @@ class TestJetFlow:
                     assert _bits(None if blew else [u, *tail]) == expect, (
                         rows, forcing, w)
                     u, _, blew, _, _, tail = unruled(
-                        w, 0.0, 1.0 / nsteps, nsteps, 0, *lists, rows)
+                        w, 0.0, 1.0 / nsteps, nsteps, *lists, rows)
                     changed += _bits(None if blew else [u, *tail]) != expect
                     compared += 1
         assert compared == 4 * 3 * 7 ** (K + 1)
@@ -970,7 +969,8 @@ class TestJetFlow:
                     if K:
                         expect = _bits(_comprehension_run(
                             list(w), h, nsteps, table[0], stage_rows, evals))
-                        bits = _bits(None if got[2] else [got[0], *got[5]])
+                        bits = _bits(None if got.blew
+                                     else [got.u, *got.lanes])
                     else:
                         expect = _deep_bits(_interpreted_flow_scalar(
                             IDENTITY, None, w[0], 0.0, 1.0, h, store=True,
@@ -980,13 +980,12 @@ class TestJetFlow:
                     if K == 1:  # the fibre lanes, eta and the sums
                         assert _deep_bits(_flow_scalar(
                             IDENTITY, None, w[0], 0.0, 1.0, h, table=table,
-                            tangent_stride=1)) == _deep_bits(
+                            lanes=True)) == _deep_bits(
                                 _interpreted_flow_scalar(
                                     IDENTITY, None, w[0], 0.0, 1.0, h,
-                                    table=table, tangent_stride=1)), w
+                                    table=table, lanes=True)), w
                     with np.errstate(over="ignore", invalid="ignore"):
-                        blind = careless(w, 0.0, h, nsteps, 0, *table[0],
-                                         rows)
+                        blind = careless(w, 0.0, h, nsteps, *table[0], rows)
                     changed += _deep_bits(blind) != _deep_bits(got)
                     compared += 1
         assert changed > 0 and compared > 0
@@ -1003,8 +1002,9 @@ class TestJetFlow:
         # half-widths d and 2d; each jet lies within it of one of the two
         f, ans, _ = refined_butterfly
         v, x0, h = operator_rhs(f, ans), float(ans.eval(0.0)), 2e-4
-        jet = _rk4_jet(f, v, x0, h, 5)
-        assert (jet[0], jet[1]) == _flow_with_variation(f, v, x0, h)[:2]
+        jet = _jet(f, v, x0, h, 5)
+        flow = _flow_with_variation(f, v, x0, h)
+        assert (jet[0], jet[1]) == (flow.u, flow.lanes[0])
         orders = range(2, 6)
         narrow = [_rho_derivative_fd(f, v, x0, i, h) for i in orders]
         for i in orders:
@@ -1193,9 +1193,9 @@ class TestStageTables:
             table = shifts(nu)
             assert _deep_bits(_flow_scalar(
                 IDENTITY, None, x0, 0.0, 1.0, 0.5, table=table,
-                tangent_stride=1)) == _deep_bits(_interpreted_flow_scalar(
+                lanes=True)) == _deep_bits(_interpreted_flow_scalar(
                     IDENTITY, None, x0, 0.0, 1.0, 0.5, table=table,
-                    tangent_stride=1)), (nu, x0)
+                    lanes=True)), (nu, x0)
 
     @pytest.mark.parametrize("f, table", [
         (Nonlinearity.quartic(4.0, -0.3), None),

@@ -399,8 +399,8 @@ class TestSweep:
 
         def analysis(f, p):
             wild = Nonlinearity([Term(2, FourierAnsatz(0.0, [1.0]))])
-            vt = PeriodicFn.constant(0.0, Grid(256))
-            solve_periodic(wild, vt, InitialValue(7.0), h=1e-3)
+            vt = PeriodicFn.constant(0.0, Grid(1024))
+            solve_periodic(wild, vt, InitialValue(7.0))
         table = sweep(ParamFamily.quartic_bc(), {"b": [1.0], "c": [0.0]},
                       analysis)
         cell = next(iter(table.values()))
