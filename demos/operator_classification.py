@@ -1,10 +1,15 @@
 """Classify whole operators by the shape of the nonlinearity.
 
 For autonomous polynomial f the global structure of u -> u' + f(u) follows
-from finitely many checks: strict monotonicity gives a diffeomorphism,
-strict convexity a global fold, a one-signed third derivative (with f'
-changing sign) a global cusp, and the origin-in-hull tests on the
-derivative curves gamma_k = (f', ..., f^(k)) decide the rest.
+from finitely many exact sign checks: strict monotonicity gives a
+diffeomorphism, strict convexity a global fold, a one-signed third
+derivative (with f' changing sign) a global cusp. For the rest (f of even
+degree with a positive leading coefficient, f' free of multiple roots) the
+origin-in-hull criterion on the derivative curves gamma_k = (f', ...,
+f^(k)) over the whole real line comes down to the sign of f'': f'' >= 0
+gives a global fold, and an f'' that is negative somewhere puts the origin
+inside the gamma_3 hull, so order-3 singularities exist. The hull evidence
+printed for the quartic is the LP on a sampled range, with its certificate.
 """
 
 import numpy as np

@@ -322,6 +322,9 @@ class Term:
 
     def __post_init__(self):
         object.__setattr__(self, "power", require_int("power", self.power, 0))
+        if not isinstance(self.coeff, FourierAnsatz):
+            raise PreconditionError(f"a term's coefficient must be a "
+                                    f"FourierAnsatz, got {self.coeff!r}")
 
 
 def horner(coeffs, x):

@@ -3,11 +3,12 @@
 The autonomous derivative curve gamma_k(x) = (f'(x), ..., f^(k)(x)) decides
 whether order-k singularities of the simplified operator exist: they do
 exactly when the origin lies in the interior of the convex hull of the
-curve's image. The test is one linear program on power-of-two-scaled
-points, and each verdict carries a machine-checkable certificate. On top of
-this sit the topological degree, tameness and the operator classification
-cascade, whose polynomial signs Sturm counts decide exactly (``_sturm``),
-the time reparametrization linking the full and simplified strata, and
+curve's image. On a range the test is one linear program on
+power-of-two-scaled points, and each verdict carries a machine-checkable
+certificate. On top of this sit the topological degree, tameness and the
+operator classification cascade, whose polynomial signs Sturm counts decide
+exactly (``_sturm``; f'' alone settles its hull step, on all of R), the
+time reparametrization linking the full and simplified strata, and
 step-function seeds for the singularity search.
 """
 
@@ -29,7 +30,6 @@ DEFAULT_CURVE_SAMPLES = 401
 _NEWTON_MAX_STEPS = 50
 _NEWTON_TOL = 4 * np.finfo(float).eps   # relative step that ends Newton
 _RATE_TAIL_TOL = 1e-8   # top-quarter rfft magnitude / mean coefficient
-_WINDOW = 4.0           # classify_operator curves span at least [-4, 4]
 
 
 # ---------------------------------------------------------------------------
@@ -408,16 +408,6 @@ class OperatorClass:
     evidence: dict
 
 
-def _window(f: Nonlinearity) -> tuple[float, float]:
-    """[-4, 4], widened to reach 2 beyond every real root (imaginary part
-    within 1e-9 (1 + |r|)) that ``np.roots`` places for f', f'' and f'''."""
-    r = np.concatenate([np.roots(np.trim_zeros(f.poly_coeffs(i), "b")[::-1])
-                        for i in (1, 2, 3)])
-    crit = r[np.abs(r.imag) <= 1e-9 * (1.0 + np.abs(r))].real
-    return (float(np.min(crit - 2.0, initial=-_WINDOW)),
-            float(np.max(crit + 2.0, initial=_WINDOW)))
-
-
 def classify_operator(f: Nonlinearity) -> OperatorClass:
     """Decision cascade for autonomous polynomial nonlinearities.
 
@@ -425,12 +415,21 @@ def classify_operator(f: Nonlinearity) -> OperatorClass:
     coefficients: strict monotonicity (diffeomorphism), strict convexity
     (global fold), a one-signed third derivative with a first derivative of
     both signs (global cusp); then, for 2,3-good f of even proper growth,
-    the hull dichotomy on gamma_2 over ``_window``, escalating to gamma_3
-    and gamma_4 for higher-order singularities. 2,3-good is "f' has no
-    multiple real root" (so gamma_2, gamma_3 never vanish); its rank half,
-    no arc in a hyperplane through 0, holds wherever it is read: every
-    verdict above returns when deg f <= 2, and for deg f >= 3 f', f'' and
-    f''' have distinct degrees.
+    the hull dichotomy on gamma_2 and gamma_3 over all of R, which the sign
+    set of f'' decides. 2,3-good is "f' has no multiple real root" (so
+    gamma_2, gamma_3 never vanish); its rank half, no arc in a hyperplane
+    through 0, holds wherever it is read: every verdict above returns when
+    deg f <= 2, and for deg f >= 3 f', f'' and f''' have distinct degrees.
+
+    The hull step sees f of even degree n >= 4 with a positive leading
+    coefficient, and a periodic u may take any bounded range, so 0 is
+    outside int conv gamma_k(R) exactly when some nu != 0 has
+    nu . gamma_k >= 0 on R. nu_1 != 0 leaves odd degree n - 1, which takes
+    both signs, so at k = 2 separation means f'' >= 0 (global fold). At
+    k = 3, nu_2 = 0 leaves nu_3 f''' of odd degree, nu_2 < 0 sends it to
+    -inf, so separation means f'' + s f''' >= 0 for some s; but f'' attains
+    its minimum at a root x* of f''', so an f'' negative somewhere gives
+    f''(x*) + s * 0 < 0 for every s: order-3 singularities exist.
     """
     if not f.autonomous:
         return OperatorClass("undetermined",
@@ -466,29 +465,20 @@ def classify_operator(f: Nonlinearity) -> OperatorClass:
     if not (even_plus and multiple1 == 0):
         return OperatorClass("undetermined", evidence | {
             "reason": "hull dichotomy needs 2,3-goodness and +inf limits"})
-    x_lo, x_hi = _window(f)
-    for k in (2, 3, 4):
-        curve = gamma_curve(f, k, x_lo, x_hi)
-        hull = hull_origin_test(curve)
-        evidence[f"hull_gamma{k}"] = hull
-        evidence[f"curve_gamma{k}"] = curve
-        if k == 2 and not hull.interior:
-            return OperatorClass("global_fold", evidence | {
-                "criterion": "all critical points are folds (origin outside "
-                             "the gamma_2 hull), even proper growth"})
-        if k > 2 and hull.interior:
-            evidence["criterion"] = (
-                f"origin interior to the gamma_{k} hull: order-{k} "
-                "singularities of the simplified operator exist and "
-                "transfer to the full operator")
-            evidence["note"] = (
-                "order-(k+1) singularities can exist even when the "
-                "simplified criterion fails at k+1; locate them with the "
-                "search module")
-            return OperatorClass("has_higher_singularities", evidence)
-    return OperatorClass("undetermined", evidence | {
-        "reason": "cusps exist (gamma_2 interior) but no global normal "
-                  "form criterion applies"})
+    evidence |= {"second_derivative_roots": roots2,
+                 "second_derivative_signs": sorted(s2)}
+    if s2 == {1}:
+        return OperatorClass("global_fold", evidence | {
+            "criterion": "all critical points are folds (f'' >= 0: origin "
+                         "outside the gamma_2 hull on R), even proper growth"})
+    return OperatorClass("has_higher_singularities", evidence | {
+        "criterion": "f'' takes negative values: origin interior to the "
+                     "gamma_3 hull on R, so order-3 singularities of the "
+                     "simplified operator exist and transfer to the full "
+                     "operator",
+        "note": "order-4 singularities can exist even when the simplified "
+                "criterion fails at k = 4; locate them with the search "
+                "module"})
 
 
 # ---------------------------------------------------------------------------

@@ -408,12 +408,6 @@ class TestCommands:
         assert 0 < doc["result"]["margin"] <= 1 / 401
         assert diag["certificate_residual"] == doc["result"]["certificate_residual"]
         assert diag["certificate_residual"] <= diag["certificate_tol"] == 1e-9
-        # classify-operator carries each hull verdict's counters in its evidence
-        code, doc = run(capsys, ["classify-operator", "--problem",
-                                 problem_files["quartic"]])
-        assert code == EXIT_OK
-        hull2 = doc["result"]["evidence"]["hull_gamma2"]["diagnostics"]
-        assert hull2["lp_pivots"] >= 1 and hull2["margin_decades"] > 6
 
     def test_reparam_roundtrip_via_cli(self, problem_files, capsys):
         code, doc = run(capsys, ["reparam", "--problem", problem_files["quartic"],
@@ -585,8 +579,8 @@ class TestCommands:
     def test_uncertified_hull_exits_2(self, inject, problem_files,
                                       monkeypatch, capsys):
         inject(monkeypatch)
-        code = execute(["classify-operator", "--problem",
-                        problem_files["quartic"]])
+        code = execute(["hull", "--problem", problem_files["quartic"],
+                        "--k", "2", "--range", "-3", "3"])
         assert code == EXIT_PRECONDITION
         assert capsys.readouterr().out == ""
 

@@ -235,6 +235,14 @@ class TestAnsatzEdges:
         with pytest.raises(PreconditionError, match="1-D"):
             FourierAnsatz(1.0, a, b)
 
+    @pytest.mark.parametrize("coeff", [3.0, 3, np.float64(3.0), None,
+                                       [1.0, 0.5]])
+    def test_term_coefficient_must_be_a_series(self, coeff):
+        # rejected where it is built, before Nonlinearity reads the
+        # coefficient as a series
+        with pytest.raises(PreconditionError, match="FourierAnsatz"):
+            Nonlinearity([Term(2, coeff)])
+
     def test_grid_validation(self):
         with pytest.raises(PreconditionError):
             Grid(8)

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import json
 import math
 import warnings
 from collections import Counter
@@ -14,6 +15,7 @@ from morinode import (FromSimplified, Grid, Nonlinearity, PeriodicFn,
                       sigma_hat, sigma_vec, tameness)
 from morinode.core import FourierAnsatz, MorinodeError, PreconditionError, Term
 from morinode import globalgeo
+from morinode.cli import execute
 from morinode.globalgeo import _simplex_max
 from tests.conftest import HULL_FAULTS
 
@@ -62,19 +64,52 @@ def _column_scale(P):
                      for col in P.T])
 
 
+def _seeded_corpus(per_degree):
+    """Even-degree polynomials with coefficients over five decades and a
+    positive leading one: ``per_degree`` each of degree 4, 6 and 8."""
+    rng = np.random.default_rng(7)
+    for deg in (4, 6, 8):
+        for _ in range(per_degree):
+            c = rng.normal(size=deg + 1)
+            c *= 10.0 ** rng.uniform(-2, 3, deg + 1)
+            c[-1] = abs(c[-1])
+            yield Nonlinearity.polynomial(c)
+
+
+def _sampling_window(f):
+    """The x-range of the boundary cases and the corpus below: [-4, 4],
+    widened to reach 2 beyond every real root (imaginary part
+    within 1e-9 (1 + |r|)) that ``np.roots`` places for f', f'' and f'''."""
+    r = np.concatenate([np.roots(np.trim_zeros(f.poly_coeffs(i), "b")[::-1])
+                        for i in (1, 2, 3)])
+    crit = r[np.abs(r.imag) <= 1e-9 * (1.0 + np.abs(r))].real
+    return (float(np.min(crit - 2.0, initial=-4.0)),
+            float(np.max(crit + 2.0, initial=4.0)))
+
+
+# the bench's 4 x 4 classify sweep of x^4 - b x^2 + c x
+SWEEP_CELLS = list(itertools.product(np.linspace(3.5, 4.5, 4),
+                                     np.linspace(-0.5, 0.4, 4)))
+
+
 # rounded coefficients of four large-scale operators on which the box-face
 # hull test answered without a valid certificate or raised "negative RHS",
-# and the margin t the one LP finds on the curve it stops at: each lies
-# within the rounding bound m (pivots + 1) eps
+# the gamma_k and the x-range (``_sampling_window``) of the curve the one
+# LP stops at, and the margin t it finds there: each lies within the
+# rounding bound m (pivots + 1) eps
 BOUNDARY_CASES = [
     pytest.param([-1275, 441.4, 172.6, -4395, 0.1706, 15660, 1.508, 8.463,
-                  0.004355], 2.5e-15, id="uncertified-fold"),
+                  0.004355], 2, (-1702.9971995906405, 4.0), 2.5e-15,
+                 id="uncertified-fold"),
     pytest.param([-0.05063, 5489, 3416, -56.69, 0.3209, 142.9, 0.02231],
-                 -7.8e-14, id="big-m-negative-rhs"),
+                 2, (-5339.664377006151, 4.0), -7.8e-14,
+                 id="big-m-negative-rhs"),
     pytest.param([-575.2, 7564, 2205, -3227, -550.1, 4260, -3394, -1443,
-                  7.329], 6.1e-13, id="absolute-tolerance"),
+                  7.329], 3, (-4.725630255930298, 176.25909841841414),
+                 6.1e-13, id="absolute-tolerance"),
     pytest.param([-0.06025, 6.385, -0.004779, 1031, -0.0126, 543.6,
-                  0.005399], -1.1e-18, id="gamma-1e23"),
+                  0.005399], 2, (-83906.42677779934, 4.0), -1.1e-18,
+                 id="gamma-1e23"),
 ]
 
 
@@ -249,16 +284,13 @@ class TestHull:
         assert separating.diagnostics["margin_decades"] == math.inf
 
     def test_classify_sweep_margins_clear_the_rounding_bound(self):
-        # the 32 hull verdicts of a 4 x 4 classify sweep of x^4 - b x^2 + c x
-        # (b in 3.5..4.5, c in -0.5..0.4) have t of 2.6e-4 to 3.5e-4, about
-        # 8.4 to 9.1 decades above the bound at which the test raises
-        decades = []
-        for b, c in itertools.product(np.linspace(3.5, 4.5, 4),
-                                      np.linspace(-0.5, 0.4, 4)):
-            oc = globalgeo.classify_operator(Nonlinearity.quartic(b, c))
-            decades += [v.diagnostics["margin_decades"]
-                        for name, v in oc.evidence.items()
-                        if name.startswith("hull_gamma")]
+        # the 32 hull verdicts on gamma_2 and gamma_3 over [-4, 4] of the
+        # sweep's 16 quartics have t of 2.6e-4 to 3.5e-4, about 8.4 to 9.1
+        # decades above the bound at which the test raises
+        decades = [hull_origin_test(gamma_curve(Nonlinearity.quartic(b, c),
+                                                k, -4.0, 4.0))
+                   .diagnostics["margin_decades"]
+                   for b, c in SWEEP_CELLS for k in (2, 3)]
         assert len(decades) == 32 and min(decades) > 6
 
     def test_column_scaling_by_powers_of_two(self):
@@ -353,55 +385,50 @@ class TestHull:
 
     @pytest.mark.parametrize("inject", HULL_FAULTS)
     def test_uncertified_pass_raises(self, quartic, inject, monkeypatch):
-        # the butterfly quartic has singularities of order 4 (gamma_2
-        # interior); a hull pass left without its certificate must raise,
-        # not read as a separated gamma_2 and so as a global fold
+        # gamma_2 of the butterfly quartic on [-3, 3] is interior; a hull
+        # pass left without its certificate must raise, not read as a
+        # separation
         inject(monkeypatch)
         with pytest.raises(MorinodeError):
-            classify_operator(quartic)
+            hull_origin_test(gamma_curve(quartic, 2, -3.0, 3.0))
 
-    @pytest.mark.parametrize("coeffs, t", BOUNDARY_CASES)
-    def test_boundary_to_rounding_raises(self, coeffs, t):
+    @pytest.mark.parametrize("coeffs, k, window, t", BOUNDARY_CASES)
+    def test_boundary_to_rounding_raises(self, coeffs, k, window, t):
         f = Nonlinearity.polynomial(coeffs)
+        assert _sampling_window(f) == window
         with pytest.raises(globalgeo._SimplexFailure,
                            match="boundary to rounding") as caught:
-            classify_operator(f)
+            hull_origin_test(gamma_curve(f, k, *window))
         found = float(str(caught.value).rpartition("t = ")[2])
         assert found == pytest.approx(t, rel=0.02)
+        # f'' takes both signs on R, so the cascade answers with no LP
+        assert classify_operator(f).verdict == "has_higher_singularities"
 
     def test_seeded_corpus_certificates_hold_on_scaled_points(self):
-        # even-degree polynomials with coefficients over five decades, on
-        # gamma_2..gamma_4 over classify_operator's window: every verdict
+        # on gamma_2..gamma_4 over ``_sampling_window``, every verdict
         # meets its tolerance on the scaled points, and every raise is the
         # boundary rule
-        rng = np.random.default_rng(7)
         outcomes = Counter()
-        for deg in (4, 6, 8):
-            for _ in range(20):
-                c = rng.normal(size=deg + 1)
-                c *= 10.0 ** rng.uniform(-2, 3, deg + 1)
-                c[-1] = abs(c[-1])
-                f = Nonlinearity.polynomial(c)
-                lo, hi = globalgeo._window(f)
-                for k in (2, 3, 4):
-                    curve = gamma_curve(f, k, lo, hi)
-                    P = curve.points
-                    try:
-                        verdict = hull_origin_test(curve)
-                    except globalgeo._SimplexFailure as exc:
-                        assert "boundary to rounding" in str(exc)
-                        outcomes["boundary"] += 1
-                        continue
-                    d = verdict.diagnostics
-                    if verdict.interior:
-                        resid = verdict.certificate_residual(
-                            P * _column_scale(P))
-                    else:   # S nu = P (2^-e nu) exactly
-                        resid = verdict.certificate_residual(P)
-                    assert resid == d["certificate_residual"]
-                    assert resid <= d["certificate_tol"]
-                    assert (verdict.margin > 0) == verdict.interior
-                    outcomes[verdict.interior] += 1
+        for f in _seeded_corpus(20):
+            lo, hi = _sampling_window(f)
+            for k in (2, 3, 4):
+                curve = gamma_curve(f, k, lo, hi)
+                P = curve.points
+                try:
+                    verdict = hull_origin_test(curve)
+                except globalgeo._SimplexFailure as exc:
+                    assert "boundary to rounding" in str(exc)
+                    outcomes["boundary"] += 1
+                    continue
+                d = verdict.diagnostics
+                if verdict.interior:
+                    resid = verdict.certificate_residual(P * _column_scale(P))
+                else:   # S nu = P (2^-e nu) exactly
+                    resid = verdict.certificate_residual(P)
+                assert resid == d["certificate_residual"]
+                assert resid <= d["certificate_tol"]
+                assert (verdict.margin > 0) == verdict.interior
+                outcomes[verdict.interior] += 1
         assert min(outcomes.values()) >= 1 and sum(outcomes.values()) == 180
 
 
@@ -643,11 +670,69 @@ class TestClassifyOperator:
         assert good[True] and good[False]
 
     def test_evidence_is_checkable(self, quartic):
+        # f'' = 12 x^2 - 8 has two real roots and both signs: negative at
+        # 0, the root of f''', so the gamma_3 hull holds the origin
         oc = classify_operator(quartic)
-        hull2 = oc.evidence["hull_gamma2"]
-        assert hull2.interior and hull2.margin > 0
-        hull3 = oc.evidence["hull_gamma3"]
-        assert hull3.interior
+        assert oc.verdict == "has_higher_singularities"
+        assert oc.evidence["second_derivative_roots"] == 2
+        assert oc.evidence["second_derivative_signs"] == [-1, 1]
+        assert quartic.eval(0.0, 0.0, 2) == -8.0
+        # x^4 + 0.4 x: f'' = 12 x^2 >= 0 has one (double) root
+        oc = classify_operator(Nonlinearity.quartic(0.0, 0.4))
+        assert oc.verdict == "global_fold"
+        assert oc.evidence["second_derivative_roots"] == 1
+        assert oc.evidence["second_derivative_signs"] == [1]
+
+    def test_hull_step_against_roots_of_the_third_derivative(self):
+        # independent oracle: for f of even degree with a positive leading
+        # coefficient, f'' attains its minimum on R at a real root of f'''
+        # (np.roots), so the answer is has_higher_singularities exactly when
+        # f'' < 0 at one of them (evaluated exactly at the float root), and
+        # global_fold when f'' >= 0 at all of them. The corpus sample holds
+        # 20 polynomials whose gamma_2 separates on ``_sampling_window``
+        # although f'' takes both signs
+        folds = [Nonlinearity.quartic(0.0, c) for c in (-0.5, 0.4)]
+        # f'' = 30 (x^2 - 1)^2
+        folds.append(Nonlinearity.polynomial([0, 1, 15, 0, -5, 0, 1]))
+        verdicts = Counter()
+        for f in [*_seeded_corpus(40), *folds]:
+            exact = [Fraction(c) for c in f.poly_coeffs(0)]
+            d2 = [j * (j - 1) * c for j, c in enumerate(exact)][2:]
+            r = np.roots(np.trim_zeros(f.poly_coeffs(3), "b")[::-1])
+            real = r[np.abs(r.imag) <= 1e-9 * (1.0 + np.abs(r))].real
+            lowest = min(sum(c * Fraction(x) ** j for j, c in enumerate(d2))
+                         for x in real)
+            verdict = classify_operator(f).verdict
+            assert verdict == ("global_fold" if lowest >= 0
+                               else "has_higher_singularities"), exact
+            verdicts[verdict] += 1
+        assert verdicts == {"global_fold": 19, "has_higher_singularities": 104}
+        # on a range, the LP still finds the origin interior to the gamma_3
+        # hull of the sweep's quartics and the butterfly quartic
+        for b, c in [*SWEEP_CELLS, (4.0, -0.3)]:
+            f = Nonlinearity.quartic(b, c)
+            assert hull_origin_test(gamma_curve(f, 3, -4.0, 4.0)).interior
+            assert classify_operator(f).verdict == "has_higher_singularities"
+
+    def test_cascade_runs_no_lp(self, tmp_path, monkeypatch, capsys):
+        # the hull step reads the sign set of f'': neither simplex may run,
+        # in the library or in a classify sweep over the bench's grid
+        def no_lp(*args, **kwargs):
+            raise AssertionError("LP in the classification cascade")
+
+        monkeypatch.setattr(globalgeo, "_simplex_max", no_lp)
+        monkeypatch.setattr(globalgeo, "_feasible_combination", no_lp)
+        for f in _seeded_corpus(40):
+            classify_operator(f)
+        family = tmp_path / "family.json"
+        family.write_text(json.dumps({"kind": "quartic_bc"}))
+        assert execute(["sweep", "--family", str(family), "--grid",
+                        "b=3.5:4.5:4", "c=-0.5:0.4:4",
+                        "--analysis", "classify"]) == 0
+        cells = json.loads(capsys.readouterr().out)["result"]["cells"]
+        assert len(cells) == 16
+        assert all(cell["error"] is None and cell["result"] == {
+            "verdict": "has_higher_singularities"} for cell in cells.values())
 
     def test_non_polynomial_undetermined(self):
         oc = classify_operator(WILD)

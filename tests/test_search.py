@@ -373,8 +373,8 @@ class TestSweep:
         assert cell.result["verdict"] == "has_higher_singularities"
 
     def test_convex_dominant_cells_fold(self):
-        # b = 0: the second derivative 12x^2 vanishes only at one point and
-        # the hull test certifies the fold for every c != 0
+        # b = 0: the second derivative 12x^2 >= 0 vanishes only at one
+        # point, so every c != 0 gives a global fold
         from morinode import classify_operator
         table = sweep(ParamFamily.quartic_bc(),
                       {"b": [0.0], "c": [-0.5, -0.1, 0.4]},
