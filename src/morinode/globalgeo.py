@@ -42,8 +42,8 @@ class _SimplexFailure(MorinodeError):
     """A simplex solve that ended without a certified optimum."""
 
 
-def _pivot(T: np.ndarray, entering: int, max_iter: int,
-           bland_after: int) -> tuple[np.ndarray, int]:
+def _pivot(T: np.ndarray, entering: int,
+           max_iter: int) -> tuple[np.ndarray, int]:
     """Simplex pivots on the condensed (Tucker) tableau T in place.
 
     T is (m+1) x (n+1): row i gives basic label ``basic[i]`` in the n
@@ -53,7 +53,7 @@ def _pivot(T: np.ndarray, entering: int, max_iter: int,
     two labels and forms the full tableau's products on the nonbasic
     columns, with 1/p and -T[r, j] * (1/p) in column j. Dantzig's rule picks
     the entering label (ties to the lowest), Bland's (lowest negative label)
-    after ``bland_after`` pivots; ratio ties go to the lowest row. Returns
+    after ``max_iter // 2`` pivots; ratio ties go to the lowest row. Returns
     the basic solution over all n+m labels and the pivot count. Raises
     _SimplexFailure when unbounded or when ``max_iter`` pivots end short of
     the optimum.
@@ -62,9 +62,9 @@ def _pivot(T: np.ndarray, entering: int, max_iter: int,
     nonbasic, basic = np.arange(n), np.arange(n, n + m)
     for it in range(max_iter + 1):
         row = np.where(nonbasic < entering, T[m, :n], np.inf)
-        if it < bland_after:   # most negative, then lowest label
+        if it < max_iter // 2:   # most negative, then lowest label
             j = int(np.lexsort((nonbasic, row))[0])
-        else:                  # lowest label of a negative reduced cost
+        else:                    # lowest label of a negative reduced cost
             j = int(np.argmin(np.where(row < -1e-11, nonbasic, n + m)))
         if row[j] >= -1e-11:
             break
@@ -101,39 +101,37 @@ def _simplex_max(A: np.ndarray, b: np.ndarray, c: np.ndarray,
         raise _SimplexFailure("negative RHS; slack start invalid")
     T = np.zeros((m + 1, n + 1))
     T[:m, :n], T[:m, n], T[m, :n] = A, b, -c
-    x, pivots = _pivot(T, n + m, max_iter, max_iter // 2)
+    x, pivots = _pivot(T, n + m, max_iter)
     return x[:n], float(T[m, n]), pivots
 
 
-def _feasible_combination(P: np.ndarray,
-                          work: Counter | None = None) -> np.ndarray | None:
-    """lambda >= 0 with sum lambda = 1 and lambda . P = 0, by phase-1 simplex.
+def _feasible_point(G: np.ndarray, rhs: np.ndarray,
+                    work: Counter | None = None) -> np.ndarray | None:
+    """a >= 0 with G a = rhs by phase-1 simplex, or None when infeasible.
 
-    P has one sample point per row. Returns None when infeasible. A phase 1
-    that ends adds its pivots to ``work["phase1_pivots"]``.
+    Each row is scaled by its largest |entry| and negated where rhs < 0, so
+    the artificial basis starts feasible. A phase 1 that ends adds its
+    pivots to ``work["phase1_pivots"]``.
     """
-    m, k = P.shape
-    G = np.vstack([P.T, np.ones((1, m))])           # (k+1) x m
-    rhs = np.concatenate([np.zeros(k), [1.0]])
+    rows, m = G.shape
     scale = np.max(np.abs(G), axis=1)
     scale[scale == 0] = 1.0
-    rows = k + 1
+    sign = np.where(rhs < 0, -1.0, 1.0)
     # phase 1 from the artificial basis: minimize the sum of artificials,
-    # whose labels m..m+k never re-enter; Dantzig's rule throughout
+    # whose labels m..m+rows-1 never re-enter
     T = np.zeros((rows + 1, m + 1))
-    T[:rows, :m], T[:rows, m] = G / scale[:, None], rhs / scale
+    T[:rows, :m] = G / scale[:, None] * sign[:, None]
+    T[:rows, m] = rhs / scale * sign
     T[rows] = -np.sum(T[:rows], axis=0)
     try:
-        lam, pivots = _pivot(T, m, 4000, 4000)
+        a, pivots = _pivot(T, m, 4000)
     except _SimplexFailure:
         return None
     if work is not None:
         work["phase1_pivots"] += pivots
-    if np.max(np.abs(lam[m:])) > 1e-9:
+    if np.max(np.abs(a[m:])) > 1e-9:
         return None
-    lam = np.clip(lam[:m], 0.0, None)
-    s = lam.sum()
-    return lam / s if s > 0 else None
+    return np.clip(a[:m], 0.0, None)
 
 
 # ---------------------------------------------------------------------------
@@ -252,10 +250,12 @@ def _hull_test_box(P: np.ndarray, work: Counter) -> HullVerdict:
                                   f"t = {t:.2e}")
         decades = math.log10(abs(t) / bound)
     if t > 0:
-        lam = _feasible_combination(S, work)
+        lam = _feasible_point(np.vstack([S.T, np.ones(m)]), np.eye(k + 1)[k],
+                              work)
         if lam is None:
             raise _SimplexFailure("no phase-1 convex combination although "
                                   f"t = {t:.2e} > 0")
+        lam /= lam.sum()
         verdict, tol = HullVerdict(True, t, convex_coefficients=lam), 1e-9
     else:
         verdict, tol = HullVerdict(False, t, direction=nu), 1e-12
@@ -673,9 +673,10 @@ def seed_shat(f: Nonlinearity, k: int, anchors,
     """Build a smoothed step function annihilating the first k simplified
     functionals.
 
-    The plateau lengths solve the affine system (k mean conditions plus the
-    total-length constraint) by non-negative least squares; the anchors must
-    place the origin strictly inside the hull of their derivative vectors.
+    The plateau lengths a >= 0 solve the linear system G a = rhs (k mean
+    conditions plus the total-length constraint) by phase-1 simplex; the
+    anchors must place the origin inside the hull of their derivative
+    vectors.
     """
     if not f.autonomous:
         raise PreconditionError("seeds require an autonomous nonlinearity")
@@ -687,8 +688,8 @@ def seed_shat(f: Nonlinearity, k: int, anchors,
         raise PreconditionError("epsilon must lie in (0, 1/2)")
     pts = np.column_stack([np.asarray(f.eval(0.0, anchors, i))
                            for i in range(1, k + 1)])
-    base = _feasible_combination(pts)
-    if base is None:
+    G = np.vstack([pts.T, np.ones(2 * k)])
+    if _feasible_point(G, np.eye(k + 1)[k]) is None:
         raise PreconditionError(
             "origin is not strictly inside the hull of the anchor vectors")
 
@@ -703,31 +704,10 @@ def seed_shat(f: Nonlinearity, k: int, anchors,
             arc_vec[i - 1] += float(np.mean(f.eval(0.0, arc_x, i)))
     arc_vec *= epsilon / (2 * k)
 
-    # solve G a = rhs, a >= 0, near the hull combination
-    G = np.vstack([pts.T, np.ones((1, 2 * k))])
     rhs = np.concatenate([-arc_vec, [1.0 - epsilon]])
-    a0 = (1.0 - epsilon) * base
-    a = _equality_nnls(G, rhs, a0)
+    a = _feasible_point(G, rhs)
     if a is None or np.linalg.norm(G @ a - rhs) > 1e-9 * (1 + np.linalg.norm(rhs)):
         raise PreconditionError(
             "anchors insufficient: no non-negative plateau lengths solve "
             "the seed system")
     return SeedFunction(anchors=anchors, plateau_lengths=a, epsilon=epsilon)
-
-
-def _equality_nnls(G, rhs, a_init):
-    """min |a - a_init| s.t. G a = rhs, a >= 0, by active-set projection."""
-    m = G.shape[1]
-    active = np.zeros(m, dtype=bool)
-    for _ in range(m):  # each pass returns or pins one more a_i at 0
-        free = ~active
-        Gf = G[:, free]
-        delta, *_ = np.linalg.lstsq(Gf, rhs - Gf @ a_init[free], rcond=None)
-        a = np.zeros(m)
-        a[free] = a_init[free] + delta
-        if np.all(a >= -1e-12):
-            return np.clip(a, 0.0, None)
-        active |= (a < -1e-12) & free
-        if active.all():
-            return None
-    return None

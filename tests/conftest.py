@@ -37,13 +37,14 @@ def _fail_lp(monkeypatch):
 
 
 def _fail_phase1(monkeypatch):
-    monkeypatch.setattr(globalgeo, "_feasible_combination",
-                        lambda P, work=None: None)
+    monkeypatch.setattr(globalgeo, "_feasible_point",
+                        lambda G, rhs, work=None: None)
 
 
 def _uniform_phase1(monkeypatch):
-    monkeypatch.setattr(globalgeo, "_feasible_combination",
-                        lambda P, work=None: np.full(len(P), 1.0 / len(P)))
+    monkeypatch.setattr(globalgeo, "_feasible_point",
+                        lambda G, rhs, work=None: np.full(G.shape[1],
+                                                          1.0 / G.shape[1]))
 
 
 HULL_FAULTS = [pytest.param(_fail_lp, id="lp-fails"),

@@ -5,7 +5,8 @@ from morinode import (Average, FourierAnsatz, Grid, InitialValue,
                       Nonlinearity, PeriodicFn, Term, eigen_w, integrate, mean,
                       solve_periodic, solve_w)
 from morinode.core import PreconditionError, TamenessViolationError
-from morinode.fibre import PERIODICITY_TOL, trace_pairs, trace_points
+from morinode.fibre import (MAX_BRACKET_DOUBLINGS, PERIODICITY_TOL, _Bracket,
+                            trace_pairs, trace_points)
 from morinode.odeint import _flow_scalar
 
 IDENTITY = Nonlinearity.polynomial([0, 1])
@@ -188,6 +189,29 @@ class TestNewtonSolves:
         traj = integrate(quintic, lambda t: vt.eval(t) + fp.nu, u0,
                          h=1.0 / grid.n)
         assert abs(traj.final() - u0) <= 1e-11
+
+
+class TestBracket:
+    # the open-side steps of the sign bracket, without a flow
+    def test_doubles_out_of_a_lower_end(self):
+        b = _Bracket("nu", 1.0)
+        b.lo = 0.0
+        assert b.next(0.0, np.nan, 1.0) == (1.0, "expansions")
+        assert b.next(1.0, np.nan, 1.0) == (2.0, "expansions")
+        assert b.doublings == 2
+
+    def test_both_ends_open_steps_toward(self):
+        b = _Bracket("u(0)", 1.0)
+        assert b.next(0.5, np.nan, -1.0) == (-0.5, "expansions")
+
+    def test_doubling_cap_raises(self):
+        b = _Bracket("nu", 1.0)
+        b.lo = 0.0
+        for _ in range(MAX_BRACKET_DOUBLINGS):
+            b.next(0.0, np.nan, 1.0)
+        with pytest.raises(TamenessViolationError,
+                           match="no upper bracket for nu"):
+            b.next(0.0, np.nan, 1.0)
 
 
 class TestFibreGeometry:

@@ -721,7 +721,7 @@ class TestClassifyOperator:
             raise AssertionError("LP in the classification cascade")
 
         monkeypatch.setattr(globalgeo, "_simplex_max", no_lp)
-        monkeypatch.setattr(globalgeo, "_feasible_combination", no_lp)
+        monkeypatch.setattr(globalgeo, "_feasible_point", no_lp)
         for f in _seeded_corpus(40):
             classify_operator(f)
         family = tmp_path / "family.json"
@@ -814,6 +814,54 @@ class TestReparam:
         assert beta[-1] < 1.0
 
 
+QUARTIC = Nonlinearity.polynomial([0, -0.3, -4, 0, 1])   # x^4 - 4x^2 - 0.3x
+SEXTIC = Nonlinearity.polynomial([0, 0.5, -3, 0, 0.2, 0, 0.05])
+
+# anchor sets whose seed systems need a plateau that an active-set
+# projection, pinning every negative plateau at once, pinned at 0
+SEED_REPRODUCERS = [
+    pytest.param(CUBIC_MINUS, 2, [-1.4204, -1.1749, 0.2338, 1.4242], 0.0469,
+                 id="cubic-1"),
+    pytest.param(CUBIC_MINUS, 2, [-1.5531, -0.5825, -0.3984, 0.5582], 0.1035,
+                 id="cubic-2"),
+    pytest.param(QUARTIC, 2, [-2.0346, -1.1197, -0.7059, 0.2592], 0.1445,
+                 id="quartic-1"),
+    pytest.param(QUARTIC, 2, [-0.9462, 0.4352, 0.6285, 1.6122], 0.0476,
+                 id="quartic-2"),
+    pytest.param(QUARTIC, 3, [-2.3673, -0.7381, 0.0949, 0.2038, 0.875,
+                              1.7033], 0.0929, id="quartic-k3"),
+]
+
+
+def _seed_recipe(per_case):
+    """Sorted uniform anchors and epsilon from U(0.02, 0.2): ``per_case``
+    sets each for x^3 - x (k = 2, anchors in [-1.6, 1.6]), the quartic
+    (k = 2 and 3, [-2.5, 2.5]) and the sextic (k = 3, [-3, 3])."""
+    rng = np.random.default_rng(3)
+    for f, k, reach in [(CUBIC_MINUS, 2, 1.6), (QUARTIC, 2, 2.5),
+                        (QUARTIC, 3, 2.5), (SEXTIC, 3, 3.0)]:
+        for _ in range(per_case):
+            anchors = np.sort(rng.uniform(-reach, reach, 2 * k))
+            yield f, k, anchors, float(rng.uniform(0.02, 0.2))
+
+
+def _seed_system(f, k, anchors, epsilon):
+    """G and rhs of the plateau lengths a: the k means of f' .. f^(k) over
+    the plateaus and the quintic-smoothstep arcs (each epsilon / 2k long)
+    vanish, and the plateaus fill 1 - epsilon."""
+    anchors = np.asarray(anchors, dtype=float)
+    tau = (np.arange(4096) + 0.5) / 4096
+    ramp = tau ** 3 * (10.0 - 15.0 * tau + 6.0 * tau ** 2)
+    G = np.ones((k + 1, 2 * k))
+    arcs = np.zeros(k)
+    for i in range(1, k + 1):
+        G[i - 1] = f.eval(0.0, anchors, i)
+        for j in range(2 * k):
+            x0, x1 = anchors[j], anchors[(j + 1) % (2 * k)]
+            arcs[i - 1] += np.mean(f.eval(0.0, x0 + (x1 - x0) * ramp, i))
+    return G, np.append(-arcs * epsilon / (2 * k), 1.0 - epsilon)
+
+
 class TestSeeds:
     def test_symmetric_plateaus_for_squares(self):
         seed = seed_shat(SQUARE, 1, [-1.0, 1.0], epsilon=0.1)
@@ -854,6 +902,36 @@ class TestSeeds:
     def test_bad_anchors_raise(self):
         with pytest.raises(PreconditionError):
             seed_shat(SQUARE, 2, [0.5, 1.0, 1.5, 2.0], epsilon=0.1)
+
+    @pytest.mark.parametrize("f, k, anchors, epsilon", SEED_REPRODUCERS)
+    def test_plateaus_that_every_solution_needs(self, f, k, anchors,
+                                                epsilon):
+        seed = seed_shat(f, k, anchors, epsilon=epsilon)
+        a = seed.plateau_lengths
+        assert np.all(a >= 0)
+        assert a.sum() == pytest.approx(1.0 - epsilon, abs=1e-12)
+        hat = sigma_hat(f, seed.sample(Grid(4096)), k)
+        assert np.max(np.abs(hat)) < 1e-6
+
+    def test_accepts_exactly_the_feasible_systems(self):
+        # HiGHS decides whether non-negative plateau lengths exist; the
+        # seeds must exist exactly then
+        from scipy.optimize import linprog
+
+        sets = list(_seed_recipe(25)) + [p.values for p in SEED_REPRODUCERS]
+        outcomes = Counter()
+        for f, k, anchors, epsilon in sets:
+            G, rhs = _seed_system(f, k, anchors, epsilon)
+            feasible = linprog(np.zeros(2 * k), A_eq=G, b_eq=rhs,
+                               bounds=(0, None), method="highs").status == 0
+            try:
+                seed_shat(f, k, anchors, epsilon=epsilon)
+                accepted = True
+            except PreconditionError:
+                accepted = False
+            assert accepted == feasible, (k, anchors, epsilon)
+            outcomes[feasible] += 1
+        assert outcomes[True] >= 10 and outcomes[False] >= 10, outcomes
 
 
 def _anchor_spread(xs, lam, count):

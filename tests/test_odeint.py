@@ -1029,6 +1029,15 @@ class TestContactOrder:
         with pytest.raises(PreconditionError):
             contact_order(SQUARE, None, 0.5, kmax=2, h=1e-3)
 
+    def test_order_zero_off_the_identity(self):
+        # f = x: rho is the RK4 map's 100-step factor on u' = -u, so rho'
+        # is far from 1 and the contact order is 0
+        h = 1e-2
+        rep = contact_order(IDENTITY, None, 0.0, kmax=2, h=h)
+        assert rep.order == 0 and not rep.exceeds_kmax
+        factor = (1 - h + h ** 2 / 2 - h ** 3 / 6 + h ** 4 / 24) ** 100
+        assert rep.rho_prime == pytest.approx(factor, rel=1e-15)
+
     def test_butterfly_contact_order_four(self, refined_butterfly):
         f, ans, _ = refined_butterfly
         x0 = float(ans.eval(0.0))
