@@ -691,7 +691,7 @@ def seed_shat(f: Nonlinearity, k: int, anchors,
     G = np.vstack([pts.T, np.ones(2 * k)])
     if _feasible_point(G, np.eye(k + 1)[k]) is None:
         raise PreconditionError(
-            "origin is not strictly inside the hull of the anchor vectors")
+            "origin is not in the hull of the anchor vectors")
 
     # arc contributions: each joining arc has fixed length epsilon / 2k
     tau = (np.arange(4096) + 0.5) / 4096

@@ -8,7 +8,8 @@ Jacobian of the functionals, reporting the smallest retained singular
 value as the surjectivity check. The census scans the return map for
 fixed points, brackets sign changes, refines each bracket by a safeguarded
 Newton iteration on rho(x) - x (the variational flow gives rho' with every
-value), and re-verifies the count at half the integration step. One
+value) that stops on the step or on Newton's quadratic model of the next
+correction, and re-verifies the count at half the integration step. One
 many-lane flow scans at h and at h/2 as two lane groups; each pass's
 refinement flows then read that pass's stage table, whose order-1 rows
 are built only when the pass has a bracket.
@@ -267,14 +268,16 @@ class CensusRoot:
 
     ``bracket_width`` is the size of the last refinement step: the Newton
     correction, or the bisection move where Newton would have left the sign
-    bracket. For a simple root it bounds the distance to the fixed point of
-    the discretized map. It is 0.0 when g = rho(x) - x evaluated to exactly
-    0.0 at x, which does not mean a zero-width bracket: the last sign
-    bracket can still be wide (3e-12 to 3.7e-4 on the bench census). Such
-    a root sits in a float-noise zone in which rounding decides the sign
-    of g. ``rounding_width`` = ulp(x) / |rho' - 1| is that zone's width,
-    the root's move under a change of one ulp in rho(x); it is inf when
-    rho' = 1.
+    bracket. When Newton's quadratic model stops the refinement it is the
+    model's predicted next correction, and ``rho_prime`` is the last
+    flow's slope extrapolated to x. For a simple root it bounds the
+    distance to the fixed point of the discretized map. It is 0.0 when
+    g = rho(x) - x evaluated to exactly 0.0 at x, which does not mean a
+    zero-width bracket: the last sign bracket can still be wide (1.3e-5 to
+    7.6e-4 on the bench census, seeds 0-9). Such a root sits in a float-noise zone in
+    which rounding decides the sign of g. ``rounding_width`` =
+    ulp(x) / |rho' - 1| is that zone's width, the root's move under a
+    change of one ulp in rho(x); it is inf when rho' = 1.
     """
 
     x: float
@@ -332,8 +335,9 @@ def count_solutions(f: Nonlinearity, v, x_lo: float, x_hi: float,
     The scan evaluates g(x) = rho_v(x) - x at ``scan_n`` points with the
     compensated vector integrator and brackets sign changes between
     surviving neighbours. Each bracket is refined by a safeguarded Newton
-    iteration (see ``_refine_root``) until the step is at most 1e-12, and
-    roots are deduplicated within 1e-9. Brackets touching a blow-up boundary
+    iteration (see ``_refine_root``) until the step, or the next correction
+    that Newton's quadratic model predicts, is at most 1e-12, and roots
+    are deduplicated within 1e-9. Brackets touching a blow-up boundary
     are reported unresolved and never counted; a pass in which no scan
     lane survives reports the whole range unresolved and counts None. The
     count is re-derived at h/2, from a scan made in the same
@@ -486,9 +490,14 @@ def _refine_root(f, v, lo, hi, glo, ghi, h, table):
     variational flow, which gives g and g' = rho' - 1 together. The iterate
     replaces the bracket end of its sign; a Newton step that would leave
     the bracket is replaced by bisection. Stops when the step is at most
-    ROOT_REFINE_TOL or g is exactly 0. Returns (x, step, rho' at the last
-    flow, flows, their RK4 steps, ok); ok is False when a flow blows up
-    inside the bracket. Every flow reads ``table``, the pass's
+    ROOT_REFINE_TOL or g is exactly 0, or on Newton's quadratic model:
+    after two Newton steps in a row, with c = g'' estimated from the last
+    two slopes, the next correction is about a = |c| s^2 / (2 |g'|) for the
+    step s just taken, and a <= ROOT_REFINE_TOL returns that step's point
+    without another flow (a bisection clears the slope history). Returns
+    (x, step or a, rho' at the last flow or, on the model's stop,
+    extrapolated to x, flows, their RK4 steps, ok); ok is False when a flow
+    blows up inside the bracket. Every flow reads ``table``, the pass's
     ``_stage_table`` with orders 0 and 1.
     """
     nsteps = _step_count(0.0, 1.0, h)[0]
@@ -498,6 +507,7 @@ def _refine_root(f, v, lo, hi, glo, ghi, h, table):
         x = lo - glo * (hi - lo) / (ghi - glo)
         if not lo < x < hi:
             x = 0.5 * (lo + hi)
+    last = None  # (x, g') of the flow before, when it took a Newton step
     for flows in range(1, MAX_REFINE_FLOWS + 1):
         flow = _flow_with_variation(f, v, x, h, table)
         rk4 = flows * nsteps
@@ -514,11 +524,19 @@ def _refine_root(f, v, lo, hi, glo, ghi, h, table):
             hi = x
         slope = der - 1.0
         nxt = x - g / slope if slope != 0.0 else lo
-        if not lo < nxt < hi:
+        newton = lo < nxt < hi
+        if not newton:
             nxt = 0.5 * (lo + hi)
         step = abs(nxt - x)
         if step <= ROOT_REFINE_TOL:
             return nxt, step, der, flows, rk4, True
+        if newton and last:
+            curv = (slope - last[1]) / (x - last[0])
+            model = abs(curv) * step * step / (2.0 * abs(slope))
+            if model <= ROOT_REFINE_TOL:
+                return (nxt, model, der + curv * (nxt - x), flows, rk4,
+                        True)
+        last = (x, slope) if newton else None
         x = nxt
     return x, hi - lo, der, flows, rk4, True
 

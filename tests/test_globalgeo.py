@@ -903,6 +903,16 @@ class TestSeeds:
         with pytest.raises(PreconditionError):
             seed_shat(SQUARE, 2, [0.5, 1.0, 1.5, 2.0], epsilon=0.1)
 
+    def test_precondition_message_names_its_cause(self):
+        # the hull check admits an origin on the boundary: for x^2, f' = 0
+        # at the anchor 0 is a vertex, and only the seed system fails;
+        # f' = 2, 4 at the anchors 1, 2 leaves the origin outside the hull
+        with pytest.raises(PreconditionError, match="anchors insufficient"):
+            seed_shat(SQUARE, 1, [0.0, 1.0], epsilon=0.1)
+        with pytest.raises(PreconditionError,
+                           match="origin is not in the hull"):
+            seed_shat(SQUARE, 1, [1.0, 2.0], epsilon=0.1)
+
     @pytest.mark.parametrize("f, k, anchors, epsilon", SEED_REPRODUCERS)
     def test_plateaus_that_every_solution_needs(self, f, k, anchors,
                                                 epsilon):

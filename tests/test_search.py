@@ -311,16 +311,46 @@ class TestCensusRefinement:
             assert p.brackets == 6
             assert max(p.flows_per_bracket) <= 8
             assert p.refine_flows == sum(p.flows_per_bracket)
-        assert [p.flows_per_bracket for p in passes] == [(3, 2, 2, 3, 4, 3),
-                                                         (3, 2, 2, 3, 5, 3)]
+        assert [p.flows_per_bracket for p in passes] == [(2,) * 6, (2,) * 6]
 
     def test_work_record(self, six_root_census):
         # 801 scan lanes over 5,000 and 10,000 steps, then the refinement
         # flows of each pass and their steps, all of which run to t = 1
         passes = six_root_census[0].passes
         assert [p.work for p in passes] == [
-            {"lane_steps": 4_005_000, "flows": 17, "steps": 85_000},
-            {"lane_steps": 8_010_000, "flows": 18, "steps": 180_000}]
+            {"lane_steps": 4_005_000, "flows": 12, "steps": 60_000},
+            {"lane_steps": 8_010_000, "flows": 12, "steps": 120_000}]
+
+    def test_quadratic_model_stops_a_simple_root(self):
+        # u' = 1 - u^2: after two Newton steps the model's next correction
+        # is far below 1e-12, so each root costs two flows (three without
+        # the model), and rho' is the slope extrapolated to the returned
+        # root: the discrete multiplier R(-2 x h)^(1/h), R RK4's growth
+        # factor; the last flow's own slope is off by 1.8e-6 relative
+        census = count_solutions(SQUARE, PeriodicFn.constant(1.0), -2.0, 2.0,
+                                 scan_n=200, h=1e-3)
+        assert [p.flows_per_bracket for p in census.passes] == [(2, 2),
+                                                                (2, 2)]
+        for h, roots in ((1e-3, census.roots),
+                         (5e-4, census.roots_at_half_step)):
+            assert len(roots) == 2
+            for r, fixed in zip(roots, (-1.0, 1.0)):
+                assert abs(r.x - fixed) <= 1e-12
+                assert 0.0 <= r.bracket_width <= 1e-12
+                z = -2.0 * fixed * h
+                multiplier = (1 + z + z**2 / 2 + z**3 / 6 + z**4 / 24) \
+                    ** round(1 / h)
+                assert r.rho_prime == pytest.approx(multiplier, rel=1e-8)
+
+    def test_linear_convergence_keeps_its_flows(self):
+        # at the multiple fixed point 0 of u' = -u^3 and u' = -u^5 Newton
+        # converges linearly, so the model's correction stays large and
+        # never stops the refinement
+        for power, lo, hi, flows in ((3, -0.7, 1.3, [(52,), (50,)]),
+                                     (5, -0.9, 1.1, [(21,), (19,)])):
+            f = Nonlinearity.polynomial([0.0] * power + [1.0])
+            census = count_solutions(f, None, lo, hi, scan_n=200, h=1e-3)
+            assert [p.flows_per_bracket for p in census.passes] == flows
 
     def test_blown_refinement_flow_counts_its_steps(self):
         # u' = -u^2 from the secant point -2.5 of a bracket blows up at
