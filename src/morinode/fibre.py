@@ -10,6 +10,14 @@ solution. The solver is a safeguarded Newton iteration on nu, or on
 tangent lanes of the RK4 flow. nu belongs to the upper set when the
 solution escapes to +infinity or lands at or above c at t=1, and to the
 lower set symmetrically, so blow-up counts as membership by its sign.
+
+The W field solves omega' + g omega = alpha, g = D2f(t,u), periodic with
+mean m. With A the zero-mean antiderivative of g and gbar = mean(g) =
+Sigma_1, p = exp(A(0) - A) > 0 is periodic and omega = alpha p R, R the
+periodic solution of R' + gbar R = 1/p: the only one, as the homogeneous
+exp(-gbar t) p is not periodic. R has the sign of gbar, so omega > 0 and
+alpha has the sign of Sigma_1 m for every Sigma_1. On the critical set
+|gbar| <= 1e-10 alpha is exactly 0 and omega is p, scaled to mean m.
 """
 
 from __future__ import annotations
@@ -281,54 +289,20 @@ def trace_pairs(f: Nonlinearity, vtilde: PeriodicFn, a_lo: float, a_hi: float,
 # ---------------------------------------------------------------------------
 
 
-def _exp_product_integral(sigma: float, q: np.ndarray) -> float:
-    """int_0^1 e^(sigma*s) q(s) ds, spectrally, for periodic samples q."""
-    n = len(q)
-    c = np.fft.fft(q) / n
-    kappa = 2.0 * np.pi * np.fft.fftfreq(n, d=1.0 / n)
-    if abs(sigma) < 1e-300:
-        return float(c[0].real)
-    return float(((math.exp(sigma) - 1.0) * np.sum(c / (sigma + 1j * kappa))).real)
-
-
 def solve_w(f: Nonlinearity, u: PeriodicFn, m: float = 1.0) -> WField:
-    """Solve omega' + D2f(t,u) omega = alpha, periodic with mean m.
-
-    Closed form: with E(t) = exp(-int_0^t D2f), periodicity and the mean
-    condition give two linear equations for (omega(0), alpha), solved in
-    least-squares sense. Near the critical set (|Sigma_1| <= 1e-10) the
-    system degenerates; alpha is then exactly 0 and omega is the scaled
-    homogeneous solution, matching the positive-ratio identity.
-    """
+    """Solve omega' + D2f(t,u) omega = alpha, periodic with finite mean m,
+    by the module docstring's closed form: one rfft, a division by
+    gbar + 2 pi i k per mode, one irfft and alpha = m / mean(p R). On the
+    critical set |Sigma_1| <= 1e-10, alpha = 0.0 and omega = m p / mean(p)."""
+    if not math.isfinite(m):
+        raise PreconditionError("the mean m must be finite")
     g = f.on_grid(u, 1)
     gbar = float(np.mean(g))  # Sigma_1 along u
-    grid = u.grid
-    t = grid.nodes
     osc = spectral_antiderivative(g)
     p = np.exp(osc[0] - osc)           # periodic factor, p(0) = 1, p > 0
-    E = np.exp(-gbar * t) * p          # E(t) = exp(-int_0^t g)
-
     if abs(gbar) <= 1e-10:
-        omega_vals = m * E / np.mean(E)
-        return WField(PeriodicFn(grid, omega_vals), 0.0)
-
-    n = grid.n
-    E1 = math.exp(-gbar)
-    c = np.fft.fft(1.0 / p) / n
-    kappa = 2.0 * np.pi * np.fft.fftfreq(n, d=1.0 / n)
-    coeffs = c / (gbar + 1j * kappa)
-    R = np.fft.ifft(coeffs).real * n
-    const = float(np.sum(coeffs).real)
-    J = np.exp(gbar * t) * R - const                 # running int of 1/E
-    J1 = (math.exp(gbar) - 1.0) * const              # int_0^1 1/E
-    I_E = _exp_product_integral(-gbar, p)            # int_0^1 E
-    # E*J = p*R - const*E splits into a periodic part and an exp part
-    I_EJ = float(np.mean(p * R)) - const * I_E
-
-    A = np.array([[1.0 - E1, -E1 * J1],
-                  [I_E, I_EJ]])
-    rhs = np.array([0.0, m])
-    sol, *_ = np.linalg.lstsq(A, rhs, rcond=None)
-    omega0, alpha = float(sol[0]), float(sol[1])
-    omega_vals = E * (omega0 + alpha * J)
-    return WField(PeriodicFn(grid, omega_vals), alpha)
+        return WField(PeriodicFn(u.grid, m * p / np.mean(p)), 0.0)
+    c = np.fft.rfft(1.0 / p)
+    pR = p * np.fft.irfft(c / (gbar + 2j * np.pi * np.arange(len(c))), len(p))
+    alpha = m / float(np.mean(pR))
+    return WField(PeriodicFn(u.grid, alpha * pR), alpha)

@@ -632,28 +632,22 @@ class SeedFunction:
     epsilon: float
 
     def eval(self, t):
+        """Samples at t mod 1: plateau j reads anchor j, and arc j rises
+        from anchor j to anchor j + 1 (cyclically) by a smootherstep. A
+        point past the last breakpoint, which may fall ulps short of 1,
+        reads the last arc, whose end value is anchor 0."""
         t = np.mod(np.asarray(t, dtype=float), 1.0)
         k2 = len(self.anchors)
-        arc = self.epsilon / k2
-        bounds = []
-        pos = 0.0
-        for j in range(k2):
-            bounds.append((pos, pos + self.plateau_lengths[j], j, "plateau"))
-            pos += self.plateau_lengths[j]
-            bounds.append((pos, pos + arc, j, "arc"))
-            pos += arc
-        out = np.zeros_like(t)
-        for lo, hi, j, kind in bounds:
-            m = (t >= lo) & (t < hi)
-            if not m.any():
-                continue
-            if kind == "plateau":
-                out[m] = self.anchors[j]
-            else:
-                tau = (t[m] - lo) / (hi - lo)
-                nxt = self.anchors[(j + 1) % k2]
-                out[m] = self.anchors[j] + (nxt - self.anchors[j]) * _smootherstep(tau)
-        return out
+        lengths = np.empty(2 * k2)
+        lengths[0::2] = self.plateau_lengths
+        lengths[1::2] = self.epsilon / k2
+        edges = np.concatenate(([0.0], np.cumsum(lengths)))
+        i = np.minimum(np.searchsorted(edges, t, side="right") - 1, 2 * k2 - 1)
+        j = i // 2
+        start = self.anchors[j]
+        tau = (t - edges[i]) / (edges[i + 1] - edges[i])
+        rise = self.anchors[(j + 1) % k2] - start
+        return np.where(i % 2 == 1, start + rise * _smootherstep(tau), start)
 
     def sample(self, grid: Grid | None = None) -> PeriodicFn:
         grid = grid or Grid()

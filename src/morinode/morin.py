@@ -154,7 +154,8 @@ def sigma_vec(f: Nonlinearity, u: PeriodicFn) -> SigmaReport:
     The nested running integral C(t) = int_0^t D2^2f w splits into a linear
     part (its mean times t) and a periodic part; products against t and t^2
     are integrated by exact spectral formulas so the whole evaluation is
-    spectrally accurate.
+    spectrally accurate. Sigma_c is the alpha of ``fibre.solve_w`` at
+    m = 1, which has the sign of Sigma_1 for every Sigma_1.
     """
     sigma, sigma_b = _sigma_values(f, u)
     sigma_c = _fibre.solve_w(f, u, 1.0).alpha

@@ -306,6 +306,16 @@ class TestCommands:
         assert abs(sigma[4]) > 1.0
         assert "order" in doc["result"]
 
+    def test_sigma_far_from_the_critical_set(self, problem_files, tmp_path,
+                                             capsys):
+        linear = tmp_path / "linear.json"
+        linear.write_text(json.dumps({"terms": [{"power": 1, "a0": -800.0}]}))
+        code, doc = run(capsys, ["sigma", "--problem", str(linear),
+                                 "--ansatz", problem_files["ub"]])
+        assert code == EXIT_OK
+        assert doc["result"]["sigma_abc"] == pytest.approx([-800.0] * 3,
+                                                           rel=1e-12)
+
     def test_degree_examples(self, problem_files, capsys):
         code, doc = run(capsys, ["degree", "--problem", problem_files["xsq"]])
         assert doc["result"]["degree"] == 0

@@ -267,12 +267,30 @@ class TestFibreGeometry:
 
 
 class TestSolveW:
-    def test_constant_solution(self):
-        f = CUBIC_MINUS
+    # on a constant u, omega = m and alpha = Sigma_1 m = f'(u) m
+    @pytest.mark.parametrize("f", [CUBIC_MINUS] + [
+        Nonlinearity.polynomial([0.0, s]) for s in (1e-9, -40.0, -800.0, 800.0)
+    ], ids=["-0.25", "1e-9", "-40", "-800", "800"])
+    def test_constant_solution(self, f):
         u = PeriodicFn.constant(0.5)
         wf = solve_w(f, u, m=1.0)
-        assert np.max(np.abs(wf.omega.values - 1.0)) < 1e-10
-        assert wf.alpha == pytest.approx(f.eval(0.0, 0.5, 1), abs=1e-10)
+        sigma_1 = float(f.eval(0.0, 0.5, 1))
+        assert np.max(np.abs(wf.omega.values - 1.0)) <= 1e-13
+        assert abs(wf.alpha - sigma_1) <= 1e-13 * abs(sigma_1)
+
+    def test_residual_far_from_the_critical_set(self):
+        f = Nonlinearity.polynomial([0.0, -40.0, 0.5])   # Sigma_1 = -40
+        u = PeriodicFn.from_callable(lambda t: np.cos(TWO_PI * t))
+        wf = solve_w(f, u, m=1.0)
+        w = wf.omega.values
+        resid = wf.omega.derivative().values + f.on_grid(u, 1) * w - wf.alpha
+        assert np.max(np.abs(resid)) <= 1e-8
+        assert abs(mean(wf.omega) - 1.0) <= 1e-10
+
+    @pytest.mark.parametrize("m", [np.nan, np.inf, -np.inf])
+    def test_non_finite_mean_raises(self, m):
+        with pytest.raises(PreconditionError, match="mean m"):
+            solve_w(SQUARE, PeriodicFn.constant(0.5), m=m)
 
     def test_residual_of_ode(self):
         rng = np.random.default_rng(17)

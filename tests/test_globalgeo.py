@@ -893,6 +893,19 @@ class TestSeeds:
         assert abs(full.sigma[0] - hat[0]) < 0.05
         assert abs(full.sigma[1] - hat[1]) < 0.05
 
+    @pytest.mark.parametrize("f, k, anchors, epsilon", [
+        (SQUARE, 1, [-1.0, 1.0], 0.1),
+        (CUBIC_MINUS, 2, [-1.2, -0.3, 0.4, 1.3], 0.08),
+        # its plateaus and arcs end 2 ulps short of 1
+        (CUBIC_MINUS, 2, [-1.2, -0.4, 0.6, 0.7], 0.11),
+    ], ids=["squares", "cubic", "cubic-short"])
+    def test_eval_covers_the_whole_circle(self, f, k, anchors, epsilon):
+        # -1e-17 maps to 1.0 under mod 1; both points sit at the end of the
+        # last arc, whose value is the first anchor
+        seed = seed_shat(f, k, anchors, epsilon=epsilon)
+        vals = seed.eval(np.array([-1e-17, np.nextafter(1.0, 0.0), 0.0]))
+        assert np.max(np.abs(vals - anchors[0])) < 1e-12
+
     def test_replicate_index_trick(self):
         u = PeriodicFn.from_callable(lambda t: np.cos(TWO_PI * t))
         r = replicate(u, 4)

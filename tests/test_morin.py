@@ -116,6 +116,14 @@ class TestSigmaValues:
             assert sb / sa < 1e3
             assert sc / sa < 1e3
 
+    def test_sign_ratio_far_from_the_critical_set(self, butterfly_ansatz):
+        # Sigma_1 = -40.01 on the butterfly ansatz
+        f = Nonlinearity.polynomial([0.0, -40.0, 0.5])
+        sa, sb, sc = sigma_vec(f, butterfly_ansatz.sample(Grid())).sigma_abc
+        assert sa == pytest.approx(-40.01173378, abs=1e-10)
+        assert sb / sa > 0
+        assert sc / sa > 0
+
 
 # central differences are the test oracle of the exact derivative; their
 # O(eps^2) truncation and O(macheps / eps) rounding sit far below 1e-6
