@@ -114,38 +114,34 @@ def _sigma_values(f: Nonlinearity, u: PeriodicFn) -> tuple[np.ndarray, float]:
     return np.array([s1, qbar, s3, s4, s5]), sigma_b
 
 
-def _sigma_jacobian(D: list[np.ndarray], directions) -> np.ndarray:
-    """Forward-mode derivative of Sigma_1..Sigma_4: (4, d) for d directions.
+def _sigma_gradients(D: list[np.ndarray]) -> np.ndarray:
+    """Gradients of Sigma_1..Sigma_4 in the samples: G of shape (4, 4, n).
 
-    Each direction is a perturbation (dD_1, .., dD_4) of the derivative
-    samples D, and its column differentiates every stage of
-    ``_sigma_values`` in closed form: with a the zero-mean antiderivative
-    of dD_1, dw = -w a, dq = w (dD_2 - D_2 a), dpsi3 = w^2 (dD_3 - 2 D_3 a)
-    and dpsi4 = w^3 (dD_4 - 3 D_4 a). Directions are taken one at a time,
-    so no (directions x grid) array is formed.
+    dSigma_r = mean(sum_i G[r, i] dD_i) for any perturbation dD of the
+    samples D; a move du of u is dD_i = D_(i+1) du. With A the zero-mean
+    antiderivative and a = A(dD_1), the stages move by dw = -w a,
+    dq = w (dD_2 - D_2 a), dpsi3 = w^2 (dD_3 - 2 D_3 a) and
+    dpsi4 = w^3 (dD_4 - 3 D_4 a). A is skew-adjoint in the grid mean,
+    mean(b A(c)) = -mean(A(b) c), and (A c)[0] = -mean(e0 c) with
+    e0 = A(n delta_0), so every term folds into one weight on one dD_i:
+    G[1] = (A(w D_2), w, 0, 0), G[2] = (2 A(w^2 D_3), 0, w^2, 0) and
+    G[3] = (A(y D_2) + 2 A(x D_3) + 3 A(w^3 D_4), y, x, w^3), where
+    y = 2 w (A(psi3) - mean(psi3) e0 - int_0^1 psi3 t dt) weighs dq and
+    x = -2 w^2 (P + qbar (1/2 - e0)) weighs dpsi3.
     """
-    w, qbar, P, psi3, psi4 = _sigma_stages(D)
-    w2, w3 = w ** 2, w ** 3
-    t_psi3 = integral_weighted_t(psi3)
-    cols = []
-    for d1, d2, d3, d4 in directions:
-        a = spectral_antiderivative(d1)
-        dq = w * (d2 - D[1] * a)
-        dqbar = float(np.mean(dq))
-        daq = spectral_antiderivative(dq)
-        dpsi3 = w2 * (d3 - 2.0 * D[2] * a)
-        dpsi4 = w3 * (d4 - 3.0 * D[3] * a)
-        ds4 = (float(np.mean(dpsi4))
-               - 2.0 * (float(np.mean(dpsi3 * P + psi3 * (daq - daq[0])))
-                        + dqbar * t_psi3 + qbar * integral_weighted_t(dpsi3)))
-        cols.append((float(np.mean(d1)), dqbar, float(np.mean(dpsi3)), ds4))
-    return np.array(cols).T
-
-
-def _u_directions(D: list[np.ndarray], dus):
-    """The perturbations (dD_1, .., dD_4) = (D_2, .., D_5) du of each du."""
-    for du in dus:
-        yield D[1] * du, D[2] * du, D[3] * du, D[4] * du
+    A = spectral_antiderivative
+    w, qbar, P, psi3, _ = _sigma_stages(D)
+    n = len(w)
+    e0 = A(n * (np.arange(n) == 0))
+    y = 2.0 * w * (A(psi3) - float(np.mean(psi3)) * e0
+                   - integral_weighted_t(psi3))
+    x = -2.0 * w ** 2 * (P + qbar * (0.5 - e0))
+    zero = np.zeros(n)
+    return np.array([
+        [np.ones(n), zero, zero, zero],
+        [A(w * D[1]), w, zero, zero],
+        [2.0 * A(w ** 2 * D[2]), zero, w ** 2, zero],
+        [A(y * D[1] + 2.0 * x * D[2] + 3.0 * w ** 3 * D[3]), y, x, w ** 3]])
 
 
 def sigma_vec(f: Nonlinearity, u: PeriodicFn) -> SigmaReport:
@@ -181,8 +177,8 @@ def classify_point(f: Nonlinearity, u: PeriodicFn) -> SigmaReport:
     tolerance for i <= k, Sigma_(k+1) above it, and the Jacobian of
     (Sigma_1..Sigma_(k-1)) restricted to ``2 * BASIS_SIZE + 1`` Fourier
     directions of full rank (smallest singular value above the relative
-    rank tolerance). The rows are exact directional derivatives
-    (``_sigma_jacobian``).
+    rank tolerance). The rows are exact: grid means of each direction
+    against the u-gradients of ``_sigma_gradients``.
     """
     report = sigma_vec(f, u)
     s = report.sigma
@@ -204,8 +200,8 @@ def classify_point(f: Nonlinearity, u: PeriodicFn) -> SigmaReport:
     tol_rank = None
     if k >= 2:
         D = _derivative_samples(f, u)
-        dirs = FourierAnsatz.basis(u.grid, BASIS_SIZE)
-        jac = _sigma_jacobian(D, _u_directions(D, dirs))[:k - 1]
+        grad_u = np.einsum("rin,in->rn", _sigma_gradients(D)[:k - 1], D[1:])
+        jac = grad_u @ FourierAnsatz.basis(u.grid, BASIS_SIZE).T / u.grid.n
         svals = np.linalg.svd(jac, compute_uv=False)
         tol_rank = RANK_TOL_FACTOR * svals[0]
         if svals[-1] <= tol_rank:

@@ -3,9 +3,10 @@
 A search problem pairs a nonlinearity family with free scalar parameters,
 a Fourier ansatz with a free/frozen coefficient mask, and a target for the
 leading singularity functionals. Gauss-Newton iterations use the
-minimum-norm pseudoinverse step (truncated SVD) on the exact forward-mode
-Jacobian of the functionals, reporting the smallest retained singular
-value as the surjectivity check. The census scans the return map for
+minimum-norm pseudoinverse step (truncated SVD) on the exact Jacobian of
+the functionals, whose columns are grid means against one reverse-mode
+gradient per functional, reporting the smallest retained singular value
+as the surjectivity check. The census scans the return map for
 fixed points, brackets sign changes, refines each bracket by a safeguarded
 Newton iteration on rho(x) - x (the variational flow gives rho' with every
 value) that stops on the step or on Newton's quadratic model of the next
@@ -25,8 +26,7 @@ import numpy as np
 
 from .core import (Grid, Nonlinearity, PeriodicFn, PreconditionError,
                    Term, FourierAnsatz, require_int)
-from .morin import (_derivative_samples, _sigma_jacobian, _sigma_values,
-                    _u_directions)
+from .morin import _derivative_samples, _sigma_gradients, _sigma_values
 # _flow_scalar is no longer called here but stays a module attribute: the
 # benchmark's tracer (bench/spans.py) wraps search._flow_scalar
 from .odeint import (_add_orders, _flow_scalar,  # noqa: F401
@@ -96,7 +96,7 @@ class SearchProblem:
     coefficients in ``FourierAnsatz.names`` order (a0, a1, b1, a2, b2, ...);
     the b1 gauge is frozen automatically for autonomous families. The
     target, the family parameters and ``residual_tol`` >= 0 must be
-    finite."""
+    finite, and every ``frozen`` name a coordinate or b1."""
 
     family: ParamFamily
     ansatz: FourierAnsatz
@@ -116,6 +116,11 @@ class SearchProblem:
                 raise PreconditionError(f"{name} must be finite")
         if not 0.0 <= self.residual_tol < math.inf:
             raise PreconditionError("residual_tol must be finite and >= 0")
+        names = self._coordinate_names()
+        unknown = [nm for nm in self.frozen if nm not in names and nm != "b1"]
+        if unknown:
+            raise PreconditionError(f"unknown frozen names {unknown}; the "
+                                    f"coordinates are {names}")
 
     # -- coordinate packing -------------------------------------------------
 
@@ -169,10 +174,11 @@ def gauss_newton(problem: SearchProblem) -> GaussNewtonResult:
     (``_jacobian``), J^+ its truncated-SVD pseudoinverse and lam the first
     of 1, 1/2, ..., 2^-11 that does not increase the residual. Stops on the
     residual tolerance, stagnation (relative decrease under 1e-3 over 10
-    steps), a line search with no such lam, or ``MAX_GN_ITERATIONS`` steps,
-    and returns the last iterate, which is the best. The accepted trial of a
-    line search is the next iterate, with its functionals: each point is
-    evaluated once. ``diagnostics`` counts
+    steps), a line search with no such lam, a Jacobian that vanishes (no
+    singular value retained; ``smallest_retained_sval`` is then 0.0), or
+    ``MAX_GN_ITERATIONS`` steps, and returns the last iterate, which is the
+    best. The accepted trial of a line search is the next iterate, with its
+    functionals: each point is evaluated once. ``diagnostics`` counts
     iterations, line-search halvings, ``sigma_at`` evaluations and Jacobian
     builds, next to the final residual and ``residual_tol``.
     """
@@ -212,6 +218,10 @@ def gauss_newton(problem: SearchProblem) -> GaussNewtonResult:
                                  full_matrices=False)
         keep = s > PINV_TRUNCATION * s[0]
         svals = s
+        if not keep.any():
+            smallest = 0.0
+            message = "Jacobian vanishes; best iterate returned"
+            break
         smallest = float(s[keep][-1])
         step_free = Vt[keep].T @ ((U[:, keep].T @ r) / s[keep])
         step = np.zeros_like(x)
@@ -243,18 +253,18 @@ def gauss_newton(problem: SearchProblem) -> GaussNewtonResult:
 def _jacobian(problem: SearchProblem, x: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """Exact Jacobian of the targeted functionals on the free coordinates.
 
-    Columns follow ``_coordinate_names``: the family parameters, whose
-    directions are the x-derivatives of ``ParamFamily.partial`` along u,
-    then the ansatz coefficients, whose directions move u itself.
+    Columns follow ``_coordinate_names``, each a grid mean against
+    ``_sigma_gradients``: a family parameter perturbs D by the derivative
+    samples of ``ParamFamily.partial``, an ansatz coefficient moves u.
     """
     f, u = problem._point(x)
     D = _derivative_samples(f, u)
-    params = (tuple(problem.family.partial(name).on_grid(u, i)
-                    for i in range(1, 5))
-              for name in problem.family.names)
+    G = _sigma_gradients(D)[:len(problem.target)]
+    params = [np.einsum("rin,in->r", G, _derivative_samples(
+        problem.family.partial(name), u)[:4]) for name in problem.family.names]
     dus = FourierAnsatz.basis(u.grid, problem.ansatz.harmonics)
-    J = _sigma_jacobian(D, itertools.chain(params, _u_directions(D, dus)))
-    return J[:len(problem.target), mask]
+    coeffs = np.einsum("rin,in->rn", G, D[1:]) @ dus.T
+    return np.column_stack(params + [coeffs])[:, mask] / u.grid.n
 
 
 # ---------------------------------------------------------------------------

@@ -558,6 +558,30 @@ class TestCommands:
                                   "best iterate returned")
         assert res["diagnostics"]["residual"] == min(res["residual_history"])
 
+    def test_find_singularity_vanishing_jacobian(self, tmp_path,
+                                                 problem_files, capsys):
+        # f = x: Sigma_1 = 1 everywhere and the Jacobian is 0, so the search
+        # stops at its seed instead of failing
+        family = tmp_path / "family.json"
+        family.write_text(json.dumps({"entries": [[1, 1.0]], "names": []}))
+        code, doc = run(capsys, ["find-singularity", "--family", str(family),
+                                 "--seed", problem_files["ub"],
+                                 "--target", "0"])
+        assert code == EXIT_OK
+        res = doc["result"]
+        assert res["converged"] is False
+        assert res["message"] == "Jacobian vanishes; best iterate returned"
+        assert res["smallest_retained_sval"] == 0.0
+
+    def test_find_singularity_unknown_frozen_name(self, problem_files, capsys):
+        code = execute(["find-singularity", "--family", problem_files["family"],
+                        "--seed", problem_files["ub"], "--target", "0",
+                        "--frozen", "b", "c", "bogus"])
+        assert code == EXIT_PRECONDITION
+        err = capsys.readouterr().err
+        assert "unknown frozen names ['bogus']" in err
+        assert "'b', 'c', 'a0'" in err
+
     def test_sweep_count(self, tmp_path, capsys, monkeypatch):
         # f = x^2 - c from explicit entries: the equilibria +-sqrt(c) are
         # the two periodic solutions for c > 0, and there are none for c < 0

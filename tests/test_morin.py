@@ -4,9 +4,10 @@ import pytest
 from morinode import (Grid, Nonlinearity, ParamFamily, PeriodicFn,
                       SearchProblem, classify_point, contact_order, eigen_w,
                       mean, sigma_hat, sigma_vec)
-from morinode.core import FourierAnsatz, PreconditionError, Term
-from morinode.morin import (_derivative_samples, _sigma_jacobian,
-                            _sigma_values, _u_directions)
+from morinode.core import (FourierAnsatz, PreconditionError, Term,
+                           integral_weighted_t, spectral_antiderivative)
+from morinode.morin import (_derivative_samples, _sigma_gradients,
+                            _sigma_stages, _sigma_values)
 from morinode.search import _jacobian
 from tests.conftest import BUTTERFLY_B, BUTTERFLY_C, operator_rhs
 
@@ -14,6 +15,10 @@ TWO_PI = 2 * np.pi
 
 SQUARE = Nonlinearity.polynomial([0, 0, 1])
 CUBIC_MINUS = Nonlinearity.polynomial([0, -1, 0, 1])
+T_DEPENDENT = Nonlinearity([Term(4, FourierAnsatz(0.5)),
+                            Term(3, FourierAnsatz(0.2, [0.7], [0.3])),
+                            Term(2, FourierAnsatz(-1.0, [0.4])),
+                            Term(1, FourierAnsatz(0.0, [], [1.5]))])
 
 
 def random_polynomial(rng, scale=0.6):
@@ -137,16 +142,24 @@ def _central_difference(sigma_of, count):
     return np.column_stack(cols)
 
 
-def _assert_rows_agree(exact, oracle):
+def _assert_rows_agree(exact, oracle, rtol=FD_RTOL):
+    assert exact.shape == oracle.shape
     for i, (row, ref) in enumerate(zip(exact, oracle)):
         err = np.max(np.abs(row - ref)) / np.max(np.abs(ref))
-        assert err <= FD_RTOL, f"dSigma_{i + 1}: relative error {err:.2e}"
+        assert err <= rtol, f"dSigma_{i + 1}: relative error {err:.2e}"
+
+
+def _u_jacobian(D, dirs):
+    """Rows dSigma_1..dSigma_4 along each du in ``dirs``: grid means of du
+    against the u-gradients sum_i G[:, i] D_(i+1)."""
+    grad_u = np.einsum("rin,in->rn", _sigma_gradients(D), D[1:])
+    return grad_u @ dirs.T / len(D[0])
 
 
 def _assert_u_rows_agree(f, u):
     dirs = FourierAnsatz.basis(u.grid, 8)
     D = _derivative_samples(f, u)
-    exact = _sigma_jacobian(D, _u_directions(D, dirs))
+    exact = _u_jacobian(D, dirs)
 
     def sigma_of(eps, j):
         moved = PeriodicFn(u.grid, u.values + eps * dirs[j])
@@ -165,12 +178,9 @@ class TestSigmaJacobian:
         _assert_u_rows_agree(f, u)
 
     def test_u_directions_t_dependent_polynomial(self):
-        f = Nonlinearity([Term(4, FourierAnsatz(0.5)),
-                          Term(3, FourierAnsatz(0.2, [0.7], [0.3])),
-                          Term(2, FourierAnsatz(-1.0, [0.4])),
-                          Term(1, FourierAnsatz(0.0, [], [1.5]))])
-        assert not f.autonomous
-        _assert_u_rows_agree(f, random_periodic(np.random.default_rng(14)))
+        assert not T_DEPENDENT.autonomous
+        _assert_u_rows_agree(T_DEPENDENT,
+                             random_periodic(np.random.default_rng(14)))
 
     def test_family_parameter_columns(self, butterfly_ansatz):
         # all coordinates but the b1 gauge free: the quartic_bc partials
@@ -190,6 +200,75 @@ class TestSigmaJacobian:
             return problem.sigma_at(xj)[0]
 
         _assert_rows_agree(exact, _central_difference(sigma_of, len(free)))
+
+
+def _forward_jacobian(D, directions):
+    """Forward-mode oracle: (4, d) for d perturbations (dD_1, .., dD_4).
+
+    Each column differentiates every stage of ``_sigma_values`` on its own:
+    with a the zero-mean antiderivative of dD_1, dw = -w a,
+    dq = w (dD_2 - D_2 a), dpsi3 = w^2 (dD_3 - 2 D_3 a) and
+    dpsi4 = w^3 (dD_4 - 3 D_4 a).
+    """
+    w, qbar, P, psi3, psi4 = _sigma_stages(D)
+    t_psi3 = integral_weighted_t(psi3)
+    cols = []
+    for d1, d2, d3, d4 in directions:
+        a = spectral_antiderivative(d1)
+        dq = w * (d2 - D[1] * a)
+        dqbar = float(np.mean(dq))
+        daq = spectral_antiderivative(dq)
+        dpsi3 = w ** 2 * (d3 - 2.0 * D[2] * a)
+        dpsi4 = w ** 3 * (d4 - 3.0 * D[3] * a)
+        ds4 = (float(np.mean(dpsi4))
+               - 2.0 * (float(np.mean(dpsi3 * P + psi3 * (daq - daq[0])))
+                        + dqbar * t_psi3 + qbar * integral_weighted_t(dpsi3)))
+        cols.append((float(np.mean(d1)), dqbar, float(np.mean(dpsi3)), ds4))
+    return np.array(cols).T
+
+
+# the gradients and the forward sweep are the same closed form, summed in
+# another order, so they agree to rounding
+GRADIENT_RTOL = 1e-13
+
+
+def _assert_u_rows_match_forward(f, u):
+    dirs = FourierAnsatz.basis(u.grid, 8)
+    D = _derivative_samples(f, u)
+    oracle = _forward_jacobian(D, [[D[i] * du for i in range(1, 5)]
+                                   for du in dirs])
+    _assert_rows_agree(_u_jacobian(D, dirs), oracle, GRADIENT_RTOL)
+
+
+class TestSigmaGradients:
+    def test_butterfly_rank_test_directions(self, refined_butterfly):
+        f, ans, _ = refined_butterfly
+        _assert_u_rows_match_forward(f, ans.sample(Grid(2048)))
+
+    def test_located_cusp(self, located_cusp):
+        f, u, _ = located_cusp
+        _assert_u_rows_match_forward(f, u)
+
+    def test_t_dependent_polynomial(self):
+        _assert_u_rows_match_forward(T_DEPENDENT,
+                                     random_periodic(np.random.default_rng(14)))
+
+    def test_family_and_ansatz_columns(self, butterfly_ansatz):
+        # every coordinate free, the b1 gauge included
+        problem = SearchProblem(
+            family=ParamFamily.quartic_bc(), ansatz=butterfly_ansatz,
+            target=np.zeros(4),
+            family_params=np.array([BUTTERFLY_B, BUTTERFLY_C]))
+        x = problem.pack()
+        f, u = problem._point(x)
+        D = _derivative_samples(f, u)
+        params = [[problem.family.partial(name).on_grid(u, i)
+                   for i in range(1, 5)] for name in problem.family.names]
+        dus = FourierAnsatz.basis(u.grid, problem.ansatz.harmonics)
+        oracle = _forward_jacobian(D, params + [[D[i] * du for i in range(1, 5)]
+                                                for du in dus])
+        _assert_rows_agree(_jacobian(problem, x, np.ones(len(x), bool)),
+                           oracle, GRADIENT_RTOL)
 
 
 class TestSigmaHat:

@@ -104,6 +104,32 @@ class TestGaussNewton:
         assert res.diagnostics["residual"] == min(hist)
         assert np.linalg.norm(problem.sigma_at(res.params)[0]) == min(hist)
 
+    def test_vanishing_jacobian_stops(self):
+        # f = x: Sigma_1 = 1 at every u and every higher derivative is 0, so
+        # the Jacobian is 0 and no singular value is retained
+        problem = SearchProblem(
+            family=ParamFamily(((1, 1.0),), ()),
+            ansatz=ansatz_from(BUTTERFLY_COEFFS), target=np.zeros(1))
+        res = gauss_newton(problem)
+        assert not res.converged
+        assert res.message == "Jacobian vanishes; best iterate returned"
+        assert res.smallest_retained_sval == 0.0
+        assert res.jacobian_svals.tolist() == [0.0]
+        assert res.residual_history == [1.0]
+        assert np.array_equal(res.params, problem.pack())
+
+    def test_unknown_frozen_names_raise(self, butterfly_ansatz):
+        with pytest.raises(PreconditionError) as err:
+            SearchProblem(family=ParamFamily.quartic_bc(),
+                          ansatz=butterfly_ansatz, target=np.zeros(4),
+                          frozen=("b", "c", "bogus", "a9"))
+        assert "['bogus', 'a9']" in str(err.value)
+        assert "['b', 'c', 'a0', 'a1', 'b1', 'a2'" in str(err.value)
+        # the b1 gauge is always accepted, a coordinate or not
+        SearchProblem(family=ParamFamily.fixed(SQUARE),
+                      ansatz=FourierAnsatz(0.4), target=np.zeros(1),
+                      frozen=("b1",))
+
     def test_too_few_free_coordinates(self):
         problem = SearchProblem(
             family=ParamFamily.fixed(SQUARE),
