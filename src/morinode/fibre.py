@@ -103,8 +103,11 @@ def solve_periodic(f: Nonlinearity, vtilde: PeriodicFn,
     tangent lanes of the RK4 flow (see ``_newton_solve``), which runs at
     the node step 1/n of ``vtilde``'s grid, so the samples of the flow
     that closed are u at the nodes; a finer step takes a finer grid.
+    ``vtilde``'s mean must vanish to 1e-10 max(1, max |vtilde|). The
+    solve fails when its best orbit closes no better than
+    ``PERIODICITY_TOL`` max(1, max |u|), as rounding in u(1) grows with u.
     """
-    if abs(mean(vtilde)) > 1e-10:
+    if abs(mean(vtilde)) > 1e-10 * max(1.0, np.max(np.abs(vtilde.values))):
         raise PreconditionError("vtilde must have zero mean")
     if isinstance(constraint, InitialValue):
         return _solve_initial_value(f, vtilde, constraint.c)
@@ -243,7 +246,8 @@ def _newton_solve(f, vtilde, c, a, nu_hint, shifts) -> FibrePoint:
         if new_c != c:
             nus = nu_bracket(new_c)
         c, nu = new_c, new_nu
-    if best is None or best[3] > PERIODICITY_TOL or best[4] > 1e-7:
+    if best is None or best[4] > 1e-7 or \
+            best[3] > PERIODICITY_TOL * max(1.0, np.max(np.abs(best[2]))):
         raise TamenessViolationError(
             "fibre solve failed to close the orbit" if best is None else
             f"fibre solve stalled at gaps {best[3]:.3e}, {best[4]:.3e}")

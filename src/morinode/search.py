@@ -95,8 +95,8 @@ class SearchProblem:
     """Free coordinates = family parameters followed by the unfrozen ansatz
     coefficients in ``FourierAnsatz.names`` order (a0, a1, b1, a2, b2, ...);
     the b1 gauge is frozen automatically for autonomous families. The
-    target, the family parameters and ``residual_tol`` >= 0 must be
-    finite, and every ``frozen`` name a coordinate or b1."""
+    target (1 to 4 values), the family parameters and ``residual_tol``
+    >= 0 must be finite, and every ``frozen`` name a coordinate or b1."""
 
     family: ParamFamily
     ansatz: FourierAnsatz
@@ -109,8 +109,8 @@ class SearchProblem:
         self.target = np.atleast_1d(np.asarray(self.target, dtype=float))
         self.family_params = np.atleast_1d(np.asarray(self.family_params,
                                                       dtype=float))
-        if len(self.target) > 4:
-            raise PreconditionError("target dimension must be at most 4")
+        if not 1 <= len(self.target) <= 4:
+            raise PreconditionError("target dimension must be 1 to 4")
         for name in ("target", "family_params"):
             if not np.isfinite(getattr(self, name)).all():
                 raise PreconditionError(f"{name} must be finite")
@@ -177,10 +177,12 @@ def gauss_newton(problem: SearchProblem) -> GaussNewtonResult:
     steps), a line search with no such lam, a Jacobian that vanishes (no
     singular value retained; ``smallest_retained_sval`` is then 0.0), or
     ``MAX_GN_ITERATIONS`` steps, and returns the last iterate, which is the
-    best. The accepted trial of a line search is the next iterate, with its
-    functionals: each point is evaluated once. ``diagnostics`` counts
-    iterations, line-search halvings, ``sigma_at`` evaluations and Jacobian
-    builds, next to the final residual and ``residual_tol``.
+    best. A seed that meets the tolerance still gets one Jacobian, for its
+    singular values. The accepted trial of a line search is the next
+    iterate, with its functionals: each point is evaluated once.
+    ``diagnostics`` counts iterations, line-search halvings, ``sigma_at``
+    evaluations and Jacobian builds, next to the final residual and
+    ``residual_tol``.
     """
     x = problem.pack()
     mask = problem.free_mask()
@@ -195,9 +197,15 @@ def gauss_newton(problem: SearchProblem) -> GaussNewtonResult:
         r = r - problem.target
         return float(np.linalg.norm(r)), r, s5
 
+    def svd(x):
+        """(U, s, Vt, retained, smallest retained s or 0.0) of J at x."""
+        work["jacobian_builds"] += 1
+        U, s, Vt = np.linalg.svd(_jacobian(problem, x, mask),
+                                 full_matrices=False)
+        keep = s > PINV_TRUNCATION * s[0]
+        return U, s, Vt, keep, float(s[keep][-1]) if keep.any() else 0.0
+
     history: list[float] = []
-    svals = np.zeros(len(problem.target))
-    smallest = math.inf
     message = "iteration cap reached"
     converged = False
     rnorm, r, s5 = residual(x)
@@ -213,17 +221,11 @@ def gauss_newton(problem: SearchProblem) -> GaussNewtonResult:
                 (history[-11] - rnorm) / history[-11] < 1e-3:
             message = "residual stagnated; best iterate returned"
             break
-        work["jacobian_builds"] += 1
-        U, s, Vt = np.linalg.svd(_jacobian(problem, x, mask),
-                                 full_matrices=False)
-        keep = s > PINV_TRUNCATION * s[0]
-        svals = s
+        U, svals, Vt, keep, smallest = svd(x)
         if not keep.any():
-            smallest = 0.0
             message = "Jacobian vanishes; best iterate returned"
             break
-        smallest = float(s[keep][-1])
-        step_free = Vt[keep].T @ ((U[:, keep].T @ r) / s[keep])
+        step_free = Vt[keep].T @ ((U[:, keep].T @ r) / svals[keep])
         step = np.zeros_like(x)
         step[mask] = step_free
         # halving line search: never accept a residual increase; the
@@ -241,6 +243,8 @@ def gauss_newton(problem: SearchProblem) -> GaussNewtonResult:
             message = "line search found no decrease; best iterate returned"
             break
         x, (rnorm, r, s5) = trial, accepted
+    if not work["jacobian_builds"]:  # the seed met the tolerance
+        _, svals, _, _, smallest = svd(x)
     work.update(iterations=len(history) - 1, residual=rnorm,
                 residual_tol=problem.residual_tol)
     return GaussNewtonResult(params=x, names=names, residual_history=history,
@@ -298,13 +302,20 @@ class CensusRoot:
 
 @dataclass(frozen=True)
 class CensusPass:
-    """Deterministic work of one census pass at integration step ``h``.
+    """One census pass at integration step ``h``: its scan, roots and work.
 
+    ``count`` is None when the scan is flat or no lane survives.
+    ``unresolved`` lists the brackets that touch a blow-up boundary or
+    whose refinement blew up, or the whole range when no lane survives.
     ``work`` counts the scan's lane-steps (lanes x RK4 steps), then the
     refinement flows and their RK4 steps.
     """
 
     h: float
+    g: np.ndarray  # rho(x) - x on the scan, nan where a lane escaped
+    roots: tuple[CensusRoot, ...]
+    count: int | None
+    unresolved: tuple[tuple[float, float], ...]
     flows_per_bracket: tuple[int, ...]  # refinement flows, in scan order
     work: dict  # {"lane_steps", "flows", "steps"}
 
@@ -319,18 +330,22 @@ class CensusPass:
 
 @dataclass(frozen=True)
 class SolutionCensus:
-    x_lo: float
-    x_hi: float
-    h: float
+    """A census on ``scan_xs``. ``passes`` holds the pass at h and, when
+    the half-step check ran and the pass at h is not a
+    ``degenerate_continuum``, the pass at h/2; ``roots``, ``count``,
+    ``unresolved_brackets`` and ``scan_g`` are those of the pass at h."""
+
     roots: tuple[CensusRoot, ...]
     count: int | None
     degenerate_continuum: bool
     unresolved_brackets: tuple[tuple[float, float], ...]
-    count_at_half_step: int | None
     scan_xs: np.ndarray
     scan_g: np.ndarray
-    roots_at_half_step: tuple[CensusRoot, ...] = ()
-    passes: tuple[CensusPass, ...] = ()  # at h, then at h/2 when checked
+    passes: tuple[CensusPass, ...]
+
+    @property
+    def count_at_half_step(self) -> int | None:
+        return self.passes[1].count if len(self.passes) > 1 else None
 
     @property
     def stable_under_halving(self) -> bool:
@@ -351,11 +366,12 @@ def count_solutions(f: Nonlinearity, v, x_lo: float, x_hi: float,
     are reported unresolved and never counted; a pass in which no scan
     lane survives reports the whole range unresolved and counts None. The
     count is re-derived at h/2, from a scan made in the same
-    ``_flow_vector`` call as the scan at h (``_census_pass``); it is
-    dropped when the pass at h is degenerate: max |g| within rounding of
-    0, or, with the check at h/2, falling at least
+    ``_flow_vector`` call as the scan at h (``_census_pass``); the pass
+    at h/2 is dropped when the pass at h is degenerate: max |g| within
+    rounding of 0, or, with the check at h/2, falling at least
     ``CONTINUUM_HALVING_DROP``-fold under halving, as the RK4 error of a
-    continuum of periodic solutions does. Each of ``passes`` records its
+    continuum of periodic solutions does. Each pass is one ``CensusPass``
+    record of ``passes``: its scan, roots, count, unresolved brackets and
     work. The range and the step must be finite.
     """
     if not all(map(math.isfinite, (x_lo, x_hi, h))):
@@ -364,97 +380,78 @@ def count_solutions(f: Nonlinearity, v, x_lo: float, x_hi: float,
         raise PreconditionError("need x_lo < x_hi")
     scan_n = require_int("scan_n", scan_n, 2)
     xs = np.linspace(x_lo, x_hi, scan_n)
-    (roots, unresolved, degenerate, g, work), *half = _census_pass(
-        f, v, xs, h, check_half_step)
-    passes = [work]
-    count = _pass_count(roots, degenerate, g)
-    half_count = None
-    roots_half = []
-    if half:
-        roots_half, _, degen_half, g_half, work = half[0]
-        passes.append(work)
-        half_count = _pass_count(roots_half, degen_half, g_half)
-    return SolutionCensus(x_lo=x_lo, x_hi=x_hi, h=h, roots=tuple(roots),
-                          count=count, degenerate_continuum=degenerate,
-                          unresolved_brackets=tuple(unresolved),
-                          count_at_half_step=half_count,
-                          scan_xs=xs, scan_g=g,
-                          roots_at_half_step=tuple(roots_half),
-                          passes=tuple(passes))
-
-
-def _pass_count(roots, degenerate: bool, g: np.ndarray) -> int | None:
-    """A pass's root count, or None when its scan is a degenerate
-    continuum or no lane of it survives."""
-    return None if degenerate or not np.isfinite(g).any() else len(roots)
+    degenerate, passes = _census_pass(f, v, xs, h, check_half_step)
+    first = passes[0]
+    return SolutionCensus(roots=first.roots, count=first.count,
+                          degenerate_continuum=degenerate,
+                          unresolved_brackets=first.unresolved,
+                          scan_xs=xs, scan_g=first.g, passes=tuple(passes))
 
 
 def _census_pass(f: Nonlinearity, v, xs: np.ndarray, h: float,
                  check_half_step: bool):
-    """The passes at h and, with ``check_half_step``, at h/2.
+    """(degenerate, passes): the passes at h and, with ``check_half_step``,
+    at h/2.
 
     One ``_flow_vector`` call scans both steps as two lane groups, from
     order-0 stage tables that the scan and every refinement flow of the
     pass share. Each pass then brackets and refines its own scan
-    (``_census_roots``) and releases its table; the h/2 pass is dropped
-    when the h pass is degenerate. With both scans, the h pass is also
-    degenerate when max |g| on the lanes finite in both falls at least
-    ``CONTINUUM_HALVING_DROP``-fold from h to h/2. Returns a list of
-    (roots, unresolved, degenerate, g, CensusPass), one per pass kept.
+    (``_census_roots``) and releases its table. The pass at h is
+    degenerate when its scan is flat (``_flat``) or, with both scans, when
+    max |g| on the lanes finite in both falls at least
+    ``CONTINUUM_HALVING_DROP``-fold from h to h/2; it is then not refined
+    and is the only pass.
     """
     steps = (h, h / 2) if check_half_step else (h,)
     tables = [_stage_table(f, v, step) for step in steps]
-    u_end, alive = _flow_vector(f, v, xs, h, tables[0],
-                                [(xs, step, table) for step, table
-                                 in zip(steps[1:], tables[1:])])
-    scans = np.split(u_end, len(steps))
-    continuum = check_half_step and _halving_continuum(xs, *scans)
-    passes = []
-    for step, u, live in zip(steps, scans, np.split(alive, len(steps))):
-        passes.append(_census_roots(f, v, xs, u, live, step, tables.pop(0),
-                                    continuum))
-        if passes[0][2]:
-            break
-    return passes
+    u_end, _ = _flow_vector(f, v, xs, h, tables[0],
+                            [(xs, step, table) for step, table
+                             in zip(steps[1:], tables[1:])])
+    gs = [u - xs for u in np.split(u_end, len(steps))]
+    if _flat(xs, gs[0]) or (check_half_step and _halving_continuum(*gs)):
+        work = {"lane_steps": len(xs) * _step_count(0.0, 1.0, h)[0],
+                "flows": 0, "steps": 0}
+        return True, [CensusPass(h, gs[0], (), None, (), (), work)]
+    return False, [_census_roots(f, v, xs, g, step, tables.pop(0))
+                   for step, g in zip(steps, gs)]
 
 
-def _halving_continuum(xs: np.ndarray, u_h: np.ndarray,
-                       u_half: np.ndarray) -> bool:
-    """Whether max |g| falls ``CONTINUUM_HALVING_DROP``-fold from h to h/2.
+def _flat(xs: np.ndarray, g: np.ndarray) -> bool:
+    """Whether max |g| is at most 1e-12 max(1, max |x|) on two or more
+    finite lanes: g within rounding of 0."""
+    live = np.abs(g[np.isfinite(g)])
+    return len(live) >= 2 and live.max() <= 1e-12 * max(1.0,
+                                                          np.max(np.abs(xs)))
 
-    g = u - xs on the lanes finite in both scans (a dead lane is nan),
-    of which there must be two.
-    """
-    g_h, g_half = np.abs(u_h - xs), np.abs(u_half - xs)
+
+def _halving_continuum(g_h: np.ndarray, g_half: np.ndarray) -> bool:
+    """Whether max |g| falls ``CONTINUUM_HALVING_DROP``-fold from h to h/2
+    on the lanes finite in both scans, of which there must be two."""
+    g_h, g_half = np.abs(g_h), np.abs(g_half)
     both = np.isfinite(g_h) & np.isfinite(g_half)
     return bool(both.sum() >= 2 and np.max(g_half[both])
                 <= np.max(g_h[both]) / CONTINUUM_HALVING_DROP)
 
 
-def _census_roots(f: Nonlinearity, v, xs: np.ndarray, u_end: np.ndarray,
-                  alive: np.ndarray, h: float, table, continuum: bool):
-    """(roots, unresolved, degenerate, g, CensusPass) of one pass's scan.
+def _census_roots(f: Nonlinearity, v, xs: np.ndarray, g: np.ndarray,
+                  h: float, table) -> CensusPass:
+    """The ``CensusPass`` at step h of the scan g = rho(x) - x on ``xs``.
 
     ``table`` is the pass's order-0 ``_stage_table``; the order-1 rows
-    the refinement flows read are added only when there is a bracket.
-    The scan is degenerate when max |g| is at most 1e-12 max(1, max |x|)
-    on two or more finite lanes, or when ``continuum`` (the halving test
-    of ``_census_pass``) says so.
+    the refinement flows read are added only when there is a bracket. A
+    flat scan (``_flat``), which only the pass at h/2 can reach here, and
+    a scan with no finite lane are not refined and count None.
     """
     work = {"lane_steps": len(xs) * _step_count(0.0, 1.0, h)[0],
             "flows": 0, "steps": 0}
-    g = u_end - xs
-    finite = alive & np.isfinite(g)
+    finite = np.isfinite(g)
     if not finite.any():  # no lane survives, so no root can be told apart
-        return [], [(float(xs[0]), float(xs[-1]))], False, g, CensusPass(
-            h, (), work)
-    scale = float(np.max(np.abs(g[finite])))
-    if continuum or (finite.sum() >= 2
-                     and scale <= 1e-12 * max(1.0, np.max(np.abs(xs)))):
-        return [], [], True, g, CensusPass(h, (), work)
+        return CensusPass(h, g, (), None, ((float(xs[0]), float(xs[-1])),),
+                          (), work)
+    if _flat(xs, g):
+        return CensusPass(h, g, (), None, (), (), work)
 
-    brackets = []
-    unresolved = []
+    brackets, unresolved = [], []
     for i in range(len(xs) - 1):
         if finite[i] and finite[i + 1]:
             if g[i] == 0.0:
@@ -468,29 +465,22 @@ def _census_roots(f: Nonlinearity, v, xs: np.ndarray, u_end: np.ndarray,
 
     if brackets:
         table = _add_orders(f, table, h, (1,))
-    roots = []
-    flows = []
+    roots, flows = [], []
     for lo, hi, glo, ghi in brackets:
-        root, width, der, nflows, steps, ok = _refine_root(f, v, lo, hi, glo,
-                                                           ghi, h, table)
+        root, nflows, steps = _refine_root(f, v, lo, hi, glo, ghi, h, table)
         flows.append(nflows)
         work["flows"] += nflows
         work["steps"] += steps
-        if ok:
-            roots.append((root, width, der))
-        else:
+        if root is None:
             unresolved.append((float(lo), float(hi)))
-    roots.sort()
+        else:
+            roots.append(root)
     out: list[CensusRoot] = []
-    for root, width, der in roots:
-        if out and abs(root - out[-1].x) <= ROOT_DEDUP_TOL:
-            continue
-        slope = abs(der - 1.0)
-        out.append(CensusRoot(x=float(root), rho_prime=float(der),
-                              bracket_width=float(width),
-                              rounding_width=(math.ulp(root) / slope if slope
-                                              else math.inf)))
-    return out, unresolved, False, g, CensusPass(h, tuple(flows), work)
+    for root in sorted(roots, key=lambda r: r.x):
+        if not out or root.x - out[-1].x > ROOT_DEDUP_TOL:
+            out.append(root)
+    return CensusPass(h, g, tuple(out), len(out), tuple(unresolved),
+                      tuple(flows), work)
 
 
 def _refine_root(f, v, lo, hi, glo, ghi, h, table):
@@ -505,9 +495,10 @@ def _refine_root(f, v, lo, hi, glo, ghi, h, table):
     two slopes, the next correction is about a = |c| s^2 / (2 |g'|) for the
     step s just taken, and a <= ROOT_REFINE_TOL returns that step's point
     without another flow (a bisection clears the slope history). Returns
-    (x, step or a, rho' at the last flow or, on the model's stop,
-    extrapolated to x, flows, their RK4 steps, ok); ok is False when a flow
-    blows up inside the bracket. Every flow reads ``table``, the pass's
+    (root, flows, their RK4 steps); the ``CensusRoot``'s ``bracket_width``
+    is the step or a, and its rho' that of the last flow or, on the
+    model's stop, extrapolated to x. root is None when a flow blows up
+    inside the bracket. Every flow reads ``table``, the pass's
     ``_stage_table`` with orders 0 and 1.
     """
     nsteps = _step_count(0.0, 1.0, h)[0]
@@ -520,14 +511,14 @@ def _refine_root(f, v, lo, hi, glo, ghi, h, table):
     last = None  # (x, g') of the flow before, when it took a Newton step
     for flows in range(1, MAX_REFINE_FLOWS + 1):
         flow = _flow_with_variation(f, v, x, h, table)
-        rk4 = flows * nsteps
         if flow.blew:
-            return (x, hi - lo, None, flows,
-                    rk4 - nsteps + round(flow.time * nsteps), False)
+            return None, flows, (flows - 1) * nsteps + round(flow.time
+                                                             * nsteps)
         der = flow.lanes[0]
         g = flow.u - x
         if g == 0.0 or lo == hi:
-            return x, 0.0, der, flows, rk4, True
+            width = 0.0
+            break
         if (g < 0) == (glo < 0):
             lo, glo = x, g
         else:
@@ -537,18 +528,25 @@ def _refine_root(f, v, lo, hi, glo, ghi, h, table):
         newton = lo < nxt < hi
         if not newton:
             nxt = 0.5 * (lo + hi)
-        step = abs(nxt - x)
-        if step <= ROOT_REFINE_TOL:
-            return nxt, step, der, flows, rk4, True
+        width = abs(nxt - x)
+        if width <= ROOT_REFINE_TOL:
+            x = nxt
+            break
         if newton and last:
             curv = (slope - last[1]) / (x - last[0])
-            model = abs(curv) * step * step / (2.0 * abs(slope))
+            model = abs(curv) * width * width / (2.0 * abs(slope))
             if model <= ROOT_REFINE_TOL:
-                return (nxt, model, der + curv * (nxt - x), flows, rk4,
-                        True)
+                x, width, der = nxt, model, der + curv * (nxt - x)
+                break
         last = (x, slope) if newton else None
         x = nxt
-    return x, hi - lo, der, flows, rk4, True
+    else:
+        width = hi - lo
+    slope = abs(der - 1.0)
+    return CensusRoot(x=float(x), rho_prime=float(der),
+                      bracket_width=float(width),
+                      rounding_width=(math.ulp(x) / slope if slope
+                                      else math.inf)), flows, flows * nsteps
 
 
 # ---------------------------------------------------------------------------

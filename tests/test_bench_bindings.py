@@ -7,7 +7,7 @@ import inspect
 import pytest
 
 from bench import spans
-from morinode import core, odeint
+from morinode import core, odeint, search
 
 
 def test_tracer_boundaries_are_bound():
@@ -45,3 +45,29 @@ def test_counted_flow_fields_keep_their_positions():
 ], ids=["scalar", "scalar-lanes", "variation", "variation-escape"])
 def test_counted_flows_return_a_flow(flow):
     assert type(flow(core.Nonlinearity.polynomial([0, 0, 1]))) is odeint.Flow
+
+
+def test_census_span_nesting():
+    # search.scan.total_pct times the _flow_vector spans whose direct parent
+    # is _census_pass, and search.refine.* read the _refine_root spans: a
+    # census must keep that nesting, or those metrics read 0
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        census = search.count_solutions(
+            core.Nonlinearity.polynomial([0, 0, 1]),
+            core.PeriodicFn.constant(1.0), -2.0, 2.0, scan_n=200, h=1e-3)
+    finally:
+        tracer.uninstall()
+    names = {sid: name for sid, _, _, name, _, _ in tracer.spans}
+
+    def parents(name):
+        return [names.get(parent) for _, parent, _, nm, _, _ in tracer.spans
+                if nm == name]
+    assert parents("odeint._flow_vector") == ["search._census_pass"]
+    assert tracer.time_under("odeint._flow_vector", "search._census_pass") > 0
+    brackets = sum(p.brackets for p in census.passes)
+    assert len(parents("search._refine_root")) == brackets == 4
+    flows = sum(p.refine_flows for p in census.passes)
+    assert parents("odeint._flow_with_variation") == \
+        ["search._refine_root"] * flows

@@ -381,6 +381,23 @@ class TestCommands:
         assert code == EXIT_OK
         assert doc["result"]["residual"] < 1e-8
 
+    @pytest.mark.parametrize("slope, cos, sin, flows", [
+        (1000.0, [5e6, 1e6, 2e5], [1e6, 0, 5e5], 3),
+        (1.0, [2e6, 1e6, 3e5], [1e6, 0, 5e5], 8),
+    ], ids=["forcing-mean", "orbit-closure"])
+    def test_fibre_large_forcing_and_orbit(self, tmp_path, capsys, slope, cos,
+                                           sin, flows):
+        # the zero-mean precondition scales with the forcing and the
+        # closure acceptance with the orbit: both solves exited 2 before
+        problem = tmp_path / "f.json"
+        problem.write_text(json.dumps({"terms": [{"power": 1, "a0": slope}]}))
+        rhs = tmp_path / "rhs.json"
+        rhs.write_text(json.dumps({"a0": 0, "cos": cos, "sin": sin}))
+        code, doc = run(capsys, ["fibre", "--problem", str(problem),
+                                 "--rhs", str(rhs), "--initial", "0"])
+        assert code == EXIT_OK
+        assert doc["result"]["diagnostics"]["flows"] == flows
+
     def test_fibre_diagnostics_repeat(self, problem_files, capsys):
         # the solver's work counters and final gaps are deterministic, so
         # two runs give the same payload apart from the timestamp
@@ -572,6 +589,21 @@ class TestCommands:
         assert res["converged"] is False
         assert res["message"] == "Jacobian vanishes; best iterate returned"
         assert res["smallest_retained_sval"] == 0.0
+
+    def test_find_singularity_seed_at_tolerance(self, tmp_path, capsys):
+        # f = x^2 at u = 0 meets the target at its seed; the rank test runs
+        # there all the same, so no placeholder singular value is reported
+        family = tmp_path / "family.json"
+        family.write_text(json.dumps({"entries": [[2, 1.0]], "names": []}))
+        seed = tmp_path / "seed.json"
+        seed.write_text(json.dumps({"a0": 0.0, "cos": [0.0], "sin": [0.0]}))
+        code, doc = run(capsys, ["find-singularity", "--family", str(family),
+                                 "--seed", str(seed), "--target", "0"])
+        assert code == EXIT_OK
+        res = doc["result"]
+        assert res["converged"] is True
+        assert res["jacobian_svals"] == [2.0]
+        assert res["smallest_retained_sval"] == 2.0
 
     def test_find_singularity_unknown_frozen_name(self, problem_files, capsys):
         code = execute(["find-singularity", "--family", problem_files["family"],

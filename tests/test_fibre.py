@@ -112,6 +112,34 @@ class TestSolvePeriodic:
         with pytest.raises(TamenessViolationError, match="stalled"):
             solve_periodic(f, vt, InitialValue(1.6012))
 
+    def test_zero_mean_is_relative_to_the_forcing(self):
+        # a forcing of size 5e6 made mean-zero keeps a mean of -2.3e-10 from
+        # rounding, above an absolute 1e-10; a real offset is still refused
+        grid = Grid(1024)
+        v = FourierAnsatz(0.0, [5e6, 1e6, 2e5], [1e6, 0.0, 5e5]).sample(grid)
+        vt = PeriodicFn(grid, v.values - mean(v))
+        assert abs(mean(vt)) > 1e-10
+        fp = solve_periodic(Nonlinearity.polynomial([0, 1000.0]), vt,
+                            InitialValue(0.0))
+        assert fp.diagnostics.flows == 3
+        assert fp.diagnostics.closure_gap <= PERIODICITY_TOL
+        with pytest.raises(PreconditionError, match="zero mean"):
+            solve_periodic(IDENTITY, PeriodicFn(grid, vt.values + 1e-2),
+                           InitialValue(0.0))
+
+    def test_closure_tolerance_scales_with_the_orbit(self):
+        # u' + u = v with max |u| = 4.6e5: rounding in u(1) keeps the best
+        # closure at 1.0e-11, above PERIODICITY_TOL but far below its
+        # scaled bound PERIODICITY_TOL max |u|
+        grid = Grid(1024)
+        v = FourierAnsatz(0.0, [2e6, 1e6, 3e5], [1e6, 0.0, 5e5]).sample(grid)
+        fp = solve_periodic(IDENTITY, PeriodicFn(grid, v.values - mean(v)),
+                            InitialValue(0.0))
+        scale = np.max(np.abs(fp.u.values))
+        assert scale > 4e5 and fp.diagnostics.flows == 8
+        assert PERIODICITY_TOL < fp.diagnostics.closure_gap \
+            <= PERIODICITY_TOL * scale
+
     def test_stored_samples_match_forcing_plus_nu(self):
         # the solve tabulates vtilde once and adds nu per flow; the stored
         # orbit is the flow of vtilde + nu evaluated at every stage time,

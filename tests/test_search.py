@@ -46,6 +46,9 @@ class TestGaussNewton:
         assert len(res.residual_history) <= 100
         assert res.smallest_retained_sval > 1e-6
         assert abs(res.sigma5) > 1.0
+        # one Jacobian per step, none more at the converged point
+        assert res.diagnostics["jacobian_builds"] == \
+            res.diagnostics["iterations"] > 0
         # minimum-norm steps keep the solution near the published point;
         # the perturbation's tangent component survives (about 1.4e-3)
         printed = np.concatenate([[BUTTERFLY_B, BUTTERFLY_C],
@@ -118,6 +121,24 @@ class TestGaussNewton:
         assert res.residual_history == [1.0]
         assert np.array_equal(res.params, problem.pack())
 
+    def test_seed_at_tolerance_gets_its_rank_tested(self):
+        # f = x^2 at u = 0: Sigma_1 = 2 mean(u) meets the target 0 at the
+        # seed, and the Jacobian there, (2, 0) in (a0, a1), is still built
+        problem = SearchProblem(
+            family=ParamFamily(((2, 1.0),), ()),
+            ansatz=FourierAnsatz(0.0, np.zeros(1), np.zeros(1)),
+            target=np.zeros(1))
+        res = gauss_newton(problem)
+        assert res.converged and res.residual_history == [0.0]
+        assert res.jacobian_svals.tolist() == [2.0]
+        assert res.smallest_retained_sval == 2.0
+        assert res.diagnostics["jacobian_builds"] == 1
+
+    def test_empty_target_raises(self):
+        with pytest.raises(PreconditionError, match="target dimension"):
+            SearchProblem(family=ParamFamily.fixed(SQUARE),
+                          ansatz=FourierAnsatz(0.4), target=np.zeros(0))
+
     def test_unknown_frozen_names_raise(self, butterfly_ansatz):
         with pytest.raises(PreconditionError) as err:
             SearchProblem(family=ParamFamily.quartic_bc(),
@@ -168,7 +189,7 @@ class TestCountSolutions:
         assert groups == [[1e-2, 5e-3]]
         assert census.degenerate_continuum and census.count is None
         assert census.count_at_half_step is None
-        assert census.roots_at_half_step == ()
+        assert census.passes[1:] == ()
         assert [(p.h, p.flows_per_bracket, p.work) for p in census.passes] \
             == [(1e-2, (), {"lane_steps": 10_100, "flows": 0, "steps": 0})]
 
@@ -205,6 +226,7 @@ class TestCountSolutions:
         assert census.roots == () and not census.degenerate_continuum
         assert not census.stable_under_halving
         assert len(census.passes) == 2
+        assert census.passes[1].unresolved == ((1.5e6, 2.5e6),)
 
     def test_single_step_census_runs_one_group(self, monkeypatch):
         groups = _spy_vector_groups(monkeypatch)
@@ -298,7 +320,7 @@ class TestCensusRefinement:
     def test_roots_match_bisection(self, six_root_census):
         census, _ = six_root_census
         for h, roots in ((2e-4, census.roots),
-                         (1e-4, census.roots_at_half_step)):
+                         (1e-4, census.passes[1].roots)):
             xs = sorted(r.x for r in roots)
             assert len(xs) == 6
             assert np.max(np.abs(np.subtract(xs, BISECTION_ROOTS[h]))) <= 1e-10
@@ -309,7 +331,7 @@ class TestCensusRefinement:
         census, _ = six_root_census
         v = operator_rhs(quartic, six_root_ansatz)
         for h, roots in ((2e-4, census.roots),
-                         (1e-4, census.roots_at_half_step)):
+                         (1e-4, census.passes[1].roots)):
             for r in roots:
                 rv = return_map(quartic, v, r.x, h=h, with_derivative=True)
                 assert abs(r.rho_prime - rv.derivative) <= 1e-9
@@ -320,7 +342,7 @@ class TestCensusRefinement:
         # in float-noise zones 1e-12 to 6e-11 wide, widest near -0.224
         # where rho' - 1 = 5e-7; the steep root near 0.119 in one of 3e-14
         census, _ = six_root_census
-        for roots in (census.roots, census.roots_at_half_step):
+        for roots in (census.roots, census.passes[1].roots):
             widths = [r.rounding_width for r in roots]
             assert widths == [math.ulp(r.x) / abs(r.rho_prime - 1.0)
                               for r in roots]
@@ -358,7 +380,7 @@ class TestCensusRefinement:
         assert [p.flows_per_bracket for p in census.passes] == [(2, 2),
                                                                 (2, 2)]
         for h, roots in ((1e-3, census.roots),
-                         (5e-4, census.roots_at_half_step)):
+                         (5e-4, census.passes[1].roots)):
             assert len(roots) == 2
             for r, fixed in zip(roots, (-1.0, 1.0)):
                 assert abs(r.x - fixed) <= 1e-12
@@ -378,16 +400,20 @@ class TestCensusRefinement:
             census = count_solutions(f, None, lo, hi, scan_n=200, h=1e-3)
             assert [p.flows_per_bracket for p in census.passes] == flows
 
-    def test_blown_refinement_flow_counts_its_steps(self):
+    def test_blown_refinement_flow_counts_its_steps(self, monkeypatch):
         # u' = -u^2 from the secant point -2.5 of a bracket blows up at
         # t = 0.4 and passes U_MAX in RK4 step 401 of 1000: the bracket is
-        # unresolved, and its one flow counts the steps it took
+        # unresolved (no root), and its one flow counts the steps it took
+        starts = []
+        flow = search._flow_with_variation
+        monkeypatch.setattr(search, "_flow_with_variation",
+                            lambda f, v, x, h, table: starts.append(x)
+                            or flow(f, v, x, h, table))
         table = search._add_orders(
             SQUARE, search._stage_table(SQUARE, None, 1e-3), 1e-3, (1,))
-        x, width, der, flows, steps, ok = search._refine_root(
-            SQUARE, None, -3.0, -2.0, -1.0, 1.0, 1e-3, table)
-        assert (x, width, der, flows, steps, ok) == (-2.5, 1.0, None, 1, 401,
-                                                     False)
+        assert search._refine_root(SQUARE, None, -3.0, -2.0, -1.0, 1.0,
+                                   1e-3, table) == (None, 1, 401)
+        assert starts == [-2.5]
 
     def test_exact_zero_on_the_scan_grid(self):
         # u' = -u^2 + 1 has g(+-1) = 0 on a grid through +-1: each root is
