@@ -157,16 +157,21 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def _assignment(text: str, names, parse):
-    """(NAME, parse(VALUE)) of a ``NAME=VALUE`` argument, NAME in ``names``."""
-    name, sep, value = text.partition("=")
-    if not sep or name not in names:
-        raise PreconditionError(
-            f"{text!r}: expected NAME=VALUE with NAME in {list(names)}")
-    try:
-        return name, parse(value)
-    except (ValueError, argparse.ArgumentTypeError) as exc:
-        raise PreconditionError(f"{text!r}: {exc}") from exc
+def _assignments(texts, names, parse) -> dict:
+    """{NAME: parse(VALUE)} of ``NAME=VALUE`` arguments, NAMEs in ``names``."""
+    out = {}
+    for text in texts:
+        name, sep, value = text.partition("=")
+        if not sep or name not in names:
+            raise PreconditionError(
+                f"{text!r}: expected NAME=VALUE with NAME in {list(names)}")
+        if name in out:
+            raise PreconditionError(f"{text!r}: {name} is given twice")
+        try:
+            out[name] = parse(value)
+        except (ValueError, argparse.ArgumentTypeError) as exc:
+            raise PreconditionError(f"{text!r}: {exc}") from exc
+    return out
 
 
 def _grid_axis(text: str) -> list[float]:
@@ -270,8 +275,7 @@ def _cmd_count_solutions(args):
 def _cmd_find_singularity(args):
     family = _family_from_json(load_json(args.family))
     ansatz = _load_ansatz(args.seed)
-    params = dict(_assignment(kv, family.names, _finite_float)
-                  for kv in args.params or [])
+    params = _assignments(args.params or [], family.names, _finite_float)
     fam_values = np.array([params.get(n, 0.0) for n in family.names])
     problem = search.SearchProblem(
         family=family, ansatz=ansatz, target=np.asarray(args.target),
@@ -322,8 +326,7 @@ def _cmd_sweep(args):
     # saved cells are reused for the same family contents, not the same path
     args.family_sha256 = hashlib.sha256(json.dumps(
         family_doc, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
-    grid_values = dict(_assignment(spec, family.names, _grid_axis)
-                       for spec in args.grid)
+    grid_values = _assignments(args.grid, family.names, _grid_axis)
 
     def analysis(f, point):
         if args.analysis == "classify":

@@ -173,43 +173,37 @@ def sigma_hat(f: Nonlinearity, u: PeriodicFn, k: int) -> np.ndarray:
 def classify_point(f: Nonlinearity, u: PeriodicFn) -> SigmaReport:
     """Decide the singularity order of u with the transversality check.
 
-    The order is the largest k <= 4 with |Sigma_i| below the relative zero
-    tolerance for i <= k, Sigma_(k+1) above it, and the Jacobian of
-    (Sigma_1..Sigma_(k-1)) restricted to ``2 * BASIS_SIZE + 1`` Fourier
-    directions of full rank (smallest singular value above the relative
-    rank tolerance). The rows are exact: grid means of each direction
-    against the u-gradients of ``_sigma_gradients``.
+    k is the number of leading Sigma_i within the relative zero tolerance
+    ``tol_zero``. The order is regular for k = 0, exceeds for k = 5, else
+    Morin(k), or degenerate when k >= 2 and the Jacobian of
+    (Sigma_1..Sigma_(k-1)) on ``2 * BASIS_SIZE + 1`` Fourier directions
+    fails the rank test (smallest singular value at most the relative
+    ``tol_rank``). Its rows are exact: grid means of each direction
+    against the u-gradients of ``_sigma_gradients``. ``jacobian_svals``
+    and ``tol_rank`` are None where no rank test ran.
     """
     report = sigma_vec(f, u)
     s = report.sigma
     tol_zero = ZERO_TOL_FACTOR * (1.0 + float(np.max(np.abs(s))))
     zeros = np.abs(s) <= tol_zero
+    k = next((i for i in range(SIGMA_COUNT) if not zeros[i]), SIGMA_COUNT)
 
-    if not zeros[0]:
-        order = MorinOrder("regular")
-        return replace(report, order=order, tol_zero=tol_zero)
-
-    k = 1
-    while k < SIGMA_COUNT and zeros[k]:
-        k += 1
-    if k >= SIGMA_COUNT:
-        order = MorinOrder("exceeds", reason="all five functionals vanish")
-        return replace(report, order=order, tol_zero=tol_zero)
-
-    svals = None
-    tol_rank = None
-    if k >= 2:
+    svals = tol_rank = None
+    if 2 <= k < SIGMA_COUNT:
         D = _derivative_samples(f, u)
         grad_u = np.einsum("rin,in->rn", _sigma_gradients(D)[:k - 1], D[1:])
         jac = grad_u @ FourierAnsatz.basis(u.grid, BASIS_SIZE).T / u.grid.n
         svals = np.linalg.svd(jac, compute_uv=False)
         tol_rank = RANK_TOL_FACTOR * svals[0]
-        if svals[-1] <= tol_rank:
-            order = MorinOrder("degenerate",
-                               reason=f"rank test failed at k={k}: "
-                                      f"smin={svals[-1]:.3e} <= {tol_rank:.3e}")
-            return replace(report, order=order, jacobian_svals=svals,
-                           tol_zero=tol_zero, tol_rank=tol_rank)
-    order = MorinOrder("morin", k=k)
+    if k == 0:
+        order = MorinOrder("regular")
+    elif k == SIGMA_COUNT:
+        order = MorinOrder("exceeds", reason="all five functionals vanish")
+    elif svals is not None and svals[-1] <= tol_rank:
+        order = MorinOrder("degenerate",
+                           reason=f"rank test failed at k={k}: "
+                                  f"smin={svals[-1]:.3e} <= {tol_rank:.3e}")
+    else:
+        order = MorinOrder("morin", k=k)
     return replace(report, order=order, jacobian_svals=svals,
                    tol_zero=tol_zero, tol_rank=tol_rank)

@@ -778,9 +778,11 @@ def contact_order(f: Nonlinearity, v, x0: float, kmax: int = 4,
     start jet (x0, 1, 0, ..., 0). A derivative counts as zero when
     |rho^(i)| <= ``CONTACT_ZERO_TOL`` * max(1, |rho^(k+1)|), and rho' as
     one when |rho' - 1| is within ``CONTACT_ZERO_TOL`` * max(1, max_i
-    |rho^(i)|). ``v`` is as in ``integrate``: a callable acts pointwise
-    on an array of times and is called once, at the distinct stage
-    times. x0 and h must be finite.
+    |rho^(i)|). The report's ``order`` is 0 when rho' is not one, else
+    the largest passing k, else None, which sets ``exceeds_kmax``. ``v``
+    is as in ``integrate``: a callable acts pointwise on an array of
+    times and is called once, at the distinct stage times. x0 and h must
+    be finite.
     """
     if not math.isfinite(x0):
         raise PreconditionError("x0 must be finite")
@@ -797,20 +799,14 @@ def contact_order(f: Nonlinearity, v, x0: float, kmax: int = 4,
                        for j in range(2, kmax + 2)])
 
     tol = CONTACT_ZERO_TOL
-    if abs(rho_prime - 1.0) > tol * max(1.0, float(np.max(np.abs(derivs)))):
-        return ContactReport(order=0, exceeds_kmax=False,
-                             rho_prime=rho_prime, derivatives=derivs)
-    # largest k whose first nonvanishing derivative is rho^(k+1), tested
-    # against the scale of that derivative
-    for k in range(kmax, 0, -1):
-        nxt = abs(derivs[k - 1])
-        if nxt <= tol * max(1.0, nxt):
-            continue
-        if all(abs(derivs[i - 2]) <= tol * max(1.0, nxt)
-               for i in range(2, k + 1)):
-            return ContactReport(order=k, exceeds_kmax=False,
-                                 rho_prime=rho_prime, derivatives=derivs)
-    return ContactReport(order=None, exceeds_kmax=True,
+    off_one = abs(rho_prime - 1.0) > tol * max(1.0, float(np.max(np.abs(derivs))))
+    zero = [tol * max(1.0, abs(d)) for d in derivs]  # zero test at each scale
+    # 0 when rho' is off one, else the largest k whose first nonvanishing
+    # derivative is rho^(k+1), at that derivative's scale, else None
+    order = 0 if off_one else next(
+        (k for k in range(kmax, 0, -1) if not abs(derivs[k - 1]) <= zero[k - 1]
+         and all(abs(derivs[:k - 1]) <= zero[k - 1])), None)
+    return ContactReport(order=order, exceeds_kmax=order is None,
                          rho_prime=rho_prime, derivatives=derivs)
 
 

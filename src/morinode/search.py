@@ -177,12 +177,12 @@ def gauss_newton(problem: SearchProblem) -> GaussNewtonResult:
     steps), a line search with no such lam, a Jacobian that vanishes (no
     singular value retained; ``smallest_retained_sval`` is then 0.0), or
     ``MAX_GN_ITERATIONS`` steps, and returns the last iterate, which is the
-    best. A seed that meets the tolerance still gets one Jacobian, for its
-    singular values. The accepted trial of a line search is the next
-    iterate, with its functionals: each point is evaluated once.
-    ``diagnostics`` counts iterations, line-search halvings, ``sigma_at``
-    evaluations and Jacobian builds, next to the final residual and
-    ``residual_tol``.
+    best. A Jacobian at every iterate, the returned one included, gives
+    the returned point's ``jacobian_svals`` (iterations + 1 builds). The
+    accepted trial of a line search is the next iterate, with its
+    functionals: each point is evaluated once. ``diagnostics`` counts
+    iterations, line-search halvings, ``sigma_at`` evaluations and Jacobian
+    builds, next to the final residual and ``residual_tol``.
     """
     x = problem.pack()
     mask = problem.free_mask()
@@ -197,20 +197,16 @@ def gauss_newton(problem: SearchProblem) -> GaussNewtonResult:
         r = r - problem.target
         return float(np.linalg.norm(r)), r, s5
 
-    def svd(x):
-        """(U, s, Vt, retained, smallest retained s or 0.0) of J at x."""
-        work["jacobian_builds"] += 1
-        U, s, Vt = np.linalg.svd(_jacobian(problem, x, mask),
-                                 full_matrices=False)
-        keep = s > PINV_TRUNCATION * s[0]
-        return U, s, Vt, keep, float(s[keep][-1]) if keep.any() else 0.0
-
     history: list[float] = []
     message = "iteration cap reached"
     converged = False
     rnorm, r, s5 = residual(x)
     for it in range(MAX_GN_ITERATIONS + 1):
         history.append(rnorm)
+        work["jacobian_builds"] += 1
+        U, svals, Vt = np.linalg.svd(_jacobian(problem, x, mask),
+                                     full_matrices=False)
+        keep = svals > PINV_TRUNCATION * svals[0]
         if rnorm <= problem.residual_tol:
             converged = True
             message = f"residual tolerance reached in {it} iterations"
@@ -221,7 +217,6 @@ def gauss_newton(problem: SearchProblem) -> GaussNewtonResult:
                 (history[-11] - rnorm) / history[-11] < 1e-3:
             message = "residual stagnated; best iterate returned"
             break
-        U, svals, Vt, keep, smallest = svd(x)
         if not keep.any():
             message = "Jacobian vanishes; best iterate returned"
             break
@@ -243,13 +238,12 @@ def gauss_newton(problem: SearchProblem) -> GaussNewtonResult:
             message = "line search found no decrease; best iterate returned"
             break
         x, (rnorm, r, s5) = trial, accepted
-    if not work["jacobian_builds"]:  # the seed met the tolerance
-        _, svals, _, _, smallest = svd(x)
     work.update(iterations=len(history) - 1, residual=rnorm,
                 residual_tol=problem.residual_tol)
     return GaussNewtonResult(params=x, names=names, residual_history=history,
                              jacobian_svals=svals,
-                             smallest_retained_sval=smallest,
+                             smallest_retained_sval=float(svals[keep][-1])
+                             if keep.any() else 0.0,
                              sigma5=s5, converged=converged, message=message,
                              diagnostics=work)
 
@@ -332,16 +326,29 @@ class CensusPass:
 class SolutionCensus:
     """A census on ``scan_xs``. ``passes`` holds the pass at h and, when
     the half-step check ran and the pass at h is not a
-    ``degenerate_continuum``, the pass at h/2; ``roots``, ``count``,
-    ``unresolved_brackets`` and ``scan_g`` are those of the pass at h."""
+    ``degenerate_continuum``, the pass at h/2. ``roots``, ``count``,
+    ``unresolved_brackets`` and ``scan_g`` read the pass at h, and
+    ``count_at_half_step`` the pass at h/2."""
 
-    roots: tuple[CensusRoot, ...]
-    count: int | None
-    degenerate_continuum: bool
-    unresolved_brackets: tuple[tuple[float, float], ...]
     scan_xs: np.ndarray
-    scan_g: np.ndarray
+    degenerate_continuum: bool
     passes: tuple[CensusPass, ...]
+
+    @property
+    def roots(self) -> tuple[CensusRoot, ...]:
+        return self.passes[0].roots
+
+    @property
+    def count(self) -> int | None:
+        return self.passes[0].count
+
+    @property
+    def unresolved_brackets(self) -> tuple[tuple[float, float], ...]:
+        return self.passes[0].unresolved
+
+    @property
+    def scan_g(self) -> np.ndarray:
+        return self.passes[0].g
 
     @property
     def count_at_half_step(self) -> int | None:
@@ -381,11 +388,8 @@ def count_solutions(f: Nonlinearity, v, x_lo: float, x_hi: float,
     scan_n = require_int("scan_n", scan_n, 2)
     xs = np.linspace(x_lo, x_hi, scan_n)
     degenerate, passes = _census_pass(f, v, xs, h, check_half_step)
-    first = passes[0]
-    return SolutionCensus(roots=first.roots, count=first.count,
-                          degenerate_continuum=degenerate,
-                          unresolved_brackets=first.unresolved,
-                          scan_xs=xs, scan_g=first.g, passes=tuple(passes))
+    return SolutionCensus(scan_xs=xs, degenerate_continuum=degenerate,
+                          passes=tuple(passes))
 
 
 def _census_pass(f: Nonlinearity, v, xs: np.ndarray, h: float,

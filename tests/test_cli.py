@@ -132,6 +132,18 @@ class TestExitCodes:
         assert code == EXIT_PRECONDITION
         assert "is not a finite number" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        pytest.param("sweep --family {family} --grid b=3.5:4.5:2 b=1:2:1 "
+                     "c=0:0:1", id="sweep-grid"),
+        pytest.param(SEARCH + "--params b=0.5 b=7 c=0.1", id="params"),
+    ])
+    def test_repeated_name_exits_2(self, argv, problem_files, capsys):
+        # a NAME given twice is refused, not overwritten by its last value
+        code = execute([a.format(**problem_files) for a in argv.split()])
+        assert code == EXIT_PRECONDITION
+        out, err = capsys.readouterr()
+        assert out == "" and "b is given twice" in err
+
     def test_no_flag_takes_a_bare_float(self):
         # every number flag goes through the finite-float type
         subparsers = next(a for a in _build_parser()._actions
@@ -475,9 +487,10 @@ class TestCommands:
         assert diag["residual"] <= diag["residual_tol"]
         assert diag["residual"] == doc["result"]["residual_history"][-1]
         assert diag["iterations"] == len(doc["result"]["residual_history"]) - 1
-        # one Jacobian per step and one functional evaluation per
-        # line-search trial; an accepted trial is the next iterate
-        assert diag["jacobian_builds"] == diag["iterations"] >= 1
+        # one Jacobian per iterate, the returned one included, and one
+        # functional evaluation per line-search trial; an accepted trial is
+        # the next iterate
+        assert diag["jacobian_builds"] == diag["iterations"] + 1 >= 2
         assert diag["sigma_evals"] == (diag["iterations"] + 1
                                        + diag["line_search_halvings"])
 

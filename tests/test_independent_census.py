@@ -26,6 +26,7 @@ def rhs(quartic, six_root_ansatz):
     return operator_rhs(quartic, six_root_ansatz)
 
 
+@pytest.mark.slow
 def test_six_roots_via_scipy(quartic, rhs):
     def field(t, y):
         return rhs(t) - quartic.eval(t, y, 0)

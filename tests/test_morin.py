@@ -3,10 +3,10 @@ import pytest
 
 from morinode import (Grid, Nonlinearity, ParamFamily, PeriodicFn,
                       SearchProblem, classify_point, contact_order, eigen_w,
-                      mean, sigma_hat, sigma_vec)
+                      mean, morin, sigma_hat, sigma_vec)
 from morinode.core import (FourierAnsatz, PreconditionError, Term,
                            integral_weighted_t, spectral_antiderivative)
-from morinode.morin import (_derivative_samples, _sigma_gradients,
+from morinode.morin import (MorinOrder, _derivative_samples, _sigma_gradients,
                             _sigma_stages, _sigma_values)
 from morinode.search import _jacobian
 from tests.conftest import BUTTERFLY_B, BUTTERFLY_C, operator_rhs
@@ -291,14 +291,35 @@ class TestSigmaHat:
             sigma_hat(g, PeriodicFn.constant(0.0), 2)
 
 
+def _classify_record(f, u, order):
+    """classify_point(f, u), with every field of its record pinned: the
+    functionals of ``sigma_vec``, ``order``, ``tol_zero`` always, and
+    ``jacobian_svals`` and ``tol_rank`` only where the rank test ran (k >= 2
+    and below the exceeds exit)."""
+    rep = classify_point(f, u)
+    ref = sigma_vec(f, u)
+    assert np.array_equal(rep.sigma, ref.sigma)
+    assert rep.sigma_abc == ref.sigma_abc
+    assert rep.tol_zero == morin.ZERO_TOL_FACTOR * (
+        1.0 + float(np.max(np.abs(rep.sigma))))
+    if order.kind in ("regular", "exceeds") or order.k == 1:
+        assert rep.jacobian_svals is None and rep.tol_rank is None
+    else:
+        assert rep.tol_rank == morin.RANK_TOL_FACTOR * rep.jacobian_svals[0]
+    assert rep.order == order
+    return rep
+
+
 class TestClassifyPoint:
     def test_fold(self):
-        rep = classify_point(SQUARE, PeriodicFn.constant(0.0))
-        assert rep.order.kind == "morin" and rep.order.k == 1
+        rep = _classify_record(SQUARE, PeriodicFn.constant(0.0),
+                               MorinOrder("morin", k=1))
+        assert rep.sigma.tolist() == [0.0, 2.0, 0.0, 0.0, 0.0]
 
     def test_regular(self):
-        rep = classify_point(SQUARE, PeriodicFn.constant(1.0))
-        assert rep.order.kind == "regular"
+        rep = _classify_record(SQUARE, PeriodicFn.constant(1.0),
+                               MorinOrder("regular"))
+        assert rep.sigma[0] == 2.0
 
     def test_butterfly(self, refined_butterfly):
         f, ans, _ = refined_butterfly
@@ -309,25 +330,26 @@ class TestClassifyPoint:
 
     def test_located_cusp(self, located_cusp):
         f, u, _ = located_cusp
-        rep = classify_point(f, u)
-        assert rep.order.kind == "morin" and rep.order.k == 2
+        rep = _classify_record(f, u, MorinOrder("morin", k=2))
+        assert rep.jacobian_svals.shape == (1,)
+        assert rep.jacobian_svals[-1] > rep.tol_rank
         assert rep.sigma[2] > 0  # the cubic family only has positive Sigma_3
 
     def test_degenerate_when_the_rank_test_fails(self):
         # x^3 at u = 0: Sigma_1 = Sigma_2 = 0 and Sigma_3 = 6, but Sigma_1 =
         # mean(3 u^2) has a zero derivative there, so the cusp is not
         # transversal
-        rep = classify_point(Nonlinearity.polynomial([0, 0, 0, 1]),
-                             PeriodicFn.constant(0.0, Grid(256)))
-        assert rep.order.kind == "degenerate"
-        assert rep.order.reason.startswith("rank test failed at k=2")
-        assert rep.jacobian_svals.tolist() == [0.0]
+        rep = _classify_record(Nonlinearity.polynomial([0, 0, 0, 1]),
+                               PeriodicFn.constant(0.0, Grid(256)),
+                               MorinOrder("degenerate", reason=(
+                                   "rank test failed at k=2: "
+                                   "smin=0.000e+00 <= 0.000e+00")))
+        assert rep.jacobian_svals.tolist() == [0.0] and rep.tol_rank == 0.0
 
     def test_exceeds_when_every_functional_vanishes(self):
-        rep = classify_point(Nonlinearity.polynomial([]),
-                             PeriodicFn.constant(0.0, Grid(256)))
-        assert rep.order.kind == "exceeds"
-        assert rep.order.reason == "all five functionals vanish"
+        rep = _classify_record(
+            Nonlinearity.polynomial([]), PeriodicFn.constant(0.0, Grid(256)),
+            MorinOrder("exceeds", reason="all five functionals vanish"))
         assert rep.sigma.tolist() == [0.0] * 5
 
 

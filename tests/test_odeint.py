@@ -1063,6 +1063,17 @@ class TestContactOrder:
         assert rep.order == 4
         assert min(margins) > 4.0, margins
 
+    @pytest.mark.parametrize("f, kmax, order", [
+        pytest.param(IDENTITY, 2, 0, id="rho-prime-off-one"),
+        pytest.param(SQUARE, 3, 1, id="largest-passing-k"),
+        pytest.param(ZERO, 3, None, id="exceeds-kmax"),
+    ])
+    def test_order_and_exceeds_kmax_on_each_exit(self, f, kmax, order):
+        # exceeds_kmax is set exactly when no order is found
+        rep = contact_order(f, None, 0.0, kmax=kmax, h=1e-2)
+        assert rep.order == order
+        assert rep.exceeds_kmax is (order is None)
+
     def test_polynomial_kmax_five(self):
         # rho^(6) needs f's order-6 rows, past MAX_X_DERIVATIVE = 5: a
         # polynomial's coefficient rows have no bound

@@ -46,9 +46,15 @@ class TestGaussNewton:
         assert len(res.residual_history) <= 100
         assert res.smallest_retained_sval > 1e-6
         assert abs(res.sigma5) > 1.0
-        # one Jacobian per step, none more at the converged point
+        # one Jacobian per iterate, the converged one included, whose
+        # singular values are the ones reported (from the same SVD call:
+        # compute_uv=False rounds them differently, by about 1e-16)
         assert res.diagnostics["jacobian_builds"] == \
-            res.diagnostics["iterations"] > 0
+            res.diagnostics["iterations"] + 1 > 1
+        _, own, _ = np.linalg.svd(search._jacobian(problem, res.params,
+                                                   problem.free_mask()),
+                                  full_matrices=False)
+        assert np.array_equal(res.jacobian_svals, own)
         # minimum-norm steps keep the solution near the published point;
         # the perturbation's tangent component survives (about 1.4e-3)
         printed = np.concatenate([[BUTTERFLY_B, BUTTERFLY_C],
